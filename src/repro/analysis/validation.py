@@ -4,9 +4,10 @@ On the real cluster the paper injects latency with its delay-thread injector,
 measures the application runtime, and compares against LLAMP's prediction.
 In this reproduction the *measurement* is the LogGOPS discrete-event
 simulator (optionally with noise and a non-ideal injector) and the
-*prediction* is the LP pipeline — two independent code paths over the same
-execution graph, so agreement is meaningful and the RRMSE statistics of the
-paper can be recomputed.
+*prediction* is :class:`~repro.core.analyzer.LatencyAnalyzer`'s exact
+``T(L)`` envelope — two independent code paths over the same execution
+graph, so agreement is meaningful and the RRMSE statistics of the paper can
+be recomputed.
 """
 
 from __future__ import annotations
@@ -111,14 +112,14 @@ def run_validation_sweep(
     lp_engine: str = "auto",
     sim_engine: str = "auto",
 ) -> ValidationSweep:
-    """Sweep ΔL, measuring with the simulator and predicting with the LP.
+    """Sweep ΔL, measuring with the simulator and predicting with the analyzer.
 
     ``repetitions`` simulated runs per ΔL are averaged (the paper averages
     10 real runs); by default a small Gaussian compute noise makes the
-    measurement realistically non-deterministic.  ``lp_engine`` selects the
-    LP construction engine (symbolic sweep vs the vectorised compiler) and
-    ``sim_engine`` the simulation engine (the per-vertex legacy walk vs the
-    level-synchronous vectorised engine; both are timestamp-identical).
+    measurement realistically non-deterministic.  ``sim_engine`` selects the
+    simulation engine (the per-vertex legacy walk vs the level-synchronous
+    vectorised engine; both are timestamp-identical); ``backend`` and
+    ``lp_engine`` are handed to the analyzer.
     """
     deltas = np.asarray(
         sorted(set(float(d) for d in (delta_Ls if delta_Ls is not None else np.linspace(0, 100, 11)))),

@@ -3,13 +3,14 @@
 Small front end over the library for the most common workflows:
 
 ``llamp analyze``
-    build an application skeleton, run the LP analysis and print runtime,
-    ``λ_L``, ``ρ_L`` and the 1/2/5 % latency tolerances;
+    build an application skeleton and print runtime, ``λ_L``, ``ρ_L`` and
+    the 1/2/5 % latency tolerances, read off its exact ``T(L)`` envelope
+    (no LP; ``--envelope-engine lp`` solves the paper's LPs instead);
 ``llamp sweep``
-    measured-vs-predicted ΔL sweep (simulator vs LP) with RRMSE;
+    measured-vs-predicted ΔL sweep (simulator vs the envelope) with RRMSE;
 ``llamp curve``
-    exact ``T(L)`` / ``λ_L(L)`` curve and critical latencies via the batched
-    sweep engine (O(#breakpoints) LP solves, one assembled matrix);
+    exact ``T(L)`` / ``λ_L(L)`` curve and critical latencies from one
+    forward envelope pass (zero LP solves);
 ``llamp place``
     sensitivity-guided rank placement (Algorithm 3): refine a process
     mapping with the incremental per-pair LP engine and compare it against
@@ -29,9 +30,11 @@ Small front end over the library for the most common workflows:
     merged summary;
 ``llamp ingest``
     stream an on-disk trace or GOAL file through the chunked out-of-core
-    readers (:mod:`repro.schedgen.streaming`) and run the LP analysis —
-    peak memory stays O(chunk + columns) instead of O(file), with the
-    columns optionally spilled to disk-backed buffers (``--mmap-dir``).
+    readers (:mod:`repro.schedgen.streaming`) and print the ``analyze``
+    metrics — peak memory stays O(chunk + columns) instead of O(file), with
+    the columns optionally spilled to disk-backed buffers (``--mmap-dir``).
+
+An unbounded tolerance prints as ``unbounded`` (``null`` under ``--json``).
 """
 
 from __future__ import annotations
@@ -150,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--max-delta", type=float, default=100.0, help="largest ΔL in µs")
     sweep.add_argument("--points", type=int, default=6, help="number of sweep points")
 
-    curve = sub.add_parser("curve", help="exact T(L)/λ_L(L) curve via the batched sweep engine")
+    curve = sub.add_parser("curve", help="exact T(L)/λ_L(L) curve from one forward envelope pass")
     add_app_args(curve)
     curve.add_argument("--l-max", type=float, default=1000.0, help="largest latency L in µs")
     curve.add_argument("--points", type=int, default=11, help="number of printed curve points")
@@ -256,10 +259,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "chunked streaming readers — fixed-size record blocks "
                     "straight into columnar batches (traces) or the graph "
                     "builder (GOAL), bit-identical to the monolithic "
-                    "loaders — and run the LP latency analysis. With a "
+                    "loaders — and print the analyze metrics. With a "
                     "--mmap-dir the accumulated columns are disk-backed, "
                     "so peak memory is bounded by the chunk size plus the "
-                    "LP working set, not the input size.",
+                    "envelope working set, not the input size.",
     )
     ingest.add_argument("format", choices=("trace", "goal"),
                         help="input file format")
@@ -295,18 +298,31 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     )
     summary = analyzer.summary()
     if args.json:
-        print(json.dumps(summary, indent=2))
+        print(json.dumps(_json_summary(summary), indent=2))
         return 0
     print(f"application        : {args.app} ({args.nranks} ranks, "
           f"{analyzer.graph.num_events} events)")
+    _print_summary(summary, params.L)
+    return 0
+
+
+def _json_summary(summary: dict) -> dict:
+    """``summary`` with unbounded (infinite) tolerances as JSON ``null``."""
+    return {k: None if isinstance(v, float) and np.isinf(v) else v for k, v in summary.items()}
+
+
+def _print_summary(summary: dict, base_latency: float) -> None:
+    """The runtime, λ_L, ρ_L and tolerance lines of ``analyze`` and ``ingest``."""
     print(f"predicted runtime  : {summary['runtime_us'] / 1e6:.4f} s")
     print(f"lambda_L           : {summary['lambda_L']:.1f} messages on the critical path")
     print(f"rho_L              : {summary['rho_L'] * 100:.2f} % of the critical path is latency")
     for level in (1, 2, 5):
-        key = f"tolerance_{level}pct_us"
-        print(f"{level}% latency tolerance : {summary[key]:.1f} µs "
-              f"(ΔL = {summary[key] - params.L:.1f} µs over the base latency)")
-    return 0
+        tolerance = summary[f"tolerance_{level}pct_us"]
+        if np.isinf(tolerance):
+            print(f"{level}% latency tolerance : unbounded (no message on any path)")
+            continue
+        print(f"{level}% latency tolerance : {tolerance:.1f} µs "
+              f"(ΔL = {tolerance - base_latency:.1f} µs over the base latency)")
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -627,7 +643,8 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
                 spill_dir=work_dir,
             )
             analyzer = LatencyAnalyzer.from_batches(
-                batches, batches.nranks, params, lp_engine=args.lp_engine
+                batches, batches.nranks, params, lp_engine=args.lp_engine,
+                envelope_engine=args.envelope_engine,
             )
             nranks = batches.nranks
             ingested = {"records": batches.num_rows, "spilled": batches.spilled}
@@ -635,7 +652,10 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
             graph = load_goal_chunked(
                 args.input, chunk_size=args.chunk_size, mmap_dir=work_dir
             )
-            analyzer = LatencyAnalyzer(graph, params, lp_engine=args.lp_engine)
+            analyzer = LatencyAnalyzer(
+                graph, params, lp_engine=args.lp_engine,
+                envelope_engine=args.envelope_engine,
+            )
             nranks = graph.nranks
             ingested = {
                 "vertices": graph.num_events,
@@ -649,7 +669,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
                 "format": args.format,
                 "nranks": nranks,
                 "ingested": ingested,
-                **summary,
+                **_json_summary(summary),
             }, indent=2))
             return 0
         spilled = "disk-backed" if ingested["spilled"] else "in-RAM"
@@ -657,13 +677,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
                   else f"{ingested['vertices']} vertices / {ingested['edges']} edges")
         print(f"ingested           : {args.input} ({args.format}, {nranks} ranks, "
               f"{detail}, {spilled} columns)")
-        print(f"predicted runtime  : {summary['runtime_us'] / 1e6:.4f} s")
-        print(f"lambda_L           : {summary['lambda_L']:.1f} messages on the critical path")
-        print(f"rho_L              : {summary['rho_L'] * 100:.2f} % of the critical path is latency")
-        for level in (1, 2, 5):
-            key = f"tolerance_{level}pct_us"
-            print(f"{level}% latency tolerance : {summary[key]:.1f} µs "
-                  f"(ΔL = {summary[key] - params.L:.1f} µs over the base latency)")
+        _print_summary(summary, params.L)
         return 0
     finally:
         if cleanup is not None:

@@ -4,13 +4,18 @@
 and exposes every metric the paper derives from the generated LP:
 
 * predicted runtime ``T`` for any added latency ΔL (Section II-C);
-* network latency sensitivity ``λ_L`` (reduced cost of ``l``, Section II-D1);
+* network latency sensitivity ``λ_L`` (the slope of ``T(L)``, Section II-D1);
 * the L ratio ``ρ_L`` (fraction of the critical path spent in latency);
 * network latency tolerance — the largest ``L`` that keeps the runtime within
-  x % of the baseline (Section II-D2, directly via ``max l`` LPs);
+  x % of the baseline (Section II-D2);
 * all critical latencies in an interval (Algorithm 2);
 * bandwidth sensitivity ``λ_G`` (Section II-B1);
 * full sensitivity curves over a ΔL sweep (the lower panels of Fig. 9/10).
+
+Envelope-first: Eq. 3 makes every latency metric a query on one exact
+``T(L)`` envelope over ``[L₀, ∞)`` (:attr:`LatencyAnalyzer.analysis`, one
+forward traversal, no LP).  The LP is built only for ``λ_G`` and behind
+``envelope_engine="lp"``, the oracle that answers with the paper's LP solves.
 
 Typical use::
 
@@ -26,9 +31,10 @@ Typical use::
 
 from __future__ import annotations
 
+import math
 import os
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -36,8 +42,8 @@ from ..network.params import LogGPSParams
 from ..schedgen.graph import ExecutionGraph
 from .critical_latency import critical_latency_curve, find_critical_latencies
 from .graph_analysis import CriticalPathResult, analyze_critical_path
-from .lp_builder import GraphLP, build_lp
-from .parametric import BatchedSweep, ParametricAnalysis, parametric_analysis
+from .lp_builder import LP_ENGINES, GraphLP, build_lp
+from .parametric import BatchedSweep, ParametricAnalysis, PiecewiseLinear, parametric_analysis
 
 __all__ = ["SensitivityCurve", "ToleranceReport", "LatencyAnalyzer"]
 
@@ -102,10 +108,22 @@ class LatencyAnalyzer:
         envelope_engine: str = "auto",
         cache_dir: str | os.PathLike | None = None,
     ) -> None:
+        from ..lp.backends import default_registry
         from ..schedgen.columnar import ScheduleBatches
-        from .envelope import _check_engine_name
+        from ..simulator.loggops import SIM_ENGINES
+        from .envelope import ENVELOPE_ENGINES
 
-        _check_engine_name(envelope_engine)
+        for name, value, choices in (
+            ("backend", backend, default_registry.names()),
+            ("lp_engine", lp_engine, LP_ENGINES),
+            ("sim_engine", sim_engine, SIM_ENGINES),
+            ("envelope_engine", envelope_engine, ENVELOPE_ENGINES),
+        ):
+            if value not in choices:
+                raise ValueError(
+                    f"unknown {name} {value!r} for LatencyAnalyzer; "
+                    f"expected one of {tuple(choices)}"
+                )
 
         if isinstance(graph, ScheduleBatches):
             # fused analyze-only path: keep the batch spec; the execution
@@ -123,6 +141,7 @@ class LatencyAnalyzer:
         self.sim_engine = sim_engine
         self.envelope_engine = envelope_engine
         self._lp: GraphLP | None = None
+        self._analysis: ParametricAnalysis | None = None
         self._baseline_runtime: float | None = None
         self._store = None
         if cache_dir is not None:
@@ -137,9 +156,9 @@ class LatencyAnalyzer:
 
         The program is columnarised once
         (:func:`~repro.schedgen.columnar.batches_from_program`) and held as a
-        :class:`~repro.schedgen.columnar.ScheduleBatches` spec; the LP is
-        lowered batches → CSR directly, and a (zero-copy, analyze-only)
-        execution graph only exists if something graph-shaped is requested.
+        :class:`~repro.schedgen.columnar.ScheduleBatches` spec: the graph is
+        built from it zero-copy (never frozen), and an LP, if one is ever
+        needed, is lowered batches → CSR directly.
         """
         from ..schedgen.columnar import ScheduleBatches
 
@@ -192,7 +211,7 @@ class LatencyAnalyzer:
 
     @property
     def lp(self) -> GraphLP:
-        """The generated LP (built on first use, then cached and re-solved)."""
+        """The generated LP (built on first use; only ``λ_G`` and the ``"lp"`` oracle need it)."""
         if self._lp is None:
             source = self._schedule if self._schedule is not None else self.graph
             self._lp = build_lp(
@@ -203,6 +222,35 @@ class LatencyAnalyzer:
                 engine=self.lp_engine,
             )
         return self._lp
+
+    @property
+    def analysis(self) -> ParametricAnalysis:
+        """The exact ``T(L)`` curve over ``[L₀, ∞)`` every latency metric is
+        read from: one forward traversal on first use, through the artifact
+        store when ``cache_dir`` is set."""
+        if self._analysis is None:
+            from .envelope import forward_envelope
+
+            L0 = self.params.L
+            envelope = self._stored_envelope(L0, math.inf, lambda: forward_envelope(
+                self.graph, self.params, l_min=L0, l_max=math.inf))
+            self._analysis = ParametricAnalysis(envelope, self.params, self.graph)
+        return self._analysis
+
+    def _stored_envelope(
+        self, l_min: float, l_max: float, build: Callable[[], PiecewiseLinear],
+        **config: object,
+    ) -> PiecewiseLinear:
+        """``build()``, or its artifact-store entry when caching is on (keys
+        are engine-free: both engines compute the identical curve)."""
+        if self._store is None:
+            return build()
+        from ..artifacts import envelope_key
+
+        key = envelope_key(self.graph, self.params, l_min=l_min, l_max=l_max,
+                           gap_symbolic=self._gap_symbolic, lp_engine=self.lp_engine,
+                           **config)
+        return self._store.get_or_build_envelope(key, build)
 
     def graph_analysis(self, delta_L: float = 0.0) -> CriticalPathResult:
         """The conventional two-pass critical path analysis (baseline method)."""
@@ -254,49 +302,41 @@ class LatencyAnalyzer:
     def batched_sweep(
         self, l_min: float | None = None, l_max: float = 10_000.0, **kwargs
     ) -> BatchedSweep:
-        """A :class:`BatchedSweep` over the cached LP (assembled once).
+        """A :class:`BatchedSweep` holding the exact ``T(L)`` curve on
+        ``[l_min, l_max]``; ``l_min`` defaults to the baseline latency.
 
-        ``l_min`` defaults to the baseline latency.  The sweep reconstructs
-        the exact ``T(L)`` curve from ``O(#breakpoints)`` LP solves instead
-        of one cold solve per sweep point.
-
-        With ``cache_dir=`` set on the analyzer, the envelope is served from
-        the content-addressed :class:`~repro.artifacts.ArtifactStore`: on a
-        hit the returned sweep wraps the stored curve and never builds,
-        assembles or solves the LP at all (zero new CSR assemblies); on a
-        miss the envelope is built once and persisted for the next caller.
-        Store keys are engine-free — an envelope warmed with one
-        ``envelope_engine`` is a hit for the other, since both compute the
-        identical curve.
+        The curve comes straight from
+        :func:`~repro.core.envelope.forward_envelope` (no LP is built)
+        unless ``envelope_engine="lp"`` (the analyzer's, or a keyword), which
+        runs the tangent search over the cached LP; ``kwargs`` are forwarded
+        to :class:`BatchedSweep`.  With ``cache_dir=`` set, a store hit
+        wraps the stored curve and no engine runs at all; a miss is built
+        once and persisted for the next caller, whichever engine asks.
         """
+        from .envelope import _check_engine_name, forward_envelope
+
         lo = self.params.L if l_min is None else l_min
         kwargs.setdefault("backend", self.backend)
-        kwargs.setdefault("envelope_engine", self.envelope_engine)
-        if self._store is None:
-            return BatchedSweep(self.lp, l_min=lo, l_max=l_max, **kwargs)
-        from ..artifacts import envelope_key
+        engine = kwargs.setdefault("envelope_engine", self.envelope_engine)
+        _check_engine_name(engine)
+        sweep: BatchedSweep | None = None
 
-        key = envelope_key(
-            self.graph,
-            self.params,
-            l_min=lo,
-            l_max=l_max,
-            gap_symbolic=self._gap_symbolic,
-            lp_engine=self.lp_engine,
-            **{
-                k: v
-                for k, v in kwargs.items()
-                if k not in ("backend", "envelope_engine")
-            },
+        def build() -> PiecewiseLinear:
+            nonlocal sweep
+            if engine != "lp":
+                return forward_envelope(
+                    self.graph, self.params, l_min=lo, l_max=l_max,
+                    max_pieces=kwargs.get("max_pieces", 50_000),
+                )
+            sweep = BatchedSweep(self.lp, l_min=lo, l_max=l_max, **kwargs)
+            return sweep.envelope
+
+        envelope = self._stored_envelope(
+            lo, l_max, build,
+            **{k: v for k, v in kwargs.items()
+               if k not in ("backend", "envelope_engine")},
         )
-        cached = self._store.get("envelope", key)
-        if cached is not None:
-            self._store.hits["envelope"] += 1
-            return BatchedSweep.from_envelope(cached)
-        sweep = BatchedSweep(self.lp, l_min=lo, l_max=l_max, **kwargs)
-        self._store.misses["envelope"] += 1
-        self._store.put("envelope", key, sweep.envelope)
-        return sweep
+        return sweep if sweep is not None else BatchedSweep.from_envelope(envelope)
 
     @classmethod
     def sweep_many(
@@ -339,14 +379,11 @@ class LatencyAnalyzer:
         )
         return [BatchedSweep.from_envelope(envelope) for envelope in envelopes]
 
-    # -- core metrics -------------------------------------------------------------
+    # -- core metrics (all read off sensitivity_curve) ----------------------------
 
     def predict_runtime(self, delta_L: float = 0.0) -> float:
         """Predicted runtime (µs) with ``delta_L`` µs of added network latency."""
-        if delta_L < 0:
-            raise ValueError(f"delta_L must be non-negative, got {delta_L}")
-        solution = self.lp.solve_runtime(L=self.params.L + delta_L, backend=self.backend)
-        return solution.objective
+        return float(self.sensitivity_curve([delta_L]).runtime[0])
 
     def baseline_runtime(self) -> float:
         """Predicted runtime at the baseline latency (cached)."""
@@ -356,17 +393,11 @@ class LatencyAnalyzer:
 
     def latency_sensitivity(self, delta_L: float = 0.0) -> float:
         """``λ_L = ∂T/∂L`` at the given added latency (messages on the critical path)."""
-        solution = self.lp.solve_runtime(L=self.params.L + delta_L, backend=self.backend)
-        return self.lp.latency_sensitivity(solution)
+        return float(self.sensitivity_curve([delta_L]).latency_sensitivity[0])
 
     def l_ratio(self, delta_L: float = 0.0) -> float:
         """``ρ_L``: fraction of the predicted runtime attributable to network latency."""
-        L = self.params.L + delta_L
-        solution = self.lp.solve_runtime(L=L, backend=self.backend)
-        runtime = solution.objective
-        if runtime <= 0:
-            return 0.0
-        return L * self.lp.latency_sensitivity(solution) / runtime
+        return float(self.sensitivity_curve([delta_L]).l_ratio[0])
 
     def bandwidth_sensitivity(self, delta_L: float = 0.0) -> float:
         """``λ_G = ∂T/∂G``: bytes (minus one per message) on the critical path."""
@@ -384,14 +415,22 @@ class LatencyAnalyzer:
 
         ``absolute=True`` returns the total tolerable latency ``L`` (as in
         Fig. 1); ``absolute=False`` returns the tolerable *added* latency ΔL.
+        Unbounded (``math.inf``) when no path carries a message.
         """
         if degradation < 0:
             raise ValueError(f"degradation must be non-negative, got {degradation}")
-        bound = (1.0 + degradation) * self.baseline_runtime()
-        # reset the latency lower bound to the baseline before maximising
-        self.lp.set_latency_bound(self.params.L)
-        solution = self.lp.solve_max_latency(bound, backend=self.backend)
-        tolerance = solution.objective
+        if self.envelope_engine != "lp":
+            tolerance = self.analysis.latency_tolerance(degradation)
+        else:
+            from ..lp.model import UnboundedError
+
+            bound = (1.0 + degradation) * self.baseline_runtime()
+            # reset the latency lower bound to the baseline before maximising
+            self.lp.set_latency_bound(self.params.L)
+            try:
+                tolerance = self.lp.solve_max_latency(bound, backend=self.backend).objective
+            except UnboundedError:
+                tolerance = math.inf
         return tolerance if absolute else tolerance - self.params.L
 
     def tolerance_report(
@@ -408,75 +447,49 @@ class LatencyAnalyzer:
 
     # -- curves and sweeps ------------------------------------------------------------
 
-    def sensitivity_curve(
-        self, delta_Ls: Iterable[float], *, engine: str = "lp"
-    ) -> SensitivityCurve:
+    def sensitivity_curve(self, delta_Ls: Iterable[float]) -> SensitivityCurve:
         """Sample runtime, ``λ_L`` and ``ρ_L`` over a ΔL sweep (Fig. 9 lower panels).
 
-        ``engine="lp"`` cold-solves one LP per point (the paper's method);
-        ``engine="batched"`` reconstructs the exact ``T(L)`` envelope with
-        ``O(#breakpoints)`` solves and evaluates every point from it — same
-        values, far fewer solver calls on dense sweeps.
+        Every point is read off :attr:`analysis` in one vectorised pass; the
+        ``envelope_engine="lp"`` oracle cold-solves one LP per point instead.
         """
         deltas = np.asarray(sorted(set(float(d) for d in delta_Ls)), dtype=np.float64)
         if np.any(deltas < 0):
             raise ValueError("delta_L values must be non-negative")
-        if engine not in ("lp", "batched"):
-            raise ValueError(f"unknown sweep engine {engine!r}; expected 'lp' or 'batched'")
         Ls = self.params.L + deltas
-        runtimes = np.zeros_like(deltas)
-        lambdas = np.zeros_like(deltas)
-        if engine == "batched" and deltas.size:
-            span = float(Ls.max()) - float(Ls.min())
-            sweep = self.batched_sweep(
-                l_min=float(Ls.min()), l_max=float(Ls.max()) + max(span, 1.0) * 1e-9
-            )
-            runtimes = sweep.values(Ls)
-            lambdas = sweep.sensitivities(Ls)
+        if self.envelope_engine == "lp":
+            solutions = [self.lp.solve_runtime(L=float(L), backend=self.backend) for L in Ls]
+            runtimes = np.array([s.objective for s in solutions], dtype=float)
+            lambdas = np.array([self.lp.latency_sensitivity(s) for s in solutions], dtype=float)
         else:
-            for i, L in enumerate(Ls):
-                solution = self.lp.solve_runtime(L=float(L), backend=self.backend)
-                runtimes[i] = solution.objective
-                lambdas[i] = self.lp.latency_sensitivity(solution)
+            envelope = self.analysis.envelope
+            runtimes = envelope.sample(Ls)
+            lambdas = envelope.slopes(Ls)
         with np.errstate(divide="ignore", invalid="ignore"):
             rhos = np.where(runtimes > 0, Ls * lambdas / runtimes, 0.0)
         return SensitivityCurve(
             delta_L=deltas, runtime=runtimes, latency_sensitivity=lambdas, l_ratio=rhos
         )
 
+    def _algorithm2(self, search, l_min: float | None, l_max: float, **kwargs):
+        """Run an Algorithm 2 wrapper: on the raw graph (forward pass, no LP)
+        or, for the ``"lp"`` oracle, as a tangent search on the cached LP."""
+        lo = self.params.L if l_min is None else l_min
+        if self.envelope_engine == "lp":
+            return search(self.lp, lo, l_max, backend=self.backend,
+                          envelope_engine="lp", **kwargs)
+        return search(self.graph, lo, l_max, params=self.params,
+                      envelope_engine=self.envelope_engine, **kwargs)
+
     def critical_latencies(
         self, l_min: float | None = None, l_max: float = 1_000.0, *, step: float | None = None
     ) -> list[float]:
         """Critical latencies in ``[l_min, l_max]`` (Algorithm 2)."""
-        lo = self.params.L if l_min is None else l_min
-        if self.envelope_engine != "lp" and self._lp is None:
-            # forward engine on the raw graph: no LP is ever assembled
-            return find_critical_latencies(
-                self.graph, lo, l_max, step=step, params=self.params,
-                envelope_engine=self.envelope_engine,
-            )
-        return find_critical_latencies(
-            self.lp, lo, l_max, backend=self.backend, step=step,
-            envelope_engine=self.envelope_engine,
-        )
+        return self._algorithm2(find_critical_latencies, l_min, l_max, step=step)
 
     def critical_latency_curve(self, l_min: float | None = None, l_max: float = 1_000.0):
-        """One :class:`~repro.lp.parametric.Tangent` per linear segment of ``T(L)``.
-
-        Runs the shared tangent-envelope search once on the cached LP; the
-        per-segment tangents are reconstructed from its cache without any
-        additional LP solves at the segment mid-points.
-        """
-        lo = self.params.L if l_min is None else l_min
-        if self.envelope_engine != "lp" and self._lp is None:
-            return critical_latency_curve(
-                self.graph, lo, l_max, params=self.params,
-                envelope_engine=self.envelope_engine,
-            )
-        return critical_latency_curve(
-            self.lp, lo, l_max, backend=self.backend,
-            envelope_engine=self.envelope_engine,
-        )
+        """One :class:`~repro.lp.parametric.Tangent` per linear segment of ``T(L)``."""
+        return self._algorithm2(critical_latency_curve, l_min, l_max)
 
     # -- reporting ----------------------------------------------------------------------
 

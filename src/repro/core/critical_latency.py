@@ -48,27 +48,6 @@ def _validate_interval(l_min: float, l_max: float) -> None:
         )
 
 
-def _as_graph_lp(
-    graph_lp: GraphLP | ExecutionGraph,
-    params: LogGPSParams | None,
-    engine: str,
-) -> GraphLP:
-    """Accept either a prebuilt :class:`GraphLP` or a raw execution graph.
-
-    Passing an :class:`ExecutionGraph` (plus ``params``) builds the LP on the
-    fly through the selected construction ``engine`` — the knob that picks
-    between the symbolic per-vertex sweep and the vectorised compiler of
-    :mod:`repro.lp.compiler`.
-    """
-    if isinstance(graph_lp, ExecutionGraph):
-        if params is None:
-            raise ValueError(
-                "passing an ExecutionGraph requires the params= keyword"
-            )
-        return build_lp(graph_lp, params, latency_mode="global", engine=engine)
-    return graph_lp
-
-
 def _collect_breakpoints(breakpoints, step: float | None) -> list[float]:
     collected = sorted(set(round(bp, 12) for bp in breakpoints))
     if step is not None and step > 0 and collected:
@@ -80,38 +59,44 @@ def _collect_breakpoints(breakpoints, step: float | None) -> list[float]:
     return collected
 
 
-def _forward_piecewise(
+def _envelope_search(
     graph_lp: GraphLP | ExecutionGraph,
+    l_min: float,
+    l_max: float,
+    *,
+    backend: str,
+    max_solves: int,
     params: LogGPSParams | None,
     engine: str,
     envelope_engine: str,
-    l_min: float,
-    l_max: float,
 ):
-    """The envelope as a :class:`PiecewiseLinear` when the forward engine
-    applies, else ``None`` (caller falls back to the tangent search).
+    """``(breakpoints, tangent_at)`` of ``T(L)`` on ``[l_min, l_max]``.
 
-    A raw :class:`ExecutionGraph` under ``"auto"``/``"forward"`` never
-    builds an LP at all; a prebuilt :class:`GraphLP` goes through
-    :func:`~repro.core.envelope.resolve_envelope_engine` so the affinity
+    A raw :class:`ExecutionGraph` (plus ``params``) under ``"auto"`` /
+    ``"forward"`` goes straight to the forward pass and never builds an LP;
+    for ``"lp"`` its LP is built through the construction ``engine``.  A
+    prebuilt :class:`GraphLP` goes through
+    :func:`~repro.core.envelope.resolve_envelope_engine`, so the affinity
     contract is honoured (and violations raise for ``"forward"``).
     """
     from .envelope import _check_engine_name, forward_envelope, resolve_envelope_engine
 
+    _validate_interval(l_min, l_max)
     _check_engine_name(envelope_engine)
-    if envelope_engine == "lp":
-        return None
+    envelope = None
     if isinstance(graph_lp, ExecutionGraph):
         if params is None:
-            raise ValueError(
-                "passing an ExecutionGraph requires the params= keyword"
-            )
-        return forward_envelope(graph_lp, params, l_min=l_min, l_max=l_max)
-    if resolve_envelope_engine(envelope_engine, graph_lp) == "forward":
-        return forward_envelope(
-            graph_lp.graph, graph_lp.params, l_min=l_min, l_max=l_max
-        )
-    return None
+            raise ValueError("passing an ExecutionGraph requires the params= keyword")
+        if envelope_engine != "lp":
+            envelope = forward_envelope(graph_lp, params, l_min=l_min, l_max=l_max)
+        else:
+            graph_lp = build_lp(graph_lp, params, latency_mode="global", engine=engine)
+    elif resolve_envelope_engine(envelope_engine, graph_lp) == "forward":
+        envelope = forward_envelope(graph_lp.graph, graph_lp.params, l_min=l_min, l_max=l_max)
+    if envelope is not None:
+        return envelope.breakpoints(), lambda x: Tangent(x, envelope.value(x), envelope.slope(x))
+    result = graph_lp.tangent_envelope(l_min, l_max, backend=backend, max_solves=max_solves)
+    return result.breakpoints, result.segment_tangent
 
 
 def find_critical_latencies(
@@ -137,15 +122,11 @@ def find_critical_latencies(
     line propagation (no LP solves) or the LP tangent search; both return
     the identical breakpoints.
     """
-    _validate_interval(l_min, l_max)
-    piecewise = _forward_piecewise(
-        graph_lp, params, engine, envelope_engine, l_min, l_max
+    breakpoints, _ = _envelope_search(
+        graph_lp, l_min, l_max, backend=backend, max_solves=max_solves,
+        params=params, engine=engine, envelope_engine=envelope_engine,
     )
-    if piecewise is not None:
-        return _collect_breakpoints(piecewise.breakpoints(), step)
-    graph_lp = _as_graph_lp(graph_lp, params, engine)
-    result = graph_lp.tangent_envelope(l_min, l_max, backend=backend, max_solves=max_solves)
-    return _collect_breakpoints(result.breakpoints, step)
+    return _collect_breakpoints(breakpoints, step)
 
 
 def critical_latency_curve(
@@ -169,26 +150,9 @@ def critical_latency_curve(
     ``params=`` / ``engine=``) like :func:`find_critical_latencies`, and the
     same ``envelope_engine`` knob.
     """
-    _validate_interval(l_min, l_max)
-    piecewise = _forward_piecewise(
-        graph_lp, params, engine, envelope_engine, l_min, l_max
+    breakpoints, tangent_at = _envelope_search(
+        graph_lp, l_min, l_max, backend=backend, max_solves=max_solves,
+        params=params, engine=engine, envelope_engine=envelope_engine,
     )
-    if piecewise is not None:
-        points = _collect_breakpoints(piecewise.breakpoints(), None)
-        boundaries = [l_min, *points, l_max]
-        return [
-            Tangent(
-                L=0.5 * (lo + hi),
-                value=piecewise.value(0.5 * (lo + hi)),
-                slope=piecewise.slope(0.5 * (lo + hi)),
-            )
-            for lo, hi in zip(boundaries, boundaries[1:])
-        ]
-    graph_lp = _as_graph_lp(graph_lp, params, engine)
-    result = graph_lp.tangent_envelope(l_min, l_max, backend=backend, max_solves=max_solves)
-    points = _collect_breakpoints(result.breakpoints, None)
-    boundaries = [l_min, *points, l_max]
-    return [
-        result.segment_tangent(0.5 * (lo + hi))
-        for lo, hi in zip(boundaries, boundaries[1:])
-    ]
+    boundaries = [l_min, *_collect_breakpoints(breakpoints, None), l_max]
+    return [tangent_at(0.5 * (lo + hi)) for lo, hi in zip(boundaries, boundaries[1:])]

@@ -38,7 +38,10 @@ from ..lp.model import Constraint, LinearExpr, LPModel, LPSolution, Sense, Varia
 from ..network.params import LogGPSParams
 from ..schedgen.graph import EdgeKind, ExecutionGraph, VertexKind
 
-__all__ = ["GraphLP", "build_lp", "COMPILED_ENGINE_THRESHOLD"]
+__all__ = ["GraphLP", "build_lp", "COMPILED_ENGINE_THRESHOLD", "LP_ENGINES"]
+
+#: the accepted values of every ``lp_engine=`` / ``engine=`` LP-build knob.
+LP_ENGINES = ("auto", "symbolic", "compiled", "fused")
 
 #: Graph size (vertices) above which ``engine="auto"`` picks the vectorised
 #: compiler.  The measured crossover is ≈ 40 vertices; the threshold sits
@@ -303,7 +306,7 @@ def build_lp(
         raise ValueError(f"unknown gap_mode {gap_mode!r}")
     if overhead_mode not in ("constant", "global"):
         raise ValueError(f"unknown overhead_mode {overhead_mode!r}")
-    if engine not in ("auto", "symbolic", "compiled", "fused"):
+    if engine not in LP_ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
     from ..schedgen.columnar import ScheduleBatches
 

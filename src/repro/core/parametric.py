@@ -7,24 +7,24 @@ Equation 3 of the paper writes the runtime of an MPI program under LogGPS as
 where each term corresponds to one path through the execution graph
 (``a_i`` = number of communication edges, ``C_i`` = all other costs).  The
 paper notes that materialising this expression by dynamic programming is
-intractable in their C++ implementation; here we implement it with an
-*upper-envelope* representation — per vertex we only keep the lines that are
-maximal somewhere in the latency interval of interest — which makes the
-computation exact and, for the graph sizes used in this reproduction, fast.
+intractable in their C++ implementation; here it is an *upper-envelope*
+representation — only the lines that are maximal somewhere in the latency
+interval of interest are kept — computed exactly in one traversal by
+:func:`~repro.core.envelope.forward_envelope`.
 
 The resulting :class:`PiecewiseLinear` envelope directly yields every
-quantity LLAMP otherwise extracts from LP re-solves:
+quantity LLAMP otherwise extracts from LP re-solves.
+:class:`ParametricAnalysis` is the one result type those metrics are read
+from — by :class:`~repro.core.analyzer.LatencyAnalyzer` and by the scenario
+fleet's rows alike:
 
-* ``T(L)``                      — :meth:`PiecewiseLinear.value`;
-* ``λ_L(L)``                    — :meth:`PiecewiseLinear.slope`;
-* all critical latencies        — :meth:`PiecewiseLinear.breakpoints`;
+* ``T(L)``                      — :meth:`ParametricAnalysis.runtime`;
+* ``λ_L(L)``                    — :meth:`ParametricAnalysis.latency_sensitivity`;
+* ``ρ_L(L)``                    — :meth:`ParametricAnalysis.l_ratio`;
+* all critical latencies        — :meth:`ParametricAnalysis.critical_latencies`;
 * the x% latency tolerance      — :meth:`ParametricAnalysis.latency_tolerance`;
 * the feasibility range of a
-  given ``L`` (Gurobi's ranging) — :meth:`PiecewiseLinear.segment_of`.
-
-It is used as an independent cross-check of the LP pipeline in the test
-suite and by Algorithm 2's range queries when the LP backend cannot provide
-ranging information.
+  given ``L`` (Gurobi's ranging) — :meth:`ParametricAnalysis.feasibility_range`.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ import numpy as np
 
 from ..lp.parametric import EnvelopeOverflowError, ParametricLP
 from ..network.params import LogGPSParams
-from ..schedgen.graph import EdgeKind, ExecutionGraph, VertexKind
+from ..schedgen.graph import ExecutionGraph
+from .envelope import forward_envelope
 
 __all__ = [
     "Line",
@@ -58,10 +59,8 @@ class Line:
     intercept: float
 
     def __call__(self, x: float) -> float:
-        return self.slope * x + self.intercept
-
-    def shifted(self, slope_delta: float, intercept_delta: float) -> "Line":
-        return Line(self.slope + slope_delta, self.intercept + intercept_delta)
+        # a flat line stays flat at x = inf (0 * inf would be NaN)
+        return self.intercept if self.slope == 0 else self.slope * x + self.intercept
 
 
 def _upper_envelope(lines: Sequence[Line], lo: float, hi: float) -> list[Line]:
@@ -245,43 +244,57 @@ class PiecewiseLinear:
 
 @dataclass
 class ParametricAnalysis:
-    """The full parametric picture of one execution graph."""
+    """Every ``T(L)``-derived metric, read off one exact envelope.
+
+    Latency arguments default to :attr:`baseline_L`.  ``graph`` is optional:
+    envelopes restored from an artifact store or returned by pool workers
+    carry no graph.
+    """
 
     envelope: PiecewiseLinear
     params: LogGPSParams
-    graph: ExecutionGraph
+    graph: ExecutionGraph | None = None
+
+    @property
+    def baseline_L(self) -> float:
+        """The baseline latency ``L₀``: ``params.L``, clamped into the envelope."""
+        return max(float(self.params.L), float(self.envelope.lo))
 
     def runtime(self, L: float | None = None) -> float:
-        """``T(L)``; defaults to the baseline latency of ``params``."""
-        return self.envelope.value(self.params.L if L is None else L)
+        """``T(L)``."""
+        return self.envelope.value(self.baseline_L if L is None else L)
 
     def latency_sensitivity(self, L: float | None = None) -> float:
-        """``λ_L`` at ``L``."""
-        return self.envelope.slope(self.params.L if L is None else L)
+        """``λ_L`` at ``L`` (slope from above at a breakpoint)."""
+        return self.envelope.slope(self.baseline_L if L is None else L)
 
     def l_ratio(self, L: float | None = None) -> float:
         """``ρ_L``: fraction of the critical path attributable to latency."""
-        x = self.params.L if L is None else L
-        t = self.envelope.value(x)
+        x = self.baseline_L if L is None else L
+        t = self.runtime(x)
         if t <= 0:
             return 0.0
-        return x * self.envelope.slope(x) / t
+        return x * self.latency_sensitivity(x) / t
 
     def critical_latencies(self) -> list[float]:
         """All critical latencies in the analysed interval."""
         return self.envelope.breakpoints()
 
     def latency_tolerance(self, degradation: float, baseline_L: float | None = None) -> float:
-        """Maximum ``L`` keeping the runtime within ``(1 + degradation)·T(L₀)``."""
+        """Maximum ``L`` keeping the runtime within ``(1 + degradation)·T(L₀)``.
+
+        Clamped to the envelope's upper end; on an envelope over ``[L₀, ∞)``
+        whose last piece is flat (no message on any path) that is ``math.inf``.
+        """
         if degradation < 0:
             raise ValueError(f"degradation must be non-negative, got {degradation}")
-        base = self.params.L if baseline_L is None else baseline_L
+        base = self.baseline_L if baseline_L is None else baseline_L
         bound = (1.0 + degradation) * self.envelope.value(base)
         return self.envelope.solve_for_value(bound)
 
     def feasibility_range(self, L: float | None = None) -> tuple[float, float]:
         """The range of ``L`` over which the critical path does not change."""
-        return self.envelope.segment_of(self.params.L if L is None else L)
+        return self.envelope.segment_of(self.baseline_L if L is None else L)
 
 
 def parametric_analysis(
@@ -297,44 +310,11 @@ def parametric_analysis(
     All other LogGPS parameters are taken from ``params``.  ``max_pieces``
     guards against pathological envelope growth (an
     :class:`EnvelopeOverflowError` is raised instead of silently degrading).
+    The envelope comes from :func:`~repro.core.envelope.forward_envelope`.
     """
-    if l_min < 0 or l_max <= l_min:
-        raise ValueError(f"invalid latency interval [{l_min}, {l_max}]")
-
-    o, G = params.o, params.G
-    envelopes: dict[int, list[Line]] = {}
-
-    for v in graph.topological_order():
-        v = int(v)
-        cost = float(graph.cost[v]) if graph.kind[v] == VertexKind.CALC else o
-        incoming = list(graph.in_edges(v))
-        if not incoming:
-            envelopes[v] = [Line(0.0, cost)]
-            continue
-        merged: list[Line] = []
-        for src, _, kind in incoming:
-            if kind is EdgeKind.COMM:
-                slope_delta = 1.0
-                intercept_delta = max(int(graph.size[v]) - 1, 0) * G + cost
-            else:
-                slope_delta = 0.0
-                intercept_delta = cost
-            merged.extend(
-                line.shifted(slope_delta, intercept_delta) for line in envelopes[src]
-            )
-        env = _upper_envelope(merged, l_min, l_max)
-        if len(env) > max_pieces:
-            raise EnvelopeOverflowError(
-                f"envelope at vertex {v} has {len(env)} pieces (> {max_pieces}); "
-                "narrow the latency interval or raise max_pieces"
-            )
-        envelopes[v] = env
-
-    terminal: list[Line] = []
-    for sink in graph.sinks():
-        terminal.extend(envelopes[int(sink)])
-    final = _upper_envelope(terminal, l_min, l_max)
-    envelope = PiecewiseLinear(lines=final, lo=l_min, hi=l_max)
+    envelope = forward_envelope(
+        graph, params, l_min=l_min, l_max=l_max, max_pieces=max_pieces
+    )
     return ParametricAnalysis(envelope=envelope, params=params, graph=graph)
 
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
+from ..core.parametric import ParametricAnalysis
 from ..network.params import LogGPSParams
 from ..schedgen.collectives import CollectiveAlgorithms
 from .pool import SweepPool, SweepTask
@@ -228,10 +229,7 @@ class ScenarioFleet:
 
     @staticmethod
     def _row(scenario: Scenario, task: SweepTask, payload: dict) -> dict:
-        envelope = payload["envelope"]
-        L0 = max(float(scenario.params.L), float(envelope.lo))
-        runtime = envelope.value(L0)
-        lam = envelope.slope(L0)
+        analysis = ParametricAnalysis(payload["envelope"], scenario.params)
         row = {
             "scenario": scenario.name,
             "app": scenario.app,
@@ -240,17 +238,17 @@ class ScenarioFleet:
             "L_us": scenario.params.L,
             "injector": scenario.injector,
             "graph_digest": task.graph_digest,
-            "runtime_us": runtime,
-            "lambda_L": lam,
-            "rho_L": (L0 * lam / runtime) if runtime > 0 else 0.0,
-            "critical_latencies": len(envelope.breakpoints()),
+            "runtime_us": analysis.runtime(),
+            "lambda_L": analysis.latency_sensitivity(),
+            "rho_L": analysis.l_ratio(),
+            "critical_latencies": len(analysis.critical_latencies()),
             "worker_pid": payload["worker_pid"],
             "worker_rss_kb": payload["worker_rss_kb"],
         }
         for deg in DEGRADATIONS:
             label = f"tolerance_{int(deg * 100)}pct_us"
             try:
-                row[label] = envelope.solve_for_value((1.0 + deg) * runtime)
+                row[label] = analysis.latency_tolerance(deg)
             except ValueError:
                 row[label] = None
         if payload["sim_runtimes"] is not None:

@@ -1,9 +1,14 @@
 """Tests for the high-level LatencyAnalyzer API."""
 
+import json
+import math
+
 import numpy as np
 import pytest
 
 from repro import LatencyAnalyzer
+from repro.apps import ALL_APPS
+from repro.cli import main as cli_main
 from repro.mpi import run_program
 from repro.network.params import LogGPSParams
 from repro.schedgen import build_graph
@@ -212,6 +217,124 @@ class TestFusedEngine:
         assert fused.graph.content_digest() == frozen.content_digest()
 
     def test_unknown_lp_engine_rejected(self):
-        analyzer = LatencyAnalyzer.from_program(self._program(), PARAMS, lp_engine="warp")
-        with pytest.raises(ValueError, match="engine"):
-            analyzer.baseline_runtime()
+        # rejected at construction: default queries never build an LP, so a
+        # lazy check would accept the bad value silently
+        with pytest.raises(ValueError, match="lp_engine 'warp'"):
+            LatencyAnalyzer.from_program(self._program(), PARAMS, lp_engine="warp")
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize(
+        "argument", ["backend", "lp_engine", "sim_engine", "envelope_engine"]
+    )
+    def test_bad_value_named_in_the_error(self, small_app_graph, argument):
+        with pytest.raises(ValueError, match=f"unknown {argument} 'warp' for LatencyAnalyzer"):
+            LatencyAnalyzer(small_app_graph, PARAMS, **{argument: "warp"})
+
+
+def _count_solves(monkeypatch) -> list:
+    """Record every LP solve that reaches the backend registry."""
+    from repro.lp.backends import BackendRegistry
+
+    calls = []
+    original = BackendRegistry.solve
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(BackendRegistry, "solve", counting)
+    return calls
+
+
+def _assert_rel_close(actual: dict, expected: dict, rel: float = 1e-9) -> None:
+    assert actual.keys() == expected.keys()
+    for key, want in expected.items():
+        assert actual[key] == pytest.approx(want, rel=rel, abs=1e-12), key
+
+
+class TestEnvelopeFirst:
+    """Default queries come from the forward envelope: no LP is built,
+    assembled or solved, and the answers equal the LP oracle's."""
+
+    @pytest.mark.parametrize("app", sorted(ALL_APPS))
+    def test_summary_matches_lp_oracle_without_any_lp(self, app, monkeypatch):
+        from repro.lp.assembler import assembly_counts
+        from repro.network.params import CSCS_TESTBED
+
+        nranks = 8 if app == "lulesh" else 4
+        graph = ALL_APPS[app].build(nranks, params=CSCS_TESTBED)
+        solves = _count_solves(monkeypatch)
+        before = assembly_counts()
+        default = LatencyAnalyzer(graph, CSCS_TESTBED)
+        summary = default.summary()
+        curve = default.sensitivity_curve([0.0, 5.0, 50.0])
+        assert assembly_counts() == before
+        assert solves == []
+        assert default._lp is None
+
+        oracle = LatencyAnalyzer(graph, CSCS_TESTBED, envelope_engine="lp")
+        _assert_rel_close(summary, oracle.summary())
+        assert solves  # the oracle really solved LPs
+        oracle_curve = oracle.sensitivity_curve([0.0, 5.0, 50.0])
+        np.testing.assert_allclose(curve.runtime, oracle_curve.runtime, rtol=1e-9)
+        np.testing.assert_allclose(curve.l_ratio, oracle_curve.l_ratio, rtol=1e-9)
+
+    def test_envelope_built_once_and_cached_in_the_store(self, small_app_graph, tmp_path):
+        cold = LatencyAnalyzer(small_app_graph, PARAMS, cache_dir=tmp_path)
+        summary = cold.summary()
+        assert cold.store.misses["envelope"] == 1
+        assert cold.analysis.envelope.hi == float("inf")
+        warm = LatencyAnalyzer(small_app_graph, PARAMS, cache_dir=tmp_path)
+        assert warm.summary() == summary
+        assert warm.store.hits["envelope"] == 1
+        assert warm.store.misses["envelope"] == 0
+
+
+class TestUnboundedTolerance:
+    """A graph with no message never slows down with the latency."""
+
+    @pytest.fixture(scope="class")
+    def silent_graph(self):
+        from repro.apps import lulesh
+
+        return lulesh.build(1, params=PARAMS, iterations=2)
+
+    @pytest.mark.parametrize("engine", ["auto", "lp"])
+    def test_tolerance_is_infinite(self, silent_graph, engine):
+        analyzer = LatencyAnalyzer(silent_graph, PARAMS, envelope_engine=engine)
+        assert silent_graph.num_messages == 0
+        assert analyzer.latency_tolerance(0.01) == math.inf
+        assert analyzer.latency_tolerance(0.05, absolute=False) == math.inf
+        summary = analyzer.summary()
+        assert summary["lambda_L"] == 0.0
+        assert summary["tolerance_1pct_us"] == math.inf
+
+    def test_cli_prints_unbounded_and_null(self, capsys):
+        assert cli_main(["analyze", "lulesh", "--nranks", "1"]) == 0
+        text = capsys.readouterr().out
+        assert text.count("latency tolerance : unbounded") == 3
+        assert cli_main(["analyze", "lulesh", "--nranks", "1", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        for level in (1, 2, 5):
+            assert payload[f"tolerance_{level}pct_us"] is None
+
+
+class TestIngestEnvelopeEngine:
+    def test_lp_oracle_switch_reaches_ingest(self, tmp_path, capsys, monkeypatch):
+        trace = tmp_path / "hpcg-4.trace"
+        assert cli_main(["trace", "hpcg", "--nranks", "4", "--output", str(trace)]) == 0
+        capsys.readouterr()
+        solves = _count_solves(monkeypatch)
+
+        assert cli_main(["ingest", "trace", str(trace), "--json"]) == 0
+        default = json.loads(capsys.readouterr().out)
+        assert solves == []
+
+        assert cli_main(["--envelope-engine", "lp", "ingest", "trace", str(trace),
+                         "--json"]) == 0
+        oracle = json.loads(capsys.readouterr().out)
+        assert solves
+        numbers = [key for key, value in default.items() if isinstance(value, float)]
+        assert "tolerance_5pct_us" in numbers
+        _assert_rel_close({k: default[k] for k in numbers}, {k: oracle[k] for k in numbers})

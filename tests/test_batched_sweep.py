@@ -10,7 +10,6 @@ from repro.core import (
     LatencyAnalyzer,
     batched_sweep_graphs,
     build_lp,
-    parametric_analysis,
 )
 from repro.network.params import LogGPSParams
 from repro.testing import build_random_dag, build_running_example, build_staircase
@@ -36,9 +35,11 @@ class TestBatchedSweep:
 
     def test_breakpoints_match_parametric_engine(self, running_example, paper_params):
         sweep = BatchedSweep(build_lp(running_example, paper_params), l_min=0.0, l_max=2.0)
-        reference = parametric_analysis(
-            running_example, paper_params, l_min=0.0, l_max=2.0
-        ).critical_latencies()
+        # the ParametricLP tangent search is the independent reference
+        reference = BatchedSweep(
+            build_lp(running_example, paper_params), l_min=0.0, l_max=2.0,
+            envelope_engine="lp",
+        ).breakpoints()
         assert sweep.breakpoints() == pytest.approx(reference, abs=1e-6)
         assert sweep.breakpoints() == pytest.approx([0.385], abs=1e-6)
 
@@ -191,24 +192,29 @@ class TestBatchedSweepGraphs:
 
 class TestAnalyzerIntegration:
     def test_batched_engine_matches_lp_engine(self, running_example, paper_params):
+        # the envelope-read curve against one cold LP solve per point
         deltas = np.linspace(0.0, 2.0, 25)
-        lp_curve = LatencyAnalyzer(running_example, paper_params).sensitivity_curve(deltas)
+        lp_curve = LatencyAnalyzer(
+            running_example, paper_params, envelope_engine="lp"
+        ).sensitivity_curve(deltas)
         batched_curve = LatencyAnalyzer(running_example, paper_params).sensitivity_curve(
-            deltas, engine="batched"
+            deltas
         )
         np.testing.assert_allclose(batched_curve.runtime, lp_curve.runtime, atol=1e-6)
         np.testing.assert_allclose(batched_curve.l_ratio, lp_curve.l_ratio, atol=1e-6)
 
     def test_empty_sweep_matches_lp_engine(self, running_example, paper_params):
-        analyzer = LatencyAnalyzer(running_example, paper_params)
-        curve = analyzer.sensitivity_curve([], engine="batched")
-        assert curve.runtime.size == 0
-        assert curve.l_ratio.size == 0
+        for engine in ("auto", "lp"):
+            analyzer = LatencyAnalyzer(
+                running_example, paper_params, envelope_engine=engine
+            )
+            curve = analyzer.sensitivity_curve([])
+            assert curve.runtime.size == 0
+            assert curve.l_ratio.size == 0
 
     def test_unknown_engine_rejected(self, running_example, paper_params):
-        analyzer = LatencyAnalyzer(running_example, paper_params)
-        with pytest.raises(ValueError, match="engine"):
-            analyzer.sensitivity_curve([0.0, 1.0], engine="warp")
+        with pytest.raises(ValueError, match="envelope_engine"):
+            LatencyAnalyzer(running_example, paper_params, envelope_engine="warp")
 
     def test_batched_sweep_helper_defaults_to_baseline_latency(self):
         graph = build_running_example()

@@ -12,7 +12,7 @@ import inspect
 import numpy as np
 import pytest
 
-from repro.core import build_lp, find_critical_latencies, parametric_analysis
+from repro.core import BatchedSweep, build_lp, find_critical_latencies
 from repro.core.critical_latency import critical_latency_curve
 from repro.lp import LPSolution, ParametricLP, Tangent
 from repro.lp.backends import default_registry
@@ -261,11 +261,12 @@ class TestCriticalLatencyParity:
     @pytest.mark.parametrize("seed", range(5))
     def test_random_dags_match_exact_envelope(self, seed):
         graph = build_random_dag(seed, nranks=4, rounds=14)
+        # the forward pass (default engine) against the LP tangent search
         found = find_critical_latencies(build_lp(graph, PARAMS), 0.5, 25.0)
         exact = [
-            bp for bp in parametric_analysis(
-                graph, PARAMS, l_min=0.0, l_max=25.0
-            ).critical_latencies()
+            bp for bp in BatchedSweep(
+                build_lp(graph, PARAMS), l_min=0.0, l_max=25.0, envelope_engine="lp"
+            ).breakpoints()
             if 0.5 < bp < 25.0
         ]
         assert len(found) == len(exact)
