@@ -1,13 +1,14 @@
-"""Fused analyze-only pipeline: op batches → CSR direct vs freeze-then-compile.
+"""Fused graph build: op batches → zero-copy graph → CSR vs freeze-then-compile.
 
-The analyze-only path (``llamp analyze``: program in, objective/λ out) never
-needs a frozen, validated ``ExecutionGraph`` — it only needs the CSR arrays
-the LP compiler reads.  ``compile_lp_from_batches`` therefore attaches a
-zero-copy graph over the schedule builder's column buffers and computes the
-topological levels by chain condensation (run collapse + pointer jumping
-over single-predecessor chains) instead of the generic frontier peel,
-skipping the freeze copies and the structural validation pass entirely —
-while emitting a **bit-identical** LP.
+A consumer that only reads the graph (the LP compiler, the forward envelope)
+never needs a frozen, validated ``ExecutionGraph``.
+``build_columnar_fused`` therefore attaches a zero-copy graph over the
+schedule builder's column buffers and computes the topological levels by
+chain condensation (run collapse + pointer jumping over single-predecessor
+chains) instead of the generic frontier peel, skipping the freeze copies and
+the structural validation pass entirely; ``compile_lp`` on it emits a
+**bit-identical** LP.  It is the graph behind ``ScheduleBatches.graph_for``
+(the chunked trace ingest of ``llamp ingest``).
 
 The LP workload is a 64-rank allreduce schedule with a long straggler
 compute chain on rank 0 — the shape the frozen path is worst at (levels ≈
@@ -36,7 +37,7 @@ import time
 
 import numpy as np
 
-from repro.lp import compile_lp, compile_lp_from_batches
+from repro.lp import compile_lp
 from repro.mpi import run_program
 from repro.network.params import CSCS_TESTBED
 from repro.schedgen.builder import ProtocolConfig
@@ -125,10 +126,11 @@ def _run():
         return graph, compiled, compiled.model.solve(backend="highs")
 
     def fused_path():
-        compiled = compile_lp_from_batches(
-            batches, NRANKS, CSCS_TESTBED, algorithms=algorithms, protocol=protocol
+        graph = build_columnar_fused(
+            batches, NRANKS, algorithms=algorithms, protocol=protocol
         )
-        return compiled.graph, compiled, compiled.model.solve(backend="highs")
+        compiled = compile_lp(graph, CSCS_TESTBED)
+        return graph, compiled, compiled.model.solve(backend="highs")
 
     frozen_s, (frozen_graph, frozen_lp, frozen_sol) = _time(frozen_path, reps=3)
     fused_s, (fused_graph, fused_lp, fused_sol) = _time(fused_path, reps=3)

@@ -9,7 +9,8 @@ point-to-point segments as index arithmetic through the bulk builder APIs
 and matches messages with two lexicographic sorts.
 
 Acceptance criterion: on the 64-rank allreduce schedule the columnar build
-must be at least **10×** faster than the legacy build, with the frozen
+(the production engine) must be at least **10×** faster than the legacy
+build (the ``builder_engine="legacy"`` oracle of ``ScheduleGenerator``), with the frozen
 graphs **bit-identical** (same vertex ids, attribute columns and edge
 order).  The trace-driven build (liballprof-style ingestion through
 ``build_from_trace``) is measured as well.
@@ -23,7 +24,7 @@ import numpy as np
 
 from repro.mpi import run_program, trace_program
 from repro.network.params import LogGPSParams
-from repro.schedgen import CollectiveAlgorithms, ScheduleGenerator, build_graph
+from repro.schedgen import CollectiveAlgorithms, ScheduleGenerator
 
 from _bench_utils import emit_json, print_header, print_rows
 
@@ -76,7 +77,8 @@ def _time_program_build(program, algorithms, engine: str, reps: int):
     graph = None
     for _ in range(reps):
         start = time.perf_counter()
-        graph = build_graph(program, algorithms=algorithms, builder_engine=engine)
+        generator = ScheduleGenerator(algorithms=algorithms, builder_engine=engine)
+        graph = generator.build(program)
         best = min(best, time.perf_counter() - start)
     return best, graph
 

@@ -2,8 +2,9 @@
 
 PRs 1–2 made *solving* incremental (cached CSR assembly + the parametric
 envelope engine), so on large schedules model *construction* became the
-end-to-end bottleneck: the symbolic builder walks the DAG vertex by vertex
-in Python, allocating a dict-backed ``LinearExpr`` per vertex.  The compiled
+end-to-end bottleneck: the symbolic builder (kept as the reference
+:func:`repro.testing.build_lp_symbolic`) walks the DAG vertex by vertex in
+Python, allocating a dict-backed ``LinearExpr`` per vertex.  The compiled
 engine (``repro.lp.compiler``) lowers the frozen graph straight to CSR with
 NumPy — in-degree classification, pointer-jumped chain compression, rows
 only at merge points and sinks.
@@ -24,6 +25,7 @@ from repro.core import build_lp
 from repro.mpi import run_program
 from repro.network.params import CSCS_TESTBED
 from repro.schedgen import build_graph
+from repro.testing import build_lp_symbolic
 
 from _bench_utils import emit_json, print_header, print_rows
 
@@ -45,18 +47,18 @@ def collective_schedule():
     return build_graph(run_program(app, NRANKS))
 
 
-def _time_build(graph, engine: str, reps: int) -> tuple[float, object]:
-    lp = build_lp(graph, CSCS_TESTBED, engine=engine)  # warm graph caches
+def _time_build(graph, build, reps: int) -> tuple[float, object]:
+    lp = build(graph, CSCS_TESTBED)  # warm graph caches
     t0 = time.perf_counter()
     for _ in range(reps):
-        lp = build_lp(graph, CSCS_TESTBED, engine=engine)
+        lp = build(graph, CSCS_TESTBED)
     return (time.perf_counter() - t0) / reps, lp
 
 
 def _run():
     graph = collective_schedule()
-    symbolic_s, symbolic_lp = _time_build(graph, "symbolic", reps=1)
-    compiled_s, compiled_lp = _time_build(graph, "compiled", reps=5)
+    symbolic_s, symbolic_lp = _time_build(graph, build_lp_symbolic, reps=1)
+    compiled_s, compiled_lp = _time_build(graph, build_lp, reps=5)
 
     s_sol = symbolic_lp.solve_runtime(backend="highs")
     c_sol = compiled_lp.solve_runtime(backend="highs")

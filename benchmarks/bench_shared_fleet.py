@@ -72,7 +72,7 @@ def _run_pickling_pool(fleet):
     # transport cost (pickled graphs vs shared columns), so the per-task
     # compute must stay identical and engine-independent
     jobs = [
-        (graph, PARAMS, L_MIN, L_MAX, "auto", 50_000, None, "lp", BUILD_KWARGS)
+        (graph, PARAMS, L_MIN, L_MAX, "highs", 50_000, None, "lp", BUILD_KWARGS)
         for graph in fleet
     ]
     start = time.perf_counter()
@@ -93,7 +93,7 @@ def _run_shared_fleet(fleet):
             params_digest=PARAMS.content_digest(),
             l_min=L_MIN,
             l_max=L_MAX,
-            backend="auto",
+            backend="highs",
             max_pieces=50_000,
             build_kwargs=tuple(sorted(BUILD_KWARGS.items())),
             envelope_engine="lp",

@@ -1,4 +1,4 @@
-"""LogGOPS simulation — level-synchronous engine vs the per-vertex walk.
+"""LogGOPS simulation — level-synchronous engine vs the per-vertex reference walk.
 
 The paper's headline comparison (Table I / Fig. 7) pits the LP solver
 against LogGOPSim-style re-simulation, and every validation sweep re-runs
@@ -8,7 +8,8 @@ array passes, and :func:`~repro.simulator.columnar.simulate_sweep` advances
 *all* ΔL points of a sweep per level in one 2-D pass.
 
 Acceptance criteria: on the 64-rank ring-allreduce schedule the level
-engine must be at least **10×** faster than the legacy walk with
+engine (:func:`~repro.simulator.simulate`) must be at least **10×** faster
+than the legacy walk (:class:`repro.testing.LogGOPSSimulator`) with
 **identical timestamps** (atol 1e-9; bit-exact here), and the batched sweep
 must beat per-point legacy re-simulation by a larger factor again.
 """
@@ -22,7 +23,8 @@ import numpy as np
 from repro.mpi import run_program
 from repro.network.params import LogGPSParams
 from repro.schedgen import CollectiveAlgorithms, build_graph
-from repro.simulator import simulate, simulate_sweep
+from repro.simulator import make_injector, simulate, simulate_sweep
+from repro.testing import LogGOPSSimulator
 
 from _bench_utils import emit_json, print_header, print_rows
 
@@ -60,8 +62,8 @@ def _time(func, reps: int):
 def _run():
     graph = _schedule()
 
-    legacy_s, legacy = _time(lambda: simulate(graph, PARAMS, sim_engine="legacy"), 1)
-    level_s, level = _time(lambda: simulate(graph, PARAMS, sim_engine="level"), 3)
+    legacy_s, legacy = _time(lambda: LogGOPSSimulator(graph, PARAMS).run(), 1)
+    level_s, level = _time(lambda: simulate(graph, PARAMS), 3)
     identical = bool(
         np.allclose(legacy.start, level.start, atol=1e-9)
         and np.allclose(legacy.end, level.end, atol=1e-9)
@@ -72,11 +74,13 @@ def _run():
         lambda: simulate_sweep(graph, PARAMS, SWEEP_DELTAS), 3
     )
     per_point_s, per_point = _time(
-        lambda: simulate_sweep(graph, PARAMS, SWEEP_DELTAS, sim_engine="legacy"), 1
+        lambda: [
+            LogGOPSSimulator(graph, PARAMS, injector=make_injector("ideal", d)).run().makespan
+            for d in SWEEP_DELTAS
+        ],
+        1,
     )
-    sweep_identical = bool(
-        np.allclose(sweep.makespan, per_point.makespan, atol=1e-9)
-    )
+    sweep_identical = bool(np.allclose(sweep.makespan, per_point, atol=1e-9))
 
     return {
         "vertices": graph.num_vertices,

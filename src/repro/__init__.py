@@ -40,7 +40,7 @@ from .schedgen import (
     build_graph,
 )
 from .parallel import ScenarioFleet, SweepPool
-from .simulator import LogGOPSSimulator, SimulationResult, simulate
+from .simulator import SimulationResult, simulate
 
 __version__ = "1.0.0"
 
@@ -72,7 +72,6 @@ __all__ = [
     "ExecutionGraph",
     "build_graph",
     # simulation
-    "LogGOPSSimulator",
     "SimulationResult",
     "simulate",
     # multi-process fleets

@@ -159,24 +159,17 @@ def make_build(
         *,
         algorithms: CollectiveAlgorithms | None = None,
         protocol: ProtocolConfig | None = None,
-        builder_engine: str = "auto",
         **knobs,
     ) -> ExecutionGraph:
         program = program_factory(nranks, **knobs)
         return build_graph(
-            program,
-            algorithms=algorithms,
-            protocol=protocol,
-            params=params,
-            builder_engine=builder_engine,
+            program, algorithms=algorithms, protocol=protocol, params=params
         )
 
     build.__doc__ = (
         "Build the execution graph of this application.\n\n"
         "Parameters are forwarded to the application's ``program`` factory; "
         "``params``/``algorithms``/``protocol`` configure Schedgen "
-        "(collective algorithm selection and the eager/rendezvous threshold) "
-        "and ``builder_engine`` picks the graph-construction path "
-        "(``auto``/``legacy``/``columnar``)."
+        "(collective algorithm selection and the eager/rendezvous threshold)."
     )
     return build

@@ -7,7 +7,8 @@ Small front end over the library for the most common workflows:
     the 1/2/5 % latency tolerances, read off its exact ``T(L)`` envelope
     (no LP; ``--envelope-engine lp`` solves the paper's LPs instead);
 ``llamp sweep``
-    measured-vs-predicted ΔL sweep (simulator vs the envelope) with RRMSE;
+    measured-vs-predicted ΔL sweep (simulator vs the envelope, or vs the
+    LP solves under ``--envelope-engine lp``) with RRMSE;
 ``llamp curve``
     exact ``T(L)`` / ``λ_L(L)`` curve and critical latencies from one
     forward envelope pass (zero LP solves);
@@ -33,6 +34,11 @@ Small front end over the library for the most common workflows:
     readers (:mod:`repro.schedgen.streaming`) and print the ``analyze``
     metrics — peak memory stays O(chunk + columns) instead of O(file), with
     the columns optionally spilled to disk-backed buffers (``--mmap-dir``).
+
+Every command runs one engine per stage: the columnar Schedgen graph build,
+the vectorised LP compiler and the level-synchronous simulator.  The one
+engine switch is ``--envelope-engine``: ``lp`` answers from the paper's LP
+solves instead of the forward envelope, as an oracle.
 
 An unbounded tolerance prints as ``unbounded`` (``null`` under ``--json``).
 """
@@ -69,32 +75,7 @@ def _app_graph(args: argparse.Namespace, params: LogGPSParams):
         raise SystemExit(f"unknown application {args.app!r}; choose from {sorted(ALL_APPS)}")
     module = ALL_APPS[args.app]
     algorithms = CollectiveAlgorithms(allreduce=args.allreduce)
-    return module.build(
-        args.nranks,
-        params=params,
-        algorithms=algorithms,
-        builder_engine=args.builder_engine,
-    )
-
-
-def _app_schedule(args: argparse.Namespace, params: LogGPSParams):
-    """The app as a :class:`~repro.schedgen.columnar.ScheduleBatches` spec.
-
-    Used by the analyze-only commands when ``--lp-engine`` is ``auto`` or
-    ``fused``: the LP is lowered batches → CSR directly and no frozen graph
-    is ever built (digest-compatible with :func:`_app_graph`'s output).
-    """
-    from .schedgen.builder import ProtocolConfig
-    from .schedgen.columnar import ScheduleBatches
-
-    if args.app not in ALL_APPS:
-        raise SystemExit(f"unknown application {args.app!r}; choose from {sorted(ALL_APPS)}")
-    module = ALL_APPS[args.app]
-    return ScheduleBatches.from_program(
-        module.program(args.nranks),
-        algorithms=CollectiveAlgorithms(allreduce=args.allreduce),
-        protocol=ProtocolConfig.from_params(params),
-    )
+    return module.build(args.nranks, params=params, algorithms=algorithms)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -108,33 +89,15 @@ def build_parser() -> argparse.ArgumentParser:
                         help="per-message CPU overhead o in µs (default: %(default)s)")
     parser.add_argument("--gap", type=float, default=CSCS_TESTBED.G,
                         help="per-byte gap G in µs/byte (default: %(default)s)")
-    parser.add_argument("--lp-engine", default="auto",
-                        choices=("auto", "symbolic", "compiled", "fused"),
-                        help="graph→LP construction engine: the per-vertex symbolic "
-                             "sweep, the vectorised compiler, or the fused "
-                             "batches→CSR path that never freezes a graph "
-                             "(default: %(default)s — fused on analyze-only "
-                             "commands, compiled for large graphs elsewhere; "
-                             "all engines emit bit-identical LPs)")
-    parser.add_argument("--builder-engine", default="auto",
-                        choices=("auto", "legacy", "columnar"),
-                        help="schedule→graph construction engine: the op-by-op "
-                             "reference path or the columnar bulk-emission engine "
-                             "(default: %(default)s, columnar for large schedules; "
-                             "both produce bit-identical graphs)")
-    parser.add_argument("--sim-engine", default="auto",
-                        choices=("auto", "legacy", "level"),
-                        help="LogGOPS simulation engine: the per-vertex legacy "
-                             "walk or the level-synchronous vectorised engine "
-                             "(default: %(default)s, level for large graphs; "
-                             "both are timestamp-identical)")
     parser.add_argument("--envelope-engine", default="auto",
                         choices=("auto", "forward", "lp"),
-                        help="T(L) envelope engine: the single-traversal "
+                        help="T(L) envelope engine of analyze, sweep, curve, "
+                             "ingest, cache warm and fleet: the single-traversal "
                              "forward line propagation (no LP solves) or the "
-                             "LP tangent search (default: %(default)s — "
-                             "forward whenever the affinity contract holds, "
-                             "LP otherwise; both produce the identical curve)")
+                             "paper's LP solves as an oracle (default: "
+                             "%(default)s — forward whenever the affinity "
+                             "contract holds, LP otherwise; both produce the "
+                             "identical curve)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_app_args(p: argparse.ArgumentParser) -> None:
@@ -157,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_app_args(curve)
     curve.add_argument("--l-max", type=float, default=1000.0, help="largest latency L in µs")
     curve.add_argument("--points", type=int, default=11, help="number of printed curve points")
-    curve.add_argument("--backend", default="auto",
+    curve.add_argument("--backend", default="highs",
                        help="LP backend name from the registry (default: %(default)s)")
     curve.add_argument("--json", action="store_true", help="print machine-readable JSON")
 
@@ -248,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="shared artifact store directory for the workers")
     fleet.add_argument("--output-dir", default=None,
                        help="directory for FLEET_*.json shards and the summary")
-    fleet.add_argument("--backend", default="auto",
+    fleet.add_argument("--backend", default="highs",
                        help="LP backend name from the registry (default: %(default)s)")
     fleet.add_argument("--json", action="store_true", help="print machine-readable JSON")
 
@@ -286,15 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     params = _params_from_args(args)
-    # analyze-only command: auto/fused take the fused batches→CSR path (the
-    # frozen graph would be built only to be re-lowered and thrown away)
-    if args.lp_engine in ("auto", "fused"):
-        source = _app_schedule(args, params)
-    else:
-        source = _app_graph(args, params)
     analyzer = LatencyAnalyzer(
-        source, params, lp_engine=args.lp_engine,
-        envelope_engine=args.envelope_engine,
+        _app_graph(args, params), params, envelope_engine=args.envelope_engine
     )
     summary = analyzer.summary()
     if args.json:
@@ -330,8 +286,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     graph = _app_graph(args, params)
     deltas = np.linspace(0.0, args.max_delta, args.points)
     sweep = run_validation_sweep(
-        graph, params, app=args.app, delta_Ls=deltas, lp_engine=args.lp_engine,
-        sim_engine=args.sim_engine,
+        graph, params, app=args.app, delta_Ls=deltas,
+        envelope_engine=args.envelope_engine,
     )
     print(f"{'ΔL [µs]':>10s} {'measured [s]':>14s} {'predicted [s]':>14s} {'λ_L':>10s} {'ρ_L':>8s}")
     for row in sweep.rows():
@@ -356,12 +312,8 @@ def _cmd_curve(args: argparse.Namespace) -> int:
         raise SystemExit(
             f"--l-max ({args.l_max} µs) must exceed the base latency ({params.L} µs)"
         )
-    if args.lp_engine in ("auto", "fused"):
-        source = _app_schedule(args, params)
-    else:
-        source = _app_graph(args, params)
     analyzer = LatencyAnalyzer(
-        source, params, backend=args.backend, lp_engine=args.lp_engine,
+        _app_graph(args, params), params, backend=args.backend,
         envelope_engine=args.envelope_engine,
     )
     graph = analyzer.graph
@@ -430,10 +382,7 @@ def _cmd_place(args: argparse.Namespace) -> int:
     from .core.lp_builder import build_lp
 
     # one per-pair LP shared by the search and both baseline evaluations
-    graph_lp = build_lp(
-        graph, params, latency_mode="per_pair", gap_mode="per_pair",
-        engine=args.lp_engine,
-    )
+    graph_lp = build_lp(graph, params, latency_mode="per_pair", gap_mode="per_pair")
     result = llamp_placement(
         graph, params, arch,
         initial_mapping=initial,
@@ -528,18 +477,14 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     graph = _app_graph(args, params)
     store.get_or_build_graph(graph.content_digest(), lambda: graph)
     analyzer = LatencyAnalyzer(
-        graph, params, lp_engine=args.lp_engine,
-        envelope_engine=args.envelope_engine, cache_dir=args.cache_dir
+        graph, params, envelope_engine=args.envelope_engine, cache_dir=args.cache_dir
     )
     sweep = analyzer.batched_sweep(l_max=args.l_max)
-    lp_key = combine_digests(
-        "lp", graph.content_digest(), params.content_digest(), args.lp_engine
-    )
+    lp_key = combine_digests("lp", graph.content_digest(), params.content_digest())
     if not store.contains("lp", lp_key):
         store.put("lp", lp_key, analyzer.lp.model)
     env_key = envelope_key(
-        graph, params, l_min=params.L, l_max=args.l_max,
-        gap_symbolic=False, lp_engine=args.lp_engine,
+        graph, params, l_min=params.L, l_max=args.l_max, gap_symbolic=False
     )
     breakpoints = sweep.breakpoints()
     if args.json:
@@ -584,7 +529,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         l_max=args.l_max,
         sim_deltas=args.sim_deltas,
         backend=args.backend,
-        builder_engine=args.builder_engine,
         envelope_engine=args.envelope_engine,
         processes=args.processes,
         cache_dir=args.cache_dir,
@@ -643,8 +587,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
                 spill_dir=work_dir,
             )
             analyzer = LatencyAnalyzer.from_batches(
-                batches, batches.nranks, params, lp_engine=args.lp_engine,
-                envelope_engine=args.envelope_engine,
+                batches, batches.nranks, params, envelope_engine=args.envelope_engine
             )
             nranks = batches.nranks
             ingested = {"records": batches.num_rows, "spilled": batches.spilled}
@@ -652,10 +595,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
             graph = load_goal_chunked(
                 args.input, chunk_size=args.chunk_size, mmap_dir=work_dir
             )
-            analyzer = LatencyAnalyzer(
-                graph, params, lp_engine=args.lp_engine,
-                envelope_engine=args.envelope_engine,
-            )
+            analyzer = LatencyAnalyzer(graph, params, envelope_engine=args.envelope_engine)
             nranks = graph.nranks
             ingested = {
                 "vertices": graph.num_events,

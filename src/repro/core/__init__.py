@@ -9,7 +9,7 @@ from .envelope import (
     resolve_envelope_engine,
 )
 from .graph_analysis import CriticalPathResult, analyze_critical_path, forward_pass
-from .lp_builder import COMPILED_ENGINE_THRESHOLD, GraphLP, build_lp
+from .lp_builder import GraphLP, build_lp
 from .parametric import (
     BatchedSweep,
     EnvelopeOverflowError,
@@ -26,7 +26,6 @@ __all__ = [
     "ToleranceReport",
     "GraphLP",
     "build_lp",
-    "COMPILED_ENGINE_THRESHOLD",
     "CriticalPathResult",
     "analyze_critical_path",
     "forward_pass",

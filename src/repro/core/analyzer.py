@@ -42,7 +42,7 @@ from ..network.params import LogGPSParams
 from ..schedgen.graph import ExecutionGraph
 from .critical_latency import critical_latency_curve, find_critical_latencies
 from .graph_analysis import CriticalPathResult, analyze_critical_path
-from .lp_builder import LP_ENGINES, GraphLP, build_lp
+from .lp_builder import GraphLP, build_lp
 from .parametric import BatchedSweep, ParametricAnalysis, PiecewiseLinear, parametric_analysis
 
 __all__ = ["SensitivityCurve", "ToleranceReport", "LatencyAnalyzer"]
@@ -103,20 +103,14 @@ class LatencyAnalyzer:
         *,
         backend: str = "highs",
         gap_symbolic: bool = False,
-        lp_engine: str = "auto",
-        sim_engine: str = "auto",
         envelope_engine: str = "auto",
         cache_dir: str | os.PathLike | None = None,
     ) -> None:
         from ..lp.backends import default_registry
-        from ..schedgen.columnar import ScheduleBatches
-        from ..simulator.loggops import SIM_ENGINES
         from .envelope import ENVELOPE_ENGINES
 
         for name, value, choices in (
             ("backend", backend, default_registry.names()),
-            ("lp_engine", lp_engine, LP_ENGINES),
-            ("sim_engine", sim_engine, SIM_ENGINES),
             ("envelope_engine", envelope_engine, ENVELOPE_ENGINES),
         ):
             if value not in choices:
@@ -125,20 +119,10 @@ class LatencyAnalyzer:
                     f"expected one of {tuple(choices)}"
                 )
 
-        if isinstance(graph, ScheduleBatches):
-            # fused analyze-only path: keep the batch spec; the execution
-            # graph is only materialised (zero-copy, never frozen) if a
-            # graph-consuming method is actually called
-            self._schedule = graph
-            self._graph: ExecutionGraph | None = None
-        else:
-            self._schedule = None
-            self._graph = graph
+        self.graph = graph
         self.params = params
         self.backend = backend
         self._gap_symbolic = gap_symbolic
-        self.lp_engine = lp_engine
-        self.sim_engine = sim_engine
         self.envelope_engine = envelope_engine
         self._lp: GraphLP | None = None
         self._analysis: ParametricAnalysis | None = None
@@ -152,54 +136,32 @@ class LatencyAnalyzer:
     @classmethod
     def from_program(cls, program, params: LogGPSParams, *, algorithms=None,
                      protocol=None, **kwargs) -> "LatencyAnalyzer":
-        """Analyze ``program`` end-to-end on the fused pipeline.
+        """Analyze ``program``: its graph comes from
+        :func:`~repro.schedgen.builder.build_graph` (the protocol defaults
+        to ``ProtocolConfig.from_params(params)``)."""
+        from ..schedgen.builder import build_graph
 
-        The program is columnarised once
-        (:func:`~repro.schedgen.columnar.batches_from_program`) and held as a
-        :class:`~repro.schedgen.columnar.ScheduleBatches` spec: the graph is
-        built from it zero-copy (never frozen), and an LP, if one is ever
-        needed, is lowered batches → CSR directly.
-        """
-        from ..schedgen.columnar import ScheduleBatches
-
-        spec = ScheduleBatches.from_program(
-            program, algorithms=algorithms, protocol=protocol
-        )
-        return cls(spec, params, **kwargs)
+        graph = build_graph(program, algorithms=algorithms, protocol=protocol, params=params)
+        return cls(graph, params, **kwargs)
 
     @classmethod
     def from_batches(cls, batches, nranks: int, params: LogGPSParams, *,
                      algorithms=None, protocol=None, mmap_dir=None,
                      **kwargs) -> "LatencyAnalyzer":
         """Analyze columnar :class:`~repro.schedgen.columnar.RankOpBatch`
-        arrays on the fused pipeline (see :meth:`from_program`).
+        arrays (e.g. a chunked trace ingest) without materialising a program.
 
-        ``mmap_dir`` disk-backs the fused graph's columns (out-of-core
-        analyze path); the caller owns the directory for the analyzer's
-        lifetime."""
+        The graph is built once, zero-copy over the builder's columns
+        (:meth:`~repro.schedgen.columnar.ScheduleBatches.graph_for`);
+        ``mmap_dir`` disk-backs those columns (out-of-core analyze path) and
+        the caller owns the directory for the analyzer's lifetime."""
         from ..schedgen.columnar import ScheduleBatches
 
-        spec = ScheduleBatches(
+        graph = ScheduleBatches(
             batches, nranks, algorithms=algorithms, protocol=protocol,
             mmap_dir=mmap_dir,
-        )
-        return cls(spec, params, **kwargs)
-
-    @property
-    def graph(self) -> ExecutionGraph:
-        """The execution graph under analysis.
-
-        For analyzers built from batch specs the graph is materialised on
-        first access through the fused builder (zero-copy columns, condensed
-        levels, digest identical to the frozen build) and cached.
-        """
-        if self._graph is None:
-            self._graph = self._schedule.graph_for(self.params)
-        return self._graph
-
-    @graph.setter
-    def graph(self, value: ExecutionGraph) -> None:
-        self._graph = value
+        ).graph_for(params)
+        return cls(graph, params, **kwargs)
 
     @property
     def store(self):
@@ -213,13 +175,11 @@ class LatencyAnalyzer:
     def lp(self) -> GraphLP:
         """The generated LP (built on first use; only ``λ_G`` and the ``"lp"`` oracle need it)."""
         if self._lp is None:
-            source = self._schedule if self._schedule is not None else self.graph
             self._lp = build_lp(
-                source,
+                self.graph,
                 self.params,
                 latency_mode="global",
                 gap_mode="global" if self._gap_symbolic else "constant",
-                engine=self.lp_engine,
             )
         return self._lp
 
@@ -248,8 +208,7 @@ class LatencyAnalyzer:
         from ..artifacts import envelope_key
 
         key = envelope_key(self.graph, self.params, l_min=l_min, l_max=l_max,
-                           gap_symbolic=self._gap_symbolic, lp_engine=self.lp_engine,
-                           **config)
+                           gap_symbolic=self._gap_symbolic, **config)
         return self._store.get_or_build_envelope(key, build)
 
     def graph_analysis(self, delta_L: float = 0.0) -> CriticalPathResult:
@@ -258,42 +217,25 @@ class LatencyAnalyzer:
 
     def simulate(self, delta_L: float = 0.0, *, injector=None, noise=None):
         """One LogGOPS simulation run (the "measured" side of the paper's
-        validation), on the engine selected by ``sim_engine``.
+        validation).
 
         ``delta_L`` and an explicit ``injector`` are mutually exclusive,
         exactly as in :func:`repro.simulator.simulate`.
         """
         from ..simulator.loggops import simulate
 
-        return simulate(
-            self.graph,
-            self.params,
-            delta_L=delta_L,
-            injector=injector,
-            noise=noise,
-            sim_engine=self.sim_engine,
-        )
+        return simulate(self.graph, self.params, delta_L=delta_L, injector=injector, noise=noise)
 
     def simulated_sweep(self, delta_Ls, *, injector: str = "ideal", noise=None):
         """Simulated makespans over a ΔL sweep in one batched level pass.
 
         Uses :func:`repro.simulator.columnar.simulate_sweep`: every level of
         the graph advances all sweep points at once (one 2-D array pass), so
-        the whole sweep costs a single traversal.  ``sim_engine="legacy"``
-        falls back to one per-point run per ΔL.
+        the whole sweep costs a single traversal.
         """
         from ..simulator.columnar import simulate_sweep
-        from ..simulator.loggops import resolve_sim_engine
 
-        engine = resolve_sim_engine(self.sim_engine, self.graph.num_vertices)
-        return simulate_sweep(
-            self.graph,
-            self.params,
-            delta_Ls,
-            injector=injector,
-            noise=noise,
-            sim_engine=engine,
-        )
+        return simulate_sweep(self.graph, self.params, delta_Ls, injector=injector, noise=noise)
 
     def parametric(self, l_min: float = 0.0, l_max: float = 10_000.0) -> ParametricAnalysis:
         """The exact piecewise-linear ``T(L)`` curve on ``[l_min, l_max]``."""
@@ -346,7 +288,7 @@ class LatencyAnalyzer:
         *,
         l_min: float | None = None,
         l_max: float = 10_000.0,
-        backend: str = "auto",
+        backend: str = "highs",
         max_pieces: int = 50_000,
         processes: int | None = None,
         cache_dir: str | os.PathLike | None = None,

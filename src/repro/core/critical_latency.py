@@ -67,17 +67,15 @@ def _envelope_search(
     backend: str,
     max_solves: int,
     params: LogGPSParams | None,
-    engine: str,
     envelope_engine: str,
 ):
     """``(breakpoints, tangent_at)`` of ``T(L)`` on ``[l_min, l_max]``.
 
     A raw :class:`ExecutionGraph` (plus ``params``) under ``"auto"`` /
     ``"forward"`` goes straight to the forward pass and never builds an LP;
-    for ``"lp"`` its LP is built through the construction ``engine``.  A
-    prebuilt :class:`GraphLP` goes through
-    :func:`~repro.core.envelope.resolve_envelope_engine`, so the affinity
-    contract is honoured (and violations raise for ``"forward"``).
+    for ``"lp"`` its LP is built first.  A prebuilt :class:`GraphLP` goes
+    through :func:`~repro.core.envelope.resolve_envelope_engine`, so the
+    affinity contract is honoured (and violations raise for ``"forward"``).
     """
     from .envelope import _check_engine_name, forward_envelope, resolve_envelope_engine
 
@@ -90,7 +88,7 @@ def _envelope_search(
         if envelope_engine != "lp":
             envelope = forward_envelope(graph_lp, params, l_min=l_min, l_max=l_max)
         else:
-            graph_lp = build_lp(graph_lp, params, latency_mode="global", engine=engine)
+            graph_lp = build_lp(graph_lp, params, latency_mode="global")
     elif resolve_envelope_engine(envelope_engine, graph_lp) == "forward":
         envelope = forward_envelope(graph_lp.graph, graph_lp.params, l_min=l_min, l_max=l_max)
     if envelope is not None:
@@ -108,7 +106,6 @@ def find_critical_latencies(
     step: float | None = None,
     max_solves: int = 10_000,
     params: LogGPSParams | None = None,
-    engine: str = "auto",
     envelope_engine: str = "auto",
 ) -> list[float]:
     """All critical latencies of ``graph_lp`` inside ``[l_min, l_max]``.
@@ -116,15 +113,14 @@ def find_critical_latencies(
     ``step``, when given, coalesces breakpoints closer than ``step`` (the
     resolution knob of the paper's Algorithm 2); ``max_solves`` bounds the
     number of LP solves.  ``graph_lp`` may also be a raw
-    :class:`~repro.schedgen.graph.ExecutionGraph` together with ``params=``;
-    the LP is then built through the selected construction ``engine``.
+    :class:`~repro.schedgen.graph.ExecutionGraph` together with ``params=``.
     ``envelope_engine`` picks how the envelope is recovered — the forward
     line propagation (no LP solves) or the LP tangent search; both return
     the identical breakpoints.
     """
     breakpoints, _ = _envelope_search(
         graph_lp, l_min, l_max, backend=backend, max_solves=max_solves,
-        params=params, engine=engine, envelope_engine=envelope_engine,
+        params=params, envelope_engine=envelope_engine,
     )
     return _collect_breakpoints(breakpoints, step)
 
@@ -137,7 +133,6 @@ def critical_latency_curve(
     backend: str = "highs",
     max_solves: int = 10_000,
     params: LogGPSParams | None = None,
-    engine: str = "auto",
     envelope_engine: str = "auto",
 ) -> list[Tangent]:
     """Tangents of ``T(L)`` on every linear segment of ``[l_min, l_max]``.
@@ -147,12 +142,12 @@ def critical_latency_curve(
     the step function ``λ_L(L)`` over the interval.  The segment tangents are
     served from the cache of the single envelope search — no additional LP
     solves at the segment mid-points.  Accepts a raw execution graph (plus
-    ``params=`` / ``engine=``) like :func:`find_critical_latencies`, and the
-    same ``envelope_engine`` knob.
+    ``params=``) like :func:`find_critical_latencies`, and the same
+    ``envelope_engine`` knob.
     """
     breakpoints, tangent_at = _envelope_search(
         graph_lp, l_min, l_max, backend=backend, max_solves=max_solves,
-        params=params, engine=engine, envelope_engine=envelope_engine,
+        params=params, envelope_engine=envelope_engine,
     )
     boundaries = [l_min, *_collect_breakpoints(breakpoints, None), l_max]
     return [tangent_at(0.5 * (lo + hi)) for lo, hi in zip(boundaries, boundaries[1:])]

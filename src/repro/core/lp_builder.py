@@ -34,20 +34,12 @@ from typing import Mapping
 
 import numpy as np
 
-from ..lp.model import Constraint, LinearExpr, LPModel, LPSolution, Sense, Variable
+from ..lp.compiler import compile_lp
+from ..lp.model import Constraint, LPModel, LPSolution, Sense, Variable
 from ..network.params import LogGPSParams
-from ..schedgen.graph import EdgeKind, ExecutionGraph, VertexKind
+from ..schedgen.graph import ExecutionGraph
 
-__all__ = ["GraphLP", "build_lp", "COMPILED_ENGINE_THRESHOLD", "LP_ENGINES"]
-
-#: the accepted values of every ``lp_engine=`` / ``engine=`` LP-build knob.
-LP_ENGINES = ("auto", "symbolic", "compiled", "fused")
-
-#: Graph size (vertices) above which ``engine="auto"`` picks the vectorised
-#: compiler.  The measured crossover is ≈ 40 vertices; the threshold sits
-#: deliberately above it so toy graphs keep the simpler symbolic path even
-#: on slower hardware (both engines are < 1 ms there either way).
-COMPILED_ENGINE_THRESHOLD = 64
+__all__ = ["GraphLP", "build_lp"]
 
 
 def _pair_key(i: int, j: int) -> tuple[int, int]:
@@ -270,9 +262,13 @@ def build_lp(
     gap_mode: str = "constant",
     overhead_mode: str = "constant",
     name: str = "llamp",
-    engine: str = "auto",
 ) -> GraphLP:
     """Convert ``graph`` into a :class:`GraphLP` under configuration ``params``.
+
+    The LP is lowered straight to CSR by :func:`repro.lp.compiler.compile_lp`;
+    the per-vertex sweep of Algorithm 1 as written in the paper is kept as
+    the test oracle :func:`repro.testing.build_lp_symbolic`, which emits the
+    same LP.
 
     Parameters
     ----------
@@ -287,173 +283,25 @@ def build_lp(
     overhead_mode:
         ``"constant"`` (default) or ``"global"`` for the per-message CPU
         overhead ``o``.
-    engine:
-        ``"symbolic"`` — the per-vertex topological sweep (Algorithm 1 as
-        written in the paper); ``"compiled"`` — the vectorised lowering of
-        :mod:`repro.lp.compiler`, which emits the same LP structure directly
-        as CSR arrays; ``"fused"`` — the analyze-only batch path: ``graph``
-        is a :class:`~repro.schedgen.columnar.ScheduleBatches` spec whose op
-        batches are lowered straight to CSR over a zero-copy, never-frozen
-        execution graph (bit-identical output); ``"auto"`` (default) —
-        fused whenever the input is a batch spec (the graph was never
-        requested, so the frozen round-trip is pure overhead), otherwise
-        compiled for graphs with at least :data:`COMPILED_ENGINE_THRESHOLD`
-        vertices and symbolic below.
     """
-    if latency_mode not in ("global", "per_pair", "constant"):
-        raise ValueError(f"unknown latency_mode {latency_mode!r}")
-    if gap_mode not in ("constant", "global", "per_pair"):
-        raise ValueError(f"unknown gap_mode {gap_mode!r}")
-    if overhead_mode not in ("constant", "global"):
-        raise ValueError(f"unknown overhead_mode {overhead_mode!r}")
-    if engine not in LP_ENGINES:
-        raise ValueError(f"unknown engine {engine!r}")
-    from ..schedgen.columnar import ScheduleBatches
-
-    if isinstance(graph, ScheduleBatches):
-        # batch-spec input: materialise the analyze-only graph (zero-copy,
-        # cached on the spec) and prefer the direct CSR lowering — symbolic
-        # remains available as the reference on the same graph
-        graph = graph.graph_for(params)
-        if engine in ("auto", "fused"):
-            engine = "compiled"
-    elif engine == "fused":
-        # an already-built graph cannot skip its own construction; the CSR
-        # emission is the same either way
-        engine = "compiled"
-    if engine == "auto":
-        engine = (
-            "compiled"
-            if graph.num_vertices >= COMPILED_ENGINE_THRESHOLD
-            else "symbolic"
-        )
-
-    if engine == "compiled":
-        from ..lp.compiler import compile_lp
-
-        compiled = compile_lp(
-            graph,
-            params,
-            latency_mode=latency_mode,
-            gap_mode=gap_mode,
-            overhead_mode=overhead_mode,
-            name=name,
-        )
-        return GraphLP(
-            model=compiled.model,
-            graph=graph,
-            params=params,
-            t=compiled.t,
-            latency=compiled.latency,
-            gap=compiled.gap,
-            overhead=compiled.overhead,
-            pair_latency=compiled.pair_latency,
-            pair_gap=compiled.pair_gap,
-            sink_rows=compiled.sink_rows,
-            num_messages=compiled.num_messages,
-        )
-
-    model = LPModel(name=name)
-    t_var = model.add_var("t", lb=0.0)
-
-    latency_var: Variable | None = None
-    gap_var: Variable | None = None
-    overhead_var: Variable | None = None
-    pair_latency: dict[tuple[int, int], Variable] = {}
-    pair_gap: dict[tuple[int, int], Variable] = {}
-
-    if latency_mode == "global":
-        latency_var = model.add_var("l", lb=params.L)
-    if gap_mode == "global":
-        gap_var = model.add_var("G", lb=params.G)
-    if overhead_mode == "global":
-        overhead_var = model.add_var("o", lb=params.o)
-
-    def pair_latency_var(i: int, j: int) -> Variable:
-        key = _pair_key(i, j)
-        if key not in pair_latency:
-            pair_latency[key] = model.add_var(f"l_{key[0]}_{key[1]}", lb=params.L)
-        return pair_latency[key]
-
-    def pair_gap_var(i: int, j: int) -> Variable:
-        key = _pair_key(i, j)
-        if key not in pair_gap:
-            pair_gap[key] = model.add_var(f"G_{key[0]}_{key[1]}", lb=params.G)
-        return pair_gap[key]
-
-    def overhead_expr() -> LinearExpr:
-        if overhead_var is not None:
-            return overhead_var.to_expr()
-        return LinearExpr({}, params.o)
-
-    def vertex_cost(v: int) -> LinearExpr:
-        k = graph.kind[v]
-        if k == VertexKind.CALC:
-            return LinearExpr({}, float(graph.cost[v]))
-        return overhead_expr()
-
-    def comm_edge_cost(src: int, dst: int) -> LinearExpr:
-        size = int(graph.size[dst])
-        bandwidth_bytes = max(size - 1, 0)
-        i, j = int(graph.rank[src]), int(graph.rank[dst])
-        expr = LinearExpr()
-        if latency_mode == "global":
-            expr = expr + latency_var
-        elif latency_mode == "per_pair":
-            expr = expr + pair_latency_var(i, j)
-        else:
-            expr = expr + params.L
-        if bandwidth_bytes:
-            if gap_mode == "global":
-                expr = expr + gap_var * float(bandwidth_bytes)
-            elif gap_mode == "per_pair":
-                expr = expr + pair_gap_var(i, j) * float(bandwidth_bytes)
-            else:
-                expr = expr + params.G * bandwidth_bytes
-        return expr
-
-    # topological sweep (Algorithm 1)
-    completion: dict[int, LinearExpr] = {}
-    num_messages = 0
-    for v in graph.topological_order():
-        v = int(v)
-        incoming = list(graph.in_edges(v))
-        if not incoming:
-            completion[v] = vertex_cost(v)
-            continue
-        contributions: list[LinearExpr] = []
-        for src, _, kind in incoming:
-            base = completion[src]
-            if kind is EdgeKind.COMM:
-                num_messages += 1
-                contributions.append(base + comm_edge_cost(src, v))
-            else:
-                contributions.append(base)
-        if len(contributions) == 1:
-            completion[v] = contributions[0] + vertex_cost(v)
-        else:
-            y = model.add_var(f"y{v}", lb=0.0)
-            for contribution in contributions:
-                model.add_constraint(y.to_expr() >= contribution)
-            completion[v] = y.to_expr() + vertex_cost(v)
-
-    sink_rows = []
-    for sink in graph.sinks():
-        constraint = model.add_constraint(t_var.to_expr() >= completion[int(sink)])
-        sink_rows.append(constraint.index)
-
-    model.set_objective(t_var, Sense.MIN)
-
+    compiled = compile_lp(
+        graph,
+        params,
+        latency_mode=latency_mode,
+        gap_mode=gap_mode,
+        overhead_mode=overhead_mode,
+        name=name,
+    )
     return GraphLP(
-        model=model,
+        model=compiled.model,
         graph=graph,
         params=params,
-        t=t_var,
-        latency=latency_var,
-        gap=gap_var,
-        overhead=overhead_var,
-        pair_latency=pair_latency,
-        pair_gap=pair_gap,
-        sink_rows=sink_rows,
-        num_messages=num_messages,
+        t=compiled.t,
+        latency=compiled.latency,
+        gap=compiled.gap,
+        overhead=compiled.overhead,
+        pair_latency=compiled.pair_latency,
+        pair_gap=compiled.pair_gap,
+        sink_rows=compiled.sink_rows,
+        num_messages=compiled.num_messages,
     )

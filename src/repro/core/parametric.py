@@ -353,8 +353,7 @@ class BatchedSweep:
     l_min, l_max:
         The latency interval swept.
     backend:
-        Backend name from the default registry (``"auto"`` picks the dense
-        simplex for tiny models, HiGHS otherwise).
+        Backend name from the default registry (default ``"highs"``).
     max_pieces:
         Guard against pathological envelope growth: discovering more than
         this many linear segments raises :class:`EnvelopeOverflowError`.
@@ -375,7 +374,7 @@ class BatchedSweep:
         *,
         l_min: float = 0.0,
         l_max: float = 10_000.0,
-        backend: str = "auto",
+        backend: str = "highs",
         max_pieces: int = 50_000,
         max_solves: int = 10_000,
         envelope_engine: str = "auto",
@@ -541,7 +540,7 @@ def batched_sweep_graphs(
     *,
     l_min: float = 0.0,
     l_max: float = 10_000.0,
-    backend: str = "auto",
+    backend: str = "highs",
     max_pieces: int = 50_000,
     processes: int | None = None,
     cache_dir: str | os.PathLike | None = None,
@@ -576,16 +575,6 @@ def batched_sweep_graphs(
 
     _check_engine_name(envelope_engine)
     cache_dir = None if cache_dir is None else os.fspath(cache_dir)
-    from ..schedgen.columnar import ScheduleBatches
-
-    # batch-column entries (fused callers) are materialised through the
-    # zero-copy fused builder — never frozen — and then flow through the
-    # digest dedupe / cache / pool machinery unchanged, since the fused
-    # graph's content digest equals the frozen one's
-    graphs = [
-        graph.graph_for(params) if isinstance(graph, ScheduleBatches) else graph
-        for graph in graphs
-    ]
     if processes is not None and processes > 1 and len(graphs) > 1:
         from ..parallel.pool import SweepPool
 

@@ -1,8 +1,8 @@
 """Linear programming layer: modelling objects and interchangeable backends."""
 
 from .assembler import AssembledLP, assemble, assemble_rows
-from .backends import BackendRegistry, BackendSpec, auto_backend_choice, default_registry
-from .compiler import CompiledLP, compile_lp, compile_lp_from_batches
+from .backends import BackendRegistry, BackendSpec, default_registry
+from .compiler import CompiledLP, compile_lp
 from .parametric import EnvelopeOverflowError, ParametricLP, Tangent, TangentEnvelope
 from .model import (
     Constraint,
@@ -38,7 +38,6 @@ __all__ = [
     "assemble_rows",
     "CompiledLP",
     "compile_lp",
-    "compile_lp_from_batches",
     "ParametricLP",
     "Tangent",
     "TangentEnvelope",
@@ -46,5 +45,4 @@ __all__ = [
     "BackendRegistry",
     "BackendSpec",
     "default_registry",
-    "auto_backend_choice",
 ]

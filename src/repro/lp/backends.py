@@ -3,18 +3,16 @@
 Every backend is a callable ``solve(model, *, warm_start=None, **options)``
 returning an :class:`~repro.lp.model.LPSolution`, registered under a name in
 a :class:`BackendRegistry` together with a capability description.  The
-default registry ships three entries:
+default registry ships two entries (three with the optional ``highspy``):
 
 ``"highs"``
     :func:`repro.lp.scipy_backend.solve_highs` — sparse, handles the large
     LPs generated from application graphs, provides duals/reduced costs;
 ``"simplex"``
     :func:`repro.lp.simplex.solve_simplex` — dense two-phase simplex,
-    additionally provides lower-bound ranging (Gurobi's ``SALBLow``); far
-    lower per-call overhead than ``linprog`` on tiny models;
-``"auto"``
-    dispatches to ``"simplex"`` for tiny all-finite-lower-bound models and to
-    ``"highs"`` otherwise.
+    additionally provides lower-bound ranging (Gurobi's ``SALBLow``); an
+    independent reference the tests compare HiGHS against (small models
+    only: it hits its iteration limit on large application graphs).
 
 Adding a solver is one decorator::
 
@@ -38,7 +36,7 @@ import numpy as np
 
 from .model import LPModel, LPSolution
 
-__all__ = ["BackendSpec", "BackendRegistry", "default_registry", "auto_backend_choice"]
+__all__ = ["BackendSpec", "BackendRegistry", "default_registry"]
 
 
 #: ``solve(model, *, warm_start=None, **options) -> LPSolution``
@@ -127,7 +125,7 @@ class BackendRegistry:
     def solve(
         self,
         model: LPModel,
-        backend: str = "auto",
+        backend: str = "highs",
         *,
         warm_start: LPSolution | np.ndarray | None = None,
         **options: object,
@@ -169,7 +167,7 @@ def _solve_simplex_backend(
 
 
 # The native highspy bindings are optional; when importable they register as
-# a fourth backend with a real simplex-basis warm start (ParametricLP's basis
+# a third backend with a real simplex-basis warm start (ParametricLP's basis
 # hand-off activates on supports_warm_start).  Environments without the
 # package see an unchanged registry — no stub entry, no import error.
 from .highspy_backend import HAVE_HIGHSPY
@@ -188,50 +186,3 @@ if HAVE_HIGHSPY:  # pragma: no cover - requires the optional highspy package
         from .highspy_backend import solve_highspy
 
         return solve_highspy(model, warm_start=warm_start, **options)
-
-
-# Below these sizes the dense simplex beats linprog's fixed per-call overhead
-# (~2.5 ms on this hardware vs ~0.15 ms for an 8-variable model).
-_AUTO_MAX_VARS = 64
-_AUTO_MAX_ROWS = 256
-
-
-def auto_backend_choice(model: LPModel) -> str:
-    """The concrete backend ``"auto"`` dispatches ``model`` to."""
-    if (
-        model.num_vars <= _AUTO_MAX_VARS
-        and model.num_constraints <= _AUTO_MAX_ROWS
-        and all(np.isfinite(var.lb) for var in model.variables)
-    ):
-        return "simplex"
-    return "highs"
-
-
-# Backend-specific option names: their presence pins the auto dispatch so a
-# tiny model doesn't route highs options into the simplex (or vice versa).
-_HIGHS_ONLY_OPTIONS = frozenset({"method", "presolve"})
-_SIMPLEX_ONLY_OPTIONS = frozenset({"options"})
-
-
-@default_registry.register(
-    "auto",
-    description="dispatch to 'simplex' for tiny models, 'highs' otherwise",
-    supports_duals=True,
-)
-def _solve_auto_backend(
-    model: LPModel, *, warm_start: LPSolution | np.ndarray | None = None, **options: object
-) -> LPSolution:
-    wants_highs = _HIGHS_ONLY_OPTIONS & options.keys()
-    wants_simplex = _SIMPLEX_ONLY_OPTIONS & options.keys()
-    if wants_highs and wants_simplex:
-        raise ValueError(
-            f"options {sorted(wants_highs)} require 'highs' but {sorted(wants_simplex)} "
-            "require 'simplex'; pick one backend explicitly"
-        )
-    if wants_highs:
-        choice = "highs"
-    elif wants_simplex:
-        choice = "simplex"
-    else:
-        choice = auto_backend_choice(model)
-    return default_registry.solve(model, backend=choice, warm_start=warm_start, **options)

@@ -1,11 +1,13 @@
 """Vectorised graph→LP compiler: lower an execution graph straight to CSR.
 
-The symbolic builder (:func:`repro.core.lp_builder.build_lp` with
-``engine="symbolic"``) walks the DAG vertex by vertex in Python, allocating a
-dict-backed :class:`~repro.lp.model.LinearExpr` per vertex and merging
-coefficient dictionaries at every step.  That O(V) pure-Python pass dominates
-end-to-end time on large schedules now that *solving* is incremental (cached
-CSR assembly + the parametric envelope engine).
+Algorithm 1 as written in the paper (kept as the test oracle
+:func:`repro.testing.build_lp_symbolic`) walks the DAG vertex by vertex in
+Python, allocating a dict-backed :class:`~repro.lp.model.LinearExpr` per
+vertex and merging coefficient dictionaries at every step.  That O(V)
+pure-Python pass would dominate end-to-end time on large schedules now that
+*solving* is incremental (cached CSR assembly + the parametric envelope
+engine); :func:`repro.core.lp_builder.build_lp` therefore always lowers
+through this module.
 
 This module lowers a frozen :class:`~repro.schedgen.graph.ExecutionGraph`
 plus a :class:`~repro.network.params.LogGPSParams` configuration directly
@@ -43,17 +45,13 @@ from ..network.params import LogGPSParams
 from ..schedgen.graph import EdgeKind, ExecutionGraph, VertexKind
 from .model import LPModel, Sense, Variable
 
-__all__ = ["CompiledLP", "compile_lp", "compile_lp_from_batches"]
+__all__ = ["CompiledLP", "compile_lp"]
 
 
 @dataclass
 class CompiledLP:
-    """The pre-lowered LP plus the decision-variable handles consumers need.
-
-    Mirrors what :func:`repro.core.lp_builder.build_lp` extracts from the
-    symbolic construction; :class:`~repro.core.lp_builder.GraphLP` wraps
-    either interchangeably.
-    """
+    """The pre-lowered LP plus the decision-variable handles consumers need
+    (wrapped by :class:`~repro.core.lp_builder.GraphLP`)."""
 
     model: LPModel
     t: Variable
@@ -64,69 +62,6 @@ class CompiledLP:
     pair_gap: dict[tuple[int, int], Variable]
     sink_rows: list[int]
     num_messages: int
-    #: the execution graph the model was lowered from.  The fused path
-    #: (:func:`compile_lp_from_batches`) stores its zero-copy analyze-only
-    #: graph here so consumers that *do* end up needing graph structure
-    #: (simulation, placement, content digests) never rebuild the schedule.
-    graph: "ExecutionGraph | None" = None
-
-
-def compile_lp_from_batches(
-    batches,
-    nranks: int,
-    params: LogGPSParams,
-    *,
-    algorithms=None,
-    protocol=None,
-    latency_mode: str = "global",
-    gap_mode: str = "constant",
-    overhead_mode: str = "constant",
-    name: str = "llamp",
-) -> CompiledLP:
-    """Lower columnar :class:`~repro.schedgen.columnar.RankOpBatch` arrays
-    straight to a pre-assembled :class:`LPModel` — the fused analyze-only path.
-
-    The frozen-graph round-trip is skipped entirely: the schedule is emitted
-    once into the columnar :class:`~repro.schedgen.graph.GraphBuilder`, an
-    :class:`~repro.schedgen.graph.ExecutionGraph` is attached zero-copy over
-    the builder's column views (no freeze copies, no structural validation
-    pass), the topological level structure comes from the chain-condensed
-    engine instead of the generic frontier peel, and :func:`compile_lp` reads
-    the CSR views directly.  Because the emitted columns are byte-identical
-    to the frozen path and the condensed levels reproduce the deterministic
-    order contract exactly, the resulting model is **bit-identical** to
-    ``compile_lp(build_columnar(...), params)`` — same variables, same CSR
-    arrays, same duals — and ``result.graph.content_digest()`` equals the
-    frozen graph's digest, so artifact caches and sweep pools key fused and
-    frozen requests to the same entries.
-
-    ``algorithms`` defaults to the standard
-    :class:`~repro.schedgen.collectives.CollectiveAlgorithms` selection and
-    ``protocol`` to ``ProtocolConfig.from_params(params)``.  The analyze-only
-    graph is returned on :attr:`CompiledLP.graph` for consumers that later
-    need graph structure (simulation, digests) without a rebuild.
-    """
-    from ..schedgen.builder import ProtocolConfig
-    from ..schedgen.collectives import CollectiveAlgorithms
-    from ..schedgen.columnar import build_columnar_fused
-
-    if algorithms is None:
-        algorithms = CollectiveAlgorithms()
-    if protocol is None:
-        protocol = ProtocolConfig.from_params(params)
-    graph = build_columnar_fused(
-        batches, nranks, algorithms=algorithms, protocol=protocol
-    )
-    compiled = compile_lp(
-        graph,
-        params,
-        latency_mode=latency_mode,
-        gap_mode=gap_mode,
-        overhead_mode=overhead_mode,
-        name=name,
-    )
-    compiled.graph = graph
-    return compiled
 
 
 def _pointer_jump(

@@ -592,7 +592,7 @@ class LPModel:
 
         ``backend`` names an entry of the default
         :class:`~repro.lp.backends.BackendRegistry` (``"highs"``,
-        ``"simplex"``, ``"auto"``, or anything registered by the caller).
+        ``"simplex"``, or anything registered by the caller).
         """
         from .backends import default_registry
 

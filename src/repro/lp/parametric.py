@@ -142,7 +142,7 @@ class ParametricLP:
         self,
         model: LPModel,
         *,
-        backend: str = "auto",
+        backend: str = "highs",
         max_solves: int = 10_000,
         warm_start: bool = True,
         registry: BackendRegistry | None = None,

@@ -58,7 +58,7 @@ class SweepTask:
     params_digest: str
     l_min: float
     l_max: float
-    backend: str = "auto"
+    backend: str = "highs"
     max_pieces: int = 50_000
     build_kwargs: tuple[tuple[str, object], ...] = ()
     sim: tuple[str, tuple[float, ...]] | None = None  # (injector, deltas)
@@ -404,7 +404,7 @@ class SweepPool:
         *,
         l_min: float = 0.0,
         l_max: float = 10_000.0,
-        backend: str = "auto",
+        backend: str = "highs",
         max_pieces: int = 50_000,
         envelope_engine: str = "auto",
         **build_kwargs,

@@ -91,13 +91,11 @@ def predicted_runtime(
     backend: str = "highs",
     include_gap: bool = True,
     graph_lp: GraphLP | None = None,
-    lp_engine: str = "auto",
 ) -> float:
     """Predicted runtime of ``graph`` under a given process mapping.
 
     Pass a prebuilt per-pair ``graph_lp`` to reuse one assembled model
-    across several mappings (bound-only updates, no re-assembly);
-    ``lp_engine`` selects the LP construction engine otherwise.
+    across several mappings (bound-only updates, no re-assembly).
     """
     if graph_lp is None:
         graph_lp = build_lp(
@@ -105,7 +103,6 @@ def predicted_runtime(
             params,
             latency_mode="per_pair",
             gap_mode="per_pair" if include_gap else "constant",
-            engine=lp_engine,
         )
     elif not graph_lp.pair_latency:
         raise ValueError("predicted_runtime needs a GraphLP built with latency_mode='per_pair'")
@@ -243,7 +240,6 @@ def llamp_placement(
     include_gap: bool = True,
     top_k: int = 4,
     graph_lp: GraphLP | None = None,
-    lp_engine: str = "auto",
 ) -> PlacementResult:
     """Run Algorithm 3 and return the refined mapping.
 
@@ -253,8 +249,7 @@ def llamp_placement(
     ``top_k`` candidates (by heuristic gain) are LP-verified per iteration —
     the first confirmed improvement is applied.  ``top_k=1`` reproduces the
     classic best-candidate-or-stop behaviour.  Pass a prebuilt per-pair
-    ``graph_lp`` to share one assembled model across several searches;
-    ``lp_engine`` selects the LP construction engine otherwise.
+    ``graph_lp`` to share one assembled model across several searches.
     """
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
@@ -269,7 +264,6 @@ def llamp_placement(
             params,
             latency_mode="per_pair",
             gap_mode="per_pair" if include_gap else "constant",
-            engine=lp_engine,
         )
     elif not graph_lp.pair_latency:
         raise ValueError("llamp_placement needs a GraphLP built with latency_mode='per_pair'")

@@ -23,20 +23,13 @@ LogGOPSim toolchain that LLAMP builds on (Section II-A):
   delivered) and it keeps the simulator, the LP generator and the parametric
   engine free of protocol special cases.
 
-Two construction engines produce bit-identical graphs:
-
-``legacy``
-    the op-by-op reference path in this module — one builder call per
-    vertex, a per-vertex queue scan for message matching;
-``columnar``
-    the array-native engine of :mod:`repro.schedgen.columnar` — bulk
-    emission of whole segments/collective rounds, a vectorised rendezvous
-    post-pass and sort-based message matching.
-
-``build_graph(..., builder_engine="auto")`` (the default) picks the
-columnar engine for workloads of at least
-:data:`~repro.core.lp_builder.COMPILED_ENGINE_THRESHOLD` operations,
-mirroring the LP-side ``engine="auto"`` policy.
+Graphs are built by the array-native engine of
+:mod:`repro.schedgen.columnar` (bulk emission of whole segments/collective
+rounds, a vectorised rendezvous post-pass and sort-based message matching).
+The op-by-op path in this module (one builder call per vertex, a per-vertex
+queue scan for message matching) is kept as the reference oracle behind
+``ScheduleGenerator(builder_engine="legacy")``; both produce bit-identical
+graphs.
 """
 
 from __future__ import annotations
@@ -56,12 +49,11 @@ __all__ = [
     "ProtocolConfig",
     "ScheduleGenerator",
     "build_graph",
-    "resolve_builder_engine",
     "UnmatchedMessageError",
 ]
 
-#: valid values of the ``builder_engine`` knob
-BUILDER_ENGINES = ("auto", "legacy", "columnar")
+#: valid values of the ``builder_engine`` oracle switch
+BUILDER_ENGINES = ("columnar", "legacy")
 
 #: size of the control messages (RTS / CTS) used by the rendezvous expansion
 _RENDEZVOUS_CTRL_BYTES = 1
@@ -108,55 +100,34 @@ class _RankState:
     requests: dict[int, int] = field(default_factory=dict)
 
 
-def _validate_builder_engine(engine: str) -> str:
-    if engine not in BUILDER_ENGINES:
-        raise ValueError(
-            f"unknown builder engine {engine!r}; expected one of {BUILDER_ENGINES}"
-        )
-    return engine
-
-
-def resolve_builder_engine(engine: str, num_ops: int) -> str:
-    """Resolve the ``auto`` engine policy for a workload of ``num_ops`` ops.
-
-    Mirrors the LP-side ``engine="auto"`` choice: columnar at or above
-    :data:`~repro.core.lp_builder.COMPILED_ENGINE_THRESHOLD` operations
-    (collectives expand each op into many vertices, so the op count is a
-    lower bound on the graph size), the simpler op-by-op path below it.
-    """
-    if _validate_builder_engine(engine) != "auto":
-        return engine
-    from ..core.lp_builder import COMPILED_ENGINE_THRESHOLD
-
-    return "columnar" if num_ops >= COMPILED_ENGINE_THRESHOLD else "legacy"
-
-
 class ScheduleGenerator:
     """Build :class:`ExecutionGraph` objects from programs or traces.
 
-    ``builder_engine`` selects the construction path: ``"legacy"`` (the
-    op-by-op reference), ``"columnar"`` (the array-native engine of
-    :mod:`repro.schedgen.columnar`) or ``"auto"`` (columnar for workloads of
-    at least :data:`~repro.core.lp_builder.COMPILED_ENGINE_THRESHOLD`
-    operations/records).  Both engines produce bit-identical graphs.
+    Production builds run on the array-native engine of
+    :mod:`repro.schedgen.columnar`.  ``builder_engine="legacy"`` is the
+    oracle switch: it selects the op-by-op reference path of this module,
+    which produces a bit-identical graph.
     """
 
     def __init__(
         self,
         algorithms: coll.CollectiveAlgorithms | None = None,
         protocol: ProtocolConfig | None = None,
-        builder_engine: str = "auto",
+        builder_engine: str = "columnar",
     ) -> None:
+        if builder_engine not in BUILDER_ENGINES:
+            raise ValueError(
+                f"unknown builder engine {builder_engine!r}; expected one of {BUILDER_ENGINES}"
+            )
         self.algorithms = algorithms or coll.CollectiveAlgorithms()
         self.protocol = protocol or ProtocolConfig()
-        self.builder_engine = _validate_builder_engine(builder_engine)
+        self.builder_engine = builder_engine
 
     # -- public entry points -------------------------------------------------
 
     def build(self, program: Program) -> ExecutionGraph:
         """Convert a :class:`Program` into an execution graph."""
-        engine = resolve_builder_engine(self.builder_engine, program.num_ops)
-        if engine == "columnar":
+        if self.builder_engine == "columnar":
             from . import columnar
 
             batches = columnar.batches_from_program(program)
@@ -197,8 +168,7 @@ class ScheduleGenerator:
         ``ProgramOp``-object detour of the legacy path; the resulting graph
         is bit-identical either way.
         """
-        engine = resolve_builder_engine(self.builder_engine, trace.num_records)
-        if engine == "columnar":
+        if self.builder_engine == "columnar":
             from . import columnar
 
             trace.validate()
@@ -464,22 +434,15 @@ def build_graph(
     algorithms: coll.CollectiveAlgorithms | None = None,
     protocol: ProtocolConfig | None = None,
     params: LogGPSParams | None = None,
-    builder_engine: str = "auto",
 ) -> ExecutionGraph:
     """Convenience wrapper: build an execution graph from a program.
 
     If ``params`` is given and ``protocol`` is not, the protocol threshold is
-    taken from ``params.S``.  ``builder_engine`` selects the construction
-    path (``"legacy"``, ``"columnar"`` or ``"auto"``; see
-    :class:`ScheduleGenerator`) — the frozen graph is bit-identical either
-    way.
+    taken from ``params.S``.
     """
     if protocol is None and params is not None:
         protocol = ProtocolConfig.from_params(params)
-    generator = ScheduleGenerator(
-        algorithms=algorithms, protocol=protocol, builder_engine=builder_engine
-    )
-    return generator.build(program)
+    return ScheduleGenerator(algorithms=algorithms, protocol=protocol).build(program)
 
 
 # ---------------------------------------------------------------------------

@@ -296,7 +296,8 @@ def build_columnar_fused(
     protocol,
     mmap_dir=None,
 ):
-    """Build an execution graph for the analyze-only path — never frozen.
+    """Build an execution graph without freezing it (behind
+    :meth:`ScheduleBatches.graph_for`).
 
     Emits exactly the same vertex/edge columns as :func:`build_columnar`
     (same builder machinery, same deterministic order contract) but attaches
@@ -348,17 +349,14 @@ def build_columnar_fused(
 class ScheduleBatches:
     """Columnar schedule handle: per-rank op batches plus expansion config.
 
-    The batch-level twin of a frozen :class:`~repro.schedgen.graph.
-    ExecutionGraph` for the fused analyze-only pipeline:
-    :func:`repro.core.lp_builder.build_lp`,
-    :meth:`repro.core.analyzer.LatencyAnalyzer.from_batches` and the serial
-    path of :func:`repro.core.parametric.batched_sweep_graphs` all accept it
-    in place of a graph.  The execution graph is attached lazily through
+    Turns op batches that never passed through a :class:`~repro.mpi.program.
+    Program` (the chunked trace ingest behind
+    :meth:`repro.core.analyzer.LatencyAnalyzer.from_batches`) into an
+    execution graph: :meth:`graph_for` builds it through
     :func:`build_columnar_fused` (zero-copy, no freeze, condensed levels) and
-    cached per protocol, and :meth:`content_digest` — served from that
+    caches it per protocol.  :meth:`content_digest` — served from that
     graph's byte-identical columns — equals the frozen graph's digest, so
-    artifact caches and sweep pools key fused and frozen requests to the
-    same entries.
+    artifact caches and sweep pools key both builds to the same entries.
 
     ``protocol`` may be left ``None`` and resolved later from the LogGPS
     parameters actually analysed (``ProtocolConfig.from_params``), so one
@@ -400,10 +398,10 @@ class ScheduleBatches:
         return ProtocolConfig.from_params(params)
 
     def graph_for(self, params):
-        """The analyze-only execution graph of this schedule under ``params``.
+        """The zero-copy execution graph of this schedule under ``params``.
 
         Built once per protocol via :func:`build_columnar_fused` and cached
-        on the spec — repeated LP builds, sweeps and digests share one graph.
+        on the spec — repeated digests and analyses share one graph.
         """
         protocol = self.resolve_protocol(params)
         graph = self._graphs.get(protocol)

@@ -1042,8 +1042,9 @@ def chain_condensed_levels(graph: "ExecutionGraph") -> tuple[np.ndarray, np.ndar
     Longest-path levels are unique, and a stable sort by level reproduces the
     deterministic order contract bit-for-bit, so the result is
     interchangeable with the peeled structure.  Intended for graphs whose
-    construction is trusted (the fused analyze-only path); unlike the peel it
-    is not a general cycle detector, though an undrained condensed DAG — a
+    construction is trusted
+    (:func:`~repro.schedgen.columnar.build_columnar_fused`); unlike the peel
+    it is not a general cycle detector, though an undrained condensed DAG — a
     cycle through merge points — still raises.
     """
     n = graph.num_vertices

@@ -18,17 +18,10 @@ from .injector import (
     make_injector,
     two_message_model,
 )
-from .loggops import (
-    SIM_ENGINES,
-    LogGOPSSimulator,
-    SimulationResult,
-    resolve_sim_engine,
-    simulate,
-)
+from .loggops import SimulationResult, simulate
 from .noise import GaussianNoise, NoiseModel, NoNoise, OSJitterNoise
 
 __all__ = [
-    "LogGOPSSimulator",
     "SimulationResult",
     "GridSimulationResult",
     "SweepSimulationResult",
@@ -36,8 +29,6 @@ __all__ = [
     "simulate_level",
     "simulate_sweep",
     "simulate_sweep_grid",
-    "SIM_ENGINES",
-    "resolve_sim_engine",
     "LatencyInjector",
     "IdealInjector",
     "SenderDelayInjector",

@@ -1,8 +1,9 @@
 """Level-synchronous vectorised LogGOPS simulation engine.
 
-The legacy simulator (:mod:`repro.simulator.loggops`) walks the execution
-graph one vertex at a time; on trace-scale graphs that pure-Python loop is
-the last op-by-op stage of the pipeline.  This engine processes whole
+The reference simulator (:class:`repro.testing.LogGOPSSimulator`) walks the
+execution graph one vertex at a time; on trace-scale graphs that pure-Python
+loop would be the last op-by-op stage of the pipeline.  This engine, the one
+behind :func:`repro.simulator.simulate`, processes whole
 *topological levels* at once (:meth:`~repro.schedgen.graph.ExecutionGraph.
 topo_levels`): every predecessor of a level-``k`` vertex lives in a level
 ``< k``, so one level's ready times, injector releases, noise draws, send
@@ -26,7 +27,7 @@ vertex-id-minor, edge-id within one vertex — the canonical
 injectors serve their queue FIFO in that order and NumPy ``Generator``
 draws are stream-equivalent between scalar and vectorised calls, so the
 level engine is timestamp-identical (to 1e-9 and usually bit-exact) to the
-legacy simulator for every injector × noise combination.
+reference walk for every injector × noise combination.
 
 :func:`simulate_sweep` stacks a whole ΔL sweep into one run: every level is
 advanced for all sweep points in a single 2-D array pass, which turns the
@@ -255,8 +256,9 @@ def simulate_level(
 ):
     """One simulation run on the level-synchronous engine.
 
-    Timestamp-identical to :meth:`repro.simulator.loggops.LogGOPSSimulator.
-    run` for every injector/noise combination (see the module docstring for
+    Timestamp-identical to the per-vertex reference walk
+    (:class:`repro.testing.LogGOPSSimulator`) for every injector/noise
+    combination (see the module docstring for
     the shared determinism contract).  ``track_nic=False`` drops the
     per-rank NIC-gap resource entirely (a send starts at its ready time),
     which is the semantics of the conventional forward pass
@@ -390,7 +392,6 @@ def simulate_sweep(
     *,
     injector: str = "ideal",
     noise: NoiseModel | None = None,
-    sim_engine: str = "level",
 ) -> SweepSimulationResult:
     """Simulate every ΔL point of a sweep in one level-synchronous pass.
 
@@ -400,39 +401,15 @@ def simulate_sweep(
     level advances *all* points at once as a 2-D array pass, so the sweep
     costs one graph traversal instead of ``len(deltas)``.
 
-    ``injector`` is one of :data:`~repro.simulator.injector.INJECTOR_NAMES`;
-    ``sim_engine="legacy"`` falls back to per-point legacy runs (the
-    reference used by the parity suite).
+    ``injector`` is one of :data:`~repro.simulator.injector.INJECTOR_NAMES`.
     """
     deltas = np.asarray(list(deltas), dtype=np.float64).ravel()
     if injector not in INJECTOR_NAMES:
         raise ValueError(
             f"unknown injector {injector!r}; expected one of {INJECTOR_NAMES}"
         )
-    if sim_engine not in ("level", "legacy"):
-        raise ValueError(
-            f"unknown sim_engine {sim_engine!r}; expected 'level' or 'legacy'"
-        )
     if noise is None:
         noise = NoNoise()
-    if sim_engine == "legacy":
-        from .injector import make_injector
-        from .loggops import LogGOPSSimulator
-
-        makespans = np.empty(len(deltas), dtype=np.float64)
-        finishes = np.empty((len(deltas), graph.nranks), dtype=np.float64)
-        for i, delta in enumerate(deltas):
-            result = LogGOPSSimulator(
-                graph, params, injector=make_injector(injector, float(delta)),
-                noise=noise,
-            ).run()
-            makespans[i] = result.makespan
-            finishes[i] = result.rank_finish
-        return SweepSimulationResult(
-            deltas=deltas, makespan=makespans, rank_finish=finishes,
-            params=params, injector=injector,
-        )
-
     grid = simulate_sweep_grid(
         graph, params, deltas, injectors=(injector,), noise=noise
     )

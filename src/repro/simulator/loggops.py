@@ -34,46 +34,16 @@ compares both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..network.params import LogGPSParams
-from ..schedgen.graph import EdgeKind, ExecutionGraph, VertexKind
+from ..schedgen.graph import EdgeKind, ExecutionGraph
 from .injector import IdealInjector, LatencyInjector
 from .noise import NoiseModel, NoNoise
 
-__all__ = [
-    "SimulationResult",
-    "LogGOPSSimulator",
-    "simulate",
-    "SIM_ENGINES",
-    "resolve_sim_engine",
-]
-
-#: valid values of the ``sim_engine`` knob (mirrors the LP/builder engines)
-SIM_ENGINES = ("auto", "legacy", "level")
-
-
-def resolve_sim_engine(engine: str, num_vertices: int) -> str:
-    """Resolve the ``auto`` simulation-engine policy for a graph size.
-
-    Mirrors the LP-side ``engine="auto"`` and the builder-side
-    ``builder_engine="auto"`` choices: the level-synchronous vectorised
-    engine (:mod:`repro.simulator.columnar`) at or above
-    :data:`~repro.core.lp_builder.COMPILED_ENGINE_THRESHOLD` vertices, the
-    per-vertex legacy walk below it.  Both engines are timestamp-identical.
-    """
-    if engine not in SIM_ENGINES:
-        raise ValueError(
-            f"unknown sim engine {engine!r}; expected one of {SIM_ENGINES}"
-        )
-    if engine != "auto":
-        return engine
-    from ..core.lp_builder import COMPILED_ENGINE_THRESHOLD
-
-    return "level" if num_vertices >= COMPILED_ENGINE_THRESHOLD else "legacy"
+__all__ = ["SimulationResult", "simulate"]
 
 
 @dataclass
@@ -144,95 +114,6 @@ class SimulationResult:
         return int(np.isin(edge_keys, path_keys).sum())
 
 
-class LogGOPSSimulator:
-    """Replay execution graphs under the LogGOPS model (legacy engine).
-
-    The per-vertex reference walk: one Python iteration per vertex in the
-    canonical topological order.  The level-synchronous vectorised engine
-    (:mod:`repro.simulator.columnar`) is timestamp-identical and ~90x
-    faster on trace-scale graphs; :func:`simulate` picks between them via
-    ``sim_engine``.
-    """
-
-    def __init__(
-        self,
-        graph: ExecutionGraph,
-        params: LogGPSParams,
-        injector: LatencyInjector | None = None,
-        noise: NoiseModel | None = None,
-    ) -> None:
-        self.graph = graph
-        self.params = params
-        self.injector = injector if injector is not None else IdealInjector(0.0)
-        self.noise = noise if noise is not None else NoNoise()
-
-    def run(self) -> SimulationResult:
-        """Simulate once and return timestamps and the makespan."""
-        graph = self.graph
-        params = self.params
-        injector = self.injector
-        noise = self.noise
-        injector.reset()
-        noise.reset()
-
-        n = graph.num_vertices
-        start = np.zeros(n, dtype=np.float64)
-        end = np.zeros(n, dtype=np.float64)
-        nic_free = np.zeros(graph.nranks, dtype=np.float64)
-
-        kind = graph.kind
-        cost = graph.cost
-        size = graph.size
-        rank = graph.rank
-        L, o, g, G = params.L, params.o, params.g, params.G
-
-        order = graph.topological_order()
-        pred_indptr = graph._pred_indptr
-        pred_edges = graph._pred_edges
-        edge_src = graph.edge_src
-        edge_kind = graph.edge_kind
-
-        for v in order:
-            v = int(v)
-            r = int(rank[v])
-            ready = 0.0
-            for pos in range(pred_indptr[v], pred_indptr[v + 1]):
-                eid = int(pred_edges[pos])
-                u = int(edge_src[eid])
-                if edge_kind[eid] == EdgeKind.COMM:
-                    s = int(size[v])
-                    arrival = end[u] + L + max(s - 1, 0) * G
-                    t = injector.release_time(r, arrival)
-                else:
-                    t = end[u]
-                if t > ready:
-                    ready = t
-            k = kind[v]
-            if k == VertexKind.CALC:
-                start[v] = ready
-                end[v] = ready + noise.perturb(float(cost[v]))
-            elif k == VertexKind.SEND:
-                t0 = max(ready, nic_free[r])
-                start[v] = t0
-                end[v] = t0 + o + injector.send_extra_delay(r)
-                nic_free[r] = t0 + g
-            else:  # RECV
-                start[v] = ready
-                end[v] = ready + o
-
-        rank_finish = np.zeros(graph.nranks, dtype=np.float64)
-        if n:
-            np.maximum.at(rank_finish, rank, end)
-        makespan = float(end.max()) if n else 0.0
-        return SimulationResult(
-            makespan=makespan,
-            start=start,
-            end=end,
-            rank_finish=rank_finish,
-            params=params,
-        )
-
-
 def simulate(
     graph: ExecutionGraph,
     params: LogGPSParams,
@@ -240,28 +121,19 @@ def simulate(
     delta_L: float = 0.0,
     injector: LatencyInjector | None = None,
     noise: NoiseModel | None = None,
-    sim_engine: str = "auto",
 ) -> SimulationResult:
-    """Simulate once, selecting the engine through ``sim_engine``.
+    """Simulate once on the level-synchronous engine
+    (:func:`repro.simulator.columnar.simulate_level`).
 
     ``delta_L`` adds latency through an :class:`IdealInjector` unless an
-    explicit injector is supplied.  ``sim_engine`` mirrors the LP/builder
-    engine knobs: ``"legacy"`` is the per-vertex reference walk
-    (:class:`LogGOPSSimulator`), ``"level"`` the level-synchronous
-    vectorised engine (:mod:`repro.simulator.columnar`), and ``"auto"``
-    (default) picks the level engine for graphs of at least
-    :data:`~repro.core.lp_builder.COMPILED_ENGINE_THRESHOLD` vertices.
-    The two engines are timestamp-identical.
+    explicit injector is supplied.  The per-vertex walk of the timing rules
+    above is kept as the test oracle :class:`repro.testing.LogGOPSSimulator`,
+    which is timestamp-identical.
     """
+    from .columnar import simulate_level
+
     if injector is None:
         injector = IdealInjector(delta_L)
     elif delta_L:
         raise ValueError("pass either delta_L or an explicit injector, not both")
-    engine = resolve_sim_engine(sim_engine, graph.num_vertices)
-    if engine == "level":
-        from .columnar import simulate_level
-
-        if noise is None:
-            noise = NoNoise()
-        return simulate_level(graph, params, injector, noise)
-    return LogGOPSSimulator(graph, params, injector=injector, noise=noise).run()
+    return simulate_level(graph, params, injector, noise if noise is not None else NoNoise())

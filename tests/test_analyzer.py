@@ -163,7 +163,9 @@ class TestCriticalLatenciesAndSummary:
 
 
 class TestFusedEngine:
-    """Analyzers built from batch specs (the analyze-only fused pipeline)."""
+    """Analyzers built from programs and op batches instead of frozen graphs
+    (``from_program`` / ``from_batches``, the latter over the zero-copy
+    fused graph build)."""
 
     @staticmethod
     def _program():
@@ -186,7 +188,7 @@ class TestFusedEngine:
         frozen = LatencyAnalyzer(
             build_graph(program, protocol=ProtocolConfig.from_params(PARAMS)), PARAMS
         )
-        fused = LatencyAnalyzer.from_program(program, PARAMS, lp_engine="fused")
+        fused = LatencyAnalyzer.from_program(program, PARAMS)
         assert fused.baseline_runtime() == pytest.approx(frozen.baseline_runtime())
         assert fused.latency_sensitivity(5.0) == pytest.approx(
             frozen.latency_sensitivity(5.0)
@@ -210,23 +212,18 @@ class TestFusedEngine:
 
     def test_materialised_graph_shares_frozen_digest(self):
         from repro.schedgen.builder import ProtocolConfig
+        from repro.schedgen.columnar import batches_from_program
 
         program = self._program()
-        fused = LatencyAnalyzer.from_program(program, PARAMS)
+        fused = LatencyAnalyzer.from_batches(
+            batches_from_program(program), program.nranks, PARAMS
+        )
         frozen = build_graph(program, protocol=ProtocolConfig.from_params(PARAMS))
         assert fused.graph.content_digest() == frozen.content_digest()
 
-    def test_unknown_lp_engine_rejected(self):
-        # rejected at construction: default queries never build an LP, so a
-        # lazy check would accept the bad value silently
-        with pytest.raises(ValueError, match="lp_engine 'warp'"):
-            LatencyAnalyzer.from_program(self._program(), PARAMS, lp_engine="warp")
-
 
 class TestInputValidation:
-    @pytest.mark.parametrize(
-        "argument", ["backend", "lp_engine", "sim_engine", "envelope_engine"]
-    )
+    @pytest.mark.parametrize("argument", ["backend", "envelope_engine"])
     def test_bad_value_named_in_the_error(self, small_app_graph, argument):
         with pytest.raises(ValueError, match=f"unknown {argument} 'warp' for LatencyAnalyzer"):
             LatencyAnalyzer(small_app_graph, PARAMS, **{argument: "warp"})
@@ -338,3 +335,16 @@ class TestIngestEnvelopeEngine:
         numbers = [key for key, value in default.items() if isinstance(value, float)]
         assert "tolerance_5pct_us" in numbers
         _assert_rel_close({k: default[k] for k in numbers}, {k: oracle[k] for k in numbers})
+
+
+class TestSweepEnvelopeEngine:
+    def test_lp_oracle_switch_reaches_sweep(self, capsys, monkeypatch):
+        solves = _count_solves(monkeypatch)
+        assert cli_main(["sweep", "lulesh", "--nranks", "2"]) == 0
+        default = capsys.readouterr().out
+        assert solves == []
+
+        assert cli_main(["--envelope-engine", "lp", "sweep", "lulesh", "--nranks", "2"]) == 0
+        oracle = capsys.readouterr().out
+        assert solves
+        assert oracle == default

@@ -29,9 +29,10 @@ from repro.artifacts import (
 from repro.core import BatchedSweep, LatencyAnalyzer, batched_sweep_graphs, build_lp
 from repro.lp.assembler import assembly_counts
 from repro.network.params import LogGPSParams
-from repro.schedgen.builder import build_graph
+from repro.schedgen.builder import ProtocolConfig, ScheduleGenerator, build_graph
 from repro.schedgen.graph import ExecutionGraph
 from repro.testing import (
+    build_lp_symbolic,
     build_random_dag,
     build_random_program,
     build_running_example,
@@ -97,8 +98,10 @@ class TestContentDigests:
         # both construction engines must produce the same digest
         for seed in (0, 1, 2):
             program = build_random_program(seed)
-            legacy = build_graph(program, params=PARAMS, builder_engine="legacy")
-            columnar = build_graph(program, params=PARAMS, builder_engine="columnar")
+            legacy = ScheduleGenerator(
+                protocol=ProtocolConfig.from_params(PARAMS), builder_engine="legacy"
+            ).build(program)
+            columnar = build_graph(program, params=PARAMS)
             assert legacy.content_digest() == columnar.content_digest()
 
     def test_params_digest_sensitive_to_every_field(self):
@@ -221,7 +224,8 @@ class TestLPRoundTrip:
     @pytest.mark.parametrize("engine", ["symbolic", "compiled"])
     def test_same_solution_after_reload(self, tmp_path, engine):
         graph = build_random_dag(9)
-        model = build_lp(graph, PARAMS, latency_mode="global", engine=engine).model
+        build = build_lp_symbolic if engine == "symbolic" else build_lp
+        model = build(graph, PARAMS, latency_mode="global").model
         expected = model.solve(backend="highs").objective
         path = tmp_path / "m.npz"
         save_lp(model, path)
@@ -234,9 +238,7 @@ class TestLPRoundTrip:
         )
 
     def test_compiled_rows_round_trip_exactly(self, tmp_path):
-        model = build_lp(
-            build_random_dag(4), PARAMS, latency_mode="global", engine="compiled"
-        ).model
+        model = build_lp(build_random_dag(4), PARAMS, latency_mode="global").model
         original = model.to_arrays()
         path = tmp_path / "m.npz"
         save_lp(model, path)
@@ -256,9 +258,7 @@ class TestLPRoundTrip:
     def test_loaded_model_needs_no_assembly(self, tmp_path):
         # from_arrays pre-populates the assembled cache: solving the loaded
         # model must not lower anything at the Python level
-        model = build_lp(
-            build_random_dag(2), PARAMS, latency_mode="global", engine="compiled"
-        ).model
+        model = build_lp(build_random_dag(2), PARAMS, latency_mode="global").model
         path = tmp_path / "m.npz"
         save_lp(model, path)
         loaded, _ = load_lp(path)
@@ -490,6 +490,11 @@ class TestCacheCLI:
         assert stats["kinds"]["graph"]["entries"] == 1
         assert stats["kinds"]["lp"]["entries"] == 1
         assert stats["kinds"]["envelope"]["entries"] == 1
+        # the keys warm prints address the entries the analyzer stored
+        store = ArtifactStore(store_dir)
+        assert store.contains("graph", warm["graph_key"])
+        assert store.contains("lp", warm["lp_key"])
+        assert store.contains("envelope", warm["envelope_key"])
 
         # warming again is pure hits: entry counts do not grow
         assert main(["cache", "warm", "lulesh", "--dir", store_dir,

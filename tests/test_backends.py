@@ -10,7 +10,6 @@ from repro.lp import (
     Sense,
     Status,
     assemble,
-    auto_backend_choice,
     default_registry,
     solve_highs,
     solve_simplex,
@@ -25,7 +24,7 @@ RANDOM_PARAMS = LogGPSParams(L=1.0, o=0.3, g=0.0, G=0.001)
 
 class TestRegistry:
     def test_default_backends_registered(self):
-        assert {"highs", "simplex", "auto"} <= set(default_registry.names())
+        assert {"highs", "simplex"} <= set(default_registry.names())
 
     def test_unknown_backend_lists_known_names(self):
         model = LPModel()
@@ -68,32 +67,6 @@ class TestRegistry:
         registry.register("b", replace=True)(first)
         registry.unregister("b")
         assert "b" not in registry
-
-    def test_auto_dispatches_by_model_size(self, running_example, paper_params):
-        small = build_lp(running_example, paper_params)
-        assert auto_backend_choice(small.model) == "simplex"
-        assert small.solve_runtime(L=0.5, backend="auto").backend == "simplex"
-
-        big = LPModel()
-        for i in range(200):
-            big.add_var(f"x{i}", lb=0.0)
-        assert auto_backend_choice(big) == "highs"
-
-    def test_auto_respects_backend_specific_options(self, running_example, paper_params):
-        lp = build_lp(running_example, paper_params)  # tiny: auto would pick simplex
-        solution = lp.solve_runtime(L=0.5, backend="auto", presolve=False)
-        assert solution.backend == "highs"  # highs-only option pins the dispatch
-        assert solution.objective == pytest.approx(1.615)
-        with pytest.raises(ValueError, match="pick one backend"):
-            lp.model.solve(backend="auto", presolve=False, options=None)
-
-    def test_auto_avoids_simplex_for_infinite_lower_bounds(self):
-        model = LPModel()
-        x = model.add_var("x", lb=float("-inf"))
-        model.add_ge(x, -5.0)
-        model.set_objective(x, Sense.MIN)
-        assert auto_backend_choice(model) == "highs"
-        assert model.solve(backend="auto").objective == pytest.approx(-5.0)
 
 
 class TestAssembler:
@@ -142,10 +115,8 @@ class TestAssembler:
 def _assert_parity(lp, L: float) -> None:
     highs = lp.solve_runtime(L=L, backend="highs")
     simplex = lp.solve_runtime(L=L, backend="simplex")
-    auto = lp.solve_runtime(L=L, backend="auto")
 
     assert highs.objective == pytest.approx(simplex.objective, abs=1e-6)
-    assert highs.objective == pytest.approx(auto.objective, abs=1e-6)
     assert lp.latency_sensitivity(highs) == pytest.approx(
         lp.latency_sensitivity(simplex), abs=1e-6
     )
@@ -186,7 +157,7 @@ class TestBackendParity:
     def test_warm_start_accepted_by_all_backends(self, paper_params):
         lp = build_lp(build_running_example(), paper_params)
         reference = lp.solve_runtime(L=0.5)
-        for backend in ("highs", "simplex", "auto"):
+        for backend in ("highs", "simplex"):
             warm = lp.model.solve(backend=backend, warm_start=reference)
             assert warm.objective == pytest.approx(reference.objective, abs=1e-9)
 

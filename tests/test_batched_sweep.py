@@ -182,10 +182,12 @@ class TestBatchedSweepGraphs:
         program = run_program(app, 4)
         params = LogGPSParams(L=1.0, o=0.5, g=0.0, G=0.001)
         graph = build_graph(program, protocol=ProtocolConfig.from_params(params))
-        spec = ScheduleBatches.from_program(program)
+        # the spec's zero-copy graph dedupes with the frozen one by digest
+        spec_graph = ScheduleBatches.from_program(program).graph_for(params)
         env_graph, env_spec = batched_sweep_graphs(
-            [graph, spec], params, l_min=0.0, l_max=50.0
+            [graph, spec_graph], params, l_min=0.0, l_max=50.0
         )
+        assert env_spec is env_graph
         Ls = np.linspace(0.0, 50.0, 20)
         np.testing.assert_allclose(env_spec.sample(Ls), env_graph.sample(Ls), atol=1e-12)
 

@@ -7,7 +7,7 @@ from repro.core.critical_latency import find_critical_latencies
 from repro.network.params import LogGPSParams
 from repro.schedgen.graph import GraphBuilder
 
-from repro.testing import build_running_example
+from repro.testing import build_lp_symbolic
 
 
 class TestRunningExample:
@@ -133,7 +133,7 @@ class TestAgainstGraphAnalysis:
 
 
 class TestFusedEngineOption:
-    """``build_lp(engine="fused")`` and ``ScheduleBatches`` sources."""
+    """LPs of the zero-copy graph a :class:`ScheduleBatches` spec materialises."""
 
     @staticmethod
     def _program_and_graph(params):
@@ -150,46 +150,39 @@ class TestFusedEngineOption:
         graph = build_graph(program, protocol=ProtocolConfig.from_params(params))
         return program, graph
 
-    def test_fused_on_frozen_graph_falls_back_to_compiled(self, paper_params):
-        import numpy as np
-
-        _, graph = self._program_and_graph(paper_params)
-        fused = build_lp(graph, paper_params, engine="fused")
-        compiled = build_lp(graph, paper_params, engine="compiled")
-        a, b = fused.model.to_arrays(), compiled.model.to_arrays()
-        assert a.keys() == b.keys()
-        for key in a:
-            if isinstance(a[key], np.ndarray):
-                np.testing.assert_array_equal(a[key], b[key], err_msg=key)
-            else:
-                assert a[key] == b[key], key
-
     def test_schedule_batches_source_matches_frozen_graph(self, paper_params):
         import numpy as np
         from repro.schedgen.columnar import ScheduleBatches
 
         program, graph = self._program_and_graph(paper_params)
         spec = ScheduleBatches.from_program(program)
-        from_spec = build_lp(spec, paper_params)
-        from_graph = build_lp(graph, paper_params, engine="compiled")
+        from_spec = build_lp(spec.graph_for(paper_params), paper_params)
+        from_graph = build_lp(graph, paper_params)
         a, b = from_spec.model.to_arrays(), from_graph.model.to_arrays()
+        assert a.keys() == b.keys()
         for key in a:
             if isinstance(a[key], np.ndarray):
                 np.testing.assert_array_equal(a[key], b[key], err_msg=key)
+            else:
+                assert a[key] == b[key], key
         assert (
             from_spec.solve_runtime(L=1.0, backend="highs").objective
             == from_graph.solve_runtime(L=1.0, backend="highs").objective
         )
 
     def test_symbolic_reference_runs_on_materialised_spec_graph(self, paper_params):
-        # symbolic stays available as the reference engine on the analyze-only
-        # graph a spec materialises — same objective as the direct lowering
+        # the symbolic reference on the analyze-only graph a spec
+        # materialises: same objective as the compiled lowering in every mode
         from repro.schedgen.columnar import ScheduleBatches
 
         program, _ = self._program_and_graph(paper_params)
-        spec = ScheduleBatches.from_program(program)
-        symbolic = build_lp(spec, paper_params, engine="symbolic")
-        fused = build_lp(spec, paper_params)
-        assert symbolic.solve_runtime(L=1.0).objective == pytest.approx(
-            fused.solve_runtime(L=1.0).objective
-        )
+        graph = ScheduleBatches.from_program(program).graph_for(paper_params)
+        for lm in ("global", "per_pair", "constant"):
+            for gm in ("constant", "global", "per_pair"):
+                for om in ("constant", "global"):
+                    modes = dict(latency_mode=lm, gap_mode=gm, overhead_mode=om)
+                    symbolic = build_lp_symbolic(graph, paper_params, **modes)
+                    compiled = build_lp(graph, paper_params, **modes)
+                    assert symbolic.model.solve().objective == pytest.approx(
+                        compiled.model.solve().objective
+                    ), modes

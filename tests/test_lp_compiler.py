@@ -1,21 +1,28 @@
 """Parity tests: the vectorised LP compiler vs the symbolic Algorithm 1 sweep.
 
-The compiled engine must produce a *bit-compatible* LP structure — the same
-variables in the same order and row-equivalent constraints in the same row
-order — so that objectives, duals and every reduced-cost sensitivity agree
-with the symbolic build, and the parametric machinery (bound-only updates,
-the tangent-envelope search, placement) runs unchanged on compiled models.
+:func:`repro.core.build_lp` (the compiled lowering) must produce a
+*bit-compatible* LP structure — the same variables in the same order and
+row-equivalent constraints in the same row order — so that objectives, duals
+and every reduced-cost sensitivity agree with the symbolic reference
+(:func:`repro.testing.build_lp_symbolic`), and the parametric machinery
+(bound-only updates, the tangent-envelope search, placement) runs unchanged
+on compiled models.
 """
 
 import numpy as np
 import pytest
 
-from repro.core import COMPILED_ENGINE_THRESHOLD, build_lp, find_critical_latencies
+from repro.core import build_lp, find_critical_latencies
 from repro.core.parametric import BatchedSweep
 from repro.lp.assembler import assemble
 from repro.lp.model import LPModel
 from repro.network.params import LogGPSParams
-from repro.testing import build_random_dag, build_running_example, build_staircase
+from repro.testing import (
+    build_lp_symbolic,
+    build_random_dag,
+    build_running_example,
+    build_staircase,
+)
 
 PARAMS = LogGPSParams(L=1.2, o=0.25, g=0.0, G=0.005)
 
@@ -35,14 +42,10 @@ GRAPHS = [build_running_example(), build_staircase(4), *DAGS]
 
 
 def _build_pair(graph, lm, gm, om):
-    symbolic = build_lp(
-        graph, PARAMS, latency_mode=lm, gap_mode=gm, overhead_mode=om,
-        engine="symbolic",
+    symbolic = build_lp_symbolic(
+        graph, PARAMS, latency_mode=lm, gap_mode=gm, overhead_mode=om
     )
-    compiled = build_lp(
-        graph, PARAMS, latency_mode=lm, gap_mode=gm, overhead_mode=om,
-        engine="compiled",
-    )
+    compiled = build_lp(graph, PARAMS, latency_mode=lm, gap_mode=gm, overhead_mode=om)
     return symbolic, compiled
 
 
@@ -126,7 +129,7 @@ class TestCompiledModelProtocol:
     def test_tangent_envelope_on_compiled_model(self):
         graph = build_staircase(6)
         params = LogGPSParams(L=0.0, o=0.0, g=0.0, G=0.0)
-        compiled = build_lp(graph, params, engine="compiled")
+        compiled = build_lp(graph, params)
         envelope = compiled.tangent_envelope(0.0, 10.0, backend="highs")
         breakpoints = sorted(round(bp, 6) for bp in envelope.breakpoints)
         assert breakpoints == pytest.approx([1.0, 2.0, 3.0, 4.0, 5.0], abs=1e-6)
@@ -134,22 +137,25 @@ class TestCompiledModelProtocol:
     def test_find_critical_latencies_engine_knob(self):
         graph = build_staircase(5)
         params = LogGPSParams(L=0.0, o=0.0, g=0.0, G=0.0)
-        for engine in ("symbolic", "compiled"):
+        for envelope_engine in ("forward", "lp"):
             latencies = find_critical_latencies(
-                graph, 0.0, 10.0, params=params, engine=engine
+                graph, 0.0, 10.0, params=params, envelope_engine=envelope_engine
             )
             assert latencies == pytest.approx([1.0, 2.0, 3.0, 4.0], abs=1e-6)
+        symbolic = build_lp_symbolic(graph, params)
+        latencies = find_critical_latencies(symbolic, 0.0, 10.0, envelope_engine="lp")
+        assert latencies == pytest.approx([1.0, 2.0, 3.0, 4.0], abs=1e-6)
         with pytest.raises(ValueError):
             find_critical_latencies(graph, 0.0, 10.0)  # graph without params
 
     def test_batched_sweep_zero_reassemblies(self):
         graph = build_random_dag(3, nranks=4, rounds=10)
-        compiled = build_lp(graph, PARAMS, engine="compiled")
+        compiled = build_lp(graph, PARAMS)
         version_before = compiled.model.structure_version
         sweep = BatchedSweep(compiled, l_min=PARAMS.L, l_max=PARAMS.L + 50.0)
         values = sweep.values(np.linspace(PARAMS.L, PARAMS.L + 50.0, 20))
         assert compiled.model.structure_version == version_before
-        symbolic = build_lp(graph, PARAMS, engine="symbolic")
+        symbolic = build_lp_symbolic(graph, PARAMS)
         reference = BatchedSweep(symbolic, l_min=PARAMS.L, l_max=PARAMS.L + 50.0)
         np.testing.assert_allclose(
             values, reference.values(np.linspace(PARAMS.L, PARAMS.L + 50.0, 20)),
@@ -175,7 +181,7 @@ class TestCompiledModelProtocol:
 
     def test_materialised_constraints_match_assembled_rows(self):
         graph = build_random_dag(7, nranks=3, rounds=8)
-        compiled = build_lp(graph, PARAMS, engine="compiled")
+        compiled = build_lp(graph, PARAMS)
         assembled = assemble(compiled.model)
         A = assembled.A_ub.copy()
         A.sort_indices()
@@ -194,7 +200,7 @@ class TestCompiledModelProtocol:
 
     def test_tight_constraints_work_on_compiled_model(self):
         graph = build_running_example()
-        compiled = build_lp(graph, PARAMS, engine="compiled")
+        compiled = build_lp(graph, PARAMS)
         solution = compiled.solve_runtime(L=PARAMS.L, backend="highs")
         assert len(solution.tight_constraints()) >= 1
 
@@ -213,24 +219,8 @@ class TestCompiledModelProtocol:
             )
 
 
-class TestEngineSelection:
-    def test_auto_threshold(self):
-        small = build_running_example()
-        lp_small = build_lp(small, PARAMS, engine="auto")
-        assert lp_small.model._deferred_rows is None  # symbolic path
-        assert small.num_vertices < COMPILED_ENGINE_THRESHOLD
-        big = build_random_dag(11, nranks=6, rounds=40)
-        assert big.num_vertices >= COMPILED_ENGINE_THRESHOLD
-        lp_big = build_lp(big, PARAMS, engine="auto")
-        assert lp_big.model._deferred_rows is not None  # compiled, untouched
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            build_lp(build_running_example(), PARAMS, engine="weird")
-
-
 class TestCompileFromBatches:
-    """``compile_lp_from_batches``: op batches → CSR with no frozen graph."""
+    """Op batches → never-frozen graph → CSR: ``compile_lp(build_columnar_fused(...))``."""
 
     @staticmethod
     def _workload():
@@ -252,10 +242,10 @@ class TestCompileFromBatches:
 
     @pytest.mark.parametrize("lm,gm", [("global", "constant"), ("per_pair", "per_pair")])
     def test_bit_identical_to_freeze_then_compile(self, lm, gm):
-        from repro.lp.compiler import compile_lp, compile_lp_from_batches
+        from repro.lp.compiler import compile_lp
         from repro.schedgen.builder import ProtocolConfig
         from repro.schedgen.collectives import CollectiveAlgorithms
-        from repro.schedgen.columnar import build_columnar
+        from repro.schedgen.columnar import build_columnar, build_columnar_fused
 
         batches, nranks = self._workload()
         algorithms = CollectiveAlgorithms()
@@ -264,10 +254,10 @@ class TestCompileFromBatches:
             batches, nranks, algorithms=algorithms, protocol=protocol
         )
         frozen = compile_lp(frozen_graph, PARAMS, latency_mode=lm, gap_mode=gm)
-        fused = compile_lp_from_batches(
-            batches, nranks, PARAMS, latency_mode=lm, gap_mode=gm,
-            algorithms=algorithms, protocol=protocol,
+        fused_graph = build_columnar_fused(
+            batches, nranks, algorithms=algorithms, protocol=protocol
         )
+        fused = compile_lp(fused_graph, PARAMS, latency_mode=lm, gap_mode=gm)
         a, b = frozen.model.to_arrays(), fused.model.to_arrays()
         assert a.keys() == b.keys()
         for key in a:
@@ -281,41 +271,42 @@ class TestCompileFromBatches:
         np.testing.assert_array_equal(g_sol.duals, f_sol.duals)
 
     def test_analyze_only_graph_attached(self):
-        from repro.lp.compiler import compile_lp_from_batches
-        from repro.schedgen import build_graph
+        from repro.core import LatencyAnalyzer
         from repro.mpi import run_program
+        from repro.schedgen import build_graph
+        from repro.schedgen.builder import ProtocolConfig
+        from repro.schedgen.columnar import batches_from_program
 
         def app(comm):
             comm.compute(1.0)
             comm.allreduce(512)
 
         program = run_program(app, 4)
-        from repro.schedgen.columnar import batches_from_program
-
-        compiled = compile_lp_from_batches(
+        analyzer = LatencyAnalyzer.from_batches(
             batches_from_program(program), program.nranks, PARAMS
         )
-        assert compiled.graph is not None
-        # digest parity keys fused requests to the frozen cache entries
-        from repro.schedgen.builder import ProtocolConfig
-
+        # digest parity keys batch-built requests to the frozen cache entries
         frozen = build_graph(program, protocol=ProtocolConfig.from_params(PARAMS))
-        assert compiled.graph.content_digest() == frozen.content_digest()
+        assert analyzer.graph.content_digest() == frozen.content_digest()
+        assert analyzer.lp.solve_runtime(L=PARAMS.L).objective == pytest.approx(
+            build_lp(frozen, PARAMS).solve_runtime(L=PARAMS.L).objective, abs=1e-9
+        )
 
     def test_defaults_match_explicit_config(self):
-        from repro.lp.compiler import compile_lp_from_batches
+        from repro.lp.compiler import compile_lp
         from repro.schedgen.builder import ProtocolConfig
         from repro.schedgen.collectives import CollectiveAlgorithms
+        from repro.schedgen.columnar import ScheduleBatches
 
         batches, nranks = self._workload()
-        bare = compile_lp_from_batches(batches, nranks, PARAMS)
-        explicit = compile_lp_from_batches(
-            batches, nranks, PARAMS,
+        bare = ScheduleBatches(batches, nranks).graph_for(PARAMS)
+        explicit = ScheduleBatches(
+            batches, nranks,
             algorithms=CollectiveAlgorithms(),
             protocol=ProtocolConfig.from_params(PARAMS),
-        )
-        assert bare.graph.content_digest() == explicit.graph.content_digest()
+        ).graph_for(PARAMS)
+        assert bare.content_digest() == explicit.content_digest()
         assert (
-            bare.model.solve(backend="highs").objective
-            == explicit.model.solve(backend="highs").objective
+            compile_lp(bare, PARAMS).model.solve(backend="highs").objective
+            == compile_lp(explicit, PARAMS).model.solve(backend="highs").objective
         )

@@ -202,19 +202,6 @@ class TestCLI:
         assert cli_main(["goal", "lulesh", "--nranks", "2", "--output", str(goal_file)]) == 0
         assert trace_file.exists() and goal_file.exists()
 
-    def test_analyze_lp_engine_fused_matches_compiled(self, capsys):
-        import json
-
-        assert cli_main(["--lp-engine", "fused", "analyze", "lulesh",
-                         "--nranks", "2", "--json"]) == 0
-        fused = json.loads(capsys.readouterr().out)
-        assert cli_main(["--lp-engine", "compiled", "analyze", "lulesh",
-                         "--nranks", "2", "--json"]) == 0
-        compiled = json.loads(capsys.readouterr().out)
-        assert fused.keys() == compiled.keys()
-        for key, value in compiled.items():
-            assert fused[key] == pytest.approx(value), key
-
     def test_ring_allreduce_option(self, capsys):
         assert cli_main(["analyze", "icon", "--nranks", "4", "--allreduce", "ring",
                          "--json"]) == 0

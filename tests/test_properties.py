@@ -240,10 +240,14 @@ def _random_program_with_collectives(seed: int, nranks: int):
 def test_fused_compile_equals_freeze_then_compile(
     seed, nranks, allreduce, allgather, rendezvous, latency_mode
 ):
-    from repro.lp import compile_lp, compile_lp_from_batches
+    from repro.lp import compile_lp
     from repro.schedgen.builder import ProtocolConfig
     from repro.schedgen.collectives import CollectiveAlgorithms
-    from repro.schedgen.columnar import batches_from_program, build_columnar
+    from repro.schedgen.columnar import (
+        batches_from_program,
+        build_columnar,
+        build_columnar_fused,
+    )
 
     program = _random_program_with_collectives(seed, nranks)
     batches = batches_from_program(program)
@@ -253,10 +257,10 @@ def test_fused_compile_equals_freeze_then_compile(
     protocol = ProtocolConfig(eager_threshold=1024, expand_rendezvous=rendezvous)
     params = LogGPSParams(L=1.4, o=0.3, g=0.2, G=0.004, S=1024)
 
-    fused = compile_lp_from_batches(
-        batches, nranks, params,
-        algorithms=algorithms, protocol=protocol, latency_mode=latency_mode,
+    fused_graph = build_columnar_fused(
+        batches, nranks, algorithms=algorithms, protocol=protocol
     )
+    fused = compile_lp(fused_graph, params, latency_mode=latency_mode)
     graph = build_columnar(batches, nranks, algorithms=algorithms, protocol=protocol)
     frozen = compile_lp(graph, params, latency_mode=latency_mode)
 
@@ -274,8 +278,7 @@ def test_fused_compile_equals_freeze_then_compile(
         else:
             assert a == b, key
     # the fused graph is content-identical: caches key both paths together
-    assert fused.graph is not None
-    assert fused.graph.content_digest() == graph.content_digest()
+    assert fused_graph.content_digest() == graph.content_digest()
 
     # solution: identical arrays solve to identical objective and duals
     a = fused.model.solve(backend="highs")

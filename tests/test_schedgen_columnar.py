@@ -1,17 +1,19 @@
 """Parity suite: the columnar schedule-generation engine vs the legacy one.
 
 The contract is *bit identity*: for any program or trace, the columnar
-engine must produce exactly the frozen graph the op-by-op engine produces —
+engine (the production builder) must produce exactly the frozen graph the
+op-by-op oracle (``ScheduleGenerator(builder_engine="legacy")``) produces —
 same vertex ids and attribute columns, same edge order, same labels.  The
 suite sweeps every collective algorithm, rendezvous on/off, random
 point-to-point programs and trace-driven builds, and checks LP-objective
-agreement through the compiled graph→LP engine on top.
+agreement between :func:`repro.core.build_lp` and the symbolic reference on
+top.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.lp_builder import COMPILED_ENGINE_THRESHOLD, build_lp
+from repro.core.lp_builder import build_lp
 from repro.mpi import run_program, trace_program
 from repro.mpi.program import OpKind, Program, ProgramOp
 from repro.network.params import LogGPSParams
@@ -23,11 +25,10 @@ from repro.schedgen import (
     ProtocolConfig,
     ScheduleGenerator,
     build_graph,
-    resolve_builder_engine,
 )
 from repro.schedgen.builder import UnmatchedMessageError
 from repro.schedgen.collectives import COLLECTIVE_TAG_LIMIT, next_collective_tag
-from repro.testing import build_random_program
+from repro.testing import build_lp_symbolic, build_random_program
 
 PARAMS = LogGPSParams(L=1.0, o=0.5, g=0.0, G=0.001)
 
@@ -45,9 +46,17 @@ def assert_identical(legacy, columnar):
     assert legacy.labels == columnar.labels
 
 
+def build(program, engine="columnar", *, algorithms=None, protocol=None):
+    """``program`` built by the production engine or the ``"legacy"`` oracle."""
+    generator = ScheduleGenerator(
+        algorithms=algorithms, protocol=protocol, builder_engine=engine
+    )
+    return generator.build(program)
+
+
 def both_engines(program, **kwargs):
-    legacy = build_graph(program, builder_engine="legacy", **kwargs)
-    columnar = build_graph(program, builder_engine="columnar", **kwargs)
+    legacy = build(program, "legacy", **kwargs)
+    columnar = build_graph(program, **kwargs)
     assert_identical(legacy, columnar)
     return legacy, columnar
 
@@ -101,13 +110,13 @@ class TestCollectiveParity:
         program.rank(0).append(ProgramOp(kind=OpKind.ALLREDUCE, size=8))
         program.rank(1).append(ProgramOp(kind=OpKind.BARRIER))
         with pytest.raises(ValueError):
-            build_graph(program, builder_engine="columnar")
+            build_graph(program)
 
     def test_collective_count_mismatch_detected(self):
         program = Program.empty(2)
         program.rank(0).append(ProgramOp(kind=OpKind.BARRIER))
         with pytest.raises(ValueError, match="collectives"):
-            build_graph(program, builder_engine="columnar")
+            build_graph(program)
 
 
 _PROTOCOLS = [
@@ -176,7 +185,7 @@ class TestPointToPointParity:
         program.ranks[0].ops.append(ProgramOp(kind=OpKind.WAIT, request=7))
         for engine in ("legacy", "columnar"):
             with pytest.raises(ValueError, match="request"):
-                build_graph(program, builder_engine=engine)
+                build(program, engine)
 
     def test_nonblocking_without_request_raises_in_both(self):
         # request defaults to -1; both engines must reject it, regardless of
@@ -187,7 +196,7 @@ class TestPointToPointParity:
         program.ranks[1].ops.append(ProgramOp(kind=OpKind.RECV, peer=0, size=8))
         for engine in ("legacy", "columnar"):
             with pytest.raises(ValueError, match="without request"):
-                build_graph(program, builder_engine=engine)
+                build(program, engine)
 
     def test_request_reuse_raises_in_both(self):
         program = Program.empty(2)
@@ -198,7 +207,7 @@ class TestPointToPointParity:
         program.ranks[1].ops.append(ProgramOp(kind=OpKind.RECV, peer=0, size=8))
         for engine in ("legacy", "columnar"):
             with pytest.raises(ValueError, match="reused"):
-                build_graph(program, builder_engine=engine)
+                build(program, engine)
 
     def test_never_completed_request_raises_in_both(self):
         program = Program.empty(2)
@@ -206,14 +215,14 @@ class TestPointToPointParity:
         program.ranks[1].ops.append(ProgramOp(kind=OpKind.RECV, peer=0, size=8))
         for engine in ("legacy", "columnar"):
             with pytest.raises(ValueError, match="never completed"):
-                build_graph(program, builder_engine=engine)
+                build(program, engine)
 
     def test_unmatched_messages_raise_in_both(self):
         program = Program.empty(2)
         program.rank(0).append(ProgramOp(kind=OpKind.SEND, peer=1, size=8, tag=0))
         for engine in ("legacy", "columnar"):
             with pytest.raises(UnmatchedMessageError):
-                build_graph(program, builder_engine=engine)
+                build(program, engine)
 
 
 class TestTraceParity:
@@ -271,52 +280,48 @@ class TestLPObjectiveAgreement:
         legacy, columnar = both_engines(program)
         obj = {}
         for name, graph in (("legacy", legacy), ("columnar", columnar)):
-            lp = build_lp(graph, PARAMS, engine="compiled")
+            lp = build_lp(graph, PARAMS)
             obj[name] = lp.solve_runtime(backend="highs").objective
         assert obj["legacy"] == pytest.approx(obj["columnar"], abs=1e-9)
 
     def test_random_program_compiled_vs_symbolic(self):
         program = build_random_program(3, nranks=3, rounds=10)
         _, columnar = both_engines(program)
-        compiled = build_lp(columnar, PARAMS, engine="compiled")
-        symbolic = build_lp(columnar, PARAMS, engine="symbolic")
-        assert compiled.solve_runtime(backend="highs").objective == pytest.approx(
-            symbolic.solve_runtime(backend="highs").objective, abs=1e-9
-        )
+        for lm in ("global", "per_pair", "constant"):
+            for gm in ("constant", "global", "per_pair"):
+                for om in ("constant", "global"):
+                    modes = dict(latency_mode=lm, gap_mode=gm, overhead_mode=om)
+                    compiled = build_lp(columnar, PARAMS, **modes)
+                    symbolic = build_lp_symbolic(columnar, PARAMS, **modes)
+                    assert compiled.model.solve(backend="highs").objective == pytest.approx(
+                        symbolic.model.solve(backend="highs").objective, abs=1e-9
+                    ), modes
 
 
 class TestEnginePolicy:
-    def test_auto_threshold_mirrors_lp_engine(self):
-        assert resolve_builder_engine("auto", COMPILED_ENGINE_THRESHOLD - 1) == "legacy"
-        assert resolve_builder_engine("auto", COMPILED_ENGINE_THRESHOLD) == "columnar"
-        assert resolve_builder_engine("legacy", 10**9) == "legacy"
-        assert resolve_builder_engine("columnar", 0) == "columnar"
-
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="builder engine"):
-            resolve_builder_engine("magic", 10)
-        with pytest.raises(ValueError, match="builder engine"):
             ScheduleGenerator(builder_engine="magic")
-        program = Program.empty(2)
-        program.rank(0).append(ProgramOp(kind=OpKind.BARRIER))
-        program.rank(1).append(ProgramOp(kind=OpKind.BARRIER))
         with pytest.raises(ValueError, match="builder engine"):
-            build_graph(program, builder_engine="magic")
+            ScheduleGenerator(builder_engine="auto")
 
-    def test_auto_default_is_bit_identical_across_threshold(self):
-        def small(comm):
+    def test_default_engine_matches_legacy_on_tiny_programs(self):
+        # the smallest inputs: a barrier, pure computation, one message
+        def barrier_only(comm):
             comm.barrier()
 
-        def large(comm):
-            for i in range(40):
-                comm.compute(1.0)
-                comm.allreduce(64)
+        def compute_only(comm):
+            comm.compute(3.5)
 
-        for app, nranks in ((small, 2), (large, 4)):
+        def one_message(comm):
+            if comm.rank == 0:
+                comm.send(1, 16, tag=0)
+            else:
+                comm.recv(0, 16, tag=0)
+
+        for app, nranks in ((barrier_only, 2), (compute_only, 1), (one_message, 2)):
             program = run_program(app, nranks)
-            auto = build_graph(program)
-            legacy, _ = both_engines(program)
-            assert_identical(legacy, auto)
+            assert_identical(build(program, "legacy"), ScheduleGenerator().build(program))
 
 
 class TestTagHygiene:
@@ -327,7 +332,7 @@ class TestTagHygiene:
         program.rank(0).append(ProgramOp(kind=OpKind.SEND, peer=1, size=8, tag=bad_tag))
         program.rank(1).append(ProgramOp(kind=OpKind.RECV, peer=0, size=8, tag=bad_tag))
         with pytest.raises(ValueError, match="user tag"):
-            build_graph(program, builder_engine=engine)
+            build(program, engine)
 
     @pytest.mark.parametrize("engine", ["legacy", "columnar"])
     def test_sendrecv_recv_tag_checked(self, engine):
@@ -338,7 +343,7 @@ class TestTagHygiene:
                 recv_peer=1 - rank, recv_size=8, recv_tag=USER_TAG_LIMIT,
             ))
         with pytest.raises(ValueError, match="user tag"):
-            build_graph(program, builder_engine=engine)
+            build(program, engine)
 
     @pytest.mark.parametrize("engine", ["legacy", "columnar"])
     def test_largest_user_tag_cannot_collide(self, engine):
@@ -352,10 +357,8 @@ class TestTagHygiene:
                 comm.recv(0, 1_000_000, tag=tag)
             comm.allreduce(64)
 
-        graph = build_graph(
-            run_program(app, 2),
-            protocol=ProtocolConfig(eager_threshold=1024),
-            builder_engine=engine,
+        graph = build(
+            run_program(app, 2), engine, protocol=ProtocolConfig(eager_threshold=1024)
         )
         tags = np.asarray(graph.tag)
         user = tags[tags < USER_TAG_LIMIT]

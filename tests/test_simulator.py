@@ -1,4 +1,9 @@
-"""Tests for the LogGOPS discrete-event simulator and the latency injectors."""
+"""Tests for the LogGOPS discrete-event simulator and the latency injectors.
+
+Every run goes through :func:`simulate` below, which checks the production
+level engine against the per-vertex reference walk
+(:class:`repro.testing.LogGOPSSimulator`) before returning.
+"""
 
 import numpy as np
 import pytest
@@ -12,17 +17,30 @@ from repro.simulator import (
     DelayThreadInjector,
     GaussianNoise,
     IdealInjector,
-    LogGOPSSimulator,
     NoNoise,
     OSJitterNoise,
     ReceiverProgressInjector,
     SenderDelayInjector,
     make_injector,
-    simulate,
     two_message_model,
 )
+from repro.simulator import simulate as level_simulate
+from repro.testing import LogGOPSSimulator
 
 PARAMS = LogGPSParams(L=2.0, o=1.0, g=0.0, G=0.001)
+
+
+def simulate(graph, params, *, delta_L=0.0, injector=None, noise=None):
+    """:func:`repro.simulator.simulate`, asserted timestamp-identical to the
+    reference walk (injectors and noise models reset on every run)."""
+    result = level_simulate(graph, params, delta_L=delta_L, injector=injector, noise=noise)
+    reference = LogGOPSSimulator(
+        graph, params, injector=injector or IdealInjector(delta_L), noise=noise
+    ).run()
+    np.testing.assert_allclose(result.start, reference.start, rtol=1e-12, atol=1e-9)
+    np.testing.assert_allclose(result.end, reference.end, rtol=1e-12, atol=1e-9)
+    assert result.makespan == pytest.approx(reference.makespan, rel=1e-12, abs=1e-9)
+    return result
 
 
 def pingpong_graph(iterations=2, size=100):
@@ -115,9 +133,9 @@ class TestSimulator:
 
         graph = build_graph(run_program(app, 4))
         quiet = simulate(graph, PARAMS).makespan
-        noisy = LogGOPSSimulator(
+        noisy = simulate(
             graph, PARAMS, noise=OSJitterNoise(probability=1.0, spike=50.0, seed=1)
-        ).run().makespan
+        ).makespan
         assert noisy > quiet
 
     def test_gaussian_noise_reproducible(self):
@@ -126,8 +144,8 @@ class TestSimulator:
 
         graph = build_graph(run_program(app, 1))
         noise = GaussianNoise(sigma=0.1, seed=7)
-        a = LogGOPSSimulator(graph, PARAMS, noise=noise).run().makespan
-        b = LogGOPSSimulator(graph, PARAMS, noise=GaussianNoise(sigma=0.1, seed=7)).run().makespan
+        a = simulate(graph, PARAMS, noise=noise).makespan
+        b = simulate(graph, PARAMS, noise=GaussianNoise(sigma=0.1, seed=7)).makespan
         assert a == pytest.approx(b)
 
 

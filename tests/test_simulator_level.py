@@ -1,10 +1,11 @@
-"""Parity suite: the level-synchronous simulation engine vs the legacy walk.
+"""Parity suite: the level-synchronous simulation engine vs the reference walk.
 
 The contract is *timestamp identity* (atol 1e-9; in practice bit-exact):
 for any graph, injector and noise model, the level engine
-(:mod:`repro.simulator.columnar`) must produce the per-vertex start/end
-times, makespan and per-rank finish times of the per-vertex legacy
-simulator.  The suite sweeps every injector × noise model over random DAGs
+(:mod:`repro.simulator.columnar`, behind :func:`repro.simulator.simulate`)
+must produce the per-vertex start/end times, makespan and per-rank finish
+times of the per-vertex reference simulator
+(:class:`repro.testing.LogGOPSSimulator`).  The suite sweeps every injector × noise model over random DAGs
 and every collective algorithm, pins the batched ``simulate_sweep`` against
 per-point runs, and anchors the engine against the LP oracle through the
 ``forward_pass == LP optimum`` property.
@@ -23,16 +24,14 @@ from repro.schedgen.graph import GraphBuilder
 from repro.simulator import (
     INJECTOR_NAMES,
     GaussianNoise,
-    LogGOPSSimulator,
     NoNoise,
     OSJitterNoise,
     ReceiverProgressInjector,
     make_injector,
-    resolve_sim_engine,
     simulate,
     simulate_sweep,
 )
-from repro.testing import build_random_dag
+from repro.testing import LogGOPSSimulator, build_random_dag
 
 PARAMS = LogGPSParams(L=2.0, o=1.0, g=0.7, G=0.001)
 
@@ -50,15 +49,20 @@ def assert_identical(a, b):
     np.testing.assert_allclose(a.rank_finish, b.rank_finish, atol=1e-9)
 
 
+def reference(graph, params=PARAMS, *, injector=None, noise=None):
+    """One run of the per-vertex reference walk."""
+    return LogGOPSSimulator(graph, params, injector=injector, noise=noise).run()
+
+
 def both_engines(graph, params=PARAMS, *, injector_name="ideal", delta=7.0,
                  noise_name="none"):
-    legacy = simulate(
+    legacy = reference(
         graph, params, injector=make_injector(injector_name, delta),
-        noise=NOISE_FACTORIES[noise_name](), sim_engine="legacy",
+        noise=NOISE_FACTORIES[noise_name](),
     )
     level = simulate(
         graph, params, injector=make_injector(injector_name, delta),
-        noise=NOISE_FACTORIES[noise_name](), sim_engine="level",
+        noise=NOISE_FACTORIES[noise_name](),
     )
     assert_identical(legacy, level)
     return legacy, level
@@ -116,6 +120,23 @@ class TestEngineParity:
         for injector_name in INJECTOR_NAMES:
             both_engines(graph, injector_name=injector_name)
 
+    def test_tiny_programs_match_reference(self):
+        # the smallest inputs: a barrier, pure computation, one message
+        def barrier_only(comm):
+            comm.barrier()
+
+        def compute_only(comm):
+            comm.compute(3.5)
+
+        def one_message(comm):
+            if comm.rank == 0:
+                comm.send(1, 16, tag=0)
+            else:
+                comm.recv(0, 16, tag=0)
+
+        for app, nranks in ((barrier_only, 2), (compute_only, 1), (one_message, 2)):
+            both_engines(build_graph(run_program(app, nranks)))
+
     def test_same_level_sends_serialise_on_the_nic(self):
         # two unchained sends of one rank share a level: the NIC gap must
         # serialise them in vertex-id order in both engines
@@ -169,9 +190,9 @@ class TestSweepParity:
             noise=NOISE_FACTORIES[noise_name](),
         )
         for i, delta in enumerate(self.DELTAS):
-            point = simulate(
+            point = reference(
                 graph, PARAMS, injector=make_injector(injector_name, delta),
-                noise=NOISE_FACTORIES[noise_name](), sim_engine="legacy",
+                noise=NOISE_FACTORIES[noise_name](),
             )
             assert sweep.makespan[i] == pytest.approx(point.makespan, abs=1e-9)
             np.testing.assert_allclose(
@@ -181,51 +202,22 @@ class TestSweepParity:
     def test_sweep_legacy_engine_matches(self):
         graph = build_random_dag(2, nranks=3, rounds=8)
         level = simulate_sweep(graph, PARAMS, self.DELTAS)
-        legacy = simulate_sweep(graph, PARAMS, self.DELTAS, sim_engine="legacy")
-        np.testing.assert_allclose(level.makespan, legacy.makespan, atol=1e-9)
+        legacy = [
+            reference(graph, injector=make_injector("ideal", d)).makespan
+            for d in self.DELTAS
+        ]
+        np.testing.assert_allclose(level.makespan, legacy, atol=1e-9)
         assert level.runtimes is level.makespan
 
     def test_sweep_rejects_unknown_names(self):
         graph = build_random_dag(0)
         with pytest.raises(ValueError, match="unknown injector"):
             simulate_sweep(graph, PARAMS, [0.0], injector="nope")
-        with pytest.raises(ValueError, match="unknown sim_engine"):
-            simulate_sweep(graph, PARAMS, [0.0], sim_engine="nope")
 
     def test_empty_delta_list(self):
         graph = build_random_dag(0)
         sweep = simulate_sweep(graph, PARAMS, [])
         assert sweep.makespan.shape == (0,)
-
-
-class TestEnginePolicy:
-    def test_auto_threshold_mirrors_lp_engine(self):
-        from repro.core.lp_builder import COMPILED_ENGINE_THRESHOLD
-
-        assert resolve_sim_engine("auto", COMPILED_ENGINE_THRESHOLD - 1) == "legacy"
-        assert resolve_sim_engine("auto", COMPILED_ENGINE_THRESHOLD) == "level"
-        assert resolve_sim_engine("legacy", 10**9) == "legacy"
-        assert resolve_sim_engine("level", 0) == "level"
-
-    def test_unknown_engine_rejected(self):
-        graph = build_random_dag(0)
-        with pytest.raises(ValueError, match="sim engine"):
-            simulate(graph, PARAMS, sim_engine="magic")
-
-    def test_auto_is_identical_across_threshold(self):
-        def small(comm):
-            comm.barrier()
-
-        def large(comm):
-            for _ in range(20):
-                comm.compute(1.0)
-                comm.allreduce(64)
-
-        for app, nranks in ((small, 2), (large, 4)):
-            graph = build_graph(run_program(app, nranks))
-            auto = simulate(graph, PARAMS)
-            legacy = simulate(graph, PARAMS, sim_engine="legacy")
-            assert_identical(auto, legacy)
 
 
 class TestBatchProtocols:
@@ -273,14 +265,8 @@ class TestBatchProtocols:
                 return duration * 2.0
 
         graph = build_random_dag(4, nranks=3, rounds=8)
-        legacy = simulate(
-            graph, PARAMS, injector=ScalarInjector(), noise=ScalarNoise(),
-            sim_engine="legacy",
-        )
-        level = simulate(
-            graph, PARAMS, injector=ScalarInjector(), noise=ScalarNoise(),
-            sim_engine="level",
-        )
+        legacy = reference(graph, PARAMS, injector=ScalarInjector(), noise=ScalarNoise())
+        level = simulate(graph, PARAMS, injector=ScalarInjector(), noise=ScalarNoise())
         assert_identical(legacy, level)
 
 
@@ -292,8 +278,9 @@ class TestNoiseResetRegression:
     def test_back_to_back_runs_identical(self, noise_name, engine):
         graph = build_random_dag(5, nranks=3, rounds=10)
         noise = NOISE_FACTORIES[noise_name]()
-        first = simulate(graph, PARAMS, noise=noise, sim_engine=engine)
-        second = simulate(graph, PARAMS, noise=noise, sim_engine=engine)
+        run = reference if engine == "legacy" else simulate
+        first = run(graph, PARAMS, noise=noise)
+        second = run(graph, PARAMS, noise=noise)
         assert first.makespan == pytest.approx(second.makespan, abs=0.0)
         np.testing.assert_array_equal(first.end, second.end)
 
@@ -317,7 +304,7 @@ class TestCriticalPathTies:
         builder.add_dependency(b, join)   # edge 1
         graph = builder.freeze()
         params = LogGPSParams(L=0.0, o=0.0, g=0.0, G=0.0)
-        result = simulate(graph, params, sim_engine="legacy")
+        result = simulate(graph, params)
         assert result.end[a] == result.end[b]
         assert result.critical_path(graph) == [a, join]
 
@@ -335,7 +322,7 @@ class TestCriticalPathTies:
         builder.add_dependency(r1, join)
         graph = builder.freeze()
         params = LogGPSParams(L=3.0, o=0.5, g=0.0, G=0.0)
-        result = simulate(graph, params, sim_engine="legacy")
+        result = simulate(graph, params)
         assert result.end[r0] == result.end[r1]
         path = result.critical_path(graph)
         assert path == [s0, r0, join]
@@ -361,8 +348,8 @@ def test_level_engine_forward_pass_equals_lp_optimum(seed, L, o):
     assert float(completion.max()) == pytest.approx(lp_runtime, rel=1e-7, abs=1e-7)
     # and the level engine with the NIC resource active agrees when g = 0
     # only through the per-rank program-order chains — pin full parity too
-    level = simulate(graph, params, sim_engine="level")
-    legacy = simulate(graph, params, sim_engine="legacy")
+    level = simulate(graph, params)
+    legacy = reference(graph, params)
     np.testing.assert_allclose(level.end, legacy.end, atol=1e-9)
 
 
