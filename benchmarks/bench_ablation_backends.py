@@ -1,4 +1,4 @@
-"""Ablation — solver backends and analysis methods (DESIGN.md §4).
+"""Ablation — solver backends and analysis methods.
 
 Compares, on the same execution graph, the three ways this reproduction can
 obtain ``T(ΔL)`` and ``λ_L``:

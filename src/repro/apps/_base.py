@@ -14,7 +14,7 @@ neighbours talk to each other, how often collectives interleave with
 point-to-point traffic, how much computation can overlap a transfer — with
 computation costs calibrated so that the latency-tolerance orderings of the
 paper (MILC ≪ LULESH < HPCG ≪ ICON) are preserved at laptop-friendly graph
-sizes.  See DESIGN.md for the substitution rationale.
+sizes.
 """
 
 from __future__ import annotations

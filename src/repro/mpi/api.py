@@ -26,18 +26,32 @@ A two-rank ping-pong::
 
 Because ranks are executed one after another (rank functions must not depend
 on message *contents*), the runtime is deterministic and needs no actual
-message passing.  This is the key substitution documented in DESIGN.md: the
-paper traces real MPI applications, we trace skeletons with explicit compute.
+message passing.  This is the reproduction's key substitution: the paper
+traces real MPI applications, we trace skeletons with explicit compute.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
-from .program import OpKind, Program, ProgramOp, RankProgram
+from .program import OP_CODE, OP_KINDS, OpKind, Program, RankProgram, _as_int
 
 __all__ = ["Request", "VirtualComm", "run_program"]
+
+_COMPUTE, _SEND, _RECV, _ISEND, _IRECV, _WAIT, _WAITALL, _SENDRECV = (
+    OP_CODE[kind] for kind in (
+        OpKind.COMPUTE, OpKind.SEND, OpKind.RECV, OpKind.ISEND, OpKind.IRECV,
+        OpKind.WAIT, OpKind.WAITALL, OpKind.SENDRECV,
+    )
+)
+_BARRIER, _BCAST, _REDUCE, _ALLREDUCE, _GATHER, _SCATTER, _ALLGATHER, _ALLTOALL = (
+    OP_CODE[kind] for kind in (
+        OpKind.BARRIER, OpKind.BCAST, OpKind.REDUCE, OpKind.ALLREDUCE,
+        OpKind.GATHER, OpKind.SCATTER, OpKind.ALLGATHER, OpKind.ALLTOALL,
+    )
+)
 
 
 @dataclass(frozen=True)
@@ -54,7 +68,10 @@ class Request:
 class VirtualComm:
     """Recorder for one rank of a virtual MPI program.
 
-    All sizes are in bytes and all compute durations in microseconds.
+    All sizes are in bytes and all compute durations in microseconds.  Each
+    call appends one row to the rank's :class:`RankProgram`; peers, sizes,
+    tags and roots must be integers (anything :func:`operator.index`
+    accepts) and compute durations finite.
     """
 
     def __init__(self, rank: int, size: int, rank_program: RankProgram) -> None:
@@ -62,7 +79,7 @@ class VirtualComm:
             raise ValueError(f"rank {rank} out of range [0, {size})")
         self._rank = rank
         self._size = size
-        self._program = rank_program
+        self._record = rank_program.record
         self._next_request = 0
         self._pending: set[int] = set()
 
@@ -82,23 +99,24 @@ class VirtualComm:
 
     def compute(self, duration_us: float) -> None:
         """Record ``duration_us`` microseconds of local computation."""
-        if duration_us < 0:
-            raise ValueError(f"compute duration must be non-negative, got {duration_us}")
-        if duration_us == 0:
-            return
-        self._program.append(ProgramOp(kind=OpKind.COMPUTE, cost=float(duration_us)))
+        if not 0 <= duration_us < math.inf:
+            raise ValueError(
+                f"compute duration must be finite and non-negative, got {duration_us}"
+            )
+        if duration_us:
+            self._record(_COMPUTE, cost=float(duration_us))
 
     # -- blocking point-to-point ----------------------------------------------
 
     def send(self, dest: int, size: int, tag: int = 0) -> None:
         """Blocking standard send (``MPI_Send``)."""
-        self._check_peer(dest)
-        self._program.append(ProgramOp(kind=OpKind.SEND, peer=dest, size=size, tag=tag))
+        self._record(_SEND, self._rank_arg("peer", dest), _as_int("size", size),
+                     _as_int("tag", tag))
 
     def recv(self, source: int, size: int, tag: int = 0) -> None:
         """Blocking receive (``MPI_Recv``)."""
-        self._check_peer(source)
-        self._program.append(ProgramOp(kind=OpKind.RECV, peer=source, size=size, tag=tag))
+        self._record(_RECV, self._rank_arg("peer", source), _as_int("size", size),
+                     _as_int("tag", tag))
 
     def sendrecv(
         self,
@@ -111,98 +129,92 @@ class VirtualComm:
         recv_tag: int = 0,
     ) -> None:
         """Combined send/receive (``MPI_Sendrecv``)."""
-        self._check_peer(dest)
-        self._check_peer(source)
-        self._program.append(
-            ProgramOp(
-                kind=OpKind.SENDRECV,
-                peer=dest,
-                size=send_size,
-                tag=send_tag,
-                recv_peer=source,
-                recv_size=recv_size,
-                recv_tag=recv_tag,
-            )
+        self._record(
+            _SENDRECV,
+            peer=self._rank_arg("peer", dest),
+            size=_as_int("send_size", send_size),
+            tag=_as_int("send_tag", send_tag),
+            recv_peer=self._rank_arg("peer", source),
+            recv_size=_as_int("recv_size", recv_size),
+            recv_tag=_as_int("recv_tag", recv_tag),
         )
 
     # -- non-blocking point-to-point -------------------------------------------
 
     def isend(self, dest: int, size: int, tag: int = 0) -> Request:
         """Non-blocking send (``MPI_Isend``); complete it with :meth:`wait`."""
-        self._check_peer(dest)
-        handle = self._new_request()
-        self._program.append(
-            ProgramOp(kind=OpKind.ISEND, peer=dest, size=size, tag=tag, request=handle)
-        )
-        return Request(handle=handle, kind=OpKind.ISEND)
+        return self._post(_ISEND, dest, size, tag)
 
     def irecv(self, source: int, size: int, tag: int = 0) -> Request:
         """Non-blocking receive (``MPI_Irecv``); complete it with :meth:`wait`."""
-        self._check_peer(source)
-        handle = self._new_request()
-        self._program.append(
-            ProgramOp(kind=OpKind.IRECV, peer=source, size=size, tag=tag, request=handle)
-        )
-        return Request(handle=handle, kind=OpKind.IRECV)
+        return self._post(_IRECV, source, size, tag)
 
     def wait(self, request: Request) -> None:
         """Wait for a single outstanding request (``MPI_Wait``)."""
         self._complete(request.handle)
-        self._program.append(ProgramOp(kind=OpKind.WAIT, request=request.handle))
+        self._record(_WAIT, request=request.handle)
 
     def waitall(self, requests: Sequence[Request]) -> None:
         """Wait for a set of outstanding requests (``MPI_Waitall``)."""
         if not requests:
             return
-        handles = []
-        for request in requests:
-            self._complete(request.handle)
-            handles.append(request.handle)
-        self._program.append(ProgramOp(kind=OpKind.WAITALL, requests=tuple(handles)))
+        handles = tuple(request.handle for request in requests)
+        for handle in handles:
+            self._complete(handle)
+        self._record(_WAITALL, requests=handles)
 
     # -- collectives -----------------------------------------------------------
 
     def barrier(self) -> None:
         """``MPI_Barrier`` over all ranks."""
-        self._program.append(ProgramOp(kind=OpKind.BARRIER, size=1))
+        self._record(_BARRIER, size=1)
 
     def bcast(self, size: int, root: int = 0) -> None:
         """``MPI_Bcast`` of ``size`` bytes from ``root``."""
-        self._check_peer(root)
-        self._program.append(ProgramOp(kind=OpKind.BCAST, size=size, root=root))
+        self._rooted(_BCAST, size, root)
 
     def reduce(self, size: int, root: int = 0) -> None:
         """``MPI_Reduce`` of ``size`` bytes to ``root``."""
-        self._check_peer(root)
-        self._program.append(ProgramOp(kind=OpKind.REDUCE, size=size, root=root))
+        self._rooted(_REDUCE, size, root)
 
     def allreduce(self, size: int) -> None:
         """``MPI_Allreduce`` of ``size`` bytes."""
-        self._program.append(ProgramOp(kind=OpKind.ALLREDUCE, size=size))
+        self._record(_ALLREDUCE, size=_as_int("size", size))
 
     def gather(self, size: int, root: int = 0) -> None:
         """``MPI_Gather``: every rank contributes ``size`` bytes to ``root``."""
-        self._check_peer(root)
-        self._program.append(ProgramOp(kind=OpKind.GATHER, size=size, root=root))
+        self._rooted(_GATHER, size, root)
 
     def scatter(self, size: int, root: int = 0) -> None:
         """``MPI_Scatter``: ``root`` sends ``size`` bytes to every rank."""
-        self._check_peer(root)
-        self._program.append(ProgramOp(kind=OpKind.SCATTER, size=size, root=root))
+        self._rooted(_SCATTER, size, root)
 
     def allgather(self, size: int) -> None:
         """``MPI_Allgather``: every rank contributes ``size`` bytes."""
-        self._program.append(ProgramOp(kind=OpKind.ALLGATHER, size=size))
+        self._record(_ALLGATHER, size=_as_int("size", size))
 
     def alltoall(self, size: int) -> None:
         """``MPI_Alltoall`` with a per-peer payload of ``size`` bytes."""
-        self._program.append(ProgramOp(kind=OpKind.ALLTOALL, size=size))
+        self._record(_ALLTOALL, size=_as_int("size", size))
 
     # -- internals -------------------------------------------------------------
 
-    def _check_peer(self, peer: int) -> None:
-        if not 0 <= peer < self._size:
-            raise ValueError(f"peer rank {peer} out of range [0, {self._size})")
+    def _rank_arg(self, name: str, value: int) -> int:
+        rank = _as_int(name, value)
+        if not 0 <= rank < self._size:
+            raise ValueError(f"{name} rank {rank} out of range [0, {self._size})")
+        return rank
+
+    def _post(self, code: int, peer: int, size: int, tag: int) -> Request:
+        peer = self._rank_arg("peer", peer)
+        size = _as_int("size", size)
+        tag = _as_int("tag", tag)
+        handle = self._new_request()
+        self._record(code, peer, size, tag, request=handle)
+        return Request(handle=handle, kind=OP_KINDS[code])
+
+    def _rooted(self, code: int, size: int, root: int) -> None:
+        self._record(code, size=_as_int("size", size), root=self._rank_arg("root", root))
 
     def _new_request(self) -> int:
         handle = self._next_request

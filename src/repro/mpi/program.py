@@ -7,6 +7,28 @@ produce is a :class:`Program`: for every rank, an ordered list of operations
 with *explicit* computation intervals (since the skeleton knows how long it
 computes, there is no need to infer it from timestamp gaps).
 
+A :class:`RankProgram` stores its operations as rows, not objects:
+
+* ``rows[i]`` is one int tuple ``(code, peer, size, tag, root, request,
+  recv_peer, recv_size, recv_tag)``, where ``code`` is the op's
+  :data:`OP_CODE` and the other fields default as in :class:`ProgramOp`;
+* ``costs[i]`` is the op's compute cost, in microseconds;
+* ``requests[i]`` holds the handles of an ``MPI_Waitall`` at row ``i``.
+
+The recorder (:class:`~repro.mpi.api.VirtualComm`) appends rows through
+:meth:`RankProgram.record`, :meth:`Program.validate` walks them, and
+:meth:`RankProgram.columns` turns them into the NumPy columns of a
+:class:`RankOpBatch` with one ``np.array`` call, so no :class:`ProgramOp` is
+built on the way from :func:`~repro.mpi.api.run_program` to the graph
+builder.  This module is the only one that knows the row layout.
+
+:class:`ProgramOp` stays the public per-op type.  Hand-built programs
+:meth:`~RankProgram.append` one (it is stored as its row), and
+:attr:`RankProgram.ops` is a read-only tuple of them built lazily from the
+rows.  The per-op readers use that view: the trace replay
+(:func:`repro.mpi.tracer.trace_program`), the legacy op-by-op graph builder
+(``ScheduleGenerator(builder_engine="legacy")``) and :meth:`Program.summary`.
+
 Two conversions close the loop with the paper's artifacts:
 
 * :func:`repro.mpi.tracer.trace_program` turns a :class:`Program` into a
@@ -20,14 +42,21 @@ Two conversions close the loop with the paper's artifacts:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Sequence
+import math
+import operator
+from dataclasses import dataclass, field
+from typing import Iterator
+
+import numpy as np
 
 from ..trace.records import COLLECTIVE_OPS, MPIOp, Trace
 
 __all__ = [
     "OpKind",
+    "OP_KINDS",
+    "OP_CODE",
     "ProgramOp",
+    "RankOpBatch",
     "RankProgram",
     "Program",
     "COLLECTIVE_KINDS",
@@ -60,6 +89,11 @@ class OpKind(str, enum.Enum):
         return self.value
 
 
+#: stable integer codes for :class:`OpKind`: the ``code`` of a program row
+#: and the ``kind`` column of a :class:`RankOpBatch`
+OP_KINDS: tuple[OpKind, ...] = tuple(OpKind)
+OP_CODE: dict[OpKind, int] = {kind: index for index, kind in enumerate(OP_KINDS)}
+
 #: collective operation kinds (must appear in the same order on every rank)
 COLLECTIVE_KINDS = frozenset(
     {
@@ -73,6 +107,21 @@ COLLECTIVE_KINDS = frozenset(
         OpKind.ALLTOALL,
     }
 )
+
+_P2P_KINDS = frozenset(
+    {OpKind.SEND, OpKind.RECV, OpKind.ISEND, OpKind.IRECV, OpKind.SENDRECV}
+)
+_P2P_CODES = frozenset(OP_CODE[kind] for kind in _P2P_KINDS)
+_COLLECTIVE_CODES = frozenset(OP_CODE[kind] for kind in COLLECTIVE_KINDS)
+_C_COMPUTE = OP_CODE[OpKind.COMPUTE]
+_C_ISEND = OP_CODE[OpKind.ISEND]
+_C_IRECV = OP_CODE[OpKind.IRECV]
+_C_WAIT = OP_CODE[OpKind.WAIT]
+_C_WAITALL = OP_CODE[OpKind.WAITALL]
+_C_SENDRECV = OP_CODE[OpKind.SENDRECV]
+
+#: :class:`ProgramOp` fields that hold integers (the row fields after ``code``)
+_INT_FIELDS = ("peer", "size", "tag", "root", "request", "recv_peer", "recv_size", "recv_tag")
 
 #: traced MPI call → program operation kind (shared with the columnar trace
 #: ingestion of :mod:`repro.schedgen.columnar`)
@@ -95,6 +144,14 @@ MPI_TO_KIND: dict[MPIOp, OpKind] = {
 }
 
 KIND_TO_MPI: dict[OpKind, MPIOp] = {v: k for k, v in MPI_TO_KIND.items()}
+
+
+def _as_int(name: str, value) -> int:
+    """``value`` as an ``int``; anything :func:`operator.index` accepts is one."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -120,13 +177,16 @@ class ProgramOp:
     recv_tag: int = 0
 
     def __post_init__(self) -> None:
-        if self.cost < 0:
-            raise ValueError(f"{self.kind}: negative compute cost {self.cost}")
+        if not 0 <= self.cost < math.inf:
+            raise ValueError(
+                f"{self.kind}: compute cost must be finite and non-negative, got {self.cost}"
+            )
+        for name in _INT_FIELDS:
+            _as_int(name, getattr(self, name))
         if self.size < 0 or self.recv_size < 0:
             raise ValueError(f"{self.kind}: negative message size")
-        if self.kind in (OpKind.SEND, OpKind.RECV, OpKind.ISEND, OpKind.IRECV, OpKind.SENDRECV):
-            if self.peer < 0:
-                raise ValueError(f"{self.kind}: point-to-point operation requires a peer")
+        if self.kind in _P2P_KINDS and self.peer < 0:
+            raise ValueError(f"{self.kind}: point-to-point operation requires a peer")
         if self.kind is OpKind.WAIT and self.request < 0:
             raise ValueError("wait requires a request handle")
 
@@ -136,27 +196,116 @@ class ProgramOp:
 
     @property
     def is_p2p(self) -> bool:
-        return self.kind in (
-            OpKind.SEND,
-            OpKind.RECV,
-            OpKind.ISEND,
-            OpKind.IRECV,
-            OpKind.SENDRECV,
-        )
+        return self.kind in _P2P_KINDS
+
+
+@dataclass
+class RankOpBatch:
+    """One rank's operation stream as parallel columns.
+
+    The columnar twin of :class:`RankProgram` (:meth:`RankProgram.columns`):
+    ``kind`` holds :data:`OP_CODE` values and the remaining columns mirror the
+    :class:`ProgramOp` fields (with the dataclass defaults for fields a given
+    op kind does not use).  ``requests`` is a plain list (aligned with the
+    columns) because ``MPI_Waitall`` consumes a variable number of handles
+    per op.
+    """
+
+    kind: np.ndarray
+    cost: np.ndarray
+    peer: np.ndarray
+    size: np.ndarray
+    tag: np.ndarray
+    root: np.ndarray
+    request: np.ndarray
+    recv_peer: np.ndarray
+    recv_size: np.ndarray
+    recv_tag: np.ndarray
+    requests: list[tuple[int, ...]]
+
+    def __len__(self) -> int:
+        return len(self.kind)
 
 
 @dataclass
 class RankProgram:
-    """The ordered operation script of one rank."""
+    """The ordered operation script of one rank, stored as rows.
+
+    See the module docstring for the layout of ``rows``, ``costs`` and
+    ``requests``.
+    """
 
     rank: int
-    ops: list[ProgramOp] = field(default_factory=list)
+    rows: list[tuple[int, ...]] = field(default_factory=list)
+    costs: list[float] = field(default_factory=list)
+    requests: dict[int, tuple[int, ...]] = field(default_factory=dict)
+    _ops: tuple[ProgramOp, ...] = field(default=(), init=False, repr=False, compare=False)
+
+    def record(
+        self,
+        code: int,
+        peer: int = -1,
+        size: int = 0,
+        tag: int = 0,
+        root: int = 0,
+        request: int = -1,
+        recv_peer: int = -1,
+        recv_size: int = 0,
+        recv_tag: int = 0,
+        *,
+        cost: float = 0.0,
+        requests: tuple[int, ...] = (),
+    ) -> None:
+        """Append one op given by its row fields (unchecked; see :meth:`Program.validate`)."""
+        if requests:
+            self.requests[len(self.rows)] = requests
+        self.rows.append((code, peer, size, tag, root, request, recv_peer, recv_size, recv_tag))
+        self.costs.append(cost)
 
     def append(self, op: ProgramOp) -> None:
-        self.ops.append(op)
+        """Append a hand-built :class:`ProgramOp`, stored as its row."""
+        self.record(
+            OP_CODE[op.kind], op.peer, op.size, op.tag, op.root, op.request,
+            op.recv_peer, op.recv_size, op.recv_tag,
+            cost=op.cost, requests=tuple(op.requests),
+        )
+
+    @property
+    def ops(self) -> tuple[ProgramOp, ...]:
+        """Read-only :class:`ProgramOp` view of the rows.
+
+        Built on first access and cached until the next append (the trace
+        replay indexes it once per op).
+        """
+        built = len(self._ops)
+        if built != len(self.rows):
+            self._ops += tuple(self._op(index) for index in range(built, len(self.rows)))
+        return self._ops
+
+    def _op(self, index: int) -> ProgramOp:
+        code, peer, size, tag, root, request, recv_peer, recv_size, recv_tag = self.rows[index]
+        return ProgramOp(
+            kind=OP_KINDS[code], cost=self.costs[index], peer=peer, size=size,
+            tag=tag, root=root, request=request, requests=self.requests.get(index, ()),
+            recv_peer=recv_peer, recv_size=recv_size, recv_tag=recv_tag,
+        )
+
+    def columns(self) -> RankOpBatch:
+        """The rows as the NumPy columns of a :class:`RankOpBatch`."""
+        table = np.array(self.rows, dtype=np.int64).reshape(-1, len(_INT_FIELDS) + 1)
+        kind, peer, size, tag, root, request, recv_peer, recv_size, recv_tag = table.T.copy()
+        requests: list[tuple[int, ...]] = [()] * len(self.rows)
+        for index, handles in self.requests.items():
+            requests[index] = handles
+        return RankOpBatch(
+            kind=kind.astype(np.int16), cost=np.array(self.costs, dtype=np.float64),
+            peer=peer, size=size, tag=tag, root=root, request=request,
+            recv_peer=recv_peer, recv_size=recv_size, recv_tag=recv_tag,
+            requests=requests,
+        )
 
     def __len__(self) -> int:
-        return len(self.ops)
+        return len(self.rows)
 
     def __iter__(self) -> Iterator[ProgramOp]:
         return iter(self.ops)
@@ -167,11 +316,51 @@ class RankProgram:
     @property
     def total_compute(self) -> float:
         """Sum of explicit compute costs, in microseconds."""
-        return sum(op.cost for op in self.ops if op.kind is OpKind.COMPUTE)
+        return sum(cost for row, cost in zip(self.rows, self.costs) if row[0] == _C_COMPUTE)
 
     def collective_signature(self) -> list[OpKind]:
         """Kinds of the collectives in program order (for cross-rank checks)."""
-        return [op.kind for op in self.ops if op.is_collective]
+        return [OP_KINDS[row[0]] for row in self.rows if row[0] in _COLLECTIVE_CODES]
+
+    def validate(self, nranks: int) -> None:
+        """Check this rank's rows in a communicator of ``nranks`` ranks.
+
+        Sizes must be non-negative and peers and roots in range; every
+        non-blocking request must be posted with a handle, completed exactly
+        once and not reused while outstanding.
+        """
+        rank = self.rank
+        pending: set[int] = set()
+        for index, row in enumerate(self.rows):
+            code, peer, size, _, root, request, recv_peer, recv_size, _ = row
+            if size < 0 or recv_size < 0:
+                raise ValueError(f"rank {rank}: {OP_KINDS[code]}: negative message size")
+            if not 0 <= root < nranks:
+                raise ValueError(f"rank {rank}: root {root} out of range")
+            if code in _P2P_CODES:
+                if not 0 <= peer < nranks:
+                    raise ValueError(f"rank {rank}: peer {peer} out of range")
+                if code == _C_SENDRECV and not 0 <= recv_peer < nranks:
+                    raise ValueError(f"rank {rank}: peer {recv_peer} out of range")
+                if code == _C_ISEND or code == _C_IRECV:
+                    if request < 0:
+                        raise ValueError(f"rank {rank}: {OP_KINDS[code]} without request")
+                    if request in pending:
+                        raise ValueError(
+                            f"rank {rank}: request {request} reused before completion"
+                        )
+                    pending.add(request)
+            elif code == _C_WAIT:
+                if request not in pending:
+                    raise ValueError(f"rank {rank}: wait on unknown request {request}")
+                pending.discard(request)
+            elif code == _C_WAITALL:
+                for handle in self.requests.get(index, ()):
+                    if handle not in pending:
+                        raise ValueError(f"rank {rank}: waitall on unknown request {handle}")
+                    pending.discard(handle)
+        if pending:
+            raise ValueError(f"rank {rank}: requests never completed: {sorted(pending)}")
 
 
 @dataclass
@@ -204,40 +393,14 @@ class Program:
         return iter(self.ranks)
 
     def validate(self) -> None:
-        """Check cross-rank consistency of collectives and request usage."""
+        """Check every rank's rows and the cross-rank order of collectives."""
         signature = self.ranks[0].collective_signature() if self.ranks else []
         for rp in self.ranks:
             if rp.collective_signature() != signature:
                 raise ValueError(
                     f"rank {rp.rank}: collective call sequence differs from rank 0"
                 )
-            pending: set[int] = set()
-            for op in rp:
-                if op.is_p2p and not 0 <= op.peer < self.nranks:
-                    raise ValueError(f"rank {rp.rank}: peer {op.peer} out of range")
-                if op.kind in (OpKind.ISEND, OpKind.IRECV):
-                    if op.request < 0:
-                        raise ValueError(f"rank {rp.rank}: {op.kind} without request")
-                    if op.request in pending:
-                        raise ValueError(
-                            f"rank {rp.rank}: request {op.request} reused before completion"
-                        )
-                    pending.add(op.request)
-                elif op.kind is OpKind.WAIT:
-                    if op.request not in pending:
-                        raise ValueError(
-                            f"rank {rp.rank}: wait on unknown request {op.request}"
-                        )
-                    pending.discard(op.request)
-                elif op.kind is OpKind.WAITALL:
-                    for req in op.requests:
-                        if req not in pending:
-                            raise ValueError(
-                                f"rank {rp.rank}: waitall on unknown request {req}"
-                            )
-                        pending.discard(req)
-            if pending:
-                raise ValueError(f"rank {rp.rank}: requests never completed: {sorted(pending)}")
+            rp.validate(self.nranks)
 
     # -- conversions ----------------------------------------------------------
 

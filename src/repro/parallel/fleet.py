@@ -2,8 +2,9 @@
 
 A *fleet* is the cross product of application skeletons, rank counts,
 collective algorithms, LogGPS parameter points and latency injectors.  The
-driver expands the grid into :class:`Scenario` records, builds each distinct
-``(app, nranks, algorithm, params)`` graph exactly once, and runs the whole
+driver expands the grid into :class:`Scenario` records, records each
+``(app, nranks)`` program once, builds each distinct ``(app, nranks,
+algorithm, params)`` graph from it exactly once, and runs the whole
 fleet through one persistent :class:`~repro.parallel.SweepPool` — graphs
 travel to the workers as shared-memory columns, scenarios as digest tuples,
 and duplicate scenarios (same graph digest + sweep spec) are solved once.
@@ -20,11 +21,13 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
 from typing import Sequence
 
 from ..core.parametric import ParametricAnalysis
 from ..network.params import LogGPSParams
+from ..schedgen.builder import build_graph
 from ..schedgen.collectives import CollectiveAlgorithms
 from .pool import SweepPool, SweepTask
 
@@ -133,22 +136,32 @@ class ScenarioFleet:
     # -- execution ------------------------------------------------------------
 
     def _build_graphs(self, scenarios: Sequence[Scenario]):
-        """One graph per distinct ``(app, nranks, algorithm, params)``."""
+        """One graph per distinct ``(app, nranks, algorithm, params)``.
+
+        Each ``(app, nranks)`` skeleton is recorded once and every graph of
+        it is built from that one program.  The grid's nested-loop order
+        keeps each ``(app, nranks)`` contiguous, so only one program is
+        alive at a time.
+        """
         from ..apps import ALL_APPS
 
         graph_of: dict[tuple, object] = {}
         digest_of: dict[tuple, str] = {}
-        for sc in scenarios:
-            key = (sc.app, sc.nranks, sc.allreduce, sc.params.content_digest())
-            if key in graph_of:
-                continue
-            graph = ALL_APPS[sc.app].build(
-                sc.nranks,
-                params=sc.params,
-                algorithms=CollectiveAlgorithms(allreduce=sc.allreduce),
-            )
-            graph_of[key] = graph
-            digest_of[key] = graph.content_digest()
+        for (app, nranks), group in groupby(scenarios, key=lambda sc: (sc.app, sc.nranks)):
+            program = None
+            for sc in group:
+                key = (app, nranks, sc.allreduce, sc.params.content_digest())
+                if key in graph_of:
+                    continue
+                if program is None:
+                    program = ALL_APPS[app].program(nranks)
+                graph = build_graph(
+                    program,
+                    params=sc.params,
+                    algorithms=CollectiveAlgorithms(allreduce=sc.allreduce),
+                )
+                graph_of[key] = graph
+                digest_of[key] = graph.content_digest()
         graphs = {digest_of[key]: graph for key, graph in graph_of.items()}
         return graphs, digest_of
 

@@ -33,18 +33,22 @@ contract.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from ..mpi.program import COLLECTIVE_KINDS, MPI_TO_KIND, OpKind, Program
+from ..mpi.program import (
+    COLLECTIVE_KINDS,
+    MPI_TO_KIND,
+    OP_CODE,
+    OP_KINDS,
+    OpKind,
+    Program,
+    RankOpBatch,
+)
 from ..trace.records import MPI_OP_CODE, MPIOp, Trace
 from . import collectives as coll
 from .graph import GraphBuilder, VertexKind
 
 __all__ = [
-    "OP_KINDS",
-    "OP_CODE",
     "RankOpBatch",
     "ScheduleBatches",
     "batches_from_program",
@@ -53,10 +57,6 @@ __all__ = [
     "build_columnar_fused",
     "match_messages",
 ]
-
-#: stable integer codes for :class:`~repro.mpi.program.OpKind` (array form)
-OP_KINDS: tuple[OpKind, ...] = tuple(OpKind)
-OP_CODE: dict[OpKind, int] = {kind: index for index, kind in enumerate(OP_KINDS)}
 
 _C_COMPUTE = OP_CODE[OpKind.COMPUTE]
 _C_SEND = OP_CODE[OpKind.SEND]
@@ -108,64 +108,13 @@ _SKIP_CODES = np.array(
 _FINALIZE_CODE = MPI_OP_CODE[MPIOp.FINALIZE]
 
 
-@dataclass
-class RankOpBatch:
-    """One rank's operation stream as parallel columns.
-
-    The columnar twin of :class:`~repro.mpi.program.RankProgram`: ``kind``
-    holds :data:`OP_CODE` values and the remaining columns mirror the
-    :class:`~repro.mpi.program.ProgramOp` fields (with the dataclass
-    defaults for fields a given op kind does not use).  ``requests`` is a
-    plain list (aligned with the columns) because ``MPI_Waitall`` consumes a
-    variable number of handles per op.
-    """
-
-    kind: np.ndarray
-    cost: np.ndarray
-    peer: np.ndarray
-    size: np.ndarray
-    tag: np.ndarray
-    root: np.ndarray
-    request: np.ndarray
-    recv_peer: np.ndarray
-    recv_size: np.ndarray
-    recv_tag: np.ndarray
-    requests: list[tuple[int, ...]]
-
-    def __len__(self) -> int:
-        return len(self.kind)
-
-
 def batches_from_program(program: Program) -> list[RankOpBatch]:
     """Columnarise a :class:`~repro.mpi.program.Program` (one batch per rank).
 
-    Each column is gathered with its own list comprehension — a tight
-    C-speed loop reading one attribute per op — instead of building and
-    transposing one 11-tuple per op.  On long rank programs this is ~3×
-    faster than the ``zip(*...)`` transpose: the per-op tuple allocation
-    dominated, not the attribute reads.
+    Each rank's rows become its batch through
+    :meth:`~repro.mpi.program.RankProgram.columns`.
     """
-    code = OP_CODE
-    batches = []
-    for rank_program in program.ranks:
-        ops = rank_program.ops
-        if not ops:
-            batches.append(_empty_batch())
-            continue
-        batches.append(RankOpBatch(
-            kind=np.array([code[op.kind] for op in ops], dtype=np.int16),
-            cost=np.array([op.cost for op in ops], dtype=np.float64),
-            peer=np.array([op.peer for op in ops], dtype=np.int64),
-            size=np.array([op.size for op in ops], dtype=np.int64),
-            tag=np.array([op.tag for op in ops], dtype=np.int64),
-            root=np.array([op.root for op in ops], dtype=np.int64),
-            request=np.array([op.request for op in ops], dtype=np.int64),
-            recv_peer=np.array([op.recv_peer for op in ops], dtype=np.int64),
-            recv_size=np.array([op.recv_size for op in ops], dtype=np.int64),
-            recv_tag=np.array([op.recv_tag for op in ops], dtype=np.int64),
-            requests=[op.requests for op in ops],
-        ))
-    return batches
+    return [rank_program.columns() for rank_program in program.ranks]
 
 
 def batches_from_trace(trace: Trace, *, min_compute: float = 0.0) -> list[RankOpBatch]:

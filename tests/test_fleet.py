@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
+from repro.apps import ALL_APPS
 from repro.cli import main
 from repro.network.params import CSCS_TESTBED
 from repro.parallel import ScenarioFleet, live_shared_segments
+from repro.schedgen.collectives import CollectiveAlgorithms
 
 L_MAX = 50.0
 
@@ -83,6 +86,34 @@ class TestScenarioFleet:
         assert summary["results"]["scenarios"] == 2
         names = [row["scenario"] for row in summary["results"]["rows"]]
         assert names == sorted(names)
+
+    def test_each_program_recorded_once_per_app_and_nranks(self, monkeypatch):
+        calls = Counter()
+        for app in ("lulesh", "hpcg"):
+            record = ALL_APPS[app].program
+
+            def counting(nranks, *, _app=app, _record=record):
+                calls[_app, nranks] += 1
+                return _record(nranks)
+
+            monkeypatch.setattr(ALL_APPS[app], "program", counting)
+        latencies = [CSCS_TESTBED, CSCS_TESTBED.replace(L=10.0)]
+        result = _fleet(
+            apps=["lulesh", "hpcg"],
+            allreduces=["ring", "recursive_doubling"],
+            params_grid=latencies,
+            injectors=[None],
+        ).run()
+        assert calls == {("lulesh", 2): 1, ("hpcg", 2): 1}
+        assert len(result.rows) == 2 * 2 * 2
+        for row in result.rows:
+            params = next(p for p in latencies if p.L == row["L_us"])
+            graph = ALL_APPS[row["app"]].build(
+                row["nranks"],
+                params=params,
+                algorithms=CollectiveAlgorithms(allreduce=row["allreduce"]),
+            )
+            assert row["graph_digest"] == graph.content_digest()
 
 
 class TestFleetCli:

@@ -1,5 +1,6 @@
 """Tests for the virtual MPI API and rank programs."""
 
+import numpy as np
 import pytest
 
 from repro.mpi import OpKind, Program, ProgramOp, VirtualComm, run_program
@@ -44,6 +45,39 @@ class TestVirtualComm:
         assert program.rank(0)[0].kind is OpKind.SEND
         assert program.rank(1)[0].kind is OpKind.RECV
         assert program.rank(0)[0].size == 128
+
+    @pytest.mark.parametrize(
+        "record, error",
+        [
+            pytest.param(lambda comm: comm.compute(float("nan")), ValueError, id="compute-nan"),
+            pytest.param(lambda comm: comm.compute(float("inf")), ValueError, id="compute-inf"),
+            pytest.param(lambda comm: comm.send(1, 8.7), TypeError, id="send-float-size"),
+            pytest.param(lambda comm: comm.send(1.0, 8), TypeError, id="send-float-peer"),
+            pytest.param(lambda comm: comm.isend(1, 8, tag=0.5), TypeError, id="isend-float-tag"),
+            pytest.param(lambda comm: comm.bcast(8, root=0.0), TypeError, id="bcast-float-root"),
+        ],
+    )
+    def test_bad_arguments_rejected_where_recorded(self, record, error):
+        with pytest.raises(error):
+            run_program(record, 2)
+
+    def test_integer_like_arguments_accepted(self):
+        def app(comm):
+            peer = np.int64(1 - comm.rank)
+            comm.sendrecv(peer, np.int32(8), peer, np.int64(8), send_tag=np.int16(3),
+                          recv_tag=np.int16(3))
+            comm.bcast(np.int64(4), root=np.int64(1))
+
+        program = run_program(app, 2)
+        assert program.rank(0).rows[0][1:4] == (1, 8, 3)
+        assert all(type(value) is int for row in program.rank(0).rows for value in row)
+
+    def test_negative_message_size_rejected(self):
+        def app(comm):
+            comm.send(1 - comm.rank, -8)
+
+        with pytest.raises(ValueError, match="negative message size"):
+            run_program(app, 2)
 
     def test_peer_out_of_range(self):
         def app(comm):
@@ -168,6 +202,26 @@ class TestProgram:
             ProgramOp(kind=OpKind.COMPUTE, cost=-1.0)
         with pytest.raises(ValueError):
             ProgramOp(kind=OpKind.WAIT)
+
+    @pytest.mark.parametrize(
+        "fields, error",
+        [
+            pytest.param(dict(kind=OpKind.COMPUTE, cost=float("nan")), ValueError, id="nan-cost"),
+            pytest.param(dict(kind=OpKind.COMPUTE, cost=float("inf")), ValueError, id="inf-cost"),
+            pytest.param(dict(kind=OpKind.SEND, peer=1, size=8.7), TypeError, id="float-size"),
+            pytest.param(dict(kind=OpKind.BCAST, size=8, root=1.0), TypeError, id="float-root"),
+        ],
+    )
+    def test_programop_rejects_bad_arguments(self, fields, error):
+        with pytest.raises(error):
+            ProgramOp(**fields)
+
+    def test_validate_checks_hand_built_rows(self):
+        program = Program.empty(2)
+        program.rank(0).append(ProgramOp(kind=OpKind.BCAST, size=8, root=5))
+        program.rank(1).append(ProgramOp(kind=OpKind.BCAST, size=8, root=5))
+        with pytest.raises(ValueError, match="root 5 out of range"):
+            program.validate()
 
     def test_empty_program_requires_positive_ranks(self):
         with pytest.raises(ValueError):

@@ -182,7 +182,7 @@ class TestPointToPointParity:
 
     def test_wait_on_unknown_request_raises_in_both(self):
         program = Program.empty(2)
-        program.ranks[0].ops.append(ProgramOp(kind=OpKind.WAIT, request=7))
+        program.ranks[0].append(ProgramOp(kind=OpKind.WAIT, request=7))
         for engine in ("legacy", "columnar"):
             with pytest.raises(ValueError, match="request"):
                 build(program, engine)
@@ -191,28 +191,28 @@ class TestPointToPointParity:
         # request defaults to -1; both engines must reject it, regardless of
         # the workload-size-driven auto policy
         program = Program.empty(2)
-        program.ranks[0].ops.append(ProgramOp(kind=OpKind.ISEND, peer=1, size=8))
-        program.ranks[0].ops.append(ProgramOp(kind=OpKind.WAITALL, requests=(-1,)))
-        program.ranks[1].ops.append(ProgramOp(kind=OpKind.RECV, peer=0, size=8))
+        program.ranks[0].append(ProgramOp(kind=OpKind.ISEND, peer=1, size=8))
+        program.ranks[0].append(ProgramOp(kind=OpKind.WAITALL, requests=(-1,)))
+        program.ranks[1].append(ProgramOp(kind=OpKind.RECV, peer=0, size=8))
         for engine in ("legacy", "columnar"):
             with pytest.raises(ValueError, match="without request"):
                 build(program, engine)
 
     def test_request_reuse_raises_in_both(self):
         program = Program.empty(2)
-        program.ranks[0].ops.append(ProgramOp(kind=OpKind.ISEND, peer=1, size=8, request=1))
-        program.ranks[0].ops.append(ProgramOp(kind=OpKind.ISEND, peer=1, size=8, request=1))
-        program.ranks[0].ops.append(ProgramOp(kind=OpKind.WAITALL, requests=(1,)))
-        program.ranks[1].ops.append(ProgramOp(kind=OpKind.RECV, peer=0, size=8))
-        program.ranks[1].ops.append(ProgramOp(kind=OpKind.RECV, peer=0, size=8))
+        program.ranks[0].append(ProgramOp(kind=OpKind.ISEND, peer=1, size=8, request=1))
+        program.ranks[0].append(ProgramOp(kind=OpKind.ISEND, peer=1, size=8, request=1))
+        program.ranks[0].append(ProgramOp(kind=OpKind.WAITALL, requests=(1,)))
+        program.ranks[1].append(ProgramOp(kind=OpKind.RECV, peer=0, size=8))
+        program.ranks[1].append(ProgramOp(kind=OpKind.RECV, peer=0, size=8))
         for engine in ("legacy", "columnar"):
             with pytest.raises(ValueError, match="reused"):
                 build(program, engine)
 
     def test_never_completed_request_raises_in_both(self):
         program = Program.empty(2)
-        program.ranks[0].ops.append(ProgramOp(kind=OpKind.ISEND, peer=1, size=8, request=1))
-        program.ranks[1].ops.append(ProgramOp(kind=OpKind.RECV, peer=0, size=8))
+        program.ranks[0].append(ProgramOp(kind=OpKind.ISEND, peer=1, size=8, request=1))
+        program.ranks[1].append(ProgramOp(kind=OpKind.RECV, peer=0, size=8))
         for engine in ("legacy", "columnar"):
             with pytest.raises(ValueError, match="never completed"):
                 build(program, engine)
