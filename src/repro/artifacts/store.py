@@ -14,7 +14,9 @@ with ``kind`` one of ``graph`` / ``lp`` / ``envelope`` and ``key`` a hex
 digest (the two-character fan-out keeps directories small).  Writes are
 atomic (tempfile + :func:`os.replace`), so concurrent workers racing on the
 same key at worst both build and one replace wins — never a torn file.
-Corrupt or truncated entries are deleted and rebuilt transparently.
+Corrupt or truncated entries are deleted and rebuilt transparently; a
+loader that fails with a programming error (``ImportError``, ``NameError``,
+``AttributeError``) raises instead and leaves the entry in place.
 """
 
 from __future__ import annotations
@@ -166,8 +168,10 @@ class ArtifactStore:
         """Load entry ``(kind, key)`` or return ``None`` (miss or corrupt).
 
         A corrupt entry is deleted so the next :meth:`get_or_build` rebuilds
-        it.  Counters are not touched — use :meth:`get_or_build` for the
-        counted path.
+        it.  An ``ImportError``, ``NameError`` or ``AttributeError`` is a bug
+        in the loader, not a corrupt file: it propagates and the entry stays.
+        Counters are not touched — use :meth:`get_or_build` for the counted
+        path.
         """
         path = self.path_for(kind, key)
         if not path.exists():
@@ -179,6 +183,8 @@ class ArtifactStore:
                 # serving thousands of gets never accumulates descriptors
                 return self._LOADERS[kind](path, mmap_mode=self.graph_mmap_mode)
             return self._LOADERS[kind](path)
+        except (ImportError, NameError, AttributeError):
+            raise
         except Exception:
             path.unlink(missing_ok=True)
             return None

@@ -24,11 +24,14 @@ needs to call this directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .model import LPModel, Sense
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = ["AssembledLP", "assemble", "assemble_rows", "assembly_counts"]
 
@@ -99,6 +102,8 @@ def _refresh_objective(assembled: AssembledLP, model: LPModel) -> None:
 
 
 def _full_assembly(model: LPModel) -> AssembledLP:
+    from scipy import sparse
+
     _ASSEMBLY_COUNTS["full"] += 1
     n = model.num_vars
     m = model.num_constraints
@@ -157,6 +162,8 @@ def assemble_rows(
     when given, are adopted directly instead of re-gathered from the
     ``Variable`` objects (they must match the model's current bounds).
     """
+    from scipy import sparse
+
     _ASSEMBLY_COUNTS["rows"] += 1
     n = model.num_vars
     m = len(rows)

@@ -15,7 +15,6 @@ CSR matrix instead of re-expanding the constraint dictionaries.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .assembler import assemble
 from .model import (
@@ -45,6 +44,8 @@ def solve_highs(
     :class:`~repro.core.parametric.BatchedSweep` tangent cache) recovers the
     benefit instead.
     """
+    from scipy.optimize import linprog
+
     del warm_start  # no basis hand-off through scipy.optimize.linprog
     if model.num_vars == 0:
         raise LPError("model has no variables")

@@ -8,6 +8,9 @@ algorithm, params)`` graph from it exactly once, and runs the whole
 fleet through one persistent :class:`~repro.parallel.SweepPool` — graphs
 travel to the workers as shared-memory columns, scenarios as digest tuples,
 and duplicate scenarios (same graph digest + sweep spec) are solved once.
+The pool is started (:meth:`~repro.parallel.SweepPool.start`) before the
+programs are recorded and the graphs built, so the spawn workers boot while
+the parent does that work instead of after it.
 
 Results are written BENCH-style: one ``FLEET_<app>.json`` shard per
 application plus a single deterministic ``FLEET_summary.json`` merging every
@@ -168,32 +171,11 @@ class ScenarioFleet:
     def run(self, output_dir: str | os.PathLike | None = None) -> FleetResult:
         """Run every scenario; optionally write shards + summary JSON."""
         scenarios = self.scenarios()
-        graphs, digest_of = self._build_graphs(scenarios)
-
-        tasks = []
-        for sc in scenarios:
-            key = (sc.app, sc.nranks, sc.allreduce, sc.params.content_digest())
-            lo = sc.params.L if self.l_min is None else float(self.l_min)
-            sim = None
-            if sc.injector is not None:
-                sim = (sc.injector, self.sim_deltas)
-            tasks.append(
-                SweepTask(
-                    graph_digest=digest_of[key],
-                    params_digest=sc.params.content_digest(),
-                    l_min=lo,
-                    l_max=self.l_max,
-                    backend=self.backend,
-                    max_pieces=self.max_pieces,
-                    build_kwargs=(("latency_mode", "global"),),
-                    sim=sim,
-                    envelope_engine=self.envelope_engine,
-                    params=sc.params,
-                    scenario=sc.name,
-                )
-            )
-
         with SweepPool(self.processes, cache_dir=self.cache_dir) as pool:
+            # the spawn workers boot while this process builds the graphs
+            pool.start()
+            graphs, digest_of = self._build_graphs(scenarios)
+            tasks = [self._task(sc, digest_of) for sc in scenarios]
             payloads = pool.run_tasks(tasks, graphs)
 
         rows = [
@@ -233,6 +215,27 @@ class ScenarioFleet:
             summary=summary,
             shard_paths=shard_paths,
             summary_path=summary_path,
+        )
+
+    def _task(self, sc: Scenario, digest_of: dict[tuple, str]) -> SweepTask:
+        """The digest-addressed pool task of one scenario."""
+        key = (sc.app, sc.nranks, sc.allreduce, sc.params.content_digest())
+        lo = sc.params.L if self.l_min is None else float(self.l_min)
+        sim = None
+        if sc.injector is not None:
+            sim = (sc.injector, self.sim_deltas)
+        return SweepTask(
+            graph_digest=digest_of[key],
+            params_digest=sc.params.content_digest(),
+            l_min=lo,
+            l_max=self.l_max,
+            backend=self.backend,
+            max_pieces=self.max_pieces,
+            build_kwargs=(("latency_mode", "global"),),
+            sim=sim,
+            envelope_engine=self.envelope_engine,
+            params=sc.params,
+            scenario=sc.name,
         )
 
     # -- metrics ---------------------------------------------------------------

@@ -25,7 +25,11 @@ with a **digest-addressed** protocol:
 
 The pool is persistent (one ``spawn`` of the workers amortised over any
 number of batches) and a context manager; exiting tears down the workers
-and unlinks every exported segment deterministically.
+and unlinks every exported segment deterministically.  Entering it spawns
+nothing: the workers boot on the first :meth:`SweepPool.run_tasks`, or
+earlier on an explicit :meth:`SweepPool.start` (idempotent, a no-op
+inline), which lets a caller overlap the workers' boot — a fresh
+interpreter importing NumPy and this package each — with its own set-up.
 """
 
 from __future__ import annotations
@@ -273,10 +277,16 @@ class SweepPool:
     def uses_workers(self) -> bool:
         return self.processes > 1
 
-    def _ensure_pool(self):
+    def start(self) -> None:
+        """Spawn the workers now instead of on the first :meth:`run_tasks`.
+
+        Idempotent, and a no-op when ``processes <= 1``.  Callers with work
+        to do before their first batch (recording programs, building graphs)
+        call it first so the workers boot in parallel with that work.
+        """
         if self._closed:
             raise RuntimeError("SweepPool is closed")
-        if self._pool is None:
+        if self.uses_workers and self._pool is None:
             import multiprocessing
 
             # spawn, never fork: fork duplicates threaded-BLAS state and the
@@ -287,7 +297,6 @@ class SweepPool:
                 initializer=_init_worker,
                 initargs=(self.cache_dir,),
             )
-        return self._pool
 
     def close(self) -> None:
         """Tear down the workers and unlink every exported segment."""
@@ -342,7 +351,7 @@ class SweepPool:
             payloads = [self._run_inline(task, graphs) for task in unique]
             return [payloads[slot] for slot in slot_of_task]
 
-        pool = self._ensure_pool()
+        self.start()
         exported: list[str] = []
         try:
             resolved: list[SweepTask] = []
@@ -362,7 +371,9 @@ class SweepPool:
             payloads: list[dict | None] = [None] * len(resolved)
             failures: list[tuple[int, tuple]] = []
             jobs = [(slot, resolved[slot]) for slot in order]
-            for slot, ok, payload in pool.imap_unordered(_run_task, jobs, chunksize=1):
+            for slot, ok, payload in self._pool.imap_unordered(
+                _run_task, jobs, chunksize=1
+            ):
                 if ok:
                     payloads[slot] = payload
                 else:

@@ -364,17 +364,43 @@ class TestArtifactStore:
         with pytest.raises(ValueError, match="unknown artifact kind"):
             store.path_for("plan", "abcdef")
 
-    def test_corrupt_entry_deleted_and_rebuilt(self, tmp_path):
-        store = ArtifactStore(tmp_path)
+    @staticmethod
+    def _artifact(kind):
+        """A small ``(key, object)`` entry of ``kind``."""
         graph = build_running_example()
-        key = graph.content_digest()
+        if kind == "graph":
+            return graph.content_digest(), graph
+        lp = build_lp(graph, PARAMS, latency_mode="global")
+        if kind == "lp":
+            return combine_digests("lp", "test"), lp.model
+        key = envelope_key(graph, PARAMS, l_min=0.0, l_max=5.0)
+        return key, BatchedSweep(lp, l_min=0.0, l_max=5.0).envelope
+
+    @pytest.mark.parametrize("kind", ArtifactStore.KINDS)
+    def test_corrupt_entry_deleted_and_rebuilt(self, tmp_path, kind):
+        store = ArtifactStore(tmp_path)
+        key, obj = self._artifact(kind)
+        path = store.put(kind, key, obj)
+        archive = path.read_bytes()
+        for corrupt in (b"not an npz archive", archive[: len(archive) // 2]):
+            path.write_bytes(corrupt)
+            assert store.get(kind, key) is None
+            assert not path.exists()
+            assert store.get_or_build(kind, key, lambda: obj) is obj
+            assert store.get(kind, key) is not None
+
+    @pytest.mark.parametrize("error", [ImportError, NameError, AttributeError])
+    def test_loader_bug_propagates_and_keeps_the_entry(self, tmp_path, monkeypatch, error):
+        store = ArtifactStore(tmp_path)
+        key, graph = self._artifact("graph")
         store.put("graph", key, graph)
-        path = store.path_for("graph", key)
-        path.write_bytes(b"not an npz archive")
-        assert store.get("graph", key) is None
-        assert not path.exists()
-        rebuilt = store.get_or_build_graph(key, lambda: graph)
-        assert rebuilt.content_digest() == key
+
+        def buggy_loader(path):
+            raise error("loader bug")
+
+        monkeypatch.setitem(ArtifactStore._LOADERS, "graph", buggy_loader)
+        with pytest.raises(error, match="loader bug"):
+            store.get("graph", key)
         assert store.contains("graph", key)
 
     def test_get_or_build_lp_returns_model_both_paths(self, tmp_path):

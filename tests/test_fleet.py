@@ -115,6 +115,43 @@ class TestScenarioFleet:
             )
             assert row["graph_digest"] == graph.content_digest()
 
+    def test_workers_boot_before_the_first_graph_build(self, monkeypatch):
+        import repro.parallel.fleet as fleet_module
+        from repro.parallel import SweepPool
+
+        calls = []
+        start, build_graph = SweepPool.start, fleet_module.build_graph
+
+        def recording_start(pool):
+            calls.append("start")
+            start(pool)
+
+        def recording_build(*args, **kwargs):
+            calls.append("build_graph")
+            return build_graph(*args, **kwargs)
+
+        monkeypatch.setattr(SweepPool, "start", recording_start)
+        monkeypatch.setattr(fleet_module, "build_graph", recording_build)
+        rows = _fleet(processes=2).run().rows
+        assert calls[0] == "start" and "build_graph" in calls
+
+        # same rows as the inline run, apart from the worker's identity
+        def stable(row):
+            volatile = ("worker_pid", "worker_rss_kb")
+            return {k: v for k, v in row.items() if k not in volatile}
+
+        assert [stable(r) for r in rows] == [stable(r) for r in _fleet().run().rows]
+
+    def test_graph_build_failure_tears_the_started_workers_down(self):
+        import multiprocessing
+
+        with pytest.raises(ValueError, match="bogus") as excinfo:
+            _fleet(allreduces=["bogus"], processes=2).run()
+        # excinfo keeps run()'s frame, and so the pool, alive: garbage
+        # collection cannot reap the workers, only SweepPool.close can
+        assert excinfo.traceback
+        assert multiprocessing.active_children() == []
+
 
 class TestFleetCli:
     ARGS = [

@@ -1,6 +1,11 @@
-"""Package layering: the reference oracles stay out of production code."""
+"""Package layering: the reference oracles stay out of production code, and
+SciPy loads only where an LP is built or solved."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import repro
@@ -8,11 +13,41 @@ import repro
 SRC = Path(repro.__file__).resolve().parent
 
 
-def _imported_modules(path: Path) -> set[str]:
-    """Absolute names of every module ``path`` imports (relative ones resolved)."""
+def _names_type_checking(test: ast.expr) -> bool:
+    """``if TYPE_CHECKING:`` or ``if typing.TYPE_CHECKING:``."""
+    return getattr(test, "id", getattr(test, "attr", None)) == "TYPE_CHECKING"
+
+
+def _import_time_nodes(tree: ast.AST):
+    """Every node that runs when the module is imported.
+
+    Function bodies and ``if TYPE_CHECKING:`` blocks are skipped; an import
+    statement cannot hide anywhere else (decorators, defaults and lambdas
+    are expressions).
+    """
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        yield node
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if isinstance(child, ast.If) and _names_type_checking(child.test):
+                stack.extend(child.orelse)
+                continue
+            stack.append(child)
+
+
+def _imported_modules(path: Path, *, import_time_only: bool = False) -> set[str]:
+    """Absolute names of every module ``path`` imports (relative ones resolved).
+
+    With ``import_time_only`` only the imports that run when ``path`` itself
+    is imported count, not the lazy ones inside functions.
+    """
     package = ".".join(("repro", *path.relative_to(SRC).parent.parts))
+    tree = ast.parse(path.read_text(encoding="utf-8"))
     names = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for node in _import_time_nodes(tree) if import_time_only else ast.walk(tree):
         if isinstance(node, ast.Import):
             names.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
@@ -37,3 +72,62 @@ def test_production_never_imports_the_reference_oracles():
 def test_import_scan_resolves_relative_imports():
     assert "repro.core.lp_builder" in _imported_modules(SRC / "testing.py")
     assert "repro.lp.compiler" in _imported_modules(SRC / "core" / "lp_builder.py")
+
+
+def test_scipy_is_never_imported_at_import_time():
+    offenders = [
+        str(path.relative_to(SRC))
+        for path in sorted(SRC.rglob("*.py"))
+        if any(
+            name.split(".")[0] == "scipy"
+            for name in _imported_modules(path, import_time_only=True)
+        )
+    ]
+    assert offenders == []
+
+
+def test_import_time_scan_skips_function_bodies_and_type_checking():
+    assembler = SRC / "lp" / "assembler.py"
+    assert "scipy.sparse" in _imported_modules(assembler)
+    import_time = _imported_modules(assembler, import_time_only=True)
+    assert "repro.lp.model" in import_time
+    assert "scipy.sparse" not in import_time
+
+
+_FRESH_INTERPRETER_SCRIPT = """
+import contextlib, io, json, os, sys
+
+from repro import cli
+
+tmp = sys.argv[1]
+trace = os.path.join(tmp, "lulesh.trace")
+goal = os.path.join(tmp, "lulesh.goal")
+commands = [
+    ["analyze", "lulesh", "--nranks", "4", "--json"],
+    ["curve", "lulesh", "--nranks", "4", "--json"],
+    ["sweep", "lulesh", "--nranks", "2"],
+    ["fleet", "lulesh", "--nranks", "2", "--processes", "1", "--json"],
+    ["trace", "lulesh", "--nranks", "2", "--output", trace],
+    ["goal", "lulesh", "--nranks", "2", "--output", goal],
+    ["ingest", "trace", trace, "--json"],
+    ["ingest", "goal", goal, "--json"],
+    ["place", "milc", "--nranks", "4", "--nodes", "2", "--json"],
+]
+loaded = {"import": "scipy" in sys.modules}
+for argv in commands:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    loaded[" ".join(argv[:2])] = "scipy" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def test_only_place_loads_scipy_in_a_fresh_interpreter(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_INTERPRETER_SCRIPT, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    loaded = json.loads(proc.stdout)
+    assert loaded.pop("place milc") is True
+    assert loaded == dict.fromkeys(loaded, False)

@@ -195,11 +195,24 @@ class TestSweepPoolInline:
         pool.close()
         graph = build_running_example()
         with pytest.raises(RuntimeError, match="closed"):
-            pool._ensure_pool()
+            pool.start()
+
+    def test_start_spawns_no_workers(self):
+        with SweepPool(1) as pool:
+            pool.start()
+            assert pool._pool is None
 
 
 class TestSweepPoolWorkers:
     """Real ``spawn`` workers attached to shared segments."""
+
+    def test_enter_is_lazy_and_start_is_idempotent(self):
+        with SweepPool(2) as pool:
+            assert pool._pool is None
+            pool.start()
+            workers = pool._pool
+            pool.start()
+            assert workers is not None and pool._pool is workers
 
     def test_order_restored_and_duplicates_deduped(self):
         g1 = build_running_example()
