@@ -1,12 +1,12 @@
 """Forward envelope engine vs the ParametricLP tangent search (acceptance).
 
-The single-traversal forward engine must produce the *identical*
-``PiecewiseLinear`` envelope ``T(L)`` as the LP tangent search — same piece
-count, slopes, intercepts and breakpoints to 1e-6 — at least 10× faster
-end-to-end on a Fig. 16-scale sweep workload.  "End-to-end" counts what each
-engine actually needs: the LP path pays ``build_lp`` + the per-tangent HiGHS
-solves, the forward path traverses the cached level structure once and never
-assembles a model.
+The forward engine (the tangent search answered by batched level passes)
+must produce the *identical* ``PiecewiseLinear`` envelope ``T(L)`` as the LP
+tangent search — same piece count, slopes, intercepts and breakpoints to
+1e-6 — at least 10× faster end-to-end on a Fig. 16-scale sweep workload.
+"End-to-end" counts what each engine actually needs: the LP path pays
+``build_lp`` + the per-tangent HiGHS solves, the forward path traverses the
+cached level structure once per search pass and never assembles a model.
 
 The Fig. 4 running example is reported for parity (its graph is far too
 small for the traversal win to show); the headline speedup is pinned on the

@@ -197,7 +197,7 @@ _CHILD_STRESS = _CHILD_PRELUDE + r"""
 
     # the full exact T(L) envelope — not just one objective — must fit the
     # same memory budget: the forward engine traverses the mmap-backed
-    # level structure once and never assembles an LP model
+    # level structure once per search pass and never assembles an LP model
     t0 = time.perf_counter()
     envelope = forward_envelope(graph, params, l_min=0.0, l_max=1000.0)
     envelope_s = time.perf_counter() - t0

@@ -448,6 +448,7 @@ def _cmd_goal(args: argparse.Namespace) -> int:
 
 def _cmd_cache(args: argparse.Namespace) -> int:
     from .artifacts import ArtifactStore, combine_digests, envelope_key
+    from .core.envelope import envelope_config
 
     store = ArtifactStore(args.cache_dir)
     if args.action == "stats":
@@ -484,7 +485,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     if not store.contains("lp", lp_key):
         store.put("lp", lp_key, analyzer.lp.model)
     env_key = envelope_key(
-        graph, params, l_min=params.L, l_max=args.l_max, gap_symbolic=False
+        graph, params, l_min=params.L, l_max=args.l_max, **envelope_config()
     )
     breakpoints = sweep.breakpoints()
     if args.json:

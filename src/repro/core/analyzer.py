@@ -13,8 +13,8 @@ and exposes every metric the paper derives from the generated LP:
 * full sensitivity curves over a ΔL sweep (the lower panels of Fig. 9/10).
 
 Envelope-first: Eq. 3 makes every latency metric a query on one exact
-``T(L)`` envelope over ``[L₀, ∞)`` (:attr:`LatencyAnalyzer.analysis`, one
-forward traversal, no LP).  The LP is built only for ``λ_G`` and behind
+``T(L)`` envelope over ``[L₀, ∞)`` (:attr:`LatencyAnalyzer.analysis`, a
+few batched forward passes, no LP).  The LP is built only for ``λ_G`` and behind
 ``envelope_engine="lp"``, the oracle that answers with the paper's LP solves.
 
 Typical use::
@@ -186,8 +186,8 @@ class LatencyAnalyzer:
     @property
     def analysis(self) -> ParametricAnalysis:
         """The exact ``T(L)`` curve over ``[L₀, ∞)`` every latency metric is
-        read from: one forward traversal on first use, through the artifact
-        store when ``cache_dir`` is set."""
+        read from: :func:`~repro.core.envelope.forward_envelope` on first
+        use, through the artifact store when ``cache_dir`` is set."""
         if self._analysis is None:
             from .envelope import forward_envelope
 
@@ -199,16 +199,17 @@ class LatencyAnalyzer:
 
     def _stored_envelope(
         self, l_min: float, l_max: float, build: Callable[[], PiecewiseLinear],
-        **config: object,
+        max_pieces: int = 50_000,
     ) -> PiecewiseLinear:
-        """``build()``, or its artifact-store entry when caching is on (keys
-        are engine-free: both engines compute the identical curve)."""
+        """``build()``, or its artifact-store entry when caching is on (one
+        key per curve: :func:`~repro.core.envelope.envelope_config`)."""
         if self._store is None:
             return build()
         from ..artifacts import envelope_key
+        from .envelope import envelope_config
 
         key = envelope_key(self.graph, self.params, l_min=l_min, l_max=l_max,
-                           gap_symbolic=self._gap_symbolic, **config)
+                           **envelope_config(max_pieces))
         return self._store.get_or_build_envelope(key, build)
 
     def graph_analysis(self, delta_L: float = 0.0) -> CriticalPathResult:
@@ -260,6 +261,7 @@ class LatencyAnalyzer:
         lo = self.params.L if l_min is None else l_min
         kwargs.setdefault("backend", self.backend)
         engine = kwargs.setdefault("envelope_engine", self.envelope_engine)
+        max_pieces = kwargs.setdefault("max_pieces", 50_000)
         _check_engine_name(engine)
         sweep: BatchedSweep | None = None
 
@@ -268,16 +270,12 @@ class LatencyAnalyzer:
             if engine != "lp":
                 return forward_envelope(
                     self.graph, self.params, l_min=lo, l_max=l_max,
-                    max_pieces=kwargs.get("max_pieces", 50_000),
+                    max_pieces=max_pieces,
                 )
             sweep = BatchedSweep(self.lp, l_min=lo, l_max=l_max, **kwargs)
             return sweep.envelope
 
-        envelope = self._stored_envelope(
-            lo, l_max, build,
-            **{k: v for k, v in kwargs.items()
-               if k not in ("backend", "envelope_engine")},
-        )
+        envelope = self._stored_envelope(lo, l_max, build, max_pieces)
         return sweep if sweep is not None else BatchedSweep.from_envelope(envelope)
 
     @classmethod

@@ -8,44 +8,33 @@ solving the LP and jumping to the lower end of the current basis's
 feasibility range (Gurobi's ``SALBLow``).
 
 The open-source HiGHS backend does not expose ranging information, so the
-breakpoints are recovered with the shared tangent-envelope search of
-:class:`repro.lp.parametric.ParametricLP` — ``O(#breakpoints)`` LP solves on
-one assembled model, the same complexity class as Algorithm 2 with exact
-ranging and strictly better than a fixed ``step`` sweep.  A ``step``
-argument is still accepted for compatibility with the paper's interface:
-when given, breakpoints closer than ``step`` are coalesced.
+breakpoints are recovered with the tangent-intersection search
+:func:`repro.lp.parametric.tangent_search` — ``O(#breakpoints)`` probes,
+the same complexity class as Algorithm 2 with exact ranging and strictly
+better than a fixed ``step`` sweep.  A ``step`` argument is still accepted
+for compatibility with the paper's interface: when given, breakpoints
+closer than ``step`` are coalesced.
 
-With ``envelope_engine="forward"`` (or ``"auto"``, whenever the affinity
-contract of ``src/repro/lp/README.md`` holds) the breakpoints come from the
-single-traversal line propagation of :mod:`repro.core.envelope` instead —
-the same exact curve with zero LP solves.
+With ``envelope_engine="lp"`` each probe is one LP solve on one assembled
+model (:meth:`repro.lp.parametric.ParametricLP.tangent_envelope`).  With
+``envelope_engine="forward"`` (or ``"auto"``, whenever the affinity
+contract of ``src/repro/lp/README.md`` holds) every pass of the search is
+one batched forward traversal instead
+(:func:`repro.core.envelope.forward_envelope`) — the same exact curve with
+zero LP solves.
 
-Both functions here are thin wrappers; the searches themselves live in
-:mod:`repro.lp.parametric` / :mod:`repro.core.envelope` and are shared with
-:class:`repro.core.parametric.BatchedSweep`.
+Both functions here are thin wrappers over those two entry points, which
+:class:`repro.core.parametric.BatchedSweep` shares.
 """
 
 from __future__ import annotations
 
-from ..lp.parametric import Tangent, TangentEnvelope
+from ..lp.parametric import Tangent, check_latency_interval
 from ..network.params import LogGPSParams
 from ..schedgen.graph import ExecutionGraph
 from .lp_builder import GraphLP, build_lp
 
 __all__ = ["Tangent", "find_critical_latencies", "critical_latency_curve"]
-
-
-def _validate_interval(l_min: float, l_max: float) -> None:
-    """Reject a bad sweep interval up front, before any LP or traversal.
-
-    Pinned by tests: a reversed/empty/negative interval must fail here with
-    this message, never part-way through a tangent search.
-    """
-    if l_min < 0 or l_max <= l_min:
-        raise ValueError(
-            f"invalid latency interval [{l_min}, {l_max}]: "
-            "require 0 <= l_min < l_max"
-        )
 
 
 def _collect_breakpoints(breakpoints, step: float | None) -> list[float]:
@@ -79,7 +68,7 @@ def _envelope_search(
     """
     from .envelope import _check_engine_name, forward_envelope, resolve_envelope_engine
 
-    _validate_interval(l_min, l_max)
+    check_latency_interval(l_min, l_max)
     _check_engine_name(envelope_engine)
     envelope = None
     if isinstance(graph_lp, ExecutionGraph):
@@ -114,9 +103,9 @@ def find_critical_latencies(
     resolution knob of the paper's Algorithm 2); ``max_solves`` bounds the
     number of LP solves.  ``graph_lp`` may also be a raw
     :class:`~repro.schedgen.graph.ExecutionGraph` together with ``params=``.
-    ``envelope_engine`` picks how the envelope is recovered — the forward
-    line propagation (no LP solves) or the LP tangent search; both return
-    the identical breakpoints.
+    ``envelope_engine`` picks how the search probes ``T(L)`` — batched
+    forward passes (no LP solves) or LP solves; both return the identical
+    breakpoints.
     """
     breakpoints, _ = _envelope_search(
         graph_lp, l_min, l_max, backend=backend, max_solves=max_solves,

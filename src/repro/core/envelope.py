@@ -1,38 +1,41 @@
-"""Single-traversal exact ``T(L)`` envelopes: convex line-set propagation.
+"""Exact ``T(L)`` envelopes from batched forward passes: no LP, no solver.
 
 Every edge cost of the LogGPS LP is *affine in the latency* ``L`` — a
 communication edge costs ``l + (size-1)·G`` and everything else is a
 constant — so the makespan ``T(L)`` is the upper envelope of per-path lines
-``a_i·L + C_i`` (``a_i`` = number of messages on path ``i``).  The tangent
-search of :class:`~repro.lp.parametric.ParametricLP` recovers that envelope
-with one LP solve per breakpoint; this module computes the *same* curve in a
-single vectorised traversal of the chain-condensed level structure, with no
-LP assembly and no solver at all.
+``a_i·L + C_i`` (``a_i`` = number of messages on path ``i``).  The envelope
+is found by the paper's tangent-intersection search
+(:func:`~repro.lp.parametric.tangent_search`, Algorithm 2), the same search
+the :class:`~repro.lp.parametric.ParametricLP` oracle runs with one LP solve
+per probe.  Here every pass of that search is answered by one vectorised
+traversal of the chain-condensed level structure instead.
 
-The pass mirrors the condensation of :mod:`repro.lp.compiler` exactly:
+The traversal mirrors the condensation of :mod:`repro.lp.compiler` exactly:
 
 1. per-vertex cost deltas (CALC durations, the constant overhead ``o`` and
    the per-message ``G`` byte cost folded in) are accumulated from every
    vertex back to its *anchor* — the nearest source or merge point — with
    the compiler's own :func:`~repro.lp.compiler._pointer_jump`;
-2. convex hulls of ``(slope, intercept)`` lines are maintained **only at
-   merge points** (an affine shift preserves the hull property along a
-   chain, so chain vertices never materialise one).  Hulls live in one
-   pooled array pair indexed by ``(start, len)`` per anchor; slot 0 holds
-   the shared ``(0, 0)`` line of every source anchor;
+2. for each of the ``K`` latencies probed in a pass, every merge point keeps
+   only the ``(slope, intercept)`` of the longest path reaching it — the
+   winning line.  Slot 0 holds the shared ``(0, 0)`` line of every source
+   anchor, so the state is ``(merge points + 1) × K × 2`` floats and chain
+   vertices never materialise one;
 3. merge points are processed level-synchronously (the same level grouping
-   the simulator batches on): all rows of one level concatenate their
-   predecessor hulls plus per-edge affine shifts into one segmented array
-   and a single vectorised segmented upper-hull pass reduces them;
-4. the sink completions are merged the same way into the final
-   :class:`~repro.core.parametric.PiecewiseLinear` envelope.
+   the simulator batches on): every row of a level shifts its anchor's
+   lines by its chain-compressed costs, and three segmented
+   ``np.maximum.reduceat`` calls pick each merge point's winner — the
+   lexicographic max of ``(value at L, slope)``, so a probe returns the
+   segment active just right of ``L``, and of ``(slope, intercept)`` at
+   ``L = inf``;
+4. the sink completions are reduced the same way into one line per probe.
 
-Because hulls only keep lines that are maximal somewhere in ``[lo, hi]``,
-the per-vertex state stays at most ``#breakpoints + 1`` lines — the paper's
-own envelope bound — and dead hulls are compacted away once the last level
-referencing them has been processed, so the pass runs inside the same fixed
-memory budget as the streaming compile/simulate pipeline at million-rank
-scale.
+Every returned line is a real path line: an integer message count and an
+intercept summed along the path, so the final
+:func:`~repro.core.parametric._upper_envelope` of the lines the search found
+is the :class:`~repro.core.parametric.PiecewiseLinear` result.  One pass
+costs one traversal for all its probes; the search needs one pass per level
+of its bisection tree (1–5 on the bundled applications).
 
 The result is numerically identical (well below the 1e-6 contract) to the
 LP tangent envelope: at the LP optimum every symbolic variable other than
@@ -43,8 +46,8 @@ engine therefore requires the **affinity contract** documented in
 variables, and gap/overhead bounds that still equal ``params`` — anything
 else falls back to the :class:`~repro.lp.parametric.ParametricLP` oracle
 (``envelope_engine="auto"``) or raises (``envelope_engine="forward"``).
-Artifact-store envelope keys deliberately exclude the engine choice, so
-cached entries are shared across engines (see
+Artifact-store envelope keys come from :func:`envelope_config` and exclude
+the engine choice, so cached entries are shared across engines (see
 :mod:`repro.artifacts.store`).
 """
 
@@ -54,12 +57,13 @@ from typing import Mapping
 
 import numpy as np
 
-from ..lp.parametric import EnvelopeOverflowError
+from ..lp.parametric import check_latency_interval, tangent_search
 from ..network.params import LogGPSParams
 from ..schedgen.graph import EdgeKind, ExecutionGraph, VertexKind
 
 __all__ = [
     "ENVELOPE_ENGINES",
+    "envelope_config",
     "forward_envelope",
     "forward_incompatibility",
     "resolve_envelope_engine",
@@ -68,34 +72,6 @@ __all__ = [
 
 #: the accepted values of every ``envelope_engine=`` knob.
 ENVELOPE_ENGINES = ("auto", "forward", "lp")
-
-#: iterations of the simultaneous neighbour-elimination before the segmented
-#: hull falls back to the sequential per-segment stack scan.  Each pass
-#: removes every interior line strictly below its neighbours' crossing, so
-#: alternating-dominated inputs halve per pass; the cap only triggers on
-#: adversarial stack-shaped inputs.
-_MAX_HULL_PASSES = 50
-
-#: pool compaction threshold: dead hull lines are garbage-collected once the
-#: pool grows beyond this many entries *and* less than half of it is live.
-_COMPACT_MIN_POOL = 4096
-
-#: per-merge line sets at most this large skip the convex reduction inside
-#: the level loop (slope dedup alone bounds them); larger sets always get
-#: the full hull + domain clip, which keeps state linear at scale.
-_REDUCE_SKIP = 8
-
-#: below this vertex count the liveness/compaction bookkeeping costs more
-#: than the pool it could reclaim, so it is skipped entirely.
-_GC_MIN_VERTICES = 65_536
-
-
-def _interval_error(l_min: float, l_max: float) -> ValueError:
-    return ValueError(
-        f"invalid latency interval [{l_min}, {l_max}]: "
-        "require 0 <= l_min < l_max"
-    )
-
 
 # ---------------------------------------------------------------------------
 # engine resolution / affinity contract
@@ -183,7 +159,7 @@ def forward_supports_modes(build_kwargs: Mapping[str, object]) -> bool:
     reduces to the mode knobs alone.  Unknown keywords conservatively
     disqualify the shortcut (the LP path will surface any real error).
     """
-    known = {"latency_mode", "gap_mode", "overhead_mode", "name", "engine"}
+    known = {"latency_mode", "gap_mode", "overhead_mode", "name"}
     if any(key not in known for key in build_kwargs):
         return False
     return (
@@ -193,240 +169,47 @@ def forward_supports_modes(build_kwargs: Mapping[str, object]) -> bool:
     )
 
 
-# ---------------------------------------------------------------------------
-# vectorised segmented upper hulls
-# ---------------------------------------------------------------------------
+def envelope_config(max_pieces: int = 50_000, **build_kwargs: object) -> dict:
+    """The configuration part of the artifact-store key of one envelope.
 
-
-def _sequential_hulls(
-    seg: np.ndarray, slope: np.ndarray, intercept: np.ndarray,
-    lo: float, hi: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-segment stack-scan fallback (exact, Python loop per segment)."""
-    from .parametric import Line, _upper_envelope
-
-    out_seg: list[np.ndarray] = []
-    out_slope: list[float] = []
-    out_intercept: list[float] = []
-    bounds = np.concatenate(
-        [[0], np.flatnonzero(np.diff(seg)) + 1, [len(seg)]]
-    )
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        hull = _upper_envelope(
-            [Line(float(s), float(c)) for s, c in zip(slope[a:b], intercept[a:b])],
-            lo, hi,
-        )
-        out_seg.append(np.full(len(hull), seg[a], dtype=np.int64))
-        out_slope.extend(line.slope for line in hull)
-        out_intercept.extend(line.intercept for line in hull)
-    return (
-        np.concatenate(out_seg) if out_seg else seg,
-        np.asarray(out_slope, dtype=np.float64),
-        np.asarray(out_intercept, dtype=np.float64),
-    )
-
-
-def _drop_invisible_pieces(lines: list) -> list:
-    """Drop hull pieces the LP tangent search could never discover.
-
-    Many paths concurrent through (almost) one point produce exact hull
-    pieces of near-zero validity width.  The
-    :class:`~repro.lp.parametric.ParametricLP` search stops refining once a
-    midpoint probe lies on both neighbouring tangents within its ``_close``
-    tolerance, so such pieces never appear in the oracle's envelope.
-    Applying the same tolerance here keeps the two engines structurally
-    identical (same piece count and breakpoints), not just pointwise equal:
-    an interior line is dropped when its maximum improvement over its
-    neighbours — attained where the neighbours cross — is within the bound.
+    Every caller passes this to :func:`~repro.artifacts.envelope_key` (or
+    its digest twin), so one curve has one store entry whichever path
+    asks.  ``max_pieces`` is always part of it; the LP build modes are part
+    of it only when :func:`forward_supports_modes` rejects them, because a
+    forward-compatible build (``gap_symbolic`` included) computes the same
+    curve as no LP at all.
     """
-    from ..lp.parametric import _ABS_TOL, _REL_TOL
-
-    if len(lines) <= 2:
-        return lines
-    kept = [lines[0]]
-    for line in lines[1:]:
-        while len(kept) >= 2:
-            prev, top = kept[-2], kept[-1]
-            x = (line.intercept - prev.intercept) / (prev.slope - line.slope)
-            crossing = prev.slope * x + prev.intercept
-            improvement = top.slope * x + top.intercept - crossing
-            if improvement <= _ABS_TOL + _REL_TOL * max(abs(crossing), 1.0):
-                kept.pop()
-            else:
-                break
-        kept.append(line)
-    return kept
-
-
-def _segmented_hulls(
-    seg: np.ndarray, slope: np.ndarray, intercept: np.ndarray,
-    lo: float, hi: float,
-    *,
-    reduce_over: int = 0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Upper hull of every segment at once, clipped to ``[lo, hi]``.
-
-    ``seg`` need not be sorted.  Returns ``(seg, slope, intercept)`` sorted
-    by ``(seg, slope)`` with, per segment, exactly the lines of the convex
-    upper envelope that are maximal somewhere in ``[lo, hi]`` (plus, in rare
-    float-tie cases, lines touching the envelope at a single point — the
-    callers' final :func:`~repro.core.parametric._upper_envelope` cleanup
-    removes those from the returned curve).
-
-    When ``reduce_over`` is positive and no segment holds more than that
-    many lines after the slope dedup, the convex reduction and domain clip
-    are skipped: keeping slope-deduplicated but not-yet-convex line sets is
-    sound (the pointwise maximum is unchanged — that is all downstream
-    levels consume), and for the small hulls that dominate real sweeps the
-    dedup alone already bounds the set, so the extra passes are pure
-    overhead.  Large segments always get the full reduction, which is what
-    keeps the pooled state linear at million-rank scale.
-
-    The reduction is a simultaneous neighbour elimination: a line is dropped
-    when it lies *strictly* below the crossing of its two same-segment
-    neighbours.  Strictness makes simultaneous removal safe — at any ``x``
-    the highest removed line is strictly below one of its witnesses, and
-    that witness cannot itself be removed at ``x`` — so the pointwise
-    maximum is preserved by every pass.
-    """
-    if len(seg) == 0:
-        return seg, slope, intercept
-    order = np.lexsort((intercept, slope, seg))
-    seg, slope, intercept = seg[order], slope[order], intercept[order]
-    # slope-dedup: keep the largest intercept per (seg, slope) — the last of
-    # each group under the lexsort above
-    if len(seg) > 1:
-        keep = np.empty(len(seg), dtype=bool)
-        keep[-1] = True
-        keep[:-1] = (seg[1:] != seg[:-1]) | (slope[1:] != slope[:-1])
-        seg, slope, intercept = seg[keep], slope[keep], intercept[keep]
-
-    if reduce_over > 0 and len(seg) <= reduce_over * max(
-        1, int(seg[-1]) - int(seg[0]) + 1
-    ):
-        # cheap upper bound first: if even `#segments * reduce_over` lines
-        # are not present, no segment can exceed the threshold
-        return seg, slope, intercept
-    if reduce_over > 0:
-        lens = np.bincount(seg - seg[0])
-        if int(lens.max(initial=0)) <= reduce_over:
-            return seg, slope, intercept
-
-    passes = 0
-    while len(seg) >= 3:
-        interior = (seg[1:-1] == seg[:-2]) & (seg[1:-1] == seg[2:])
-        if not interior.any():
-            break
-        denom = slope[2:] - slope[:-2]  # > 0 wherever `interior` holds
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x = (intercept[:-2] - intercept[2:]) / denom
-            below = interior & (
-                slope[1:-1] * x + intercept[1:-1]
-                < slope[:-2] * x + intercept[:-2]
-            )
-        if not below.any():
-            break
-        if passes >= _MAX_HULL_PASSES:
-            return _sequential_hulls(seg, slope, intercept, lo, hi)
-        keep = np.ones(len(seg), dtype=bool)
-        keep[1:-1] = ~below
-        seg, slope, intercept = seg[keep], slope[keep], intercept[keep]
-        passes += 1
-
-    # domain clip: drop pieces whose validity interval misses [lo, hi]; the
-    # piece containing `lo` always survives, so no segment empties out
-    n = len(seg)
-    if n > 1:
-        same_prev = np.zeros(n, dtype=bool)
-        same_prev[1:] = seg[1:] == seg[:-1]
-        x_prev = np.full(n, -np.inf)
-        idx = np.flatnonzero(same_prev)
-        x_prev[idx] = (intercept[idx - 1] - intercept[idx]) / (
-            slope[idx] - slope[idx - 1]
-        )
-        x_next = np.full(n, np.inf)
-        x_next[idx - 1] = x_prev[idx]
-        keep = (x_prev <= hi + 1e-15) & (x_next >= lo - 1e-15)
-        seg, slope, intercept = seg[keep], slope[keep], intercept[keep]
-    return seg, slope, intercept
+    config: dict = {"max_pieces": max_pieces}
+    if not forward_supports_modes(build_kwargs):
+        config.update(build_kwargs)
+    return config
 
 
 # ---------------------------------------------------------------------------
-# the forward pass
+# the forward evaluator
 # ---------------------------------------------------------------------------
 
 
-class _HullPool:
-    """Pooled hull storage: ``(slope, intercept)`` runs addressed per anchor.
+def _winners(
+    slope: np.ndarray, intercept: np.ndarray, starts: np.ndarray,
+    seg: np.ndarray, x: np.ndarray, at_inf: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The winning line of every segment of rows, for every probe column.
 
-    Slot 0 is the shared ``(0, 0)`` line every source anchor points at, so
-    sources cost no storage at all.  ``compact`` garbage-collects hulls of
-    merge anchors whose last referencing level has passed.
+    ``slope``/``intercept`` are ``rows × K``; the rows of segment ``j``
+    start at ``starts[j]`` (``seg`` maps each row to its segment).  At a
+    finite probe ``x`` the winner is the lexicographic max of
+    ``(slope·x + intercept, slope)``; in an ``at_inf`` column (where ``x``
+    holds 0) it is the max of ``(slope, intercept)``.  The remaining
+    intercept tie is broken upwards, so the winner is always one row's line.
     """
-
-    def __init__(self, n: int) -> None:
-        self.start = np.zeros(n, dtype=np.int64)
-        self.length = np.ones(n, dtype=np.int64)
-        self.slope = np.zeros(256, dtype=np.float64)
-        self.intercept = np.zeros(256, dtype=np.float64)
-        self.used = 1
-        self.live = 1
-
-    def gather(self, anchors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Expand the hull runs of ``anchors``: returns ``(rep, idx, lens)``
-        with ``rep`` mapping every expanded line back to its anchor position."""
-        lens = self.length[anchors]
-        total = int(lens.sum())
-        offsets = np.arange(total, dtype=np.int64) - np.repeat(
-            np.cumsum(lens) - lens, lens
-        )
-        idx = np.repeat(self.start[anchors], lens) + offsets
-        rep = np.repeat(np.arange(len(anchors), dtype=np.int64), lens)
-        return rep, idx, lens
-
-    def append(self, vertices: np.ndarray, lens: np.ndarray,
-               slope: np.ndarray, intercept: np.ndarray) -> None:
-        need = self.used + len(slope)
-        if need > len(self.slope):
-            capacity = max(need, 2 * len(self.slope))
-            self.slope = np.concatenate(
-                [self.slope, np.empty(capacity - len(self.slope))]
-            )
-            self.intercept = np.concatenate(
-                [self.intercept, np.empty(capacity - len(self.intercept))]
-            )
-        self.slope[self.used:need] = slope
-        self.intercept[self.used:need] = intercept
-        self.start[vertices] = self.used + np.concatenate(
-            [[0], np.cumsum(lens[:-1])]
-        )
-        self.length[vertices] = lens
-        self.used = need
-        self.live += int(lens.sum())
-
-    def retire(self, vertices: np.ndarray) -> None:
-        """Mark the hulls of ``vertices`` dead (storage reclaimed on compact)."""
-        if len(vertices):
-            self.live -= int(self.length[vertices].sum())
-
-    def compact(self, alive: np.ndarray) -> None:
-        """Rewrite the pool to hold only slot 0 plus the hulls of ``alive``."""
-        if self.used <= _COMPACT_MIN_POOL or 2 * self.live >= self.used:
-            return
-        rep, idx, lens = self.gather(alive)
-        total = int(lens.sum())
-        capacity = max(256, 2 * (total + 1))
-        slope = np.empty(capacity)
-        intercept = np.empty(capacity)
-        slope[0] = 0.0
-        intercept[0] = 0.0
-        slope[1:total + 1] = self.slope[idx]
-        intercept[1:total + 1] = self.intercept[idx]
-        self.start[alive] = 1 + np.concatenate([[0], np.cumsum(lens[:-1])])
-        self.slope = slope
-        self.intercept = intercept
-        self.used = total + 1
-        self.live = total + 1
+    first = np.where(at_inf, slope, slope * x + intercept)
+    best = np.maximum.reduceat(first, starts, axis=0)
+    second = np.where(first == best[seg], np.where(at_inf, intercept, slope), -np.inf)
+    best_second = np.maximum.reduceat(second, starts, axis=0)
+    third = np.where(second == best_second[seg], intercept, -np.inf)
+    winner_slope = np.where(at_inf, best, best_second)
+    return winner_slope, np.maximum.reduceat(third, starts, axis=0)
 
 
 def forward_envelope(
@@ -437,8 +220,9 @@ def forward_envelope(
     l_max: float = 10_000.0,
     max_pieces: int = 50_000,
 ):
-    """The exact ``T(L)`` envelope of ``graph`` on ``[l_min, l_max]``,
-    computed in one level-synchronous traversal (no LP, no solver).
+    """The exact ``T(L)`` envelope of ``graph`` on ``[l_min, l_max]``
+    (``l_max`` may be ``inf``), found by the tangent search over batched
+    level-synchronous traversals (no LP, no solver).
 
     All LogGPS parameters other than the latency are folded from ``params``
     as constants, exactly as the LP bakes them into its constraint constants
@@ -447,12 +231,11 @@ def forward_envelope(
     affinity contract holds — see this module's docstring and
     ``src/repro/lp/README.md``.
 
-    ``max_pieces`` bounds the hull size at every vertex *and* of the final
-    envelope; overflow raises :class:`EnvelopeOverflowError` like the other
+    ``max_pieces`` bounds the piece count of the envelope; overflow raises
+    :class:`~repro.lp.parametric.EnvelopeOverflowError` like the other
     parametric engines.
     """
-    if l_min < 0 or l_max <= l_min:
-        raise _interval_error(l_min, l_max)
+    check_latency_interval(l_min, l_max)
     if max_pieces < 1:
         raise ValueError(f"max_pieces must be positive, got {max_pieces}")
     lo, hi = float(l_min), float(l_max)
@@ -523,88 +306,47 @@ def forward_envelope(
         row_anchor = np.zeros(0, dtype=np.int64)
 
     sinks = np.asarray(graph.sinks(), dtype=np.int64)
-    sink_anchor = anchor[sinks]
 
-    # liveness: the last level whose rows reference each anchor's hull
-    infinity = np.int64(graph.num_levels + 1)
-    last_use = np.full(n, -1, dtype=np.int64)
-    if total:
-        np.maximum.at(last_use, row_anchor, np.repeat(mlevel, counts))
-    last_use[sink_anchor] = infinity
-
-    pool = _HullPool(n)
-    overflow_hint = "narrow the latency interval or raise max_pieces"
-
-    # liveness bookkeeping pays for itself only when the pool can outgrow the
-    # graph; small sweeps skip it and keep every hull until the end
-    gc = n >= _GC_MIN_VERTICES
-    if gc and len(merges):
-        death_order = np.argsort(last_use[merges], kind="stable")
-        death_levels = last_use[merges][death_order]
-        death_pos = 0
-        alive_mask = np.zeros(len(merges), dtype=bool)
-    reduce_over = min(_REDUCE_SKIP, max_pieces)
-
+    # state slot of every anchor: 0 for sources, 1 + i for merges[i]
+    slot = np.zeros(n, dtype=np.int64)
+    slot[merges] = np.arange(1, len(merges) + 1)
+    row_slot = slot[row_anchor]
+    sink_slot = slot[anchor[sinks]]
+    sink_slope = acc_l[sinks][:, None]
+    sink_const = acc_const[sinks][:, None]
+    levels = []
     if len(merges):
         bounds = np.concatenate(
             [[0], np.flatnonzero(np.diff(mlevel)) + 1, [len(merges)]]
         )
         for g0, g1 in zip(bounds[:-1], bounds[1:]):
-            current_level = int(mlevel[g0])
             r0, r1 = int(row_ptr[g0]), int(row_ptr[g1])
-            rep, idx, _ = pool.gather(row_anchor[r0:r1])
-            seg_of_row = (
-                np.repeat(np.arange(g0, g1, dtype=np.int64), counts[g0:g1]) - g0
-            )
-            line_seg = seg_of_row[rep]
-            line_slope = pool.slope[idx] + row_slope[r0:r1][rep]
-            line_intercept = pool.intercept[idx] + row_const[r0:r1][rep]
-            hseg, hslope, hintercept = _segmented_hulls(
-                line_seg, line_slope, line_intercept, lo, hi,
-                reduce_over=reduce_over,
-            )
-            new_lens = np.bincount(hseg, minlength=g1 - g0)
-            widest = int(new_lens.max(initial=0))
-            if widest > max_pieces:
-                vertex = int(merges[g0 + int(np.argmax(new_lens))])
-                raise EnvelopeOverflowError(
-                    f"envelope at vertex {vertex} has {widest} pieces "
-                    f"(> {max_pieces}); {overflow_hint}"
-                )
-            group = merges[g0:g1]
-            pool.append(group, new_lens, hslope, hintercept)
-            if gc:
-                # hulls whose last referencing level just ran are dead;
-                # compact once more than half the pool is garbage
-                alive_mask[g0:g1] = True
-                end = int(
-                    np.searchsorted(death_levels, current_level, side="right")
-                )
-                if end > death_pos:
-                    dying = death_order[death_pos:end]
-                    alive_mask[dying] = False
-                    pool.retire(merges[dying])
-                    death_pos = end
-                    pool.compact(merges[alive_mask])
+            levels.append((
+                1 + g0, 1 + g1, row_slot[r0:r1],
+                row_slope[r0:r1, None], row_const[r0:r1, None],
+                row_ptr[g0:g1] - r0,
+                np.repeat(np.arange(g1 - g0, dtype=np.int64), counts[g0:g1]),
+            ))
+    one_segment = np.zeros(1, dtype=np.int64)
+    sink_seg = np.zeros(len(sinks), dtype=np.int64)
 
-    # final reduction: every sink's completion is its anchor hull shifted by
-    # the chain-compressed costs — one more segmented hull, one segment
-    rep, idx, _ = pool.gather(sink_anchor)
-    final_slope = pool.slope[idx] + acc_l[sinks][rep]
-    final_intercept = pool.intercept[idx] + acc_const[sinks][rep]
-    _, hslope, hintercept = _segmented_hulls(
-        np.zeros(len(final_slope), dtype=np.int64), final_slope,
-        final_intercept, lo, hi,
-    )
-    # the exact sequential pass also removes float-tie degenerate pieces, so
-    # the returned curve is structurally identical to the LP path's
-    final = _upper_envelope(
-        [Line(float(s), float(c)) for s, c in zip(hslope, hintercept)], lo, hi
-    )
-    final = _drop_invisible_pieces(final)
-    if len(final) > max_pieces:
-        raise EnvelopeOverflowError(
-            f"latency sweep envelope has {len(final)} pieces "
-            f"(> {max_pieces}); {overflow_hint}"
+    def evaluate(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # one traversal answers every probe: the winning line per merge slot
+        at_inf = np.isinf(xs)
+        x = np.where(at_inf, 0.0, xs)
+        slope = np.zeros((len(merges) + 1, len(xs)))
+        intercept = np.zeros_like(slope)
+        for s0, s1, rows, r_slope, r_const, starts, seg in levels:
+            slope[s0:s1], intercept[s0:s1] = _winners(
+                slope[rows] + r_slope, intercept[rows] + r_const,
+                starts, seg, x, at_inf,
+            )
+        final_slope, final_intercept = _winners(
+            slope[sink_slot] + sink_slope, intercept[sink_slot] + sink_const,
+            one_segment, sink_seg, x, at_inf,
         )
+        return final_slope[0], final_intercept[0]
+
+    lines, _ = tangent_search(evaluate, lo, hi, max_pieces=max_pieces)
+    final = _upper_envelope([Line(s, c) for _, s, c in lines], lo, hi)
     return PiecewiseLinear(lines=final, lo=lo, hi=hi)

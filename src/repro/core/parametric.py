@@ -9,8 +9,9 @@ where each term corresponds to one path through the execution graph
 paper notes that materialising this expression by dynamic programming is
 intractable in their C++ implementation; here it is an *upper-envelope*
 representation — only the lines that are maximal somewhere in the latency
-interval of interest are kept — computed exactly in one traversal by
-:func:`~repro.core.envelope.forward_envelope`.
+interval of interest are kept — computed exactly by
+:func:`~repro.core.envelope.forward_envelope`: the paper's tangent search
+(Algorithm 2), each pass of it answered by one batched traversal.
 
 The resulting :class:`PiecewiseLinear` envelope directly yields every
 quantity LLAMP otherwise extracts from LP re-solves.
@@ -35,7 +36,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..lp.parametric import EnvelopeOverflowError, ParametricLP
+from ..lp.parametric import EnvelopeOverflowError, ParametricLP, check_latency_interval
 from ..network.params import LogGPSParams
 from ..schedgen.graph import ExecutionGraph
 from .envelope import forward_envelope
@@ -360,8 +361,8 @@ class BatchedSweep:
     max_solves:
         Hard bound on the number of LP solves.
     envelope_engine:
-        ``"forward"`` computes the envelope with the single-traversal line
-        propagation of :mod:`repro.core.envelope` (no LP solves at all),
+        ``"forward"`` computes the envelope with the batched forward passes
+        of :mod:`repro.core.envelope` (no LP solves at all),
         ``"lp"`` forces the tangent search, and ``"auto"`` (default) picks
         the forward pass whenever it is exact for this LP and falls back to
         the tangent search otherwise.  Both engines return the identical
@@ -385,8 +386,7 @@ class BatchedSweep:
             raise ValueError(
                 "BatchedSweep requires a GraphLP built with latency_mode='global'"
             )
-        if l_min < 0 or l_max <= l_min:
-            raise ValueError(f"invalid latency interval [{l_min}, {l_max}]")
+        check_latency_interval(l_min, l_max)
         if max_pieces < 1:
             raise ValueError(f"max_pieces must be positive, got {max_pieces}")
         _check_engine_name(envelope_engine)
@@ -431,7 +431,7 @@ class BatchedSweep:
         from .envelope import forward_envelope, resolve_envelope_engine
 
         if resolve_envelope_engine(self.envelope_engine, self.graph_lp) == "forward":
-            # single-traversal line propagation: exact, zero LP solves
+            # batched forward passes: exact, zero LP solves
             return forward_envelope(
                 self.graph_lp.graph,
                 self.graph_lp.params,
@@ -454,10 +454,6 @@ class BatchedSweep:
 
         lines = [Line(t.slope, t.intercept) for t in result.tangents]
         env = _upper_envelope(lines, self.l_min, self.l_max)
-        if len(env) > self.max_pieces:
-            raise EnvelopeOverflowError(
-                f"latency sweep envelope has {len(env)} pieces (> {self.max_pieces})"
-            )
         return PiecewiseLinear(lines=env, lo=self.l_min, hi=self.l_max)
 
     @property
@@ -495,43 +491,62 @@ class BatchedSweep:
         return self.envelope.solve_for_value(runtime_bound)
 
 
+def sweep_envelope(
+    graph: ExecutionGraph,
+    params: LogGPSParams,
+    *,
+    l_min: float,
+    l_max: float,
+    backend: str,
+    max_pieces: int,
+    envelope_engine: str,
+    build_kwargs: dict,
+) -> PiecewiseLinear:
+    """The envelope of one sweep job, in-process or in a pool worker.
+
+    The forward pass when a fresh ``build_lp(graph, params, **build_kwargs)``
+    would be forward-compatible (it then skips the LP assembly altogether),
+    else a :class:`BatchedSweep` over that LP.
+    """
+    from .envelope import forward_supports_modes
+
+    if envelope_engine != "lp" and forward_supports_modes(build_kwargs):
+        return forward_envelope(
+            graph, params, l_min=l_min, l_max=l_max, max_pieces=max_pieces
+        )
+    from .lp_builder import build_lp
+
+    return BatchedSweep(
+        build_lp(graph, params, **build_kwargs),
+        l_min=l_min,
+        l_max=l_max,
+        backend=backend,
+        max_pieces=max_pieces,
+        envelope_engine=envelope_engine,
+    ).envelope
+
+
 def _sweep_one_graph(job) -> PiecewiseLinear:
     (graph, params, l_min, l_max, backend, max_pieces, cache_dir,
      envelope_engine, build_kwargs) = job
 
     def build() -> PiecewiseLinear:
-        from .envelope import forward_envelope, forward_supports_modes
-
-        if envelope_engine != "lp" and forward_supports_modes(build_kwargs):
-            # a fresh LP in these modes is always forward-compatible, so the
-            # forward pass can skip the LP assembly altogether
-            return forward_envelope(
-                graph, params, l_min=l_min, l_max=l_max, max_pieces=max_pieces
-            )
-        from .lp_builder import build_lp
-
-        graph_lp = build_lp(graph, params, **build_kwargs)
-        sweep = BatchedSweep(
-            graph_lp,
-            l_min=l_min,
-            l_max=l_max,
-            backend=backend,
-            max_pieces=max_pieces,
-            envelope_engine=envelope_engine,
+        return sweep_envelope(
+            graph, params, l_min=l_min, l_max=l_max, backend=backend,
+            max_pieces=max_pieces, envelope_engine=envelope_engine,
+            build_kwargs=build_kwargs,
         )
-        return sweep.envelope
 
     if cache_dir is None:
         return build()
     from ..artifacts import ArtifactStore, envelope_key
+    from .envelope import envelope_config
 
-    store = ArtifactStore(cache_dir)
-    # deliberately engine-free: both engines produce the identical curve, so
-    # cached entries are shared across envelope_engine choices
     key = envelope_key(
-        graph, params, l_min=l_min, l_max=l_max, max_pieces=max_pieces, **build_kwargs
+        graph, params, l_min=l_min, l_max=l_max,
+        **envelope_config(max_pieces, **build_kwargs),
     )
-    return store.get_or_build_envelope(key, build)
+    return ArtifactStore(cache_dir).get_or_build_envelope(key, build)
 
 
 def batched_sweep_graphs(
@@ -568,8 +583,9 @@ def batched_sweep_graphs(
     safely.
 
     ``envelope_engine`` selects how each envelope is computed (see
-    :class:`BatchedSweep`); cache keys are engine-free, so entries warmed by
-    one engine are reused by the other.
+    :class:`BatchedSweep`); cache keys are engine-free
+    (:func:`~repro.core.envelope.envelope_config`), so entries warmed by one
+    engine — or by the analyzer or a fleet — are reused by the other.
     """
     from .envelope import _check_engine_name
 

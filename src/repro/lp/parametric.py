@@ -18,38 +18,54 @@ constraint dictionaries.  When the selected backend declares
 ``supports_warm_start`` in the registry, the previous solution is handed to
 it on every re-solve.
 
-On top of the bound/solve primitives the engine exposes the shared convex
-**tangent-envelope search** (:meth:`ParametricLP.tangent_envelope`): ``T(L)``
-is convex piecewise linear in the lower bound ``L`` of a variable, and each
-LP solve at ``L`` yields the tangent of the curve — the objective value and
-the slope (the reduced cost of the variable).  Probing both interval ends and
-recursing on tangent intersections discovers every linear segment with
-``O(#breakpoints)`` solves:
+On top of the bound/solve primitives sits the paper's Algorithm 2 in the
+form of :func:`tangent_search`: ``T(L)`` is convex piecewise linear, and the
+tangent of the curve at any probed ``L`` is the line of the segment active
+there.  Probing both interval ends and then every open tangent intersection
+discovers every linear segment with ``O(#breakpoints)`` probes:
 
-* solve at both interval ends to obtain two tangents;
+* probe both interval ends to obtain two tangents;
 * if the tangents coincide, there is no breakpoint in between;
 * otherwise their intersection ``x`` either lies on the curve (then ``x`` is
   the unique breakpoint in the open interval) or strictly below it (then
-  recurse on ``[lo, x]`` and ``[x, hi]``).
+  probe ``x`` and search ``[lo, x]`` and ``[x, hi]``).
 
-This is the same complexity class as the paper's Algorithm 2 with exact
-Gurobi ranging information, which the open backends do not provide.  Both
-:func:`repro.core.critical_latency.find_critical_latencies` and
-:class:`repro.core.parametric.BatchedSweep` are thin wrappers over this
-search; the placement loop uses the bound/solve primitives directly.
+The search is breadth-first: each pass probes every open intersection at
+once through an *evaluator* ``xs -> (slopes, intercepts)``.  Two evaluators
+feed it:
+
+* :meth:`ParametricLP.tangent_envelope` solves one LP per probe (objective
+  = value, reduced cost of the variable = slope).  This is the same
+  complexity class as the paper's Algorithm 2 with exact Gurobi ranging
+  information, which the open backends do not provide.  It backs the
+  ``envelope_engine="lp"`` oracle of
+  :func:`repro.core.critical_latency.find_critical_latencies` and
+  :class:`repro.core.parametric.BatchedSweep`;
+* :func:`repro.core.envelope.forward_envelope` answers all probes of a pass
+  with one level-synchronous traversal of the execution graph (no LP).
+
+The placement loop uses the bound/solve primitives directly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .backends import BackendRegistry, default_registry
 from .model import LPModel, LPSolution, Variable
 
-__all__ = ["Tangent", "TangentEnvelope", "EnvelopeOverflowError", "ParametricLP"]
+__all__ = [
+    "Tangent",
+    "TangentEnvelope",
+    "EnvelopeOverflowError",
+    "ParametricLP",
+    "check_latency_interval",
+    "tangent_search",
+]
 
 _REL_TOL = 1e-7
 _ABS_TOL = 1e-9
@@ -77,6 +93,93 @@ class Tangent:
 
 class EnvelopeOverflowError(RuntimeError):
     """Raised when an envelope exceeds the configured maximum piece count."""
+
+
+def check_latency_interval(l_min: float, l_max: float) -> None:
+    """Reject a bad latency interval up front, before any LP or traversal."""
+    if l_min < 0 or l_max <= l_min:
+        raise ValueError(
+            f"invalid latency interval [{l_min}, {l_max}]: "
+            "require 0 <= l_min < l_max"
+        )
+
+
+#: one tangent of the search: ``(probed x, slope, intercept)``
+_Probe = tuple[float, float, float]
+
+
+def _at(tangent: _Probe, x: float) -> float:
+    return tangent[1] * x + tangent[2]
+
+
+def tangent_search(
+    evaluate: Callable[[np.ndarray], tuple[Sequence[float], Sequence[float]]],
+    lo: float,
+    hi: float,
+    *,
+    max_pieces: int | None = None,
+) -> tuple[list[_Probe], list[float]]:
+    """Discover every linear segment of a convex ``T(L)`` on ``[lo, hi]``.
+
+    ``evaluate(xs)`` returns ``(slopes, intercepts)``: for every probed
+    latency, the line of the segment active there (any tangent at a kink;
+    at ``x = inf``, allowed only as ``hi``, the steepest line).  Pass 1
+    probes ``lo`` and ``hi``; each later pass probes every open tangent
+    intersection at once.  The ``_close`` tolerance decides whether two
+    tangents are one line and whether a probe landed on a kink.
+
+    Returns ``(tangents, breakpoints)``: one ``(x, slope, intercept)`` per
+    segment found, in probe order (probes that landed on a kink are
+    dropped), and the kinks found, unsorted.  Discovering more than
+    ``max_pieces`` distinct slopes raises :class:`EnvelopeOverflowError`.
+    """
+    slopes, intercepts = evaluate(np.array([lo, hi], dtype=np.float64))
+    tangents: list[_Probe] = [
+        (float(x), float(slope), float(intercept))
+        for x, slope, intercept in zip((lo, hi), slopes, intercepts)
+    ]
+    breakpoints: list[float] = []
+    pending = [(tangents[0], tangents[1])]
+    while pending:
+        if max_pieces is not None and len({round(t[1], 9) for t in tangents}) > max_pieces:
+            raise EnvelopeOverflowError(
+                f"latency sweep envelope has more than {max_pieces} pieces; "
+                "narrow the latency interval or raise max_pieces"
+            )
+        probes: list[tuple[_Probe, _Probe, float]] = []
+        for left, right in pending:
+            (x_lo, s_lo, c_lo), (x_hi, s_hi, c_hi) = left, right
+            finite = not math.isinf(x_hi)
+            if finite and _close(s_lo, s_hi) and _close(_at(left, x_hi), _at(right, x_hi)):
+                continue
+            denom = s_hi - s_lo
+            if abs(denom) <= _ABS_TOL:
+                # same slope but different lines cannot happen for a convex
+                # function probed on the same curve; treat as no breakpoint
+                continue
+            x = min(max((c_lo - c_hi) / denom, x_lo), x_hi)
+            if _close(x, x_lo) or (finite and _close(x, x_hi)):
+                # numerical corner: the breakpoint coincides with an endpoint,
+                # so both adjacent segments are already represented
+                breakpoints.append(x)
+                continue
+            probes.append((left, right, x))
+        if not probes:
+            break
+        slopes, intercepts = evaluate(np.array([x for _, _, x in probes]))
+        pending = []
+        for (left, right, x), slope, intercept in zip(probes, slopes, intercepts):
+            mid = (x, float(slope), float(intercept))
+            value = _at(mid, x)
+            if _close(value, _at(left, x)) and _close(value, _at(right, x)):
+                # x is the unique breakpoint between the two tangents; the
+                # probe returned a supporting line at the kink (its slope can
+                # be any subgradient, not a segment slope) — discard it
+                breakpoints.append(x)
+                continue
+            tangents.append(mid)
+            pending += [(left, mid), (mid, right)]
+    return tangents, breakpoints
 
 
 @dataclass
@@ -210,7 +313,7 @@ class ParametricLP:
         solution = self.solve()
         return Tangent(L=float(L), value=solution.objective, slope=solution.reduced_cost(variable))
 
-    # -- the shared tangent-envelope search ---------------------------------------
+    # -- the tangent-envelope search over LP probes ------------------------------
 
     def tangent_envelope(
         self,
@@ -222,64 +325,22 @@ class ParametricLP:
     ) -> TangentEnvelope:
         """Discover every linear segment of ``T(L)`` for ``L = lb(var)`` in ``[lo, hi]``.
 
-        ``O(#breakpoints)`` LP solves; ``max_pieces`` (when given) bounds the
+        Runs :func:`tangent_search` with one LP solve per probe:
+        ``O(#breakpoints)`` solves.  ``max_pieces`` (when given) bounds the
         number of distinct segment slopes the search may discover before an
         :class:`EnvelopeOverflowError` is raised.
         """
-        if lo < 0 or hi <= lo:
-            raise ValueError(f"invalid latency interval [{lo}, {hi}]")
+        check_latency_interval(lo, hi)
+        probed: dict[float, Tangent] = {}
 
-        low = self.probe(var, lo)
-        high = self.probe(var, hi)
-        tangents = [low, high]
-        breakpoints: list[float] = []
-        slopes_seen = {round(low.slope, 9), round(high.slope, 9)}
+        def evaluate(xs: np.ndarray) -> tuple[list[float], list[float]]:
+            found = [self.probe(var, x) for x in xs]
+            probed.update((t.L, t) for t in found)
+            return [t.slope for t in found], [t.intercept for t in found]
 
-        def guard() -> None:
-            if max_pieces is not None and len(slopes_seen) > max_pieces:
-                raise EnvelopeOverflowError(
-                    f"latency sweep envelope has more than {max_pieces} "
-                    "pieces; narrow the interval or raise max_pieces"
-                )
-
-        guard()
-
-        # explicit worklist instead of recursion: breakpoints clustered at one
-        # end of the interval would otherwise nest O(#segments) deep; the push
-        # order keeps the probe sequence identical to the depth-first
-        # left-to-right recursion the numerics were pinned against
-        worklist = [(low, high)]
-        while worklist:
-            t_lo, t_hi = worklist.pop()
-            if _close(t_lo.slope, t_hi.slope) and _close(t_lo.extrapolate(t_hi.L), t_hi.value):
-                continue
-            denom = t_hi.slope - t_lo.slope
-            if abs(denom) <= _ABS_TOL:
-                # same slope but different lines cannot happen for a convex
-                # function probed on the same curve; treat as no breakpoint
-                continue
-            x = (t_lo.intercept - t_hi.intercept) / denom
-            x = min(max(x, t_lo.L), t_hi.L)
-            if _close(x, t_lo.L) or _close(x, t_hi.L):
-                # numerical corner: the breakpoint coincides with an endpoint,
-                # so both adjacent segments are already represented
-                breakpoints.append(x)
-                continue
-            mid = self.probe(var, x)
-            if _close(mid.value, t_lo.extrapolate(x)) and _close(mid.value, t_hi.extrapolate(x)):
-                # x is the unique breakpoint between the two tangents; the
-                # probe returned a supporting line at the kink (its slope can
-                # be any subgradient, not a segment slope) — discard it
-                breakpoints.append(x)
-                continue
-            tangents.append(mid)
-            slopes_seen.add(round(mid.slope, 9))
-            guard()
-            worklist.append((mid, t_hi))
-            worklist.append((t_lo, mid))
-
+        lines, breakpoints = tangent_search(evaluate, lo, hi, max_pieces=max_pieces)
         return TangentEnvelope(
-            tangents=tangents,
+            tangents=[probed[x] for x, _, _ in lines],
             breakpoints=breakpoints,
             lo=float(lo),
             hi=float(hi),

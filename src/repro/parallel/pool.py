@@ -87,13 +87,14 @@ class SweepTask:
 
     def store_key(self) -> str:
         """The :class:`ArtifactStore` envelope key of this task's sweep."""
+        from ..core.envelope import envelope_config
+
         return envelope_key_from_digests(
             self.graph_digest,
             self.params_digest,
             l_min=self.l_min,
             l_max=self.l_max,
-            max_pieces=self.max_pieces,
-            **dict(self.build_kwargs),
+            **envelope_config(self.max_pieces, **dict(self.build_kwargs)),
         )
 
 
@@ -167,8 +168,7 @@ def _execute_task(task: SweepTask) -> dict:
     """Run one scenario against the resolved graph; returns the payload."""
     import resource
 
-    from ..core.lp_builder import build_lp
-    from ..core.parametric import BatchedSweep
+    from ..core.parametric import sweep_envelope
 
     graph = _resolve_graph(task)
     if task.params is None:
@@ -178,28 +178,12 @@ def _execute_task(task: SweepTask) -> dict:
         )
 
     def build():
-        from ..core.envelope import forward_envelope, forward_supports_modes
-
-        build_kwargs = dict(task.build_kwargs)
-        if task.envelope_engine != "lp" and forward_supports_modes(build_kwargs):
-            # forward-compatible modes on a fresh build: skip the LP entirely
-            return forward_envelope(
-                graph,
-                task.params,
-                l_min=task.l_min,
-                l_max=task.l_max,
-                max_pieces=task.max_pieces,
-            )
-        graph_lp = build_lp(graph, task.params, **build_kwargs)
-        sweep = BatchedSweep(
-            graph_lp,
-            l_min=task.l_min,
-            l_max=task.l_max,
-            backend=task.backend,
-            max_pieces=task.max_pieces,
+        return sweep_envelope(
+            graph, task.params, l_min=task.l_min, l_max=task.l_max,
+            backend=task.backend, max_pieces=task.max_pieces,
             envelope_engine=task.envelope_engine,
+            build_kwargs=dict(task.build_kwargs),
         )
-        return sweep.envelope
 
     store: ArtifactStore | None = _WORKER.get("store")
     if store is not None:

@@ -1,4 +1,4 @@
-"""Tests for the single-traversal forward envelope engine.
+"""Tests for the forward envelope engine (batched level passes).
 
 The contract under test: ``forward_envelope`` produces the *identical*
 ``PiecewiseLinear`` envelope — values, slopes and breakpoints to 1e-6 —
@@ -11,6 +11,9 @@ bounds) must make ``envelope_engine="forward"`` raise and
 
 from __future__ import annotations
 
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +24,7 @@ from repro.core import (
     BatchedSweep,
     EnvelopeOverflowError,
     LatencyAnalyzer,
+    PiecewiseLinear,
     batched_sweep_graphs,
     build_lp,
     critical_latency_curve,
@@ -30,9 +34,11 @@ from repro.core import (
     parametric_analysis,
     resolve_envelope_engine,
 )
-from repro.core.envelope import forward_supports_modes
-from repro.network.params import LogGPSParams
+from repro.core.envelope import _winners, forward_supports_modes
+from repro.lp import ParametricLP
+from repro.network.params import CSCS_TESTBED, LogGPSParams
 from repro.schedgen import build_graph
+from repro.schedgen.graph import EdgeKind, GraphBuilder
 from repro.testing import (
     build_random_dag,
     build_random_program,
@@ -194,6 +200,93 @@ def test_forward_equals_lp_property(graph, params, gap_mode, overhead_mode):
     assert_envelopes_equivalent(forward, expected)
 
 
+def max_messages_on_a_path(graph) -> float:
+    """The most communication edges on any path (edges relaxed in the
+    topological order of their sources)."""
+    comm = np.asarray(graph.edge_kind) == int(EdgeKind.COMM)
+    src, dst = np.asarray(graph.edge_src), np.asarray(graph.edge_dst)
+    count = np.zeros(graph.num_vertices)
+    for e in np.argsort(graph.topo_positions()[src], kind="stable"):
+        count[dst[e]] = max(count[dst[e]], count[src[e]] + comm[e])
+    return float(count.max())
+
+
+@settings(max_examples=15, deadline=None)
+@given(graph=program_graphs(), params=affine_params())
+def test_forward_to_infinity_matches_lp_property(graph, params):
+    """Hypothesis: the ``[lo, ∞)`` envelope is the LP oracle's curve on a
+    window past its last breakpoint, and ends on the steepest path line."""
+    forward = forward_envelope(graph, params, l_min=0.0, l_max=math.inf)
+    assert forward.lines[-1].slope == max_messages_on_a_path(graph)
+    window = 2.0 * max([1.0, *forward.breakpoints()])
+    expected = lp_envelope(graph, params, l_max=window)
+    assert_envelopes_equivalent(
+        PiecewiseLinear(forward.lines, 0.0, window), expected
+    )
+
+
+def _message_chain(builder, ranks, start_cost, tag):
+    """``start_cost`` of compute, then one message per consecutive rank pair."""
+    tail = builder.add_calc(ranks[0], start_cost)
+    for m, (src, dst) in enumerate(zip(ranks, ranks[1:])):
+        send = builder.add_send(src, dst, 1, tag=tag + m)
+        recv = builder.add_recv(dst, src, 1, tag=tag + m)
+        builder.add_dependency(tail, send)
+        builder.add_comm_edge(send, recv)
+        tail = recv
+    return tail
+
+
+def build_float_ties():
+    """Paths ``L + 2`` (twice, tied, merging at one vertex), ``2L + 1`` and
+    ``3L``: all three meet at ``L = 1``, where the ``2L + 1`` path only
+    touches the envelope ``max(L + 2, 3L)``."""
+    builder = GraphBuilder(nranks=6)
+    join = builder.add_calc(1, 0.0)
+    for rank, tag in ((0, 100), (2, 200)):
+        builder.add_dependency(_message_chain(builder, [rank, 1], 2.0, tag), join)
+    _message_chain(builder, [3, 4, 3], 1.0, 300)
+    _message_chain(builder, [5, 4, 5, 4], 0.0, 400)
+    return builder.freeze()
+
+
+class TestFloatTies:
+    @pytest.mark.parametrize(
+        "lo,hi,pieces",
+        [
+            (0.0, 2.0, 2),  # the first intersection probe lands on the kink
+            (0.0, 1.0, 2),  # the kink is the upper end: its right piece counts
+            (1.0, 2.0, 1),  # the kink is the lower end: only its right piece
+        ],
+    )
+    def test_piece_count_matches_lp_oracle(self, lo, hi, pieces):
+        graph = build_float_ties()
+        assert len(graph.merge_points()) == 1
+        forward = forward_envelope(graph, ZERO_OVERHEAD, l_min=lo, l_max=hi)
+        expected = lp_envelope(graph, ZERO_OVERHEAD, l_min=lo, l_max=hi)
+        assert len(forward.lines) == len(expected.lines) == pieces
+        assert [(ln.slope, ln.intercept) for ln in forward.lines] == [
+            (ln.slope, ln.intercept) for ln in expected.lines
+        ]
+
+    def test_value_tie_goes_to_the_steeper_line(self):
+        # L + 2 and 3L tie at x = 1: the segment right of 1 is 3L
+        slope, intercept = _winners(
+            np.array([[1.0], [3.0], [2.0]]), np.array([[2.0], [0.0], [0.5]]),
+            np.array([0]), np.zeros(3, dtype=np.int64),
+            np.array([1.0]), np.array([False]),
+        )
+        assert (slope[0, 0], intercept[0, 0]) == (3.0, 0.0)
+
+    def test_infinity_takes_the_highest_of_the_steepest_lines(self):
+        slope, intercept = _winners(
+            np.array([[3.0], [3.0], [1.0]]), np.array([[0.0], [5.0], [100.0]]),
+            np.array([0]), np.zeros(3, dtype=np.int64),
+            np.array([0.0]), np.array([True]),
+        )
+        assert (slope[0, 0], intercept[0, 0]) == (3.0, 5.0)
+
+
 # ---------------------------------------------------------------------------
 # fallback on non-affine LPs
 # ---------------------------------------------------------------------------
@@ -264,18 +357,44 @@ class TestNonAffineFallback:
 # ---------------------------------------------------------------------------
 
 
+def _tangent_envelope(lo, hi):
+    lp = build_lp(build_running_example(), PARAMS, latency_mode="global")
+    return ParametricLP(lp.model).tangent_envelope(lp.latency, lo, hi)
+
+
+#: every entry point that takes a latency interval, on the running example
+INTERVAL_ENTRY_POINTS = {
+    "find_critical_latencies": lambda lo, hi: find_critical_latencies(
+        build_running_example(), lo, hi, params=PARAMS, envelope_engine="lp"
+    ),
+    "critical_latency_curve": lambda lo, hi: critical_latency_curve(
+        build_running_example(), lo, hi, params=PARAMS
+    ),
+    "forward_envelope": lambda lo, hi: forward_envelope(
+        build_running_example(), PARAMS, l_min=lo, l_max=hi
+    ),
+    "BatchedSweep": lambda lo, hi: BatchedSweep(
+        build_lp(build_running_example(), PARAMS, latency_mode="global"),
+        l_min=lo, l_max=hi,
+    ),
+    "tangent_envelope": _tangent_envelope,
+}
+
+
 class TestValidation:
+    @pytest.mark.parametrize("entry", sorted(INTERVAL_ENTRY_POINTS))
     @pytest.mark.parametrize("lo,hi", [(5.0, 5.0), (5.0, 1.0), (-1.0, 10.0)])
-    def test_critical_latency_interval_validated_up_front(self, lo, hi):
-        graph = build_running_example()
-        with pytest.raises(
-            ValueError, match=r"require 0 <= l_min < l_max"
-        ):
-            find_critical_latencies(graph, lo, hi, params=PARAMS)
-        with pytest.raises(
-            ValueError, match=r"invalid latency interval"
-        ):
-            critical_latency_curve(graph, lo, hi, params=PARAMS)
+    def test_critical_latency_interval_validated_up_front(
+        self, lo, hi, entry, monkeypatch
+    ):
+        # the Algorithm 2 wrappers reject the interval before building an LP
+        def no_lp(*args, **kwargs):
+            raise AssertionError("built an LP before validating the interval")
+
+        monkeypatch.setattr("repro.core.critical_latency.build_lp", no_lp)
+        message = f"invalid latency interval [{lo}, {hi}]: require 0 <= l_min < l_max"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            INTERVAL_ENTRY_POINTS[entry](lo, hi)
 
     def test_forward_envelope_interval_validated(self):
         with pytest.raises(ValueError, match="invalid latency interval"):
@@ -384,6 +503,58 @@ class TestSharedArtifacts:
         # still one entry: the LP run hit the forward run's artifact
         assert store.stats()["kinds"]["envelope"]["entries"] == 1
         assert_envelopes_identical(again[0], serial[0])
+
+
+class TestOneCurveOneEntry:
+    def test_analyzer_and_batched_sweep_graphs_share_the_entry(self, tmp_path):
+        from repro.apps import lulesh
+
+        graph = lulesh.build(8, params=CSCS_TESTBED)
+        LatencyAnalyzer(graph, CSCS_TESTBED, cache_dir=tmp_path).batched_sweep(
+            l_max=1e4
+        )
+        batched_sweep_graphs(
+            [graph], CSCS_TESTBED, l_min=CSCS_TESTBED.L, l_max=1e4,
+            cache_dir=tmp_path,
+        )
+        store = ArtifactStore(tmp_path)
+        assert store.stats()["kinds"]["envelope"]["entries"] == 1
+
+    def test_analyzer_hits_the_entry_a_fleet_stored(self, tmp_path):
+        from repro.apps import lulesh
+        from repro.parallel import ScenarioFleet
+        from repro.schedgen.collectives import CollectiveAlgorithms
+
+        fleet = ScenarioFleet(
+            apps=["lulesh"], nranks=[2], allreduces=["ring"],
+            params_grid=[CSCS_TESTBED], l_max=50.0, processes=1,
+            cache_dir=tmp_path,
+        )
+        (row,) = fleet.run().rows
+        entries = ArtifactStore(tmp_path).stats()["kinds"]["envelope"]["entries"]
+        graph = lulesh.build(
+            2, params=CSCS_TESTBED,
+            algorithms=CollectiveAlgorithms(allreduce="ring"),
+        )
+        assert graph.content_digest() == row["graph_digest"]
+        analyzer = LatencyAnalyzer(graph, CSCS_TESTBED, cache_dir=tmp_path)
+        analyzer.batched_sweep(l_max=fleet.l_max)
+        assert analyzer.store.hits["envelope"] == 1
+        assert analyzer.store.misses["envelope"] == 0
+        assert ArtifactStore(tmp_path).stats()["kinds"]["envelope"]["entries"] == entries
+
+    def test_unknown_build_keyword_fails_alike_under_both_engines(self):
+        graph = build_running_example()
+        errors = []
+        for engine in ("auto", "lp"):
+            with pytest.raises(TypeError) as info:
+                batched_sweep_graphs(
+                    [graph], PARAMS, l_max=10.0, engine="fused",
+                    envelope_engine=engine,
+                )
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+        assert not forward_supports_modes({"engine": "fused"})
 
 
 # ---------------------------------------------------------------------------
