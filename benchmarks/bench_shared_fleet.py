@@ -1,18 +1,18 @@
-"""Shared-memory scenario fleet vs the pickling pool (acceptance criterion).
+"""Digest-deduped scenario fleet vs the per-scenario pickling pool.
 
-The legacy multi-process sweep pickled every :class:`ExecutionGraph` into
-every pool task: a duplicated-graph fleet of J scenarios over U unique
-graphs costs J full serialisations *and* J full LP sweeps.  The
-:class:`~repro.parallel.SweepPool` ships each unique graph once as
-shared-memory columns (workers attach zero-copy views) and dedupes the
-batch by content digest, so the same fleet costs U sweeps and zero pickles.
+A plain process pool pickles the :class:`ExecutionGraph` into every
+scenario's task: a duplicated-graph fleet of J scenarios over U unique
+graphs costs J graph pickles *and* J full LP sweeps.  The
+:class:`~repro.parallel.SweepPool` dedupes the batch by content digest
+before it submits anything, so the same fleet costs U pickles and U sweeps.
+Both pools pickle a graph the same way (its identity columns, see
+``ExecutionGraph.__reduce__``), so the ratio measures the dedupe.
 
 Acceptance criterion: on a fleet of ``DUPLICATES`` copies of each of two
-64-rank ring-allreduce schedules, the shared-memory fleet must be at least
-**5×** faster end-to-end than the pickling pool, with **bit-identical**
-envelopes, **zero** leaked ``/dev/shm`` segments after the run, and
-per-worker peak RSS no worse than ~the pickling pool's (the shared path maps
-the same pages instead of holding private unpickled copies).
+64-rank ring-allreduce schedules, the deduped fleet must be at least
+**5×** faster end-to-end than the per-scenario pickling pool, with
+**bit-identical** envelopes, **zero** leaked ``/dev/shm`` segments after
+the run, and per-worker peak RSS no worse than ~the pickling pool's.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ MESSAGE_BYTES = (64 * 1024, 32 * 1024)  # two unique graphs
 DUPLICATES = 12                          # scenarios per unique graph
 L_MIN, L_MAX = 1.0, 3.0
 # pinned worker count: both paths use the same pool size, so the measured
-# ratio isolates the protocol difference (pickling + duplicate solves vs
-# shared columns + digest dedupe) instead of the host's core count
+# ratio isolates the protocol difference (duplicate solves vs digest
+# dedupe) instead of the host's core count
 PROCESSES = 2
 MIN_SPEEDUP = 5.0
 RSS_SLACK = 1.25
@@ -62,15 +62,15 @@ def _build_graphs():
 
 
 def _pickling_job(job):
-    """The legacy path: the whole graph arrives pickled inside the task."""
+    """The per-scenario path: the graph arrives pickled inside every task."""
     envelope = _sweep_one_graph(job)
     return envelope, int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 
 
 def _run_pickling_pool(fleet):
     # both paths pin envelope_engine="lp": this benchmark isolates the
-    # transport cost (pickled graphs vs shared columns), so the per-task
-    # compute must stay identical and engine-independent
+    # protocol (one task per scenario vs one per unique graph), so the
+    # per-task compute must stay identical and engine-independent
     jobs = [
         (graph, PARAMS, L_MIN, L_MAX, "highs", 50_000, None, "lp", BUILD_KWARGS)
         for graph in fleet
@@ -139,7 +139,7 @@ def test_shared_fleet_speedup(run_once):
     results = run_once(_run)
 
     print_header(
-        f"Shared-memory scenario fleet — {results['fleet_size']} scenarios over "
+        f"Digest-deduped scenario fleet — {results['fleet_size']} scenarios over "
         f"{results['unique_graphs']} unique {NRANKS}-rank ring-allreduce graphs"
     )
     print_rows(

@@ -26,7 +26,7 @@ Small front end over the library for the most common workflows:
     ``T(L)`` envelope so later analyses are answered from disk;
 ``llamp fleet``
     expand an (app × ranks × algorithm × latency × injector) scenario grid
-    and run it across the zero-copy shared-memory worker pool
+    and run it across a persistent pool of worker processes
     (:mod:`repro.parallel`), writing per-app shards plus one deterministic
     merged summary;
 ``llamp ingest``
@@ -92,8 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--envelope-engine", default="auto",
                         choices=("auto", "forward", "lp"),
                         help="T(L) envelope engine of analyze, sweep, curve, "
-                             "ingest, cache warm and fleet: the single-traversal "
-                             "forward line propagation (no LP solves) or the "
+                             "ingest, cache warm and fleet: the tangent search "
+                             "over batched forward passes (no LP solves) or the "
                              "paper's LP solves as an oracle (default: "
                              "%(default)s — forward whenever the affinity "
                              "contract holds, LP otherwise; both produce the "
@@ -181,11 +181,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     fleet = sub.add_parser(
         "fleet",
-        help="run a scenario fleet across the shared-memory worker pool",
+        help="run a scenario fleet across a pool of worker processes",
         description="Expand the cross product of applications, rank counts, "
                     "allreduce algorithms, base latencies and injectors into "
                     "scenarios, run them on a persistent pool of spawn "
-                    "workers attached zero-copy to the shared graph columns, "
+                    "workers that receive each graph with its tasks, "
                     "and write per-app FLEET_<app>.json shards plus one "
                     "deterministic FLEET_summary.json.",
     )

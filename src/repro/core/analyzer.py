@@ -293,13 +293,13 @@ class LatencyAnalyzer:
         envelope_engine: str = "auto",
         **build_kwargs,
     ) -> list[BatchedSweep]:
-        """One :class:`BatchedSweep` per graph, via the shared-memory pool.
+        """One :class:`BatchedSweep` per graph, via the sweep pool.
 
         The many-graph counterpart of :meth:`batched_sweep`: graphs are
         deduplicated by content digest, and with ``processes > 1`` the unique
         ones fan out over a :class:`~repro.parallel.SweepPool` of ``spawn``
-        workers that attach the graph columns zero-copy instead of unpickling
-        private copies.  Every returned sweep wraps a finished envelope
+        workers, each graph shipped with its task as its pickled identity
+        columns.  Every returned sweep wraps a finished envelope
         (``num_solves == 0`` in this process).
         """
         from .parametric import batched_sweep_graphs

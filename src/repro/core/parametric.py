@@ -570,9 +570,10 @@ def batched_sweep_graphs(
     out — whether or not a cache directory is configured.
 
     ``processes > 1`` fans the unique graphs out over a persistent
-    :class:`~repro.parallel.SweepPool` of ``spawn`` workers: the graph
-    columns are exported once into shared memory and workers attach
-    zero-copy views instead of unpickling a private copy per task.  Anything
+    :class:`~repro.parallel.SweepPool` of ``spawn`` workers: each unique
+    graph travels with its task as a pickle of its identity columns (no CSR),
+    and a worker that dies fails the call with a
+    :class:`~repro.parallel.ScenarioError` instead of hanging it.  Anything
     else runs serially in-process.
 
     ``cache_dir`` (any path-like) points all paths at a shared

@@ -1,36 +1,25 @@
-"""Zero-copy multi-process execution of scenario fleets.
+"""Multi-process execution of scenario fleets.
 
-The package splits into three layers (see ``README.md`` here):
+The package splits into two layers (see ``README.md`` here):
 
-* :mod:`.shm` — :class:`SharedGraphBuffer` exports a frozen
-  :class:`~repro.schedgen.graph.ExecutionGraph`'s identity columns (plus the
-  cached level structure and labels) into one POSIX shared-memory segment,
-  keyed by its content digest; workers attach read-only NumPy views with no
-  copy and no pickling.  :class:`SharedGraphRegistry` ref-counts the
-  exported segments and unlinks them deterministically.
-* :mod:`.pool` — :class:`SweepPool`, a persistent ``spawn`` worker pool
-  whose tasks are ``(graph_digest, params_digest, sweep spec)`` tuples;
-  duplicate digests inside a batch are solved once, failures surface as
-  :class:`ScenarioError` with the scenario identity attached.
+* :mod:`.pool` — :class:`SweepPool`, a persistent ``spawn`` process pool
+  whose tasks are ``(graph_digest, params_digest, sweep spec)`` tuples,
+  each shipped together with its pickled graph columns; duplicate digests
+  inside a batch are solved once, and failures — a worker exception or a
+  dead worker — surface as :class:`ScenarioError` with the scenario
+  identity attached.
 * :mod:`.fleet` — :class:`ScenarioFleet`, the grid driver behind
   ``llamp fleet``: expands (app × ranks × algorithm × params × injector)
   grids, runs them across the pool and writes per-app shards plus one
   deterministic merged summary.
 """
 
+import os
+
 from .fleet import FleetResult, Scenario, ScenarioFleet
 from .pool import ScenarioError, SweepPool, SweepTask
-from .shm import (
-    SEGMENT_PREFIX,
-    SharedGraphBuffer,
-    SharedGraphRegistry,
-    live_shared_segments,
-)
 
 __all__ = [
-    "SEGMENT_PREFIX",
-    "SharedGraphBuffer",
-    "SharedGraphRegistry",
     "live_shared_segments",
     "SweepTask",
     "SweepPool",
@@ -39,3 +28,17 @@ __all__ = [
     "ScenarioFleet",
     "FleetResult",
 ]
+
+
+def live_shared_segments() -> set[str]:
+    """Names of the ``llamp-*`` shared-memory segments in ``/dev/shm``.
+
+    The pool pickles graphs and creates no segment; this scan is kept for
+    leak checks that compare the set before and after a run.  Returns an
+    empty set on platforms without ``/dev/shm``.
+    """
+    try:
+        entries = os.listdir("/dev/shm")
+    except OSError:
+        return set()
+    return {entry for entry in entries if entry.startswith("llamp-")}

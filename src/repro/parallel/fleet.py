@@ -1,13 +1,14 @@
-"""Scenario-fleet driver: parameter grids over the shared-memory pool.
+"""Scenario-fleet driver: parameter grids over the sweep pool.
 
 A *fleet* is the cross product of application skeletons, rank counts,
 collective algorithms, LogGPS parameter points and latency injectors.  The
 driver expands the grid into :class:`Scenario` records, records each
 ``(app, nranks)`` program once, builds each distinct ``(app, nranks,
 algorithm, params)`` graph from it exactly once, and runs the whole
-fleet through one persistent :class:`~repro.parallel.SweepPool` — graphs
-travel to the workers as shared-memory columns, scenarios as digest tuples,
-and duplicate scenarios (same graph digest + sweep spec) are solved once.
+fleet through one persistent :class:`~repro.parallel.SweepPool` — each
+scenario travels to a worker as a digest tuple together with its graph's
+pickled identity columns, and duplicate scenarios (same graph digest +
+sweep spec) are solved once.
 The pool is started (:meth:`~repro.parallel.SweepPool.start`) before the
 programs are recorded and the graphs built, so the spawn workers boot while
 the parent does that work instead of after it.

@@ -1,35 +1,38 @@
-"""A persistent worker pool sweeping scenarios over shared graph columns.
+"""A persistent process pool sweeping digest-addressed scenarios.
 
-The legacy multi-process path (``batched_sweep_graphs(processes=...)``
-before this package existed) pickled each whole :class:`ExecutionGraph`
-into every pool task, so serialisation dominated wall-clock on trace-scale
-schedules and memory doubled per worker.  :class:`SweepPool` replaces that
-with a **digest-addressed** protocol:
+A task is a :class:`SweepTask`: ``(graph_digest, params_digest, sweep
+spec)`` plus the small parameter record and a scenario label.
+:meth:`SweepPool.run_tasks` works off a batch as follows:
 
-* tasks carry ``(graph_digest, params_digest, sweep spec)`` — never the
-  graph.  Workers resolve the graph digest in three steps: their local
-  attach-cache, the shared-memory segment exported by the parent
-  (:mod:`repro.parallel.shm`, zero-copy), and finally a shared
-  :class:`~repro.artifacts.ArtifactStore` (disk).  An unresolvable digest
-  is an error, never a silent rebuild.
 * duplicate scenarios inside one batch (same digests + same sweep spec) are
   **solved once**: the representative task runs, and the result fans out to
-  every duplicate on collect.
-* unique tasks are dispatched **largest graph first** through
-  ``imap_unordered`` so the slowest solve starts earliest; input order is
-  restored on collect.
-* a worker exception never poisons or deadlocks the pool: the failure —
-  with the failing scenario's identity and the worker traceback — travels
-  back as an ordinary result and is re-raised in the parent as
-  :class:`ScenarioError` after the batch drains.
+  every duplicate on collect;
+* each unique task is submitted to a ``spawn``
+  :class:`~concurrent.futures.ProcessPoolExecutor` **together with its
+  graph**, largest graph first so the slowest solve starts earliest; input
+  order is restored on collect.  A graph pickles as its identity columns,
+  labels, digest and known level structure (``ExecutionGraph.__reduce__``),
+  so each worker holds a private copy of the graph it runs.  Workers resolve
+  a task's digest against the shipped graph first, then a shared
+  :class:`~repro.artifacts.ArtifactStore` (disk); an unresolvable digest is
+  an error, never a silent rebuild;
+* a worker exception never poisons the pool: the failure — with the failing
+  scenario's identity and the worker traceback — travels back as an
+  ordinary result and is re-raised in the parent as :class:`ScenarioError`
+  after the batch drains;
+* a worker that dies breaks the executor: every scenario it took down is
+  named in one :class:`ScenarioError` (``exc_type == "BrokenProcessPool"``)
+  raised after the batch drains, and the broken executor is discarded so
+  the next batch boots fresh workers.  A dead worker fails its batch; it
+  never hangs it.
 
-The pool is persistent (one ``spawn`` of the workers amortised over any
-number of batches) and a context manager; exiting tears down the workers
-and unlinks every exported segment deterministically.  Entering it spawns
-nothing: the workers boot on the first :meth:`SweepPool.run_tasks`, or
-earlier on an explicit :meth:`SweepPool.start` (idempotent, a no-op
-inline), which lets a caller overlap the workers' boot — a fresh
-interpreter importing NumPy and this package each — with its own set-up.
+The pool is persistent (one boot of the workers amortised over any number
+of batches) and a context manager; exiting stops the workers, in-flight
+tasks included.  Entering it spawns nothing: the workers boot on the first
+:meth:`SweepPool.run_tasks`, or earlier on an explicit
+:meth:`SweepPool.start` (idempotent, a no-op inline), which lets a caller
+overlap the workers' boot — a fresh interpreter importing NumPy and this
+package each — with its own set-up.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ from typing import Sequence
 from ..artifacts import ArtifactStore, envelope_key_from_digests
 from ..network.params import LogGPSParams
 from ..schedgen.graph import ExecutionGraph
-from .shm import SharedGraphBuffer, SharedGraphRegistry
 
 __all__ = ["SweepTask", "ScenarioError", "SweepPool"]
 
@@ -52,10 +54,10 @@ class SweepTask:
     """One digest-addressed scenario: an envelope sweep, optionally plus
     simulated points.
 
-    ``segment`` and ``params`` are resolution *hints* (the live shm segment
-    name and the tiny parameter record); the identity of the task is the
-    digest pair plus the sweep configuration.  ``scenario`` is an opaque
-    label attached to failures so the caller can tell *which* scenario died.
+    ``params`` is the tiny parameter record the worker solves with; the
+    identity of the task is the digest pair plus the sweep configuration.
+    ``scenario`` is an opaque label attached to failures so the caller can
+    tell *which* scenario died.
     """
 
     graph_digest: str
@@ -67,7 +69,6 @@ class SweepTask:
     build_kwargs: tuple[tuple[str, object], ...] = ()
     sim: tuple[str, tuple[float, ...]] | None = None  # (injector, deltas)
     envelope_engine: str = "auto"
-    segment: str | None = field(default=None, compare=False)
     params: LogGPSParams | None = field(default=None, compare=False)
     scenario: str | None = field(default=None, compare=False)
 
@@ -117,60 +118,50 @@ class ScenarioError(RuntimeError):
         self.worker_traceback = tb_text
 
 
+def _label(task: SweepTask) -> str:
+    return task.scenario or (
+        f"(graph {task.graph_digest[:12]}…, params {task.params_digest[:12]}…)"
+    )
+
+
 # ---------------------------------------------------------------------------
 # worker side
 # ---------------------------------------------------------------------------
 
-#: worker-local state: the shared store and the digest-keyed attach cache
-_WORKER: dict[str, object] = {}
-
-#: attached segments kept alive per worker; oldest evicted beyond this
-_MAX_ATTACHED = 16
+#: the worker's shared artifact store, opened once by :func:`_init_worker`
+_STORE: ArtifactStore | None = None
 
 
 def _init_worker(cache_dir: str | None) -> None:
-    _WORKER["store"] = ArtifactStore(cache_dir) if cache_dir is not None else None
-    _WORKER["graphs"] = {}   # digest -> ExecutionGraph (from any source)
-    _WORKER["buffers"] = {}  # digest -> SharedGraphBuffer (attach cache)
+    global _STORE
+    _STORE = ArtifactStore(cache_dir) if cache_dir is not None else None
 
 
-def _resolve_graph(task: SweepTask) -> ExecutionGraph:
-    """Digest-resolution protocol: attach cache → shm segment → store."""
-    if not _WORKER:  # in-process execution (no initializer ran)
-        _init_worker(None)
-    graphs: dict = _WORKER["graphs"]
-    graph = graphs.get(task.graph_digest)
+def _resolve_graph(
+    task: SweepTask, graph: ExecutionGraph | None, store: ArtifactStore | None
+) -> ExecutionGraph:
+    """Digest-resolution protocol: the shipped graph → the store."""
     if graph is not None:
         return graph
-    if task.segment is not None:
-        buffers: dict = _WORKER["buffers"]
-        if len(buffers) >= _MAX_ATTACHED:
-            oldest = next(iter(buffers))
-            graphs.pop(oldest, None)
-            buffers.pop(oldest).close()
-        buffer = SharedGraphBuffer.attach(task.segment, digest=task.graph_digest)
-        buffers[task.graph_digest] = buffer
-        graphs[task.graph_digest] = buffer.graph
-        return buffer.graph
-    store: ArtifactStore | None = _WORKER["store"]
     if store is not None:
         graph = store.get("graph", task.graph_digest)
         if graph is not None:
-            graphs[task.graph_digest] = graph
             return graph
     raise LookupError(
-        f"graph digest {task.graph_digest[:12]}… is not resolvable: no shared "
-        "segment was attached to the task and the artifact store has no entry"
+        f"graph digest {task.graph_digest[:12]}… is not resolvable: no graph "
+        "was shipped with the task and the artifact store has no entry"
     )
 
 
-def _execute_task(task: SweepTask) -> dict:
+def _execute_task(
+    task: SweepTask, graph: ExecutionGraph | None, store: ArtifactStore | None
+) -> dict:
     """Run one scenario against the resolved graph; returns the payload."""
     import resource
 
     from ..core.parametric import sweep_envelope
 
-    graph = _resolve_graph(task)
+    graph = _resolve_graph(task, graph, store)
     if task.params is None:
         raise LookupError(
             f"params digest {task.params_digest[:12]}… carries no parameter "
@@ -185,7 +176,6 @@ def _execute_task(task: SweepTask) -> dict:
             build_kwargs=dict(task.build_kwargs),
         )
 
-    store: ArtifactStore | None = _WORKER.get("store")
     if store is not None:
         envelope = store.get_or_build_envelope(task.store_key(), build)
     else:
@@ -208,18 +198,26 @@ def _execute_task(task: SweepTask) -> dict:
     }
 
 
-def _run_task(job: tuple[int, SweepTask]) -> tuple[int, bool, object]:
-    """Top-level pool target: never raises (failures travel as results)."""
-    slot, task = job
+def _run_task(
+    slot: int,
+    task: SweepTask,
+    graph: ExecutionGraph | None,
+    store: ArtifactStore | None,
+) -> tuple[int, bool, object]:
+    """Run one task; never raises (failures travel back as results)."""
     try:
-        return slot, True, _execute_task(task)
+        return slot, True, _execute_task(task, graph, store)
     except BaseException as exc:  # noqa: BLE001 - forwarded to the parent
-        scenario = task.scenario or (
-            f"(graph {task.graph_digest[:12]}…, params {task.params_digest[:12]}…)"
-        )
         return slot, False, (
-            scenario, type(exc).__name__, str(exc), traceback.format_exc()
+            _label(task), type(exc).__name__, str(exc), traceback.format_exc()
         )
+
+
+def _run_in_worker(
+    slot: int, task: SweepTask, graph: ExecutionGraph | None
+) -> tuple[int, bool, object]:
+    """The pool's target: :func:`_run_task` against the worker's store."""
+    return _run_task(slot, task, graph, _STORE)
 
 
 # ---------------------------------------------------------------------------
@@ -228,19 +226,19 @@ def _run_task(job: tuple[int, SweepTask]) -> tuple[int, bool, object]:
 
 
 class SweepPool:
-    """Persistent ``spawn`` worker pool over shared graph columns.
+    """Persistent ``spawn`` worker pool over digest-addressed scenarios.
 
     Parameters
     ----------
     processes:
         Worker count; defaults to ``os.cpu_count()``.  ``processes <= 1``
         (or ``0``) runs every task inline in this process — same code path,
-        no pool, no shared memory.
+        no pool, no pickling.
     cache_dir:
         Optional :class:`~repro.artifacts.ArtifactStore` directory shared by
         all workers (accepts any path-like).  Workers both resolve graph
-        digests against it (fallback behind shared memory) and serve/persist
-        envelopes through it.
+        digests against it (for tasks submitted without their graph) and
+        serve/persist envelopes through it.
     """
 
     def __init__(
@@ -251,7 +249,6 @@ class SweepPool:
     ) -> None:
         self.processes = os.cpu_count() or 1 if processes is None else int(processes)
         self.cache_dir = None if cache_dir is None else os.fspath(cache_dir)
-        self.registry = SharedGraphRegistry()
         self._pool = None
         self._closed = False
 
@@ -262,7 +259,7 @@ class SweepPool:
         return self.processes > 1
 
     def start(self) -> None:
-        """Spawn the workers now instead of on the first :meth:`run_tasks`.
+        """Boot the workers now instead of on the first :meth:`run_tasks`.
 
         Idempotent, and a no-op when ``processes <= 1``.  Callers with work
         to do before their first batch (recording programs, building graphs)
@@ -272,23 +269,34 @@ class SweepPool:
             raise RuntimeError("SweepPool is closed")
         if self.uses_workers and self._pool is None:
             import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
 
-            # spawn, never fork: fork duplicates threaded-BLAS state and the
-            # parent's shm mappings into workers (platform-dependent hangs)
-            ctx = multiprocessing.get_context("spawn")
-            self._pool = ctx.Pool(
+            # spawn, never fork: fork duplicates threaded-BLAS state into
+            # the workers (platform-dependent hangs)
+            pool = ProcessPoolExecutor(
                 self.processes,
+                mp_context=multiprocessing.get_context("spawn"),
                 initializer=_init_worker,
                 initargs=(self.cache_dir,),
             )
+            # the executor spawns one worker per submit while none is idle:
+            # one no-op per worker boots them all now
+            for _ in range(self.processes):
+                pool.submit(int)
+            self._pool = pool
+
+    def _stop_workers(self) -> None:
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            # shutdown() alone waits for the tasks in flight: end the worker
+            # processes first (the executor has no public way to)
+            for process in list(pool._processes.values()):
+                process.terminate()
+            pool.shutdown(cancel_futures=True)
 
     def close(self) -> None:
-        """Tear down the workers and unlink every exported segment."""
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
-        self.registry.close()
+        """Stop the workers, in-flight tasks included; no worker outlives it."""
+        self._stop_workers()
         self._closed = True
 
     def __enter__(self) -> "SweepPool":
@@ -307,12 +315,12 @@ class SweepPool:
         """Execute ``tasks`` and return one payload dict per task, in order.
 
         ``graphs`` maps graph digests to the frozen graphs this batch needs;
-        with workers active they are exported to shared memory for the
-        duration of the batch (ref-counted, unlinked afterwards).  Tasks
-        whose digest is absent must be resolvable from the shared store.
-        Duplicate tasks are solved once; any worker failure is re-raised as
-        :class:`ScenarioError` (lowest task index wins deterministically)
-        after the batch has drained — the pool survives.
+        with workers active each one travels with every unique task that
+        runs on it.  Tasks whose digest is absent must be resolvable from
+        the shared store.  Duplicate tasks are solved once; any worker
+        failure is re-raised as :class:`ScenarioError` (lowest task index
+        wins deterministically) after the batch has drained — the pool
+        survives, and a lost worker is replaced on the next batch.
         """
         if not tasks:
             return []
@@ -331,64 +339,67 @@ class SweepPool:
                 unique.append(task)
             slot_of_task.append(slot)
 
-        if not self.uses_workers:
-            payloads = [self._run_inline(task, graphs) for task in unique]
-            return [payloads[slot] for slot in slot_of_task]
+        if self.uses_workers:
+            results = self._run_in_workers(unique, graphs)
+        else:
+            store = ArtifactStore(self.cache_dir) if self.cache_dir is not None else None
+            results = [
+                _run_task(slot, task, graphs.get(task.graph_digest), store)
+                for slot, task in enumerate(unique)
+            ]
+
+        payloads: list[dict | None] = [None] * len(unique)
+        failures: list[tuple[int, tuple]] = []
+        for slot, ok, payload in results:
+            if ok:
+                payloads[slot] = payload
+            else:
+                failures.append((slot, payload))
+        if failures:
+            raise ScenarioError(*min(failures)[1])
+        return [payloads[slot] for slot in slot_of_task]
+
+    def _run_in_workers(
+        self, unique: list[SweepTask], graphs: dict[str, ExecutionGraph]
+    ) -> list[tuple[int, bool, object]]:
+        """Submit every task with its graph, largest first; wait for all."""
+        from concurrent.futures.process import BrokenProcessPool
 
         self.start()
-        exported: list[str] = []
+        order = sorted(
+            range(len(unique)), key=lambda slot: -self._task_size(unique[slot], graphs)
+        )
+        futures, results, lost = [], [], []
+        broken = None
         try:
-            resolved: list[SweepTask] = []
-            for task in unique:
+            for slot in order:
+                task = unique[slot]
                 graph = graphs.get(task.graph_digest)
-                if graph is not None:
-                    segment = self.registry.acquire(graph)
-                    exported.append(task.graph_digest)
-                    task = _with_segment(task, segment)
-                resolved.append(task)
-
-            # dispatch largest graph first so the longest solve starts first
-            order = sorted(
-                range(len(resolved)),
-                key=lambda slot: -self._task_size(resolved[slot], graphs),
+                futures.append((slot, self._pool.submit(_run_in_worker, slot, task, graph)))
+        except BrokenProcessPool as exc:  # broke before the batch was queued
+            broken, lost = exc, order[len(futures):]
+        for slot, future in futures:
+            try:
+                results.append(future.result())
+            except BrokenProcessPool as exc:
+                broken = exc
+                lost.append(slot)
+        if broken is not None:
+            # a dead worker takes its executor down; the next batch boots a
+            # fresh one
+            self._stop_workers()
+            raise ScenarioError(
+                ", ".join(_label(unique[slot]) for slot in sorted(lost)),
+                type(broken).__name__,
+                str(broken),
+                "".join(traceback.format_exception(broken)),
             )
-            payloads: list[dict | None] = [None] * len(resolved)
-            failures: list[tuple[int, tuple]] = []
-            jobs = [(slot, resolved[slot]) for slot in order]
-            for slot, ok, payload in self._pool.imap_unordered(
-                _run_task, jobs, chunksize=1
-            ):
-                if ok:
-                    payloads[slot] = payload
-                else:
-                    failures.append((slot, payload))
-            if failures:
-                slot, (scenario, exc_type, exc_msg, tb_text) = min(failures)
-                raise ScenarioError(scenario, exc_type, exc_msg, tb_text)
-            return [payloads[slot] for slot in slot_of_task]
-        finally:
-            for digest in exported:
-                self.registry.release(digest)
+        return results
 
     @staticmethod
     def _task_size(task: SweepTask, graphs: dict[str, ExecutionGraph]) -> int:
         graph = graphs.get(task.graph_digest)
         return graph.num_vertices if graph is not None else 0
-
-    def _run_inline(self, task: SweepTask, graphs: dict[str, ExecutionGraph]) -> dict:
-        """The no-worker path: same execution code, local resolution."""
-        state_before = dict(_WORKER)
-        _init_worker(self.cache_dir)
-        _WORKER["graphs"].update(graphs)
-        try:
-            slot, ok, payload = _run_task((0, task))
-            if not ok:
-                scenario, exc_type, exc_msg, tb_text = payload
-                raise ScenarioError(scenario, exc_type, exc_msg, tb_text)
-            return payload
-        finally:
-            _WORKER.clear()
-            _WORKER.update(state_before)
 
     # -- conveniences --------------------------------------------------------
 
@@ -406,7 +417,7 @@ class SweepPool:
     ) -> list:
         """One exact ``T(L)`` envelope per graph (duplicates solved once).
 
-        The digest-addressed, zero-copy equivalent of the serial
+        The digest-addressed, multi-process equivalent of the serial
         :func:`~repro.core.parametric.batched_sweep_graphs` loop.
         """
         params_digest = params.content_digest()
@@ -429,9 +440,3 @@ class SweepPool:
         ]
         payloads = self.run_tasks(tasks, by_digest)
         return [payload["envelope"] for payload in payloads]
-
-
-def _with_segment(task: SweepTask, segment: str) -> SweepTask:
-    from dataclasses import replace
-
-    return replace(task, segment=segment)

@@ -259,8 +259,8 @@ def build_columnar_fused(
     resulting graph is **column-bit-identical** to the frozen one: identical
     vertex/edge arrays, labels and therefore
     :meth:`~repro.schedgen.graph.ExecutionGraph.content_digest` — the
-    artifact cache and the shared-memory sweep pool key fused and frozen
-    requests to the same entries.
+    artifact cache and the sweep pool key fused and frozen requests to the
+    same entries.
 
     ``mmap_dir`` (optional) backs the builder's growable columns with
     memory-mapped files (see :class:`~repro.schedgen.graph.GraphBuilder`) so

@@ -631,13 +631,29 @@ class ExecutionGraph:
 
         This is the array set that defines :meth:`content_digest`; columns
         already in canonical form are returned as-is (no copy), so the dict
-        can feed serialisation and shared-memory export without duplicating
-        the graph.  Treat the arrays as read-only.
+        can feed serialisation and pickling without duplicating the graph.
+        Treat the arrays as read-only.
         """
         return {
             name: np.ascontiguousarray(getattr(self, name), dtype=dtype)
             for name, dtype in self.CONTENT_COLUMNS
         }
+
+    def __reduce__(self):
+        """Pickle the graph as its identity, not as the whole object.
+
+        A pickle carries :meth:`identity_columns`, the labels, the digest
+        and the level structure when it is already known; the CSR
+        adjacency and every other cached view are rebuilt on demand after
+        unpickling.  This is how the sweep pool ships graphs to its
+        workers.
+        """
+        state = {"_content_digest": self.content_digest()}
+        if self._topo_order is not None and self._level_indptr is not None:
+            state.update(_topo_order=self._topo_order, _level_indptr=self._level_indptr)
+        return ExecutionGraph.from_columns, (
+            self.nranks, self.identity_columns(), self.labels,
+        ), state
 
     @classmethod
     def from_columns(
@@ -655,12 +671,12 @@ class ExecutionGraph:
 
         The inverse of :meth:`identity_columns`: ``columns`` maps every
         :attr:`CONTENT_COLUMNS` name to its array, which is adopted
-        **without copying** — zero-copy attach over shared-memory or
-        memory-mapped views is the intended use (the columns should be
-        read-only in that case).  An already-known level structure and
-        content digest can be re-attached so neither is re-derived; pass
-        ``validate=True`` only for untrusted columns (frozen graphs were
-        validated when first built).
+        **without copying** — zero-copy attach over memory-mapped views is
+        the intended use (the columns should be read-only in that case).
+        An already-known level structure and content digest can be
+        re-attached so neither is re-derived; pass ``validate=True`` only
+        for untrusted columns (frozen graphs were validated when first
+        built).
         """
         missing = [name for name, _ in cls.CONTENT_COLUMNS if name not in columns]
         if missing:

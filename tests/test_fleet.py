@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 from collections import Counter
 
 import pytest
@@ -22,6 +23,7 @@ def no_leaked_segments():
     yield
     leaked = live_shared_segments() - before
     assert not leaked, f"test leaked shared-memory segments: {sorted(leaked)}"
+    assert multiprocessing.active_children() == []
 
 
 def _fleet(**overrides):
@@ -143,8 +145,6 @@ class TestScenarioFleet:
         assert [stable(r) for r in rows] == [stable(r) for r in _fleet().run().rows]
 
     def test_graph_build_failure_tears_the_started_workers_down(self):
-        import multiprocessing
-
         with pytest.raises(ValueError, match="bogus") as excinfo:
             _fleet(allreduces=["bogus"], processes=2).run()
         # excinfo keeps run()'s frame, and so the pool, alive: garbage

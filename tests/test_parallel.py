@@ -1,24 +1,31 @@
-"""Tests for :mod:`repro.parallel`: shared graph segments and the sweep pool.
+"""Tests for :mod:`repro.parallel`: graph pickles and the sweep pool.
 
 Every test in this module runs under an autouse leak-check fixture: the set
 of ``llamp-*`` segments in ``/dev/shm`` must be unchanged after each test,
-so any export without a matching unlink — including on error paths — fails
-the test that caused it.
+and no worker process may outlive the test that started it — including on
+error paths.
 """
 
 from __future__ import annotations
 
+import json
+import multiprocessing
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.artifacts import ArtifactStore
 from repro.core.lp_builder import build_lp
 from repro.core.parametric import BatchedSweep, batched_sweep_graphs
 from repro.network.params import CSCS_TESTBED
 from repro.parallel import (
     ScenarioError,
-    SharedGraphBuffer,
-    SharedGraphRegistry,
     SweepPool,
     SweepTask,
     live_shared_segments,
@@ -35,6 +42,7 @@ def no_leaked_segments():
     yield
     leaked = live_shared_segments() - before
     assert not leaked, f"test leaked shared-memory segments: {sorted(leaked)}"
+    assert multiprocessing.active_children() == []
 
 
 def _reference_envelope(graph, l_min=0.0, l_max=100.0):
@@ -42,7 +50,7 @@ def _reference_envelope(graph, l_min=0.0, l_max=100.0):
     return BatchedSweep(lp, l_min=l_min, l_max=l_max).envelope
 
 
-def _task(graph, *, scenario=None, segment=None, params=PARAMS, **overrides):
+def _task(graph, *, scenario=None, params=PARAMS, **overrides):
     kwargs = dict(
         graph_digest=graph.content_digest(),
         params_digest=params.content_digest(),
@@ -51,108 +59,42 @@ def _task(graph, *, scenario=None, segment=None, params=PARAMS, **overrides):
         build_kwargs=(("latency_mode", "global"),),
         params=params,
         scenario=scenario,
-        segment=segment,
     )
     kwargs.update(overrides)
     return SweepTask(**kwargs)
 
 
 class TestSharedGraphBuffer:
+    """A graph reaches a pool worker as the pickle of its identity."""
+
     def test_round_trip_preserves_identity(self):
         graph = build_running_example()
         graph.topological_order()  # populate the cached level structure
-        buffer = SharedGraphBuffer.export(graph)
-        try:
-            attached = SharedGraphBuffer.attach(buffer.name)
-            try:
-                twin = attached.graph
-                assert twin.content_digest() == graph.content_digest()
-                assert twin.nranks == graph.nranks
-                assert twin.labels == graph.labels
-                for name, _ in ExecutionGraph.CONTENT_COLUMNS:
-                    assert np.array_equal(getattr(twin, name), getattr(graph, name)), name
-                # the exported level structure rides along: no re-sort needed
-                assert twin._topo_order is not None
-                assert np.array_equal(twin.topological_order(), graph.topological_order())
-            finally:
-                attached.close()
-        finally:
-            buffer.unlink()
+        twin = pickle.loads(pickle.dumps(graph))
+        # the digest is carried, not recomputed
+        assert twin._content_digest == graph.content_digest()
+        assert twin.nranks == graph.nranks
+        assert twin.labels == graph.labels
+        for name, _ in ExecutionGraph.CONTENT_COLUMNS:
+            assert np.array_equal(getattr(twin, name), getattr(graph, name)), name
+        # the level structure rides along: no re-sort needed
+        assert twin._topo_order is not None
+        assert np.array_equal(twin.topological_order(), graph.topological_order())
+        assert np.array_equal(twin.topo_levels()[0], graph.topo_levels()[0])
+        # ... and only when one was computed
+        bare = ExecutionGraph.from_columns(
+            graph.nranks, graph.identity_columns(), graph.labels
+        )
+        assert pickle.loads(pickle.dumps(bare))._topo_order is None
 
-    def test_attached_views_are_zero_copy_and_readonly(self):
-        graph = build_running_example()
-        buffer = SharedGraphBuffer.export(graph)
-        try:
-            attached = SharedGraphBuffer.attach(buffer.name)
-            try:
-                cost = attached.graph.cost
-                assert not cost.flags.writeable
-                assert not cost.flags.owndata  # a view into the segment
-                with pytest.raises(ValueError):
-                    cost[0] = 42.0
-            finally:
-                attached.close()
-        finally:
-            buffer.unlink()
-
-    def test_attach_unknown_segment(self):
-        with pytest.raises(FileNotFoundError):
-            SharedGraphBuffer.attach("llamp-does-not-exist")
-
-    def test_attach_rejects_unknown_format(self):
-        graph = build_running_example()
-        buffer = SharedGraphBuffer.export(graph)
-        try:
-            header = np.ndarray(8, dtype="<i8", buffer=buffer._shm.buf)
-            header[0] = 999
-            with pytest.raises(ValueError, match="format"):
-                SharedGraphBuffer.attach(buffer.name)
-        finally:
-            buffer.unlink()
-
-    def test_only_owner_may_unlink(self):
-        graph = build_running_example()
-        buffer = SharedGraphBuffer.export(graph)
-        try:
-            attached = SharedGraphBuffer.attach(buffer.name)
-            with pytest.raises(RuntimeError, match="exporting process"):
-                attached.unlink()
-            attached.close()
-        finally:
-            buffer.unlink()
-
-
-class TestSharedGraphRegistry:
-    def test_refcounted_unlink(self):
-        graph = build_running_example()
-        registry = SharedGraphRegistry()
-        before = live_shared_segments()
-        name1 = registry.acquire(graph)
-        name2 = registry.acquire(graph)
-        assert name1 == name2  # same digest → same segment
-        assert len(registry) == 1
-        assert live_shared_segments() - before == {name1}
-        registry.release(graph.content_digest())
-        assert live_shared_segments() - before == {name1}  # one ref remains
-        registry.release(graph.content_digest())
-        assert live_shared_segments() == before
-        assert len(registry) == 0
-        registry.close()
-
-    def test_release_unknown_digest(self):
-        registry = SharedGraphRegistry()
-        with pytest.raises(KeyError):
-            registry.release("0" * 64)
-        registry.close()
-
-    def test_context_manager_releases_everything(self):
-        graph = build_running_example()
-        before = live_shared_segments()
-        with SharedGraphRegistry() as registry:
-            registry.acquire(graph)
-            registry.acquire(graph)
-            assert live_shared_segments() != before
-        assert live_shared_segments() == before
+    def test_pickle_leaves_the_derived_views_behind(self):
+        graph = build_random_dag(3, nranks=8, rounds=400)
+        graph.in_degrees(), graph.out_degrees(), graph.chain_parent()
+        assert graph._succ_csr is not None and graph._pred_csr is not None
+        identity = sum(col.nbytes for col in graph.identity_columns().values())
+        levels = graph._topo_order.nbytes + graph._level_indptr.nbytes
+        assert len(pickle.dumps(graph)) <= identity + levels + 4096
+        assert pickle.loads(pickle.dumps(graph))._succ_csr is None
 
 
 class TestSweepPoolInline:
@@ -203,8 +145,53 @@ class TestSweepPoolInline:
             assert pool._pool is None
 
 
+_DEAD_WORKER_SCRIPT = """
+import json, multiprocessing, os
+from repro.core.lp_builder import build_lp
+from repro.core.parametric import BatchedSweep
+from repro.network.params import CSCS_TESTBED, LogGPSParams
+from repro.parallel import ScenarioError, SweepPool, SweepTask, live_shared_segments
+from repro.testing import build_running_example
+
+
+class EndsItsWorker(LogGPSParams):
+    def __reduce__(self):  # unpickling this record ends the worker process
+        return os._exit, (9,)
+
+
+def task(params, scenario, l_max):
+    return SweepTask(
+        graph.content_digest(), CSCS_TESTBED.content_digest(), 0.0, l_max,
+        build_kwargs=(("latency_mode", "global"),), params=params, scenario=scenario,
+    )
+
+
+segments = live_shared_segments()
+graph = build_running_example()
+graphs = {graph.content_digest(): graph}
+good = task(CSCS_TESTBED, "good", 100.0)
+# a different l_max keeps it from deduping onto the good task
+doomed = task(EndsItsWorker(), "doomed-scenario", 50.0)
+result = {}
+pool = SweepPool(2)
+try:
+    pool.run_tasks([good, doomed], graphs)
+except ScenarioError as exc:
+    result.update(scenario=exc.scenario, exc_type=exc.exc_type)
+reference = BatchedSweep(
+    build_lp(graph, CSCS_TESTBED, latency_mode="global"), l_min=0.0, l_max=100.0
+).envelope
+envelope = pool.run_tasks([good], graphs)[0]["envelope"]
+result["next_batch_matches_reference"] = envelope == reference
+pool.close()
+result["children_after_close"] = [p.pid for p in multiprocessing.active_children()]
+result["segments_unchanged"] = live_shared_segments() == segments
+print(json.dumps(result))
+"""
+
+
 class TestSweepPoolWorkers:
-    """Real ``spawn`` workers attached to shared segments."""
+    """Real ``spawn`` workers receiving pickled graphs."""
 
     def test_enter_is_lazy_and_start_is_idempotent(self):
         with SweepPool(2) as pool:
@@ -242,6 +229,21 @@ class TestSweepPoolWorkers:
             # the pool is not poisoned: the next batch still runs
             payloads = pool.run_tasks([good], graphs)
             assert payloads[0]["envelope"] == _reference_envelope(graph)
+
+    def test_dead_worker_fails_its_batch(self):
+        # in a fresh interpreter, so that a pool that hangs on its lost task
+        # fails this test by the timeout instead of stalling the suite
+        env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-c", _DEAD_WORKER_SCRIPT],
+            env=env, capture_output=True, text=True, timeout=60, check=True,
+        )
+        result = json.loads(proc.stdout)
+        assert result["exc_type"] == "BrokenProcessPool"
+        assert "doomed-scenario" in result["scenario"]
+        assert result["next_batch_matches_reference"]
+        assert result["children_after_close"] == []
+        assert result["segments_unchanged"]
 
 
 class TestBatchedSweepGraphsRewired:
