@@ -13,6 +13,7 @@ PRs and CI runs.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 
@@ -41,6 +42,26 @@ def peak_rss_mb() -> float | None:
         return float(ru_maxrss) / divisor
     except (ImportError, OSError, ValueError):
         return None
+
+
+@contextlib.contextmanager
+def count_lp_solves():
+    """Record every LP solve that reaches the backend registry inside the
+    block; yields the list the calls are appended to."""
+    from repro.lp.backends import BackendRegistry
+
+    calls: list[str] = []
+    original = BackendRegistry.solve
+
+    def counting(self, model, backend="highs", **options):
+        calls.append(backend)
+        return original(self, model, backend, **options)
+
+    BackendRegistry.solve = counting
+    try:
+        yield calls
+    finally:
+        BackendRegistry.solve = original
 
 
 def print_header(title: str) -> None:

@@ -2,10 +2,9 @@
 
 A repeated ``T(L)`` sweep answered from the content-addressed
 :class:`~repro.artifacts.ArtifactStore` must be at least 10× faster than the
-cold path (graph → LP build → CSR assembly → tangent-envelope solves): the
-store hit deserialises one small npz and wraps it in
-:meth:`BatchedSweep.from_envelope`, performing zero LP assemblies and zero
-solves.  This is the persist-once/serve-many shape the service layer of
+cold path (graph → forward envelope): the store hit deserialises one small
+npz and wraps it in a :class:`~repro.core.parametric.ParametricAnalysis`,
+performing no traversal, zero LP assemblies and zero solves.  This is the persist-once/serve-many shape the service layer of
 ROADMAP item 1 builds on — overlapping (app × network) requests mostly hit
 the store.
 """
@@ -20,7 +19,7 @@ from repro import CSCS_TESTBED
 from repro.core import LatencyAnalyzer
 from repro.lp.assembler import assembly_counts
 
-from _bench_utils import emit_json, print_header, print_rows
+from _bench_utils import count_lp_solves, emit_json, print_header, print_rows
 
 NRANKS = 8
 ITERATIONS = 16
@@ -36,27 +35,27 @@ def _run(cache_dir: str):
     Ls = np.linspace(CSCS_TESTBED.L, L_MAX, POINTS)
 
     # cold: full pipeline, no store
-    t0 = time.perf_counter()
-    cold_analyzer = LatencyAnalyzer(graph, CSCS_TESTBED)
-    cold_sweep = cold_analyzer.batched_sweep(l_max=L_MAX)
-    cold_values = cold_sweep.values(Ls)
-    cold_s = time.perf_counter() - t0
+    with count_lp_solves() as cold_solves:
+        t0 = time.perf_counter()
+        cold_analyzer = LatencyAnalyzer(graph, CSCS_TESTBED)
+        cold_values = cold_analyzer.parametric(l_max=L_MAX).envelope.sample(Ls)
+        cold_s = time.perf_counter() - t0
 
     # populate the store once (graph digest is cached on the instance, so
     # hash time is not double-counted below)
-    LatencyAnalyzer(graph, CSCS_TESTBED, cache_dir=cache_dir).batched_sweep(l_max=L_MAX)
+    LatencyAnalyzer(graph, CSCS_TESTBED, cache_dir=cache_dir).parametric(l_max=L_MAX)
 
     # warm: a fresh analyzer answering the same sweep from the store.
     # Best of three repeats — the hit path is ~1 ms, so a single scheduler
     # or page-cache hiccup would otherwise dominate the measurement.
     before = assembly_counts()
     warm_s = float("inf")
-    for _ in range(3):
-        t0 = time.perf_counter()
-        warm_analyzer = LatencyAnalyzer(graph, CSCS_TESTBED, cache_dir=cache_dir)
-        warm_sweep = warm_analyzer.batched_sweep(l_max=L_MAX)
-        warm_values = warm_sweep.values(Ls)
-        warm_s = min(warm_s, time.perf_counter() - t0)
+    with count_lp_solves() as warm_solves:
+        for _ in range(3):
+            t0 = time.perf_counter()
+            warm_analyzer = LatencyAnalyzer(graph, CSCS_TESTBED, cache_dir=cache_dir)
+            warm_values = warm_analyzer.parametric(l_max=L_MAX).envelope.sample(Ls)
+            warm_s = min(warm_s, time.perf_counter() - t0)
     after = assembly_counts()
 
     return {
@@ -64,8 +63,8 @@ def _run(cache_dir: str):
         "cold_s": cold_s,
         "warm_s": warm_s,
         "speedup": cold_s / warm_s,
-        "cold_lp_solves": cold_sweep.num_solves,
-        "warm_lp_solves": warm_sweep.num_solves,
+        "cold_lp_solves": len(cold_solves),
+        "warm_lp_solves": len(warm_solves),
         "new_assemblies": sum(after.values()) - sum(before.values()),
         "identical": bool(np.array_equal(warm_values, cold_values)),
     }

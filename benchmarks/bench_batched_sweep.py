@@ -1,12 +1,12 @@
-"""Batched LP sweep engine vs per-point cold solves (acceptance criterion).
+"""Envelope-read latency sweep vs per-point cold solves (acceptance criterion).
 
 A 100-point latency sweep of the Fig. 4 running example must be at least 3×
-faster through :class:`~repro.core.parametric.BatchedSweep` than through 100
-independent cold ``solve_highs`` calls, with identical results to 1e-6.  The
-batched engine assembles the LP once and reconstructs the exact
-piecewise-linear ``T(L)`` curve from O(#breakpoints) solves, so the speedup
-grows with the sweep density (typically 20–50× here, with ~3 LP solves
-instead of 100).
+faster read off one exact ``T(L)`` envelope
+(:func:`~repro.core.envelope.forward_envelope`, the tangent search over
+batched level passes, zero LP solves) than through 100 independent cold
+``solve_highs`` calls, with identical results to 1e-6.  The envelope costs
+O(#breakpoints) probes, each a level pass, so the speedup grows with the
+sweep density.
 
 A larger LULESH graph is also reported so the win is shown off the toy
 example too.
@@ -20,11 +20,11 @@ import numpy as np
 import pytest
 
 from repro import CSCS_TESTBED
-from repro.core import BatchedSweep, build_lp
+from repro.core import build_lp, forward_envelope
 from repro.network.params import LogGPSParams
 from repro.testing import build_running_example
 
-from _bench_utils import emit_json, print_header, print_rows
+from _bench_utils import count_lp_solves, emit_json, print_header, print_rows
 
 POINTS = 100
 PAPER_PARAMS = LogGPSParams(L=0.0, o=0.0, g=0.0, G=0.005, S=256 * 1024, P=2)
@@ -40,17 +40,17 @@ def _compare(graph, params, l_min: float, l_max: float):
     )
     cold_time = time.perf_counter() - t0
 
-    batched_lp = build_lp(graph, params)
-    t0 = time.perf_counter()
-    sweep = BatchedSweep(batched_lp, l_min=l_min, l_max=l_max)
-    batched = sweep.values(Ls)
-    batched_time = time.perf_counter() - t0
+    with count_lp_solves() as solves:
+        t0 = time.perf_counter()
+        envelope = forward_envelope(graph, params, l_min=l_min, l_max=l_max)
+        batched = envelope.sample(Ls)
+        batched_time = time.perf_counter() - t0
 
     return {
         "cold_s": cold_time,
         "batched_s": batched_time,
         "speedup": cold_time / batched_time,
-        "lp_solves": sweep.num_solves,
+        "lp_solves": len(solves),
         "max_diff": float(np.abs(batched - cold).max()),
     }
 

@@ -2,8 +2,9 @@
 
 The forward engine (the tangent search answered by batched level passes)
 must produce the *identical* ``PiecewiseLinear`` envelope ``T(L)`` as the LP
-tangent search — same piece count, slopes, intercepts and breakpoints to
-1e-6 — at least 10× faster end-to-end on a Fig. 16-scale sweep workload.
+tangent search (``lp_envelope``) — same piece count, slopes, intercepts and
+breakpoints to 1e-6 — at least 10× faster end-to-end on a Fig. 16-scale
+sweep workload.
 "End-to-end" counts what each engine actually needs: the LP path pays
 ``build_lp`` + the per-tangent HiGHS solves, the forward path traverses the
 cached level structure once per search pass and never assembles a model.
@@ -20,11 +21,11 @@ import time
 import numpy as np
 
 from repro import CSCS_TESTBED
-from repro.core import BatchedSweep, build_lp, forward_envelope
+from repro.core import build_lp, forward_envelope, lp_envelope
 from repro.network.params import LogGPSParams
 from repro.testing import build_running_example
 
-from _bench_utils import emit_json, print_header, print_rows
+from _bench_utils import count_lp_solves, emit_json, print_header, print_rows
 
 PAPER_PARAMS = LogGPSParams(L=0.0, o=0.0, g=0.0, G=0.005, S=256 * 1024, P=2)
 #: LULESH scale for the headline pin — large enough that the per-breakpoint
@@ -36,11 +37,11 @@ SPEEDUP_FLOOR = 10.0
 
 
 def _compare(graph, params, l_min: float, l_max: float):
-    t0 = time.perf_counter()
-    lp = build_lp(graph, params, latency_mode="global")
-    sweep = BatchedSweep(lp, l_min=l_min, l_max=l_max, envelope_engine="lp")
-    lp_env = sweep.envelope
-    lp_time = time.perf_counter() - t0
+    with count_lp_solves() as solves:
+        t0 = time.perf_counter()
+        lp = build_lp(graph, params, latency_mode="global")
+        lp_env = lp_envelope(lp, l_min, l_max)
+        lp_time = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     fw_env = forward_envelope(graph, params, l_min=l_min, l_max=l_max)
@@ -63,7 +64,7 @@ def _compare(graph, params, l_min: float, l_max: float):
         "lp_s": lp_time,
         "forward_s": fw_time,
         "speedup": lp_time / fw_time,
-        "lp_solves": sweep.num_solves,
+        "lp_solves": len(solves),
         "pieces": len(fw_env.lines),
         "max_slope_diff": slope_diff,
         "max_value_diff": value_diff,

@@ -2,7 +2,9 @@
 
 A plain process pool pickles the :class:`ExecutionGraph` into every
 scenario's task: a duplicated-graph fleet of J scenarios over U unique
-graphs costs J graph pickles *and* J full LP sweeps.  The
+graphs costs J graph pickles *and* J full LP sweeps (per-pair gap
+variables break the forward pass's affinity contract, so every sweep is
+the tangent search over LP probes).  The
 :class:`~repro.parallel.SweepPool` dedupes the batch by content digest
 before it submits anything, so the same fleet costs U pickles and U sweeps.
 Both pools pickle a graph the same way (its identity columns, see
@@ -42,7 +44,10 @@ MIN_SPEEDUP = 5.0
 RSS_SLACK = 1.25
 
 PARAMS = LogGPSParams(L=1.0, o=0.5, g=0.0, G=0.001)
-BUILD_KWARGS = {"latency_mode": "global"}
+# per-pair gap variables take the LP tangent search on both paths: this
+# benchmark isolates the protocol (one task per scenario vs one per unique
+# graph), so the per-task compute stays an LP sweep, identical on both
+BUILD_KWARGS = {"latency_mode": "global", "gap_mode": "per_pair"}
 
 
 def _build_graphs():
@@ -68,11 +73,8 @@ def _pickling_job(job):
 
 
 def _run_pickling_pool(fleet):
-    # both paths pin envelope_engine="lp": this benchmark isolates the
-    # protocol (one task per scenario vs one per unique graph), so the
-    # per-task compute must stay identical and engine-independent
     jobs = [
-        (graph, PARAMS, L_MIN, L_MAX, "highs", 50_000, None, "lp", BUILD_KWARGS)
+        (graph, PARAMS, L_MIN, L_MAX, "highs", 50_000, None, BUILD_KWARGS)
         for graph in fleet
     ]
     start = time.perf_counter()
@@ -96,7 +98,6 @@ def _run_shared_fleet(fleet):
             backend="highs",
             max_pieces=50_000,
             build_kwargs=tuple(sorted(BUILD_KWARGS.items())),
-            envelope_engine="lp",
             params=PARAMS,
             scenario=f"fleet[{i}]",
         )

@@ -108,27 +108,19 @@ def run_validation_sweep(
     noise: NoiseModel | None = None,
     noise_sigma: float = 0.002,
     repetitions: int = 1,
-    backend: str = "highs",
-    envelope_engine: str = "auto",
 ) -> ValidationSweep:
     """Sweep ΔL, measuring with the simulator and predicting with the analyzer.
 
     ``repetitions`` simulated runs per ΔL are averaged (the paper averages
     10 real runs); by default a small Gaussian compute noise makes the
-    measurement realistically non-deterministic.  ``backend`` and
-    ``envelope_engine`` are handed to the analyzer (``"lp"`` predicts with
-    the paper's LP solves instead of the forward envelope).
+    measurement realistically non-deterministic.  ΔL values must be finite
+    and non-negative (checked before any simulation runs).
     """
     deltas = np.asarray(
         sorted(set(float(d) for d in (delta_Ls if delta_Ls is not None else np.linspace(0, 100, 11)))),
         dtype=np.float64,
     )
-    if np.any(deltas < 0):
-        raise ValueError("delta_L values must be non-negative")
-
-    analyzer = LatencyAnalyzer(
-        graph, params, backend=backend, envelope_engine=envelope_engine
-    )
+    analyzer = LatencyAnalyzer(graph, params)
     curve = analyzer.sensitivity_curve(deltas)
     tolerance = analyzer.tolerance_report()
 

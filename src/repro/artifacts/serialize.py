@@ -303,10 +303,9 @@ def save_envelope(
 ) -> Path:
     """Persist an exact ``T(L)`` envelope to ``path``.
 
-    Accepts either representation used by the pipeline: the reconstructed
-    :class:`PiecewiseLinear` curve of a :class:`~repro.core.parametric.
-    BatchedSweep`, or the raw :class:`TangentEnvelope` returned by the
-    tangent search.  The file records which one it holds and
+    Accepts either representation used by the pipeline: the
+    :class:`PiecewiseLinear` curve every envelope evaluator returns, or the
+    raw :class:`TangentEnvelope` of the LP tangent search.  The file records which one it holds and
     :func:`load_envelope` returns the same type.
     """
     if isinstance(envelope, PiecewiseLinear):

@@ -5,10 +5,9 @@ Small front end over the library for the most common workflows:
 ``llamp analyze``
     build an application skeleton and print runtime, ``λ_L``, ``ρ_L`` and
     the 1/2/5 % latency tolerances, read off its exact ``T(L)`` envelope
-    (no LP; ``--envelope-engine lp`` solves the paper's LPs instead);
+    (no LP);
 ``llamp sweep``
-    measured-vs-predicted ΔL sweep (simulator vs the envelope, or vs the
-    LP solves under ``--envelope-engine lp``) with RRMSE;
+    measured-vs-predicted ΔL sweep (simulator vs the envelope) with RRMSE;
 ``llamp curve``
     exact ``T(L)`` / ``λ_L(L)`` curve and critical latencies from one
     forward envelope pass (zero LP solves);
@@ -36,17 +35,18 @@ Small front end over the library for the most common workflows:
     the columns optionally spilled to disk-backed buffers (``--mmap-dir``).
 
 Every command runs one engine per stage: the columnar Schedgen graph build,
-the vectorised LP compiler and the level-synchronous simulator.  The one
-engine switch is ``--envelope-engine``: ``lp`` answers from the paper's LP
-solves instead of the forward envelope, as an oracle.
+the forward ``T(L)`` envelope, the vectorised LP compiler and the
+level-synchronous simulator.  There is no engine switch.
 
 An unbounded tolerance prints as ``unbounded`` (``null`` under ``--json``).
+A NaN, infinite or negative LogGPS parameter or ΔL exits with the reason.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Sequence
 
@@ -66,8 +66,13 @@ from .trace.format import dump_trace
 __all__ = ["main", "build_parser"]
 
 
-def _params_from_args(args: argparse.Namespace) -> LogGPSParams:
-    return CSCS_TESTBED.replace(L=args.latency, o=args.overhead, G=args.gap)
+def _params_from_args(args: argparse.Namespace, latency: float | None = None) -> LogGPSParams:
+    """``--latency`` (or ``latency``), ``--overhead`` and ``--gap``; a bad value exits."""
+    L = args.latency if latency is None else latency
+    try:
+        return CSCS_TESTBED.replace(L=L, o=args.overhead, G=args.gap)
+    except ValueError as error:
+        raise SystemExit(str(error)) from None
 
 
 def _app_graph(args: argparse.Namespace, params: LogGPSParams):
@@ -89,15 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="per-message CPU overhead o in µs (default: %(default)s)")
     parser.add_argument("--gap", type=float, default=CSCS_TESTBED.G,
                         help="per-byte gap G in µs/byte (default: %(default)s)")
-    parser.add_argument("--envelope-engine", default="auto",
-                        choices=("auto", "forward", "lp"),
-                        help="T(L) envelope engine of analyze, sweep, curve, "
-                             "ingest, cache warm and fleet: the tangent search "
-                             "over batched forward passes (no LP solves) or the "
-                             "paper's LP solves as an oracle (default: "
-                             "%(default)s — forward whenever the affinity "
-                             "contract holds, LP otherwise; both produce the "
-                             "identical curve)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_app_args(p: argparse.ArgumentParser) -> None:
@@ -120,8 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_app_args(curve)
     curve.add_argument("--l-max", type=float, default=1000.0, help="largest latency L in µs")
     curve.add_argument("--points", type=int, default=11, help="number of printed curve points")
-    curve.add_argument("--backend", default="highs",
-                       help="LP backend name from the registry (default: %(default)s)")
     curve.add_argument("--json", action="store_true", help="print machine-readable JSON")
 
     place = sub.add_parser("place", help="sensitivity-guided rank placement (Algorithm 3)")
@@ -211,8 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="shared artifact store directory for the workers")
     fleet.add_argument("--output-dir", default=None,
                        help="directory for FLEET_*.json shards and the summary")
-    fleet.add_argument("--backend", default="highs",
-                       help="LP backend name from the registry (default: %(default)s)")
     fleet.add_argument("--json", action="store_true", help="print machine-readable JSON")
 
     ingest = sub.add_parser(
@@ -249,9 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     params = _params_from_args(args)
-    analyzer = LatencyAnalyzer(
-        _app_graph(args, params), params, envelope_engine=args.envelope_engine
-    )
+    analyzer = LatencyAnalyzer(_app_graph(args, params), params)
     summary = analyzer.summary()
     if args.json:
         print(json.dumps(_json_summary(summary), indent=2))
@@ -283,12 +273,13 @@ def _print_summary(summary: dict, base_latency: float) -> None:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     params = _params_from_args(args)
+    if not 0 <= args.max_delta < math.inf:
+        raise SystemExit(
+            f"--max-delta ({args.max_delta} µs) must be finite and non-negative"
+        )
     graph = _app_graph(args, params)
     deltas = np.linspace(0.0, args.max_delta, args.points)
-    sweep = run_validation_sweep(
-        graph, params, app=args.app, delta_Ls=deltas,
-        envelope_engine=args.envelope_engine,
-    )
+    sweep = run_validation_sweep(graph, params, app=args.app, delta_Ls=deltas)
     print(f"{'ΔL [µs]':>10s} {'measured [s]':>14s} {'predicted [s]':>14s} {'λ_L':>10s} {'ρ_L':>8s}")
     for row in sweep.rows():
         print(
@@ -301,38 +292,29 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_curve(args: argparse.Namespace) -> int:
-    from .lp.backends import default_registry
-
-    try:
-        default_registry.get(args.backend)
-    except ValueError as error:
-        raise SystemExit(str(error)) from None
     params = _params_from_args(args)
-    if args.l_max <= params.L:
+    if not params.L < args.l_max < math.inf:
         raise SystemExit(
-            f"--l-max ({args.l_max} µs) must exceed the base latency ({params.L} µs)"
+            f"--l-max ({args.l_max} µs) must be finite and exceed the base "
+            f"latency ({params.L} µs)"
         )
-    analyzer = LatencyAnalyzer(
-        _app_graph(args, params), params, backend=args.backend,
-        envelope_engine=args.envelope_engine,
-    )
-    graph = analyzer.graph
-    sweep = analyzer.batched_sweep(l_max=args.l_max)
+    graph = _app_graph(args, params)
+    envelope = LatencyAnalyzer(graph, params).parametric(l_max=args.l_max).envelope
     Ls = np.linspace(params.L, args.l_max, args.points)
-    values = sweep.values(Ls)
-    slopes = sweep.sensitivities(Ls)
-    breakpoints = sweep.breakpoints()
+    values = envelope.sample(Ls)
+    slopes = envelope.slopes(Ls)
+    breakpoints = envelope.breakpoints()
     if args.json:
         print(json.dumps({
             "L_us": Ls.tolist(),
             "runtime_us": values.tolist(),
             "lambda_L": slopes.tolist(),
             "critical_latencies_us": breakpoints,
-            "lp_solves": sweep.num_solves,
+            "lp_solves": 0,
         }, indent=2))
         return 0
     print(f"application        : {args.app} ({args.nranks} ranks, {graph.num_events} events)")
-    print(f"LP solves          : {sweep.num_solves} for {args.points} curve points "
+    print(f"LP solves          : 0 for {args.points} curve points "
           f"({len(breakpoints)} critical latencies)")
     print(f"{'L [µs]':>12s} {'T [s]':>12s} {'λ_L':>10s}")
     for L, T, lam in zip(Ls, values, slopes):
@@ -471,23 +453,21 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     if args.app is None:
         raise SystemExit("'llamp cache warm' needs an application skeleton argument")
     params = _params_from_args(args)
-    if args.l_max <= params.L:
+    if not params.L < args.l_max:
         raise SystemExit(
             f"--l-max ({args.l_max} µs) must exceed the base latency ({params.L} µs)"
         )
     graph = _app_graph(args, params)
     store.get_or_build_graph(graph.content_digest(), lambda: graph)
-    analyzer = LatencyAnalyzer(
-        graph, params, envelope_engine=args.envelope_engine, cache_dir=args.cache_dir
-    )
-    sweep = analyzer.batched_sweep(l_max=args.l_max)
+    analyzer = LatencyAnalyzer(graph, params, cache_dir=args.cache_dir)
+    envelope = analyzer.parametric(l_max=args.l_max).envelope
     lp_key = combine_digests("lp", graph.content_digest(), params.content_digest())
     if not store.contains("lp", lp_key):
         store.put("lp", lp_key, analyzer.lp.model)
     env_key = envelope_key(
         graph, params, l_min=params.L, l_max=args.l_max, **envelope_config()
     )
-    breakpoints = sweep.breakpoints()
+    breakpoints = envelope.breakpoints()
     if args.json:
         print(json.dumps({
             "app": args.app,
@@ -497,14 +477,14 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             "lp_key": lp_key,
             "envelope_key": env_key,
             "critical_latencies": len(breakpoints),
-            "lp_solves": sweep.num_solves,
+            "lp_solves": 0,
         }, indent=2))
         return 0
     print(f"application        : {args.app} ({args.nranks} ranks, {graph.num_events} events)")
     print(f"graph              : {graph.content_digest()[:16]}…")
     print(f"lp                 : {lp_key[:16]}…")
     print(f"envelope           : {env_key[:16]}… "
-          f"({len(breakpoints)} critical latencies, {sweep.num_solves} LP solves)")
+          f"({len(breakpoints)} critical latencies, 0 LP solves)")
     print(f"store              : {store.root}")
     return 0
 
@@ -513,10 +493,8 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     from .parallel import ScenarioFleet
 
     latencies = args.latencies if args.latencies else [args.latency]
-    params_grid = [
-        CSCS_TESTBED.replace(L=lat, o=args.overhead, G=args.gap) for lat in latencies
-    ]
-    if any(args.l_max <= p.L for p in params_grid):
+    params_grid = [_params_from_args(args, lat) for lat in latencies]
+    if not all(p.L < args.l_max for p in params_grid):
         raise SystemExit(
             f"--l-max ({args.l_max} µs) must exceed every base latency in the grid"
         )
@@ -529,8 +507,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         injectors=injectors,
         l_max=args.l_max,
         sim_deltas=args.sim_deltas,
-        backend=args.backend,
-        envelope_engine=args.envelope_engine,
         processes=args.processes,
         cache_dir=args.cache_dir,
     )
@@ -587,16 +563,14 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
                 chunk_size=args.chunk_size,
                 spill_dir=work_dir,
             )
-            analyzer = LatencyAnalyzer.from_batches(
-                batches, batches.nranks, params, envelope_engine=args.envelope_engine
-            )
+            analyzer = LatencyAnalyzer.from_batches(batches, batches.nranks, params)
             nranks = batches.nranks
             ingested = {"records": batches.num_rows, "spilled": batches.spilled}
         else:
             graph = load_goal_chunked(
                 args.input, chunk_size=args.chunk_size, mmap_dir=work_dir
             )
-            analyzer = LatencyAnalyzer(graph, params, envelope_engine=args.envelope_engine)
+            analyzer = LatencyAnalyzer(graph, params)
             nranks = graph.nranks
             ingested = {
                 "vertices": graph.num_events,

@@ -3,7 +3,6 @@
 from .analyzer import LatencyAnalyzer, SensitivityCurve, ToleranceReport
 from .critical_latency import Tangent, critical_latency_curve, find_critical_latencies
 from .envelope import (
-    ENVELOPE_ENGINES,
     forward_envelope,
     forward_incompatibility,
     resolve_envelope_engine,
@@ -11,12 +10,12 @@ from .envelope import (
 from .graph_analysis import CriticalPathResult, analyze_critical_path, forward_pass
 from .lp_builder import GraphLP, build_lp
 from .parametric import (
-    BatchedSweep,
     EnvelopeOverflowError,
     Line,
     ParametricAnalysis,
     PiecewiseLinear,
     batched_sweep_graphs,
+    lp_envelope,
     parametric_analysis,
 )
 
@@ -33,13 +32,12 @@ __all__ = [
     "PiecewiseLinear",
     "Line",
     "parametric_analysis",
-    "BatchedSweep",
+    "lp_envelope",
     "batched_sweep_graphs",
     "EnvelopeOverflowError",
     "find_critical_latencies",
     "critical_latency_curve",
     "Tangent",
-    "ENVELOPE_ENGINES",
     "forward_envelope",
     "forward_incompatibility",
     "resolve_envelope_engine",

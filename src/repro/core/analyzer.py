@@ -14,8 +14,7 @@ and exposes every metric the paper derives from the generated LP:
 
 Envelope-first: Eq. 3 makes every latency metric a query on one exact
 ``T(L)`` envelope over ``[L₀, ∞)`` (:attr:`LatencyAnalyzer.analysis`, a
-few batched forward passes, no LP).  The LP is built only for ``λ_G`` and behind
-``envelope_engine="lp"``, the oracle that answers with the paper's LP solves.
+few batched forward passes, no LP).  The LP is built only for ``λ_G``.
 
 Typical use::
 
@@ -34,7 +33,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -43,7 +42,7 @@ from ..schedgen.graph import ExecutionGraph
 from .critical_latency import critical_latency_curve, find_critical_latencies
 from .graph_analysis import CriticalPathResult, analyze_critical_path
 from .lp_builder import GraphLP, build_lp
-from .parametric import BatchedSweep, ParametricAnalysis, PiecewiseLinear, parametric_analysis
+from .parametric import ParametricAnalysis, PiecewiseLinear
 
 __all__ = ["SensitivityCurve", "ToleranceReport", "LatencyAnalyzer"]
 
@@ -103,27 +102,20 @@ class LatencyAnalyzer:
         *,
         backend: str = "highs",
         gap_symbolic: bool = False,
-        envelope_engine: str = "auto",
         cache_dir: str | os.PathLike | None = None,
     ) -> None:
         from ..lp.backends import default_registry
-        from .envelope import ENVELOPE_ENGINES
 
-        for name, value, choices in (
-            ("backend", backend, default_registry.names()),
-            ("envelope_engine", envelope_engine, ENVELOPE_ENGINES),
-        ):
-            if value not in choices:
-                raise ValueError(
-                    f"unknown {name} {value!r} for LatencyAnalyzer; "
-                    f"expected one of {tuple(choices)}"
-                )
+        if backend not in default_registry.names():
+            raise ValueError(
+                f"unknown backend {backend!r} for LatencyAnalyzer; "
+                f"expected one of {tuple(default_registry.names())}"
+            )
 
         self.graph = graph
         self.params = params
         self.backend = backend
         self._gap_symbolic = gap_symbolic
-        self.envelope_engine = envelope_engine
         self._lp: GraphLP | None = None
         self._analysis: ParametricAnalysis | None = None
         self._baseline_runtime: float | None = None
@@ -173,7 +165,7 @@ class LatencyAnalyzer:
 
     @property
     def lp(self) -> GraphLP:
-        """The generated LP (built on first use; only ``λ_G`` and the ``"lp"`` oracle need it)."""
+        """The generated LP (built on first use; only ``λ_G`` needs it)."""
         if self._lp is None:
             self._lp = build_lp(
                 self.graph,
@@ -186,31 +178,10 @@ class LatencyAnalyzer:
     @property
     def analysis(self) -> ParametricAnalysis:
         """The exact ``T(L)`` curve over ``[L₀, ∞)`` every latency metric is
-        read from: :func:`~repro.core.envelope.forward_envelope` on first
-        use, through the artifact store when ``cache_dir`` is set."""
+        read from: :meth:`parametric` up to ``L = ∞``, built on first use."""
         if self._analysis is None:
-            from .envelope import forward_envelope
-
-            L0 = self.params.L
-            envelope = self._stored_envelope(L0, math.inf, lambda: forward_envelope(
-                self.graph, self.params, l_min=L0, l_max=math.inf))
-            self._analysis = ParametricAnalysis(envelope, self.params, self.graph)
+            self._analysis = self.parametric(l_max=math.inf)
         return self._analysis
-
-    def _stored_envelope(
-        self, l_min: float, l_max: float, build: Callable[[], PiecewiseLinear],
-        max_pieces: int = 50_000,
-    ) -> PiecewiseLinear:
-        """``build()``, or its artifact-store entry when caching is on (one
-        key per curve: :func:`~repro.core.envelope.envelope_config`)."""
-        if self._store is None:
-            return build()
-        from ..artifacts import envelope_key
-        from .envelope import envelope_config
-
-        key = envelope_key(self.graph, self.params, l_min=l_min, l_max=l_max,
-                           **envelope_config(max_pieces))
-        return self._store.get_or_build_envelope(key, build)
 
     def graph_analysis(self, delta_L: float = 0.0) -> CriticalPathResult:
         """The conventional two-pass critical path analysis (baseline method)."""
@@ -238,45 +209,36 @@ class LatencyAnalyzer:
 
         return simulate_sweep(self.graph, self.params, delta_Ls, injector=injector, noise=noise)
 
-    def parametric(self, l_min: float = 0.0, l_max: float = 10_000.0) -> ParametricAnalysis:
-        """The exact piecewise-linear ``T(L)`` curve on ``[l_min, l_max]``."""
-        return parametric_analysis(self.graph, self.params, l_min=l_min, l_max=l_max)
+    def parametric(
+        self, l_min: float | None = None, l_max: float = 10_000.0, *,
+        max_pieces: int = 50_000,
+    ) -> ParametricAnalysis:
+        """The exact piecewise-linear ``T(L)`` curve on ``[l_min, l_max]``;
+        ``l_min`` defaults to the baseline latency.
 
-    def batched_sweep(
-        self, l_min: float | None = None, l_max: float = 10_000.0, **kwargs
-    ) -> BatchedSweep:
-        """A :class:`BatchedSweep` holding the exact ``T(L)`` curve on
-        ``[l_min, l_max]``; ``l_min`` defaults to the baseline latency.
-
-        The curve comes straight from
-        :func:`~repro.core.envelope.forward_envelope` (no LP is built)
-        unless ``envelope_engine="lp"`` (the analyzer's, or a keyword), which
-        runs the tangent search over the cached LP; ``kwargs`` are forwarded
-        to :class:`BatchedSweep`.  With ``cache_dir=`` set, a store hit
-        wraps the stored curve and no engine runs at all; a miss is built
-        once and persisted for the next caller, whichever engine asks.
+        The curve comes from :func:`~repro.core.envelope.forward_envelope`
+        (no LP is built).  With ``cache_dir=`` set, a store hit answers
+        without any traversal; a miss is built once and persisted (one key
+        per curve: :func:`~repro.core.envelope.envelope_config`).
         """
-        from .envelope import _check_engine_name, forward_envelope
+        from .envelope import envelope_config, forward_envelope
 
         lo = self.params.L if l_min is None else l_min
-        kwargs.setdefault("backend", self.backend)
-        engine = kwargs.setdefault("envelope_engine", self.envelope_engine)
-        max_pieces = kwargs.setdefault("max_pieces", 50_000)
-        _check_engine_name(engine)
-        sweep: BatchedSweep | None = None
 
         def build() -> PiecewiseLinear:
-            nonlocal sweep
-            if engine != "lp":
-                return forward_envelope(
-                    self.graph, self.params, l_min=lo, l_max=l_max,
-                    max_pieces=max_pieces,
-                )
-            sweep = BatchedSweep(self.lp, l_min=lo, l_max=l_max, **kwargs)
-            return sweep.envelope
+            return forward_envelope(
+                self.graph, self.params, l_min=lo, l_max=l_max, max_pieces=max_pieces
+            )
 
-        envelope = self._stored_envelope(lo, l_max, build, max_pieces)
-        return sweep if sweep is not None else BatchedSweep.from_envelope(envelope)
+        if self._store is None:
+            envelope = build()
+        else:
+            from ..artifacts import envelope_key
+
+            key = envelope_key(self.graph, self.params, l_min=lo, l_max=l_max,
+                               **envelope_config(max_pieces))
+            envelope = self._store.get_or_build_envelope(key, build)
+        return ParametricAnalysis(envelope, self.params, self.graph)
 
     @classmethod
     def sweep_many(
@@ -290,17 +252,15 @@ class LatencyAnalyzer:
         max_pieces: int = 50_000,
         processes: int | None = None,
         cache_dir: str | os.PathLike | None = None,
-        envelope_engine: str = "auto",
         **build_kwargs,
-    ) -> list[BatchedSweep]:
-        """One :class:`BatchedSweep` per graph, via the sweep pool.
+    ) -> list[ParametricAnalysis]:
+        """One :class:`ParametricAnalysis` per graph, via the sweep pool.
 
-        The many-graph counterpart of :meth:`batched_sweep`: graphs are
+        The many-graph counterpart of :meth:`parametric`: graphs are
         deduplicated by content digest, and with ``processes > 1`` the unique
         ones fan out over a :class:`~repro.parallel.SweepPool` of ``spawn``
         workers, each graph shipped with its task as its pickled identity
-        columns.  Every returned sweep wraps a finished envelope
-        (``num_solves == 0`` in this process).
+        columns.
         """
         from .parametric import batched_sweep_graphs
 
@@ -314,10 +274,12 @@ class LatencyAnalyzer:
             max_pieces=max_pieces,
             processes=processes,
             cache_dir=cache_dir,
-            envelope_engine=envelope_engine,
             **build_kwargs,
         )
-        return [BatchedSweep.from_envelope(envelope) for envelope in envelopes]
+        return [
+            ParametricAnalysis(envelope, params, graph)
+            for graph, envelope in zip(graphs, envelopes)
+        ]
 
     # -- core metrics (all read off sensitivity_curve) ----------------------------
 
@@ -357,20 +319,7 @@ class LatencyAnalyzer:
         Fig. 1); ``absolute=False`` returns the tolerable *added* latency ΔL.
         Unbounded (``math.inf``) when no path carries a message.
         """
-        if degradation < 0:
-            raise ValueError(f"degradation must be non-negative, got {degradation}")
-        if self.envelope_engine != "lp":
-            tolerance = self.analysis.latency_tolerance(degradation)
-        else:
-            from ..lp.model import UnboundedError
-
-            bound = (1.0 + degradation) * self.baseline_runtime()
-            # reset the latency lower bound to the baseline before maximising
-            self.lp.set_latency_bound(self.params.L)
-            try:
-                tolerance = self.lp.solve_max_latency(bound, backend=self.backend).objective
-            except UnboundedError:
-                tolerance = math.inf
+        tolerance = self.analysis.latency_tolerance(degradation)
         return tolerance if absolute else tolerance - self.params.L
 
     def tolerance_report(
@@ -390,21 +339,15 @@ class LatencyAnalyzer:
     def sensitivity_curve(self, delta_Ls: Iterable[float]) -> SensitivityCurve:
         """Sample runtime, ``λ_L`` and ``ρ_L`` over a ΔL sweep (Fig. 9 lower panels).
 
-        Every point is read off :attr:`analysis` in one vectorised pass; the
-        ``envelope_engine="lp"`` oracle cold-solves one LP per point instead.
+        Every point is read off :attr:`analysis` in one vectorised pass.
         """
         deltas = np.asarray(sorted(set(float(d) for d in delta_Ls)), dtype=np.float64)
-        if np.any(deltas < 0):
-            raise ValueError("delta_L values must be non-negative")
+        if not np.all((0 <= deltas) & (deltas < math.inf)):
+            raise ValueError("delta_L values must be finite and non-negative")
         Ls = self.params.L + deltas
-        if self.envelope_engine == "lp":
-            solutions = [self.lp.solve_runtime(L=float(L), backend=self.backend) for L in Ls]
-            runtimes = np.array([s.objective for s in solutions], dtype=float)
-            lambdas = np.array([self.lp.latency_sensitivity(s) for s in solutions], dtype=float)
-        else:
-            envelope = self.analysis.envelope
-            runtimes = envelope.sample(Ls)
-            lambdas = envelope.slopes(Ls)
+        envelope = self.analysis.envelope
+        runtimes = envelope.sample(Ls)
+        lambdas = envelope.slopes(Ls)
         with np.errstate(divide="ignore", invalid="ignore"):
             rhos = np.where(runtimes > 0, Ls * lambdas / runtimes, 0.0)
         return SensitivityCurve(
@@ -412,14 +355,9 @@ class LatencyAnalyzer:
         )
 
     def _algorithm2(self, search, l_min: float | None, l_max: float, **kwargs):
-        """Run an Algorithm 2 wrapper: on the raw graph (forward pass, no LP)
-        or, for the ``"lp"`` oracle, as a tangent search on the cached LP."""
+        """Run an Algorithm 2 wrapper on the raw graph (forward pass, no LP)."""
         lo = self.params.L if l_min is None else l_min
-        if self.envelope_engine == "lp":
-            return search(self.lp, lo, l_max, backend=self.backend,
-                          envelope_engine="lp", **kwargs)
-        return search(self.graph, lo, l_max, params=self.params,
-                      envelope_engine=self.envelope_engine, **kwargs)
+        return search(self.graph, lo, l_max, params=self.params, **kwargs)
 
     def critical_latencies(
         self, l_min: float | None = None, l_max: float = 1_000.0, *, step: float | None = None

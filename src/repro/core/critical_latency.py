@@ -15,16 +15,14 @@ better than a fixed ``step`` sweep.  A ``step`` argument is still accepted
 for compatibility with the paper's interface: when given, breakpoints
 closer than ``step`` are coalesced.
 
-With ``envelope_engine="lp"`` each probe is one LP solve on one assembled
-model (:meth:`repro.lp.parametric.ParametricLP.tangent_envelope`).  With
-``envelope_engine="forward"`` (or ``"auto"``, whenever the affinity
-contract of ``src/repro/lp/README.md`` holds) every pass of the search is
-one batched forward traversal instead
-(:func:`repro.core.envelope.forward_envelope`) — the same exact curve with
-zero LP solves.
-
-Both functions here are thin wrappers over those two entry points, which
-:class:`repro.core.parametric.BatchedSweep` shares.
+A raw execution graph, or a :class:`~repro.core.lp_builder.GraphLP` that
+keeps the affinity contract of ``src/repro/lp/README.md``, is searched with
+one batched forward traversal per pass
+(:func:`repro.core.envelope.forward_envelope`, zero LP solves).  A
+``GraphLP`` that breaks the contract is searched with one LP solve per
+probe on its one assembled model
+(:meth:`repro.lp.parametric.ParametricLP.tangent_envelope`).  Both give
+the same exact curve.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from __future__ import annotations
 from ..lp.parametric import Tangent, check_latency_interval
 from ..network.params import LogGPSParams
 from ..schedgen.graph import ExecutionGraph
-from .lp_builder import GraphLP, build_lp
+from .lp_builder import GraphLP
 
 __all__ = ["Tangent", "find_critical_latencies", "critical_latency_curve"]
 
@@ -56,34 +54,27 @@ def _envelope_search(
     backend: str,
     max_solves: int,
     params: LogGPSParams | None,
-    envelope_engine: str,
 ):
     """``(breakpoints, tangent_at)`` of ``T(L)`` on ``[l_min, l_max]``.
 
-    A raw :class:`ExecutionGraph` (plus ``params``) under ``"auto"`` /
-    ``"forward"`` goes straight to the forward pass and never builds an LP;
-    for ``"lp"`` its LP is built first.  A prebuilt :class:`GraphLP` goes
-    through :func:`~repro.core.envelope.resolve_envelope_engine`, so the
-    affinity contract is honoured (and violations raise for ``"forward"``).
+    A raw :class:`ExecutionGraph` (plus ``params``) goes straight to the
+    forward pass and never builds an LP.  A prebuilt :class:`GraphLP` goes
+    through :func:`~repro.core.envelope.resolve_envelope_engine`: the
+    forward pass when the affinity contract holds, LP probes otherwise.
     """
-    from .envelope import _check_engine_name, forward_envelope, resolve_envelope_engine
+    from .envelope import forward_envelope, resolve_envelope_engine
 
     check_latency_interval(l_min, l_max)
-    _check_engine_name(envelope_engine)
-    envelope = None
     if isinstance(graph_lp, ExecutionGraph):
         if params is None:
             raise ValueError("passing an ExecutionGraph requires the params= keyword")
-        if envelope_engine != "lp":
-            envelope = forward_envelope(graph_lp, params, l_min=l_min, l_max=l_max)
-        else:
-            graph_lp = build_lp(graph_lp, params, latency_mode="global")
-    elif resolve_envelope_engine(envelope_engine, graph_lp) == "forward":
+        envelope = forward_envelope(graph_lp, params, l_min=l_min, l_max=l_max)
+    elif resolve_envelope_engine(graph_lp) == "forward":
         envelope = forward_envelope(graph_lp.graph, graph_lp.params, l_min=l_min, l_max=l_max)
-    if envelope is not None:
-        return envelope.breakpoints(), lambda x: Tangent(x, envelope.value(x), envelope.slope(x))
-    result = graph_lp.tangent_envelope(l_min, l_max, backend=backend, max_solves=max_solves)
-    return result.breakpoints, result.segment_tangent
+    else:
+        result = graph_lp.tangent_envelope(l_min, l_max, backend=backend, max_solves=max_solves)
+        return result.breakpoints, result.segment_tangent
+    return envelope.breakpoints(), lambda x: Tangent(x, envelope.value(x), envelope.slope(x))
 
 
 def find_critical_latencies(
@@ -95,21 +86,17 @@ def find_critical_latencies(
     step: float | None = None,
     max_solves: int = 10_000,
     params: LogGPSParams | None = None,
-    envelope_engine: str = "auto",
 ) -> list[float]:
     """All critical latencies of ``graph_lp`` inside ``[l_min, l_max]``.
 
     ``step``, when given, coalesces breakpoints closer than ``step`` (the
     resolution knob of the paper's Algorithm 2); ``max_solves`` bounds the
-    number of LP solves.  ``graph_lp`` may also be a raw
-    :class:`~repro.schedgen.graph.ExecutionGraph` together with ``params=``.
-    ``envelope_engine`` picks how the search probes ``T(L)`` — batched
-    forward passes (no LP solves) or LP solves; both return the identical
-    breakpoints.
+    number of LP solves of a search over LP probes.  ``graph_lp`` may also
+    be a raw :class:`~repro.schedgen.graph.ExecutionGraph` together with
+    ``params=``.
     """
     breakpoints, _ = _envelope_search(
-        graph_lp, l_min, l_max, backend=backend, max_solves=max_solves,
-        params=params, envelope_engine=envelope_engine,
+        graph_lp, l_min, l_max, backend=backend, max_solves=max_solves, params=params,
     )
     return _collect_breakpoints(breakpoints, step)
 
@@ -122,7 +109,6 @@ def critical_latency_curve(
     backend: str = "highs",
     max_solves: int = 10_000,
     params: LogGPSParams | None = None,
-    envelope_engine: str = "auto",
 ) -> list[Tangent]:
     """Tangents of ``T(L)`` on every linear segment of ``[l_min, l_max]``.
 
@@ -131,12 +117,10 @@ def critical_latency_curve(
     the step function ``λ_L(L)`` over the interval.  The segment tangents are
     served from the cache of the single envelope search — no additional LP
     solves at the segment mid-points.  Accepts a raw execution graph (plus
-    ``params=``) like :func:`find_critical_latencies`, and the same
-    ``envelope_engine`` knob.
+    ``params=``) like :func:`find_critical_latencies`.
     """
     breakpoints, tangent_at = _envelope_search(
-        graph_lp, l_min, l_max, backend=backend, max_solves=max_solves,
-        params=params, envelope_engine=envelope_engine,
+        graph_lp, l_min, l_max, backend=backend, max_solves=max_solves, params=params,
     )
     boundaries = [l_min, *_collect_breakpoints(breakpoints, None), l_max]
     return [tangent_at(0.5 * (lo + hi)) for lo, hi in zip(boundaries, boundaries[1:])]

@@ -6,8 +6,8 @@ constant — so the makespan ``T(L)`` is the upper envelope of per-path lines
 ``a_i·L + C_i`` (``a_i`` = number of messages on path ``i``).  The envelope
 is found by the paper's tangent-intersection search
 (:func:`~repro.lp.parametric.tangent_search`, Algorithm 2), the same search
-the :class:`~repro.lp.parametric.ParametricLP` oracle runs with one LP solve
-per probe.  Here every pass of that search is answered by one vectorised
+:class:`~repro.lp.parametric.ParametricLP` runs with one LP solve per
+probe.  Here every pass of that search is answered by one vectorised
 traversal of the chain-condensed level structure instead.
 
 The traversal mirrors the condensation of :mod:`repro.lp.compiler` exactly:
@@ -43,11 +43,11 @@ LP tangent envelope: at the LP optimum every symbolic variable other than
 bounds as constants reproduces the optimal objective for every ``L``.  The
 engine therefore requires the **affinity contract** documented in
 ``src/repro/lp/README.md``: a global latency variable, no per-pair HLogGP
-variables, and gap/overhead bounds that still equal ``params`` — anything
-else falls back to the :class:`~repro.lp.parametric.ParametricLP` oracle
-(``envelope_engine="auto"``) or raises (``envelope_engine="forward"``).
-Artifact-store envelope keys come from :func:`envelope_config` and exclude
-the engine choice, so cached entries are shared across engines (see
+variables, and gap/overhead bounds that still equal ``params``.  A
+:class:`~repro.core.lp_builder.GraphLP` that breaks it gets the LP tangent
+search (:func:`~repro.core.parametric.lp_envelope`) instead;
+:func:`resolve_envelope_engine` makes that choice.  Artifact-store envelope
+keys come from :func:`envelope_config` and do not name the evaluator (see
 :mod:`repro.artifacts.store`).
 """
 
@@ -62,7 +62,6 @@ from ..network.params import LogGPSParams
 from ..schedgen.graph import EdgeKind, ExecutionGraph, VertexKind
 
 __all__ = [
-    "ENVELOPE_ENGINES",
     "envelope_config",
     "forward_envelope",
     "forward_incompatibility",
@@ -70,20 +69,9 @@ __all__ = [
     "forward_supports_modes",
 ]
 
-#: the accepted values of every ``envelope_engine=`` knob.
-ENVELOPE_ENGINES = ("auto", "forward", "lp")
-
 # ---------------------------------------------------------------------------
-# engine resolution / affinity contract
+# evaluator choice / affinity contract
 # ---------------------------------------------------------------------------
-
-
-def _check_engine_name(engine: str) -> None:
-    if engine not in ENVELOPE_ENGINES:
-        raise ValueError(
-            f"unknown envelope_engine {engine!r}; "
-            f"expected one of {ENVELOPE_ENGINES}"
-        )
 
 
 def forward_incompatibility(graph_lp) -> str | None:
@@ -93,8 +81,7 @@ def forward_incompatibility(graph_lp) -> str | None:
     i.e. the LP satisfies the affinity contract (``T(L)`` depends on the
     single global latency variable only, every other symbolic bound still
     equals its ``params`` value).  Otherwise returns a human-readable
-    reason, used verbatim in the ``envelope_engine="forward"`` error and to
-    drive the ``"auto"`` fallback to the :class:`ParametricLP` oracle.
+    reason, and :func:`resolve_envelope_engine` picks the LP tangent search.
     """
     if graph_lp.latency is None:
         return (
@@ -128,26 +115,11 @@ def forward_incompatibility(graph_lp) -> str | None:
     return None
 
 
-def resolve_envelope_engine(engine: str, graph_lp) -> str:
-    """Resolve an ``envelope_engine`` request against one :class:`GraphLP`.
-
-    ``"lp"`` always resolves to itself; ``"forward"`` raises a
-    :class:`ValueError` naming the violated affinity condition when the
-    forward pass would not be exact; ``"auto"`` picks the forward pass when
-    it is exact and silently falls back to the LP oracle otherwise.
-    """
-    _check_engine_name(engine)
-    if engine == "lp":
-        return "lp"
-    reason = forward_incompatibility(graph_lp)
-    if reason is None:
-        return "forward"
-    if engine == "forward":
-        raise ValueError(
-            f"envelope_engine='forward' cannot analyse this LP: {reason}; "
-            "use envelope_engine='lp' or 'auto'"
-        )
-    return "lp"
+def resolve_envelope_engine(graph_lp) -> str:
+    """The evaluator of ``graph_lp``'s envelope: ``"forward"`` when the
+    forward pass is exact for it (:func:`forward_incompatibility` is
+    ``None``), else ``"lp"`` (the tangent search over LP probes)."""
+    return "forward" if forward_incompatibility(graph_lp) is None else "lp"
 
 
 def forward_supports_modes(build_kwargs: Mapping[str, object]) -> bool:
@@ -227,8 +199,8 @@ def forward_envelope(
     All LogGPS parameters other than the latency are folded from ``params``
     as constants, exactly as the LP bakes them into its constraint constants
     (and as the optimum pins every symbolic bound).  Numerically identical
-    to ``BatchedSweep(build_lp(graph, params), ...).envelope`` whenever the
-    affinity contract holds — see this module's docstring and
+    to ``lp_envelope(build_lp(graph, params), ...)`` whenever the affinity
+    contract holds — see this module's docstring and
     ``src/repro/lp/README.md``.
 
     ``max_pieces`` bounds the piece count of the envelope; overflow raises

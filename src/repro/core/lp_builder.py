@@ -174,26 +174,22 @@ class GraphLP:
         backend: str = "highs",
         max_solves: int = 10_000,
         max_pieces: int | None = None,
-        engine=None,
     ):
         """Run the shared tangent-envelope search over the latency variable.
 
         Returns the :class:`~repro.lp.parametric.TangentEnvelope` of
         ``T(L)`` on ``[l_min, l_max]`` — the single entry point used by
-        Algorithm 2 (:mod:`repro.core.critical_latency`) and the batched
-        sweep engine.  Keeps the engine hand-off (objective reset, latency
-        variable re-sync after the bound-moving probes) in one place.
-        Callers that need solve counts even when the search raises can pass
-        their own :class:`~repro.lp.parametric.ParametricLP` as ``engine``
-        (``backend``/``max_solves`` are then ignored).
+        Algorithm 2 (:mod:`repro.core.critical_latency`) and
+        :func:`~repro.core.parametric.lp_envelope`.  Keeps the engine
+        hand-off (objective reset, latency variable re-sync after the
+        bound-moving probes) in one place.
         """
         if self.latency is None:
             raise ValueError("this LP was built in per-pair latency mode")
         from ..lp.parametric import ParametricLP
 
         self._set_min_objective()
-        if engine is None:
-            engine = ParametricLP(self.model, backend=backend, max_solves=max_solves)
+        engine = ParametricLP(self.model, backend=backend, max_solves=max_solves)
         try:
             return engine.tangent_envelope(
                 self.latency, l_min, l_max, max_pieces=max_pieces

@@ -36,7 +36,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..lp.parametric import EnvelopeOverflowError, ParametricLP, check_latency_interval
+from ..lp.parametric import EnvelopeOverflowError
 from ..network.params import LogGPSParams
 from ..schedgen.graph import ExecutionGraph
 from .envelope import forward_envelope
@@ -47,7 +47,7 @@ __all__ = [
     "ParametricAnalysis",
     "parametric_analysis",
     "EnvelopeOverflowError",
-    "BatchedSweep",
+    "lp_envelope",
     "batched_sweep_graphs",
 ]
 
@@ -320,175 +320,36 @@ def parametric_analysis(
 
 
 # ---------------------------------------------------------------------------
-# batched LP sweeps
+# the LP tangent search and many-graph sweeps
 # ---------------------------------------------------------------------------
 
 
-class BatchedSweep:
-    """Reuse one assembled LP across a whole latency sweep.
+def lp_envelope(
+    graph_lp,
+    l_min: float,
+    l_max: float,
+    *,
+    backend: str = "highs",
+    max_pieces: int = 50_000,
+    max_solves: int = 10_000,
+) -> PiecewiseLinear:
+    """The exact ``T(L)`` envelope of a :class:`~repro.core.lp_builder.GraphLP`
+    on ``[l_min, l_max]`` from LP probes.
 
-    The cold path solves an independent LP per ``(graph, L)`` point: each
-    solve re-lowers the model and cold-starts the solver.  ``BatchedSweep``
-    exploits two structural facts instead:
-
-    1. only the lower bound of the latency variable changes between sweep
-       points, so the CSR lowering (:mod:`repro.lp.assembler`) is built once
-       per graph and every re-solve just refreshes the bounds vector;
-    2. ``T(L)`` is convex piecewise linear, and each solve at ``L`` returns
-       the *tangent* of the curve — the value ``T(L)`` and the slope ``λ_L``
-       (reduced cost of ``l``).  The previous vertex therefore remains
-       optimal until the sweep crosses a breakpoint: recursing on tangent
-       intersections discovers every linear segment with
-       ``O(#breakpoints)`` LP solves, after which any number of sweep points
-       is evaluated from the reconstructed envelope without touching the
-       solver again.
-
-    The result is exact (not an approximation): every returned value lies on
-    the same piecewise-linear curve the per-point cold solves sample.
-
-    Parameters
-    ----------
-    graph_lp:
-        A :class:`~repro.core.lp_builder.GraphLP` built with
-        ``latency_mode="global"``.
-    l_min, l_max:
-        The latency interval swept.
-    backend:
-        Backend name from the default registry (default ``"highs"``).
-    max_pieces:
-        Guard against pathological envelope growth: discovering more than
-        this many linear segments raises :class:`EnvelopeOverflowError`.
-    max_solves:
-        Hard bound on the number of LP solves.
-    envelope_engine:
-        ``"forward"`` computes the envelope with the batched forward passes
-        of :mod:`repro.core.envelope` (no LP solves at all),
-        ``"lp"`` forces the tangent search, and ``"auto"`` (default) picks
-        the forward pass whenever it is exact for this LP and falls back to
-        the tangent search otherwise.  Both engines return the identical
-        curve — see the affinity contract in ``src/repro/lp/README.md``.
+    The tangent search (:meth:`~repro.core.lp_builder.GraphLP.tangent_envelope`)
+    solves one LP per probe on the one assembled model; the upper envelope
+    of the tangents it finds is the curve.  This is the evaluator of LPs
+    that break the forward pass's affinity contract (per-pair gap variables,
+    moved gap/overhead bounds) and the reference ``forward_envelope`` is
+    tested against.  ``max_solves`` bounds the LP solves; more than
+    ``max_pieces`` pieces raise :class:`EnvelopeOverflowError`.
     """
-
-    def __init__(
-        self,
-        graph_lp,
-        *,
-        l_min: float = 0.0,
-        l_max: float = 10_000.0,
-        backend: str = "highs",
-        max_pieces: int = 50_000,
-        max_solves: int = 10_000,
-        envelope_engine: str = "auto",
-    ) -> None:
-        from .envelope import _check_engine_name
-
-        if graph_lp.latency is None:
-            raise ValueError(
-                "BatchedSweep requires a GraphLP built with latency_mode='global'"
-            )
-        check_latency_interval(l_min, l_max)
-        if max_pieces < 1:
-            raise ValueError(f"max_pieces must be positive, got {max_pieces}")
-        _check_engine_name(envelope_engine)
-        self.graph_lp = graph_lp
-        self.l_min = float(l_min)
-        self.l_max = float(l_max)
-        self.backend = backend
-        self.max_pieces = max_pieces
-        self.max_solves = max_solves
-        self.envelope_engine = envelope_engine
-        self.num_solves = 0
-        self._envelope: PiecewiseLinear | None = None
-
-    @classmethod
-    def from_envelope(cls, envelope: PiecewiseLinear) -> "BatchedSweep":
-        """Wrap an already-built envelope (e.g. loaded from an artifact store).
-
-        The returned sweep answers every query from the envelope without a
-        model: ``graph_lp`` is ``None``, ``num_solves`` is 0 and no LP is
-        ever assembled or solved.
-        """
-        sweep = cls.__new__(cls)
-        sweep.graph_lp = None
-        sweep.l_min = float(envelope.lo)
-        sweep.l_max = float(envelope.hi)
-        sweep.backend = "cached"
-        sweep.max_pieces = max(len(envelope.lines), 1)
-        sweep.max_solves = 0
-        sweep.envelope_engine = "cached"
-        sweep.num_solves = 0
-        sweep._envelope = envelope
-        return sweep
-
-    # -- envelope construction -------------------------------------------------
-
-    def _build_envelope(self) -> PiecewiseLinear:
-        if self.graph_lp is None:
-            raise ValueError(
-                "this BatchedSweep was restored from a cached envelope and "
-                "has no model to solve"
-            )
-        from .envelope import forward_envelope, resolve_envelope_engine
-
-        if resolve_envelope_engine(self.envelope_engine, self.graph_lp) == "forward":
-            # batched forward passes: exact, zero LP solves
-            return forward_envelope(
-                self.graph_lp.graph,
-                self.graph_lp.params,
-                l_min=self.l_min,
-                l_max=self.l_max,
-                max_pieces=self.max_pieces,
-            )
-        # the tangent-probing search is the shared ParametricLP engine; this
-        # class only owns the geometric reconstruction of the envelope
-        engine = ParametricLP(
-            self.graph_lp.model, backend=self.backend, max_solves=self.max_solves
-        )
-        try:
-            result = self.graph_lp.tangent_envelope(
-                self.l_min, self.l_max, max_pieces=self.max_pieces, engine=engine
-            )
-        finally:
-            # keep the solve count observable even when the search overflows
-            self.num_solves = engine.num_solves
-
-        lines = [Line(t.slope, t.intercept) for t in result.tangents]
-        env = _upper_envelope(lines, self.l_min, self.l_max)
-        return PiecewiseLinear(lines=env, lo=self.l_min, hi=self.l_max)
-
-    @property
-    def envelope(self) -> PiecewiseLinear:
-        """The exact ``T(L)`` curve on ``[l_min, l_max]`` (built lazily)."""
-        if self._envelope is None:
-            self._envelope = self._build_envelope()
-        return self._envelope
-
-    # -- queries -----------------------------------------------------------------
-
-    def value(self, L: float) -> float:
-        """``T(L)``."""
-        return self.envelope.value(L)
-
-    def slope(self, L: float) -> float:
-        """``λ_L`` at ``L`` (slope from above at breakpoints)."""
-        return self.envelope.slope(L)
-
-    def values(self, Ls: Iterable[float]) -> np.ndarray:
-        """Vectorised ``T`` over a sweep of latencies."""
-        return self.envelope.sample(Ls)
-
-    def sensitivities(self, Ls: Iterable[float]) -> np.ndarray:
-        """``λ_L`` over a sweep of latencies (vectorised; see
-        :meth:`PiecewiseLinear.slopes`)."""
-        return self.envelope.slopes(Ls)
-
-    def breakpoints(self) -> list[float]:
-        """All critical latencies inside ``(l_min, l_max)``."""
-        return self.envelope.breakpoints()
-
-    def latency_tolerance(self, runtime_bound: float) -> float:
-        """Largest ``L`` in the interval with ``T(L) <= runtime_bound``."""
-        return self.envelope.solve_for_value(runtime_bound)
+    result = graph_lp.tangent_envelope(
+        l_min, l_max, backend=backend, max_solves=max_solves, max_pieces=max_pieces
+    )
+    lo, hi = float(l_min), float(l_max)
+    lines = [Line(t.slope, t.intercept) for t in result.tangents]
+    return PiecewiseLinear(lines=_upper_envelope(lines, lo, hi), lo=lo, hi=hi)
 
 
 def sweep_envelope(
@@ -499,42 +360,33 @@ def sweep_envelope(
     l_max: float,
     backend: str,
     max_pieces: int,
-    envelope_engine: str,
     build_kwargs: dict,
 ) -> PiecewiseLinear:
     """The envelope of one sweep job, in-process or in a pool worker.
 
     The forward pass when a fresh ``build_lp(graph, params, **build_kwargs)``
     would be forward-compatible (it then skips the LP assembly altogether),
-    else a :class:`BatchedSweep` over that LP.
+    else :func:`lp_envelope` over that LP.
     """
     from .envelope import forward_supports_modes
 
-    if envelope_engine != "lp" and forward_supports_modes(build_kwargs):
+    if forward_supports_modes(build_kwargs):
         return forward_envelope(
             graph, params, l_min=l_min, l_max=l_max, max_pieces=max_pieces
         )
     from .lp_builder import build_lp
 
-    return BatchedSweep(
-        build_lp(graph, params, **build_kwargs),
-        l_min=l_min,
-        l_max=l_max,
-        backend=backend,
-        max_pieces=max_pieces,
-        envelope_engine=envelope_engine,
-    ).envelope
+    graph_lp = build_lp(graph, params, **build_kwargs)
+    return lp_envelope(graph_lp, l_min, l_max, backend=backend, max_pieces=max_pieces)
 
 
 def _sweep_one_graph(job) -> PiecewiseLinear:
-    (graph, params, l_min, l_max, backend, max_pieces, cache_dir,
-     envelope_engine, build_kwargs) = job
+    graph, params, l_min, l_max, backend, max_pieces, cache_dir, build_kwargs = job
 
     def build() -> PiecewiseLinear:
         return sweep_envelope(
             graph, params, l_min=l_min, l_max=l_max, backend=backend,
-            max_pieces=max_pieces, envelope_engine=envelope_engine,
-            build_kwargs=build_kwargs,
+            max_pieces=max_pieces, build_kwargs=build_kwargs,
         )
 
     if cache_dir is None:
@@ -559,15 +411,17 @@ def batched_sweep_graphs(
     max_pieces: int = 50_000,
     processes: int | None = None,
     cache_dir: str | os.PathLike | None = None,
-    envelope_engine: str = "auto",
     **build_kwargs,
 ) -> list[PiecewiseLinear]:
     """Batched sweeps of several independent graphs, optionally in parallel.
 
-    Returns one exact ``T(L)`` envelope per graph.  Graphs are deduplicated
-    by :meth:`~repro.schedgen.graph.ExecutionGraph.content_digest` before any
-    LP is assembled — duplicates are solved once and the envelope is fanned
-    out — whether or not a cache directory is configured.
+    Returns one exact ``T(L)`` envelope per graph: the forward pass when
+    ``build_kwargs`` keep the affinity contract, else :func:`lp_envelope`
+    over ``build_lp(graph, params, **build_kwargs)`` (``backend`` is its
+    solver).  Graphs are deduplicated by
+    :meth:`~repro.schedgen.graph.ExecutionGraph.content_digest` first —
+    duplicates are swept once and the envelope is fanned out — whether or
+    not a cache directory is configured.
 
     ``processes > 1`` fans the unique graphs out over a persistent
     :class:`~repro.parallel.SweepPool` of ``spawn`` workers: each unique
@@ -581,16 +435,9 @@ def batched_sweep_graphs(
     graph/params content digests plus the sweep configuration, so repeated
     runs are answered from disk instead of re-building and re-assembling the
     LP.  The store's writes are atomic, so pool workers may race on a key
-    safely.
-
-    ``envelope_engine`` selects how each envelope is computed (see
-    :class:`BatchedSweep`); cache keys are engine-free
-    (:func:`~repro.core.envelope.envelope_config`), so entries warmed by one
-    engine — or by the analyzer or a fleet — are reused by the other.
+    safely.  Keys come from :func:`~repro.core.envelope.envelope_config`, so
+    entries warmed by the analyzer or a fleet are reused here.
     """
-    from .envelope import _check_engine_name
-
-    _check_engine_name(envelope_engine)
     cache_dir = None if cache_dir is None else os.fspath(cache_dir)
     if processes is not None and processes > 1 and len(graphs) > 1:
         from ..parallel.pool import SweepPool
@@ -603,7 +450,6 @@ def batched_sweep_graphs(
                 l_max=l_max,
                 backend=backend,
                 max_pieces=max_pieces,
-                envelope_engine=envelope_engine,
                 **build_kwargs,
             )
 
@@ -615,7 +461,7 @@ def batched_sweep_graphs(
         if envelope is None:
             envelope = _sweep_one_graph(
                 (graph, params, l_min, l_max, backend, max_pieces, cache_dir,
-                 envelope_engine, build_kwargs)
+                 build_kwargs)
             )
             by_digest[digest] = envelope
         envelopes.append(envelope)

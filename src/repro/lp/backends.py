@@ -3,7 +3,7 @@
 Every backend is a callable ``solve(model, *, warm_start=None, **options)``
 returning an :class:`~repro.lp.model.LPSolution`, registered under a name in
 a :class:`BackendRegistry` together with a capability description.  The
-default registry ships two entries (three with the optional ``highspy``):
+default registry ships two entries:
 
 ``"highs"``
     :func:`repro.lp.scipy_backend.solve_highs` — sparse, handles the large
@@ -164,25 +164,3 @@ def _solve_simplex_backend(
     from .simplex import solve_simplex
 
     return solve_simplex(model, warm_start=warm_start, **options)
-
-
-# The native highspy bindings are optional; when importable they register as
-# a third backend with a real simplex-basis warm start (ParametricLP's basis
-# hand-off activates on supports_warm_start).  Environments without the
-# package see an unchanged registry — no stub entry, no import error.
-from .highspy_backend import HAVE_HIGHSPY
-
-if HAVE_HIGHSPY:  # pragma: no cover - requires the optional highspy package
-
-    @default_registry.register(
-        "highspy",
-        description="native HiGHS bindings with simplex basis warm starts",
-        supports_duals=True,
-        supports_warm_start=True,
-    )
-    def _solve_highspy_backend(
-        model: LPModel, *, warm_start: LPSolution | np.ndarray | None = None, **options: object
-    ) -> LPSolution:
-        from .highspy_backend import solve_highspy
-
-        return solve_highspy(model, warm_start=warm_start, **options)

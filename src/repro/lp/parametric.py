@@ -37,10 +37,10 @@ feed it:
 * :meth:`ParametricLP.tangent_envelope` solves one LP per probe (objective
   = value, reduced cost of the variable = slope).  This is the same
   complexity class as the paper's Algorithm 2 with exact Gurobi ranging
-  information, which the open backends do not provide.  It backs the
-  ``envelope_engine="lp"`` oracle of
-  :func:`repro.core.critical_latency.find_critical_latencies` and
-  :class:`repro.core.parametric.BatchedSweep`;
+  information, which the open backends do not provide.  It backs
+  :func:`repro.core.parametric.lp_envelope` — the evaluator of every LP
+  that breaks the forward pass's affinity contract, and the reference the
+  tests hold the forward pass to;
 * :func:`repro.core.envelope.forward_envelope` answers all probes of a pass
   with one level-synchronous traversal of the execution graph (no LP).
 
@@ -96,8 +96,9 @@ class EnvelopeOverflowError(RuntimeError):
 
 
 def check_latency_interval(l_min: float, l_max: float) -> None:
-    """Reject a bad latency interval up front, before any LP or traversal."""
-    if l_min < 0 or l_max <= l_min:
+    """Reject a bad latency interval up front, before any LP or traversal
+    (NaN never passes; ``l_max`` may be ``inf``)."""
+    if not 0 <= l_min < l_max:
         raise ValueError(
             f"invalid latency interval [{l_min}, {l_max}]: "
             "require 0 <= l_min < l_max"

@@ -40,9 +40,9 @@ def solve_highs(
 
     ``warm_start`` is accepted for protocol uniformity with the other
     backends but ignored: SciPy's ``linprog`` does not expose a basis
-    hand-off for the HiGHS methods.  Sweep-level reuse (the
-    :class:`~repro.core.parametric.BatchedSweep` tangent cache) recovers the
-    benefit instead.
+    hand-off for the HiGHS methods.  Sweep-level reuse (the tangent search
+    of :class:`~repro.lp.parametric.ParametricLP`, one solve per segment)
+    recovers the benefit instead.
     """
     from scipy.optimize import linprog
 

@@ -92,16 +92,11 @@ class ScenarioFleet:
         l_min: float | None = None,
         l_max: float = 1_000.0,
         sim_deltas: Sequence[float] = (0.0, 10.0),
-        backend: str = "highs",
-        envelope_engine: str = "auto",
         max_pieces: int = 50_000,
         processes: int | None = None,
         cache_dir: str | os.PathLike | None = None,
     ) -> None:
         from ..apps import ALL_APPS
-        from ..core.envelope import _check_engine_name
-
-        _check_engine_name(envelope_engine)
 
         unknown = [app for app in apps if app not in ALL_APPS]
         if unknown:
@@ -118,8 +113,6 @@ class ScenarioFleet:
         self.l_min = l_min
         self.l_max = float(l_max)
         self.sim_deltas = tuple(float(d) for d in sim_deltas)
-        self.backend = backend
-        self.envelope_engine = envelope_engine
         self.max_pieces = int(max_pieces)
         self.processes = processes
         self.cache_dir = cache_dir
@@ -230,11 +223,9 @@ class ScenarioFleet:
             params_digest=sc.params.content_digest(),
             l_min=lo,
             l_max=self.l_max,
-            backend=self.backend,
             max_pieces=self.max_pieces,
             build_kwargs=(("latency_mode", "global"),),
             sim=sim,
-            envelope_engine=self.envelope_engine,
             params=sc.params,
             scenario=sc.name,
         )
@@ -256,8 +247,6 @@ class ScenarioFleet:
             "lambda_L": analysis.latency_sensitivity(),
             "rho_L": analysis.l_ratio(),
             "critical_latencies": len(analysis.critical_latencies()),
-            "worker_pid": payload["worker_pid"],
-            "worker_rss_kb": payload["worker_rss_kb"],
         }
         for deg in DEGRADATIONS:
             label = f"tolerance_{int(deg * 100)}pct_us"

@@ -55,9 +55,10 @@ class SweepTask:
     simulated points.
 
     ``params`` is the tiny parameter record the worker solves with; the
-    identity of the task is the digest pair plus the sweep configuration.
-    ``scenario`` is an opaque label attached to failures so the caller can
-    tell *which* scenario died.
+    identity of the task is the digest pair plus the sweep configuration,
+    so two tasks that compare equal (``params`` and ``scenario`` are not
+    compared) produce bit-identical results.  ``scenario`` is an opaque
+    label attached to failures so the caller can tell *which* scenario died.
     """
 
     graph_digest: str
@@ -68,23 +69,8 @@ class SweepTask:
     max_pieces: int = 50_000
     build_kwargs: tuple[tuple[str, object], ...] = ()
     sim: tuple[str, tuple[float, ...]] | None = None  # (injector, deltas)
-    envelope_engine: str = "auto"
     params: LogGPSParams | None = field(default=None, compare=False)
     scenario: str | None = field(default=None, compare=False)
-
-    def dedupe_key(self) -> tuple:
-        """Two tasks with equal keys produce bit-identical results.
-
-        The ``envelope_engine`` is part of this key (conservatively — the
-        engines agree to well below solver tolerance, but bit-identity is
-        only claimed within one engine), yet *not* of :meth:`store_key`:
-        cached envelopes are shared across engines.
-        """
-        return (
-            self.graph_digest, self.params_digest, self.l_min, self.l_max,
-            self.backend, self.max_pieces, self.build_kwargs, self.sim,
-            self.envelope_engine,
-        )
 
     def store_key(self) -> str:
         """The :class:`ArtifactStore` envelope key of this task's sweep."""
@@ -172,7 +158,6 @@ def _execute_task(
         return sweep_envelope(
             graph, task.params, l_min=task.l_min, l_max=task.l_max,
             backend=task.backend, max_pieces=task.max_pieces,
-            envelope_engine=task.envelope_engine,
             build_kwargs=dict(task.build_kwargs),
         )
 
@@ -326,16 +311,15 @@ class SweepPool:
             return []
         graphs = graphs or {}
 
-        # dedupe: first occurrence of each key is the representative
-        representatives: dict[tuple, int] = {}
+        # dedupe: the first of each set of equal tasks is the representative
+        representatives: dict[SweepTask, int] = {}
         slot_of_task: list[int] = []
         unique: list[SweepTask] = []
         for task in tasks:
-            key = task.dedupe_key()
-            slot = representatives.get(key)
+            slot = representatives.get(task)
             if slot is None:
                 slot = len(unique)
-                representatives[key] = slot
+                representatives[task] = slot
                 unique.append(task)
             slot_of_task.append(slot)
 
@@ -412,7 +396,6 @@ class SweepPool:
         l_max: float = 10_000.0,
         backend: str = "highs",
         max_pieces: int = 50_000,
-        envelope_engine: str = "auto",
         **build_kwargs,
     ) -> list:
         """One exact ``T(L)`` envelope per graph (duplicates solved once).
@@ -432,7 +415,6 @@ class SweepPool:
                 backend=backend,
                 max_pieces=int(max_pieces),
                 build_kwargs=build_items,
-                envelope_engine=envelope_engine,
                 params=params,
                 scenario=f"graph[{i}] {graph.content_digest()[:12]}…",
             )

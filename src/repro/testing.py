@@ -12,7 +12,10 @@ code never imports it:
   per-vertex topological sweep over symbolic expressions (production:
   :func:`repro.core.lp_builder.build_lp`, the vectorised CSR lowering);
 * :class:`LogGOPSSimulator` — the per-vertex LogGOPS walk (production:
-  :func:`repro.simulator.simulate`, the level-synchronous engine).
+  :func:`repro.simulator.simulate`, the level-synchronous engine);
+* :func:`lp_summary` / :func:`lp_sensitivity_curve` — the analyzer's
+  metrics answered by the paper's LP solves, one per point (production:
+  reads on one forward envelope).
 
 The op-by-op graph builder stays in :mod:`repro.schedgen.builder`, as the
 ``"legacy"`` oracle switch of
@@ -21,9 +24,13 @@ The op-by-op graph builder stays in :mod:`repro.schedgen.builder`, as the
 
 from __future__ import annotations
 
+import math
+from typing import Iterable
+
 import numpy as np
 
-from .core.lp_builder import GraphLP, _pair_key
+from .core.analyzer import SensitivityCurve
+from .core.lp_builder import GraphLP, _pair_key, build_lp
 from .lp.model import LinearExpr, LPModel, Sense, Variable
 from .network.params import LogGPSParams
 from .schedgen.graph import EdgeKind, ExecutionGraph, GraphBuilder, VertexKind
@@ -37,6 +44,8 @@ __all__ = [
     "build_random_dag",
     "build_random_program",
     "build_lp_symbolic",
+    "lp_summary",
+    "lp_sensitivity_curve",
     "LogGOPSSimulator",
 ]
 
@@ -308,6 +317,55 @@ def build_lp_symbolic(
         sink_rows=sink_rows,
         num_messages=num_messages,
     )
+
+
+def lp_sensitivity_curve(
+    graph: ExecutionGraph, params: LogGPSParams, delta_Ls: Iterable[float],
+    *, backend: str = "highs",
+) -> SensitivityCurve:
+    """:meth:`~repro.core.analyzer.LatencyAnalyzer.sensitivity_curve` from
+    one cold LP solve per ΔL: the runtime is the objective, ``λ_L`` the
+    reduced cost of the latency variable."""
+    deltas = np.asarray(sorted(set(float(d) for d in delta_Ls)), dtype=np.float64)
+    Ls = params.L + deltas
+    lp = build_lp(graph, params, latency_mode="global")
+    solutions = [lp.solve_runtime(L=float(L), backend=backend) for L in Ls]
+    runtimes = np.array([s.objective for s in solutions], dtype=float)
+    lambdas = np.array([lp.latency_sensitivity(s) for s in solutions], dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rhos = np.where(runtimes > 0, Ls * lambdas / runtimes, 0.0)
+    return SensitivityCurve(deltas, runtimes, lambdas, rhos)
+
+
+def lp_summary(
+    graph: ExecutionGraph, params: LogGPSParams, *, backend: str = "highs"
+) -> dict[str, float]:
+    """:meth:`~repro.core.analyzer.LatencyAnalyzer.summary`'s keys from LP
+    solves: ``solve_runtime`` at the baseline latency, and one
+    ``solve_max_latency`` per tolerance (``math.inf`` when unbounded)."""
+    from .lp.model import UnboundedError
+
+    curve = lp_sensitivity_curve(graph, params, [0.0], backend=backend)
+    runtime = float(curve.runtime[0])
+    summary = {
+        "nranks": graph.nranks,
+        "events": graph.num_events,
+        "messages": graph.num_messages,
+        "runtime_us": runtime,
+        "lambda_L": float(curve.latency_sensitivity[0]),
+        "rho_L": float(curve.l_ratio[0]),
+    }
+    lp = build_lp(graph, params, latency_mode="global")
+    for level in (1, 2, 5):
+        lp.set_latency_bound(params.L)
+        try:
+            tolerance = lp.solve_max_latency(
+                (1.0 + level / 100) * runtime, backend=backend
+            ).objective
+        except UnboundedError:
+            tolerance = math.inf
+        summary[f"tolerance_{level}pct_us"] = tolerance
+    return summary
 
 
 class LogGOPSSimulator:

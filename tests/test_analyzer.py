@@ -10,8 +10,9 @@ from repro import LatencyAnalyzer
 from repro.apps import ALL_APPS
 from repro.cli import main as cli_main
 from repro.mpi import run_program
-from repro.network.params import LogGPSParams
+from repro.network.params import CSCS_TESTBED, LogGPSParams
 from repro.schedgen import build_graph
+from repro.testing import lp_sensitivity_curve, lp_summary
 
 PARAMS = LogGPSParams(L=2.0, o=1.0, g=0.0, G=0.0005)
 
@@ -223,7 +224,7 @@ class TestFusedEngine:
 
 
 class TestInputValidation:
-    @pytest.mark.parametrize("argument", ["backend", "envelope_engine"])
+    @pytest.mark.parametrize("argument", ["backend"])
     def test_bad_value_named_in_the_error(self, small_app_graph, argument):
         with pytest.raises(ValueError, match=f"unknown {argument} 'warp' for LatencyAnalyzer"):
             LatencyAnalyzer(small_app_graph, PARAMS, **{argument: "warp"})
@@ -257,7 +258,6 @@ class TestEnvelopeFirst:
     @pytest.mark.parametrize("app", sorted(ALL_APPS))
     def test_summary_matches_lp_oracle_without_any_lp(self, app, monkeypatch):
         from repro.lp.assembler import assembly_counts
-        from repro.network.params import CSCS_TESTBED
 
         nranks = 8 if app == "lulesh" else 4
         graph = ALL_APPS[app].build(nranks, params=CSCS_TESTBED)
@@ -270,10 +270,9 @@ class TestEnvelopeFirst:
         assert solves == []
         assert default._lp is None
 
-        oracle = LatencyAnalyzer(graph, CSCS_TESTBED, envelope_engine="lp")
-        _assert_rel_close(summary, oracle.summary())
+        _assert_rel_close(summary, lp_summary(graph, CSCS_TESTBED))
         assert solves  # the oracle really solved LPs
-        oracle_curve = oracle.sensitivity_curve([0.0, 5.0, 50.0])
+        oracle_curve = lp_sensitivity_curve(graph, CSCS_TESTBED, [0.0, 5.0, 50.0])
         np.testing.assert_allclose(curve.runtime, oracle_curve.runtime, rtol=1e-9)
         np.testing.assert_allclose(curve.l_ratio, oracle_curve.l_ratio, rtol=1e-9)
 
@@ -297,13 +296,17 @@ class TestUnboundedTolerance:
 
         return lulesh.build(1, params=PARAMS, iterations=2)
 
+    # "auto": the analyzer's envelope; "lp": the LP oracle's solves
     @pytest.mark.parametrize("engine", ["auto", "lp"])
     def test_tolerance_is_infinite(self, silent_graph, engine):
-        analyzer = LatencyAnalyzer(silent_graph, PARAMS, envelope_engine=engine)
         assert silent_graph.num_messages == 0
-        assert analyzer.latency_tolerance(0.01) == math.inf
-        assert analyzer.latency_tolerance(0.05, absolute=False) == math.inf
-        summary = analyzer.summary()
+        if engine == "lp":
+            summary = lp_summary(silent_graph, PARAMS)
+        else:
+            analyzer = LatencyAnalyzer(silent_graph, PARAMS)
+            assert analyzer.latency_tolerance(0.01) == math.inf
+            assert analyzer.latency_tolerance(0.05, absolute=False) == math.inf
+            summary = analyzer.summary()
         assert summary["lambda_L"] == 0.0
         assert summary["tolerance_1pct_us"] == math.inf
 
@@ -317,6 +320,30 @@ class TestUnboundedTolerance:
             assert payload[f"tolerance_{level}pct_us"] is None
 
 
+class TestNonFiniteInput:
+    CASES = {
+        "analyze-latency-nan": ["--latency", "nan", "analyze", "lulesh", "--nranks", "4", "--json"],
+        "analyze-latency-inf": ["--latency", "inf", "analyze", "lulesh", "--nranks", "4", "--json"],
+        "curve-l-max-nan": ["curve", "lulesh", "--nranks", "4", "--l-max", "nan", "--json"],
+        "curve-l-max-inf": ["curve", "lulesh", "--nranks", "4", "--l-max", "inf", "--json"],
+        "sweep-max-delta-nan": ["sweep", "lulesh", "--nranks", "2", "--max-delta", "nan"],
+        "cache-warm-l-max-nan": ["cache", "warm", "lulesh", "--nranks", "2", "--l-max", "nan"],
+        "fleet-l-max-nan": ["fleet", "lulesh", "--nranks", "2", "--l-max", "nan"],
+        "fleet-latencies-nan": ["fleet", "lulesh", "--nranks", "2", "--latencies", "nan"],
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_cli_exits_with_the_reason(self, case, tmp_path, capsys):
+        argv = self.CASES[case]
+        if argv[0] == "cache":
+            argv = [*argv, "--dir", str(tmp_path)]
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(argv)
+        assert exit_info.value.code not in (0, None)
+        assert capsys.readouterr().out == ""  # no NaN/Infinity answer printed
+        assert not list(tmp_path.rglob("*.npz"))  # nothing stored
+
+
 class TestIngestEnvelopeEngine:
     def test_lp_oracle_switch_reaches_ingest(self, tmp_path, capsys, monkeypatch):
         trace = tmp_path / "hpcg-4.trace"
@@ -328,9 +355,11 @@ class TestIngestEnvelopeEngine:
         default = json.loads(capsys.readouterr().out)
         assert solves == []
 
-        assert cli_main(["--envelope-engine", "lp", "ingest", "trace", str(trace),
-                         "--json"]) == 0
-        oracle = json.loads(capsys.readouterr().out)
+        from repro.schedgen.streaming import batches_from_trace_chunked
+
+        batches = batches_from_trace_chunked(str(trace))
+        graph = LatencyAnalyzer.from_batches(batches, batches.nranks, CSCS_TESTBED).graph
+        oracle = lp_summary(graph, CSCS_TESTBED)
         assert solves
         numbers = [key for key, value in default.items() if isinstance(value, float)]
         assert "tolerance_5pct_us" in numbers
@@ -341,10 +370,71 @@ class TestSweepEnvelopeEngine:
     def test_lp_oracle_switch_reaches_sweep(self, capsys, monkeypatch):
         solves = _count_solves(monkeypatch)
         assert cli_main(["sweep", "lulesh", "--nranks", "2"]) == 0
-        default = capsys.readouterr().out
+        rows = capsys.readouterr().out.splitlines()[1:-1]
         assert solves == []
 
-        assert cli_main(["--envelope-engine", "lp", "sweep", "lulesh", "--nranks", "2"]) == 0
-        oracle = capsys.readouterr().out
+        from repro.schedgen.collectives import CollectiveAlgorithms
+
+        graph = ALL_APPS["lulesh"].build(
+            2, params=CSCS_TESTBED,
+            algorithms=CollectiveAlgorithms(allreduce="recursive_doubling"),
+        )
+        oracle = lp_sensitivity_curve(graph, CSCS_TESTBED, np.linspace(0.0, 100.0, 6))
         assert solves
-        assert oracle == default
+        assert len(rows) == 6
+        for row, runtime, lam, rho in zip(
+            rows, oracle.runtime, oracle.latency_sensitivity, oracle.l_ratio
+        ):
+            # the predicted, λ_L and ρ_L columns, formatted as the CLI prints them
+            assert row.split()[2:] == [f"{runtime / 1e6:.4f}", f"{lam:.1f}", f"{rho * 100:.2f}%"]
+
+
+class TestAutomaticFallback:
+    """The LP picks its evaluator: forward passes while it keeps the affinity
+    contract, the tangent search over LP probes once per-pair gaps break it."""
+
+    DAG_PARAMS = LogGPSParams(L=0.5, o=0.2, g=0.0, G=0.001)
+    L_MAX = 20.0
+
+    @pytest.fixture(scope="class")
+    def dag(self):
+        from repro.testing import build_random_dag
+
+        return build_random_dag(5, nranks=4, rounds=20)  # two critical latencies
+
+    def _reference(self, graph):
+        from repro.core import build_lp, lp_envelope
+
+        lp = build_lp(graph, self.DAG_PARAMS, gap_mode="per_pair")
+        return lp_envelope(lp, self.DAG_PARAMS.L, self.L_MAX)
+
+    def test_find_critical_latencies_on_a_per_pair_lp(self, dag, monkeypatch):
+        from repro.core import build_lp, find_critical_latencies
+
+        solves = _count_solves(monkeypatch)
+        params, lo = self.DAG_PARAMS, self.DAG_PARAMS.L
+        forward = find_critical_latencies(build_lp(dag, params), lo, self.L_MAX)
+        assert solves == []
+        per_pair = build_lp(dag, params, gap_mode="per_pair")
+        fallback = find_critical_latencies(per_pair, lo, self.L_MAX)
+        assert solves
+        reference = sorted(self._reference(dag).breakpoints())
+        assert len(reference) == 2
+        np.testing.assert_allclose(fallback, reference, rtol=1e-11)
+        np.testing.assert_allclose(forward, fallback, rtol=1e-9)
+
+    def test_batched_sweep_graphs_with_per_pair_gaps(self, dag, monkeypatch):
+        from repro.core import batched_sweep_graphs
+
+        solves = _count_solves(monkeypatch)
+        sweep = dict(l_min=self.DAG_PARAMS.L, l_max=self.L_MAX)
+        (forward,) = batched_sweep_graphs([dag], self.DAG_PARAMS, **sweep)
+        assert solves == []
+        (fallback,) = batched_sweep_graphs(
+            [dag], self.DAG_PARAMS, gap_mode="per_pair", **sweep
+        )
+        assert solves
+        assert fallback.lines == self._reference(dag).lines
+        assert len(forward.lines) == len(fallback.lines) == 3
+        xs = np.linspace(self.DAG_PARAMS.L, self.L_MAX, 41)
+        np.testing.assert_allclose(forward.sample(xs), fallback.sample(xs), rtol=1e-9)

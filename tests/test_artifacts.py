@@ -2,7 +2,7 @@
 
 Covers the three npz round trips (graphs, LPs, envelopes), the content
 digests they are keyed by, the on-disk :class:`ArtifactStore`, and the
-cached paths wired through :class:`LatencyAnalyzer.batched_sweep`,
+cached paths wired through :meth:`LatencyAnalyzer.parametric`,
 :func:`batched_sweep_graphs` and the ``llamp cache`` CLI.
 """
 
@@ -26,7 +26,14 @@ from repro.artifacts import (
     save_graph,
     save_lp,
 )
-from repro.core import BatchedSweep, LatencyAnalyzer, batched_sweep_graphs, build_lp
+from repro.core import (
+    LatencyAnalyzer,
+    ParametricAnalysis,
+    batched_sweep_graphs,
+    build_lp,
+    forward_envelope,
+    lp_envelope,
+)
 from repro.lp.assembler import assembly_counts
 from repro.network.params import LogGPSParams
 from repro.schedgen.builder import ProtocolConfig, ScheduleGenerator, build_graph
@@ -276,10 +283,7 @@ class TestLPRoundTrip:
 class TestEnvelopeRoundTrip:
     def test_piecewise_exact(self, tmp_path):
         graph = build_staircase(5)
-        sweep = BatchedSweep(
-            build_lp(graph, PARAMS, latency_mode="global"), l_min=0.0, l_max=10.0
-        )
-        envelope = sweep.envelope
+        envelope = lp_envelope(build_lp(graph, PARAMS, latency_mode="global"), 0.0, 10.0)
         path = tmp_path / "e.npz"
         save_envelope(envelope, path)
         loaded = load_envelope(path)
@@ -309,18 +313,14 @@ class TestEnvelopeRoundTrip:
 
     def test_sweep_restored_from_envelope_answers_without_model(self, tmp_path):
         graph = build_staircase(4)
-        sweep = BatchedSweep(
-            build_lp(graph, PARAMS, latency_mode="global"), l_min=0.0, l_max=8.0
-        )
+        envelope = forward_envelope(graph, PARAMS, l_min=0.0, l_max=8.0)
         path = tmp_path / "e.npz"
-        save_envelope(sweep.envelope, path)
-        restored = BatchedSweep.from_envelope(load_envelope(path))
-        assert restored.graph_lp is None
-        assert restored.num_solves == 0
+        save_envelope(envelope, path)
+        restored = ParametricAnalysis(load_envelope(path), PARAMS)
+        assert restored.graph is None
         xs = np.linspace(0.0, 8.0, 33)
-        assert np.array_equal(restored.values(xs), sweep.values(xs))
-        with pytest.raises(ValueError, match="restored from a cached envelope"):
-            restored._build_envelope()
+        assert np.array_equal(restored.envelope.sample(xs), envelope.sample(xs))
+        assert restored.critical_latencies() == envelope.breakpoints()
 
     def test_unknown_type_rejected(self, tmp_path):
         with pytest.raises(TypeError, match="PiecewiseLinear or TangentEnvelope"):
@@ -374,7 +374,7 @@ class TestArtifactStore:
         if kind == "lp":
             return combine_digests("lp", "test"), lp.model
         key = envelope_key(graph, PARAMS, l_min=0.0, l_max=5.0)
-        return key, BatchedSweep(lp, l_min=0.0, l_max=5.0).envelope
+        return key, lp_envelope(lp, 0.0, 5.0)
 
     @pytest.mark.parametrize("kind", ArtifactStore.KINDS)
     def test_corrupt_entry_deleted_and_rebuilt(self, tmp_path, kind):
@@ -416,11 +416,8 @@ class TestArtifactStore:
         store = ArtifactStore(tmp_path)
         graph = build_running_example()
         store.put("graph", graph.content_digest(), graph)
-        sweep = BatchedSweep(
-            build_lp(graph, PARAMS, latency_mode="global"), l_min=0.0, l_max=5.0
-        )
         store.put("envelope", envelope_key(graph, PARAMS, l_min=0.0, l_max=5.0),
-                  sweep.envelope)
+                  forward_envelope(graph, PARAMS, l_min=0.0, l_max=5.0))
         stats = store.stats()
         assert stats["kinds"]["graph"]["entries"] == 1
         assert stats["kinds"]["envelope"]["entries"] == 1
@@ -443,30 +440,28 @@ class TestAnalyzerCache:
         xs = np.linspace(PARAMS.L, 50.0, 31)
 
         cold = LatencyAnalyzer(graph, PARAMS, cache_dir=str(tmp_path))
-        cold_values = cold.batched_sweep(l_max=50.0).values(xs)
+        cold_values = cold.parametric(l_max=50.0).envelope.sample(xs)
         assert cold.store.misses["envelope"] == 1
 
         warm = LatencyAnalyzer(graph, PARAMS, cache_dir=str(tmp_path))
         before = assembly_counts()
-        sweep = warm.batched_sweep(l_max=50.0)
-        warm_values = sweep.values(xs)
+        warm_values = warm.parametric(l_max=50.0).envelope.sample(xs)
         after = assembly_counts()
 
         assert after == before  # zero new CSR assemblies, full or rows
         assert warm._lp is None  # the LP was never even built
         assert warm.store.hits["envelope"] == 1
-        assert sweep.num_solves == 0
         assert np.array_equal(warm_values, cold_values)
 
     def test_cache_key_separates_intervals_and_params(self, tmp_path):
         graph = build_running_example()
         analyzer = LatencyAnalyzer(graph, PARAMS, cache_dir=str(tmp_path))
-        analyzer.batched_sweep(l_max=5.0)
-        analyzer.batched_sweep(l_max=7.0)
+        analyzer.parametric(l_max=5.0)
+        analyzer.parametric(l_max=7.0)
         other = LatencyAnalyzer(
             graph, PARAMS.replace(G=0.01), cache_dir=str(tmp_path)
         )
-        other.batched_sweep(l_max=5.0)
+        other.parametric(l_max=5.0)
         assert ArtifactStore(tmp_path).stats()["kinds"]["envelope"]["entries"] == 3
 
     def test_uncached_analyzer_has_no_store(self):

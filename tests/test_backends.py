@@ -160,61 +160,3 @@ class TestBackendParity:
         for backend in ("highs", "simplex"):
             warm = lp.model.solve(backend=backend, warm_start=reference)
             assert warm.objective == pytest.approx(reference.objective, abs=1e-9)
-
-
-class TestHighspyBackend:
-    """Optional native-HiGHS backend: gating + (when installed) parity."""
-
-    def test_registration_matches_import_gate(self):
-        from repro.lp.highspy_backend import HAVE_HIGHSPY
-
-        assert ("highspy" in default_registry) == HAVE_HIGHSPY
-
-    def test_solve_without_package_raises_clean_error(self):
-        from repro.lp import highspy_backend
-
-        if highspy_backend.HAVE_HIGHSPY:
-            pytest.skip("highspy installed; the gate error path is unreachable")
-        model = LPModel()
-        model.add_var("x", lb=0.0)
-        with pytest.raises(Exception, match="highspy"):
-            highspy_backend.solve_highspy(model)
-
-    @pytest.mark.skipif(
-        "highspy" not in default_registry, reason="highspy not installed"
-    )
-    def test_spec_declares_warm_start(self):
-        spec = default_registry.get("highspy")
-        assert spec.supports_warm_start
-        assert spec.supports_duals
-
-    @pytest.mark.skipif(
-        "highspy" not in default_registry, reason="highspy not installed"
-    )
-    def test_parity_with_scipy_highs(self, paper_params):
-        lp = build_lp(build_running_example(), paper_params)
-        for L in (0.0, 0.5, 2.0):
-            lp.set_latency_bound(L)
-            ref = solve_highs(lp.model)
-            native = lp.model.solve(backend="highspy")
-            assert native.objective == pytest.approx(ref.objective, abs=1e-6)
-            np.testing.assert_allclose(native.values, ref.values, atol=1e-6)
-            assert native.reduced_costs is not None and ref.reduced_costs is not None
-            np.testing.assert_allclose(
-                native.reduced_costs, ref.reduced_costs, atol=1e-6
-            )
-            assert native.duals is not None and ref.duals is not None
-            np.testing.assert_allclose(native.duals, ref.duals, atol=1e-6)
-
-    @pytest.mark.skipif(
-        "highspy" not in default_registry, reason="highspy not installed"
-    )
-    def test_warm_start_basis_handoff(self, paper_params):
-        lp = build_lp(build_running_example(), paper_params)
-        lp.set_latency_bound(0.0)
-        cold = lp.model.solve(backend="highspy")
-        assert getattr(cold, "_highspy_basis", None) is not None
-        lp.set_latency_bound(0.5)
-        warm = lp.model.solve(backend="highspy", warm_start=cold)
-        ref = solve_highs(lp.model)
-        assert warm.objective == pytest.approx(ref.objective, abs=1e-6)

@@ -1,18 +1,26 @@
-"""Tests for the batched L-sweep engine (``BatchedSweep``)."""
+"""Tests for latency sweeps read off one envelope: the curve against cold
+LP solves, ``lp_envelope`` (the LP tangent search) and
+``batched_sweep_graphs``."""
 
 import numpy as np
 import pytest
 
 from repro import CSCS_TESTBED
 from repro.core import (
-    BatchedSweep,
     EnvelopeOverflowError,
     LatencyAnalyzer,
     batched_sweep_graphs,
     build_lp,
+    forward_envelope,
+    lp_envelope,
 )
 from repro.network.params import LogGPSParams
-from repro.testing import build_random_dag, build_running_example, build_staircase
+from repro.testing import (
+    build_random_dag,
+    build_running_example,
+    build_staircase,
+    lp_sensitivity_curve,
+)
 
 ZERO_OVERHEAD = LogGPSParams(L=0.0, o=0.0, g=0.0, G=0.0)
 
@@ -26,39 +34,35 @@ def cold_values(graph, params, Ls):
 
 class TestBatchedSweep:
     def test_matches_cold_solves_on_running_example(self, running_example, paper_params):
-        sweep = BatchedSweep(build_lp(running_example, paper_params), l_min=0.0, l_max=2.0)
+        envelope = forward_envelope(running_example, paper_params, l_min=0.0, l_max=2.0)
         Ls = np.linspace(0.0, 2.0, 100)
         np.testing.assert_allclose(
-            sweep.values(Ls), cold_values(running_example, paper_params, Ls), atol=1e-6
+            envelope.sample(Ls), cold_values(running_example, paper_params, Ls), atol=1e-6
         )
-        assert sweep.num_solves < 10
 
     def test_breakpoints_match_parametric_engine(self, running_example, paper_params):
-        sweep = BatchedSweep(build_lp(running_example, paper_params), l_min=0.0, l_max=2.0)
+        envelope = forward_envelope(running_example, paper_params, l_min=0.0, l_max=2.0)
         # the ParametricLP tangent search is the independent reference
-        reference = BatchedSweep(
-            build_lp(running_example, paper_params), l_min=0.0, l_max=2.0,
-            envelope_engine="lp",
-        ).breakpoints()
-        assert sweep.breakpoints() == pytest.approx(reference, abs=1e-6)
-        assert sweep.breakpoints() == pytest.approx([0.385], abs=1e-6)
+        reference = lp_envelope(build_lp(running_example, paper_params), 0.0, 2.0)
+        assert envelope.breakpoints() == pytest.approx(reference.breakpoints(), abs=1e-6)
+        assert envelope.breakpoints() == pytest.approx([0.385], abs=1e-6)
 
     def test_staircase_breakpoints_and_values(self):
         k = 6
         graph = build_staircase(k)
-        sweep = BatchedSweep(build_lp(graph, ZERO_OVERHEAD), l_min=0.0, l_max=float(k + 2))
-        assert sweep.breakpoints() == pytest.approx(list(range(1, k)), abs=1e-6)
+        envelope = lp_envelope(build_lp(graph, ZERO_OVERHEAD), 0.0, float(k + 2))
+        assert envelope.breakpoints() == pytest.approx(list(range(1, k)), abs=1e-6)
         Ls = np.linspace(0.0, k + 2, 80)
         np.testing.assert_allclose(
-            sweep.values(Ls), cold_values(graph, ZERO_OVERHEAD, Ls), atol=1e-6
+            envelope.sample(Ls), cold_values(graph, ZERO_OVERHEAD, Ls), atol=1e-6
         )
 
     def test_sensitivities_match_lp_away_from_breakpoints(self, running_example, paper_params):
-        sweep = BatchedSweep(build_lp(running_example, paper_params), l_min=0.0, l_max=2.0)
+        envelope = forward_envelope(running_example, paper_params, l_min=0.0, l_max=2.0)
         lp = build_lp(running_example, paper_params)
         for L in (0.1, 0.2, 0.5, 1.0, 1.7):
             solution = lp.solve_runtime(L=L)
-            assert sweep.slope(L) == pytest.approx(
+            assert envelope.slope(L) == pytest.approx(
                 lp.latency_sensitivity(solution), abs=1e-6
             )
 
@@ -66,47 +70,47 @@ class TestBatchedSweep:
     def test_random_dags_match_cold_solves(self, seed):
         graph = build_random_dag(seed, nranks=4, rounds=12)
         params = LogGPSParams(L=0.5, o=0.2, g=0.0, G=0.001)
-        sweep = BatchedSweep(build_lp(graph, params), l_min=0.5, l_max=20.0)
         Ls = np.linspace(0.5, 20.0, 40)
-        np.testing.assert_allclose(
-            sweep.values(Ls), cold_values(graph, params, Ls), atol=1e-6
-        )
+        cold = cold_values(graph, params, Ls)
+        for envelope in (
+            forward_envelope(graph, params, l_min=0.5, l_max=20.0),
+            lp_envelope(build_lp(graph, params), 0.5, 20.0),
+        ):
+            np.testing.assert_allclose(envelope.sample(Ls), cold, atol=1e-6)
 
     def test_fig01_tolerance_zone_parameters(self):
         """The CSCS testbed configuration used by the Fig. 1 sweeps."""
         from repro.apps import lulesh
 
         graph = lulesh.build(4, params=CSCS_TESTBED, iterations=2)
-        lp = build_lp(graph, CSCS_TESTBED)
         l_max = CSCS_TESTBED.L + 300.0
-        sweep = BatchedSweep(lp, l_min=CSCS_TESTBED.L, l_max=l_max)
+        envelope = forward_envelope(graph, CSCS_TESTBED, l_min=CSCS_TESTBED.L, l_max=l_max)
         Ls = CSCS_TESTBED.L + np.linspace(0.0, 100.0, 20)
         np.testing.assert_allclose(
-            sweep.values(Ls), cold_values(graph, CSCS_TESTBED, Ls), atol=1e-6
+            envelope.sample(Ls), cold_values(graph, CSCS_TESTBED, Ls), atol=1e-6
         )
         # latency tolerance from the envelope == dedicated max-l LP
-        baseline = sweep.value(CSCS_TESTBED.L)
+        baseline = envelope.value(CSCS_TESTBED.L)
         bound = 1.05 * baseline
         lp_reference = build_lp(graph, CSCS_TESTBED)
         lp_reference.set_latency_bound(CSCS_TESTBED.L)
         expected = lp_reference.solve_max_latency(bound).objective
-        assert sweep.latency_tolerance(bound) == pytest.approx(expected, rel=1e-6)
+        assert envelope.solve_for_value(bound) == pytest.approx(expected, rel=1e-6)
 
     def test_envelope_overflow_raised(self):
         lp = build_lp(build_staircase(6), ZERO_OVERHEAD)
-        sweep = BatchedSweep(lp, l_min=0.0, l_max=10.0, max_pieces=3)
         with pytest.raises(EnvelopeOverflowError):
-            sweep.envelope
+            lp_envelope(lp, 0.0, 10.0, max_pieces=3)
 
     def test_requires_global_latency_mode(self, running_example, paper_params):
         lp = build_lp(running_example, paper_params, latency_mode="per_pair")
-        with pytest.raises(ValueError, match="global"):
-            BatchedSweep(lp)
+        with pytest.raises(ValueError, match="per-pair latency mode"):
+            lp_envelope(lp, 0.0, 10.0)
 
     def test_invalid_interval_rejected(self, running_example, paper_params):
         lp = build_lp(running_example, paper_params)
         with pytest.raises(ValueError):
-            BatchedSweep(lp, l_min=2.0, l_max=1.0)
+            lp_envelope(lp, 2.0, 1.0)
 
 
 class TestVectorisedSlopes:
@@ -118,10 +122,9 @@ class TestVectorisedSlopes:
 
     def test_staircase_including_exact_breakpoints(self):
         k = 6
-        sweep = BatchedSweep(
-            build_lp(build_staircase(k), ZERO_OVERHEAD), l_min=0.0, l_max=float(k + 2)
+        envelope = forward_envelope(
+            build_staircase(k), ZERO_OVERHEAD, l_min=0.0, l_max=float(k + 2)
         )
-        envelope = sweep.envelope
         bps = envelope.breakpoints()
         assert len(bps) == k - 1
         xs = np.concatenate([
@@ -136,15 +139,16 @@ class TestVectorisedSlopes:
     def test_random_dags(self, seed):
         graph = build_random_dag(seed, nranks=4, rounds=12)
         params = LogGPSParams(L=0.5, o=0.2, g=0.0, G=0.001)
-        envelope = BatchedSweep(build_lp(graph, params), l_min=0.5, l_max=20.0).envelope
+        envelope = forward_envelope(graph, params, l_min=0.5, l_max=20.0)
         xs = np.concatenate([np.linspace(0.5, 20.0, 77), np.array(envelope.breakpoints())])
         self._assert_parity(envelope, xs)
 
     def test_sensitivities_uses_the_vectorised_path(self, running_example, paper_params):
-        sweep = BatchedSweep(build_lp(running_example, paper_params), l_min=0.0, l_max=2.0)
-        Ls = np.linspace(0.0, 2.0, 50)
+        analyzer = LatencyAnalyzer(running_example, paper_params)
+        deltas = np.linspace(0.0, 2.0, 50)
         np.testing.assert_array_equal(
-            sweep.sensitivities(Ls), sweep.envelope.slopes(Ls)
+            analyzer.sensitivity_curve(deltas).latency_sensitivity,
+            analyzer.analysis.envelope.slopes(paper_params.L + deltas),
         )
 
     def test_single_line_envelope(self):
@@ -196,9 +200,7 @@ class TestAnalyzerIntegration:
     def test_batched_engine_matches_lp_engine(self, running_example, paper_params):
         # the envelope-read curve against one cold LP solve per point
         deltas = np.linspace(0.0, 2.0, 25)
-        lp_curve = LatencyAnalyzer(
-            running_example, paper_params, envelope_engine="lp"
-        ).sensitivity_curve(deltas)
+        lp_curve = lp_sensitivity_curve(running_example, paper_params, deltas)
         batched_curve = LatencyAnalyzer(running_example, paper_params).sensitivity_curve(
             deltas
         )
@@ -206,21 +208,16 @@ class TestAnalyzerIntegration:
         np.testing.assert_allclose(batched_curve.l_ratio, lp_curve.l_ratio, atol=1e-6)
 
     def test_empty_sweep_matches_lp_engine(self, running_example, paper_params):
-        for engine in ("auto", "lp"):
-            analyzer = LatencyAnalyzer(
-                running_example, paper_params, envelope_engine=engine
-            )
-            curve = analyzer.sensitivity_curve([])
+        for curve in (
+            LatencyAnalyzer(running_example, paper_params).sensitivity_curve([]),
+            lp_sensitivity_curve(running_example, paper_params, []),
+        ):
             assert curve.runtime.size == 0
             assert curve.l_ratio.size == 0
-
-    def test_unknown_engine_rejected(self, running_example, paper_params):
-        with pytest.raises(ValueError, match="envelope_engine"):
-            LatencyAnalyzer(running_example, paper_params, envelope_engine="warp")
 
     def test_batched_sweep_helper_defaults_to_baseline_latency(self):
         graph = build_running_example()
         params = LogGPSParams(L=0.25, o=0.0, g=0.0, G=0.005)
-        sweep = LatencyAnalyzer(graph, params).batched_sweep(l_max=2.0)
-        assert sweep.l_min == 0.25
-        assert sweep.value(0.5) == pytest.approx(1.615)
+        analysis = LatencyAnalyzer(graph, params).parametric(l_max=2.0)
+        assert analysis.envelope.lo == 0.25
+        assert analysis.runtime(0.5) == pytest.approx(1.615)

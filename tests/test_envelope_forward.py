@@ -2,11 +2,10 @@
 
 The contract under test: ``forward_envelope`` produces the *identical*
 ``PiecewiseLinear`` envelope — values, slopes and breakpoints to 1e-6 —
-as the :class:`ParametricLP` tangent search, whenever the affinity
-contract documented in ``src/repro/lp/README.md`` ("Envelope engines")
-holds.  Non-affine LPs (per-pair HLogGP variables, moved symbolic
-bounds) must make ``envelope_engine="forward"`` raise and
-``envelope_engine="auto"`` fall back to the LP oracle silently.
+as ``lp_envelope`` (the :class:`ParametricLP` tangent search), whenever
+the affinity contract documented in ``src/repro/lp/README.md`` holds.
+Non-affine LPs (per-pair HLogGP variables, moved symbolic bounds) must
+resolve to the LP tangent search on their own.
 """
 
 from __future__ import annotations
@@ -20,8 +19,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.artifacts import ArtifactStore
 from repro.core import (
-    ENVELOPE_ENGINES,
-    BatchedSweep,
     EnvelopeOverflowError,
     LatencyAnalyzer,
     PiecewiseLinear,
@@ -31,6 +28,7 @@ from repro.core import (
     find_critical_latencies,
     forward_envelope,
     forward_incompatibility,
+    lp_envelope,
     parametric_analysis,
     resolve_envelope_engine,
 )
@@ -87,16 +85,10 @@ def assert_envelopes_equivalent(actual, expected, *, atol=1e-6):
         )
 
 
-def lp_envelope(graph, params, *, l_min=0.0, l_max=100.0, **build_kwargs):
-    sweep = BatchedSweep(
-        build_lp(graph, params, latency_mode="global", **build_kwargs),
-        l_min=l_min,
-        l_max=l_max,
-        envelope_engine="lp",
-    )
-    envelope = sweep.envelope
-    assert sweep.num_solves > 0  # the oracle really solved LPs
-    return envelope
+def lp_reference(graph, params, *, l_min=0.0, l_max=100.0, **build_kwargs):
+    """The LP tangent search's envelope of ``build_lp(graph, params, ...)``."""
+    lp = build_lp(graph, params, latency_mode="global", **build_kwargs)
+    return lp_envelope(lp, l_min, l_max)
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +99,7 @@ def lp_envelope(graph, params, *, l_min=0.0, l_max=100.0, **build_kwargs):
 class TestForwardParity:
     def test_running_example_matches_lp_and_parametric(self):
         graph = build_running_example()
-        reference = lp_envelope(graph, PARAMS, l_max=50.0)
+        reference = lp_reference(graph, PARAMS, l_max=50.0)
         forward = forward_envelope(graph, PARAMS, l_min=0.0, l_max=50.0)
         assert_envelopes_identical(forward, reference)
         analysis = parametric_analysis(graph, PARAMS, l_min=0.0, l_max=50.0)
@@ -122,20 +114,20 @@ class TestForwardParity:
             forward.breakpoints(), np.arange(1.0, float(k)), atol=1e-9
         )
         assert_envelopes_identical(
-            forward, lp_envelope(graph, ZERO_OVERHEAD, l_max=float(k + 2))
+            forward, lp_reference(graph, ZERO_OVERHEAD, l_max=float(k + 2))
         )
 
     @pytest.mark.parametrize("seed", range(5))
     def test_random_dags_match_lp(self, seed):
         graph = build_random_dag(seed, nranks=4, rounds=12)
         forward = forward_envelope(graph, PARAMS, l_min=0.0, l_max=100.0)
-        assert_envelopes_identical(forward, lp_envelope(graph, PARAMS))
+        assert_envelopes_identical(forward, lp_reference(graph, PARAMS))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_random_programs_match_lp(self, seed):
         graph = build_graph(build_random_program(seed))
         forward = forward_envelope(graph, PARAMS, l_min=0.0, l_max=100.0)
-        assert_envelopes_identical(forward, lp_envelope(graph, PARAMS))
+        assert_envelopes_identical(forward, lp_reference(graph, PARAMS))
 
     @pytest.mark.parametrize("gap_mode", ["constant", "global"])
     @pytest.mark.parametrize("overhead_mode", ["constant", "global"])
@@ -153,15 +145,9 @@ class TestForwardParity:
             overhead_mode=overhead_mode,
         )
         assert forward_incompatibility(lp) is None
-        forward = BatchedSweep(
-            lp, l_min=0.0, l_max=100.0, envelope_engine="forward"
-        ).envelope
-        assert_envelopes_identical(
-            forward,
-            lp_envelope(
-                graph, PARAMS, gap_mode=gap_mode, overhead_mode=overhead_mode
-            ),
-        )
+        assert resolve_envelope_engine(lp) == "forward"
+        forward = forward_envelope(graph, PARAMS, l_min=0.0, l_max=100.0)
+        assert_envelopes_identical(forward, lp_envelope(lp, 0.0, 100.0))
 
 
 @st.composite
@@ -194,7 +180,7 @@ def affine_params(draw):
 def test_forward_equals_lp_property(graph, params, gap_mode, overhead_mode):
     """Hypothesis: forward envelope == ParametricLP envelope on every affine LP."""
     forward = forward_envelope(graph, params, l_min=0.0, l_max=100.0)
-    expected = lp_envelope(
+    expected = lp_reference(
         graph, params, gap_mode=gap_mode, overhead_mode=overhead_mode
     )
     assert_envelopes_equivalent(forward, expected)
@@ -219,7 +205,7 @@ def test_forward_to_infinity_matches_lp_property(graph, params):
     forward = forward_envelope(graph, params, l_min=0.0, l_max=math.inf)
     assert forward.lines[-1].slope == max_messages_on_a_path(graph)
     window = 2.0 * max([1.0, *forward.breakpoints()])
-    expected = lp_envelope(graph, params, l_max=window)
+    expected = lp_reference(graph, params, l_max=window)
     assert_envelopes_equivalent(
         PiecewiseLinear(forward.lines, 0.0, window), expected
     )
@@ -263,7 +249,7 @@ class TestFloatTies:
         graph = build_float_ties()
         assert len(graph.merge_points()) == 1
         forward = forward_envelope(graph, ZERO_OVERHEAD, l_min=lo, l_max=hi)
-        expected = lp_envelope(graph, ZERO_OVERHEAD, l_min=lo, l_max=hi)
+        expected = lp_reference(graph, ZERO_OVERHEAD, l_min=lo, l_max=hi)
         assert len(forward.lines) == len(expected.lines) == pieces
         assert [(ln.slope, ln.intercept) for ln in forward.lines] == [
             (ln.slope, ln.intercept) for ln in expected.lines
@@ -298,16 +284,13 @@ class TestNonAffineFallback:
         lp = build_lp(graph, PARAMS, latency_mode="global", gap_mode="per_pair")
         reason = forward_incompatibility(lp)
         assert reason is not None and "per-pair" in reason
-        assert resolve_envelope_engine("auto", lp) == "lp"
-        sweep = BatchedSweep(lp, l_min=0.0, l_max=50.0, envelope_engine="auto")
-        sweep.envelope
-        assert sweep.num_solves > 0  # the oracle ran
-
-    def test_per_pair_gap_explicit_forward_raises(self):
-        graph = build_random_dag(3)
-        lp = build_lp(graph, PARAMS, latency_mode="global", gap_mode="per_pair")
-        with pytest.raises(ValueError, match="envelope_engine='forward'"):
-            resolve_envelope_engine("forward", lp)
+        assert resolve_envelope_engine(lp) == "lp"
+        # Algorithm 2 on this LP runs the tangent search over LP probes
+        np.testing.assert_allclose(
+            find_critical_latencies(lp, 0.0, 50.0),
+            sorted(lp_envelope(lp, 0.0, 50.0).breakpoints()),
+            atol=1e-6,
+        )
 
     def test_per_pair_latency_mode_is_incompatible(self):
         graph = build_random_dag(3)
@@ -322,7 +305,7 @@ class TestNonAffineFallback:
         lp.set_gap_bound(PARAMS.G + 1.0)
         reason = forward_incompatibility(lp)
         assert reason is not None and "gap lower bound" in reason
-        assert resolve_envelope_engine("auto", lp) == "lp"
+        assert resolve_envelope_engine(lp) == "lp"
 
     def test_moved_overhead_bound_breaks_affinity(self):
         graph = build_random_dag(3)
@@ -333,23 +316,12 @@ class TestNonAffineFallback:
         reason = forward_incompatibility(lp)
         assert reason is not None and "overhead lower bound" in reason
 
-    def test_unknown_engine_name_rejected_everywhere(self):
-        graph = build_running_example()
-        lp = build_lp(graph, PARAMS, latency_mode="global")
-        with pytest.raises(ValueError, match="unknown envelope_engine"):
-            resolve_envelope_engine("simplex", lp)
-        with pytest.raises(ValueError, match="unknown envelope_engine"):
-            BatchedSweep(lp, envelope_engine="simplex")
-        with pytest.raises(ValueError, match="unknown envelope_engine"):
-            LatencyAnalyzer(graph, PARAMS, envelope_engine="simplex")
-
     def test_forward_supports_modes_matches_build_knobs(self):
         assert forward_supports_modes({})
         assert forward_supports_modes({"gap_mode": "global"})
         assert not forward_supports_modes({"gap_mode": "per_pair"})
         assert not forward_supports_modes({"latency_mode": "per_pair"})
         assert not forward_supports_modes({"mystery_knob": 1})
-        assert "auto" in ENVELOPE_ENGINES and "lp" in ENVELOPE_ENGINES
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +337,7 @@ def _tangent_envelope(lo, hi):
 #: every entry point that takes a latency interval, on the running example
 INTERVAL_ENTRY_POINTS = {
     "find_critical_latencies": lambda lo, hi: find_critical_latencies(
-        build_running_example(), lo, hi, params=PARAMS, envelope_engine="lp"
+        build_lp(build_running_example(), PARAMS, gap_mode="per_pair"), lo, hi
     ),
     "critical_latency_curve": lambda lo, hi: critical_latency_curve(
         build_running_example(), lo, hi, params=PARAMS
@@ -373,9 +345,8 @@ INTERVAL_ENTRY_POINTS = {
     "forward_envelope": lambda lo, hi: forward_envelope(
         build_running_example(), PARAMS, l_min=lo, l_max=hi
     ),
-    "BatchedSweep": lambda lo, hi: BatchedSweep(
-        build_lp(build_running_example(), PARAMS, latency_mode="global"),
-        l_min=lo, l_max=hi,
+    "lp_envelope": lambda lo, hi: lp_envelope(
+        build_lp(build_running_example(), PARAMS, latency_mode="global"), lo, hi
     ),
     "tangent_envelope": _tangent_envelope,
 }
@@ -383,15 +354,17 @@ INTERVAL_ENTRY_POINTS = {
 
 class TestValidation:
     @pytest.mark.parametrize("entry", sorted(INTERVAL_ENTRY_POINTS))
-    @pytest.mark.parametrize("lo,hi", [(5.0, 5.0), (5.0, 1.0), (-1.0, 10.0)])
+    @pytest.mark.parametrize(
+        "lo,hi", [(5.0, 5.0), (5.0, 1.0), (-1.0, 10.0), (math.nan, 10.0), (0.0, math.nan)]
+    )
     def test_critical_latency_interval_validated_up_front(
         self, lo, hi, entry, monkeypatch
     ):
-        # the Algorithm 2 wrappers reject the interval before building an LP
-        def no_lp(*args, **kwargs):
-            raise AssertionError("built an LP before validating the interval")
+        # every entry point rejects the interval before any LP solve
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved an LP before validating the interval")
 
-        monkeypatch.setattr("repro.core.critical_latency.build_lp", no_lp)
+        monkeypatch.setattr(ParametricLP, "solve", no_solve)
         message = f"invalid latency interval [{lo}, {hi}]: require 0 <= l_min < l_max"
         with pytest.raises(ValueError, match=re.escape(message)):
             INTERVAL_ENTRY_POINTS[entry](lo, hi)
@@ -415,8 +388,9 @@ class TestCriticalLatencies:
     def test_breakpoints_match_lp_engine(self):
         graph = build_staircase(5)
         lp = build_lp(graph, ZERO_OVERHEAD, latency_mode="global")
-        fw = find_critical_latencies(lp, 0.0, 8.0, envelope_engine="forward")
-        ref = find_critical_latencies(lp, 0.0, 8.0, envelope_engine="lp")
+        assert resolve_envelope_engine(lp) == "forward"
+        fw = find_critical_latencies(lp, 0.0, 8.0)
+        ref = sorted(lp_envelope(lp, 0.0, 8.0).breakpoints())
         np.testing.assert_allclose(fw, ref, atol=1e-6)
         np.testing.assert_allclose(fw, [1.0, 2.0, 3.0, 4.0], atol=1e-9)
 
@@ -431,76 +405,49 @@ class TestCriticalLatencies:
     def test_curve_tangents_match_lp_engine(self):
         graph = build_random_dag(11)
         lp = build_lp(graph, PARAMS, latency_mode="global")
-        fw = critical_latency_curve(lp, 0.0, 60.0, envelope_engine="forward")
-        ref = critical_latency_curve(lp, 0.0, 60.0, envelope_engine="lp")
-        assert len(fw) == len(ref)
-        for a, b in zip(fw, ref):
-            assert a.slope == pytest.approx(b.slope, abs=1e-6)
-            assert a.value == pytest.approx(b.value, abs=1e-6)
+        fw = critical_latency_curve(lp, 0.0, 60.0)
+        ref = lp_envelope(lp, 0.0, 60.0)
+        assert len(fw) == len(ref.lines)
+        for a in fw:
+            assert a.slope == pytest.approx(ref.slope(a.L), abs=1e-6)
+            assert a.value == pytest.approx(ref.value(a.L), abs=1e-6)
 
     def test_analyzer_forward_engine_never_builds_lp(self):
         graph = build_staircase(4)
-        analyzer = LatencyAnalyzer(graph, ZERO_OVERHEAD, envelope_engine="forward")
+        analyzer = LatencyAnalyzer(graph, ZERO_OVERHEAD)
         points = analyzer.critical_latencies(0.0, 8.0)
         np.testing.assert_allclose(points, [1.0, 2.0, 3.0], atol=1e-9)
         assert analyzer._lp is None  # no LP was ever assembled
 
 
 # ---------------------------------------------------------------------------
-# engines share artifact-store envelope entries
+# both evaluators share artifact-store envelope entries
 # ---------------------------------------------------------------------------
 
 
 class TestSharedArtifacts:
-    def test_envelope_cached_by_one_engine_serves_the_other(self, tmp_path):
-        graph = build_random_dag(17)
-        cold = LatencyAnalyzer(
-            graph, PARAMS, envelope_engine="lp", cache_dir=str(tmp_path)
-        )
-        cold_sweep = cold.batched_sweep(l_max=50.0)
-        assert cold.store.misses["envelope"] == 1
-        assert cold_sweep.num_solves > 0
-
-        warm = LatencyAnalyzer(
-            graph, PARAMS, envelope_engine="forward", cache_dir=str(tmp_path)
-        )
-        warm_sweep = warm.batched_sweep(l_max=50.0)
-        assert warm.store.hits["envelope"] == 1
-        assert warm_sweep.num_solves == 0  # answered from disk, no engine ran
-        xs = np.linspace(PARAMS.L, 50.0, 31)
-        np.testing.assert_array_equal(
-            warm_sweep.values(xs), cold_sweep.values(xs)
-        )
-
     def test_batched_sweep_graphs_engines_agree_serial_and_parallel(self):
         graphs = [build_random_dag(s) for s in (1, 2)]
-        by_engine = {
-            engine: batched_sweep_graphs(
-                graphs, PARAMS, l_max=80.0, envelope_engine=engine
-            )
-            for engine in ("forward", "lp")
-        }
-        for fw, ref in zip(by_engine["forward"], by_engine["lp"]):
-            assert_envelopes_identical(fw, ref)
-        parallel = batched_sweep_graphs(
-            graphs, PARAMS, l_max=80.0, processes=2, envelope_engine="forward"
-        )
-        for fw, ref in zip(parallel, by_engine["lp"]):
-            assert_envelopes_identical(fw, ref)
+        reference = [lp_reference(graph, PARAMS, l_max=80.0) for graph in graphs]
+        runs = [
+            batched_sweep_graphs(graphs, PARAMS, l_max=80.0),
+            batched_sweep_graphs(graphs, PARAMS, l_max=80.0, processes=2),
+            # per-pair gap variables take the LP tangent search
+            batched_sweep_graphs(graphs, PARAMS, l_max=80.0, gap_mode="per_pair"),
+        ]
+        for envelopes in runs:
+            for envelope, ref in zip(envelopes, reference):
+                assert_envelopes_identical(envelope, ref)
 
     def test_store_key_is_engine_free(self, tmp_path):
         store = ArtifactStore(tmp_path)
         graph = build_random_dag(19)
-        serial = batched_sweep_graphs(
-            [graph], PARAMS, l_max=40.0, cache_dir=tmp_path,
-            envelope_engine="forward",
-        )
+        serial = batched_sweep_graphs([graph], PARAMS, l_max=40.0, cache_dir=tmp_path)
         assert store.stats()["kinds"]["envelope"]["entries"] == 1
         again = batched_sweep_graphs(
-            [graph], PARAMS, l_max=40.0, cache_dir=tmp_path,
-            envelope_engine="lp",
+            [graph], PARAMS, l_max=40.0, cache_dir=tmp_path, gap_mode="global",
         )
-        # still one entry: the LP run hit the forward run's artifact
+        # still one entry: a forward-compatible build mode is no key part
         assert store.stats()["kinds"]["envelope"]["entries"] == 1
         assert_envelopes_identical(again[0], serial[0])
 
@@ -510,9 +457,7 @@ class TestOneCurveOneEntry:
         from repro.apps import lulesh
 
         graph = lulesh.build(8, params=CSCS_TESTBED)
-        LatencyAnalyzer(graph, CSCS_TESTBED, cache_dir=tmp_path).batched_sweep(
-            l_max=1e4
-        )
+        LatencyAnalyzer(graph, CSCS_TESTBED, cache_dir=tmp_path).parametric(l_max=1e4)
         batched_sweep_graphs(
             [graph], CSCS_TESTBED, l_min=CSCS_TESTBED.L, l_max=1e4,
             cache_dir=tmp_path,
@@ -538,74 +483,18 @@ class TestOneCurveOneEntry:
         )
         assert graph.content_digest() == row["graph_digest"]
         analyzer = LatencyAnalyzer(graph, CSCS_TESTBED, cache_dir=tmp_path)
-        analyzer.batched_sweep(l_max=fleet.l_max)
+        analyzer.parametric(l_max=fleet.l_max)
         assert analyzer.store.hits["envelope"] == 1
         assert analyzer.store.misses["envelope"] == 0
         assert ArtifactStore(tmp_path).stats()["kinds"]["envelope"]["entries"] == entries
 
     def test_unknown_build_keyword_fails_alike_under_both_engines(self):
+        # an unknown keyword disqualifies the forward pass, and the LP build
+        # surfaces it exactly as build_lp does
         graph = build_running_example()
-        errors = []
-        for engine in ("auto", "lp"):
-            with pytest.raises(TypeError) as info:
-                batched_sweep_graphs(
-                    [graph], PARAMS, l_max=10.0, engine="fused",
-                    envelope_engine=engine,
-                )
-            errors.append(str(info.value))
-        assert errors[0] == errors[1]
+        with pytest.raises(TypeError) as swept:
+            batched_sweep_graphs([graph], PARAMS, l_max=10.0, engine="fused")
+        with pytest.raises(TypeError) as built:
+            build_lp(graph, PARAMS, engine="fused")
+        assert str(swept.value) == str(built.value)
         assert not forward_supports_modes({"engine": "fused"})
-
-
-# ---------------------------------------------------------------------------
-# fleet + CLI threading
-# ---------------------------------------------------------------------------
-
-
-class TestFleetAndCli:
-    def test_fleet_forward_engine_matches_default(self):
-        from repro.network.params import CSCS_TESTBED
-        from repro.parallel import ScenarioFleet
-
-        def rows(engine):
-            fleet = ScenarioFleet(
-                apps=["lulesh"],
-                nranks=[2],
-                allreduces=["ring"],
-                params_grid=[CSCS_TESTBED],
-                injectors=[None, "sender_delay"],
-                l_max=50.0,
-                sim_deltas=(0.0, 5.0),
-                processes=1,
-                envelope_engine=engine,
-            )
-            return fleet.run().rows
-
-        default, forward = rows("auto"), rows("forward")
-        assert len(default) == len(forward) == 2
-        for a, b in zip(default, forward):
-            assert a["runtime_us"] == pytest.approx(b["runtime_us"], abs=1e-6)
-            assert a["lambda_L"] == pytest.approx(b["lambda_L"], abs=1e-9)
-            # injector simulation rides along unchanged: injectors perturb
-            # the simulator, never the envelope
-            assert a.get("sim_runtime_us") == b.get("sim_runtime_us")
-
-    def test_cli_exposes_envelope_engine_flag(self, capsys):
-        import json
-
-        from repro.cli import main
-
-        def run(engine, *extra):
-            assert main(["--envelope-engine", engine, "analyze",
-                         "lulesh", "--nranks", "2", *extra]) == 0
-            return capsys.readouterr().out
-
-        # the printed (rounded) text is identical; the raw numbers differ
-        # only by solver round-off (~1e-14 relative)
-        assert run("forward") == run("lp")
-        forward, lp = json.loads(run("forward", "--json")), json.loads(run("lp", "--json"))
-        assert forward.keys() == lp.keys()
-        for key, value in lp.items():
-            assert forward[key] == pytest.approx(value, rel=1e-9, abs=1e-12), key
-        with pytest.raises(SystemExit):
-            main(["--envelope-engine", "bogus", "analyze", "lulesh"])

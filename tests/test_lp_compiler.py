@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core import build_lp, find_critical_latencies
-from repro.core.parametric import BatchedSweep
+from repro.core.parametric import lp_envelope
 from repro.lp.assembler import assemble
 from repro.lp.model import LPModel
 from repro.network.params import LogGPSParams
@@ -137,14 +137,15 @@ class TestCompiledModelProtocol:
     def test_find_critical_latencies_engine_knob(self):
         graph = build_staircase(5)
         params = LogGPSParams(L=0.0, o=0.0, g=0.0, G=0.0)
-        for envelope_engine in ("forward", "lp"):
-            latencies = find_critical_latencies(
-                graph, 0.0, 10.0, params=params, envelope_engine=envelope_engine
-            )
-            assert latencies == pytest.approx([1.0, 2.0, 3.0, 4.0], abs=1e-6)
-        symbolic = build_lp_symbolic(graph, params)
-        latencies = find_critical_latencies(symbolic, 0.0, 10.0, envelope_engine="lp")
+        latencies = find_critical_latencies(graph, 0.0, 10.0, params=params)
         assert latencies == pytest.approx([1.0, 2.0, 3.0, 4.0], abs=1e-6)
+        symbolic = build_lp_symbolic(graph, params)
+        latencies = find_critical_latencies(symbolic, 0.0, 10.0)
+        assert latencies == pytest.approx([1.0, 2.0, 3.0, 4.0], abs=1e-6)
+        # the LP tangent search on the compiled and the symbolic model alike
+        for lp in (build_lp(graph, params), symbolic):
+            breakpoints = sorted(lp_envelope(lp, 0.0, 10.0).breakpoints())
+            assert breakpoints == pytest.approx([1.0, 2.0, 3.0, 4.0], abs=1e-6)
         with pytest.raises(ValueError):
             find_critical_latencies(graph, 0.0, 10.0)  # graph without params
 
@@ -152,15 +153,12 @@ class TestCompiledModelProtocol:
         graph = build_random_dag(3, nranks=4, rounds=10)
         compiled = build_lp(graph, PARAMS)
         version_before = compiled.model.structure_version
-        sweep = BatchedSweep(compiled, l_min=PARAMS.L, l_max=PARAMS.L + 50.0)
-        values = sweep.values(np.linspace(PARAMS.L, PARAMS.L + 50.0, 20))
+        xs = np.linspace(PARAMS.L, PARAMS.L + 50.0, 20)
+        values = lp_envelope(compiled, PARAMS.L, PARAMS.L + 50.0).sample(xs)
         assert compiled.model.structure_version == version_before
         symbolic = build_lp_symbolic(graph, PARAMS)
-        reference = BatchedSweep(symbolic, l_min=PARAMS.L, l_max=PARAMS.L + 50.0)
-        np.testing.assert_allclose(
-            values, reference.values(np.linspace(PARAMS.L, PARAMS.L + 50.0, 20)),
-            atol=1e-6,
-        )
+        reference = lp_envelope(symbolic, PARAMS.L, PARAMS.L + 50.0)
+        np.testing.assert_allclose(values, reference.sample(xs), atol=1e-6)
 
     def test_solve_max_latency_materialises_and_restores(self):
         graph = build_random_dag(5, nranks=3, rounds=10)

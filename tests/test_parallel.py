@@ -21,8 +21,9 @@ import pytest
 
 import repro
 from repro.artifacts import ArtifactStore
+from repro.core.envelope import forward_envelope
 from repro.core.lp_builder import build_lp
-from repro.core.parametric import BatchedSweep, batched_sweep_graphs
+from repro.core.parametric import ParametricAnalysis, batched_sweep_graphs, lp_envelope
 from repro.network.params import CSCS_TESTBED
 from repro.parallel import (
     ScenarioError,
@@ -46,8 +47,15 @@ def no_leaked_segments():
 
 
 def _reference_envelope(graph, l_min=0.0, l_max=100.0):
+    """The forward envelope every pool path must reproduce bit for bit,
+    itself checked against the LP tangent search."""
+    envelope = forward_envelope(graph, PARAMS, l_min=l_min, l_max=l_max)
     lp = build_lp(graph, PARAMS, latency_mode="global")
-    return BatchedSweep(lp, l_min=l_min, l_max=l_max).envelope
+    xs = np.linspace(l_min, l_max, 11)
+    np.testing.assert_allclose(
+        envelope.sample(xs), lp_envelope(lp, l_min, l_max).sample(xs), rtol=1e-12
+    )
+    return envelope
 
 
 def _task(graph, *, scenario=None, params=PARAMS, **overrides):
@@ -147,8 +155,7 @@ class TestSweepPoolInline:
 
 _DEAD_WORKER_SCRIPT = """
 import json, multiprocessing, os
-from repro.core.lp_builder import build_lp
-from repro.core.parametric import BatchedSweep
+from repro.core.envelope import forward_envelope
 from repro.network.params import CSCS_TESTBED, LogGPSParams
 from repro.parallel import ScenarioError, SweepPool, SweepTask, live_shared_segments
 from repro.testing import build_running_example
@@ -178,9 +185,7 @@ try:
     pool.run_tasks([good, doomed], graphs)
 except ScenarioError as exc:
     result.update(scenario=exc.scenario, exc_type=exc.exc_type)
-reference = BatchedSweep(
-    build_lp(graph, CSCS_TESTBED, latency_mode="global"), l_min=0.0, l_max=100.0
-).envelope
+reference = forward_envelope(graph, CSCS_TESTBED, l_min=0.0, l_max=100.0)
 envelope = pool.run_tasks([good], graphs)[0]["envelope"]
 result["next_batch_matches_reference"] = envelope == reference
 pool.close()
@@ -280,16 +285,16 @@ class TestBatchedSweepGraphsRewired:
         graph = build_running_example()
         analyzer = LatencyAnalyzer(graph, PARAMS, cache_dir=tmp_path)
         assert analyzer.store is not None
-        sweep = analyzer.batched_sweep(l_max=100.0)
-        assert sweep.value(PARAMS.L) > 0
+        assert analyzer.parametric(l_max=100.0).runtime() > 0
 
     def test_analyzer_sweep_many(self):
         from repro.core.analyzer import LatencyAnalyzer
 
         graph = build_running_example()
-        sweeps = LatencyAnalyzer.sweep_many(
+        analyses = LatencyAnalyzer.sweep_many(
             [graph, graph], PARAMS, l_min=0.0, l_max=100.0
         )
-        assert len(sweeps) == 2
-        assert sweeps[0].num_solves == 0  # restored from a finished envelope
-        assert sweeps[0].envelope == _reference_envelope(graph)
+        assert len(analyses) == 2
+        assert all(isinstance(a, ParametricAnalysis) for a in analyses)
+        assert analyses[0].graph is graph
+        assert analyses[0].envelope == _reference_envelope(graph)

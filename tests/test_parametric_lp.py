@@ -12,7 +12,7 @@ import inspect
 import numpy as np
 import pytest
 
-from repro.core import BatchedSweep, build_lp, find_critical_latencies
+from repro.core import build_lp, find_critical_latencies, lp_envelope
 from repro.core.critical_latency import critical_latency_curve
 from repro.lp import LPSolution, ParametricLP, Tangent
 from repro.lp.backends import default_registry
@@ -264,9 +264,7 @@ class TestCriticalLatencyParity:
         # the forward pass (default engine) against the LP tangent search
         found = find_critical_latencies(build_lp(graph, PARAMS), 0.5, 25.0)
         exact = [
-            bp for bp in BatchedSweep(
-                build_lp(graph, PARAMS), l_min=0.0, l_max=25.0, envelope_engine="lp"
-            ).breakpoints()
+            bp for bp in lp_envelope(build_lp(graph, PARAMS), 0.0, 25.0).breakpoints()
             if 0.5 < bp < 25.0
         ]
         assert len(found) == len(exact)
@@ -282,13 +280,11 @@ class TestCriticalLatencyParity:
         )
 
     def test_max_solves_exceeded_raises(self):
-        # max_solves guards the LP tangent search; the forward engine never
-        # solves, so pin it to the LP engine explicitly
+        # max_solves guards the LP tangent search (the forward pass never
+        # solves)
         lp = build_lp(build_staircase(6), ZERO_OVERHEAD)
         with pytest.raises(RuntimeError, match="exceeded 3 LP solves"):
-            find_critical_latencies(
-                lp, 0.0, 8.0, max_solves=3, envelope_engine="lp"
-            )
+            lp.tangent_envelope(0.0, 8.0, max_solves=3)
 
     def test_per_pair_mode_rejected(self, running_example, paper_params):
         lp = build_lp(running_example, paper_params, latency_mode="per_pair")

@@ -1,5 +1,7 @@
 """Tests for the LogGPS parameter container."""
 
+import math
+
 import pytest
 
 from repro.network.params import CSCS_TESTBED, DEFAULT_PARAMS, PIZ_DAINT, LogGPSParams
@@ -19,7 +21,9 @@ def test_piz_daint_parameters():
 
 @pytest.mark.parametrize(
     "field, value",
-    [("L", -1.0), ("o", -0.1), ("g", -0.1), ("G", -1e-9), ("O", -1.0), ("S", -1), ("P", 0)],
+    [("L", -1.0), ("o", -0.1), ("g", -0.1), ("G", -1e-9), ("O", -1.0), ("S", -1), ("P", 0),
+     ("L", math.nan), ("L", math.inf), ("o", math.nan), ("g", math.inf), ("G", math.nan),
+     ("O", math.inf)],
 )
 def test_negative_values_rejected(field, value):
     with pytest.raises(ValueError):
