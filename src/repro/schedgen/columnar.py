@@ -10,14 +10,15 @@ builder methods, the columnar engine
    NumPy column per op field (:func:`batches_from_program`), or straight
    from the trace columns without materialising ``ProgramOp`` objects at
    all (:func:`batches_from_trace`);
-2. splits the batches on collectives with one vectorised scan, emits every
-   point-to-point segment of *all ranks* through a two-phase lowering
-   (:func:`_emit_segment`): a thin Python staging pass that resolves the
-   sequential semantics (request handles, sendrecv splitting, wait joins)
-   into flat *eager rows*, followed by a fully vectorised post-pass that
-   expands rendezvous rows into RTS/CTS/DATA triples, computes every
-   program-order dependency edge with one segmented running-max scan, and
-   flushes the whole segment through the bulk builder APIs;
+2. splits the batches on collectives with one vectorised scan and lowers
+   the point-to-point ops of *all ranks* in two phases: one staging pass
+   over the whole program (:func:`_stage`) resolves the sequential
+   semantics (request handles, sendrecv splitting, wait joins) into flat
+   *eager rows* with sort-based request matching, then, segment by
+   segment, a vectorised lowering (:func:`_lower_rows`) expands rendezvous
+   rows into RTS/CTS/DATA triples, computes every program-order dependency
+   edge with one segmented running-max scan, and flushes the segment
+   through the bulk builder APIs;
 3. expands collectives through the ``batch_*`` expanders of
    :mod:`repro.schedgen.collectives` (whole rounds as index arithmetic);
 4. pairs sends and receives with a vectorised sort-based FIFO matcher
@@ -32,6 +33,9 @@ contract.
 """
 
 from __future__ import annotations
+
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,11 +65,6 @@ __all__ = [
 _C_COMPUTE = OP_CODE[OpKind.COMPUTE]
 _C_SEND = OP_CODE[OpKind.SEND]
 _C_RECV = OP_CODE[OpKind.RECV]
-# the blocking-only fast path (_emit_segment_simple) classifies segments with
-# one max() over the kind column; that is only sound while these are the three
-# lowest codes, so fail loudly if OpKind ever gains a member ahead of them
-if (_C_COMPUTE, _C_SEND, _C_RECV) != (0, 1, 2):  # pragma: no cover - guard
-    raise AssertionError("OpKind must start with COMPUTE, SEND, RECV")
 _C_ISEND = OP_CODE[OpKind.ISEND]
 _C_IRECV = OP_CODE[OpKind.IRECV]
 _C_WAIT = OP_CODE[OpKind.WAIT]
@@ -414,18 +413,17 @@ def _populate_builder(
         ).max(axis=0)
         roots = batches[0].root[collective_positions[0]]
 
+    staged = _stage(batches, n_collectives, protocol)
+    # a staging error surfaces where a sequential walk would meet it: after
+    # the segments and collectives before it have been emitted
+    fail_segment = staged.failure[0] if staged.failure else -1
     frontier = np.full(nranks, -1, dtype=np.int64)
-    request_state: list[dict[int, tuple[str, int]]] = [{} for _ in range(nranks)]
     tag_cursor = coll.COLLECTIVE_TAG_BASE
 
     for segment in range(n_collectives + 1):
-        slices = []
-        for rank in range(nranks):
-            positions = collective_positions[rank]
-            lo = int(positions[segment - 1]) + 1 if segment > 0 else 0
-            hi = int(positions[segment]) if segment < n_collectives else len(batches[rank])
-            slices.append((lo, hi))
-        _emit_segment(builder, frontier, batches, slices, protocol, request_state)
+        if segment == fail_segment:
+            raise _staging_error(*staged.failure[1:])
+        _lower_rows(builder, frontier, staged, segment)
         if segment < n_collectives:
             tag, tag_cursor = coll.next_collective_tag(tag_cursor, nranks)
             _expand_collective(
@@ -438,12 +436,8 @@ def _populate_builder(
                 tag=tag,
                 expanders=coll.COLUMNAR_EXPANDERS,
             )
-
-    for rank, pending in enumerate(request_state):
-        if pending:
-            raise ValueError(
-                f"rank {rank}: requests never completed: {sorted(pending)}"
-            )
+    if staged.failure:  # requests left open at the end of the program
+        raise _staging_error(*staged.failure[1:])
 
     match_messages(builder)
     return builder
@@ -471,616 +465,261 @@ def _check_batch(rank: int, nranks: int, batch: RankOpBatch) -> None:
 
 
 # ---------------------------------------------------------------------------
-# point-to-point segment lowering
+# point-to-point lowering: phase 1 (staging) and phase 2 (per segment)
 # ---------------------------------------------------------------------------
 
-def _emit_segment(
-    builder: GraphBuilder,
-    frontier: np.ndarray,
-    batches: list[RankOpBatch],
-    slices: list[tuple[int, int]],
-    protocol,
-    request_state: list[dict[int, tuple[str, int]]],
-) -> None:
-    """Emit one point-to-point segment of *all ranks* in two phases.
-
-    Phase 1 (staging, sequential semantics): walk each rank's op slice once,
-    producing flat *eager rows* — one row per future send/recv/calc vertex,
-    still unexpanded for rendezvous — plus the lowering mode of each row and
-    the join lists of wait operations.  Request handles are resolved here
-    (they may span segments: the dict values are ``("vid", v)`` for already
-    materialised vertices or ``("row", i)`` for rows of this segment).
-
-    Phase 2 (vectorised lowering): expand rendezvous rows into RTS/CTS/DATA
-    triples with offset arithmetic, derive every program-order dependency
-    edge from one segmented running-max scan over the advancing vertices,
-    splice in the wait-join edges, and flush vertices + edges through the
-    bulk builder APIs.  Vertex and edge order reproduce the legacy engine
-    exactly (rank-major within the segment, each vertex's incoming edge in
-    vertex order, join edges right after the join's frontier edge).
-
-    Segments made of only blocking operations (compute/send/recv — the
-    shape of collective-dominated schedules and simple traced phases) skip
-    the staging loop entirely: phase 1 itself is a handful of array passes
-    over the concatenated slices.
-    """
-    simple = _emit_segment_simple(builder, frontier, batches, slices, protocol)
-    if simple:
-        return
-    row_parts: list[tuple[np.ndarray, ...]] = []
-    block_ranks: list[int] = []
-    block_lengths: list[int] = []
-    joins: list[tuple[int, list[tuple[str, int]]]] = []
-    row_base = 0
-
-    for rank, (lo, hi) in enumerate(slices):
-        if lo >= hi:
-            continue
-        stage = (
-            _stage_rank
-            if hi - lo >= _STAGE_VECTOR_THRESHOLD
-            else _stage_rank_loop
-        )
-        columns, rank_joins, nrows = stage(
-            rank, batches[rank], lo, hi, protocol, request_state[rank], row_base
-        )
-        joins.extend(rank_joins)
-        if nrows:
-            row_parts.append(columns)
-            block_ranks.append(rank)
-            block_lengths.append(nrows)
-            row_base += nrows
-
-    if not row_base:
-        return
-    _lower_rows(
-        builder,
-        frontier,
-        np.concatenate([part[0] for part in row_parts]),
-        np.concatenate([part[1] for part in row_parts]),
-        np.concatenate([part[2] for part in row_parts]),
-        np.concatenate([part[3] for part in row_parts]),
-        np.concatenate([part[4] for part in row_parts]),
-        np.concatenate([part[5] for part in row_parts]),
-        np.array(block_ranks, dtype=np.int64),
-        np.array(block_lengths, dtype=np.int64),
-        joins,
-        request_state,
-    )
-
-
-#: ops per rank slice above which phase 1 stages through the vectorised
-#: sort-based matcher (:func:`_stage_rank`); below it the sequential loop
-#: (:func:`_stage_rank_loop`) is cheaper — the vectorised path carries a
-#: fixed cost of a few dozen array operations per slice, the loop a few
-#: microseconds per op.  Both produce identical staging output.
-_STAGE_VECTOR_THRESHOLD = 256
-
-
-def _stage_rank_loop(
-    rank: int,
-    batch: RankOpBatch,
-    lo: int,
-    hi: int,
-    protocol,
-    requests: dict[int, tuple[str, int]],
-    row_base: int,
-):
-    """Sequential phase 1 for one short rank slice (the reference staging).
-
-    Same output contract as :func:`_stage_rank`; kept for slices below
-    :data:`_STAGE_VECTOR_THRESHOLD`, where a Python loop beats the fixed
-    overhead of the vectorised matcher.
-    """
-    row_kind: list[int] = []
-    row_cost: list[float] = []
-    row_size: list[int] = []
-    row_peer: list[int] = []
-    row_tag: list[int] = []
-    row_mode: list[int] = []
-    joins: list[tuple[int, list[tuple[str, int]]]] = []
-
-    threshold = protocol.eager_threshold
-    expand_rendezvous = protocol.expand_rendezvous
-    kinds = batch.kind[lo:hi].tolist()
-    costs = batch.cost[lo:hi].tolist()
-    peers = batch.peer[lo:hi].tolist()
-    sizes = batch.size[lo:hi].tolist()
-    tags = batch.tag[lo:hi].tolist()
-    handles = batch.request[lo:hi].tolist()
-    recv_peers = batch.recv_peer[lo:hi].tolist()
-    recv_sizes = batch.recv_size[lo:hi].tolist()
-    recv_tags = batch.recv_tag[lo:hi].tolist()
-
-    for i in range(hi - lo):
-        op_code = kinds[i]
-        if op_code == _C_COMPUTE:
-            compute_cost = costs[i]
-            if compute_cost > 0:
-                row_kind.append(_V_CALC)
-                row_cost.append(compute_cost)
-                row_size.append(0)
-                row_peer.append(-1)
-                row_tag.append(0)
-                row_mode.append(_PLAIN)
-        elif op_code == _C_SEND or op_code == _C_ISEND:
-            message_size = sizes[i]
-            rendezvous = expand_rendezvous and message_size > threshold
-            row_kind.append(_V_SEND)
-            row_cost.append(0.0)
-            row_size.append(message_size)
-            row_peer.append(peers[i])
-            row_tag.append(tags[i])
-            if op_code == _C_SEND:
-                row_mode.append(_RDV_BLOCK if rendezvous else _PLAIN)
-            else:
-                row_mode.append(_RDV_ISEND if rendezvous else _PLAIN)
-                handle = handles[i]
-                if handle < 0:
-                    raise ValueError(f"rank {rank}: {OP_KINDS[op_code]} without request")
-                if handle in requests:
-                    raise ValueError(
-                        f"rank {rank}: request {handle} reused before completion"
-                    )
-                requests[handle] = ("row", row_base + len(row_kind) - 1)
-        elif op_code == _C_RECV:
-            message_size = sizes[i]
-            rendezvous = expand_rendezvous and message_size > threshold
-            row_kind.append(_V_RECV)
-            row_cost.append(0.0)
-            row_size.append(message_size)
-            row_peer.append(peers[i])
-            row_tag.append(tags[i])
-            row_mode.append(_RDV_BLOCK if rendezvous else _PLAIN)
-        elif op_code == _C_IRECV:
-            message_size = sizes[i]
-            rendezvous = expand_rendezvous and message_size > threshold
-            row_kind.append(_V_RECV)
-            row_cost.append(0.0)
-            row_size.append(message_size)
-            row_peer.append(peers[i])
-            row_tag.append(tags[i])
-            row_mode.append(_RDV_IRECV if rendezvous else _POST)
-            handle = handles[i]
-            if handle < 0:
-                raise ValueError(f"rank {rank}: {OP_KINDS[op_code]} without request")
-            if handle in requests:
-                raise ValueError(
-                    f"rank {rank}: request {handle} reused before completion"
-                )
-            requests[handle] = ("row", row_base + len(row_kind) - 1)
-        elif op_code == _C_SENDRECV:
-            send_size = sizes[i]
-            row_kind.append(_V_SEND)
-            row_cost.append(0.0)
-            row_size.append(send_size)
-            row_peer.append(peers[i])
-            row_tag.append(tags[i])
-            row_mode.append(
-                _RDV_BLOCK if expand_rendezvous and send_size > threshold else _PLAIN
-            )
-            recv_size = recv_sizes[i]
-            row_kind.append(_V_RECV)
-            row_cost.append(0.0)
-            row_size.append(recv_size)
-            row_peer.append(recv_peers[i])
-            row_tag.append(recv_tags[i])
-            row_mode.append(
-                _RDV_BLOCK if expand_rendezvous and recv_size > threshold else _PLAIN
-            )
-        elif op_code == _C_WAIT or op_code == _C_WAITALL:
-            wanted = [handles[i]] if op_code == _C_WAIT else list(batch.requests[lo + i])
-            targets = []
-            for handle in wanted:
-                if handle not in requests:
-                    raise ValueError(
-                        f"rank {rank}: wait on unknown request {handle}"
-                    )
-                targets.append(requests.pop(handle))
-            joins.append((row_base + len(row_kind), targets))
-            row_kind.append(_V_CALC)
-            row_cost.append(0.0)
-            row_size.append(0)
-            row_peer.append(-1)
-            row_tag.append(0)
-            row_mode.append(_JOIN)
-        else:
-            raise ValueError(
-                f"unexpected operation {OP_KINDS[op_code]} in point-to-point segment"
-            )
-
-    columns = (
-        np.array(row_kind, dtype=np.int8),
-        np.array(row_cost, dtype=np.float64),
-        np.array(row_size, dtype=np.int64),
-        np.array(row_peer, dtype=np.int64),
-        np.array(row_tag, dtype=np.int64),
-        np.array(row_mode, dtype=np.int8),
-    )
-    return columns, joins, len(row_kind)
-
-
-#: event codes of the sort-based request matcher (phase 1, vectorised)
-_EV_POST = 0
-_EV_CONSUME = 1
-
-#: staging-error codes, raised in first-op-position order like the old
-#: sequential staging loop would
+#: staging errors; the first one in (segment, rank, position, slot) order is
+#: raised, which is the one a sequential walk over the program meets first
 _ERR_UNEXPECTED = 0
 _ERR_NO_REQUEST = 1
 _ERR_REUSED = 2
 _ERR_UNKNOWN = 3
+_ERR_OPEN = 4
 
 
-def _stage_rank(
-    rank: int,
-    batch: RankOpBatch,
-    lo: int,
-    hi: int,
-    protocol,
-    pending: dict[int, tuple[str, int]],
-    row_base: int,
-):
-    """Vectorised phase 1 for one rank's op slice (any op mix).
+def _staging_error(rank: int, error: int, payload) -> ValueError:
+    """The exception of one staging error, built only when it is raised."""
+    if error == _ERR_UNEXPECTED:
+        return ValueError(
+            f"unexpected operation {OP_KINDS[payload]} in point-to-point segment"
+        )
+    if error == _ERR_NO_REQUEST:
+        return ValueError(f"rank {rank}: {OP_KINDS[payload]} without request")
+    if error == _ERR_REUSED:
+        return ValueError(f"rank {rank}: request {payload} reused before completion")
+    if error == _ERR_UNKNOWN:
+        return ValueError(f"rank {rank}: wait on unknown request {payload}")
+    return ValueError(f"rank {rank}: requests never completed: {payload}")
 
-    Lowers the slice to eager rows with a handful of array passes: row
-    layout by per-op row counts, column scatter per op class, and
-    **sort-based request matching by handle** — posts (``isend``/``irecv``)
-    and consumptions (``wait``/``waitall``, one event per listed handle)
-    are sorted by ``(handle, op position, slot)``; within one handle the
-    events must alternate post/consume starting from the pending state
-    carried over from earlier segments, which is exactly the sequential
-    dict semantics.  Returns ``(columns, joins, nrows)`` with join row
-    indices already offset by ``row_base``; ``pending`` is updated in place
-    to the handles still open after this segment.
+
+class _Staged(NamedTuple):
+    """Phase-1 output: the eager rows of the whole program.
+
+    Rows are in (segment, rank, op position) order, the order phase 2 emits
+    them in; segment ``s`` owns rows ``segment_start[s]:segment_start[s + 1]``.
     """
-    kinds = batch.kind[lo:hi]
-    n_ops = len(kinds)
-    sizes = batch.size[lo:hi]
-    costs = batch.cost[lo:hi]
 
-    violations: list[tuple[int, int, int]] = []  # (op position, error, payload)
-    unexpected = kinds > _C_SENDRECV
-    if np.any(unexpected):
-        at = int(np.argmax(unexpected))
-        violations.append((at, _ERR_UNEXPECTED, int(kinds[at])))
+    kind: np.ndarray           # vertex kind (int8)
+    cost: np.ndarray
+    size: np.ndarray
+    peer: np.ndarray
+    tag: np.ndarray
+    mode: np.ndarray           # lowering mode, _PLAIN … _RDV_IRECV (int8)
+    rank: np.ndarray
+    segment_start: np.ndarray
+    join_row: np.ndarray       # wait row of each request a wait completes,
+    join_target: np.ndarray    # and the row that posted it; by (join row, slot)
+    row_vid: np.ndarray        # vertex each row resolves to, filled by phase 2
+    failure: tuple | None      # (segment, rank, error, payload) of the first error
+
+
+def _stage(batches: list[RankOpBatch], n_collectives: int, protocol) -> _Staged:
+    """Phase 1: stage every rank and segment of the program in one pass.
+
+    Turns the point-to-point ops into flat *eager rows* — one row per future
+    send/recv/calc vertex, still unexpanded for rendezvous — with the
+    lowering mode of each row.  An op's segment is the number of collectives
+    before it on its rank; one stable sort by segment puts the ops in
+    (segment, rank, position) order, and the row layout follows from per-op
+    row counts (0 for a zero-cost compute, 2 for a sendrecv, else 1).
+
+    Request handles are matched by sorting events by (rank, handle, op,
+    slot): a post is an ``isend``/``irecv``, a consume a ``wait`` or one
+    listed handle of a ``waitall``.  Within one (rank, handle) group the
+    events must alternate post/consume, starting with a post — exactly the
+    sequential dict semantics — and each consume completes the post right
+    before it, so requests may stay open across any number of collectives.
+    """
+    # one pass over the batches: a ChunkedBatches builds a view per access
+    views = [
+        (batch.kind, batch.cost, batch.peer, batch.size, batch.tag, batch.request,
+         batch.recv_peer, batch.recv_size, batch.recv_tag, batch.requests)
+        for batch in batches
+    ]
+    *columns, requests_by_rank = zip(*views)
+    kind, cost, peer, size, tag, request, recv_peer, recv_size, recv_tag = (
+        np.concatenate(column) for column in columns
+    )
+    lengths = np.array([len(view[0]) for view in views], dtype=np.int64)
+    rank_start = np.cumsum(lengths) - lengths
+    op_rank = np.repeat(np.arange(len(views), dtype=np.int64), lengths)
+    is_collective = np.isin(kind, _COLLECTIVE_CODES)
+    op_segment = np.cumsum(is_collective) - is_collective - op_rank * n_collectives
+    p2p = np.flatnonzero(~is_collective)
+    ops = p2p[np.argsort(op_segment[p2p], kind="stable")]
+    op_rank, op_segment = op_rank[ops], op_segment[ops]
+    kinds, costs, sizes = kind[ops], cost[ops], size[ops]
 
     # ------------------------------------------------------------------
-    # row layout: per-op row counts -> row offsets
+    # row layout and row columns
     # ------------------------------------------------------------------
     is_compute = kinds == _C_COMPUTE
-    rows_per_op = np.ones(n_ops, dtype=np.int64)
-    rows_per_op[is_compute] = (costs[is_compute] > 0).astype(np.int64)
-    rows_per_op[kinds == _C_SENDRECV] = 2
+    is_sendrecv = kinds == _C_SENDRECV
+    is_wait = (kinds == _C_WAIT) | (kinds == _C_WAITALL)
+    send_side = (kinds == _C_SEND) | (kinds == _C_ISEND) | is_sendrecv
+    recv_side = (kinds == _C_RECV) | (kinds == _C_IRECV)
+    rows_per_op = np.where(is_compute, costs > 0, 1) + is_sendrecv
     ends = np.cumsum(rows_per_op)
     offsets = ends - rows_per_op
-    nrows = int(ends[-1]) if n_ops else 0
+    nrows = int(ends[-1]) if len(ends) else 0
 
-    row_kind = np.empty(nrows, dtype=np.int8)
+    row_kind = np.full(nrows, _V_CALC, dtype=np.int8)
     row_cost = np.zeros(nrows, dtype=np.float64)
     row_size = np.zeros(nrows, dtype=np.int64)
     row_peer = np.full(nrows, -1, dtype=np.int64)
     row_tag = np.zeros(nrows, dtype=np.int64)
-    row_mode = np.zeros(nrows, dtype=np.int8)
+    row_mode = np.full(nrows, _PLAIN, dtype=np.int8)
+
+    kept_compute = is_compute & (rows_per_op > 0)
+    row_cost[offsets[kept_compute]] = costs[kept_compute]
 
     threshold = protocol.eager_threshold
     expand = protocol.expand_rendezvous
-    rendezvous = (sizes > threshold) if expand else np.zeros(n_ops, dtype=bool)
-
-    kept_compute = is_compute & (rows_per_op > 0)
-    pos = offsets[kept_compute]
-    row_kind[pos] = _V_CALC
-    row_cost[pos] = costs[kept_compute]
-
-    send_ops = (kinds == _C_SEND) | (kinds == _C_ISEND)
-    pos = offsets[send_ops]
+    rendezvous = expand & (sizes > threshold)
+    message = send_side | recv_side
+    pos = offsets[message]
+    row_size[pos] = sizes[message]
+    row_peer[pos] = peer[ops[message]]
+    row_tag[pos] = tag[ops[message]]
+    pos = offsets[send_side]
     row_kind[pos] = _V_SEND
-    row_size[pos] = sizes[send_ops]
-    row_peer[pos] = batch.peer[lo:hi][send_ops]
-    row_tag[pos] = batch.tag[lo:hi][send_ops]
     row_mode[pos] = np.where(
-        rendezvous[send_ops],
-        np.where(kinds[send_ops] == _C_SEND, _RDV_BLOCK, _RDV_ISEND),
+        rendezvous[send_side],
+        np.where(kinds[send_side] == _C_ISEND, _RDV_ISEND, _RDV_BLOCK),
         _PLAIN,
-    ).astype(np.int8)
-
-    recv_ops = (kinds == _C_RECV) | (kinds == _C_IRECV)
-    pos = offsets[recv_ops]
+    )
+    pos = offsets[recv_side]
     row_kind[pos] = _V_RECV
-    row_size[pos] = sizes[recv_ops]
-    row_peer[pos] = batch.peer[lo:hi][recv_ops]
-    row_tag[pos] = batch.tag[lo:hi][recv_ops]
     row_mode[pos] = np.where(
-        rendezvous[recv_ops],
-        np.where(kinds[recv_ops] == _C_RECV, _RDV_BLOCK, _RDV_IRECV),
-        np.where(kinds[recv_ops] == _C_RECV, _PLAIN, _POST),
-    ).astype(np.int8)
+        kinds[recv_side] == _C_IRECV,
+        np.where(rendezvous[recv_side], _RDV_IRECV, _POST),
+        np.where(rendezvous[recv_side], _RDV_BLOCK, _PLAIN),
+    )
+    # a sendrecv's receive half is the row right after its send
+    pos = offsets[is_sendrecv] + 1
+    sendrecv_ops = ops[is_sendrecv]
+    row_kind[pos] = _V_RECV
+    row_size[pos] = recv_size[sendrecv_ops]
+    row_peer[pos] = recv_peer[sendrecv_ops]
+    row_tag[pos] = recv_tag[sendrecv_ops]
+    row_mode[pos] = np.where(
+        expand & (recv_size[sendrecv_ops] > threshold), _RDV_BLOCK, _PLAIN
+    )
+    row_mode[offsets[is_wait]] = _JOIN
 
-    sendrecv_ops = kinds == _C_SENDRECV
-    if np.any(sendrecv_ops):
-        pos = offsets[sendrecv_ops]
-        row_kind[pos] = _V_SEND
-        row_size[pos] = sizes[sendrecv_ops]
-        row_peer[pos] = batch.peer[lo:hi][sendrecv_ops]
-        row_tag[pos] = batch.tag[lo:hi][sendrecv_ops]
-        row_mode[pos] = np.where(rendezvous[sendrecv_ops], _RDV_BLOCK, _PLAIN)
-        recv_sizes = batch.recv_size[lo:hi][sendrecv_ops]
-        row_kind[pos + 1] = _V_RECV
-        row_size[pos + 1] = recv_sizes
-        row_peer[pos + 1] = batch.recv_peer[lo:hi][sendrecv_ops]
-        row_tag[pos + 1] = batch.recv_tag[lo:hi][sendrecv_ops]
-        recv_rendezvous = (recv_sizes > threshold) if expand else np.zeros(
-            int(sendrecv_ops.sum()), dtype=bool
-        )
-        row_mode[pos + 1] = np.where(recv_rendezvous, _RDV_BLOCK, _PLAIN)
-
-    wait_ops = (kinds == _C_WAIT) | (kinds == _C_WAITALL)
-    pos = offsets[wait_ops]
-    row_kind[pos] = _V_CALC
-    row_mode[pos] = _JOIN
+    row_segment = np.repeat(op_segment, rows_per_op)
+    segment_start = np.searchsorted(row_segment, np.arange(n_collectives + 2))
 
     # ------------------------------------------------------------------
-    # sort-based request matching by handle
+    # request matching by (rank, handle)
     # ------------------------------------------------------------------
-    post_ops = np.flatnonzero((kinds == _C_ISEND) | (kinds == _C_IRECV))
-    post_handles = batch.request[lo:hi][post_ops]
-    negative = post_handles < 0
-    if np.any(negative):
-        at = int(np.argmax(negative))
-        violations.append(
-            (int(post_ops[at]), _ERR_NO_REQUEST, int(kinds[post_ops[at]]))
-        )
-
-    wait_positions = np.flatnonzero(kinds == _C_WAIT)
-    waitall_positions = np.flatnonzero(kinds == _C_WAITALL)
-    waitall_requests = [batch.requests[lo + int(i)] for i in waitall_positions]
-    waitall_counts = np.array(
-        [len(req) for req in waitall_requests], dtype=np.int64
+    posts = np.flatnonzero((kinds == _C_ISEND) | (kinds == _C_IRECV))
+    waits = np.flatnonzero(kinds == _C_WAIT)
+    waitalls = np.flatnonzero(kinds == _C_WAITALL)
+    local = (ops[waitalls] - rank_start[op_rank[waitalls]]).tolist()
+    listed = [
+        requests_by_rank[rank][at]
+        for rank, at in zip(op_rank[waitalls].tolist(), local)
+    ]
+    counts = np.fromiter(map(len, listed), dtype=np.int64, count=len(listed))
+    n_listed = int(counts.sum())
+    ev_op = np.concatenate([posts, waits, np.repeat(waitalls, counts)])
+    ev_slot = np.zeros(len(ev_op), dtype=np.int64)
+    ev_slot[len(posts) + len(waits):] = (
+        np.arange(n_listed) - np.repeat(np.cumsum(counts) - counts, counts)
     )
-    consume_ops = np.concatenate([
-        wait_positions,
-        np.repeat(waitall_positions, waitall_counts),
+    ev_handle = np.concatenate([
+        request[ops[posts]],
+        request[ops[waits]],
+        np.fromiter(chain.from_iterable(listed), dtype=np.int64, count=n_listed),
     ])
-    consume_handles = np.concatenate([
-        batch.request[lo:hi][wait_positions],
-        np.fromiter(
-            (h for req in waitall_requests for h in req),
-            dtype=np.int64,
-            count=int(waitall_counts.sum()),
-        ),
-    ])
-    consume_slots = np.concatenate([
-        np.zeros(len(wait_positions), dtype=np.int64),
-        np.concatenate([np.arange(c, dtype=np.int64) for c in waitall_counts])
-        if len(waitall_counts)
-        else np.empty(0, dtype=np.int64),
-    ])
-    # (op position, slot) order: ``wait`` and ``waitall`` ops interleave
-    consume_order = np.lexsort((consume_slots, consume_ops))
-    consume_ops = consume_ops[consume_order]
-    consume_handles = consume_handles[consume_order]
-    consume_slots = consume_slots[consume_order]
+    ev_rank = op_rank[ev_op]
+    order = np.lexsort((ev_slot, ev_op, ev_handle, ev_rank))
+    ev_op, ev_slot, ev_handle, ev_rank = (
+        ev_op[order], ev_slot[order], ev_handle[order], ev_rank[order]
+    )
+    is_post = order < len(posts)
+    same_group = np.zeros(len(order), dtype=bool)
+    same_group[1:] = (ev_rank[1:] == ev_rank[:-1]) & (ev_handle[1:] == ev_handle[:-1])
+    after_post = np.zeros(len(order), dtype=bool)
+    after_post[1:] = same_group[1:] & is_post[:-1]
 
-    pending_handles = np.fromiter(pending.keys(), dtype=np.int64, count=len(pending))
-    n_pend, n_post, n_cons = len(pending_handles), len(post_ops), len(consume_ops)
-
-    joins: list[tuple[int, list[tuple[str, int]]]] = []
-    leftovers: dict[int, tuple[str, int]] = {}
-    if n_post or n_cons:
-        ev_handle = np.concatenate([pending_handles, post_handles, consume_handles])
-        ev_pos = np.concatenate([
-            np.full(n_pend, -1, dtype=np.int64), post_ops, consume_ops,
+    unexpected = np.flatnonzero(~(is_compute | message | is_wait))
+    no_request = posts[request[ops[posts]] < 0]
+    reused = np.flatnonzero(is_post & after_post)
+    unknown = np.flatnonzero(~is_post & ~after_post)
+    v_op = np.concatenate([unexpected, no_request, ev_op[reused], ev_op[unknown]])
+    failure = None
+    if len(v_op):
+        v_slot = np.concatenate([
+            np.zeros(len(unexpected) + len(no_request), dtype=np.int64),
+            ev_slot[reused], ev_slot[unknown],
         ])
-        ev_slot = np.concatenate([
-            np.zeros(n_pend, dtype=np.int64),
-            np.zeros(n_post, dtype=np.int64),
-            consume_slots,
+        v_error = np.repeat(
+            [_ERR_UNEXPECTED, _ERR_NO_REQUEST, _ERR_REUSED, _ERR_UNKNOWN],
+            [len(unexpected), len(no_request), len(reused), len(unknown)],
+        )
+        v_payload = np.concatenate([
+            kinds[unexpected], kinds[no_request], ev_handle[reused], ev_handle[unknown],
         ])
-        ev_type = np.concatenate([
-            np.full(n_pend + n_post, _EV_POST, dtype=np.int64),
-            np.full(n_cons, _EV_CONSUME, dtype=np.int64),
-        ])
-        order = np.lexsort((ev_slot, ev_pos, ev_handle))
-        handle_sorted = ev_handle[order]
-        type_sorted = ev_type[order]
-        first = np.empty(len(order), dtype=bool)
-        first[0] = True
-        np.not_equal(handle_sorted[1:], handle_sorted[:-1], out=first[1:])
-        prev_type = np.empty(len(order), dtype=np.int64)
-        prev_type[0] = _EV_CONSUME
-        prev_type[1:] = np.where(first[1:], _EV_CONSUME, type_sorted[:-1])
-        bad = type_sorted == prev_type
-        if np.any(bad):
-            for at in np.flatnonzero(bad).tolist():
-                position = int(ev_pos[order[at]])
-                handle = int(handle_sorted[at])
-                if type_sorted[at] == _EV_POST:
-                    violations.append((position, _ERR_REUSED, handle))
-                else:
-                    violations.append((position, _ERR_UNKNOWN, handle))
-        if not violations:
-            # each consume matches the event right before it in its group (a
-            # post, by the alternation just checked); resolve the payload
-            matched = order[np.flatnonzero(type_sorted == _EV_CONSUME) - 1]
-            targets: list[tuple[str, int]] = []
-            for source in matched.tolist():
-                if source < n_pend:
-                    targets.append(pending[int(ev_handle[source])])
-                else:
-                    targets.append(
-                        ("row", row_base + int(offsets[ev_pos[source]]))
-                    )
-            # ``targets`` is in sorted-event order; map it back to the
-            # original consume order (op position, then slot)
-            order_of_consume = np.empty(n_cons, dtype=np.int64)
-            consume_sorted_positions = np.flatnonzero(type_sorted == _EV_CONSUME)
-            order_of_consume[order[consume_sorted_positions] - n_pend - n_post] = (
-                np.arange(n_cons, dtype=np.int64)
-            )
-            target_by_op: dict[int, list[tuple[str, int]]] = {
-                int(p): [] for p in np.flatnonzero(wait_ops).tolist()
-            }
-            for orig in range(n_cons):
-                target_by_op[int(consume_ops[orig])].append(
-                    targets[int(order_of_consume[orig])]
-                )
-            # one join per wait/waitall op in op order (empty waitalls
-            # included: they still emit a labelled join vertex)
-            joins.extend(
-                (row_base + int(offsets[p]), found)
-                for p, found in target_by_op.items()
-            )
-            # handles whose last event is a post stay pending
-            last = np.empty(len(order), dtype=bool)
-            last[-1] = True
-            np.not_equal(handle_sorted[1:], handle_sorted[:-1], out=last[:-1])
-            open_events = order[last & (type_sorted == _EV_POST)]
-            for source in open_events.tolist():
-                handle = int(ev_handle[source])
-                if source < n_pend:
-                    leftovers[handle] = pending[handle]
-                else:
-                    leftovers[handle] = (
-                        "row", row_base + int(offsets[ev_pos[source]])
-                    )
+        first = np.lexsort((v_error, v_slot, v_op))[0]
+        at = v_op[first]
+        failure = (int(op_segment[at]), int(op_rank[at]), int(v_error[first]),
+                   int(v_payload[first]))
     else:
-        leftovers = dict(pending)
-        for p in np.flatnonzero(wait_ops).tolist():
-            joins.append((row_base + int(offsets[p]), []))
+        last_in_group = np.ones(len(order), dtype=bool)
+        last_in_group[:-1] = ~same_group[1:]
+        still_open = is_post & last_in_group
+        if np.any(still_open):
+            rank = int(ev_rank[still_open][0])
+            pending = ev_handle[still_open & (ev_rank == rank)].tolist()
+            failure = (n_collectives + 1, rank, _ERR_OPEN, pending)
 
-    if violations:
-        position, error, payload = min(violations)
-        if error == _ERR_UNEXPECTED:
-            raise ValueError(
-                f"unexpected operation {OP_KINDS[payload]} in point-to-point segment"
-            )
-        if error == _ERR_NO_REQUEST:
-            raise ValueError(f"rank {rank}: {OP_KINDS[payload]} without request")
-        if error == _ERR_REUSED:
-            raise ValueError(
-                f"rank {rank}: request {payload} reused before completion"
-            )
-        raise ValueError(f"rank {rank}: wait on unknown request {payload}")
+    # each consume completes the post right before it in its group (after the
+    # first error the pairing is meaningless, but those rows are never lowered)
+    consumes = np.flatnonzero(~is_post)
+    join_row = offsets[ev_op[consumes]]
+    join_target = offsets[ev_op[consumes - 1]]
+    join_order = np.lexsort((ev_slot[consumes], join_row))
 
-    pending.clear()
-    pending.update(leftovers)
-    columns = (row_kind, row_cost, row_size, row_peer, row_tag, row_mode)
-    return columns, joins, nrows
-
-
-def _emit_segment_simple(
-    builder: GraphBuilder,
-    frontier: np.ndarray,
-    batches: list[RankOpBatch],
-    slices: list[tuple[int, int]],
-    protocol,
-) -> bool:
-    """Loop-free phase 1 for segments of blocking ops only.
-
-    Returns ``True`` when it handled the segment (every op is a
-    compute/send/recv, so no request bookkeeping or sendrecv splitting is
-    needed and the eager rows are a pure element-wise function of the op
-    columns); ``False`` defers to the generic staging loop.  COMPUTE, SEND
-    and RECV are the three lowest op codes, so the shape test is one
-    ``max()`` over the segment's kind column.
-    """
-    kind_views = []
-    view_ranks = []
-    for rank, (lo, hi) in enumerate(slices):
-        if lo >= hi:
-            continue
-        kind_views.append(batches[rank].kind[lo:hi])
-        view_ranks.append(rank)
-    if not kind_views:
-        return True
-    op_kind = kind_views[0] if len(kind_views) == 1 else np.concatenate(kind_views)
-    if int(op_kind.max()) > _C_RECV:
-        return False
-    lengths = np.array([len(v) for v in kind_views], dtype=np.int64)
-    op_cost = np.concatenate(
-        [batches[r].cost[lo:hi] for r, (lo, hi) in zip_slices(view_ranks, slices)]
+    return _Staged(
+        kind=row_kind, cost=row_cost, size=row_size, peer=row_peer, tag=row_tag,
+        mode=row_mode, rank=np.repeat(op_rank, rows_per_op),
+        segment_start=segment_start,
+        join_row=join_row[join_order], join_target=join_target[join_order],
+        row_vid=np.empty(nrows, dtype=np.int64), failure=failure,
     )
-    op_rank = np.repeat(np.array(view_ranks, dtype=np.int64), lengths)
-    is_compute = op_kind == _C_COMPUTE
-    if is_compute.all():
-        # pure computation segment (the shape between two collectives of an
-        # iterated-collective schedule): CALC rows only
-        keep = op_cost > 0
-        if not keep.any():
-            return True
-        n_rows = int(np.count_nonzero(keep))
-        row_kind = np.full(n_rows, _V_CALC, dtype=np.int8)
-        row_cost = op_cost[keep]
-        row_size = np.zeros(n_rows, dtype=np.int64)
-        row_peer = np.full(n_rows, -1, dtype=np.int64)
-        row_tag = np.zeros(n_rows, dtype=np.int64)
-        row_mode = np.zeros(n_rows, dtype=np.int8)  # _PLAIN
-    else:
-        op_size = np.concatenate(
-            [batches[r].size[lo:hi] for r, (lo, hi) in zip_slices(view_ranks, slices)]
-        )
-        op_peer = np.concatenate(
-            [batches[r].peer[lo:hi] for r, (lo, hi) in zip_slices(view_ranks, slices)]
-        )
-        op_tag = np.concatenate(
-            [batches[r].tag[lo:hi] for r, (lo, hi) in zip_slices(view_ranks, slices)]
-        )
-        keep = ~is_compute | (op_cost > 0)
-        if not keep.any():
-            return True
-        row_kind = np.where(
-            op_kind == _C_SEND, _V_SEND, np.where(op_kind == _C_RECV, _V_RECV, _V_CALC)
-        ).astype(np.int8)[keep]
-        row_cost = np.where(is_compute, op_cost, 0.0)[keep]
-        row_size = np.where(is_compute, 0, op_size)[keep]
-        row_peer = np.where(is_compute, -1, op_peer)[keep]
-        row_tag = np.where(is_compute, 0, op_tag)[keep]
-        row_mode = np.zeros(len(row_kind), dtype=np.int8)  # _PLAIN
-        if protocol.expand_rendezvous:
-            rendezvous = (row_kind != _V_CALC) & (row_size > protocol.eager_threshold)
-            row_mode[rendezvous] = _RDV_BLOCK
-    kept_ranks = op_rank[keep]
-    counts = np.bincount(kept_ranks, minlength=len(batches))
-    block_ranks = np.flatnonzero(counts)
-    _lower_rows(
-        builder,
-        frontier,
-        row_kind,
-        row_cost,
-        row_size,
-        row_peer,
-        row_tag,
-        row_mode,
-        block_ranks.astype(np.int64),
-        counts[block_ranks].astype(np.int64),
-        [],
-        None,
-    )
-    return True
-
-
-def zip_slices(view_ranks: list[int], slices: list[tuple[int, int]]):
-    """Pair each non-empty rank with its (lo, hi) slice, in rank order."""
-    return ((rank, slices[rank]) for rank in view_ranks)
 
 
 def _lower_rows(
     builder: GraphBuilder,
     frontier: np.ndarray,
-    kinds: np.ndarray,
-    costs: np.ndarray,
-    sizes: np.ndarray,
-    peers: np.ndarray,
-    tags: np.ndarray,
-    modes: np.ndarray,
-    block_rank_arr: np.ndarray,
-    block_length_arr: np.ndarray,
-    joins: list[tuple[int, list[tuple[str, int]]]],
-    request_state: list[dict[int, tuple[str, int]]] | None,
+    staged: _Staged,
+    segment: int,
 ) -> None:
-    """Phase 2: vectorised lowering of staged eager rows (see
-    :func:`_emit_segment`)."""
+    """Phase 2: lower one segment's staged rows into vertices and edges.
+
+    Expands rendezvous rows into RTS/CTS/DATA triples with offset arithmetic,
+    derives every program-order dependency edge from one segmented
+    running-max scan over the advancing vertices, splices in the wait-join
+    edges, and flushes vertices + edges through the bulk builder APIs.
+    Vertex and edge order reproduce the legacy engine exactly (rank-major
+    within the segment, each vertex's incoming edge in vertex order, join
+    edges right after the join's frontier edge).
+    """
     from .builder import _CTS_TAG, _DATA_TAG, _RENDEZVOUS_CTRL_BYTES, _RTS_TAG
+
+    lo, hi = int(staged.segment_start[segment]), int(staged.segment_start[segment + 1])
+    if lo == hi:
+        return
+    kinds, costs, sizes = staged.kind[lo:hi], staged.cost[lo:hi], staged.size[lo:hi]
+    peers, tags, modes = staged.peer[lo:hi], staged.tag[lo:hi], staged.mode[lo:hi]
+    row_rank = staged.rank[lo:hi]
+    block_start = np.empty(hi - lo, dtype=bool)
+    block_start[0] = True
+    np.not_equal(row_rank[1:], row_rank[:-1], out=block_start[1:])
+    block_rank_arr = row_rank[block_start]
+    row_block = np.cumsum(block_start) - 1
 
     expand = modes >= _RDV_BLOCK
     counts = np.where(expand, 3, 1).astype(np.int64)
@@ -1089,8 +728,8 @@ def _lower_rows(
     total = int(ends[-1])
     base = builder.num_vertices
     # the vertex each row resolves to (DATA vertex for rendezvous rows):
-    # request handles and wait joins reference rows through this array
-    result_vid = base + offsets + np.where(expand, 2, 0)
+    # wait joins reference the rows they complete through this array
+    staged.row_vid[lo:hi] = base + offsets + np.where(expand, 2, 0)
 
     out_kind = np.empty(total, dtype=np.int8)
     out_cost = np.zeros(total, dtype=np.float64)
@@ -1138,7 +777,6 @@ def _lower_rows(
     # with the incoming frontier: encode (block, local advancing offset + 1)
     # into one monotone key so a single maximum.accumulate never leaks a
     # previous block's vertices into the next block.
-    row_block = np.repeat(np.arange(len(block_rank_arr)), block_length_arr)
     out_block = np.repeat(row_block, counts)
     out_counts = np.bincount(out_block, minlength=len(block_rank_arr))
     block_starts = np.concatenate([[0], np.cumsum(out_counts)[:-1]])
@@ -1163,32 +801,22 @@ def _lower_rows(
     edge_src = dependency_src[edge_mask]
     edge_dst = vids[edge_mask]
 
-    if joins:
-        edge_count_through = np.cumsum(edge_mask)
-        insert_at: list[int] = []
-        insert_src: list[int] = []
-        insert_dst: list[int] = []
-        for row_index, targets in joins:
-            position = int(offsets[row_index])
-            join_vid = int(base + position)
-            frontier_dep = int(previous[position])
-            for kind_tag, value in targets:
-                target_vid = value if kind_tag == "vid" else int(result_vid[value])
-                if target_vid != frontier_dep:
-                    insert_at.append(int(edge_count_through[position]))
-                    insert_src.append(target_vid)
-                    insert_dst.append(join_vid)
-        if insert_at:
-            edge_src = np.insert(edge_src, insert_at, insert_src)
-            edge_dst = np.insert(edge_dst, insert_at, insert_dst)
+    first, last = np.searchsorted(staged.join_row, (lo, hi))
+    if last > first:
+        join_pos = offsets[staged.join_row[first:last] - lo]
+        target = staged.row_vid[staged.join_target[first:last]]
+        extra = target != previous[join_pos]
+        insert_at = np.cumsum(edge_mask)[join_pos[extra]]
+        edge_src = np.insert(edge_src, insert_at, target[extra])
+        edge_dst = np.insert(edge_dst, insert_at, base + join_pos[extra])
 
     out_rank = block_rank_arr[out_block]
     builder.add_vertices(
         out_kind, out_rank, cost=out_cost, size=out_size, peer=out_peer, tag=out_tag
     )
     builder.add_dependencies(edge_src, edge_dst)
-    for row_index, _ in joins:
-        builder.set_label(int(base + offsets[row_index]), "wait")
+    for vid in (base + offsets[modes == _JOIN]).tolist():
+        builder.set_label(vid, "wait")
 
     # update the frontier to each block's last advancing vertex
     block_tail = block_starts + out_counts - 1
@@ -1199,13 +827,6 @@ def _lower_rows(
     frontier[block_rank_arr] = np.where(
         block_has_advanced, last_vid, frontier[block_rank_arr]
     )
-
-    # requests posted this segment now refer to materialised vertices
-    if request_state is not None:
-        for requests in request_state:
-            for handle, (kind_tag, value) in list(requests.items()):
-                if kind_tag == "row":
-                    requests[handle] = ("vid", int(result_vid[value]))
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,23 @@ def test_golden_table_covers_every_app():
     assert len(GOLDEN_DIGESTS) == len(ALL_APPS) * 3 * 2
 
 
+#: content digests of the three largest graphs ``perfbench``'s
+#: ``curve-large`` workload builds (recursive-doubling allreduce); the table
+#: above stops at 8 ranks
+LARGE_GOLDEN_DIGESTS = {
+    ("icon", 128): "cedbdbcfdca472f0ae1b262f518ae8baf55405caefbdb3e9219e86f50b43a8e3",
+    ("lammps", 64): "5c2189900afd2d3f17b8ded0ff3090433050e038a1590c4e4a005faa40d53fa8",
+    ("lulesh", 125): "d9ed42e835fed67306f9d2e511b92801204333d8a97971e57ee87c7385015bb9",
+}
+
+
+@pytest.mark.parametrize("app,nranks", sorted(LARGE_GOLDEN_DIGESTS))
+def test_large_graph_digest_matches_golden(app, nranks):
+    algorithms = CollectiveAlgorithms(allreduce="recursive_doubling")
+    graph = ALL_APPS[app].build(nranks, algorithms=algorithms)
+    assert graph.content_digest() == LARGE_GOLDEN_DIGESTS[app, nranks]
+
+
 def _program(name: str) -> Program:
     if name.startswith("random-"):
         return build_random_program(int(name.split("-")[1]), nranks=4, rounds=20)

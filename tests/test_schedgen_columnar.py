@@ -174,6 +174,27 @@ class TestPointToPointParity:
 
         both_engines(run_program(app, 2))
 
+    @pytest.mark.parametrize("protocol", _PROTOCOLS)
+    def test_requests_open_across_collectives(self, protocol):
+        # requests posted before a collective and completed after it, a
+        # handle reused once completed, and an empty waitall
+        program = Program.empty(2)
+        for rank in range(2):
+            peer = 1 - rank
+            ops = program.rank(rank)
+            ops.append(ProgramOp(kind=OpKind.IRECV, peer=peer, size=9000, request=1))
+            ops.append(ProgramOp(kind=OpKind.ISEND, peer=peer, size=9000, request=2))
+            ops.append(ProgramOp(kind=OpKind.ALLREDUCE, size=64))
+            ops.append(ProgramOp(kind=OpKind.COMPUTE, cost=1.0))
+            ops.append(ProgramOp(kind=OpKind.WAITALL, requests=(2, 1)))
+            ops.append(ProgramOp(kind=OpKind.ISEND, peer=peer, size=64, request=1))
+            ops.append(ProgramOp(kind=OpKind.IRECV, peer=peer, size=64, request=2))
+            ops.append(ProgramOp(kind=OpKind.BARRIER))
+            ops.append(ProgramOp(kind=OpKind.WAIT, request=2))
+            ops.append(ProgramOp(kind=OpKind.WAITALL, requests=()))
+            ops.append(ProgramOp(kind=OpKind.WAIT, request=1))
+        both_engines(program, protocol=protocol)
+
     @pytest.mark.parametrize("seed", range(10))
     def test_random_programs(self, seed):
         program = build_random_program(seed, nranks=4, rounds=15)
@@ -186,6 +207,27 @@ class TestPointToPointParity:
         for engine in ("legacy", "columnar"):
             with pytest.raises(ValueError, match="request"):
                 build(program, engine)
+
+    @pytest.mark.parametrize("leading_computes", [0, 300])
+    def test_waitall_names_first_unknown_request(self, leading_computes):
+        # the first unknown handle in listed order, however long the slice
+        program = Program.empty(1)
+        for _ in range(leading_computes):
+            program.rank(0).append(ProgramOp(kind=OpKind.COMPUTE, cost=1.0))
+        program.rank(0).append(ProgramOp(kind=OpKind.WAITALL, requests=(5, 3)))
+        with pytest.raises(ValueError, match=r"^rank 0: wait on unknown request 5$"):
+            build_graph(program)
+
+    def test_staging_errors_raise_in_segment_order(self):
+        # rank 1's bad wait comes before the barrier, rank 0's after it:
+        # segment order wins over rank order
+        program = Program.empty(2)
+        program.rank(0).append(ProgramOp(kind=OpKind.BARRIER))
+        program.rank(0).append(ProgramOp(kind=OpKind.WAIT, request=7))
+        program.rank(1).append(ProgramOp(kind=OpKind.WAIT, request=9))
+        program.rank(1).append(ProgramOp(kind=OpKind.BARRIER))
+        with pytest.raises(ValueError, match=r"^rank 1: wait on unknown request 9$"):
+            build_graph(program)
 
     def test_nonblocking_without_request_raises_in_both(self):
         # request defaults to -1; both engines must reject it, regardless of
