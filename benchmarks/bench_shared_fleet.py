@@ -2,19 +2,25 @@
 
 A plain process pool pickles the :class:`ExecutionGraph` into every
 scenario's task: a duplicated-graph fleet of J scenarios over U unique
-graphs costs J graph pickles *and* J full LP sweeps (per-pair gap
-variables break the forward pass's affinity contract, so every sweep is
-the tangent search over LP probes).  The
-:class:`~repro.parallel.SweepPool` dedupes the batch by content digest
-before it submits anything, so the same fleet costs U pickles and U sweeps.
+graphs costs J graph pickles *and* J full scenario runs.  The
+:class:`~repro.parallel.SweepPool` dedupes the batch by task equality
+before it submits anything, so the same fleet costs U pickles and U runs.
 Both pools pickle a graph the same way (its identity columns, see
 ``ExecutionGraph.__reduce__``), so the ratio measures the dedupe.
+
+Both paths run the same work per scenario: the forward ``T(L)`` envelope
+plus a ``SIM_POINTS``-point simulated ΔL sweep (``simulate_sweep``, the
+``sim`` part of a fleet scenario with an injector).  The envelope alone
+takes ~0.1 s on these 129,536-vertex graphs, too little to outweigh the
+workers' boot; the simulated sweep brings a scenario to ~0.5 s on a 2-vCPU
+Xeon VM.
 
 Acceptance criterion: on a fleet of ``DUPLICATES`` copies of each of two
 64-rank ring-allreduce schedules, the deduped fleet must be at least
 **5×** faster end-to-end than the per-scenario pickling pool, with
-**bit-identical** envelopes, **zero** leaked ``/dev/shm`` segments after
-the run, and per-worker peak RSS no worse than ~the pickling pool's.
+**bit-identical** envelopes and simulated runtimes, **zero** leaked
+``/dev/shm`` segments after the run, and per-worker peak RSS no worse than
+~the pickling pool's.
 """
 
 from __future__ import annotations
@@ -23,11 +29,14 @@ import multiprocessing
 import resource
 import time
 
-from repro.core.parametric import _sweep_one_graph
+import numpy as np
+
+from repro.core.envelope import forward_envelope
 from repro.mpi import run_program
 from repro.network.params import LogGPSParams
 from repro.parallel import SweepPool, SweepTask, live_shared_segments
 from repro.schedgen import CollectiveAlgorithms, build_graph
+from repro.simulator.columnar import simulate_sweep
 
 from _bench_utils import emit_json, print_header, print_rows
 
@@ -36,18 +45,19 @@ ITERATIONS = 8
 MESSAGE_BYTES = (64 * 1024, 32 * 1024)  # two unique graphs
 DUPLICATES = 12                          # scenarios per unique graph
 L_MIN, L_MAX = 1.0, 3.0
+MAX_PIECES = 50_000
+# the simulated ΔL sweep of every scenario: the per-task work both paths share
+INJECTOR = "ideal"
+SIM_POINTS = 64
+SIM_DELTAS = tuple(np.linspace(0.0, 2.0, SIM_POINTS).tolist())
 # pinned worker count: both paths use the same pool size, so the measured
-# ratio isolates the protocol difference (duplicate solves vs digest
+# ratio isolates the protocol difference (duplicate runs vs digest
 # dedupe) instead of the host's core count
 PROCESSES = 2
 MIN_SPEEDUP = 5.0
 RSS_SLACK = 1.25
 
 PARAMS = LogGPSParams(L=1.0, o=0.5, g=0.0, G=0.001)
-# per-pair gap variables take the LP tangent search on both paths: this
-# benchmark isolates the protocol (one task per scenario vs one per unique
-# graph), so the per-task compute stays an LP sweep, identical on both
-BUILD_KWARGS = {"latency_mode": "global", "gap_mode": "per_pair"}
 
 
 def _build_graphs():
@@ -66,24 +76,24 @@ def _build_graphs():
     return graphs
 
 
-def _pickling_job(job):
+def _pickling_job(graph):
     """The per-scenario path: the graph arrives pickled inside every task."""
-    envelope = _sweep_one_graph(job)
-    return envelope, int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+    envelope = forward_envelope(
+        graph, PARAMS, l_min=L_MIN, l_max=L_MAX, max_pieces=MAX_PIECES
+    )
+    sim = simulate_sweep(graph, PARAMS, list(SIM_DELTAS), injector=INJECTOR)
+    rss_kb = int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+    return envelope, sim.makespan.tolist(), rss_kb
 
 
 def _run_pickling_pool(fleet):
-    jobs = [
-        (graph, PARAMS, L_MIN, L_MAX, "highs", 50_000, None, BUILD_KWARGS)
-        for graph in fleet
-    ]
     start = time.perf_counter()
     ctx = multiprocessing.get_context("spawn")
     with ctx.Pool(PROCESSES) as pool:
-        out = pool.map(_pickling_job, jobs)
+        out = pool.map(_pickling_job, fleet)
     elapsed = time.perf_counter() - start
-    envelopes = [envelope for envelope, _ in out]
-    return elapsed, envelopes, max(rss for _, rss in out)
+    results = [(envelope, sim) for envelope, sim, _ in out]
+    return elapsed, results, max(rss for _, _, rss in out)
 
 
 def _run_shared_fleet(fleet):
@@ -95,9 +105,8 @@ def _run_shared_fleet(fleet):
             params_digest=PARAMS.content_digest(),
             l_min=L_MIN,
             l_max=L_MAX,
-            backend="highs",
-            max_pieces=50_000,
-            build_kwargs=tuple(sorted(BUILD_KWARGS.items())),
+            max_pieces=MAX_PIECES,
+            sim=(INJECTOR, SIM_DELTAS),
             params=PARAMS,
             scenario=f"fleet[{i}]",
         )
@@ -107,8 +116,8 @@ def _run_shared_fleet(fleet):
     with SweepPool(PROCESSES) as pool:
         payloads = pool.run_tasks(tasks, by_digest)
     elapsed = time.perf_counter() - start
-    envelopes = [payload["envelope"] for payload in payloads]
-    return elapsed, envelopes, max(p["worker_rss_kb"] for p in payloads)
+    results = [(payload["envelope"], payload["sim_runtimes"]) for payload in payloads]
+    return elapsed, results, max(p["worker_rss_kb"] for p in payloads)
 
 
 def _run():
@@ -117,8 +126,8 @@ def _run():
     # the duplicated-graph fleet: every unique schedule appears DUPLICATES times
     fleet = [graphs[i % len(graphs)] for i in range(len(graphs) * DUPLICATES)]
 
-    pickling_s, pickling_envelopes, pickling_rss = _run_pickling_pool(fleet)
-    shared_s, shared_envelopes, shared_rss = _run_shared_fleet(fleet)
+    pickling_s, pickling_results, pickling_rss = _run_pickling_pool(fleet)
+    shared_s, shared_results, shared_rss = _run_shared_fleet(fleet)
 
     return {
         "nranks": NRANKS,
@@ -126,12 +135,13 @@ def _run():
         "unique_graphs": len(graphs),
         "fleet_size": len(fleet),
         "processes": PROCESSES,
+        "sim_points": SIM_POINTS,
         "pickling_s": pickling_s,
         "shared_s": shared_s,
         "speedup": pickling_s / shared_s,
         "pickling_worker_rss_kb": pickling_rss,
         "shared_worker_rss_kb": shared_rss,
-        "bit_identical": shared_envelopes == pickling_envelopes,
+        "bit_identical": shared_results == pickling_results,
         "leaked_segments": sorted(live_shared_segments() - segments_before),
     }
 
@@ -141,7 +151,8 @@ def test_shared_fleet_speedup(run_once):
 
     print_header(
         f"Digest-deduped scenario fleet — {results['fleet_size']} scenarios over "
-        f"{results['unique_graphs']} unique {NRANKS}-rank ring-allreduce graphs"
+        f"{results['unique_graphs']} unique {NRANKS}-rank ring-allreduce graphs, "
+        f"envelope + {SIM_POINTS} simulated ΔL points each"
     )
     print_rows(
         ["path", "wall [s]", "worker RSS [MB]"],
@@ -156,7 +167,7 @@ def test_shared_fleet_speedup(run_once):
 
     emit_json("shared_fleet", results)
 
-    assert results["bit_identical"], "shared fleet envelopes differ from the pickling pool"
+    assert results["bit_identical"], "shared fleet results differ from the pickling pool"
     assert not results["leaked_segments"], (
         f"leaked shared-memory segments: {results['leaked_segments']}"
     )

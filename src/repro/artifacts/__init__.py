@@ -1,8 +1,8 @@
 """Content-addressed persistence of the pipeline's frozen artifacts.
 
 ``repro.artifacts`` is the persist-once/serve-many layer named by ROADMAP
-item 1: single-file ``.npz`` round trips for frozen execution graphs,
-assembled LPs and exact ``T(L)`` envelopes (:mod:`.serialize`), plus an
+item 1: single-file ``.npz`` round trips for frozen execution graphs
+and exact ``T(L)`` envelopes (:mod:`.serialize`), plus an
 on-disk :class:`ArtifactStore` keyed by the content digests of the inputs
 (:mod:`.store`).  See ``README.md`` in this package for the format and the
 digest contract.
@@ -13,10 +13,8 @@ from .serialize import (
     ArtifactFormatError,
     load_envelope,
     load_graph,
-    load_lp,
     save_envelope,
     save_graph,
-    save_lp,
 )
 from .store import (
     ArtifactStore,
@@ -30,8 +28,6 @@ __all__ = [
     "ArtifactFormatError",
     "save_graph",
     "load_graph",
-    "save_lp",
-    "load_lp",
     "save_envelope",
     "load_envelope",
     "ArtifactStore",

@@ -1,6 +1,6 @@
 """Single-file ``.npz`` serialisation of the pipeline's frozen artifacts.
 
-Three artifact kinds are covered, each persisted as one NumPy ``.npz``
+Two artifact kinds are covered, each persisted as one NumPy ``.npz``
 archive with a self-describing ``__artifact__`` tag and a format version:
 
 * **graphs** — the identity columns of a frozen
@@ -8,13 +8,8 @@ archive with a self-describing ``__artifact__`` tag and a format version:
   size/peer/tag, the dep/comm edge arrays, labels, ``nranks``), plus any
   already-computed level structure so the load path restores the cached
   views instead of re-deriving them;
-* **LPs** — the canonical CSR rows, bounds and variable names of an
-  :class:`~repro.lp.model.LPModel` (via :meth:`LPModel.to_arrays`) together
-  with the objective, sense and optional string metadata;
-* **envelopes** — the exact ``T(L)`` curve of a latency sweep, either as a
-  :class:`~repro.core.parametric.PiecewiseLinear` (slopes + intercepts) or
-  as a raw :class:`~repro.lp.parametric.TangentEnvelope` (tangent probes +
-  discovered breakpoints).
+* **envelopes** — the exact ``T(L)`` curve of a latency sweep as a
+  :class:`~repro.core.parametric.PiecewiseLinear` (slopes + intercepts).
 
 Loads never re-run validation: every artifact was validated when it was
 first built, and the formats store the already-frozen canonical columns.
@@ -30,8 +25,6 @@ from pathlib import Path
 import numpy as np
 
 from ..core.parametric import Line, PiecewiseLinear
-from ..lp.model import LPModel, LinearExpr, Sense
-from ..lp.parametric import Tangent, TangentEnvelope
 from ..schedgen.graph import ExecutionGraph
 
 __all__ = [
@@ -39,8 +32,6 @@ __all__ = [
     "ArtifactFormatError",
     "save_graph",
     "load_graph",
-    "save_lp",
-    "load_lp",
     "save_envelope",
     "load_envelope",
 ]
@@ -216,165 +207,47 @@ def load_graph(path: str | Path, *, mmap_mode: str | None = None) -> ExecutionGr
 
 
 # ---------------------------------------------------------------------------
-# assembled LPs
-# ---------------------------------------------------------------------------
-
-
-def save_lp(
-    model: LPModel, path: str | Path, *, meta: dict[str, str] | None = None
-) -> Path:
-    """Persist an :class:`LPModel` (rows, bounds, names, objective) to ``path``.
-
-    ``meta`` is an optional flat string→string mapping stored alongside the
-    model (e.g. the graph/params digests the LP was compiled from);
-    :func:`load_lp` returns it unchanged.
-    """
-    arrays = model.to_arrays()
-    obj_cols = np.array(sorted(model.objective.coeffs), dtype=np.int64)
-    obj_vals = np.array(
-        [model.objective.coeffs[int(c)] for c in obj_cols], dtype=np.float64
-    )
-    meta = dict(meta or {})
-    payload: dict[str, object] = {
-        "__artifact__": "lp",
-        "__version__": FORMAT_VERSION,
-        "name": np.str_(arrays["name"]),
-        "var_names": np.array(arrays["var_names"], dtype=np.str_),
-        "lb": arrays["lb"],
-        "ub": arrays["ub"],
-        "row_indptr": arrays["row_indptr"],
-        "row_cols": arrays["row_cols"],
-        "row_vals": arrays["row_vals"],
-        "row_consts": arrays["row_consts"],
-        "row_sense": np.str_(arrays["row_sense"]),
-        "obj_cols": obj_cols,
-        "obj_vals": obj_vals,
-        "obj_const": np.float64(model.objective.constant),
-        "obj_sense": np.str_(model.sense.value),
-        "meta_keys": np.array(sorted(meta), dtype=np.str_),
-        "meta_vals": np.array([meta[k] for k in sorted(meta)], dtype=np.str_),
-    }
-    return _save_npz(path, payload)
-
-
-def load_lp(path: str | Path) -> tuple[LPModel, dict[str, str]]:
-    """Reconstruct ``(model, meta)`` from a file written by :func:`save_lp`.
-
-    The model comes back through :meth:`LPModel.from_arrays`, so its
-    assembled cache is pre-populated and the first solve performs no
-    Python-level lowering.
-    """
-    path = Path(path)
-    with np.load(path, allow_pickle=False) as archive:
-        _check_kind(archive, path, "lp")
-        model = LPModel.from_arrays(
-            name=str(archive["name"][()]),
-            var_names=[str(v) for v in archive["var_names"]],
-            lb=archive["lb"],
-            ub=archive["ub"],
-            row_indptr=archive["row_indptr"],
-            row_cols=archive["row_cols"],
-            row_vals=archive["row_vals"],
-            row_consts=archive["row_consts"],
-            row_sense=str(archive["row_sense"][()]),
-        )
-        objective = LinearExpr(
-            {
-                int(c): float(v)
-                for c, v in zip(archive["obj_cols"], archive["obj_vals"])
-            },
-            float(archive["obj_const"][()]),
-        )
-        model.set_objective(objective, Sense(str(archive["obj_sense"][()])))
-        meta = {
-            str(k): str(v)
-            for k, v in zip(archive["meta_keys"], archive["meta_vals"])
-        }
-    return model, meta
-
-
-# ---------------------------------------------------------------------------
 # latency envelopes
 # ---------------------------------------------------------------------------
 
 
-def save_envelope(
-    envelope: PiecewiseLinear | TangentEnvelope, path: str | Path
-) -> Path:
-    """Persist an exact ``T(L)`` envelope to ``path``.
-
-    Accepts either representation used by the pipeline: the
-    :class:`PiecewiseLinear` curve every envelope evaluator returns, or the
-    raw :class:`TangentEnvelope` of the LP tangent search.  The file records which one it holds and
-    :func:`load_envelope` returns the same type.
-    """
-    if isinstance(envelope, PiecewiseLinear):
-        payload: dict[str, object] = {
-            "__artifact__": "envelope",
-            "__version__": FORMAT_VERSION,
-            "envelope_kind": np.str_("piecewise"),
-            "slopes": np.array([ln.slope for ln in envelope.lines], dtype=np.float64),
-            "intercepts": np.array(
-                [ln.intercept for ln in envelope.lines], dtype=np.float64
-            ),
-            "lo": np.float64(envelope.lo),
-            "hi": np.float64(envelope.hi),
-        }
-    elif isinstance(envelope, TangentEnvelope):
-        payload = {
-            "__artifact__": "envelope",
-            "__version__": FORMAT_VERSION,
-            "envelope_kind": np.str_("tangent"),
-            "tangent_L": np.array([t.L for t in envelope.tangents], dtype=np.float64),
-            "tangent_value": np.array(
-                [t.value for t in envelope.tangents], dtype=np.float64
-            ),
-            "tangent_slope": np.array(
-                [t.slope for t in envelope.tangents], dtype=np.float64
-            ),
-            "breakpoints": np.asarray(envelope.breakpoints, dtype=np.float64),
-            "lo": np.float64(envelope.lo),
-            "hi": np.float64(envelope.hi),
-            "num_solves": np.int64(envelope.num_solves),
-        }
-    else:
+def save_envelope(envelope: PiecewiseLinear, path: str | Path) -> Path:
+    """Persist an exact ``T(L)`` envelope (slopes, intercepts, interval) to
+    ``path``."""
+    if not isinstance(envelope, PiecewiseLinear):
         raise TypeError(
-            "save_envelope expects a PiecewiseLinear or TangentEnvelope, "
-            f"got {type(envelope).__name__}"
+            f"save_envelope expects a PiecewiseLinear, got {type(envelope).__name__}"
         )
+    payload: dict[str, object] = {
+        "__artifact__": "envelope",
+        "__version__": FORMAT_VERSION,
+        # the only kind left; the tag stays so stores shared with earlier
+        # versions read each other's files
+        "envelope_kind": np.str_("piecewise"),
+        "slopes": np.array([ln.slope for ln in envelope.lines], dtype=np.float64),
+        "intercepts": np.array(
+            [ln.intercept for ln in envelope.lines], dtype=np.float64
+        ),
+        "lo": np.float64(envelope.lo),
+        "hi": np.float64(envelope.hi),
+    }
     return _save_npz(path, payload)
 
 
-def load_envelope(path: str | Path) -> PiecewiseLinear | TangentEnvelope:
+def load_envelope(path: str | Path) -> PiecewiseLinear:
     """Reconstruct an envelope written by :func:`save_envelope`."""
     path = Path(path)
     with np.load(path, allow_pickle=False) as archive:
         _check_kind(archive, path, "envelope")
         kind = str(archive["envelope_kind"][()])
-        if kind == "piecewise":
-            lines = [
-                Line(float(s), float(i))
-                for s, i in zip(archive["slopes"], archive["intercepts"])
-            ]
-            return PiecewiseLinear(
-                lines=lines,
-                lo=float(archive["lo"][()]),
-                hi=float(archive["hi"][()]),
-            )
-        if kind == "tangent":
-            tangents = [
-                Tangent(float(L), float(v), float(s))
-                for L, v, s in zip(
-                    archive["tangent_L"],
-                    archive["tangent_value"],
-                    archive["tangent_slope"],
-                )
-            ]
-            return TangentEnvelope(
-                tangents=tangents,
-                breakpoints=[float(b) for b in archive["breakpoints"]],
-                lo=float(archive["lo"][()]),
-                hi=float(archive["hi"][()]),
-                num_solves=int(archive["num_solves"][()]),
-            )
-    raise ArtifactFormatError(f"{path}: unknown envelope kind {kind!r}")
+        if kind != "piecewise":
+            raise ArtifactFormatError(f"{path}: unknown envelope kind {kind!r}")
+        lines = [
+            Line(float(s), float(i))
+            for s, i in zip(archive["slopes"], archive["intercepts"])
+        ]
+        return PiecewiseLinear(
+            lines=lines,
+            lo=float(archive["lo"][()]),
+            hi=float(archive["hi"][()]),
+        )

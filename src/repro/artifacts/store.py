@@ -1,7 +1,7 @@
 """A content-addressed on-disk store for the pipeline's frozen artifacts.
 
-Every expensive artifact (frozen graph, assembled LP, tangent envelope) is
-immutable and a deterministic function of its inputs, so it can be keyed by
+Every expensive artifact (frozen graph, ``T(L)`` envelope) is immutable
+and a deterministic function of its inputs, so it can be keyed by
 the sha256 digests of those inputs (:meth:`ExecutionGraph.content_digest`,
 :meth:`LogGPSParams.content_digest`) and rebuilt at most once per key —
 the persist-once/serve-many shape the service layer mounts directly.
@@ -10,7 +10,7 @@ Layout::
 
     <root>/<kind>/<key[:2]>/<key>.npz
 
-with ``kind`` one of ``graph`` / ``lp`` / ``envelope`` and ``key`` a hex
+with ``kind`` one of ``graph`` / ``envelope`` and ``key`` a hex
 digest (the two-character fan-out keeps directories small).  Writes are
 atomic (tempfile + :func:`os.replace`), so concurrent workers racing on the
 same key at worst both build and one replace wins — never a torn file.
@@ -27,14 +27,7 @@ import tempfile
 from pathlib import Path
 from typing import Callable
 
-from .serialize import (
-    load_envelope,
-    load_graph,
-    load_lp,
-    save_envelope,
-    save_graph,
-    save_lp,
-)
+from .serialize import load_envelope, load_graph, save_envelope, save_graph
 
 __all__ = [
     "ArtifactStore",
@@ -63,9 +56,10 @@ def envelope_key(graph, params, *, l_min: float, l_max: float, **config: object)
     """The cache key of one exact ``T(L)`` envelope.
 
     Combines the graph and parameter content digests with the swept interval
-    and any extra configuration that changes the produced curve
-    (``gap_symbolic``, ``max_pieces``, LP build modes, …), sorted by name so
-    keyword order is irrelevant.
+    and the configuration that changes the produced curve, sorted by name
+    so keyword order is irrelevant.  Every production caller passes
+    :func:`~repro.core.envelope.envelope_config` (``max_pieces`` only), so
+    one curve has one key, the same one earlier versions wrote.
     """
     return envelope_key_from_digests(
         graph.content_digest(),
@@ -107,18 +101,10 @@ class ArtifactStore:
     complete files only); the hit/miss counters are process-local.
     """
 
-    KINDS = ("graph", "lp", "envelope")
+    KINDS = ("graph", "envelope")
 
-    _SAVERS: dict[str, Callable] = {
-        "graph": save_graph,
-        "lp": save_lp,
-        "envelope": save_envelope,
-    }
-    _LOADERS: dict[str, Callable] = {
-        "graph": load_graph,
-        "lp": load_lp,
-        "envelope": load_envelope,
-    }
+    _SAVERS: dict[str, Callable] = {"graph": save_graph, "envelope": save_envelope}
+    _LOADERS: dict[str, Callable] = {"graph": load_graph, "envelope": load_envelope}
 
     def __init__(
         self, root: str | Path, *, graph_mmap_mode: str | None = None
@@ -210,19 +196,6 @@ class ArtifactStore:
 
     def get_or_build_graph(self, key: str, builder: Callable[[], object]):
         return self.get_or_build("graph", key, builder)
-
-    def get_or_build_lp(self, key: str, builder: Callable[[], object]):
-        """``builder`` returns an :class:`LPModel`; the cached load returns
-        ``(model, meta)`` like :func:`repro.artifacts.load_lp` — use
-        :meth:`get`/:meth:`put` directly to control ``meta``."""
-        cached = self.get("lp", key)
-        if cached is not None:
-            self.hits["lp"] += 1
-            return cached[0]
-        model = builder()
-        self.misses["lp"] += 1
-        self._atomic_save("lp", self.path_for("lp", key), model)
-        return model
 
     def get_or_build_envelope(self, key: str, builder: Callable[[], object]):
         return self.get_or_build("envelope", key, builder)

@@ -21,7 +21,7 @@ Small front end over the library for the most common workflows:
     write the GOAL schedule of an application skeleton;
 ``llamp cache``
     inspect / clear / warm a content-addressed artifact store
-    (:mod:`repro.artifacts`): ``warm APP`` persists the graph, LP and
+    (:mod:`repro.artifacts`): ``warm APP`` persists the graph and its
     ``T(L)`` envelope so later analyses are answered from disk;
 ``llamp fleet``
     expand an (app × ranks × algorithm × latency × injector) scenario grid
@@ -54,6 +54,7 @@ import numpy as np
 
 from .analysis.validation import run_validation_sweep
 from .apps import ALL_APPS
+from .artifacts import ArtifactStore, envelope_key
 from .core.analyzer import LatencyAnalyzer
 from .mpi.tracer import trace_program
 from .network.params import CSCS_TESTBED, LogGPSParams
@@ -152,8 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Operate on a repro.artifacts.ArtifactStore directory: "
                     "'stats' prints per-kind entry counts and sizes, 'clear' "
                     "deletes entries, and 'warm APP' builds and stores the "
-                    "graph, LP and T(L) envelope of an application skeleton "
-                    "so later analyses are answered from disk.",
+                    "graph and T(L) envelope of an application skeleton so "
+                    "later analyses are answered from disk.",
     )
     cache.add_argument("action", choices=("stats", "clear", "warm"),
                        help="store operation")
@@ -161,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="application skeleton (required for 'warm')")
     cache.add_argument("--dir", required=True, dest="cache_dir",
                        help="artifact store directory")
-    cache.add_argument("--kind", choices=("graph", "lp", "envelope"), default=None,
+    cache.add_argument("--kind", choices=ArtifactStore.KINDS, default=None,
                        help="restrict 'clear' to one artifact kind")
     cache.add_argument("--nranks", type=int, default=8, help="number of MPI ranks")
     cache.add_argument("--allreduce", default="recursive_doubling",
@@ -310,12 +311,9 @@ def _cmd_curve(args: argparse.Namespace) -> int:
             "runtime_us": values.tolist(),
             "lambda_L": slopes.tolist(),
             "critical_latencies_us": breakpoints,
-            "lp_solves": 0,
         }, indent=2))
         return 0
     print(f"application        : {args.app} ({args.nranks} ranks, {graph.num_events} events)")
-    print(f"LP solves          : 0 for {args.points} curve points "
-          f"({len(breakpoints)} critical latencies)")
     print(f"{'L [µs]':>12s} {'T [s]':>12s} {'λ_L':>10s}")
     for L, T, lam in zip(Ls, values, slopes):
         print(f"{L:12.2f} {T / 1e6:12.4f} {lam:10.1f}")
@@ -429,7 +427,6 @@ def _cmd_goal(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    from .artifacts import ArtifactStore, combine_digests, envelope_key
     from .core.envelope import envelope_config
 
     store = ArtifactStore(args.cache_dir)
@@ -449,7 +446,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         what = args.kind if args.kind else "all kinds"
         print(f"removed {removed} entries ({what}) from {store.root}")
         return 0
-    # warm: build the graph, LP and envelope once and persist all three
+    # warm: build the graph and its envelope once and persist both
     if args.app is None:
         raise SystemExit("'llamp cache warm' needs an application skeleton argument")
     params = _params_from_args(args)
@@ -461,9 +458,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     store.get_or_build_graph(graph.content_digest(), lambda: graph)
     analyzer = LatencyAnalyzer(graph, params, cache_dir=args.cache_dir)
     envelope = analyzer.parametric(l_max=args.l_max).envelope
-    lp_key = combine_digests("lp", graph.content_digest(), params.content_digest())
-    if not store.contains("lp", lp_key):
-        store.put("lp", lp_key, analyzer.lp.model)
     env_key = envelope_key(
         graph, params, l_min=params.L, l_max=args.l_max, **envelope_config()
     )
@@ -474,17 +468,14 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             "nranks": args.nranks,
             "events": graph.num_events,
             "graph_key": graph.content_digest(),
-            "lp_key": lp_key,
             "envelope_key": env_key,
             "critical_latencies": len(breakpoints),
-            "lp_solves": 0,
         }, indent=2))
         return 0
     print(f"application        : {args.app} ({args.nranks} ranks, {graph.num_events} events)")
     print(f"graph              : {graph.content_digest()[:16]}…")
-    print(f"lp                 : {lp_key[:16]}…")
     print(f"envelope           : {env_key[:16]}… "
-          f"({len(breakpoints)} critical latencies, 0 LP solves)")
+          f"({len(breakpoints)} critical latencies)")
     print(f"store              : {store.root}")
     return 0
 

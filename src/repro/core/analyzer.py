@@ -248,11 +248,9 @@ class LatencyAnalyzer:
         *,
         l_min: float | None = None,
         l_max: float = 10_000.0,
-        backend: str = "highs",
         max_pieces: int = 50_000,
         processes: int | None = None,
         cache_dir: str | os.PathLike | None = None,
-        **build_kwargs,
     ) -> list[ParametricAnalysis]:
         """One :class:`ParametricAnalysis` per graph, via the sweep pool.
 
@@ -270,11 +268,9 @@ class LatencyAnalyzer:
             params,
             l_min=lo,
             l_max=l_max,
-            backend=backend,
             max_pieces=max_pieces,
             processes=processes,
             cache_dir=cache_dir,
-            **build_kwargs,
         )
         return [
             ParametricAnalysis(envelope, params, graph)

@@ -40,20 +40,20 @@ of its bisection tree (1–5 on the bundled applications).
 The result is numerically identical (well below the 1e-6 contract) to the
 LP tangent envelope: at the LP optimum every symbolic variable other than
 ``l`` sits at its lower bound (= the ``params`` value), so folding those
-bounds as constants reproduces the optimal objective for every ``L``.  The
-engine therefore requires the **affinity contract** documented in
-``src/repro/lp/README.md``: a global latency variable, no per-pair HLogGP
-variables, and gap/overhead bounds that still equal ``params``.  A
-:class:`~repro.core.lp_builder.GraphLP` that breaks it gets the LP tangent
-search (:func:`~repro.core.parametric.lp_envelope`) instead;
+bounds as constants reproduces the optimal objective for every ``L``.  That
+holds for any *freshly built* LP with a global latency variable, per-pair
+gap variables included, so every graph sweep (analyzer, pool, fleet) runs
+this pass and never builds an LP.  A prebuilt
+:class:`~repro.core.lp_builder.GraphLP` must keep the **affinity contract**
+documented in ``src/repro/lp/README.md``: a global latency variable, no
+per-pair HLogGP variables, and gap/overhead bounds that still equal
+``params``.  One that breaks it gets the LP tangent search
+(:func:`~repro.core.parametric.lp_envelope`) instead;
 :func:`resolve_envelope_engine` makes that choice.  Artifact-store envelope
-keys come from :func:`envelope_config` and do not name the evaluator (see
-:mod:`repro.artifacts.store`).
+keys come from :func:`envelope_config` (see :mod:`repro.artifacts.store`).
 """
 
 from __future__ import annotations
-
-from typing import Mapping
 
 import numpy as np
 
@@ -66,7 +66,6 @@ __all__ = [
     "forward_envelope",
     "forward_incompatibility",
     "resolve_envelope_engine",
-    "forward_supports_modes",
 ]
 
 # ---------------------------------------------------------------------------
@@ -122,39 +121,14 @@ def resolve_envelope_engine(graph_lp) -> str:
     return "forward" if forward_incompatibility(graph_lp) is None else "lp"
 
 
-def forward_supports_modes(build_kwargs: Mapping[str, object]) -> bool:
-    """Whether a *fresh* ``build_lp(graph, params, **build_kwargs)`` would be
-    forward-compatible.
-
-    Lets sweep jobs skip the LP build entirely: a freshly built LP has every
-    symbolic lower bound at its ``params`` value, so the affinity contract
-    reduces to the mode knobs alone.  Unknown keywords conservatively
-    disqualify the shortcut (the LP path will surface any real error).
-    """
-    known = {"latency_mode", "gap_mode", "overhead_mode", "name"}
-    if any(key not in known for key in build_kwargs):
-        return False
-    return (
-        build_kwargs.get("latency_mode", "global") == "global"
-        and build_kwargs.get("gap_mode", "constant") in ("constant", "global")
-        and build_kwargs.get("overhead_mode", "constant") in ("constant", "global")
-    )
-
-
-def envelope_config(max_pieces: int = 50_000, **build_kwargs: object) -> dict:
+def envelope_config(max_pieces: int = 50_000) -> dict:
     """The configuration part of the artifact-store key of one envelope.
 
     Every caller passes this to :func:`~repro.artifacts.envelope_key` (or
     its digest twin), so one curve has one store entry whichever path
-    asks.  ``max_pieces`` is always part of it; the LP build modes are part
-    of it only when :func:`forward_supports_modes` rejects them, because a
-    forward-compatible build (``gap_symbolic`` included) computes the same
-    curve as no LP at all.
+    asks.
     """
-    config: dict = {"max_pieces": max_pieces}
-    if not forward_supports_modes(build_kwargs):
-        config.update(build_kwargs)
-    return config
+    return {"max_pieces": max_pieces}
 
 
 # ---------------------------------------------------------------------------
@@ -199,9 +173,9 @@ def forward_envelope(
     All LogGPS parameters other than the latency are folded from ``params``
     as constants, exactly as the LP bakes them into its constraint constants
     (and as the optimum pins every symbolic bound).  Numerically identical
-    to ``lp_envelope(build_lp(graph, params), ...)`` whenever the affinity
-    contract holds — see this module's docstring and
-    ``src/repro/lp/README.md``.
+    to ``lp_envelope(build_lp(graph, params, ...), ...)`` for every freshly
+    built LP with a global latency variable, per-pair gaps included — see
+    this module's docstring and ``src/repro/lp/README.md``.
 
     ``max_pieces`` bounds the piece count of the envelope; overflow raises
     :class:`~repro.lp.parametric.EnvelopeOverflowError` like the other

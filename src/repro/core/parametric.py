@@ -26,6 +26,12 @@ fleet's rows alike:
 * the x% latency tolerance      — :meth:`ParametricAnalysis.latency_tolerance`;
 * the feasibility range of a
   given ``L`` (Gurobi's ranging) — :meth:`ParametricAnalysis.feasibility_range`.
+
+:func:`batched_sweep_graphs` sweeps many graphs through one
+:class:`~repro.parallel.SweepPool` (inline or over ``spawn`` workers): one
+forward envelope per unique graph, never an LP.  :func:`lp_envelope` is the
+tangent search over LP probes, for prebuilt LPs the forward pass cannot
+evaluate and as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..lp.parametric import EnvelopeOverflowError
+from ..lp.parametric import EnvelopeOverflowError, check_latency_interval
 from ..network.params import LogGPSParams
 from ..schedgen.graph import ExecutionGraph
 from .envelope import forward_envelope
@@ -320,7 +326,7 @@ def parametric_analysis(
 
 
 # ---------------------------------------------------------------------------
-# the LP tangent search and many-graph sweeps
+# the LP tangent search (the oracle) and many-graph sweeps
 # ---------------------------------------------------------------------------
 
 
@@ -338,11 +344,12 @@ def lp_envelope(
 
     The tangent search (:meth:`~repro.core.lp_builder.GraphLP.tangent_envelope`)
     solves one LP per probe on the one assembled model; the upper envelope
-    of the tangents it finds is the curve.  This is the evaluator of LPs
-    that break the forward pass's affinity contract (per-pair gap variables,
-    moved gap/overhead bounds) and the reference ``forward_envelope`` is
-    tested against.  ``max_solves`` bounds the LP solves; more than
-    ``max_pieces`` pieces raise :class:`EnvelopeOverflowError`.
+    of the tangents it finds is the curve.  This is the evaluator of
+    prebuilt LPs that break the forward pass's affinity contract (per-pair
+    gap variables, moved gap/overhead bounds) and the reference
+    ``forward_envelope`` is tested against.  ``max_solves`` bounds the LP
+    solves; more than ``max_pieces`` pieces raise
+    :class:`EnvelopeOverflowError`.
     """
     result = graph_lp.tangent_envelope(
         l_min, l_max, backend=backend, max_solves=max_solves, max_pieces=max_pieces
@@ -352,117 +359,47 @@ def lp_envelope(
     return PiecewiseLinear(lines=_upper_envelope(lines, lo, hi), lo=lo, hi=hi)
 
 
-def sweep_envelope(
-    graph: ExecutionGraph,
-    params: LogGPSParams,
-    *,
-    l_min: float,
-    l_max: float,
-    backend: str,
-    max_pieces: int,
-    build_kwargs: dict,
-) -> PiecewiseLinear:
-    """The envelope of one sweep job, in-process or in a pool worker.
-
-    The forward pass when a fresh ``build_lp(graph, params, **build_kwargs)``
-    would be forward-compatible (it then skips the LP assembly altogether),
-    else :func:`lp_envelope` over that LP.
-    """
-    from .envelope import forward_supports_modes
-
-    if forward_supports_modes(build_kwargs):
-        return forward_envelope(
-            graph, params, l_min=l_min, l_max=l_max, max_pieces=max_pieces
-        )
-    from .lp_builder import build_lp
-
-    graph_lp = build_lp(graph, params, **build_kwargs)
-    return lp_envelope(graph_lp, l_min, l_max, backend=backend, max_pieces=max_pieces)
-
-
-def _sweep_one_graph(job) -> PiecewiseLinear:
-    graph, params, l_min, l_max, backend, max_pieces, cache_dir, build_kwargs = job
-
-    def build() -> PiecewiseLinear:
-        return sweep_envelope(
-            graph, params, l_min=l_min, l_max=l_max, backend=backend,
-            max_pieces=max_pieces, build_kwargs=build_kwargs,
-        )
-
-    if cache_dir is None:
-        return build()
-    from ..artifacts import ArtifactStore, envelope_key
-    from .envelope import envelope_config
-
-    key = envelope_key(
-        graph, params, l_min=l_min, l_max=l_max,
-        **envelope_config(max_pieces, **build_kwargs),
-    )
-    return ArtifactStore(cache_dir).get_or_build_envelope(key, build)
-
-
 def batched_sweep_graphs(
     graphs: Sequence[ExecutionGraph],
     params: LogGPSParams,
     *,
     l_min: float = 0.0,
     l_max: float = 10_000.0,
-    backend: str = "highs",
     max_pieces: int = 50_000,
     processes: int | None = None,
     cache_dir: str | os.PathLike | None = None,
-    **build_kwargs,
 ) -> list[PiecewiseLinear]:
     """Batched sweeps of several independent graphs, optionally in parallel.
 
-    Returns one exact ``T(L)`` envelope per graph: the forward pass when
-    ``build_kwargs`` keep the affinity contract, else :func:`lp_envelope`
-    over ``build_lp(graph, params, **build_kwargs)`` (``backend`` is its
-    solver).  Graphs are deduplicated by
+    Returns one exact ``T(L)`` envelope per graph, each from
+    :func:`~repro.core.envelope.forward_envelope`.  Every call runs through
+    a :class:`~repro.parallel.SweepPool`, which dedupes the graphs by
     :meth:`~repro.schedgen.graph.ExecutionGraph.content_digest` first —
     duplicates are swept once and the envelope is fanned out — whether or
-    not a cache directory is configured.
+    not a cache directory is configured.  A bad interval or ``max_pieces``
+    raises :class:`ValueError` before any sweep runs; a failing sweep raises
+    :class:`~repro.parallel.ScenarioError`.
 
-    ``processes > 1`` fans the unique graphs out over a persistent
-    :class:`~repro.parallel.SweepPool` of ``spawn`` workers: each unique
-    graph travels with its task as a pickle of its identity columns (no CSR),
-    and a worker that dies fails the call with a
+    ``processes > 1`` fans the unique graphs out over the pool's ``spawn``
+    workers: each unique graph travels with its task as a pickle of its
+    identity columns (no CSR), and a worker that dies fails the call with a
     :class:`~repro.parallel.ScenarioError` instead of hanging it.  Anything
-    else runs serially in-process.
+    else runs the pool inline, in this process.
 
-    ``cache_dir`` (any path-like) points all paths at a shared
+    ``cache_dir`` (any path-like) points every sweep at a shared
     :class:`~repro.artifacts.ArtifactStore`: each envelope is keyed by the
     graph/params content digests plus the sweep configuration, so repeated
-    runs are answered from disk instead of re-building and re-assembling the
-    LP.  The store's writes are atomic, so pool workers may race on a key
-    safely.  Keys come from :func:`~repro.core.envelope.envelope_config`, so
-    entries warmed by the analyzer or a fleet are reused here.
+    runs are answered from disk.  The store's writes are atomic, so pool
+    workers may race on a key safely.  Keys come from
+    :func:`~repro.core.envelope.envelope_config`, so entries warmed by the
+    analyzer or a fleet are reused here.
     """
-    cache_dir = None if cache_dir is None else os.fspath(cache_dir)
-    if processes is not None and processes > 1 and len(graphs) > 1:
-        from ..parallel.pool import SweepPool
+    from ..parallel.pool import SweepPool
 
-        with SweepPool(min(processes, len(graphs)), cache_dir=cache_dir) as pool:
-            return pool.sweep_graphs(
-                graphs,
-                params,
-                l_min=l_min,
-                l_max=l_max,
-                backend=backend,
-                max_pieces=max_pieces,
-                **build_kwargs,
-            )
-
-    by_digest: dict[str, PiecewiseLinear] = {}
-    envelopes: list[PiecewiseLinear] = []
-    for graph in graphs:
-        digest = graph.content_digest()
-        envelope = by_digest.get(digest)
-        if envelope is None:
-            envelope = _sweep_one_graph(
-                (graph, params, l_min, l_max, backend, max_pieces, cache_dir,
-                 build_kwargs)
-            )
-            by_digest[digest] = envelope
-        envelopes.append(envelope)
-    return envelopes
+    check_latency_interval(l_min, l_max)
+    if max_pieces < 1:
+        raise ValueError(f"max_pieces must be positive, got {max_pieces}")
+    with SweepPool(min(processes or 1, len(graphs)), cache_dir=cache_dir) as pool:
+        return pool.sweep_graphs(
+            graphs, params, l_min=l_min, l_max=l_max, max_pieces=max_pieces
+        )

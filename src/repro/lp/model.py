@@ -377,8 +377,7 @@ class LPModel:
         and unique with explicit zeros dropped, and ``<=`` rows are negated
         into the uniform ``expr >= 0`` form (same feasible set and optimum;
         the dual of a flipped row changes sign).  The objective is *not*
-        included — persist it separately (see
-        :func:`repro.artifacts.save_lp`).
+        included.
         """
         lb = np.array([var.lb for var in self.variables], dtype=np.float64)
         ub = np.array([var.ub for var in self.variables], dtype=np.float64)

@@ -224,7 +224,6 @@ class ScenarioFleet:
             l_min=lo,
             l_max=self.l_max,
             max_pieces=self.max_pieces,
-            build_kwargs=(("latency_mode", "global"),),
             sim=sim,
             params=sc.params,
             scenario=sc.name,

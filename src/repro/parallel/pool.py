@@ -1,7 +1,9 @@
 """A persistent process pool sweeping digest-addressed scenarios.
 
 A task is a :class:`SweepTask`: ``(graph_digest, params_digest, sweep
-spec)`` plus the small parameter record and a scenario label.
+spec)`` plus the small parameter record and a scenario label.  Every task
+computes its envelope with :func:`~repro.core.envelope.forward_envelope`
+(no LP is built or solved), plus simulated points when it asks for them.
 :meth:`SweepPool.run_tasks` works off a batch as follows:
 
 * duplicate scenarios inside one batch (same digests + same sweep spec) are
@@ -54,7 +56,7 @@ class SweepTask:
     """One digest-addressed scenario: an envelope sweep, optionally plus
     simulated points.
 
-    ``params`` is the tiny parameter record the worker solves with; the
+    ``params`` is the tiny parameter record the worker sweeps with; the
     identity of the task is the digest pair plus the sweep configuration,
     so two tasks that compare equal (``params`` and ``scenario`` are not
     compared) produce bit-identical results.  ``scenario`` is an opaque
@@ -65,9 +67,7 @@ class SweepTask:
     params_digest: str
     l_min: float
     l_max: float
-    backend: str = "highs"
     max_pieces: int = 50_000
-    build_kwargs: tuple[tuple[str, object], ...] = ()
     sim: tuple[str, tuple[float, ...]] | None = None  # (injector, deltas)
     params: LogGPSParams | None = field(default=None, compare=False)
     scenario: str | None = field(default=None, compare=False)
@@ -81,7 +81,7 @@ class SweepTask:
             self.params_digest,
             l_min=self.l_min,
             l_max=self.l_max,
-            **envelope_config(self.max_pieces, **dict(self.build_kwargs)),
+            **envelope_config(self.max_pieces),
         )
 
 
@@ -145,7 +145,7 @@ def _execute_task(
     """Run one scenario against the resolved graph; returns the payload."""
     import resource
 
-    from ..core.parametric import sweep_envelope
+    from ..core.envelope import forward_envelope
 
     graph = _resolve_graph(task, graph, store)
     if task.params is None:
@@ -155,10 +155,9 @@ def _execute_task(
         )
 
     def build():
-        return sweep_envelope(
+        return forward_envelope(
             graph, task.params, l_min=task.l_min, l_max=task.l_max,
-            backend=task.backend, max_pieces=task.max_pieces,
-            build_kwargs=dict(task.build_kwargs),
+            max_pieces=task.max_pieces,
         )
 
     if store is not None:
@@ -218,7 +217,8 @@ class SweepPool:
     processes:
         Worker count; defaults to ``os.cpu_count()``.  ``processes <= 1``
         (or ``0``) runs every task inline in this process — same code path,
-        no pool, no pickling.
+        no pool, no pickling; ``batched_sweep_graphs`` without
+        ``processes`` and ``llamp fleet --processes 1`` run this way.
     cache_dir:
         Optional :class:`~repro.artifacts.ArtifactStore` directory shared by
         all workers (accepts any path-like).  Workers both resolve graph
@@ -394,27 +394,20 @@ class SweepPool:
         *,
         l_min: float = 0.0,
         l_max: float = 10_000.0,
-        backend: str = "highs",
         max_pieces: int = 50_000,
-        **build_kwargs,
     ) -> list:
-        """One exact ``T(L)`` envelope per graph (duplicates solved once).
-
-        The digest-addressed, multi-process equivalent of the serial
-        :func:`~repro.core.parametric.batched_sweep_graphs` loop.
-        """
+        """One exact ``T(L)`` forward envelope per graph (duplicates solved
+        once); :func:`~repro.core.parametric.batched_sweep_graphs` runs
+        through it."""
         params_digest = params.content_digest()
         by_digest = {graph.content_digest(): graph for graph in graphs}
-        build_items = tuple(sorted(build_kwargs.items()))
         tasks = [
             SweepTask(
                 graph_digest=graph.content_digest(),
                 params_digest=params_digest,
                 l_min=float(l_min),
                 l_max=float(l_max),
-                backend=backend,
                 max_pieces=int(max_pieces),
-                build_kwargs=build_items,
                 params=params,
                 scenario=f"graph[{i}] {graph.content_digest()[:12]}…",
             )

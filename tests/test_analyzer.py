@@ -402,11 +402,11 @@ class TestAutomaticFallback:
 
         return build_random_dag(5, nranks=4, rounds=20)  # two critical latencies
 
-    def _reference(self, graph):
+    def _reference(self, graph, params=DAG_PARAMS, l_max=L_MAX):
         from repro.core import build_lp, lp_envelope
 
-        lp = build_lp(graph, self.DAG_PARAMS, gap_mode="per_pair")
-        return lp_envelope(lp, self.DAG_PARAMS.L, self.L_MAX)
+        lp = build_lp(graph, params, gap_mode="per_pair")
+        return lp_envelope(lp, params.L, l_max)
 
     def test_find_critical_latencies_on_a_per_pair_lp(self, dag, monkeypatch):
         from repro.core import build_lp, find_critical_latencies
@@ -423,18 +423,24 @@ class TestAutomaticFallback:
         np.testing.assert_allclose(fallback, reference, rtol=1e-11)
         np.testing.assert_allclose(forward, fallback, rtol=1e-9)
 
-    def test_batched_sweep_graphs_with_per_pair_gaps(self, dag, monkeypatch):
-        from repro.core import batched_sweep_graphs
+    @pytest.mark.parametrize("case", ["random-dag", "hpcg-8"])
+    def test_forward_envelope_equals_a_fresh_per_pair_lp(self, dag, case):
+        # why sweeps need no LP: nothing moved a bound of a freshly built LP,
+        # so at its optimum every per-pair gap sits at params.G and its
+        # envelope is the forward pass's, piece for piece
+        from repro.core import forward_envelope
 
-        solves = _count_solves(monkeypatch)
-        sweep = dict(l_min=self.DAG_PARAMS.L, l_max=self.L_MAX)
-        (forward,) = batched_sweep_graphs([dag], self.DAG_PARAMS, **sweep)
-        assert solves == []
-        (fallback,) = batched_sweep_graphs(
-            [dag], self.DAG_PARAMS, gap_mode="per_pair", **sweep
-        )
-        assert solves
-        assert fallback.lines == self._reference(dag).lines
-        assert len(forward.lines) == len(fallback.lines) == 3
-        xs = np.linspace(self.DAG_PARAMS.L, self.L_MAX, 41)
-        np.testing.assert_allclose(forward.sample(xs), fallback.sample(xs), rtol=1e-9)
+        if case == "random-dag":
+            graph, params, hi = dag, self.DAG_PARAMS, self.L_MAX
+        else:
+            graph = ALL_APPS["hpcg"].build(8, params=CSCS_TESTBED)
+            params, hi = CSCS_TESTBED, 1000.0
+        lo = params.L
+        forward = forward_envelope(graph, params, l_min=lo, l_max=hi)
+        per_pair = self._reference(graph, params, hi)
+        assert len(forward.lines) == len(per_pair.lines) == 3
+        for a, b in zip(forward.lines, per_pair.lines):
+            assert a.slope == b.slope
+            assert a.intercept == pytest.approx(b.intercept, rel=1e-12)
+        xs = np.linspace(lo, hi, 41)
+        np.testing.assert_allclose(forward.sample(xs), per_pair.sample(xs), rtol=1e-12)

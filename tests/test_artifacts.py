@@ -1,9 +1,10 @@
 """Tests for the content-addressed artifact layer (:mod:`repro.artifacts`).
 
-Covers the three npz round trips (graphs, LPs, envelopes), the content
-digests they are keyed by, the on-disk :class:`ArtifactStore`, and the
-cached paths wired through :meth:`LatencyAnalyzer.parametric`,
-:func:`batched_sweep_graphs` and the ``llamp cache`` CLI.
+Covers the two npz round trips (graphs, envelopes), the content digests
+and envelope keys they are stored under, the on-disk
+:class:`ArtifactStore`, and the cached paths wired through
+:meth:`LatencyAnalyzer.parametric`, :func:`batched_sweep_graphs` and the
+``llamp cache`` CLI.
 """
 
 from __future__ import annotations
@@ -21,10 +22,8 @@ from repro.artifacts import (
     envelope_key,
     load_envelope,
     load_graph,
-    load_lp,
     save_envelope,
     save_graph,
-    save_lp,
 )
 from repro.core import (
     LatencyAnalyzer,
@@ -34,12 +33,13 @@ from repro.core import (
     forward_envelope,
     lp_envelope,
 )
+from repro.core.envelope import envelope_config
 from repro.lp.assembler import assembly_counts
 from repro.network.params import LogGPSParams
+from repro.parallel import SweepTask
 from repro.schedgen.builder import ProtocolConfig, ScheduleGenerator, build_graph
 from repro.schedgen.graph import ExecutionGraph
 from repro.testing import (
-    build_lp_symbolic,
     build_random_dag,
     build_random_program,
     build_running_example,
@@ -52,6 +52,10 @@ PARAMS = LogGPSParams(L=1.0, o=0.1, g=0.1, G=0.001, S=1024, P=2)
 #: ever change together with a bump of the digest domain prefixes
 GOLDEN_GRAPH_DIGEST = "6878605d1a185873a249488aba29e5372915132f94495b55cd46e6d663b3f78c"
 GOLDEN_PARAMS_DIGEST = "d4072c2920e5006030a28322a6bc4b183a1002f632b9dbd58285e07b884cfbf2"
+#: the store key of the running example's curve on [CSCS_TESTBED.L, 1000]
+#: under the canonical config; stores warmed by earlier versions must keep
+#: hitting, so it changes only with a bump of the key domain prefix
+GOLDEN_ENVELOPE_KEY = "4bf1bd32167f8b927848e7ad7b2d38f1a6a3a3f58b51baad3dfa675396a6b657"
 
 
 def graph_cases() -> list[tuple[str, ExecutionGraph]]:
@@ -76,6 +80,13 @@ class TestContentDigests:
 
     def test_params_golden_digest_pinned(self):
         assert CSCS_TESTBED.content_digest() == GOLDEN_PARAMS_DIGEST
+
+    def test_envelope_golden_key_pinned(self):
+        graph = build_running_example()
+        lo, hi = CSCS_TESTBED.L, 1000.0
+        key = envelope_key(graph, CSCS_TESTBED, l_min=lo, l_max=hi, **envelope_config())
+        task = SweepTask(graph.content_digest(), CSCS_TESTBED.content_digest(), lo, hi)
+        assert key == task.store_key() == GOLDEN_ENVELOPE_KEY
 
     def test_graph_digest_deterministic_across_builds(self):
         assert (
@@ -196,12 +207,15 @@ class TestGraphRoundTrip:
         assert np.array_equal(loaded.topological_order(), graph.topological_order())
 
     def test_wrong_kind_rejected(self, tmp_path):
+        graph = build_running_example()
         path = tmp_path / "g.npz"
-        save_graph(build_running_example(), path)
-        with pytest.raises(ArtifactFormatError, match="expected a 'lp'"):
-            load_lp(path)
+        save_graph(graph, path)
         with pytest.raises(ArtifactFormatError, match="expected a 'envelope'"):
             load_envelope(path)
+        path = tmp_path / "e.npz"
+        save_envelope(forward_envelope(graph, PARAMS, l_min=0.0, l_max=5.0), path)
+        with pytest.raises(ArtifactFormatError, match="expected a 'graph'"):
+            load_graph(path)
 
     def test_not_an_artifact_rejected(self, tmp_path):
         path = tmp_path / "plain.npz"
@@ -220,59 +234,6 @@ class TestGraphRoundTrip:
         np.savez(path, **arrays)
         with pytest.raises(ArtifactFormatError, match="newer than supported"):
             load_graph(path)
-
-
-# ---------------------------------------------------------------------------
-# LP round trip
-# ---------------------------------------------------------------------------
-
-
-class TestLPRoundTrip:
-    @pytest.mark.parametrize("engine", ["symbolic", "compiled"])
-    def test_same_solution_after_reload(self, tmp_path, engine):
-        graph = build_random_dag(9)
-        build = build_lp_symbolic if engine == "symbolic" else build_lp
-        model = build(graph, PARAMS, latency_mode="global").model
-        expected = model.solve(backend="highs").objective
-        path = tmp_path / "m.npz"
-        save_lp(model, path)
-        loaded, meta = load_lp(path)
-        assert meta == {}
-        assert loaded.num_vars == model.num_vars
-        assert [v.name for v in loaded.variables] == [v.name for v in model.variables]
-        assert loaded.solve(backend="highs").objective == pytest.approx(
-            expected, rel=1e-12
-        )
-
-    def test_compiled_rows_round_trip_exactly(self, tmp_path):
-        model = build_lp(build_random_dag(4), PARAMS, latency_mode="global").model
-        original = model.to_arrays()
-        path = tmp_path / "m.npz"
-        save_lp(model, path)
-        restored = load_lp(path)[0].to_arrays()
-        assert restored["row_sense"] == original["row_sense"]
-        for key in ("lb", "ub", "row_indptr", "row_cols", "row_vals", "row_consts"):
-            assert np.array_equal(restored[key], original[key]), key
-
-    def test_meta_round_trip(self, tmp_path):
-        graph = build_running_example()
-        model = build_lp(graph, PARAMS, latency_mode="global").model
-        meta = {"graph": graph.content_digest(), "params": PARAMS.content_digest()}
-        path = tmp_path / "m.npz"
-        save_lp(model, path, meta=meta)
-        assert load_lp(path)[1] == meta
-
-    def test_loaded_model_needs_no_assembly(self, tmp_path):
-        # from_arrays pre-populates the assembled cache: solving the loaded
-        # model must not lower anything at the Python level
-        model = build_lp(build_random_dag(2), PARAMS, latency_mode="global").model
-        path = tmp_path / "m.npz"
-        save_lp(model, path)
-        loaded, _ = load_lp(path)
-        before = assembly_counts()
-        loaded.solve(backend="highs")
-        after = assembly_counts()
-        assert after == before
 
 
 # ---------------------------------------------------------------------------
@@ -295,22 +256,6 @@ class TestEnvelopeRoundTrip:
         assert np.array_equal(loaded.sample(xs), envelope.sample(xs))
         assert loaded.breakpoints() == envelope.breakpoints()
 
-    def test_tangent_exact(self, tmp_path):
-        graph_lp = build_lp(build_staircase(4), PARAMS, latency_mode="global")
-        envelope = graph_lp.tangent_envelope(0.0, 8.0)
-        path = tmp_path / "e.npz"
-        save_envelope(envelope, path)
-        loaded = load_envelope(path)
-        assert [(t.L, t.value, t.slope) for t in loaded.tangents] == [
-            (t.L, t.value, t.slope) for t in envelope.tangents
-        ]
-        assert loaded.breakpoints == envelope.breakpoints
-        assert (loaded.lo, loaded.hi, loaded.num_solves) == (
-            envelope.lo,
-            envelope.hi,
-            envelope.num_solves,
-        )
-
     def test_sweep_restored_from_envelope_answers_without_model(self, tmp_path):
         graph = build_staircase(4)
         envelope = forward_envelope(graph, PARAMS, l_min=0.0, l_max=8.0)
@@ -323,7 +268,7 @@ class TestEnvelopeRoundTrip:
         assert restored.critical_latencies() == envelope.breakpoints()
 
     def test_unknown_type_rejected(self, tmp_path):
-        with pytest.raises(TypeError, match="PiecewiseLinear or TangentEnvelope"):
+        with pytest.raises(TypeError, match="expects a PiecewiseLinear, got object"):
             save_envelope(object(), tmp_path / "e.npz")
 
 
@@ -363,6 +308,10 @@ class TestArtifactStore:
             store.path_for("graph", "abc")  # too short
         with pytest.raises(ValueError, match="unknown artifact kind"):
             store.path_for("plan", "abcdef")
+        # the store keeps graphs and curves, never an LP
+        assert ArtifactStore.KINDS == ("graph", "envelope")
+        with pytest.raises(ValueError, match="unknown artifact kind 'lp'"):
+            store.path_for("lp", "abcdef")
 
     @staticmethod
     def _artifact(kind):
@@ -370,11 +319,8 @@ class TestArtifactStore:
         graph = build_running_example()
         if kind == "graph":
             return graph.content_digest(), graph
-        lp = build_lp(graph, PARAMS, latency_mode="global")
-        if kind == "lp":
-            return combine_digests("lp", "test"), lp.model
         key = envelope_key(graph, PARAMS, l_min=0.0, l_max=5.0)
-        return key, lp_envelope(lp, 0.0, 5.0)
+        return key, forward_envelope(graph, PARAMS, l_min=0.0, l_max=5.0)
 
     @pytest.mark.parametrize("kind", ArtifactStore.KINDS)
     def test_corrupt_entry_deleted_and_rebuilt(self, tmp_path, kind):
@@ -389,6 +335,51 @@ class TestArtifactStore:
             assert store.get_or_build(kind, key, lambda: obj) is obj
             assert store.get(kind, key) is not None
 
+    def test_tangent_envelope_of_an_earlier_version_is_rebuilt(self, tmp_path):
+        # earlier versions could store an LP tangent search's raw probes
+        # under envelope_kind="tangent"; that format is gone, so such an
+        # entry is a format error the store deletes and rebuilds
+        from repro.artifacts.serialize import FORMAT_VERSION
+
+        store = ArtifactStore(tmp_path)
+        key, curve = self._artifact("envelope")
+        path = store.path_for("envelope", key)
+        path.parent.mkdir(parents=True)
+        np.savez(
+            path.with_suffix(""),
+            __artifact__=np.str_("envelope"),
+            __version__=np.int64(FORMAT_VERSION),
+            envelope_kind=np.str_("tangent"),
+            tangent_L=np.array([0.0, 5.0]),
+            tangent_value=np.array([1.0, 6.0]),
+            tangent_slope=np.array([1.0, 1.0]),
+            breakpoints=np.array([]),
+            lo=np.float64(0.0),
+            hi=np.float64(5.0),
+            num_solves=np.int64(2),
+        )
+        with pytest.raises(ArtifactFormatError, match="unknown envelope kind 'tangent'"):
+            load_envelope(path)
+        assert store.get_or_build_envelope(key, lambda: curve) is curve
+        assert store.misses["envelope"] == 1
+        assert load_envelope(path).lines == curve.lines
+
+    def test_lp_entries_of_an_earlier_version_are_ignored(self, tmp_path):
+        # a store warmed by an earlier version may hold an lp/ directory;
+        # nothing reads it, and stats/clear count only the current kinds
+        store = ArtifactStore(tmp_path)
+        key, graph = self._artifact("graph")
+        store.put("graph", key, graph)
+        stale = tmp_path / "lp" / key[:2] / f"{key}.npz"
+        stale.parent.mkdir(parents=True)
+        stale.write_bytes(b"an LP written by an earlier version")
+        stats = store.stats()
+        assert sorted(stats["kinds"]) == sorted(ArtifactStore.KINDS)
+        assert stats["total_entries"] == 1
+        assert store.entries() == [store.path_for("graph", key)]
+        assert store.clear() == 1
+        assert stale.exists()
+
     @pytest.mark.parametrize("error", [ImportError, NameError, AttributeError])
     def test_loader_bug_propagates_and_keeps_the_entry(self, tmp_path, monkeypatch, error):
         store = ArtifactStore(tmp_path)
@@ -402,15 +393,6 @@ class TestArtifactStore:
         with pytest.raises(error, match="loader bug"):
             store.get("graph", key)
         assert store.contains("graph", key)
-
-    def test_get_or_build_lp_returns_model_both_paths(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        model = build_lp(build_running_example(), PARAMS, latency_mode="global").model
-        key = combine_digests("lp", "test")
-        cold = store.get_or_build_lp(key, lambda: model)
-        warm = store.get_or_build_lp(key, lambda: model)
-        assert cold is model
-        assert warm.num_vars == model.num_vars  # loaded copy, not a tuple
 
     def test_stats_and_clear(self, tmp_path):
         store = ArtifactStore(tmp_path)
@@ -505,16 +487,18 @@ class TestCacheCLI:
         warm = json.loads(capsys.readouterr().out)
         assert warm["app"] == "lulesh"
         assert len(warm["graph_key"]) == 64
+        assert sorted(warm) == [
+            "app", "critical_latencies", "envelope_key", "events", "graph_key", "nranks",
+        ]
 
         assert main(["cache", "stats", "--dir", store_dir, "--json"]) == 0
         stats = json.loads(capsys.readouterr().out)
+        assert sorted(stats["kinds"]) == sorted(ArtifactStore.KINDS)
         assert stats["kinds"]["graph"]["entries"] == 1
-        assert stats["kinds"]["lp"]["entries"] == 1
         assert stats["kinds"]["envelope"]["entries"] == 1
         # the keys warm prints address the entries the analyzer stored
         store = ArtifactStore(store_dir)
         assert store.contains("graph", warm["graph_key"])
-        assert store.contains("lp", warm["lp_key"])
         assert store.contains("envelope", warm["envelope_key"])
 
         # warming again is pure hits: entry counts do not grow
@@ -522,12 +506,30 @@ class TestCacheCLI:
                      "--nranks", "4", "--l-max", "50", "--json"]) == 0
         capsys.readouterr()
         assert main(["cache", "stats", "--dir", store_dir, "--json"]) == 0
-        assert json.loads(capsys.readouterr().out)["total_entries"] == 3
+        assert json.loads(capsys.readouterr().out)["total_entries"] == 2
 
-        assert main(["cache", "clear", "--dir", store_dir, "--kind", "lp"]) == 0
+        assert main(["cache", "clear", "--dir", store_dir, "--kind", "envelope"]) == 0
         assert "removed 1 entries" in capsys.readouterr().out
         assert main(["cache", "clear", "--dir", store_dir]) == 0
-        assert "removed 2 entries" in capsys.readouterr().out
+        assert "removed 1 entries" in capsys.readouterr().out
+
+    def test_kind_choices_are_the_store_kinds(self, tmp_path, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit):
+            main(["cache", "clear", "--dir", str(tmp_path), "--kind", "lp"])
+        err = capsys.readouterr().err
+        assert "invalid choice: 'lp'" in err and "{graph,envelope}" in err
+
+    def test_warm_human_readable(self, tmp_path, capsys):
+        from repro.cli import main
+
+        assert main(["cache", "warm", "lulesh", "--nranks", "2", "--dir", str(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0].strip() for line in lines] == [
+            "application", "graph", "envelope", "store",
+        ]
+        assert lines[2].endswith("critical latencies)")
 
     def test_warm_requires_app(self, tmp_path):
         from repro.cli import main

@@ -32,7 +32,7 @@ from repro.core import (
     parametric_analysis,
     resolve_envelope_engine,
 )
-from repro.core.envelope import _winners, forward_supports_modes
+from repro.core.envelope import _winners
 from repro.lp import ParametricLP
 from repro.network.params import CSCS_TESTBED, LogGPSParams
 from repro.schedgen import build_graph
@@ -316,13 +316,6 @@ class TestNonAffineFallback:
         reason = forward_incompatibility(lp)
         assert reason is not None and "overhead lower bound" in reason
 
-    def test_forward_supports_modes_matches_build_knobs(self):
-        assert forward_supports_modes({})
-        assert forward_supports_modes({"gap_mode": "global"})
-        assert not forward_supports_modes({"gap_mode": "per_pair"})
-        assert not forward_supports_modes({"latency_mode": "per_pair"})
-        assert not forward_supports_modes({"mystery_knob": 1})
-
 
 # ---------------------------------------------------------------------------
 # interval validation (pinned message) and overflow
@@ -432,8 +425,6 @@ class TestSharedArtifacts:
         runs = [
             batched_sweep_graphs(graphs, PARAMS, l_max=80.0),
             batched_sweep_graphs(graphs, PARAMS, l_max=80.0, processes=2),
-            # per-pair gap variables take the LP tangent search
-            batched_sweep_graphs(graphs, PARAMS, l_max=80.0, gap_mode="per_pair"),
         ]
         for envelopes in runs:
             for envelope, ref in zip(envelopes, reference):
@@ -444,12 +435,12 @@ class TestSharedArtifacts:
         graph = build_random_dag(19)
         serial = batched_sweep_graphs([graph], PARAMS, l_max=40.0, cache_dir=tmp_path)
         assert store.stats()["kinds"]["envelope"]["entries"] == 1
-        again = batched_sweep_graphs(
-            [graph], PARAMS, l_max=40.0, cache_dir=tmp_path, gap_mode="global",
-        )
-        # still one entry: a forward-compatible build mode is no key part
+        # a symbolic-gap analyzer asks for the same curve: it hits the entry
+        analyzer = LatencyAnalyzer(graph, PARAMS, gap_symbolic=True, cache_dir=tmp_path)
+        again = analyzer.parametric(l_min=0.0, l_max=40.0)
+        assert analyzer.store.hits["envelope"] == 1
         assert store.stats()["kinds"]["envelope"]["entries"] == 1
-        assert_envelopes_identical(again[0], serial[0])
+        assert_envelopes_identical(again.envelope, serial[0])
 
 
 class TestOneCurveOneEntry:
@@ -487,14 +478,3 @@ class TestOneCurveOneEntry:
         assert analyzer.store.hits["envelope"] == 1
         assert analyzer.store.misses["envelope"] == 0
         assert ArtifactStore(tmp_path).stats()["kinds"]["envelope"]["entries"] == entries
-
-    def test_unknown_build_keyword_fails_alike_under_both_engines(self):
-        # an unknown keyword disqualifies the forward pass, and the LP build
-        # surfaces it exactly as build_lp does
-        graph = build_running_example()
-        with pytest.raises(TypeError) as swept:
-            batched_sweep_graphs([graph], PARAMS, l_max=10.0, engine="fused")
-        with pytest.raises(TypeError) as built:
-            build_lp(graph, PARAMS, engine="fused")
-        assert str(swept.value) == str(built.value)
-        assert not forward_supports_modes({"engine": "fused"})

@@ -111,6 +111,7 @@ commands = [
     ["goal", "lulesh", "--nranks", "2", "--output", goal],
     ["ingest", "trace", trace, "--json"],
     ["ingest", "goal", goal, "--json"],
+    ["cache", "warm", "lulesh", "--nranks", "2", "--dir", os.path.join(tmp, "store")],
     ["place", "milc", "--nranks", "4", "--nodes", "2", "--json"],
 ]
 loaded = {"import": "scipy" in sys.modules}

@@ -6,7 +6,8 @@ row-equivalent constraints in the same row order — so that objectives, duals
 and every reduced-cost sensitivity agree with the symbolic reference
 (:func:`repro.testing.build_lp_symbolic`), and the parametric machinery
 (bound-only updates, the tangent-envelope search, placement) runs unchanged
-on compiled models.
+on compiled models.  Models also round-trip through their canonical array
+form (:meth:`LPModel.to_arrays` / :meth:`LPModel.from_arrays`).
 """
 
 import numpy as np
@@ -14,8 +15,8 @@ import pytest
 
 from repro.core import build_lp, find_critical_latencies
 from repro.core.parametric import lp_envelope
-from repro.lp.assembler import assemble
-from repro.lp.model import LPModel
+from repro.lp.assembler import assemble, assembly_counts
+from repro.lp.model import LinearExpr, LPModel
 from repro.network.params import LogGPSParams
 from repro.testing import (
     build_lp_symbolic,
@@ -215,6 +216,49 @@ class TestCompiledModelProtocol:
                 row_indptr=np.array([0]), row_cols=np.array([]),
                 row_vals=np.array([]), row_consts=np.array([]),
             )
+
+
+def _round_trip(model: LPModel) -> LPModel:
+    """``from_arrays(**to_arrays())`` plus the objective, which the arrays omit."""
+    restored = LPModel.from_arrays(**model.to_arrays())
+    restored.set_objective(
+        LinearExpr(model.objective.coeffs, model.objective.constant), model.sense
+    )
+    return restored
+
+
+class TestArrayRoundTrip:
+    """``LPModel.to_arrays`` → ``LPModel.from_arrays`` keeps the model."""
+
+    @pytest.mark.parametrize("engine", ["symbolic", "compiled"])
+    def test_same_solution_after_round_trip(self, engine):
+        graph = build_random_dag(9)
+        build = build_lp_symbolic if engine == "symbolic" else build_lp
+        model = build(graph, PARAMS, latency_mode="global").model
+        expected = model.solve(backend="highs").objective
+        restored = _round_trip(model)
+        assert restored.num_vars == model.num_vars
+        assert [v.name for v in restored.variables] == [v.name for v in model.variables]
+        assert restored.solve(backend="highs").objective == pytest.approx(
+            expected, rel=1e-12
+        )
+
+    def test_compiled_rows_round_trip_exactly(self):
+        model = build_lp(build_random_dag(4), PARAMS, latency_mode="global").model
+        original = model.to_arrays()
+        restored = _round_trip(model).to_arrays()
+        assert restored["row_sense"] == original["row_sense"]
+        for key in ("lb", "ub", "row_indptr", "row_cols", "row_vals", "row_consts"):
+            assert np.array_equal(restored[key], original[key]), key
+
+    def test_restored_model_needs_no_assembly(self):
+        # from_arrays pre-populates the assembled cache: solving the restored
+        # model must not lower anything at the Python level
+        model = build_lp(build_random_dag(2), PARAMS, latency_mode="global").model
+        restored = _round_trip(model)
+        before = assembly_counts()
+        restored.solve(backend="highs")
+        assert assembly_counts() == before
 
 
 class TestCompileFromBatches:

@@ -24,7 +24,7 @@ from repro.artifacts import ArtifactStore
 from repro.core.envelope import forward_envelope
 from repro.core.lp_builder import build_lp
 from repro.core.parametric import ParametricAnalysis, batched_sweep_graphs, lp_envelope
-from repro.network.params import CSCS_TESTBED
+from repro.network.params import CSCS_TESTBED, LogGPSParams
 from repro.parallel import (
     ScenarioError,
     SweepPool,
@@ -32,7 +32,7 @@ from repro.parallel import (
     live_shared_segments,
 )
 from repro.schedgen.graph import ExecutionGraph
-from repro.testing import build_random_dag, build_running_example
+from repro.testing import build_random_dag, build_running_example, build_staircase
 
 PARAMS = CSCS_TESTBED
 
@@ -64,7 +64,6 @@ def _task(graph, *, scenario=None, params=PARAMS, **overrides):
         params_digest=params.content_digest(),
         l_min=0.0,
         l_max=100.0,
-        build_kwargs=(("latency_mode", "global"),),
         params=params,
         scenario=scenario,
     )
@@ -169,7 +168,7 @@ class EndsItsWorker(LogGPSParams):
 def task(params, scenario, l_max):
     return SweepTask(
         graph.content_digest(), CSCS_TESTBED.content_digest(), 0.0, l_max,
-        build_kwargs=(("latency_mode", "global"),), params=params, scenario=scenario,
+        params=params, scenario=scenario,
     )
 
 
@@ -220,16 +219,14 @@ class TestSweepPoolWorkers:
     def test_worker_failure_carries_scenario_and_pool_survives(self):
         graph = build_running_example()
         good = _task(graph, scenario="good")
-        bad = _task(
-            graph,
-            scenario="doomed-scenario",
-            build_kwargs=(("latency_mode", "bogus"),),
-        )
+        # a task the worker rejects: the forward envelope needs max_pieces >= 1
+        bad = _task(graph, scenario="doomed-scenario", max_pieces=0)
         graphs = {graph.content_digest(): graph}
         with SweepPool(2) as pool:
             with pytest.raises(ScenarioError, match="doomed-scenario") as excinfo:
                 pool.run_tasks([good, bad], graphs)
-            assert "bogus" in str(excinfo.value)
+            assert excinfo.value.exc_type == "ValueError"
+            assert "max_pieces must be positive, got 0" in str(excinfo.value)
             assert excinfo.value.worker_traceback
             # the pool is not poisoned: the next batch still runs
             payloads = pool.run_tasks([good], graphs)
@@ -255,20 +252,40 @@ class TestBatchedSweepGraphsRewired:
     def test_serial_dedupes_without_cache_dir(self, monkeypatch):
         graph = build_running_example()
         calls = []
-        import repro.core.parametric as parametric
+        import repro.core.envelope as envelope
 
-        real = parametric._sweep_one_graph
+        real = envelope.forward_envelope
 
-        def counting(job):
-            calls.append(job)
-            return real(job)
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(parametric, "_sweep_one_graph", counting)
+        monkeypatch.setattr(envelope, "forward_envelope", counting)
         envelopes = batched_sweep_graphs(
             [graph, graph, graph], PARAMS, l_min=0.0, l_max=100.0
         )
         assert len(calls) == 1  # solved once, fanned out
         assert envelopes[0] is envelopes[1] is envelopes[2]
+
+    def test_bad_arguments_raise_before_any_task(self, monkeypatch):
+        def no_tasks(*args, **kwargs):
+            raise AssertionError("ran a task before checking the arguments")
+
+        monkeypatch.setattr(SweepPool, "run_tasks", no_tasks)
+        graph = build_running_example()
+        with pytest.raises(ValueError, match="invalid latency interval"):
+            batched_sweep_graphs([graph], PARAMS, l_min=5.0, l_max=1.0)
+        with pytest.raises(ValueError, match="max_pieces must be positive"):
+            batched_sweep_graphs([graph], PARAMS, l_max=10.0, max_pieces=0)
+
+    def test_serial_failure_is_a_scenario_error(self):
+        # the inline pool raises what a pooled sweep raises
+        zero_overhead = LogGPSParams(L=1.0, o=0.0, g=0.0, G=0.0)
+        with pytest.raises(ScenarioError, match=r"graph\[0\]") as excinfo:
+            batched_sweep_graphs(
+                [build_staircase(8)], zero_overhead, l_max=20.0, max_pieces=3
+            )
+        assert excinfo.value.exc_type == "EnvelopeOverflowError"
 
     def test_pathlike_cache_dir(self, tmp_path):
         graph = build_running_example()

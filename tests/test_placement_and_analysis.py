@@ -195,6 +195,16 @@ class TestCLI:
                          "--max-delta", "40"]) == 0
         assert "RRMSE" in capsys.readouterr().out
 
+    def test_curve_prints_no_lp_counter(self, capsys):
+        import json
+
+        assert cli_main(["curve", "lulesh", "--nranks", "2", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert sorted(payload) == ["L_us", "critical_latencies_us", "lambda_L", "runtime_us"]
+        assert cli_main(["curve", "lulesh", "--nranks", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "critical latencies" in out and "LP" not in out
+
     def test_trace_and_goal_outputs(self, tmp_path, capsys):
         trace_file = tmp_path / "app.trace"
         goal_file = tmp_path / "app.goal"
