@@ -12,15 +12,18 @@ O(chunk), independent of the trace length.
 Both paths are measured in **subprocesses** (one pipeline each) that report
 their own ``VmHWM`` delta over a post-import baseline — peak RSS is a
 process-lifetime high-water mark, so sharing a process would let either
-path inherit the other's peak.  Each child then builds the fused execution
-graph and reports its ``content_digest()``, pinning the streaming path
+path inherit the other's peak.  Each child then builds the execution graph
+(``ScheduleBatches.graph_for``: frozen, validated and levelled like every
+graph) and reports its ``content_digest()``, pinning the streaming path
 bit-identical to the monolithic one on the exact bytes the artifact cache
 keys on.
 
 The second tier is the million-rank stress run: a synthetic ring/halo trace
 (``$BENCH_STREAM_INGEST_RANKS`` ranks, default 1 000 000; CI reduces it) is
-streamed through chunked ingestion into a disk-backed fused graph, LP
-compile and one forward-pass objective — the full analyze-only pipeline —
+streamed through chunked ingestion into a disk-backed graph
+(``build_columnar(..., mmap_dir=...)``: the frozen graph keeps the
+builder's memory-mapped columns), LP compile, one simulated objective and
+the exact ``T(L)`` envelope — the full analyze-only pipeline —
 inside a fixed memory budget that would be blown several times over by the
 per-record object overhead of the monolithic reader at that scale.
 
@@ -120,7 +123,7 @@ finally:
     shutil.rmtree(work_dir, ignore_errors=True)
 """
 
-# Monolithic: TraceRecord objects + in-RAM columns; digest via fused graph.
+# Monolithic: TraceRecord objects + in-RAM columns; digest of the graph.
 _CHILD_MONOLITHIC = _CHILD_PRELUDE + r"""
     from repro.trace.format import load_trace
 
@@ -139,7 +142,7 @@ _CHILD_MONOLITHIC = _CHILD_PRELUDE + r"""
     }
 """ + _CHILD_EPILOGUE
 
-# Chunked: column blocks spilled to memmaps; fused graph is disk-backed too.
+# Chunked: column blocks spilled to memmaps; the graph is disk-backed too.
 _CHILD_CHUNKED = _CHILD_PRELUDE + r"""
     from repro.schedgen.streaming import batches_from_trace_chunked
 
@@ -169,7 +172,7 @@ _CHILD_STRESS = _CHILD_PRELUDE + r"""
     from repro.lp import compile_lp
     from repro.schedgen.builder import ProtocolConfig
     from repro.schedgen.collectives import CollectiveAlgorithms
-    from repro.schedgen.columnar import build_columnar_fused
+    from repro.schedgen.columnar import build_columnar
     from repro.schedgen.streaming import batches_from_trace_chunked
     from repro.simulator import simulate
 
@@ -178,7 +181,7 @@ _CHILD_STRESS = _CHILD_PRELUDE + r"""
     ingest_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    graph = build_columnar_fused(
+    graph = build_columnar(
         batches,
         batches.nranks,
         algorithms=CollectiveAlgorithms(),
@@ -326,7 +329,7 @@ def test_stream_ingest_memory(run_once):
         [
             ["generate trace", results["stress_generate_s"]],
             ["chunked ingest", results["stress_ingest_s"]],
-            ["fused graph (mmap)", results["stress_graph_s"]],
+            ["frozen graph (mmap)", results["stress_graph_s"]],
             ["LP compile", results["stress_lp_s"]],
             ["forward-pass objective", results["stress_sim_s"]],
             ["exact T(L) envelope", results["stress_envelope_s"]],

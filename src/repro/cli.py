@@ -216,9 +216,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "straight into columnar batches (traces) or the graph "
                     "builder (GOAL), bit-identical to the monolithic "
                     "loaders — and print the analyze metrics. With a "
-                    "--mmap-dir the accumulated columns are disk-backed, "
-                    "so peak memory is bounded by the chunk size plus the "
-                    "envelope working set, not the input size.",
+                    "--mmap-dir the parsed columns are disk-backed: a "
+                    "trace's op batches spill there (its graph is built in "
+                    "RAM), a GOAL file's graph columns live there. "
+                    "Malformed input, including a deadlocked (cyclic) "
+                    "schedule, exits non-zero with a one-line reason.",
     )
     ingest.add_argument("format", choices=("trace", "goal"),
                         help="input file format")
@@ -547,27 +549,32 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         work_dir = args.mmap_dir
 
     try:
-        if args.format == "trace":
-            batches = batches_from_trace_chunked(
-                args.input,
-                min_compute=args.min_compute,
-                chunk_size=args.chunk_size,
-                spill_dir=work_dir,
-            )
-            analyzer = LatencyAnalyzer.from_batches(batches, batches.nranks, params)
-            nranks = batches.nranks
-            ingested = {"records": batches.num_rows, "spilled": batches.spilled}
-        else:
-            graph = load_goal_chunked(
-                args.input, chunk_size=args.chunk_size, mmap_dir=work_dir
-            )
-            analyzer = LatencyAnalyzer(graph, params)
-            nranks = graph.nranks
-            ingested = {
-                "vertices": graph.num_events,
-                "edges": graph.num_edges,
-                "spilled": work_dir is not None,
-            }
+        # every reader and graph validation error is a ValueError: report
+        # malformed input in one line, not a traceback
+        try:
+            if args.format == "trace":
+                batches = batches_from_trace_chunked(
+                    args.input,
+                    min_compute=args.min_compute,
+                    chunk_size=args.chunk_size,
+                    spill_dir=work_dir,
+                )
+                analyzer = LatencyAnalyzer.from_batches(batches, batches.nranks, params)
+                nranks = batches.nranks
+                ingested = {"records": batches.num_rows, "spilled": batches.spilled}
+            else:
+                graph = load_goal_chunked(
+                    args.input, chunk_size=args.chunk_size, mmap_dir=work_dir
+                )
+                analyzer = LatencyAnalyzer(graph, params)
+                nranks = graph.nranks
+                ingested = {
+                    "vertices": graph.num_events,
+                    "edges": graph.num_edges,
+                    "spilled": work_dir is not None,
+                }
+        except ValueError as error:
+            raise SystemExit(f"{args.input}: {error}") from None
         summary = analyzer.summary()
         if args.json:
             print(json.dumps({

@@ -138,20 +138,19 @@ class LatencyAnalyzer:
 
     @classmethod
     def from_batches(cls, batches, nranks: int, params: LogGPSParams, *,
-                     algorithms=None, protocol=None, mmap_dir=None,
+                     algorithms=None, protocol=None,
                      **kwargs) -> "LatencyAnalyzer":
         """Analyze columnar :class:`~repro.schedgen.columnar.RankOpBatch`
         arrays (e.g. a chunked trace ingest) without materialising a program.
 
-        The graph is built once, zero-copy over the builder's columns
-        (:meth:`~repro.schedgen.columnar.ScheduleBatches.graph_for`);
-        ``mmap_dir`` disk-backs those columns (out-of-core analyze path) and
-        the caller owns the directory for the analyzer's lifetime."""
+        The graph is built and validated once
+        (:meth:`~repro.schedgen.columnar.ScheduleBatches.graph_for`), so a
+        deadlocked schedule raises
+        :class:`~repro.schedgen.graph.GraphValidationError`."""
         from ..schedgen.columnar import ScheduleBatches
 
         graph = ScheduleBatches(
             batches, nranks, algorithms=algorithms, protocol=protocol,
-            mmap_dir=mmap_dir,
         ).graph_for(params)
         return cls(graph, params, **kwargs)
 

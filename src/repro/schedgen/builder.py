@@ -156,7 +156,7 @@ class ScheduleGenerator:
                 self._emit_collective(builder, frontier, collective)
 
         _match_messages(builder, program.nranks)
-        return builder.freeze(validate=True)
+        return builder.freeze()
 
     def build_from_trace(self, trace: Trace, *, min_compute: float = 0.0) -> ExecutionGraph:
         """Convert a timestamped trace into an execution graph.

@@ -22,7 +22,10 @@ builder methods, the columnar engine
 3. expands collectives through the ``batch_*`` expanders of
    :mod:`repro.schedgen.collectives` (whole rounds as index arithmetic);
 4. pairs sends and receives with a vectorised sort-based FIFO matcher
-   (:func:`match_messages`) instead of the per-vertex queue scan.
+   (:func:`match_messages`) instead of the per-vertex queue scan;
+5. freezes the builder (:meth:`~repro.schedgen.graph.GraphBuilder.freeze`
+   adopts its columns, validates them and computes the levels), the one
+   way every graph — :class:`ScheduleBatches` ones included — is finished.
 
 The result is **bit-identical** to the legacy op-by-op engine — same vertex
 ids, same vertex attribute columns, same edge order, same labels — which the
@@ -58,7 +61,6 @@ __all__ = [
     "batches_from_program",
     "batches_from_trace",
     "build_columnar",
-    "build_columnar_fused",
     "match_messages",
 ]
 
@@ -223,75 +225,22 @@ def build_columnar(
     *,
     algorithms,
     protocol,
+    mmap_dir=None,
 ):
     """Build a frozen execution graph from per-rank op batches.
 
     The columnar twin of :meth:`repro.schedgen.builder.ScheduleGenerator.build`;
     ``algorithms`` is a :class:`~repro.schedgen.collectives.CollectiveAlgorithms`
     and ``protocol`` a :class:`~repro.schedgen.builder.ProtocolConfig`.
+    ``mmap_dir`` disk-backs the builder's columns, and so the graph's (see
+    :class:`~repro.schedgen.graph.GraphBuilder`); the caller owns the
+    directory for the graph's lifetime.
     """
-    builder = _populate_builder(
-        batches, nranks, algorithms=algorithms, protocol=protocol
-    )
-    return builder.freeze(validate=True)
-
-
-def build_columnar_fused(
-    batches: list[RankOpBatch],
-    nranks: int,
-    *,
-    algorithms,
-    protocol,
-    mmap_dir=None,
-):
-    """Build an execution graph without freezing it (behind
-    :meth:`ScheduleBatches.graph_for`).
-
-    Emits exactly the same vertex/edge columns as :func:`build_columnar`
-    (same builder machinery, same deterministic order contract) but attaches
-    an :class:`~repro.schedgen.graph.ExecutionGraph` **zero-copy** over the
-    builder's column views instead of freezing: no column copies, no
-    structural validation pass, and the topological level structure is
-    installed by the chain-condensed engine
-    (:func:`~repro.schedgen.graph.chain_condensed_levels`) — the construction
-    is trusted, so the cycle-detecting frontier peel is not needed.  The
-    resulting graph is **column-bit-identical** to the frozen one: identical
-    vertex/edge arrays, labels and therefore
-    :meth:`~repro.schedgen.graph.ExecutionGraph.content_digest` — the
-    artifact cache and the sweep pool key fused and frozen requests to the
-    same entries.
-
-    ``mmap_dir`` (optional) backs the builder's growable columns with
-    memory-mapped files (see :class:`~repro.schedgen.graph.GraphBuilder`) so
-    the attached graph's columns are disk-backed too — the caller owns the
-    directory for the graph's lifetime.  Column bytes are identical either
-    way.
-    """
-    from .graph import ExecutionGraph, chain_condensed_levels
-
     builder = _populate_builder(
         batches, nranks, algorithms=algorithms, protocol=protocol,
         mmap_dir=mmap_dir,
     )
-    nv, ne = builder.num_vertices, builder.num_edges
-    columns = {
-        "kind": builder._vkind[:nv],
-        "rank": builder._vrank[:nv],
-        "cost": builder._vcost[:nv],
-        "size": builder._vsize[:nv],
-        "peer": builder._vpeer[:nv],
-        "tag": builder._vtag[:nv],
-        "edge_src": builder._esrc[:ne],
-        "edge_dst": builder._edst[:ne],
-        "edge_kind": builder._ekind[:ne],
-    }
-    graph = ExecutionGraph.from_columns(
-        nranks, columns, builder._label, validate=False
-    )
-    level_indptr, order = chain_condensed_levels(graph)
-    graph._level_indptr = level_indptr
-    graph._topo_order = order
-    return graph
+    return builder.freeze()
 
 
 class ScheduleBatches:
@@ -301,10 +250,9 @@ class ScheduleBatches:
     Program` (the chunked trace ingest behind
     :meth:`repro.core.analyzer.LatencyAnalyzer.from_batches`) into an
     execution graph: :meth:`graph_for` builds it through
-    :func:`build_columnar_fused` (zero-copy, no freeze, condensed levels) and
-    caches it per protocol.  :meth:`content_digest` — served from that
-    graph's byte-identical columns — equals the frozen graph's digest, so
-    artifact caches and sweep pools key both builds to the same entries.
+    :func:`build_columnar` and caches it per protocol, so the graph is
+    validated like every other.  ``mmap_dir`` disk-backs the graph's
+    columns; the caller owns the directory for the graph's lifetime.
 
     ``protocol`` may be left ``None`` and resolved later from the LogGPS
     parameters actually analysed (``ProtocolConfig.from_params``), so one
@@ -346,15 +294,15 @@ class ScheduleBatches:
         return ProtocolConfig.from_params(params)
 
     def graph_for(self, params):
-        """The zero-copy execution graph of this schedule under ``params``.
+        """The execution graph of this schedule under ``params``.
 
-        Built once per protocol via :func:`build_columnar_fused` and cached
-        on the spec — repeated digests and analyses share one graph.
+        Built once per protocol via :func:`build_columnar` and cached on the
+        spec — repeated digests and analyses share one graph.
         """
         protocol = self.resolve_protocol(params)
         graph = self._graphs.get(protocol)
         if graph is None:
-            graph = build_columnar_fused(
+            graph = build_columnar(
                 self.batches, self.nranks,
                 algorithms=self.algorithms, protocol=protocol,
                 mmap_dir=self.mmap_dir,
@@ -363,8 +311,7 @@ class ScheduleBatches:
         return graph
 
     def content_digest(self, params) -> str:
-        """The schedule's graph content digest under ``params`` — identical to
-        the frozen graph's digest (fused columns are byte-identical)."""
+        """The content digest of the schedule's graph under ``params``."""
         return self.graph_for(params).content_digest()
 
 

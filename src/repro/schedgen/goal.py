@@ -239,4 +239,4 @@ def _read(handle: TextIO) -> ExecutionGraph:
         match_messages(builder)
     except UnmatchedMessageError as exc:
         raise GoalFormatError(f"unmatched send/recv operations in GOAL file: {exc}") from exc
-    return builder.freeze(validate=True)
+    return builder.freeze()

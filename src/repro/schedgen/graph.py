@@ -95,9 +95,9 @@ class GraphBuilder:
     at a larger size with no copy, and the OS may write dirty column pages
     back and evict them under memory pressure, so schedules larger than RAM
     can be assembled.  The produced values are bit-identical either way;
-    the caller owns ``mmap_dir`` and removes it once the builder *and any
-    graph attached zero-copy over its columns* are done (on POSIX the files
-    may be unlinked while still mapped).
+    the caller owns ``mmap_dir`` and removes it once the builder *and every
+    graph frozen from it* are done (a frozen graph keeps the builder's
+    columns; on POSIX the files may be unlinked while still mapped).
     """
 
     __slots__ = (
@@ -432,24 +432,32 @@ class GraphBuilder:
         which may reallocate the buffer — copy or consume immediately)."""
         return self._vsize[: self._nv]
 
-    def freeze(self, *, validate: bool = True) -> "ExecutionGraph":
-        """Produce an immutable :class:`ExecutionGraph`."""
+    def freeze(self) -> "ExecutionGraph":
+        """Produce the immutable, validated :class:`ExecutionGraph`.
+
+        This is the one way builder columns become a graph.  The graph
+        adopts the column slices ``[:num_vertices]`` / ``[:num_edges]``
+        without copying them: every append writes past those bounds, so
+        later use of the builder cannot change a frozen graph, and an
+        ``mmap_dir`` builder's graph stays disk-backed.  Validation checks
+        the structure and computes the level structure, which raises
+        :class:`GraphValidationError` on a cycle.
+        """
         nv, ne = self._nv, self._ne
         graph = ExecutionGraph(
             nranks=self.nranks,
-            kind=self._vkind[:nv].copy(),
-            rank=self._vrank[:nv].copy(),
-            cost=self._vcost[:nv].copy(),
-            size=self._vsize[:nv].copy(),
-            peer=self._vpeer[:nv].copy(),
-            tag=self._vtag[:nv].copy(),
-            edge_src=self._esrc[:ne].copy(),
-            edge_dst=self._edst[:ne].copy(),
-            edge_kind=self._ekind[:ne].copy(),
+            kind=self._vkind[:nv],
+            rank=self._vrank[:nv],
+            cost=self._vcost[:nv],
+            size=self._vsize[:nv],
+            peer=self._vpeer[:nv],
+            tag=self._vtag[:nv],
+            edge_src=self._esrc[:ne],
+            edge_dst=self._edst[:ne],
+            edge_kind=self._ekind[:ne],
             labels=dict(self._label),
         )
-        if validate:
-            graph.validate()
+        graph.validate()
         return graph
 
 
@@ -665,18 +673,17 @@ class ExecutionGraph:
         topo_order: np.ndarray | None = None,
         level_indptr: np.ndarray | None = None,
         content_digest: str | None = None,
-        validate: bool = False,
     ) -> "ExecutionGraph":
-        """Attach a graph directly over pre-frozen identity columns.
+        """Re-attach a graph over the identity columns of a validated one.
 
         The inverse of :meth:`identity_columns`: ``columns`` maps every
         :attr:`CONTENT_COLUMNS` name to its array, which is adopted
         **without copying** — zero-copy attach over memory-mapped views is
         the intended use (the columns should be read-only in that case).
         An already-known level structure and content digest can be
-        re-attached so neither is re-derived; pass ``validate=True`` only
-        for untrusted columns (frozen graphs were validated when first
-        built).
+        re-attached so neither is re-derived.  The columns are trusted:
+        this is how store loads and pickles come back, and new graphs are
+        built through :meth:`GraphBuilder.freeze`, which validates them.
         """
         missing = [name for name, _ in cls.CONTENT_COLUMNS if name not in columns]
         if missing:
@@ -691,8 +698,6 @@ class ExecutionGraph:
             graph._level_indptr = np.asarray(level_indptr, dtype=np.int64)
         if content_digest is not None:
             graph._content_digest = content_digest
-        if validate:
-            graph.validate()
         return graph
 
     def content_digest(self) -> str:
@@ -797,8 +802,7 @@ class ExecutionGraph:
         LP compiler's variable ordering, the simulators and the symbolic
         Algorithm 1 sweep: vertices are sorted **level-major** (by longest-path
         depth, see :meth:`topo_levels`) and **vertex-id-minor** within a
-        level.  It is served from the vectorised level structure — there is no
-        per-vertex Kahn loop.
+        level.  It is served from the cached level structure.
         """
         if self._topo_order is None:
             self._compute_levels()
@@ -815,9 +819,8 @@ class ExecutionGraph:
         foundation of the level-synchronous simulation engine,
         :mod:`repro.simulator.columnar`).
 
-        Computed by vectorised CSR frontier peeling: repeatedly emit the
-        in-degree-zero frontier and decrement the in-degrees of its
-        successors with one ``np.unique`` pass per level.
+        Computed once by :meth:`_compute_levels` over the chain-condensed
+        DAG; a cycle raises :class:`GraphValidationError`.
         """
         if self._level_indptr is None:
             self._compute_levels()
@@ -840,71 +843,122 @@ class ExecutionGraph:
         """Number of topological levels (the graph's longest-path depth + 1)."""
         return len(self.topo_levels()[0]) - 1
 
-    #: frontier width below which the peeling loop leaves NumPy: each level
-    #: costs a fixed ~20 array operations, so narrow-deep graphs (per-rank
-    #: chains) are cheaper to finish with plain list arithmetic
-    _LIST_PEEL_WIDTH = 32
+    #: wave width below which the level relaxation leaves NumPy: each wave
+    #: costs a fixed ~20 array operations, so the narrow waves of few-rank
+    #: graphs are cheaper to finish with plain list arithmetic
+    _LIST_WAVE_WIDTH = 32
 
     def _compute_levels(self) -> None:
+        """Compute the level structure; raise :class:`GraphValidationError` on a cycle.
+
+        A single-predecessor vertex sits ``depth`` levels below its
+        *anchor*, the nearest source or merge point up its chain, so only
+        the condensed DAG over sources and merge points needs relaxing:
+
+        1. anchor and depth of every vertex.  A contiguous id run (a rank's
+           consecutive ops, ``parent == id - 1``) collapses in one pass;
+           the remaining links are resolved by pointer jumping in at most
+           ``n.bit_length() + 1`` rounds.  A vertex still unresolved after
+           that lies on or behind a cycle of single-predecessor vertices.
+        2. Kahn relaxation over the condensed edges, one per merge in-edge
+           (``anchor(src) -> merge``, weight ``depth(src) + 1``).  Waves are
+           processed in NumPy until one is narrower than
+           :attr:`_LIST_WAVE_WIDTH`; the rest runs in list space.  A merge
+           point left undrained lies on or behind a cycle.
+        3. ``level = level[anchor] + depth`` and one stable sort, which
+           yields the level-major, vertex-id-minor order.
+        """
         n = self.num_vertices
-        indeg = np.diff(self._pred_indptr)
-        succ_indptr = self._succ_indptr
-        succ_indices = self._succ_indices
-        frontier = np.flatnonzero(indeg == 0)
-        indeg = indeg.copy()
-        parts: list[np.ndarray] = []
-        bounds: list[int] = [0]
-        done = 0
-        while frontier.size >= self._LIST_PEEL_WIDTH:
-            parts.append(frontier)
-            done += len(frontier)
-            bounds.append(done)
-            starts = succ_indptr[frontier]
-            counts = succ_indptr[frontier + 1] - starts
-            total = int(counts.sum())
-            if not total:
-                frontier = np.empty(0, dtype=np.int64)
+        indeg = self.in_degrees()
+        parent = self.chain_parent()
+        is_chain = indeg == 1
+        ids = np.arange(n, dtype=np.int64)
+        anchor = np.where(is_chain, parent, ids)
+        depth = is_chain.astype(np.int64)
+        run = is_chain & (parent == ids - 1)
+        if run.any():
+            base = np.maximum.accumulate(np.where(run, np.int64(-1), ids))
+            anchor = np.where(run, base, anchor)
+            depth = np.where(run, ids - base, depth)
+        active = np.flatnonzero(is_chain[anchor])
+        for _ in range(n.bit_length() + 1):
+            if not active.size:
                 break
-            shift = np.cumsum(counts) - counts
-            targets = succ_indices[
-                np.repeat(starts - shift, counts) + np.arange(total, dtype=np.int64)
-            ]
-            uniq, dec = np.unique(targets, return_counts=True)
-            remaining = indeg[uniq] - dec
-            indeg[uniq] = remaining
-            frontier = uniq[remaining == 0]
-        if frontier.size:
-            # narrow frontier: finish in list space (one-way hand-off) — the
-            # per-level NumPy overhead dominates once levels hold only a few
-            # vertices, e.g. deep per-rank op chains
-            indeg_list = indeg.tolist()
-            indptr_list = succ_indptr.tolist()
-            succ_list = succ_indices.tolist()
-            wave = sorted(frontier.tolist())
-            while wave:
-                parts.append(np.asarray(wave, dtype=np.int64))
-                done += len(wave)
-                bounds.append(done)
-                nxt: list[int] = []
-                for v in wave:
-                    for u in succ_list[indptr_list[v]: indptr_list[v + 1]]:
-                        remaining = indeg_list[u] - 1
-                        indeg_list[u] = remaining
-                        if not remaining:
-                            nxt.append(u)
-                nxt.sort()
-                wave = nxt
-        if done != n:
+            up = anchor[active]
+            depth[active] += depth[up]
+            anchor[active] = anchor[up]
+            active = active[is_chain[anchor[active]]]
+        if active.size:
             raise GraphValidationError(
-                f"graph contains a cycle: only {done} of {n} vertices were ordered"
+                f"graph contains a cycle: {active.size} single-predecessor "
+                "vertices never reach a source or merge point"
             )
-        order = (
-            np.concatenate(parts).astype(np.int64, copy=False)
-            if parts
-            else np.empty(0, dtype=np.int64)
-        )
-        self._topo_order = order
-        self._level_indptr = np.asarray(bounds, dtype=np.int64)
+
+        level = np.zeros(n, dtype=np.int64)
+        is_merge = indeg >= 2
+        into_merge = is_merge[self.edge_dst]
+        if into_merge.any():
+            src = self.edge_src[into_merge]
+            tail = anchor[src]
+            by_tail = np.argsort(tail, kind="stable")
+            target = self.edge_dst[into_merge][by_tail]
+            weight = (depth[src] + 1)[by_tail]
+            out_indptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(tail, minlength=n), out=out_indptr[1:])
+            remaining = indeg.copy()
+            slot = np.empty(n, dtype=np.int64)
+            wave = np.flatnonzero(indeg == 0)
+            settled = 0
+            while wave.size >= self._LIST_WAVE_WIDTH:
+                starts = out_indptr[wave]
+                counts = out_indptr[wave + 1] - starts
+                pos = np.repeat(starts - np.cumsum(counts) + counts, counts)
+                pos += np.arange(len(pos), dtype=np.int64)
+                hit = target[pos]
+                np.maximum.at(level, hit, np.repeat(level[wave], counts) + weight[pos])
+                np.subtract.at(remaining, hit, 1)
+                hit = hit[remaining[hit] == 0]
+                # one copy of each drained merge point: exactly one
+                # duplicate's write to ``slot`` lands, whichever it is
+                rows = np.arange(len(hit), dtype=np.int64)
+                slot[hit] = rows
+                wave = hit[slot[hit] == rows]
+                settled += len(wave)
+            if wave.size:
+                level_list = level.tolist()
+                remaining_list = remaining.tolist()
+                bounds = out_indptr.tolist()
+                targets = target.tolist()
+                weights = weight.tolist()
+                wave_list = wave.tolist()
+                while wave_list:
+                    drained = []
+                    for v in wave_list:
+                        base_level = level_list[v]
+                        for at in range(bounds[v], bounds[v + 1]):
+                            u = targets[at]
+                            reach = base_level + weights[at]
+                            if reach > level_list[u]:
+                                level_list[u] = reach
+                            remaining_list[u] -= 1
+                            if not remaining_list[u]:
+                                drained.append(u)
+                    settled += len(drained)
+                    wave_list = drained
+                level = np.asarray(level_list, dtype=np.int64)
+            merges = int(np.count_nonzero(is_merge))
+            if settled != merges:
+                raise GraphValidationError(
+                    f"graph contains a cycle: only {settled} of {merges} "
+                    "merge points were levelled"
+                )
+
+        level = level[anchor] + depth
+        widths = np.bincount(level)
+        indptr = np.zeros(len(widths) + 1, dtype=np.int64)
+        np.cumsum(widths, out=indptr[1:])
+        self._topo_order = np.argsort(level, kind="stable")
+        self._level_indptr = indptr
 
     def validate(self) -> None:
         """Check structural invariants; raise :class:`GraphValidationError` otherwise.
@@ -1038,123 +1092,6 @@ class ExecutionGraph:
             f"ExecutionGraph(nranks={self.nranks}, vertices={s['vertices']}, "
             f"messages={s['comm_edges']})"
         )
-
-
-def chain_condensed_levels(graph: "ExecutionGraph") -> tuple[np.ndarray, np.ndarray]:
-    """Compute ``(level_indptr, order)`` via the chain-condensed DAG.
-
-    Produces exactly the level structure of
-    :meth:`ExecutionGraph.topo_levels` — longest-path levels, vertices sorted
-    level-major / vertex-id-minor — but without the per-level frontier peel.
-    Single-predecessor chain vertices have ``level(v) = level(anchor) +
-    depth`` where ``anchor`` is the nearest source/merge ancestor, so only
-    the condensed DAG over sources and merge points needs relaxation:
-
-    1. anchor/depth for every chain vertex by pointer jumping (O(log chain)),
-    2. wave relaxation of merge levels over the condensed edges
-       (one condensed edge per merge in-edge, weight ``depth(src) + 1``),
-    3. ``level = level[anchor] + depth`` and one stable argsort.
-
-    Longest-path levels are unique, and a stable sort by level reproduces the
-    deterministic order contract bit-for-bit, so the result is
-    interchangeable with the peeled structure.  Intended for graphs whose
-    construction is trusted
-    (:func:`~repro.schedgen.columnar.build_columnar_fused`); unlike the peel
-    it is not a general cycle detector, though an undrained condensed DAG — a
-    cycle through merge points — still raises.
-    """
-    n = graph.num_vertices
-    if n == 0:
-        return np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64)
-    indeg = graph.in_degrees()
-    parent = graph.chain_parent()
-
-    # -- 1. anchor + depth of every vertex (pointer jumping) -----------------
-    is_chain = indeg == 1
-    ids = np.arange(n, dtype=np.int64)
-    anchor = np.where(is_chain, parent, ids)
-    depth = is_chain.astype(np.int64)
-    # Vertex ids are emission-ordered, so the dominant chain shape — a rank's
-    # consecutive compute ops — is a contiguous id run whose links satisfy
-    # parent == id - 1.  Collapse those runs in one O(n) pass (anchor = the
-    # last non-run vertex at or before each position, depth = the distance),
-    # which leaves the pointer-jumping loop only the sparse non-contiguous
-    # links (cross-segment continuations): O(log #segments) iterations
-    # instead of O(log chain-length).  The seed is a valid partial
-    # compression, so the fixpoint — and the final levels — are unchanged.
-    run = is_chain & (parent == ids - 1)
-    if run.any():
-        base = np.maximum.accumulate(np.where(run, np.int64(-1), ids))
-        anchor = np.where(run, base, anchor)
-        depth = np.where(run, ids - base, depth)
-    # After the seed only the sparse cross-segment links remain unresolved,
-    # so jump on that index subset instead of re-scanning the full arrays.
-    active = np.flatnonzero(is_chain[anchor])
-    while active.size:
-        a = anchor[active]
-        depth[active] += depth[a]
-        anchor[active] = anchor[a]
-        active = active[is_chain[anchor[active]]]
-
-    # -- 2. wave relaxation of merge levels over the condensed DAG -----------
-    level = np.zeros(n, dtype=np.int64)
-    merges = np.flatnonzero(indeg >= 2)
-    num_final = 0
-    if merges.size:
-        # one condensed edge per merge in-edge: anchor(src) -> merge,
-        # weight depth(src) + 1
-        starts = graph._pred_indptr[merges]
-        counts = indeg[merges]
-        total = int(counts.sum())
-        shift = np.cumsum(counts) - counts
-        eids = graph._pred_edges[
-            np.repeat(starts - shift, counts) + np.arange(total, dtype=np.int64)
-        ]
-        src = graph.edge_src[eids]
-        e_anchor = anchor[src]
-        e_weight = depth[src] + 1
-        e_target = np.repeat(merges, counts)
-        # group condensed edges by anchor (CSR) for per-wave gathering
-        a_counts = np.bincount(e_anchor, minlength=n)
-        a_indptr = np.zeros(n + 1, dtype=np.int64)
-        a_indptr[1:] = np.cumsum(a_counts)
-        a_order = np.argsort(e_anchor, kind="stable")
-        w_sorted = e_weight[a_order]
-        t_sorted = e_target[a_order]
-        remaining = np.zeros(n, dtype=np.int64)
-        remaining[merges] = counts
-        wave = np.flatnonzero(indeg == 0)
-        while wave.size:
-            w_starts = a_indptr[wave]
-            w_counts = a_counts[wave]
-            w_total = int(w_counts.sum())
-            if not w_total:
-                break
-            w_shift = np.cumsum(w_counts) - w_counts
-            idx = np.repeat(w_starts - w_shift, w_counts) + np.arange(
-                w_total, dtype=np.int64
-            )
-            tgt = t_sorted[idx]
-            cand = np.repeat(level[wave], w_counts) + w_sorted[idx]
-            np.maximum.at(level, tgt, cand)
-            uniq, dec = np.unique(tgt, return_counts=True)
-            rem = remaining[uniq] - dec
-            remaining[uniq] = rem
-            wave = uniq[rem == 0]
-            num_final += len(wave)
-        if num_final != merges.size:
-            raise GraphValidationError(
-                "graph contains a cycle: only "
-                f"{num_final} of {merges.size} merge points were levelled"
-            )
-
-    # -- 3. full levels + one stable sort ------------------------------------
-    level = level[anchor] + depth
-    order = np.argsort(level, kind="stable")
-    widths = np.bincount(level)
-    indptr = np.zeros(len(widths) + 1, dtype=np.int64)
-    indptr[1:] = np.cumsum(widths)
-    return indptr, order
 
 
 def _build_csr(

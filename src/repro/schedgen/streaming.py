@@ -744,7 +744,6 @@ def load_goal_chunked(
     *,
     chunk_size: int | str | None = "auto",
     mmap_dir: str | os.PathLike | None = None,
-    validate: bool = True,
 ) -> ExecutionGraph:
     """Stream a GOAL file into an execution graph with bounded staging.
 
@@ -752,16 +751,14 @@ def load_goal_chunked(
     ``content_digest()``): statements flush through the bulk builder APIs in
     parse order, just every ``chunk_size`` statements instead of per block.
     With ``mmap_dir`` the builder's columns are disk-backed
-    (:class:`~repro.schedgen.graph.GraphBuilder`), and the returned graph is
-    attached **zero-copy** over them rather than frozen — the caller owns
-    ``mmap_dir`` for the graph's lifetime.  ``validate=True`` (default) runs
-    the full structural validation including the cycle-detecting frontier
-    peel, which untrusted GOAL input should keep."""
+    (:class:`~repro.schedgen.graph.GraphBuilder`) and the frozen graph keeps
+    them — the caller owns ``mmap_dir`` for the graph's lifetime.  The graph
+    is validated like every frozen graph, so a cyclic schedule raises
+    :class:`~repro.schedgen.graph.GraphValidationError`."""
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as handle:
             return load_goal_chunked(
                 handle, chunk_size=chunk_size, mmap_dir=mmap_dir,
-                validate=validate,
             )
     from .builder import UnmatchedMessageError
     from .columnar import match_messages
@@ -836,18 +833,4 @@ def load_goal_chunked(
             f"unmatched send/recv operations in GOAL file: {exc}"
         ) from exc
 
-    nv, ne = builder.num_vertices, builder.num_edges
-    columns = {
-        "kind": builder._vkind[:nv],
-        "rank": builder._vrank[:nv],
-        "cost": builder._vcost[:nv],
-        "size": builder._vsize[:nv],
-        "peer": builder._vpeer[:nv],
-        "tag": builder._vtag[:nv],
-        "edge_src": builder._esrc[:ne],
-        "edge_dst": builder._edst[:ne],
-        "edge_kind": builder._ekind[:ne],
-    }
-    return ExecutionGraph.from_columns(
-        nranks, columns, builder._label, validate=validate
-    )
+    return builder.freeze()

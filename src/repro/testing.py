@@ -15,7 +15,11 @@ code never imports it:
   :func:`repro.simulator.simulate`, the level-synchronous engine);
 * :func:`lp_summary` / :func:`lp_sensitivity_curve` — the analyzer's
   metrics answered by the paper's LP solves, one per point (production:
-  reads on one forward envelope).
+  reads on one forward envelope);
+* :func:`frontier_peel_levels` — the topological levels by peeling one
+  in-degree-zero frontier per level (production:
+  :meth:`~repro.schedgen.graph.ExecutionGraph.topo_levels`, Kahn relaxation
+  over the chain-condensed DAG).
 
 The op-by-op graph builder stays in :mod:`repro.schedgen.builder`, as the
 ``"legacy"`` oracle switch of
@@ -33,7 +37,13 @@ from .core.analyzer import SensitivityCurve
 from .core.lp_builder import GraphLP, _pair_key, build_lp
 from .lp.model import LinearExpr, LPModel, Sense, Variable
 from .network.params import LogGPSParams
-from .schedgen.graph import EdgeKind, ExecutionGraph, GraphBuilder, VertexKind
+from .schedgen.graph import (
+    EdgeKind,
+    ExecutionGraph,
+    GraphBuilder,
+    GraphValidationError,
+    VertexKind,
+)
 from .simulator.injector import IdealInjector, LatencyInjector
 from .simulator.loggops import SimulationResult
 from .simulator.noise import NoiseModel, NoNoise
@@ -43,6 +53,7 @@ __all__ = [
     "build_staircase",
     "build_random_dag",
     "build_random_program",
+    "frontier_peel_levels",
     "build_lp_symbolic",
     "lp_summary",
     "lp_sensitivity_curve",
@@ -213,6 +224,44 @@ def build_random_program(
             )
     program.validate()
     return program
+
+
+def frontier_peel_levels(graph: ExecutionGraph) -> tuple[np.ndarray, np.ndarray]:
+    """The level structure ``(indptr, order)`` by frontier peeling.
+
+    The definition walked literally, in list space: emit every vertex whose
+    predecessors are all emitted as the next level, in ascending vertex id,
+    and decrement its successors' in-degrees.  Like any per-level peel it
+    pays a fixed cost per level (here one NumPy array each), which is what
+    ``benchmarks/bench_fused_pipeline.py`` times the level engine against
+    on a deep chain.  Raises
+    :class:`~repro.schedgen.graph.GraphValidationError` when a cycle leaves
+    vertices unemitted.
+    """
+    n = graph.num_vertices
+    indeg = graph.in_degrees().tolist()
+    indptr = graph._succ_indptr.tolist()
+    succ = graph._succ_indices.tolist()
+    parts: list[np.ndarray] = []
+    bounds = [0]
+    wave = [v for v in range(n) if not indeg[v]]
+    while wave:
+        parts.append(np.asarray(wave, dtype=np.int64))
+        bounds.append(bounds[-1] + len(wave))
+        nxt = []
+        for v in wave:
+            for u in succ[indptr[v]: indptr[v + 1]]:
+                indeg[u] -= 1
+                if not indeg[u]:
+                    nxt.append(u)
+        nxt.sort()
+        wave = nxt
+    if bounds[-1] != n:
+        raise GraphValidationError(
+            f"graph contains a cycle: only {bounds[-1]} of {n} vertices were ordered"
+        )
+    order = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+    return np.asarray(bounds, dtype=np.int64), order
 
 
 def build_lp_symbolic(

@@ -165,8 +165,8 @@ class TestCriticalLatenciesAndSummary:
 
 class TestFusedEngine:
     """Analyzers built from programs and op batches instead of frozen graphs
-    (``from_program`` / ``from_batches``, the latter over the zero-copy
-    fused graph build)."""
+    (``from_program`` / ``from_batches``, the latter through
+    ``ScheduleBatches.graph_for``)."""
 
     @staticmethod
     def _program():

@@ -186,7 +186,7 @@ class TestBatchedSweepGraphs:
         program = run_program(app, 4)
         params = LogGPSParams(L=1.0, o=0.5, g=0.0, G=0.001)
         graph = build_graph(program, protocol=ProtocolConfig.from_params(params))
-        # the spec's zero-copy graph dedupes with the frozen one by digest
+        # the spec's graph dedupes with the program-built one by digest
         spec_graph = ScheduleBatches.from_program(program).graph_for(params)
         env_graph, env_spec = batched_sweep_graphs(
             [graph, spec_graph], params, l_min=0.0, l_max=50.0

@@ -74,7 +74,7 @@ class TestBulkBuilderAPI:
         g_vids = b.add_vertices(VertexKind.RECV, 0, size=8, peer=np.arange(4), tag=3)
         assert list(g_vids) == [4, 5, 6, 7]
         b.add_comm_edges(vids, g_vids)
-        g = b.freeze(validate=False)
+        g = b.freeze()
         assert g.num_vertices == 8 and g.num_edges == 4
         assert list(g.size) == [8] * 8
         assert list(g.rank[:4]) == [0, 1, 2, 3]
@@ -248,25 +248,19 @@ class TestExecutionGraph:
             )
 
     def test_topo_levels_narrow_and_wide_paths_agree(self):
-        # the peeling loop hands off from NumPy to list space on narrow
-        # frontiers; both regimes must produce the same structure
-        from repro.schedgen import graph as graph_module
-        from repro.testing import build_random_dag
+        # the level relaxation hands off from NumPy to list space once a
+        # wave is narrower than _LIST_WAVE_WIDTH; all-NumPy, all-list and
+        # the default hand-off must produce the frontier peel's structure
+        from repro.testing import build_random_dag, frontier_peel_levels
 
-        g = build_random_dag(7, nranks=4, rounds=15)
-        indptr, order = g.topo_levels()
-        rebuilt = ExecutionGraph(
-            g.nranks, g.kind, g.rank, g.cost, g.size, g.peer, g.tag,
-            g.edge_src, g.edge_dst, g.edge_kind,
-        )
-        original = graph_module.ExecutionGraph._LIST_PEEL_WIDTH
-        graph_module.ExecutionGraph._LIST_PEEL_WIDTH = 1  # pure NumPy peel
-        try:
-            indptr2, order2 = rebuilt.topo_levels()
-        finally:
-            graph_module.ExecutionGraph._LIST_PEEL_WIDTH = original
-        np.testing.assert_array_equal(indptr, indptr2)
-        np.testing.assert_array_equal(order, order2)
+        g = build_random_dag(7, nranks=40, rounds=60)
+        expected = frontier_peel_levels(g)
+        for width in (1, ExecutionGraph._LIST_WAVE_WIDTH, g.num_vertices + 1):
+            rebuilt = ExecutionGraph.from_columns(g.nranks, g.identity_columns())
+            rebuilt._LIST_WAVE_WIDTH = width
+            indptr, order = rebuilt.topo_levels()
+            np.testing.assert_array_equal(indptr, expected[0], err_msg=str(width))
+            np.testing.assert_array_equal(order, expected[1], err_msg=str(width))
 
     def test_cycle_detection(self):
         b = GraphBuilder(nranks=1)

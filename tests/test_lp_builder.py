@@ -133,7 +133,7 @@ class TestAgainstGraphAnalysis:
 
 
 class TestFusedEngineOption:
-    """LPs of the zero-copy graph a :class:`ScheduleBatches` spec materialises."""
+    """LPs of the graph a :class:`ScheduleBatches` spec builds."""
 
     @staticmethod
     def _program_and_graph(params):

@@ -262,7 +262,8 @@ class TestArrayRoundTrip:
 
 
 class TestCompileFromBatches:
-    """Op batches → never-frozen graph → CSR: ``compile_lp(build_columnar_fused(...))``."""
+    """Op batches → ``ScheduleBatches.graph_for`` → CSR, against the same
+    columns levelled by the frontier-peel oracle."""
 
     @staticmethod
     def _workload():
@@ -283,34 +284,34 @@ class TestCompileFromBatches:
         return batches_from_program(program), program.nranks
 
     @pytest.mark.parametrize("lm,gm", [("global", "constant"), ("per_pair", "per_pair")])
-    def test_bit_identical_to_freeze_then_compile(self, lm, gm):
+    def test_bit_identical_to_peel_levelled_compile(self, lm, gm):
         from repro.lp.compiler import compile_lp
-        from repro.schedgen.builder import ProtocolConfig
-        from repro.schedgen.collectives import CollectiveAlgorithms
-        from repro.schedgen.columnar import build_columnar, build_columnar_fused
+        from repro.schedgen.columnar import ScheduleBatches
+        from repro.schedgen.graph import ExecutionGraph
+        from repro.testing import frontier_peel_levels
 
         batches, nranks = self._workload()
-        algorithms = CollectiveAlgorithms()
-        protocol = ProtocolConfig.from_params(PARAMS)
-        frozen_graph = build_columnar(
-            batches, nranks, algorithms=algorithms, protocol=protocol
+        graph = ScheduleBatches(batches, nranks).graph_for(PARAMS)
+        indptr, order = frontier_peel_levels(graph)
+        peeled = ExecutionGraph.from_columns(
+            nranks, graph.identity_columns(), graph.labels,
+            topo_order=order, level_indptr=indptr,
         )
-        frozen = compile_lp(frozen_graph, PARAMS, latency_mode=lm, gap_mode=gm)
-        fused_graph = build_columnar_fused(
-            batches, nranks, algorithms=algorithms, protocol=protocol
-        )
-        fused = compile_lp(fused_graph, PARAMS, latency_mode=lm, gap_mode=gm)
-        a, b = frozen.model.to_arrays(), fused.model.to_arrays()
+        # the compiler orders its variables by the level structure, so equal
+        # CSR arrays pin the engine's levels to the oracle's
+        ours = compile_lp(graph, PARAMS, latency_mode=lm, gap_mode=gm)
+        oracle = compile_lp(peeled, PARAMS, latency_mode=lm, gap_mode=gm)
+        a, b = oracle.model.to_arrays(), ours.model.to_arrays()
         assert a.keys() == b.keys()
         for key in a:
             if isinstance(a[key], np.ndarray):
                 np.testing.assert_array_equal(a[key], b[key], err_msg=key)
             else:
                 assert a[key] == b[key], key
-        f_sol = frozen.model.solve(backend="highs")
-        g_sol = fused.model.solve(backend="highs")
-        assert g_sol.objective == f_sol.objective
-        np.testing.assert_array_equal(g_sol.duals, f_sol.duals)
+        o_sol = oracle.model.solve(backend="highs")
+        g_sol = ours.model.solve(backend="highs")
+        assert g_sol.objective == o_sol.objective
+        np.testing.assert_array_equal(g_sol.duals, o_sol.duals)
 
     def test_analyze_only_graph_attached(self):
         from repro.core import LatencyAnalyzer

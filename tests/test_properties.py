@@ -208,15 +208,15 @@ def test_trace_pipeline_preserves_runtime(nranks, delta):
 
 
 # ---------------------------------------------------------------------------
-# fused batches → CSR pipeline equals freeze-then-compile, bit for bit
+# the level engine equals the frontier-peel oracle
 # ---------------------------------------------------------------------------
 
 def _random_program_with_collectives(seed: int, nranks: int):
     """A random point-to-point program with one collective round appended.
 
     The collective round makes the ``CollectiveAlgorithms`` axis meaningful:
-    different expansions reshape the emitted schedule, so fused/frozen parity
-    must hold per algorithm, not just for the point-to-point subset.
+    different expansions reshape the emitted schedule, so the levels must
+    match per algorithm, not just for the point-to-point subset.
     """
     from repro.mpi.program import OpKind, ProgramOp
     from repro.testing import build_random_program
@@ -235,56 +235,25 @@ def _random_program_with_collectives(seed: int, nranks: int):
     allreduce=st.sampled_from(("recursive_doubling", "ring", "reduce_bcast")),
     allgather=st.sampled_from(("ring", "recursive_doubling")),
     rendezvous=st.booleans(),
-    latency_mode=st.sampled_from(("global", "per_pair")),
 )
-def test_fused_compile_equals_freeze_then_compile(
-    seed, nranks, allreduce, allgather, rendezvous, latency_mode
-):
-    from repro.lp import compile_lp
+def test_levels_equal_frontier_peel(seed, nranks, allreduce, allgather, rendezvous):
     from repro.schedgen.builder import ProtocolConfig
     from repro.schedgen.collectives import CollectiveAlgorithms
-    from repro.schedgen.columnar import (
-        batches_from_program,
-        build_columnar,
-        build_columnar_fused,
-    )
+    from repro.schedgen.columnar import ScheduleBatches
+    from repro.testing import frontier_peel_levels
 
     program = _random_program_with_collectives(seed, nranks)
-    batches = batches_from_program(program)
     algorithms = CollectiveAlgorithms(allreduce=allreduce, allgather=allgather)
     # A small eager threshold routes the "big" messages through the RTS/CTS
     # handshake when rendezvous expansion is on; off keeps them single-edge.
     protocol = ProtocolConfig(eager_threshold=1024, expand_rendezvous=rendezvous)
-    params = LogGPSParams(L=1.4, o=0.3, g=0.2, G=0.004, S=1024)
+    graph = ScheduleBatches.from_program(
+        program, algorithms=algorithms, protocol=protocol
+    ).graph_for(LogGPSParams())
 
-    fused_graph = build_columnar_fused(
-        batches, nranks, algorithms=algorithms, protocol=protocol
-    )
-    fused = compile_lp(fused_graph, params, latency_mode=latency_mode)
-    graph = build_columnar(batches, nranks, algorithms=algorithms, protocol=protocol)
-    frozen = compile_lp(graph, params, latency_mode=latency_mode)
+    indptr, order = graph.topo_levels()
+    p_indptr, p_order = frontier_peel_levels(graph)
+    np.testing.assert_array_equal(indptr, p_indptr)
+    np.testing.assert_array_equal(order, p_order)
 
-    # structure: same variables, identical CSR arrays
-    assert [v.name for v in fused.model.variables] == [
-        v.name for v in frozen.model.variables
-    ]
-    fused_arrays = fused.model.to_arrays()
-    frozen_arrays = frozen.model.to_arrays()
-    assert fused_arrays.keys() == frozen_arrays.keys()
-    for key in fused_arrays:
-        a, b = fused_arrays[key], frozen_arrays[key]
-        if isinstance(a, np.ndarray):
-            np.testing.assert_array_equal(a, b, err_msg=key)
-        else:
-            assert a == b, key
-    # the fused graph is content-identical: caches key both paths together
-    assert fused_graph.content_digest() == graph.content_digest()
 
-    # solution: identical arrays solve to identical objective and duals
-    a = fused.model.solve(backend="highs")
-    b = frozen.model.solve(backend="highs")
-    assert a.objective == b.objective
-    np.testing.assert_array_equal(a.values, b.values)
-    assert (a.duals is None) == (b.duals is None)
-    if a.duals is not None:
-        np.testing.assert_array_equal(a.duals, b.duals)

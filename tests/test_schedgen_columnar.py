@@ -28,7 +28,11 @@ from repro.schedgen import (
 )
 from repro.schedgen.builder import UnmatchedMessageError
 from repro.schedgen.collectives import COLLECTIVE_TAG_LIMIT, next_collective_tag
-from repro.testing import build_lp_symbolic, build_random_program
+from repro.testing import (
+    build_lp_symbolic,
+    build_random_program,
+    frontier_peel_levels,
+)
 
 PARAMS = LogGPSParams(L=1.0, o=0.5, g=0.0, G=0.001)
 
@@ -457,13 +461,12 @@ class TestGoalColumnarIngestion:
             loads_goal("num_ranks 2\n\nrank 0 {\n  l1: calc 100\nrank 1 {\n}\n")
 
 
-class TestFusedBuild:
-    """The analyze-only fused path vs freeze-then-validate.
+class TestLevelEngine:
+    """One attach path, one level engine.
 
-    ``build_columnar_fused`` must attach a graph whose identity columns,
-    labels, level structure and content digest are bit-identical to the
-    frozen ones, with the levels coming from the chain-condensed engine
-    instead of the frontier peel.
+    ``GraphBuilder.freeze`` adopts the builder's columns and validates; the
+    levels of ``topo_levels`` must equal the frontier-peel oracle
+    (:func:`repro.testing.frontier_peel_levels`), and every cycle raises.
     """
 
     @staticmethod
@@ -483,76 +486,18 @@ class TestFusedBuild:
         return run_program(app, nranks)
 
     @staticmethod
-    def _pair(program):
-        from repro.schedgen.columnar import (
-            batches_from_program,
-            build_columnar,
-            build_columnar_fused,
-        )
-
-        algorithms = CollectiveAlgorithms()
-        protocol = ProtocolConfig.from_params(PARAMS)
-        batches = batches_from_program(program)
-        frozen = build_columnar(
-            batches, program.nranks, algorithms=algorithms, protocol=protocol
-        )
-        fused = build_columnar_fused(
-            batches, program.nranks, algorithms=algorithms, protocol=protocol
-        )
-        return frozen, fused
-
-    def test_columns_and_digest_bit_identical(self):
-        frozen, fused = self._pair(self._program())
-        assert_identical(frozen, fused)
-        assert fused.content_digest() == frozen.content_digest()
-
-    def test_condensed_levels_match_frontier_peel(self):
-        frozen, fused = self._pair(self._program())
-        indptr, order = frozen.topo_levels()
-        f_indptr, f_order = fused.topo_levels()
-        assert np.array_equal(indptr, f_indptr)
-        assert np.array_equal(order, f_order)
-
-    def test_chain_condensed_levels_on_random_programs(self):
-        from repro.schedgen.graph import chain_condensed_levels
-
-        for seed in range(8):
-            graph = build_graph(build_random_program(seed, nranks=4))
-            indptr, order = graph.topo_levels()
-            c_indptr, c_order = chain_condensed_levels(graph)
-            assert np.array_equal(indptr, c_indptr), seed
-            assert np.array_equal(order, c_order), seed
-
-    def test_chain_condensed_levels_on_deep_contiguous_chain(self):
-        # the run-collapse seed's home turf: one rank-0 chain of contiguous
-        # vertex ids, everyone else nearly idle, levels ≈ vertices
-        from repro.schedgen.graph import chain_condensed_levels
-
-        def app(comm):
-            for _ in range(2):
-                chain = 500 if comm.rank == 0 else 1
-                for _ in range(chain):
-                    comm.compute(0.5)
-                comm.allreduce(64)
-
-        graph = build_graph(run_program(app, 4))
+    def _assert_levels_match_peel(graph, context=None):
         indptr, order = graph.topo_levels()
-        c_indptr, c_order = chain_condensed_levels(graph)
-        assert np.array_equal(indptr, c_indptr)
-        assert np.array_equal(order, c_order)
+        p_indptr, p_order = frontier_peel_levels(graph)
+        assert np.array_equal(indptr, p_indptr), context
+        assert np.array_equal(order, p_order), context
 
-    def test_chain_condensed_levels_detect_merge_cycle(self):
-        # the condensed engine is no general cycle detector, but a cycle
-        # through merge points must still surface as an undrained wave
-        from repro.schedgen import GraphValidationError
-        from repro.schedgen.graph import (
-            ExecutionGraph,
-            VertexKind,
-            EdgeKind,
-            chain_condensed_levels,
-        )
+    @staticmethod
+    def _calc_graph(n, edges):
+        """``n`` compute vertices on one rank, attached without validation."""
+        from repro.schedgen.graph import EdgeKind, ExecutionGraph, VertexKind
 
-        n = 3
+        src, dst = zip(*edges)
         columns = {
             "kind": np.full(n, int(VertexKind.CALC), dtype=np.int8),
             "rank": np.zeros(n, dtype=np.int32),
@@ -560,21 +505,80 @@ class TestFusedBuild:
             "size": np.zeros(n, dtype=np.int64),
             "peer": np.full(n, -1, dtype=np.int32),
             "tag": np.zeros(n, dtype=np.int64),
-            # 0 and 1 are mutual merge points (in-degree 2), fed by source 2
-            "edge_src": np.array([2, 1, 2, 0], dtype=np.int64),
-            "edge_dst": np.array([0, 0, 1, 1], dtype=np.int64),
-            "edge_kind": np.full(4, int(EdgeKind.DEP), dtype=np.int8),
+            "edge_src": np.array(src, dtype=np.int64),
+            "edge_dst": np.array(dst, dtype=np.int64),
+            "edge_kind": np.full(len(edges), int(EdgeKind.DEP), dtype=np.int8),
         }
-        graph = ExecutionGraph.from_columns(1, columns, validate=False)
+        return ExecutionGraph.from_columns(1, columns)
+
+    def test_freeze_adopts_builder_columns(self):
+        from repro.schedgen.graph import GraphBuilder
+
+        builder = GraphBuilder(nranks=2)
+        calc = builder.add_calc(0, 1.0)
+        send = builder.add_send(0, 1, 8)
+        recv = builder.add_recv(1, 0, 8)
+        builder.add_dependency(calc, send)
+        builder.add_comm_edge(send, recv)
+        graph = builder.freeze()
+        assert np.shares_memory(graph.kind, builder.kind_column())
+        frozen = {name: column.copy() for name, column in graph.identity_columns().items()}
+        digest = graph.content_digest()
+        # appends write past the frozen bounds, through buffer growth too
+        tail = builder.add_vertices(0, 1, cost=2.0, count=200)
+        builder.add_dependencies(tail[:-1], tail[1:])
+        builder.add_dependency(recv, int(tail[0]))
+        for name, column in frozen.items():
+            np.testing.assert_array_equal(getattr(graph, name), column, err_msg=name)
+        assert graph.num_vertices == 3 and graph.num_edges == 2
+        grown = builder.freeze()
+        assert grown.num_vertices == 203 and grown.num_edges == 202
+        rebuilt = type(graph).from_columns(graph.nranks, graph.identity_columns())
+        assert rebuilt.content_digest() == digest
+
+    def test_graph_for_levels_match_frontier_peel(self):
+        from repro.schedgen.columnar import ScheduleBatches
+
+        graph = ScheduleBatches.from_program(self._program()).graph_for(PARAMS)
+        self._assert_levels_match_peel(graph)
+
+    def test_levels_match_frontier_peel_on_random_programs(self):
+        for seed in range(8):
+            graph = build_graph(build_random_program(seed, nranks=4))
+            self._assert_levels_match_peel(graph, seed)
+
+    def test_levels_match_frontier_peel_on_deep_contiguous_chain(self):
+        # the run collapse's home turf: one rank-0 chain of contiguous
+        # vertex ids, everyone else nearly idle, levels ≈ vertices
+        def app(comm):
+            for _ in range(2):
+                chain = 500 if comm.rank == 0 else 1
+                for _ in range(chain):
+                    comm.compute(0.5)
+                comm.allreduce(64)
+
+        self._assert_levels_match_peel(build_graph(run_program(app, 4)))
+
+    @pytest.mark.parametrize("n,edges", [
+        # 0 -> 1 -> 0: single-predecessor vertices that never reach an anchor
+        (2, [(0, 1), (1, 0)]),
+        # a self-loop, and a chain hanging off it
+        (2, [(0, 0), (0, 1)]),
+        # 0 and 1 are mutual merge points (in-degree 2), fed by source 2
+        (3, [(2, 0), (1, 0), (2, 1), (0, 1)]),
+    ], ids=["two-cycle", "self-loop", "merge-cycle"])
+    def test_cycle_raises(self, n, edges):
+        from repro.schedgen import GraphValidationError
+
         with pytest.raises(GraphValidationError, match="cycle"):
-            chain_condensed_levels(graph)
+            self._calc_graph(n, edges).topo_levels()
 
 
 class TestScheduleBatches:
     def test_graph_cached_per_protocol(self):
         from repro.schedgen.columnar import ScheduleBatches
 
-        program = TestFusedBuild._program()
+        program = TestLevelEngine._program()
         spec = ScheduleBatches.from_program(program)
         first = spec.graph_for(PARAMS)
         assert spec.graph_for(PARAMS) is first
@@ -582,19 +586,20 @@ class TestScheduleBatches:
         other = LogGPSParams(L=1.0, o=0.5, g=0.0, G=0.001, S=64)
         assert spec.graph_for(other) is not first
 
-    def test_digest_equals_frozen_graph(self):
+    def test_digest_equals_program_graph(self):
         from repro.schedgen.columnar import ScheduleBatches
 
-        program = TestFusedBuild._program()
-        frozen, _ = TestFusedBuild._pair(program)
+        program = TestLevelEngine._program()
         spec = ScheduleBatches.from_program(program)
-        assert spec.content_digest(PARAMS) == frozen.content_digest()
+        assert spec.content_digest(PARAMS) == build_graph(
+            program, params=PARAMS
+        ).content_digest()
 
     def test_explicit_protocol_wins(self):
         from repro.schedgen.columnar import ScheduleBatches
 
         protocol = ProtocolConfig(eager_threshold=64, expand_rendezvous=True)
-        program = TestFusedBuild._program()
+        program = TestLevelEngine._program()
         spec = ScheduleBatches.from_program(program, protocol=protocol)
         assert spec.resolve_protocol(PARAMS) is protocol
         # the 128-byte ring messages go rendezvous under the 64-byte
@@ -605,7 +610,7 @@ class TestScheduleBatches:
     def test_mismatched_batch_count_rejected(self):
         from repro.schedgen.columnar import ScheduleBatches, batches_from_program
 
-        program = TestFusedBuild._program()
+        program = TestLevelEngine._program()
         spec = ScheduleBatches(batches_from_program(program), nranks=7)
         with pytest.raises(ValueError, match="batches"):
             spec.graph_for(PARAMS)

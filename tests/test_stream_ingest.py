@@ -2,7 +2,7 @@
 
 The contract under test is exact: for any valid input,
 :func:`repro.schedgen.streaming.batches_from_trace_chunked` must produce the
-same column bytes — and therefore the same fused-graph ``content_digest()``
+same column bytes — and therefore the same graph ``content_digest()``
 — as ``batches_from_trace(load_trace(...))`` for **every** chunk size,
 including sizes that split a rendezvous triple, a waitall group, or a
 compute-gap pair across block boundaries.  Likewise
@@ -10,13 +10,18 @@ compute-gap pair across block boundaries.  Likewise
 :func:`~repro.schedgen.goal.load_goal` byte-for-byte, with or without
 memory-mapped builder columns, and the memory-mapped artifact loads of
 :mod:`repro.artifacts` must preserve digests while holding no file
-descriptors open.
+descriptors open.  Malformed input — a deadlocked trace among it — must
+fail fast: with a ``GraphValidationError`` from the library and a one-line
+reason from ``llamp ingest``.
 """
 
 from __future__ import annotations
 
 import io
 import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +46,19 @@ from repro.testing import build_random_program, build_running_example
 from repro.trace.format import TraceFormatError, dumps_trace, loads_trace
 
 PARAMS = LogGPSParams()
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# each rank receives before it sends: the schedule is one cycle of
+# single-predecessor vertices, a deadlock
+DEADLOCK_TRACE = """\
+# llamp-trace v1
+@rank 0
+MPI_Recv:1.0:2.0:peer=1:size=8:tag=0
+MPI_Send:2.0:3.0:peer=1:size=8:tag=0
+@rank 1
+MPI_Recv:1.0:2.0:peer=0:size=8:tag=0
+MPI_Send:2.0:3.0:peer=0:size=8:tag=0
+"""
 
 BATCH_COLUMNS = (
     "kind", "cost", "peer", "size", "tag", "root",
@@ -259,11 +277,15 @@ class TestMmapGraphBuilder:
             builder.add_vertices(0, ranks.astype(np.int8) * 0, cost=1.0,
                                  count=300)
             builder.add_dependencies(np.arange(299), np.arange(1, 300))
-            return builder.freeze(validate=True)
+            return builder.freeze()
 
         ram = build(None)
         mapped = build(tmp_path)
         assert ram.content_digest() == mapped.content_digest()
+        # freeze adopts the builder's columns: the graph stays file-backed
+        # (a copy of a memmap is still an np.memmap, but without a file)
+        assert isinstance(mapped.kind, np.memmap)
+        assert mapped.kind.filename is not None
 
 
 class TestArtifactMmapLoads:
@@ -303,3 +325,53 @@ class TestArtifactMmapLoads:
             if i == 4:  # settle warm-up allocations first
                 baseline = open_fds()
         assert open_fds() <= baseline
+
+
+def _run_python(*args: str, stdin: str | None = None) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter on ``src/`` under a timeout, so input that
+    makes the code loop fails the calling test instead of hanging the suite."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run(
+        [sys.executable, *args], input=stdin, env=env,
+        capture_output=True, text=True, timeout=30,
+    )
+
+
+class TestDeadlockedTrace:
+    def test_from_batches_raises_instead_of_hanging(self):
+        child = textwrap.dedent("""
+            import io, sys
+            from repro.core import LatencyAnalyzer
+            from repro.network.params import LogGPSParams
+            from repro.schedgen import GraphValidationError, batches_from_trace_chunked
+            batches = batches_from_trace_chunked(io.StringIO(sys.stdin.read()))
+            try:
+                LatencyAnalyzer.from_batches(batches, batches.nranks, LogGPSParams())
+            except GraphValidationError as error:
+                print(error)
+        """)
+        proc = _run_python("-c", child, stdin=DEADLOCK_TRACE)
+        assert proc.returncode == 0, proc.stderr
+        assert "cycle" in proc.stdout
+
+
+class TestIngestCommandErrors:
+    """``llamp ingest`` names the reason for malformed input in one line."""
+
+    @pytest.mark.parametrize("fmt,name,text,reason", [
+        ("trace", "deadlock.trace", DEADLOCK_TRACE, "cycle"),
+        ("trace", "bogus.trace", "# llamp-trace v1\n@rank 0\nMPI_Bogus:0:1\n",
+         "unknown MPI operation 'MPI_Bogus'"),
+        ("goal", "cyclic.goal",
+         "num_ranks 1\nrank 0 {\n  l1: calc 100\n  l2: calc 200\n"
+         "  l2 requires l1\n  l1 requires l2\n}\n", "cycle"),
+    ], ids=["deadlock", "unknown-op", "cyclic-goal"])
+    def test_malformed_input_exits_with_one_line(self, tmp_path, fmt, name, text, reason):
+        path = tmp_path / name
+        path.write_text(text)
+        proc = _run_python("-m", "repro.cli", "ingest", fmt, str(path))
+        assert proc.returncode != 0
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(f"{path}: ")
+        assert reason in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1
