@@ -29,8 +29,9 @@ Small front end over the library for the most common workflows:
     (:mod:`repro.parallel`), writing per-app shards plus one deterministic
     merged summary;
 ``llamp ingest``
-    stream an on-disk trace or GOAL file through the chunked out-of-core
-    readers (:mod:`repro.schedgen.streaming`) and print the ``analyze``
+    stream an on-disk trace or GOAL file through its reader in chunks
+    (:func:`repro.schedgen.streaming.batches_from_trace_chunked`,
+    :func:`repro.schedgen.goal.load_goal`) and print the ``analyze``
     metrics — peak memory stays O(chunk + columns) instead of O(file), with
     the columns optionally spilled to disk-backed buffers (``--mmap-dir``).
 
@@ -211,22 +212,23 @@ def build_parser() -> argparse.ArgumentParser:
     ingest = sub.add_parser(
         "ingest",
         help="stream a trace or GOAL file and analyze it out-of-core",
-        description="Parse an on-disk trace or GOAL schedule through the "
-                    "chunked streaming readers — fixed-size record blocks "
-                    "straight into columnar batches (traces) or the graph "
-                    "builder (GOAL), bit-identical to the monolithic "
-                    "loaders — and print the analyze metrics. With a "
-                    "--mmap-dir the parsed columns are disk-backed: a "
-                    "trace's op batches spill there (its graph is built in "
-                    "RAM), a GOAL file's graph columns live there. "
-                    "Malformed input, including a deadlocked (cyclic) "
-                    "schedule, exits non-zero with a one-line reason.",
+        description="Parse an on-disk trace or GOAL schedule in chunks "
+                    "of --chunk-size records or statements — trace records "
+                    "straight into columnar op batches, GOAL statements "
+                    "into the graph builder — and print the analyze "
+                    "metrics. With a --mmap-dir the parsed columns are "
+                    "disk-backed: a trace's op batches spill there (its "
+                    "graph is built in RAM), a GOAL file's graph columns "
+                    "live there. An unreadable file and malformed input, "
+                    "including a deadlocked (cyclic) schedule, exit "
+                    "non-zero with a one-line reason.",
     )
     ingest.add_argument("format", choices=("trace", "goal"),
                         help="input file format")
     ingest.add_argument("input", help="trace (# llamp-trace v1) or GOAL file")
     ingest.add_argument("--chunk-size", default="auto",
-                        help="records per parse block: 'auto' "
+                        help="records (trace) or statements (GOAL) per "
+                             "parse block: 'auto' "
                              f"({DEFAULT_CHUNK_RECORDS}) or a positive integer")
     ingest.add_argument("--mmap-dir", default="auto",
                         help="where the ingested columns live: 'auto' "
@@ -528,11 +530,8 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     import shutil
     import tempfile
 
-    from .schedgen.streaming import (
-        batches_from_trace_chunked,
-        load_goal_chunked,
-        resolve_chunk_size,
-    )
+    from .schedgen.goal import load_goal
+    from .schedgen.streaming import batches_from_trace_chunked, resolve_chunk_size
 
     try:
         resolve_chunk_size(args.chunk_size)
@@ -549,30 +548,33 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         work_dir = args.mmap_dir
 
     try:
-        # every reader and graph validation error is a ValueError: report
-        # malformed input in one line, not a traceback
+        # an unreadable input and every reader or graph validation error (a
+        # ValueError) is reported in one line, not a traceback
         try:
-            if args.format == "trace":
-                batches = batches_from_trace_chunked(
-                    args.input,
-                    min_compute=args.min_compute,
-                    chunk_size=args.chunk_size,
-                    spill_dir=work_dir,
-                )
-                analyzer = LatencyAnalyzer.from_batches(batches, batches.nranks, params)
-                nranks = batches.nranks
-                ingested = {"records": batches.num_rows, "spilled": batches.spilled}
-            else:
-                graph = load_goal_chunked(
-                    args.input, chunk_size=args.chunk_size, mmap_dir=work_dir
-                )
-                analyzer = LatencyAnalyzer(graph, params)
-                nranks = graph.nranks
-                ingested = {
-                    "vertices": graph.num_events,
-                    "edges": graph.num_edges,
-                    "spilled": work_dir is not None,
-                }
+            source = open(args.input, "r", encoding="utf-8")
+        except OSError as error:
+            raise SystemExit(f"{args.input}: {error.strerror}") from None
+        try:
+            with source:
+                if args.format == "trace":
+                    batches = batches_from_trace_chunked(
+                        source,
+                        min_compute=args.min_compute,
+                        chunk_size=args.chunk_size,
+                        spill_dir=work_dir,
+                    )
+                    analyzer = LatencyAnalyzer.from_batches(batches, batches.nranks, params)
+                    nranks = batches.nranks
+                    ingested = {"records": batches.num_rows, "spilled": batches.spilled}
+                else:
+                    graph = load_goal(source, chunk_size=args.chunk_size, mmap_dir=work_dir)
+                    analyzer = LatencyAnalyzer(graph, params)
+                    nranks = graph.nranks
+                    ingested = {
+                        "vertices": graph.num_events,
+                        "edges": graph.num_edges,
+                        "spilled": work_dir is not None,
+                    }
         except ValueError as error:
             raise SystemExit(f"{args.input}: {error}") from None
         summary = analyzer.summary()

@@ -186,7 +186,7 @@ def forward_envelope(
         raise ValueError(f"max_pieces must be positive, got {max_pieces}")
     lo, hi = float(l_min), float(l_max)
 
-    from ..lp.compiler import _anchors, _pointer_jump
+    from ..lp.compiler import _pointer_jump
     from .parametric import Line, PiecewiseLinear, _upper_envelope
 
     n = graph.num_vertices
@@ -223,7 +223,7 @@ def forward_envelope(
 
     channels = [np.append(d_const, 0.0), np.append(d_l, 0.0)]
     _pointer_jump(n, parent, channels, None)
-    anchor = _anchors(n, parent)
+    anchor = graph.chain_anchor()
     acc_const, acc_l = channels
 
     # rows: one per (merge vertex, in-edge), exactly the compiled LP's layout

@@ -116,25 +116,6 @@ def _pointer_jump(
     return near
 
 
-def _anchors(n: int, parent: np.ndarray) -> np.ndarray:
-    """Root of every vertex in the single-predecessor forest (self at roots)."""
-    ids = np.arange(n, dtype=np.int64)
-    anchor = np.where(parent >= 0, parent, ids)
-    # Same contiguous-run collapse as :func:`_pointer_jump`: seed each run
-    # vertex with the last non-run ancestor so doubling only resolves the
-    # sparse cross-segment links.
-    run = (ids > 0) & (parent == ids - 1)
-    if run.any():
-        anchor = np.where(
-            run, np.maximum.accumulate(np.where(run, np.int64(-1), ids)), anchor
-        )
-    while True:
-        doubled = anchor[anchor]
-        if np.array_equal(doubled, anchor):
-            return anchor
-        anchor = doubled
-
-
 def compile_lp(
     graph: ExecutionGraph,
     params: LogGPSParams,
@@ -335,7 +316,7 @@ def compile_lp(
         near_seed = np.full(n + 1, -1, dtype=np.int64)
         near_seed[cv] = cv_eid
     near = _pointer_jump(n, parent, channels, near_seed)
-    anchor = _anchors(n, parent)
+    anchor = graph.chain_anchor()
 
     acc = channels
     acc_const = acc[0]

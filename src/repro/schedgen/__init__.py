@@ -18,7 +18,6 @@ from .streaming import (
     DEFAULT_CHUNK_RECORDS,
     ChunkedBatches,
     batches_from_trace_chunked,
-    load_goal_chunked,
 )
 from .graph import (
     EdgeKind,
@@ -52,6 +51,5 @@ __all__ = [
     "GoalFormatError",
     "ChunkedBatches",
     "batches_from_trace_chunked",
-    "load_goal_chunked",
     "DEFAULT_CHUNK_RECORDS",
 ]

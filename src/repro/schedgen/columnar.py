@@ -51,7 +51,7 @@ from ..mpi.program import (
     Program,
     RankOpBatch,
 )
-from ..trace.records import MPI_OP_CODE, MPIOp, Trace
+from ..trace.records import MPI_OP_CODE, MPIOp, Trace, TraceColumns
 from . import collectives as coll
 from .graph import GraphBuilder, VertexKind
 
@@ -61,6 +61,7 @@ __all__ = [
     "batches_from_program",
     "batches_from_trace",
     "build_columnar",
+    "map_trace_columns",
     "match_messages",
 ]
 
@@ -102,11 +103,15 @@ _START_ADVANCES = np.array([True, False, True, True, True, False])
 _MPI_CODE_TO_OP = np.full(len(MPIOp), -1, dtype=np.int16)
 for _mpi_op, _kind in MPI_TO_KIND.items():
     _MPI_CODE_TO_OP[MPI_OP_CODE[_mpi_op]] = OP_CODE[_kind]
-_SKIP_CODES = np.array(
-    [MPI_OP_CODE[MPIOp.INIT], MPI_OP_CODE[MPIOp.COMM_SIZE], MPI_OP_CODE[MPIOp.COMM_RANK]],
-    dtype=np.int16,
-)
+# lookups (indexed by MPIOp code / op code) of records that never become an
+# op and of collective op kinds: a gather, where the fixed cost of each
+# np.isin call would dominate the few-record blocks of many-rank traces
+_MPI_SKIP = np.zeros(len(MPIOp), dtype=bool)
+_MPI_SKIP[[MPI_OP_CODE[MPIOp.INIT], MPI_OP_CODE[MPIOp.COMM_SIZE],
+           MPI_OP_CODE[MPIOp.COMM_RANK]]] = True
 _FINALIZE_CODE = MPI_OP_CODE[MPIOp.FINALIZE]
+_IS_COLLECTIVE = np.zeros(len(OP_KINDS), dtype=bool)
+_IS_COLLECTIVE[_COLLECTIVE_CODES] = True
 
 
 def batches_from_program(program: Program) -> list[RankOpBatch]:
@@ -121,82 +126,95 @@ def batches_from_program(program: Program) -> list[RankOpBatch]:
 def batches_from_trace(trace: Trace, *, min_compute: float = 0.0) -> list[RankOpBatch]:
     """Columnarise a timestamped trace without building ``ProgramOp`` objects.
 
-    Mirrors :meth:`repro.mpi.program.Program.from_trace` exactly — the same
-    records are skipped (``MPI_Init``, bookkeeping no-ops, ``MPI_Finalize``)
-    and a ``COMPUTE`` row is inserted before every remaining record whose
-    gap to the previous call exceeds ``min_compute`` — but the whole
-    transformation is a handful of array passes over the trace columns
-    (:meth:`repro.trace.records.RankTrace.columns`).
+    Mirrors :meth:`repro.mpi.program.Program.from_trace` exactly: one
+    :func:`map_trace_columns` pass per rank over its
+    :meth:`~repro.trace.records.RankTrace.columns`.
     """
-    batches = []
-    for rank_trace in trace.ranks:
-        columns = rank_trace.columns()
-        code = columns.code
-        n = len(code)
-        if n == 0:
-            batches.append(_empty_batch())
-            continue
-        skip = np.isin(code, _SKIP_CODES)
-        finalize = code == _FINALIZE_CODE
-        considered = ~skip
-        emit_op = considered & ~finalize
+    return [
+        map_trace_columns(rank_trace.columns(), min_compute=min_compute)
+        for rank_trace in trace.ranks
+    ]
 
-        prev_end = np.empty(n, dtype=np.float64)
-        prev_end[0] = np.inf  # no gap before the first record
-        prev_end[1:] = columns.tend[:-1]
-        gap = columns.tstart - prev_end
-        has_compute = considered & (gap > min_compute)
 
-        mapped = _MPI_CODE_TO_OP[code]
-        if np.any(emit_op & (mapped < 0)):
-            offender = int(code[int(np.argmax(emit_op & (mapped < 0)))])
-            raise ValueError(
-                f"cannot convert trace record {tuple(MPIOp)[offender]} to a program op"
-            )
+def map_trace_columns(
+    columns: TraceColumns, *, prev_end: float = np.inf, min_compute: float = 0.0
+) -> RankOpBatch:
+    """Map consecutive trace records of one rank to its op rows.
 
-        counts = has_compute.astype(np.int64) + emit_op
-        ends = np.cumsum(counts)
-        offsets = ends - counts
-        total = int(ends[-1])
+    The one trace-record → op-row mapping.  The records that never become
+    ops are skipped (``MPI_Init``, bookkeeping no-ops, ``MPI_Finalize``)
+    and a ``COMPUTE`` row is inserted before every remaining record whose
+    gap to the previous call exceeds ``min_compute``, all as array passes.
+    ``prev_end`` is the end time of the record before the first one:
+    ``inf`` (no gap) at the start of a rank, the carried end time when a
+    chunked reader maps a rank block by block — the mapping is elementwise
+    apart from that one value, so the blocks' rows concatenate to the
+    rows of the whole rank.
+    """
+    code = columns.code
+    n = len(code)
+    if n == 0:
+        return _empty_batch()
+    skip = _MPI_SKIP[code]
+    finalize = code == _FINALIZE_CODE
+    considered = ~skip
+    emit_op = considered & ~finalize
 
-        kind = np.empty(total, dtype=np.int16)
-        cost = np.zeros(total, dtype=np.float64)
-        peer = np.full(total, -1, dtype=np.int64)
-        size = np.zeros(total, dtype=np.int64)
-        tag = np.zeros(total, dtype=np.int64)
-        root = np.zeros(total, dtype=np.int64)
-        request = np.full(total, -1, dtype=np.int64)
-        recv_peer = np.full(total, -1, dtype=np.int64)
-        recv_size = np.zeros(total, dtype=np.int64)
-        recv_tag = np.zeros(total, dtype=np.int64)
-        requests: list[tuple[int, ...]] = [()] * total
+    previous_end = np.empty(n, dtype=np.float64)
+    previous_end[0] = prev_end
+    previous_end[1:] = columns.tend[:-1]
+    gap = columns.tstart - previous_end
+    has_compute = considered & (gap > min_compute)
 
-        compute_pos = offsets[has_compute]
-        kind[compute_pos] = _C_COMPUTE
-        cost[compute_pos] = gap[has_compute]
+    mapped = _MPI_CODE_TO_OP[code]
+    if np.any(emit_op & (mapped < 0)):
+        offender = int(code[int(np.argmax(emit_op & (mapped < 0)))])
+        raise ValueError(
+            f"cannot convert trace record {tuple(MPIOp)[offender]} to a program op"
+        )
 
-        op_pos = offsets[emit_op] + has_compute[emit_op]
-        op_mapped = mapped[emit_op]
-        is_coll = np.isin(op_mapped, _COLLECTIVE_CODES)
-        kind[op_pos] = op_mapped
-        peer[op_pos] = np.where(is_coll, -1, columns.peer[emit_op])
-        size[op_pos] = columns.size[emit_op]
-        tag[op_pos] = columns.tag[emit_op]
-        root[op_pos] = np.where(is_coll, np.maximum(columns.peer[emit_op], 0), 0)
-        request[op_pos] = columns.request[emit_op]
-        recv_peer[op_pos] = columns.recv_peer[emit_op]
-        recv_size[op_pos] = columns.recv_size[emit_op]
-        recv_tag[op_pos] = columns.recv_tag[emit_op]
-        for record_index in np.flatnonzero(code == MPI_OP_CODE[MPIOp.WAITALL]).tolist():
-            slot = int(offsets[record_index] + has_compute[record_index])
-            requests[slot] = columns.requests[record_index]
+    counts = has_compute.astype(np.int64) + emit_op
+    ends = np.cumsum(counts)
+    offsets = ends - counts
+    total = int(ends[-1])
 
-        batches.append(RankOpBatch(
-            kind=kind, cost=cost, peer=peer, size=size, tag=tag, root=root,
-            request=request, recv_peer=recv_peer, recv_size=recv_size,
-            recv_tag=recv_tag, requests=requests,
-        ))
-    return batches
+    kind = np.empty(total, dtype=np.int16)
+    cost = np.zeros(total, dtype=np.float64)
+    peer = np.full(total, -1, dtype=np.int64)
+    size = np.zeros(total, dtype=np.int64)
+    tag = np.zeros(total, dtype=np.int64)
+    root = np.zeros(total, dtype=np.int64)
+    request = np.full(total, -1, dtype=np.int64)
+    recv_peer = np.full(total, -1, dtype=np.int64)
+    recv_size = np.zeros(total, dtype=np.int64)
+    recv_tag = np.zeros(total, dtype=np.int64)
+    requests: list[tuple[int, ...]] = [()] * total
+
+    compute_pos = offsets[has_compute]
+    kind[compute_pos] = _C_COMPUTE
+    cost[compute_pos] = gap[has_compute]
+
+    op_pos = offsets[emit_op] + has_compute[emit_op]
+    op_mapped = mapped[emit_op]
+    is_coll = _IS_COLLECTIVE[op_mapped]
+    kind[op_pos] = op_mapped
+    peer[op_pos] = np.where(is_coll, -1, columns.peer[emit_op])
+    size[op_pos] = columns.size[emit_op]
+    tag[op_pos] = columns.tag[emit_op]
+    root[op_pos] = np.where(is_coll, np.maximum(columns.peer[emit_op], 0), 0)
+    request[op_pos] = columns.request[emit_op]
+    recv_peer[op_pos] = columns.recv_peer[emit_op]
+    recv_size[op_pos] = columns.recv_size[emit_op]
+    recv_tag[op_pos] = columns.recv_tag[emit_op]
+    for record_index in np.flatnonzero(code == MPI_OP_CODE[MPIOp.WAITALL]).tolist():
+        slot = int(offsets[record_index] + has_compute[record_index])
+        requests[slot] = columns.requests[record_index]
+
+    return RankOpBatch(
+        kind=kind, cost=cost, peer=peer, size=size, tag=tag, root=root,
+        request=request, recv_peer=recv_peer, recv_size=recv_size,
+        recv_tag=recv_tag, requests=requests,
+    )
 
 
 def _empty_batch() -> RankOpBatch:

@@ -27,17 +27,19 @@ them from send/recv matching — and neither do we when parsing: the graph is
 re-matched with the same FIFO rule used by the schedule builder (via the
 vectorised matcher of :mod:`repro.schedgen.columnar`).
 
-Ingestion is columnar: each ``rank`` block is parsed into staging columns and
-flushed through the bulk :meth:`~repro.schedgen.graph.GraphBuilder.add_vertices`
-/ ``add_dependencies`` APIs at the closing brace, one call per block instead
-of one per line; the writer reads the edge columns through
-:meth:`~repro.schedgen.graph.ExecutionGraph.edge_arrays` instead of the
-per-edge tuple iterator.
+:func:`load_goal` is the one GOAL reader (``llamp ingest goal`` included).
+It stages statements in lists and flushes them through the bulk
+:meth:`~repro.schedgen.graph.GraphBuilder.add_vertices` /
+``add_dependencies`` APIs every ``chunk_size`` statements and at each
+closing brace, so a long block never stages whole; the writer reads the
+edge columns through :meth:`~repro.schedgen.graph.ExecutionGraph.edge_arrays`
+instead of the per-edge tuple iterator.
 """
 
 from __future__ import annotations
 
 import io
+import os
 import re
 from pathlib import Path
 from typing import TextIO
@@ -47,6 +49,7 @@ import numpy as np
 from .builder import UnmatchedMessageError
 from .columnar import match_messages
 from .graph import EdgeKind, ExecutionGraph, GraphBuilder, VertexKind
+from .streaming import resolve_chunk_size
 
 __all__ = ["dump_goal", "dumps_goal", "load_goal", "loads_goal", "GoalFormatError"]
 
@@ -56,6 +59,10 @@ _CALC_RE = re.compile(r"^l(?P<id>\d+):\s*calc\s+(?P<cost>\d+)$")
 _SEND_RE = re.compile(r"^l(?P<id>\d+):\s*send\s+(?P<size>\d+)b\s+to\s+(?P<peer>\d+)\s+tag\s+(?P<tag>-?\d+)$")
 _RECV_RE = re.compile(r"^l(?P<id>\d+):\s*recv\s+(?P<size>\d+)b\s+from\s+(?P<peer>\d+)\s+tag\s+(?P<tag>-?\d+)$")
 _REQ_RE = re.compile(r"^l(?P<dst>\d+)\s+requires\s+l(?P<src>\d+)$")
+
+_CALC = int(VertexKind.CALC)
+_SEND = int(VertexKind.SEND)
+_RECV = int(VertexKind.RECV)
 
 
 class GoalFormatError(ValueError):
@@ -119,121 +126,145 @@ def _write(graph: ExecutionGraph, handle: TextIO) -> None:
 
 def loads_goal(text: str) -> ExecutionGraph:
     """Parse a GOAL string produced by :func:`dumps_goal`."""
-    return _read(io.StringIO(text))
+    return load_goal(io.StringIO(text))
 
 
-def load_goal(source: str | Path | TextIO) -> ExecutionGraph:
-    """Read a GOAL file from a path or stream."""
+def load_goal(
+    source: str | Path | TextIO,
+    *,
+    chunk_size: int | str | None = "auto",
+    mmap_dir: str | os.PathLike | None = None,
+) -> ExecutionGraph:
+    """Read a GOAL schedule from a path or text stream into a frozen graph.
+
+    Statements are staged in lists and flushed through the bulk builder
+    APIs at every closing brace and whenever ``chunk_size`` vertices or
+    dependencies are staged (``"auto"`` →
+    :data:`~repro.schedgen.streaming.DEFAULT_CHUNK_RECORDS`), so staging
+    stays bounded however long a block is.  A block's vertices occupy a
+    contiguous id range and a dependency names only labels defined before
+    it, so every label resolves to its vertex id as it is parsed and the
+    flush points cannot change the graph.  With ``mmap_dir`` the builder's
+    columns, and so the frozen graph's, are disk-backed; the caller owns
+    the directory for the graph's lifetime.
+
+    Lines are split on ``"\\n"`` only.  A malformed line raises a
+    :class:`GoalFormatError` that names it (a label defined twice in a
+    block, a repeated block and a rank or peer outside ``[0, num_ranks)``
+    among them), unmatched sends and receives raise one at the end, and a
+    cyclic schedule raises :class:`~repro.schedgen.graph.GraphValidationError`
+    when the graph is frozen.
+    """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as handle:
-            return _read(handle)
-    return _read(source)
-
-
-class _BlockStage:
-    """Staging columns of one ``rank { ... }`` block (flushed in bulk)."""
-
-    __slots__ = ("kind", "cost", "size", "peer", "tag", "local_index", "deps")
-
-    def __init__(self) -> None:
-        self.kind: list[int] = []
-        self.cost: list[float] = []
-        self.size: list[int] = []
-        self.peer: list[int] = []
-        self.tag: list[int] = []
-        self.local_index: dict[int, int] = {}
-        self.deps: list[tuple[int, int]] = []  # (src_index, dst_index)
-
-    def flush(self, builder: GraphBuilder, rank: int) -> None:
-        if not self.kind:
-            return
-        vids = builder.add_vertices(
-            np.array(self.kind, dtype=np.int8),
-            rank,
-            cost=np.array(self.cost, dtype=np.float64),
-            size=np.array(self.size, dtype=np.int64),
-            peer=np.array(self.peer, dtype=np.int64),
-            tag=np.array(self.tag, dtype=np.int64),
-        )
-        if self.deps:
-            deps = np.array(self.deps, dtype=np.int64)
-            builder.add_dependencies(vids[deps[:, 0]], vids[deps[:, 1]])
-
-
-def _read(handle: TextIO) -> ExecutionGraph:
-    lines = [line.rstrip() for line in handle.read().splitlines()]
-    if not lines or not lines[0].startswith("num_ranks"):
+            return load_goal(handle, chunk_size=chunk_size, mmap_dir=mmap_dir)
+    chunk = resolve_chunk_size(chunk_size)
+    lines = iter(source)
+    first = next(lines, "").rstrip()
+    if not first.startswith("num_ranks"):
         raise GoalFormatError("GOAL file must start with 'num_ranks N'")
     try:
-        nranks = int(lines[0].split()[1])
+        nranks = int(first.split()[1])
     except (IndexError, ValueError) as exc:
-        raise GoalFormatError(f"malformed num_ranks line: {lines[0]!r}") from exc
+        raise GoalFormatError(f"malformed num_ranks line: {first!r}") from exc
 
-    builder = GraphBuilder(nranks=nranks)
-    current_rank: int | None = None
-    stage = _BlockStage()
+    builder = GraphBuilder(nranks=nranks, mmap_dir=mmap_dir)
+    rank: int | None = None
+    seen_ranks: set[int] = set()
+    vertex_of: dict[int, int] = {}  # label of the open block -> vertex id
+    next_vertex = 0
+    kinds: list[int] = []
+    costs: list[float] = []
+    sizes: list[int] = []
+    peers: list[int] = []
+    tags: list[int] = []
+    dep_src: list[int] = []
+    dep_dst: list[int] = []
 
-    calc_kind = int(VertexKind.CALC)
-    send_kind = int(VertexKind.SEND)
-    recv_kind = int(VertexKind.RECV)
+    def flush() -> None:
+        # vertices first: staged dependencies may name staged vertices
+        if kinds:
+            builder.add_vertices(
+                np.array(kinds, dtype=np.int8), rank,
+                cost=np.array(costs, dtype=np.float64),
+                size=np.array(sizes, dtype=np.int64),
+                peer=np.array(peers, dtype=np.int64),
+                tag=np.array(tags, dtype=np.int64),
+            )
+            for column in (kinds, costs, sizes, peers, tags):
+                column.clear()
+        if dep_src:
+            builder.add_dependencies(
+                np.array(dep_src, dtype=np.int64), np.array(dep_dst, dtype=np.int64)
+            )
+            dep_src.clear()
+            dep_dst.clear()
 
-    for lineno, raw in enumerate(lines[1:], start=2):
+    for lineno, raw in enumerate(lines, start=2):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if line.startswith("rank "):
-            if current_rank is not None:
-                raise GoalFormatError(
-                    f"line {lineno}: rank {current_rank} block is not closed"
-                )
+            if rank is not None:
+                raise GoalFormatError(f"line {lineno}: rank {rank} block is not closed")
             if not line.endswith("{"):
                 raise GoalFormatError(f"line {lineno}: expected 'rank N {{'")
             try:
-                current_rank = int(line.split()[1])
+                rank = int(line.split()[1])
             except (IndexError, ValueError) as exc:
                 raise GoalFormatError(f"line {lineno}: malformed rank header") from exc
-            stage = _BlockStage()
+            if rank in seen_ranks:
+                raise GoalFormatError(f"line {lineno}: duplicate 'rank {rank}' block")
+            if not 0 <= rank < nranks:
+                raise GoalFormatError(
+                    f"line {lineno}: rank {rank} out of range [0, {nranks})"
+                )
+            seen_ranks.add(rank)
+            vertex_of.clear()
             continue
         if line == "}":
-            if current_rank is not None:
-                stage.flush(builder, current_rank)
-            current_rank = None
+            if rank is not None:
+                flush()
+            rank = None
             continue
-        if current_rank is None:
+        if rank is None:
             raise GoalFormatError(f"line {lineno}: statement outside a rank block")
-        if (m := _CALC_RE.match(line)) is not None:
-            stage.local_index[int(m.group("id"))] = len(stage.kind)
-            stage.kind.append(calc_kind)
-            stage.cost.append(int(m.group("cost")) / _NS_PER_US)
-            stage.size.append(0)
-            stage.peer.append(-1)
-            stage.tag.append(0)
-        elif (m := _SEND_RE.match(line)) is not None:
-            stage.local_index[int(m.group("id"))] = len(stage.kind)
-            stage.kind.append(send_kind)
-            stage.cost.append(0.0)
-            stage.size.append(int(m.group("size")))
-            stage.peer.append(int(m.group("peer")))
-            stage.tag.append(int(m.group("tag")))
-        elif (m := _RECV_RE.match(line)) is not None:
-            stage.local_index[int(m.group("id"))] = len(stage.kind)
-            stage.kind.append(recv_kind)
-            stage.cost.append(0.0)
-            stage.size.append(int(m.group("size")))
-            stage.peer.append(int(m.group("peer")))
-            stage.tag.append(int(m.group("tag")))
-        elif (m := _REQ_RE.match(line)) is not None:
-            src_local, dst_local = int(m.group("src")), int(m.group("dst"))
-            if src_local not in stage.local_index or dst_local not in stage.local_index:
+        # dependencies outnumber vertices: try them first
+        if (m := _REQ_RE.match(line)) is not None:
+            src = vertex_of.get(int(m["src"]))
+            dst = vertex_of.get(int(m["dst"]))
+            if src is None or dst is None:
                 raise GoalFormatError(f"line {lineno}: dependency on undefined label")
-            stage.deps.append(
-                (stage.local_index[src_local], stage.local_index[dst_local])
-            )
+            dep_src.append(src)
+            dep_dst.append(dst)
+            if len(dep_src) >= chunk:
+                flush()
+            continue
+        if (m := _CALC_RE.match(line)) is not None:
+            kind, cost, size, peer, tag = _CALC, int(m["cost"]) / _NS_PER_US, 0, -1, 0
+        elif (m := _SEND_RE.match(line)) is not None:
+            kind, cost, size, peer, tag = _SEND, 0.0, int(m["size"]), int(m["peer"]), int(m["tag"])
+        elif (m := _RECV_RE.match(line)) is not None:
+            kind, cost, size, peer, tag = _RECV, 0.0, int(m["size"]), int(m["peer"]), int(m["tag"])
         else:
             raise GoalFormatError(f"line {lineno}: cannot parse {line!r}")
+        label = int(m["id"])
+        if label in vertex_of:
+            raise GoalFormatError(f"line {lineno}: label l{label} defined twice")
+        if peer >= nranks:
+            raise GoalFormatError(f"line {lineno}: peer {peer} out of range [0, {nranks})")
+        vertex_of[label] = next_vertex
+        next_vertex += 1
+        kinds.append(kind)
+        costs.append(cost)
+        sizes.append(size)
+        peers.append(peer)
+        tags.append(tag)
+        if len(kinds) >= chunk:
+            flush()
 
-    if current_rank is not None:
-        raise GoalFormatError(f"unterminated rank {current_rank} block at end of file")
+    if rank is not None:
+        raise GoalFormatError(f"unterminated rank {rank} block at end of file")
 
     try:
         match_messages(builder)

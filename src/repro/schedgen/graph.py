@@ -503,6 +503,7 @@ class ExecutionGraph:
         self._level_of: np.ndarray | None = None
         self._chain_parent: np.ndarray | None = None
         self._chain_in_edge: np.ndarray | None = None
+        self._chain_anchor: np.ndarray | None = None
         self._content_digest: str | None = None
         self._level_plan_cache: dict[str, object] = {}
         self._num_edges = m
@@ -772,6 +773,20 @@ class ExecutionGraph:
             self._build_chain_views()
         return self._chain_in_edge
 
+    def chain_anchor(self) -> np.ndarray:
+        """The root of every vertex in the :meth:`chain_parent` forest: the
+        nearest source or merge point up its chain (itself for those).
+
+        Kept from the level engine's first pass; a graph whose levels came
+        with it (a pickle or a store load) computes it alone, once.
+        """
+        if self._chain_anchor is None:
+            if self._level_indptr is None:
+                self._compute_levels()
+            else:
+                self._chain_anchor = self._anchor_and_depth()[0]
+        return self._chain_anchor
+
     def _build_chain_views(self) -> None:
         n = self.num_vertices
         parent = np.full(n, -1, dtype=np.int64)
@@ -855,7 +870,8 @@ class ExecutionGraph:
         *anchor*, the nearest source or merge point up its chain, so only
         the condensed DAG over sources and merge points needs relaxing:
 
-        1. anchor and depth of every vertex.  A contiguous id run (a rank's
+        1. anchor (kept: :meth:`chain_anchor`) and depth of every vertex
+           (:meth:`_anchor_and_depth`).  A contiguous id run (a rank's
            consecutive ops, ``parent == id - 1``) collapses in one pass;
            the remaining links are resolved by pointer jumping in at most
            ``n.bit_length() + 1`` rounds.  A vertex still unresolved after
@@ -870,29 +886,8 @@ class ExecutionGraph:
         """
         n = self.num_vertices
         indeg = self.in_degrees()
-        parent = self.chain_parent()
-        is_chain = indeg == 1
-        ids = np.arange(n, dtype=np.int64)
-        anchor = np.where(is_chain, parent, ids)
-        depth = is_chain.astype(np.int64)
-        run = is_chain & (parent == ids - 1)
-        if run.any():
-            base = np.maximum.accumulate(np.where(run, np.int64(-1), ids))
-            anchor = np.where(run, base, anchor)
-            depth = np.where(run, ids - base, depth)
-        active = np.flatnonzero(is_chain[anchor])
-        for _ in range(n.bit_length() + 1):
-            if not active.size:
-                break
-            up = anchor[active]
-            depth[active] += depth[up]
-            anchor[active] = anchor[up]
-            active = active[is_chain[anchor[active]]]
-        if active.size:
-            raise GraphValidationError(
-                f"graph contains a cycle: {active.size} single-predecessor "
-                "vertices never reach a source or merge point"
-            )
+        anchor, depth = self._anchor_and_depth()
+        self._chain_anchor = anchor
 
         level = np.zeros(n, dtype=np.int64)
         is_merge = indeg >= 2
@@ -959,6 +954,35 @@ class ExecutionGraph:
         np.cumsum(widths, out=indptr[1:])
         self._topo_order = np.argsort(level, kind="stable")
         self._level_indptr = indptr
+
+    def _anchor_and_depth(self) -> tuple[np.ndarray, np.ndarray]:
+        """Step 1 of :meth:`_compute_levels`: the chain anchor of every
+        vertex and its distance below it; raise on a chain cycle."""
+        n = self.num_vertices
+        parent = self.chain_parent()
+        is_chain = self.in_degrees() == 1
+        ids = np.arange(n, dtype=np.int64)
+        anchor = np.where(is_chain, parent, ids)
+        depth = is_chain.astype(np.int64)
+        run = is_chain & (parent == ids - 1)
+        if run.any():
+            base = np.maximum.accumulate(np.where(run, np.int64(-1), ids))
+            anchor = np.where(run, base, anchor)
+            depth = np.where(run, ids - base, depth)
+        active = np.flatnonzero(is_chain[anchor])
+        for _ in range(n.bit_length() + 1):
+            if not active.size:
+                break
+            up = anchor[active]
+            depth[active] += depth[up]
+            anchor[active] = anchor[up]
+            active = active[is_chain[anchor[active]]]
+        if active.size:
+            raise GraphValidationError(
+                f"graph contains a cycle: {active.size} single-predecessor "
+                "vertices never reach a source or merge point"
+            )
+        return anchor, depth
 
     def validate(self) -> None:
         """Check structural invariants; raise :class:`GraphValidationError` otherwise.

@@ -30,6 +30,7 @@ __all__ = [
     "P2P_OPS",
     "COLLECTIVE_OPS",
     "NONBLOCKING_OPS",
+    "check_peer_range",
 ]
 
 
@@ -274,6 +275,18 @@ class RankTrace:
         )
 
 
+def check_peer_range(rank: int, op: MPIOp, peer: int, recv_peer: int, nranks: int) -> None:
+    """Raise if a record of ``rank`` names a peer outside ``[0, nranks)``.
+
+    The peer check of :meth:`Trace.validate`, shared by every trace reader
+    so that each reports an out-of-range peer in the same words.
+    """
+    if op in P2P_OPS and not 0 <= peer < nranks:
+        raise ValueError(f"rank {rank}: {op} peer {peer} out of range")
+    if op is MPIOp.SENDRECV and not 0 <= recv_peer < nranks:
+        raise ValueError(f"rank {rank}: MPI_Sendrecv recv peer {recv_peer} out of range")
+
+
 @dataclass
 class Trace:
     """A complete application trace: one :class:`RankTrace` per rank."""
@@ -323,14 +336,7 @@ class Trace:
                 )
             pending: set[int] = set()
             for rec in rank_trace:
-                if rec.is_p2p and not 0 <= rec.peer < self.nranks:
-                    raise ValueError(
-                        f"rank {expected}: {rec.op} peer {rec.peer} out of range"
-                    )
-                if rec.op is MPIOp.SENDRECV and not 0 <= rec.recv_peer < self.nranks:
-                    raise ValueError(
-                        f"rank {expected}: MPI_Sendrecv recv peer {rec.recv_peer} out of range"
-                    )
+                check_peer_range(expected, rec.op, rec.peer, rec.recv_peer, self.nranks)
                 if rec.is_nonblocking:
                     if rec.request < 0:
                         raise ValueError(

@@ -262,6 +262,29 @@ class TestExecutionGraph:
             np.testing.assert_array_equal(indptr, expected[0], err_msg=str(width))
             np.testing.assert_array_equal(order, expected[1], err_msg=str(width))
 
+    def test_chain_anchor_kept_from_levels_and_rebuilt_alone(self):
+        # the anchor is the root of the single-predecessor forest; the level
+        # engine keeps it, and a graph that arrives with known levels (a
+        # pickle) computes the same array without relevelling
+        import pickle
+
+        from repro.testing import build_random_dag
+
+        for seed in range(5):
+            g = build_random_dag(seed, nranks=3, rounds=12)
+            g.topo_levels()
+            anchor = g.chain_anchor()
+            parent = g.chain_parent()
+            assert np.all(g.in_degrees()[anchor] != 1)
+            root = np.arange(g.num_vertices)
+            while np.any(parent[root] >= 0):
+                root = np.where(parent[root] >= 0, parent[root], root)
+            np.testing.assert_array_equal(anchor, root)
+            restored = pickle.loads(pickle.dumps(g))
+            assert restored._level_indptr is not None
+            np.testing.assert_array_equal(restored.chain_anchor(), anchor)
+            assert restored._level_indptr is not None
+
     def test_cycle_detection(self):
         b = GraphBuilder(nranks=1)
         a = b.add_calc(0, 1.0)

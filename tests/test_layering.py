@@ -86,6 +86,16 @@ def test_scipy_is_never_imported_at_import_time():
     assert offenders == []
 
 
+def test_chunked_ingest_uses_only_the_readers_public_names():
+    # the trace and GOAL formats are known to their own modules only
+    owners = ("repro.trace.format", "repro.schedgen.goal")
+    private = [
+        name for name in _imported_modules(SRC / "schedgen" / "streaming.py")
+        if name.rpartition(".")[0] in owners and name.rpartition(".")[2].startswith("_")
+    ]
+    assert private == []
+
+
 def test_import_time_scan_skips_function_bodies_and_type_checking():
     assembler = SRC / "lp" / "assembler.py"
     assert "scipy.sparse" in _imported_modules(assembler)

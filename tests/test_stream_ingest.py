@@ -1,18 +1,18 @@
-"""Streaming (out-of-core) ingestion: bit-identity with the monolithic paths.
+"""Chunked (out-of-core) ingestion: bit-identity and one answer per input.
 
 The contract under test is exact: for any valid input,
 :func:`repro.schedgen.streaming.batches_from_trace_chunked` must produce the
 same column bytes — and therefore the same graph ``content_digest()``
 — as ``batches_from_trace(load_trace(...))`` for **every** chunk size,
 including sizes that split a rendezvous triple, a waitall group, or a
-compute-gap pair across block boundaries.  Likewise
-:func:`~repro.schedgen.streaming.load_goal_chunked` must reproduce
-:func:`~repro.schedgen.goal.load_goal` byte-for-byte, with or without
+compute-gap pair across block boundaries.  :func:`~repro.schedgen.goal.load_goal`
+must give pinned digests at every chunk size, with or without
 memory-mapped builder columns, and the memory-mapped artifact loads of
 :mod:`repro.artifacts` must preserve digests while holding no file
-descriptors open.  Malformed input — a deadlocked trace among it — must
-fail fast: with a ``GraphValidationError`` from the library and a one-line
-reason from ``llamp ingest``.
+descriptors open.  Malformed input must fail with one message at every
+entry point (``load_trace``, the chunked reader, ``llamp ingest``) and
+fail fast — a deadlocked trace with a ``GraphValidationError`` from the
+library and a one-line reason from ``llamp ingest``.
 """
 
 from __future__ import annotations
@@ -30,16 +30,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.artifacts.serialize import load_graph, save_graph
 from repro.artifacts.store import ArtifactStore
+from repro.cli import main
 from repro.mpi.tracer import trace_program
 from repro.network.params import LogGPSParams
-from repro.schedgen import (
-    ChunkedBatches,
-    batches_from_trace_chunked,
-    load_goal,
-    load_goal_chunked,
-)
+from repro.schedgen import ChunkedBatches, batches_from_trace_chunked, build_graph, load_goal
+from repro.schedgen.builder import ProtocolConfig
 from repro.schedgen.columnar import ScheduleBatches, batches_from_trace
-from repro.schedgen.goal import dumps_goal
+from repro.schedgen.goal import GoalFormatError, dumps_goal
 from repro.schedgen.graph import GraphBuilder
 from repro.schedgen.streaming import resolve_chunk_size
 from repro.testing import build_random_program, build_running_example
@@ -173,47 +170,6 @@ class TestTraceChunkedSpill:
 
 
 class TestTraceChunkedErrors:
-    def test_missing_header(self):
-        with pytest.raises(TraceFormatError, match="missing header"):
-            batches_from_trace_chunked(io.StringIO("not a trace\n"))
-
-    def test_unknown_operation(self):
-        text = "# llamp-trace v1\n@rank 0\nMPI_Bogus:0:1\n"
-        with pytest.raises(TraceFormatError, match="unknown MPI operation"):
-            batches_from_trace_chunked(io.StringIO(text))
-
-    def test_non_monotonic_records(self):
-        text = (
-            "# llamp-trace v1\n@rank 0\n"
-            "MPI_Send:10.0:11.0:peer=1:size=8\n"
-            "MPI_Recv:5.0:6.0:peer=1:size=8\n"
-        )
-        with pytest.raises(ValueError, match="before the previous call ended"):
-            batches_from_trace_chunked(io.StringIO(text), chunk_size=1)
-
-    def test_dangling_request(self):
-        text = (
-            "# llamp-trace v1\n@rank 0\n"
-            "MPI_Isend:0.0:1.0:peer=1:size=8:request=3\n"
-        )
-        with pytest.raises(ValueError, match="requests never completed"):
-            batches_from_trace_chunked(io.StringIO(text))
-
-    def test_wait_on_unknown_request(self):
-        text = "# llamp-trace v1\n@rank 0\nMPI_Wait:0.0:1.0:request=9\n"
-        with pytest.raises(ValueError, match="MPI_Wait on unknown request 9"):
-            batches_from_trace_chunked(io.StringIO(text))
-
-    def test_duplicate_rank_header(self):
-        text = "# llamp-trace v1\n@rank 0\n@rank 0\n"
-        with pytest.raises(TraceFormatError, match="duplicate '@rank 0'"):
-            batches_from_trace_chunked(io.StringIO(text))
-
-    def test_non_consecutive_ranks(self):
-        text = "# llamp-trace v1\n@rank 0\n@rank 2\n"
-        with pytest.raises(ValueError, match="found rank 2 at position 1"):
-            batches_from_trace_chunked(io.StringIO(text))
-
     def test_chunk_size_validation(self):
         assert resolve_chunk_size("auto") == resolve_chunk_size(None)
         assert resolve_chunk_size("17") == 17
@@ -234,38 +190,68 @@ class TestChunkedBatchesSequence:
             chunked[0:2]
 
 
-class TestGoalChunkedParity:
-    @pytest.mark.parametrize("chunk_size", [1, 2, 5, "auto"])
-    def test_digest_parity(self, chunk_size):
-        text = dumps_goal(build_running_example())
-        mono = load_goal(io.StringIO(text))
-        chunked = load_goal_chunked(io.StringIO(text), chunk_size=chunk_size)
-        assert chunked.content_digest() == mono.content_digest()
+#: ``content_digest()`` of the graphs that ``load_goal`` read from these
+#: GOAL texts when it flushed once per rank block; every chunk size must
+#: keep them
+GOAL_DIGESTS = {
+    "running-example": "6878605d1a185873a249488aba29e5372915132f94495b55cd46e6d663b3f78c",
+    "random-program-7": "1a88496ae7d48e10efb69e4edd524f7d1d59ee6187bc06c7459f5ac84ef1ddb8",
+}
 
-    def test_mmap_builder_digest_parity(self, tmp_path):
-        text = dumps_goal(build_running_example())
-        mono = load_goal(io.StringIO(text))
-        chunked = load_goal_chunked(io.StringIO(text), chunk_size=2,
-                                    mmap_dir=tmp_path)
-        assert chunked.content_digest() == mono.content_digest()
-        assert isinstance(chunked.kind, np.memmap)
+
+def _goal_text(name: str) -> str:
+    if name == "running-example":
+        return dumps_goal(build_running_example())
+    program = build_random_program(7, nranks=4)
+    return dumps_goal(build_graph(program, protocol=ProtocolConfig(eager_threshold=1024)))
+
+
+class TestGoalChunkSizes:
+    @pytest.mark.parametrize("chunk_size", [1, 2, 5, "auto"])
+    @pytest.mark.parametrize("name", sorted(GOAL_DIGESTS))
+    def test_digest_pinned(self, name, chunk_size):
+        graph = load_goal(io.StringIO(_goal_text(name)), chunk_size=chunk_size)
+        assert graph.content_digest() == GOAL_DIGESTS[name]
+
+    def test_mmap_builder_digest(self, tmp_path):
+        graph = load_goal(io.StringIO(_goal_text("running-example")), chunk_size=2,
+                          mmap_dir=tmp_path)
+        assert graph.content_digest() == GOAL_DIGESTS["running-example"]
+        assert isinstance(graph.kind, np.memmap)
 
     def test_reads_from_path(self, tmp_path):
-        text = dumps_goal(build_running_example())
         path = tmp_path / "app.goal"
-        path.write_text(text)
-        mono = load_goal(io.StringIO(text))
-        assert load_goal_chunked(path).content_digest() == mono.content_digest()
+        path.write_text(_goal_text("running-example"))
+        assert load_goal(path).content_digest() == GOAL_DIGESTS["running-example"]
 
-    def test_validate_rejects_bad_input(self):
-        from repro.schedgen.goal import GoalFormatError
-
+    def test_rejects_bad_input(self):
         with pytest.raises(GoalFormatError, match="num_ranks"):
-            load_goal_chunked(io.StringIO("rank 0 {\n}\n"))
-        # unmatched send must be rejected exactly like the monolithic reader
+            load_goal(io.StringIO("rank 0 {\n}\n"))
         bad = "num_ranks 2\nrank 0 {\n  l1: send 8b to 1 tag 0\n}\n"
         with pytest.raises(GoalFormatError, match="unmatched send/recv"):
-            load_goal_chunked(io.StringIO(bad))
+            load_goal(io.StringIO(bad), chunk_size=1)
+
+
+class TestGoalErrors:
+    """Input the GOAL reader once loaded silently or reported without a line."""
+
+    @pytest.mark.parametrize("chunk_size", [1, "auto"])
+    @pytest.mark.parametrize("body,message", [
+        ("rank 0 {\n  l1: calc 100\n  l2: calc 200\n  l1: calc 300\n}\n",
+         "line 5: label l1 defined twice"),
+        ("rank 0 {\n  l1: calc 100\n}\nrank 0 {\n  l1: calc 5\n}\n",
+         "line 5: duplicate 'rank 0' block"),
+        ("rank 1 {\n  l1: calc 100\n}\n", "line 2: rank 1 out of range [0, 1)"),
+        ("rank -1 {\n}\n", "line 2: rank -1 out of range [0, 1)"),
+        ("rank 0 {\n  l1: send 8b to 3 tag 0\n}\n", "line 3: peer 3 out of range [0, 1)"),
+        # lines end at "\n" only: a form feed does not split a statement
+        ("rank 0 {\n  l1: calc 100\f  l2: calc 200\n}\n", "line 3: cannot parse"),
+    ], ids=["duplicate-label", "duplicate-block", "rank-range", "negative-rank",
+            "peer-range", "form-feed"])
+    def test_names_the_line(self, body, message, chunk_size):
+        with pytest.raises(GoalFormatError) as error:
+            load_goal(io.StringIO("num_ranks 1\n" + body), chunk_size=chunk_size)
+        assert str(error.value).startswith(message)
 
 
 class TestMmapGraphBuilder:
@@ -355,8 +341,104 @@ class TestDeadlockedTrace:
         assert "cycle" in proc.stdout
 
 
+_H = "# llamp-trace v1\n"
+
+#: malformed traces, the type of the one error each must raise and a
+#: fragment of its message; format errors name their line
+_F, _V = TraceFormatError, ValueError
+MALFORMED_TRACES = {
+    "missing-header": ("not a trace\n", _F, "missing header"),
+    "meta-malformed": (_H + "# meta novalue\n@rank 0\n", _F, "line 2: malformed meta line"),
+    "meta-duplicate": (_H + "# meta k=1\n# meta k=2\n@rank 0\n", _F,
+                       "line 3: duplicate meta key"),
+    "meta-escape": (_H + "# meta k=v\\x\n@rank 0\n", _F, "line 2: unknown escape"),
+    "rank-bad": (_H + "@rank x\n", _F, "line 2: bad rank header"),
+    "rank-duplicate": (_H + "@rank 0\nMPI_Init:0:1\n@rank 0\n", _F,
+                       "line 4: duplicate '@rank 0'"),
+    "rank-negative": (_H + "@rank -1\n", _V, "rank must be non-negative"),
+    "rank-gap": (_H + "@rank 0\n@rank 2\n", _V, "found rank 2 at position 1"),
+    "record-before-rank": (_H + "MPI_Init:0:1\n", _F, "line 2: record before any '@rank'"),
+    "unknown-op": (_H + "@rank 0\nMPI_Bogus:0:1\n", _F, "line 3: unknown MPI operation"),
+    "unknown-field": (_H + "@rank 0\n@rank 1\nMPI_Send:0:1:peer=0:bogus=1\n", _F,
+                      "line 4: unknown field 'bogus'"),
+    "bad-timestamps": (_H + "@rank 0\nMPI_Init:zero:1\n", _F, "line 3: bad timestamps"),
+    "tend-before-tstart": (_H + "@rank 0\nMPI_Init:2:1\n", _F,
+                           "line 3: MPI_Init: end timestamp"),
+    "negative-size": (_H + "@rank 0\n@rank 1\nMPI_Send:0:1:peer=0:size=-8\n", _F,
+                      "line 4: MPI_Send: negative message size"),
+    "missing-peer": (_H + "@rank 0\n@rank 1\nMPI_Send:0:1:size=8\n", _F,
+                     "line 4: MPI_Send: point-to-point operation requires a peer rank"),
+    "comm-size": (_H + "@rank 0\nMPI_Barrier:0:1:comm_size=1\n", _F, "comm_size >= 2"),
+    "non-monotonic": (_H + "@rank 0\n@rank 1\nMPI_Send:10:11:peer=0:size=8\n"
+                      "MPI_Recv:5:6:peer=0:size=8\n", _V, "before the previous call ended"),
+    "no-request": (_H + "@rank 0\n@rank 1\nMPI_Isend:0:1:peer=0:size=8\n", _V,
+                   "rank 1: MPI_Isend without a request handle"),
+    "request-reused": (_H + "@rank 0\n@rank 1\nMPI_Isend:0:1:peer=0:size=8:request=1\n"
+                       "MPI_Irecv:1:2:peer=0:size=8:request=1\n", _V, "request 1 reused"),
+    "wait-unknown": (_H + "@rank 0\nMPI_Wait:0:1:request=9\n", _V,
+                     "MPI_Wait on unknown request 9"),
+    "waitall-unknown": (_H + "@rank 0\n@rank 1\nMPI_Isend:0:1:peer=0:size=8:request=1\n"
+                        "MPI_Waitall:1:2:requests=1,2\n", _V, "MPI_Waitall on unknown request 2"),
+    "never-completed": (_H + "@rank 0\n@rank 1\nMPI_Isend:0:1:peer=0:size=8:request=3\n", _V,
+                        "rank 1: requests never completed: [3]"),
+    "peer-range": (_H + "@rank 0\nMPI_Send:0:1:peer=5:size=8\n@rank 1\n", _V,
+                   "rank 0: MPI_Send peer 5 out of range"),
+    "recv-peer-range": (_H + "@rank 0\nMPI_Sendrecv:0:1:peer=1:size=8:recv_peer=7\n@rank 1\n",
+                        _V, "rank 0: MPI_Sendrecv recv peer 7 out of range"),
+    "peer-range-later-rank": (_H + "@rank 1\nMPI_Send:0:1:peer=4:size=8\n@rank 0\n"
+                              "MPI_Send:0:1:peer=1:size=8\nMPI_Send:1:2:peer=3:size=8\n",
+                              _V, "rank 0: MPI_Send peer 3 out of range"),
+    "non-integer": (_H + "@rank 0\n@rank 1\nMPI_Send:1:2:peer=x\n", _F,
+                    "line 4: field 'peer' has non-integer value 'x'"),
+}
+
+
+class TestMalformedTraceCorpus:
+    """Every trace entry point raises one type and message per malformed trace."""
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_TRACES))
+    def test_one_message_at_every_entry_point(self, name, tmp_path):
+        text, error_type, fragment = MALFORMED_TRACES[name]
+
+        def via_load_trace():
+            trace = loads_trace(text)
+            ScheduleBatches(batches_from_trace(trace), trace.nranks).graph_for(PARAMS)
+
+        def via_chunked():
+            batches = batches_from_trace_chunked(io.StringIO(text), chunk_size=1)
+            ScheduleBatches(batches, batches.nranks).graph_for(PARAMS)
+
+        errors = []
+        for entry in (via_load_trace, via_chunked):
+            with pytest.raises(ValueError) as error:
+                entry()
+            errors.append((type(error.value), str(error.value)))
+        assert errors[0] == errors[1]
+        assert errors[0][0] is error_type
+        assert fragment in errors[0][1]
+        path = tmp_path / "malformed.trace"
+        path.write_text(text)
+        with pytest.raises(SystemExit) as exit_:
+            main(["ingest", "trace", str(path)])
+        assert exit_.value.code == f"{path}: {errors[0][1]}"
+
+
 class TestIngestCommandErrors:
     """``llamp ingest`` names the reason for malformed input in one line."""
+
+    @pytest.mark.parametrize("fmt", ["trace", "goal"])
+    @pytest.mark.parametrize("kind,reason", [
+        ("missing", "No such file or directory"),
+        ("directory", "Is a directory"),
+    ])
+    def test_unreadable_input_exits_with_one_line(self, tmp_path, capsys, fmt, kind, reason):
+        path = tmp_path / "input"
+        if kind == "directory":
+            path.mkdir()
+        with pytest.raises(SystemExit) as exit_:
+            main(["ingest", fmt, str(path)])
+        assert exit_.value.code == f"{path}: {reason}"
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("fmt,name,text,reason", [
         ("trace", "deadlock.trace", DEADLOCK_TRACE, "cycle"),
