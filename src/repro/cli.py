@@ -13,8 +13,9 @@ Small front end over the library for the most common workflows:
     forward envelope pass (zero LP solves);
 ``llamp place``
     sensitivity-guided rank placement (Algorithm 3): refine a process
-    mapping with the incremental per-pair LP engine and compare it against
-    the block and volume-greedy baselines;
+    mapping with one per-pair forward pass per candidate (its critical path
+    gives the pairwise sensitivities; no LP) and compare it against the
+    block and volume-greedy baselines;
 ``llamp trace``
     write the liballprof-style trace of an application skeleton;
 ``llamp goal``
@@ -36,8 +37,9 @@ Small front end over the library for the most common workflows:
     the columns optionally spilled to disk-backed buffers (``--mmap-dir``).
 
 Every command runs one engine per stage: the columnar Schedgen graph build,
-the forward ``T(L)`` envelope, the vectorised LP compiler and the
-level-synchronous simulator.  There is no engine switch.
+the forward ``T(L)`` envelope (and its per-pair twin for ``place``) and the
+level-synchronous simulator.  No command builds or solves an LP, and there
+is no engine switch.
 
 An unbounded tolerance prints as ``unbounded`` (``null`` under ``--json``).
 A NaN, infinite or negative LogGPS parameter or ΔL exits with the reason.
@@ -120,7 +122,12 @@ def build_parser() -> argparse.ArgumentParser:
     curve.add_argument("--points", type=int, default=11, help="number of printed curve points")
     curve.add_argument("--json", action="store_true", help="print machine-readable JSON")
 
-    place = sub.add_parser("place", help="sensitivity-guided rank placement (Algorithm 3)")
+    place = sub.add_parser(
+        "place", help="sensitivity-guided rank placement (Algorithm 3)",
+        description="Refine a process mapping by rank swaps (Algorithm 3); one "
+                    "per-pair forward pass scores each candidate, and its critical "
+                    "path gives the pairwise sensitivities. No LP is solved.",
+    )
     add_app_args(place)
     place.add_argument("--nodes", type=int, default=4, help="number of compute nodes")
     place.add_argument("--ppn", type=int, default=None,
@@ -135,9 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
     place.add_argument("--max-iterations", type=int, default=20,
                        help="maximum number of accepted swaps")
     place.add_argument("--top-k", type=int, default=4,
-                       help="candidate swaps LP-verified per iteration")
-    place.add_argument("--backend", default="highs",
-                       help="LP backend name from the registry (default: %(default)s)")
+                       help="candidate swaps verified per iteration, each by "
+                            "one forward pass")
     place.add_argument("--json", action="store_true", help="print machine-readable JSON")
 
     trace = sub.add_parser("trace", help="write a liballprof-style trace")
@@ -331,14 +337,10 @@ def _cmd_curve(args: argparse.Namespace) -> int:
 
 
 def _cmd_place(args: argparse.Namespace) -> int:
-    from .lp.backends import default_registry
+    from .core.envelope import pair_forward_evaluator
     from .network import ArchitectureGraph, block_mapping, random_mapping, round_robin_mapping
-    from .placement import llamp_placement, predicted_runtime, volume_greedy_placement
+    from .placement import llamp_placement, volume_greedy_placement
 
-    try:
-        default_registry.get(args.backend)
-    except ValueError as error:
-        raise SystemExit(str(error)) from None
     if args.nodes < 1:
         raise SystemExit(f"--nodes must be >= 1, got {args.nodes}")
     if args.top_k < 1:
@@ -351,39 +353,36 @@ def _cmd_place(args: argparse.Namespace) -> int:
         )
     params = _params_from_args(args)
     graph = _app_graph(args, params)
-    arch = ArchitectureGraph(
-        num_nodes=args.nodes,
-        processes_per_node=ppn,
-        intra_node_latency=args.intra_latency,
-        inter_node_latency=params.L if args.inter_latency is None else args.inter_latency,
-    )
+    try:
+        arch = ArchitectureGraph(
+            num_nodes=args.nodes,
+            processes_per_node=ppn,
+            intra_node_latency=args.intra_latency,
+            inter_node_latency=params.L if args.inter_latency is None else args.inter_latency,
+        )
+    except ValueError as error:
+        raise SystemExit(str(error)) from None
     initial_builders = {
         "block": block_mapping,
         "round_robin": round_robin_mapping,
         "random": random_mapping,
     }
     initial = initial_builders[args.initial](args.nranks, arch)
-    from .core.lp_builder import build_lp
-
-    # one per-pair LP shared by the search and both baseline evaluations
-    graph_lp = build_lp(graph, params, latency_mode="per_pair", gap_mode="per_pair")
+    # one evaluator layout shared by the search and both baseline runtimes
+    evaluator = pair_forward_evaluator(graph, params)
     result = llamp_placement(
         graph, params, arch,
         initial_mapping=initial,
         max_iterations=args.max_iterations,
-        backend=args.backend,
         top_k=args.top_k,
-        graph_lp=graph_lp,
+        evaluator=evaluator,
     )
-    block = block_mapping(args.nranks, arch)
     baselines = {
-        "block": predicted_runtime(
-            graph, params, arch, block, backend=args.backend, graph_lp=graph_lp
-        ),
-        "volume_greedy": predicted_runtime(
-            graph, params, arch, volume_greedy_placement(graph, arch),
-            backend=args.backend, graph_lp=graph_lp,
-        ),
+        name: evaluator(arch.latency_matrix(mapping), arch.gap_matrix(mapping))[0]
+        for name, mapping in (
+            ("block", block_mapping(args.nranks, arch)),
+            ("volume_greedy", volume_greedy_placement(graph, arch)),
+        )
     }
     if args.json:
         print(json.dumps({
@@ -394,8 +393,6 @@ def _cmd_place(args: argparse.Namespace) -> int:
             "improvement": result.improvement,
             "iterations": result.iterations,
             "swaps": [list(swap) for swap in result.swaps],
-            "lp_solves": result.num_lp_solves,
-            "lp_reassemblies": result.num_reassemblies,
             "baseline_runtime_us": baselines,
         }, indent=2))
         return 0
@@ -407,16 +404,16 @@ def _cmd_place(args: argparse.Namespace) -> int:
           f"({result.improvement * 100:.2f}% better, {len(result.swaps)} swaps)")
     for name, runtime in baselines.items():
         print(f"{name:<19s}: {runtime / 1e6:.4f} s")
-    print(f"LP solves          : {result.num_lp_solves} on one assembled model "
-          f"({result.num_reassemblies} re-assemblies)")
     return 0
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     params = _params_from_args(args)
     module = ALL_APPS[args.app]
-    program = module.program(args.nranks)
-    trace = trace_program(program, params)
+    try:
+        trace = trace_program(module.program(args.nranks), params)
+    except ValueError as error:  # e.g. a collective on a 1-rank communicator
+        raise SystemExit(f"cannot trace {args.app} on {args.nranks} rank(s): {error}") from None
     dump_trace(trace, args.output)
     print(f"wrote {trace.num_records} records for {trace.nranks} ranks to {args.output}")
     return 0

@@ -51,9 +51,17 @@ per-pair HLogGP variables, and gap/overhead bounds that still equal
 (:func:`~repro.core.parametric.lp_envelope`) instead;
 :func:`resolve_envelope_engine` makes that choice.  Artifact-store envelope
 keys come from :func:`envelope_config` (see :mod:`repro.artifacts.store`).
+
+:func:`pair_forward_evaluator` walks the same layout
+(:func:`_chain_messages`, :func:`_merge_rows`) with per-pair constants
+instead of a latency variable: the HLogGP runtime of one process mapping
+and, from a backtrack along its critical path, the pairwise sensitivities
+of Algorithm 3.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,6 +73,7 @@ __all__ = [
     "envelope_config",
     "forward_envelope",
     "forward_incompatibility",
+    "pair_forward_evaluator",
     "resolve_envelope_engine",
 ]
 
@@ -158,6 +167,77 @@ def _winners(
     return winner_slope, np.maximum.reduceat(third, starts, axis=0)
 
 
+class _MergeRows(NamedTuple):
+    """The chain-condensed merge-row layout both forward evaluators walk."""
+
+    merges: np.ndarray     # merge points in topological order; state slot 1 + i
+    row_ptr: np.ndarray    # the rows of merges[i] are row_ptr[i]:row_ptr[i + 1]
+    row_eid: np.ndarray    # each row's in-edge, in ``_pred_edges`` order per merge
+    row_u: np.ndarray      # the source vertex of that edge
+    row_slot: np.ndarray   # state slot of row_u's anchor (0: a source)
+    sinks: np.ndarray      # ``graph.sinks()``
+    sink_slot: np.ndarray  # state slot of each sink's anchor
+    levels: list           # (g0, g1, r0, r1, starts, seg) per merge level
+
+
+def _chain_messages(graph: ExecutionGraph):
+    """``(comm, bw, cv, cv_eid)``: per edge, whether it is a COMM edge and the
+    ``max(size - 1, 0)`` bytes it pays ``G`` for; the chain vertices fed by a
+    COMM edge, and that edge."""
+    comm = np.asarray(graph.edge_kind) == int(EdgeKind.COMM)
+    bw = graph.size[graph.edge_dst].astype(np.float64)
+    bw -= 1.0
+    np.maximum(bw, 0.0, out=bw)
+    chain_eid = graph.chain_in_edge()
+    chain_vertices = np.flatnonzero(chain_eid >= 0)
+    chain_edges = chain_eid[chain_vertices]
+    fed = comm[chain_edges]
+    return comm, bw, chain_vertices[fed], chain_edges[fed]
+
+
+def _merge_rows(graph: ExecutionGraph) -> _MergeRows:
+    """One row per (merge vertex, in-edge), exactly the compiled LP's layout.
+
+    Merges come in topological order, grouped by level (the order contract
+    is level-major, so each level is one contiguous run of merges and rows);
+    ``starts``/``seg`` of a level give each merge's first row and each row's
+    merge, relative to the level.
+    """
+    indeg = graph.in_degrees()
+    topo_pos = graph.topo_positions()
+    anchor = graph.chain_anchor()
+    merges = graph.merge_points()
+    merges = merges[np.argsort(topo_pos[merges], kind="stable")]
+    mlevel = graph.level_of()[merges]
+    counts = indeg[merges].astype(np.int64)
+    row_ptr = np.zeros(len(merges) + 1, dtype=np.int64)
+    np.cumsum(counts, out=row_ptr[1:])
+    total = int(row_ptr[-1])
+    local = np.arange(total, dtype=np.int64) - np.repeat(row_ptr[:-1], counts)
+    row_eid = graph._pred_edges[np.repeat(graph._pred_indptr[merges], counts) + local]
+    row_u = graph.edge_src[row_eid]
+
+    sinks = np.asarray(graph.sinks(), dtype=np.int64)
+    slot = np.zeros(graph.num_vertices, dtype=np.int64)
+    slot[merges] = np.arange(1, len(merges) + 1)
+    levels = []
+    if len(merges):
+        bounds = np.concatenate(
+            [[0], np.flatnonzero(np.diff(mlevel)) + 1, [len(merges)]]
+        )
+        for g0, g1 in zip(bounds[:-1], bounds[1:]):
+            r0, r1 = int(row_ptr[g0]), int(row_ptr[g1])
+            levels.append((
+                int(g0), int(g1), r0, r1, row_ptr[g0:g1] - r0,
+                np.repeat(np.arange(g1 - g0, dtype=np.int64), counts[g0:g1]),
+            ))
+    return _MergeRows(
+        merges=merges, row_ptr=row_ptr, row_eid=row_eid, row_u=row_u,
+        row_slot=slot[anchor[row_u]], sinks=sinks, sink_slot=slot[anchor[sinks]],
+        levels=levels,
+    )
+
+
 def forward_envelope(
     graph: ExecutionGraph,
     params: LogGPSParams,
@@ -190,101 +270,47 @@ def forward_envelope(
     from .parametric import Line, PiecewiseLinear, _upper_envelope
 
     n = graph.num_vertices
-    m = graph.num_edges
-    cost = graph.cost
-    size = graph.size
-    edge_src = graph.edge_src
-    edge_dst = graph.edge_dst
-
-    indeg = graph.in_degrees()
-    topo_pos = graph.topo_positions()
-    parent = graph.chain_parent()
-    chain_eid = graph.chain_in_edge()
-    is_comm_edge = np.asarray(graph.edge_kind) == int(EdgeKind.COMM)
-    if m:
-        bw_edge = size[edge_dst].astype(np.float64)
-        bw_edge -= 1.0
-        np.maximum(bw_edge, 0.0, out=bw_edge)
-    else:
-        bw_edge = np.zeros(0)
+    comm, bw, cv, cv_eid = _chain_messages(graph)
 
     # per-vertex deltas with everything but L folded constant, then chain
     # compression back to each anchor — the compiler's own machinery
     calc = np.asarray(graph.kind) == int(VertexKind.CALC)
-    d_const = np.where(calc, cost, params.o)
+    d_const = np.where(calc, graph.cost, params.o)
     d_l = np.zeros(n, dtype=np.float64)
-    chain_vertices = np.flatnonzero(chain_eid >= 0)
-    chain_edges = chain_eid[chain_vertices]
-    comm_chain = is_comm_edge[chain_edges] if m else np.zeros(0, dtype=bool)
-    cv = chain_vertices[comm_chain]
-    cv_eid = chain_edges[comm_chain]
     d_l[cv] = 1.0
-    d_const[cv] += params.G * bw_edge[cv_eid]
+    d_const[cv] += params.G * bw[cv_eid]
 
     channels = [np.append(d_const, 0.0), np.append(d_l, 0.0)]
-    _pointer_jump(n, parent, channels, None)
-    anchor = graph.chain_anchor()
+    _pointer_jump(n, graph.chain_parent(), channels, None)
     acc_const, acc_l = channels
 
-    # rows: one per (merge vertex, in-edge), exactly the compiled LP's layout
-    merges = graph.merge_points()
-    merges = merges[np.argsort(topo_pos[merges], kind="stable")]
-    level = graph.level_of()
-    mlevel = level[merges]  # non-decreasing: the order contract is level-major
-    counts = indeg[merges].astype(np.int64)
-    row_ptr = np.zeros(len(merges) + 1, dtype=np.int64)
-    np.cumsum(counts, out=row_ptr[1:])
-    total = int(row_ptr[-1])
-    if total:
-        local = np.arange(total, dtype=np.int64) - np.repeat(row_ptr[:-1], counts)
-        merge_eids = graph._pred_edges[
-            np.repeat(graph._pred_indptr[merges], counts) + local
-        ]
-        row_u = edge_src[merge_eids]
-        e_comm = is_comm_edge[merge_eids]
-        row_slope = acc_l[row_u] + e_comm
-        row_const = acc_const[row_u] + params.G * np.where(
-            e_comm, bw_edge[merge_eids], 0.0
-        )
-        row_anchor = anchor[row_u]
-    else:
-        row_slope = row_const = np.zeros(0)
-        row_anchor = np.zeros(0, dtype=np.int64)
-
-    sinks = np.asarray(graph.sinks(), dtype=np.int64)
-
-    # state slot of every anchor: 0 for sources, 1 + i for merges[i]
-    slot = np.zeros(n, dtype=np.int64)
-    slot[merges] = np.arange(1, len(merges) + 1)
-    row_slot = slot[row_anchor]
-    sink_slot = slot[anchor[sinks]]
-    sink_slope = acc_l[sinks][:, None]
-    sink_const = acc_const[sinks][:, None]
-    levels = []
-    if len(merges):
-        bounds = np.concatenate(
-            [[0], np.flatnonzero(np.diff(mlevel)) + 1, [len(merges)]]
-        )
-        for g0, g1 in zip(bounds[:-1], bounds[1:]):
-            r0, r1 = int(row_ptr[g0]), int(row_ptr[g1])
-            levels.append((
-                1 + g0, 1 + g1, row_slot[r0:r1],
-                row_slope[r0:r1, None], row_const[r0:r1, None],
-                row_ptr[g0:g1] - r0,
-                np.repeat(np.arange(g1 - g0, dtype=np.int64), counts[g0:g1]),
-            ))
+    rows = _merge_rows(graph)
+    e_comm = comm[rows.row_eid]
+    row_slope = acc_l[rows.row_u] + e_comm
+    row_const = acc_const[rows.row_u] + params.G * np.where(
+        e_comm, bw[rows.row_eid], 0.0
+    )
+    sink_slot = rows.sink_slot
+    sink_slope = acc_l[rows.sinks][:, None]
+    sink_const = acc_const[rows.sinks][:, None]
+    levels = [
+        (1 + g0, 1 + g1, rows.row_slot[r0:r1],
+         row_slope[r0:r1, None], row_const[r0:r1, None], starts, seg)
+        for g0, g1, r0, r1, starts, seg in rows.levels
+    ]
+    num_slots = len(rows.merges) + 1
     one_segment = np.zeros(1, dtype=np.int64)
-    sink_seg = np.zeros(len(sinks), dtype=np.int64)
+    sink_seg = np.zeros(len(rows.sinks), dtype=np.int64)
 
     def evaluate(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # one traversal answers every probe: the winning line per merge slot
         at_inf = np.isinf(xs)
         x = np.where(at_inf, 0.0, xs)
-        slope = np.zeros((len(merges) + 1, len(xs)))
+        slope = np.zeros((num_slots, len(xs)))
         intercept = np.zeros_like(slope)
-        for s0, s1, rows, r_slope, r_const, starts, seg in levels:
+        for s0, s1, slots, r_slope, r_const, starts, seg in levels:
             slope[s0:s1], intercept[s0:s1] = _winners(
-                slope[rows] + r_slope, intercept[rows] + r_const,
+                slope[slots] + r_slope, intercept[slots] + r_const,
                 starts, seg, x, at_inf,
             )
         final_slope, final_intercept = _winners(
@@ -296,3 +322,99 @@ def forward_envelope(
     lines, _ = tangent_search(evaluate, lo, hi, max_pieces=max_pieces)
     final = _upper_envelope([Line(s, c) for _, s, c in lines], lo, hi)
     return PiecewiseLinear(lines=final, lo=lo, hi=hi)
+
+
+def pair_forward_evaluator(graph: ExecutionGraph, params: LogGPSParams):
+    """The per-pair (HLogGP) runtime of ``graph`` as one forward pass.
+
+    Returns ``evaluate(latency, gap=None) -> (runtime, D_L, D_G)``.
+    ``latency`` and ``gap`` are symmetric ``P × P`` matrices (e.g.
+    :meth:`~repro.network.hloggp.ArchitectureGraph.latency_matrix` of a
+    mapping); a message between ranks ``i`` and ``j`` of ``size`` bytes
+    costs ``latency[i, j] + (size - 1)·gap[i, j]``, and ``gap=None`` charges
+    ``params.G`` for every pair.  Overheads and compute costs come from
+    ``params`` and the graph.  This is the objective of the per-pair LP of
+    Algorithm 3 (``build_lp(graph, params, latency_mode="per_pair",
+    gap_mode="per_pair" or "constant")`` with those lower bounds): the LP
+    minimises the makespan, so every ``l_ij``/``G_ij`` sits at its bound
+    and the optimum is a longest path with per-edge constants.
+
+    ``D_L``/``D_G`` count the messages and ``(size - 1)`` bytes per
+    unordered rank pair on one critical path, entered at ``[i, j]`` and
+    ``[j, i]`` like the LP's reduced costs (they equal them when the
+    critical path is unique).  Ties pick a fixed path: at a merge point the
+    first maximal in-edge in ``_pred_edges`` order, at the end the first
+    maximal sink in ``graph.sinks()`` order — so the answer does not depend
+    on a solver.  The merge-row layout and the per-row message lists are
+    built once; each call is one level pass plus a backtrack.
+    """
+    from ..lp.compiler import _pointer_jump, _row_messages
+
+    n, nranks = graph.num_vertices, graph.nranks
+    comm, bw, cv, cv_eid = _chain_messages(graph)
+    calc = np.asarray(graph.kind) == int(VertexKind.CALC)
+    channels = [np.append(np.where(calc, graph.cost, params.o), 0.0)]
+    near = np.full(n + 1, -1, dtype=np.int64)
+    near[cv] = cv_eid
+    parent = graph.chain_parent()
+    near = _pointer_jump(n, parent, channels, near)
+    rows = _merge_rows(graph)
+
+    # the sinks are rows too, after the merge rows: t >= completion(sink)
+    num_rows, num_merges = len(rows.row_u), len(rows.merges)
+    row_u = np.concatenate([rows.row_u, rows.sinks])
+    row_eid = np.concatenate([rows.row_eid, np.full(len(rows.sinks), -1, dtype=np.int64)])
+    e_comm = np.zeros(len(row_u), dtype=bool)
+    e_comm[:num_rows] = comm[rows.row_eid]
+    base = channels[0][row_u]
+    row_slot = np.concatenate([rows.row_slot, rows.sink_slot])
+    wrow, weid = _row_messages(parent, near, cv, cv_eid, row_u, row_eid, e_comm, graph.num_edges)
+    src, dst = graph.rank[graph.edge_src[weid]], graph.rank[graph.edge_dst[weid]]
+    wpair = np.minimum(src, dst).astype(np.int64) * nranks + np.maximum(src, dst)
+    wbytes = bw[weid]
+    owner = np.repeat(np.arange(1, num_merges + 1), np.diff(rows.row_ptr))
+    row_index = np.arange(num_rows)
+    levels = [
+        (1 + g0, 1 + g1, rows.row_slot[r0:r1], r0, r1, starts)
+        for g0, g1, r0, r1, starts, _ in rows.levels
+    ]
+
+    def symmetric(flat: np.ndarray) -> np.ndarray:
+        upper = flat.reshape(nranks, nranks).astype(np.float64)
+        return upper + upper.T - np.diag(np.diag(upper))
+
+    def evaluate(latency: np.ndarray, gap: np.ndarray | None = None):
+        lat = np.asarray(latency, dtype=np.float64).ravel()
+        per_byte = (np.full(nranks * nranks, params.G) if gap is None
+                    else np.asarray(gap, dtype=np.float64).ravel())
+        const = base + np.bincount(
+            wrow, weights=lat[wpair] + wbytes * per_byte[wpair], minlength=len(row_u)
+        )
+        state = np.zeros(num_merges + 1)
+        for s0, s1, slots, r0, r1, starts in levels:
+            state[s0:s1] = np.maximum.reduceat(state[slots] + const[r0:r1], starts)
+        # every row's value again (bit-identical: same operands), then the
+        # backtrack from the winning sink through each merge's winning row
+        value = state[row_slot] + const
+        last = num_rows + int(np.argmax(value[num_rows:]))
+        if np.isnan(value[last]):  # a NaN anywhere reaches a sink: no winner to trace
+            raise ValueError("the runtime is NaN: a cost, latency or gap is NaN")
+        path = [last]
+        if num_merges:
+            hit = value[:num_rows] == state[owner]
+            winner = np.minimum.reduceat(
+                np.where(hit, row_index, num_rows), rows.row_ptr[:-1]
+            )
+            slot = row_slot[last]
+            while slot:
+                path.append(winner[slot - 1])
+                slot = row_slot[path[-1]]
+        on_path = np.zeros(len(row_u), dtype=bool)
+        on_path[path] = True
+        chosen = on_path[wrow]
+        pairs = wpair[chosen]
+        d_l = np.bincount(pairs, minlength=nranks * nranks)
+        d_g = np.bincount(pairs, weights=wbytes[chosen], minlength=nranks * nranks)
+        return float(value[last]), symmetric(d_l), symmetric(d_g)
+
+    return evaluate

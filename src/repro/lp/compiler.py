@@ -28,9 +28,9 @@ objects entirely:
 The result is *structurally identical* to the symbolic build: the same
 variables in the same order (``t``, then the symbolic ``l``/``G``/``o``
 heads, then per-pair and merge variables in topological sweep order), and
-row-equivalent constraints in the same row order — so duals, reduced costs,
-:class:`~repro.lp.parametric.ParametricLP` bound updates, the batched sweep
-and the placement loop all work unchanged on a compiled model.
+row-equivalent constraints in the same row order — so duals, reduced costs
+and :class:`~repro.lp.parametric.ParametricLP` bound updates work unchanged
+on a compiled model.
 
 See ``src/repro/lp/README.md`` for the variable-ordering contract.
 """
@@ -114,6 +114,38 @@ def _pointer_jump(
             near[:n] = np.where(near[:n] == -1, near[j[:n]], near[:n])
         jump = j[j]
     return near
+
+
+def _row_messages(
+    parent: np.ndarray,
+    near: np.ndarray,
+    cv: np.ndarray,
+    cv_eid: np.ndarray,
+    row_u: np.ndarray,
+    row_eid: np.ndarray,
+    e_comm: np.ndarray,
+    num_edges: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every message on each row's compressed path, as ``(rows, edge ids)``.
+
+    A row's messages are its own COMM edge (``e_comm``) plus the chain COMM
+    edges from ``row_u`` up to its anchor, enumerated through the
+    nearest-comm linked list :func:`_pointer_jump` filled into ``near``
+    (``cv``/``cv_eid``: the chain vertices fed by a message, and that edge).
+    """
+    next_comm = np.full(num_edges, -1, dtype=np.int64)
+    if cv.size:
+        next_comm[cv_eid] = near[parent[cv]]
+    walk_rows = [np.flatnonzero(e_comm)]
+    walk_eids = [row_eid[e_comm]]
+    cursor = near[row_u]
+    active = np.flatnonzero(cursor >= 0)
+    while active.size:
+        walk_rows.append(active)
+        walk_eids.append(cursor[active])
+        cursor[active] = next_comm[cursor[active]]
+        active = active[cursor[active] >= 0]
+    return np.concatenate(walk_rows), np.concatenate(walk_eids)
 
 
 def compile_lp(
@@ -390,22 +422,7 @@ def compile_lp(
         emit(all_rows[nz], np.full(int(nz.sum()), o_col, dtype=np.int64), -coeff[nz])
 
     if need_pairs:
-        # every message on a row's compressed path: the row's own edge plus
-        # the chain edges enumerated through the nearest-comm linked list
-        next_comm = np.full(m, -1, dtype=np.int64)
-        if cv.size:
-            next_comm[cv_eid] = near[parent[cv]]
-        walk_rows = [all_rows[e_comm]]
-        walk_eids = [row_eid[e_comm]]
-        cursor = near[row_u].copy()
-        active = np.flatnonzero(cursor >= 0)
-        while active.size:
-            walk_rows.append(active)
-            walk_eids.append(cursor[active])
-            cursor[active] = next_comm[cursor[active]]
-            active = active[cursor[active] >= 0]
-        wrow = np.concatenate(walk_rows)
-        weid = np.concatenate(walk_eids)
+        wrow, weid = _row_messages(parent, near, cv, cv_eid, row_u, row_eid, e_comm, m)
         wcode = pair_code_edge[weid]
         keyspace = nranks * nranks
         if per_pair_lat:

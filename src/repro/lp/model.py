@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -497,39 +497,6 @@ class LPModel:
         self.variables[var.index] = updated
         self._bounds_version += 1
         return updated
-
-    def set_var_lbs(
-        self, indices: Sequence[int] | np.ndarray, lbs: Iterable[float] | np.ndarray
-    ) -> None:
-        """Replace the lower bounds of many variables in one bounds revision.
-
-        The batched counterpart of :meth:`set_var_lb` for callers that push a
-        whole vector of bounds per solve (e.g. the per-pair matrices of the
-        placement loop); the revision counter is bumped once instead of once
-        per variable.
-        """
-        indices = list(indices)
-        lbs = list(lbs)
-        if len(indices) != len(lbs):
-            raise ValueError(
-                f"set_var_lbs got {len(indices)} indices but {len(lbs)} bounds"
-            )
-        updates = []
-        for index, lb in zip(indices, lbs):
-            var = self.variables[index]
-            lb = float(lb)
-            if lb > var.ub:
-                raise ValueError(
-                    f"variable {var.name}: lower bound {lb} exceeds upper bound {var.ub}"
-                )
-            updates.append(
-                Variable(model_id=self._id, index=var.index, name=var.name, lb=lb, ub=var.ub)
-            )
-        # validate-then-apply: a rejected bound must not leave earlier
-        # variables mutated behind an unbumped revision counter
-        for var in updates:
-            self.variables[var.index] = var
-        self._bounds_version += 1
 
     def set_var_ub(self, var: Variable, ub: float) -> Variable:
         """Replace the upper bound of ``var`` (returns the updated variable)."""

@@ -1,16 +1,17 @@
 """Parametric re-solving of one assembled LP under changing variable bounds.
 
-The paper's three headline analyses are all "solve the same LP many times
-while only variable *bounds* move":
+The paper's latency analyses "solve the same LP many times while only
+variable *bounds* move":
 
 * Algorithm 2 (critical latencies) sweeps the lower bound of the latency
   variable ``l`` over an interval;
 * the ``T(L)`` / ``λ_L`` sensitivity curves evaluate the same sweep on a
-  dense grid of latencies;
-* the rank-placement loop (Algorithm 3) re-assigns the lower bounds of the
-  per-pair ``l_{i,j}`` / ``G_{i,j}`` variables for every candidate mapping.
+  dense grid of latencies.
 
-:class:`ParametricLP` is the one engine behind all three.  It owns a model
+(Algorithm 3's per-pair bounds are evaluated by a forward pass instead, see
+:func:`repro.core.envelope.pair_forward_evaluator`.)
+
+:class:`ParametricLP` is the LP engine behind both.  It owns a model
 whose CSR lowering (:mod:`repro.lp.assembler`) is built once; every update
 goes through bound-only mutators that bump just the model's bounds-revision
 counter, so re-solves refresh two dense vectors instead of re-expanding the
@@ -43,15 +44,13 @@ feed it:
   tests hold the forward pass to;
 * :func:`repro.core.envelope.forward_envelope` answers all probes of a pass
   with one level-synchronous traversal of the execution graph (no LP).
-
-The placement loop uses the bound/solve primitives directly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -279,19 +278,6 @@ class ParametricLP:
     def set_lower_bound(self, var: Variable | int, lb: float) -> Variable:
         """Replace the lower bound of one variable (bounds revision only)."""
         return self.model.set_var_lb(self._variable(var), float(lb))
-
-    def set_lower_bounds(
-        self, variables: Sequence[Variable | int], lbs: Iterable[float] | np.ndarray
-    ) -> None:
-        """Replace the lower bounds of many variables in one bounds revision.
-
-        Used by the placement loop to push a whole per-pair latency/gap
-        matrix into the model per candidate mapping.
-        """
-        indices = [
-            var.index if isinstance(var, Variable) else int(var) for var in variables
-        ]
-        self.model.set_var_lbs(indices, lbs)
 
     # -- solving -----------------------------------------------------------------
 

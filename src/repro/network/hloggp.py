@@ -58,6 +58,11 @@ class ArchitectureGraph:
     def __post_init__(self) -> None:
         if self.num_nodes < 1 or self.processes_per_node < 1:
             raise ValueError("num_nodes and processes_per_node must be >= 1")
+        for name in ("intra_node_latency", "inter_node_latency", "intra_node_gap",
+                     "inter_node_gap"):
+            value = np.asarray(getattr(self, name), dtype=np.float64)
+            if not np.all((value >= 0) & (value < np.inf)):
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
         if isinstance(self.inter_node_latency, np.ndarray):
             expected = (self.num_nodes, self.num_nodes)
             if self.inter_node_latency.shape != expected:

@@ -2,30 +2,36 @@
 
 The algorithm iteratively refines a process mapping ``π`` (rank → node):
 
-1. build the heterogeneous (per-pair) LP of the execution graph and assign
-   the lower bounds of every ``l_{i,j}`` / ``G_{i,j}`` variable from the
-   architecture graph and the current mapping;
-2. solve it — the objective value is the predicted runtime under ``π`` and
-   the reduced costs of the pairwise variables form the latency/bandwidth
-   sensitivity matrices ``D_L`` and ``D_G`` (how many critical-path messages
-   and bytes each pair carries);
+1. evaluate the heterogeneous (per-pair) model of the execution graph under
+   ``π``: every message between ranks ``i`` and ``j`` costs the
+   architecture's ``l_{i,j} + (size-1)·G_{i,j}``;
+2. the makespan is the predicted runtime under ``π``, and the messages and
+   bytes each rank pair carries on the critical path form the
+   latency/bandwidth sensitivity matrices ``D_L`` and ``D_G``;
 3. evaluate the *gain* of swapping every pair of ranks — moving
    heavily-communicating, high-sensitivity pairs closer together — and apply
    the best verified swap;
 4. stop when no positive-gain swap exists or the predicted runtime stops
    improving.
 
-Because the objective value *is* the predicted runtime, the algorithm can
-verify each swap exactly instead of trusting the heuristic gain — precisely
-the property the paper highlights.
+The paper reads steps 1–2 off the per-pair LP: its objective is the
+runtime and the reduced costs of the ``l_{i,j}``/``G_{i,j}`` variables are
+``D_L``/``D_G``.  That LP minimises the makespan, so every pair variable
+sits at its lower bound and the optimum is a longest path with per-edge
+constants.  The search therefore runs on
+:func:`~repro.core.envelope.pair_forward_evaluator`: one level pass per
+candidate mapping gives the same runtime, and a backtrack along its
+critical path gives the sensitivities (with a fixed tie rule where several
+critical paths exist, so the answer does not depend on a solver).  No LP
+is built or solved; :func:`predicted_runtime` keeps the LP as the oracle.
 
-The loop is *incremental*: the per-pair LP is lowered to CSR once and every
-candidate mapping is evaluated through bound-only updates on a shared
-:class:`~repro.lp.parametric.ParametricLP` (zero re-assemblies after the
-first solve), the O(P³) swap-gain scan is a handful of dense matrix
-products (:func:`swap_gain_matrix`), and up to ``top_k`` candidate swaps
-are verified per iteration — the first one the LP confirms is applied, so
-a misleading heuristic leader no longer ends the search prematurely.
+Because the evaluated runtime *is* the predicted runtime, the algorithm can
+verify each swap exactly instead of trusting the heuristic gain — precisely
+the property the paper highlights.  The O(P³) swap-gain scan is a handful
+of dense matrix products (:func:`swap_gain_matrix`), and up to ``top_k``
+candidate swaps are verified per iteration — the first one that lowers the
+runtime is applied, so a misleading heuristic leader does not end the
+search prematurely.
 
 The gain is intentionally *not* weighted by communication volume: the
 pairwise sensitivities ``λ_L^{i,j}`` / ``λ_G^{i,j}`` already count the
@@ -37,19 +43,21 @@ Scotch-like baseline in :mod:`repro.placement.baselines` consumes instead).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ..core.lp_builder import GraphLP, build_lp
-from ..lp.parametric import ParametricLP
+from ..core.envelope import pair_forward_evaluator
 from ..network.hloggp import ArchitectureGraph, block_mapping
 from ..network.params import LogGPSParams
 from ..schedgen.graph import ExecutionGraph
 
+if TYPE_CHECKING:
+    from ..core.lp_builder import GraphLP
+
 __all__ = ["PlacementResult", "llamp_placement", "predicted_runtime", "swap_gain_matrix"]
 
-#: Minimum heuristic gain / LP improvement considered significant (µs).
+#: Minimum heuristic gain / runtime improvement considered significant (µs).
 _GAIN_EPS = 1e-9
 
 
@@ -63,6 +71,7 @@ class PlacementResult:
     iterations: int
     swaps: list[tuple[int, int]] = field(default_factory=list)
     history: list[float] = field(default_factory=list)
+    # always 0 (the search solves no LP); perfbench/tracing.py reads both
     num_lp_solves: int = 0
     num_reassemblies: int = 0
 
@@ -72,14 +81,6 @@ class PlacementResult:
         if self.initial_runtime <= 0:
             return 0.0
         return 1.0 - self.predicted_runtime / self.initial_runtime
-
-
-def _solve_for_mapping(graph_lp: GraphLP, arch: ArchitectureGraph, mapping: Sequence[int],
-                       backend: str):
-    graph_lp.set_pair_latency_bounds(arch.latency_matrix(mapping))
-    if graph_lp.pair_gap:
-        graph_lp.set_pair_gap_bounds(arch.gap_matrix(mapping))
-    return graph_lp.model.solve(backend=backend)
 
 
 def predicted_runtime(
@@ -94,9 +95,12 @@ def predicted_runtime(
 ) -> float:
     """Predicted runtime of ``graph`` under a given process mapping.
 
+    The per-pair LP oracle of :func:`llamp_placement`'s forward evaluator.
     Pass a prebuilt per-pair ``graph_lp`` to reuse one assembled model
     across several mappings (bound-only updates, no re-assembly).
     """
+    from ..core.lp_builder import build_lp
+
     if graph_lp is None:
         graph_lp = build_lp(
             graph,
@@ -106,8 +110,10 @@ def predicted_runtime(
         )
     elif not graph_lp.pair_latency:
         raise ValueError("predicted_runtime needs a GraphLP built with latency_mode='per_pair'")
-    solution = _solve_for_mapping(graph_lp, arch, mapping, backend)
-    return solution.objective
+    graph_lp.set_pair_latency_bounds(arch.latency_matrix(mapping))
+    if graph_lp.pair_gap:
+        graph_lp.set_pair_gap_bounds(arch.gap_matrix(mapping))
+    return graph_lp.model.solve(backend=backend).objective
 
 
 def _swap_gain(
@@ -236,20 +242,21 @@ def llamp_placement(
     *,
     initial_mapping: Sequence[int] | None = None,
     max_iterations: int = 20,
-    backend: str = "highs",
     include_gap: bool = True,
     top_k: int = 4,
-    graph_lp: GraphLP | None = None,
+    evaluator=None,
 ) -> PlacementResult:
     """Run Algorithm 3 and return the refined mapping.
 
     ``initial_mapping`` defaults to the block mapping (the paper's baseline).
-    The per-pair LP is assembled once; every candidate swap is evaluated
-    through bound-only updates on a shared :class:`ParametricLP`, and up to
-    ``top_k`` candidates (by heuristic gain) are LP-verified per iteration —
-    the first confirmed improvement is applied.  ``top_k=1`` reproduces the
-    classic best-candidate-or-stop behaviour.  Pass a prebuilt per-pair
-    ``graph_lp`` to share one assembled model across several searches.
+    Every candidate mapping costs one forward pass of ``evaluator`` (built
+    by :func:`~repro.core.envelope.pair_forward_evaluator` when ``None``;
+    pass one to share its layout across several searches and runtime
+    evaluations).  Up to ``top_k`` candidates (by heuristic gain) are
+    verified per iteration — the first confirmed improvement is applied.
+    ``top_k=1`` reproduces the classic best-candidate-or-stop behaviour.
+    ``include_gap=False`` charges ``params.G`` per byte between every pair
+    and drops the bandwidth term of the gain.
     """
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
@@ -257,48 +264,15 @@ def llamp_placement(
     mapping = list(initial_mapping) if initial_mapping is not None else block_mapping(nranks, arch)
     if len(mapping) != nranks:
         raise ValueError(f"mapping has {len(mapping)} entries for {nranks} ranks")
+    if evaluator is None:
+        evaluator = pair_forward_evaluator(graph, params)
 
-    if graph_lp is None:
-        graph_lp = build_lp(
-            graph,
-            params,
-            latency_mode="per_pair",
-            gap_mode="per_pair" if include_gap else "constant",
-        )
-    elif not graph_lp.pair_latency:
-        raise ValueError("llamp_placement needs a GraphLP built with latency_mode='per_pair'")
+    def evaluate(candidate: Sequence[int]):
+        gap = arch.gap_matrix(candidate) if include_gap else None
+        runtime, sensitivity_L, sensitivity_G = evaluator(arch.latency_matrix(candidate), gap)
+        return runtime, sensitivity_L, sensitivity_G if include_gap else None
 
-    engine = ParametricLP(graph_lp.model, backend=backend)
-    lat_keys = list(graph_lp.pair_latency)
-    lat_vars = [graph_lp.pair_latency[key].index for key in lat_keys]
-    lat_rows = np.array([key[0] for key in lat_keys], dtype=np.intp)
-    lat_cols = np.array([key[1] for key in lat_keys], dtype=np.intp)
-    gap_keys = list(graph_lp.pair_gap)
-    gap_vars = [graph_lp.pair_gap[key].index for key in gap_keys]
-    gap_rows = np.array([key[0] for key in gap_keys], dtype=np.intp)
-    gap_cols = np.array([key[1] for key in gap_keys], dtype=np.intp)
-
-    # the architecture is immutable for the whole search: build the node
-    # matrices once and gather per candidate instead of rebuilding them
-    # inside every solve (validity is checked once — candidates are
-    # permutations of the validated initial mapping)
-    arch._check_mapping(mapping)
-    node_lat = arch.node_latency_matrix()
-    node_gap = arch.node_gap_matrix() if gap_keys else None
-
-    def solve_mapping(candidate: Sequence[int]):
-        ranks = np.asarray(candidate, dtype=np.intp)
-        lat = node_lat[np.ix_(ranks, ranks)]
-        np.fill_diagonal(lat, 0.0)
-        engine.set_lower_bounds(lat_vars, lat[lat_rows, lat_cols])
-        if gap_keys:
-            gap = node_gap[np.ix_(ranks, ranks)]
-            np.fill_diagonal(gap, 0.0)
-            engine.set_lower_bounds(gap_vars, gap[gap_rows, gap_cols])
-        return engine.solve()
-
-    solution = solve_mapping(mapping)
-    best_runtime = solution.objective
+    best_runtime, sensitivity_L, sensitivity_G = evaluate(mapping)
     initial_runtime = best_runtime
     history = [best_runtime]
     swaps: list[tuple[int, int]] = []
@@ -306,27 +280,22 @@ def llamp_placement(
     iterations = 0
     while iterations < max_iterations:
         iterations += 1
-        sensitivity_L = graph_lp.pair_latency_sensitivities(solution)
-        sensitivity_G = (
-            graph_lp.pair_gap_sensitivities(solution) if graph_lp.pair_gap else None
-        )
         gains = swap_gain_matrix(sensitivity_L, sensitivity_G, mapping, arch)
 
         improved = False
         for i, j in _rank_candidates(gains, top_k):
             candidate = list(mapping)
             candidate[i], candidate[j] = candidate[j], candidate[i]
-            candidate_solution = solve_mapping(candidate)
-            if candidate_solution.objective < best_runtime - _GAIN_EPS:
-                mapping = candidate
-                best_runtime = candidate_solution.objective
-                solution = candidate_solution
+            runtime, candidate_L, candidate_G = evaluate(candidate)
+            if runtime < best_runtime - _GAIN_EPS:
+                mapping, best_runtime = candidate, runtime
+                sensitivity_L, sensitivity_G = candidate_L, candidate_G
                 swaps.append((i, j))
                 history.append(best_runtime)
                 improved = True
                 break
         if not improved:
-            # the LP verdict overrides the heuristic gains: stop refining
+            # the evaluated runtimes override the heuristic gains: stop refining
             break
 
     return PlacementResult(
@@ -336,6 +305,4 @@ def llamp_placement(
         iterations=iterations,
         swaps=swaps,
         history=history,
-        num_lp_solves=engine.num_solves,
-        num_reassemblies=engine.structure_rebuilds,
     )

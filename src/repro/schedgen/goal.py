@@ -223,8 +223,9 @@ def load_goal(
             vertex_of.clear()
             continue
         if line == "}":
-            if rank is not None:
-                flush()
+            if rank is None:
+                raise GoalFormatError(f"line {lineno}: '}}' outside a rank block")
+            flush()
             rank = None
             continue
         if rank is None:

@@ -87,6 +87,8 @@ _INT_FIELDS = {
 }
 _FIELD_SLOT = {name: slot for slot, name in enumerate(_INT_FIELDS)}
 _INT_DEFAULTS = list(_INT_FIELDS.values())
+#: the integer columns are int64
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 #: records per block when :func:`load_trace` reads a whole trace
 _LOAD_BLOCK_RECORDS = 1 << 16
@@ -377,12 +379,19 @@ def read_trace_blocks(
             try:
                 if slot is None:
                     requests = tuple(int(v) for v in value.split(",") if v)
+                    in_range = all(_INT64_MIN <= v <= _INT64_MAX for v in requests)
                 else:
                     values[slot] = int(value)
+                    in_range = _INT64_MIN <= values[slot] <= _INT64_MAX
             except ValueError:
                 raise TraceFormatError(
                     f"line {lineno}: field {key!r} has non-integer value {value!r}"
                 ) from None
+            if not in_range:
+                raise TraceFormatError(
+                    f"line {lineno}: field {key!r} value {value!r} does not fit "
+                    f"a 64-bit integer"
+                )
         peer, size, _, comm_size, request, _, recv_size, _ = values
 
         op = _OPS[code]

@@ -1,5 +1,5 @@
 """Package layering: the reference oracles stay out of production code, and
-SciPy loads only where an LP is built or solved."""
+SciPy loads only where an LP is built or solved — in no command."""
 
 import ast
 import json
@@ -133,12 +133,26 @@ print(json.dumps(loaded))
 """
 
 
-def test_only_place_loads_scipy_in_a_fresh_interpreter(tmp_path):
+def test_no_command_loads_scipy_in_a_fresh_interpreter(tmp_path):
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     proc = subprocess.run(
         [sys.executable, "-c", _FRESH_INTERPRETER_SCRIPT, str(tmp_path)],
         env=env, capture_output=True, text=True, timeout=300, check=True,
     )
     loaded = json.loads(proc.stdout)
-    assert loaded.pop("place milc") is True
+    assert "place milc" in loaded
     assert loaded == dict.fromkeys(loaded, False)
+
+
+def test_place_imports_no_lp_layer():
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    (place,) = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "_cmd_place"]
+    imported = {
+        f"repro.{node.module}" for node in ast.walk(place)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+    }
+    assert imported and not [
+        name for name in imported
+        if name.startswith(("repro.lp", "repro.core.lp_builder"))
+    ]

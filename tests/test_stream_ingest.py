@@ -246,8 +246,9 @@ class TestGoalErrors:
         ("rank 0 {\n  l1: send 8b to 3 tag 0\n}\n", "line 3: peer 3 out of range [0, 1)"),
         # lines end at "\n" only: a form feed does not split a statement
         ("rank 0 {\n  l1: calc 100\f  l2: calc 200\n}\n", "line 3: cannot parse"),
+        ("}\nrank 0 {\n  l1: calc 5\n}\n", "line 2: '}' outside a rank block"),
     ], ids=["duplicate-label", "duplicate-block", "rank-range", "negative-rank",
-            "peer-range", "form-feed"])
+            "peer-range", "form-feed", "stray-brace"])
     def test_names_the_line(self, body, message, chunk_size):
         with pytest.raises(GoalFormatError) as error:
             load_goal(io.StringIO("num_ranks 1\n" + body), chunk_size=chunk_size)
@@ -390,6 +391,16 @@ MALFORMED_TRACES = {
                               _V, "rank 0: MPI_Send peer 3 out of range"),
     "non-integer": (_H + "@rank 0\n@rank 1\nMPI_Send:1:2:peer=x\n", _F,
                     "line 4: field 'peer' has non-integer value 'x'"),
+    "size-beyond-int64": (_H + "@rank 0\nMPI_Init:0:1:size=99999999999999999999\n", _F,
+                          "line 3: field 'size' value '99999999999999999999' does not "
+                          "fit a 64-bit integer"),
+    "request-beyond-int64": (_H + "@rank 0\n@rank 1\nMPI_Isend:0:1:peer=0:size=8:"
+                             "request=9223372036854775808\n", _F,
+                             "line 4: field 'request' value '9223372036854775808' does "
+                             "not fit a 64-bit integer"),
+    "handle-beyond-int64": (_H + "@rank 0\nMPI_Waitall:0:1:requests=1,-9223372036854775809\n",
+                            _F, "line 3: field 'requests' value '1,-9223372036854775809' "
+                            "does not fit a 64-bit integer"),
 }
 
 
