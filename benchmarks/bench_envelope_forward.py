@@ -2,7 +2,7 @@
 
 The forward engine (the tangent search answered by batched level passes)
 must produce the *identical* ``PiecewiseLinear`` envelope ``T(L)`` as the LP
-tangent search (``lp_envelope``) — same piece count, slopes, intercepts and
+tangent search (the oracle ``repro.testing.lp_envelope``) — same piece count, slopes, intercepts and
 breakpoints to 1e-6 — at least 10× faster end-to-end on a Fig. 16-scale
 sweep workload.
 "End-to-end" counts what each engine actually needs: the LP path pays
@@ -21,9 +21,9 @@ import time
 import numpy as np
 
 from repro import CSCS_TESTBED
-from repro.core import build_lp, forward_envelope, lp_envelope
+from repro.core import build_lp, forward_envelope
 from repro.network.params import LogGPSParams
-from repro.testing import build_running_example
+from repro.testing import build_running_example, lp_envelope
 
 from _bench_utils import count_lp_solves, emit_json, print_header, print_rows
 

@@ -17,6 +17,7 @@ import pytest
 from repro.core import build_lp, find_critical_latencies, parametric_analysis
 from repro.network.params import LogGPSParams
 from repro.schedgen.graph import GraphBuilder
+from repro.testing import lp_envelope
 
 from _bench_utils import emit_json, print_header, print_rows
 
@@ -51,8 +52,11 @@ def _analyse():
     out["lambda_half"] = lp.latency_sensitivity(sol_half)
     lp.set_latency_bound(0.0)
     out["tolerance_2us"] = lp.solve_max_latency(2.0).objective
-    out["critical"] = find_critical_latencies(lp, 0.0, 1.0)
-    out["critical_appendix_d"] = find_critical_latencies(lp, 0.2, 0.5)
+    # Algorithm 2 on the graph (forward passes), and over LP probes
+    out["critical"] = find_critical_latencies(graph, 0.0, 1.0, params=PARAMS)
+    out["critical_appendix_d"] = find_critical_latencies(graph, 0.2, 0.5, params=PARAMS)
+    out["critical_lp"] = lp_envelope(lp, 0.0, 1.0).breakpoints()
+    out["critical_appendix_d_lp"] = lp_envelope(lp, 0.2, 0.5).breakpoints()
     pa = parametric_analysis(graph, PARAMS, l_min=0.0, l_max=2.0)
     out["parametric_breakpoints"] = pa.critical_latencies()
     out["T_curve"] = [(L, pa.runtime(L), pa.latency_sensitivity(L))
@@ -70,6 +74,7 @@ def test_fig04_running_example(run_once):
         ["T(L = 0.5 µs)                       [µs]", 1.615, out["T_half"]],
         ["λ_L at L = 0.5 µs", 1.0, out["lambda_half"]],
         ["critical latency L_c                [µs]", 0.385, out["critical"][0]],
+        ["L_c over LP probes                  [µs]", 0.385, out["critical_lp"][0]],
         ["max L with T ≤ 2 µs                 [µs]", 0.885, out["tolerance_2us"]],
     ])
     print("\nT(L) and λ_L(L) from the parametric engine:")
@@ -83,4 +88,6 @@ def test_fig04_running_example(run_once):
     assert out["tolerance_2us"] == pytest.approx(0.885)
     assert out["critical"] == pytest.approx([0.385], abs=1e-6)
     assert out["critical_appendix_d"] == pytest.approx([0.385], abs=1e-6)
+    assert out["critical_lp"] == pytest.approx([0.385], abs=1e-6)
+    assert out["critical_appendix_d_lp"] == pytest.approx([0.385], abs=1e-6)
     assert out["parametric_breakpoints"] == pytest.approx([0.385], abs=1e-9)

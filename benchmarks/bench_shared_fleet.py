@@ -45,7 +45,6 @@ ITERATIONS = 8
 MESSAGE_BYTES = (64 * 1024, 32 * 1024)  # two unique graphs
 DUPLICATES = 12                          # scenarios per unique graph
 L_MIN, L_MAX = 1.0, 3.0
-MAX_PIECES = 50_000
 # the simulated ΔL sweep of every scenario: the per-task work both paths share
 INJECTOR = "ideal"
 SIM_POINTS = 64
@@ -78,9 +77,7 @@ def _build_graphs():
 
 def _pickling_job(graph):
     """The per-scenario path: the graph arrives pickled inside every task."""
-    envelope = forward_envelope(
-        graph, PARAMS, l_min=L_MIN, l_max=L_MAX, max_pieces=MAX_PIECES
-    )
+    envelope = forward_envelope(graph, PARAMS, l_min=L_MIN, l_max=L_MAX)
     sim = simulate_sweep(graph, PARAMS, list(SIM_DELTAS), injector=INJECTOR)
     rss_kb = int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
     return envelope, sim.makespan.tolist(), rss_kb
@@ -105,7 +102,6 @@ def _run_shared_fleet(fleet):
             params_digest=PARAMS.content_digest(),
             l_min=L_MIN,
             l_max=L_MAX,
-            max_pieces=MAX_PIECES,
             sim=(INJECTOR, SIM_DELTAS),
             params=PARAMS,
             scenario=f"fleet[{i}]",

@@ -58,8 +58,9 @@ def envelope_key(graph, params, *, l_min: float, l_max: float, **config: object)
     Combines the graph and parameter content digests with the swept interval
     and the configuration that changes the produced curve, sorted by name
     so keyword order is irrelevant.  Every production caller passes
-    :func:`~repro.core.envelope.envelope_config` (``max_pieces`` only), so
-    one curve has one key, the same one earlier versions wrote.
+    :func:`~repro.core.envelope.envelope_config` (the piece bound
+    ``MAX_PIECES`` only), so one curve has one key, the same one earlier
+    versions wrote.
     """
     return envelope_key_from_digests(
         graph.content_digest(),

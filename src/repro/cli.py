@@ -42,7 +42,8 @@ level-synchronous simulator.  No command builds or solves an LP, and there
 is no engine switch.
 
 An unbounded tolerance prints as ``unbounded`` (``null`` under ``--json``).
-A NaN, infinite or negative LogGPS parameter or ΔL exits with the reason.
+A NaN, infinite or negative LogGPS parameter or ΔL, and a ``--nranks`` or
+``--points`` below 1, exits with the reason.
 """
 
 from __future__ import annotations
@@ -491,17 +492,20 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             f"--l-max ({args.l_max} µs) must exceed every base latency in the grid"
         )
     injectors = [None if name == "none" else name for name in args.injectors]
-    driver = ScenarioFleet(
-        args.apps,
-        nranks=args.nranks,
-        allreduces=args.allreduce,
-        params_grid=params_grid,
-        injectors=injectors,
-        l_max=args.l_max,
-        sim_deltas=args.sim_deltas,
-        processes=args.processes,
-        cache_dir=args.cache_dir,
-    )
+    try:
+        driver = ScenarioFleet(
+            args.apps,
+            nranks=args.nranks,
+            allreduces=args.allreduce,
+            params_grid=params_grid,
+            injectors=injectors,
+            l_max=args.l_max,
+            sim_deltas=args.sim_deltas,
+            processes=args.processes,
+            cache_dir=args.cache_dir,
+        )
+    except ValueError as error:
+        raise SystemExit(str(error)) from None
     result = driver.run(output_dir=args.output_dir)
     if args.json:
         print(json.dumps(result.summary, indent=2, sort_keys=True))
@@ -613,6 +617,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     """Entry point of the ``llamp`` console script."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    for flag in ("nranks", "points"):
+        values = getattr(args, flag, None)
+        for value in values if isinstance(values, list) else [values]:
+            if value is not None and value < 1:
+                raise SystemExit(f"--{flag} must be >= 1, got {value}")
     return _COMMANDS[args.command](args)
 
 

@@ -1,4 +1,4 @@
-"""LLAMP core: LP generation, sensitivity/tolerance analysis, parametric engine."""
+"""LLAMP core: LP generation, sensitivity/tolerance analysis, forward envelopes."""
 
 from .analyzer import LatencyAnalyzer, SensitivityCurve, ToleranceReport
 from .critical_latency import Tangent, critical_latency_curve, find_critical_latencies
@@ -15,7 +15,6 @@ from .parametric import (
     ParametricAnalysis,
     PiecewiseLinear,
     batched_sweep_graphs,
-    lp_envelope,
     parametric_analysis,
 )
 
@@ -32,7 +31,6 @@ __all__ = [
     "PiecewiseLinear",
     "Line",
     "parametric_analysis",
-    "lp_envelope",
     "batched_sweep_graphs",
     "EnvelopeOverflowError",
     "find_critical_latencies",

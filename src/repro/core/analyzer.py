@@ -14,7 +14,10 @@ and exposes every metric the paper derives from the generated LP:
 
 Envelope-first: Eq. 3 makes every latency metric a query on one exact
 ``T(L)`` envelope over ``[L₀, ∞)`` (:attr:`LatencyAnalyzer.analysis`, a
-few batched forward passes, no LP).  The LP is built only for ``λ_G``.
+few batched forward passes).  ``λ_G`` is the byte count of one critical
+path, from a backtrack of the per-pair forward pass
+(:func:`~repro.core.envelope.pair_forward_evaluator`).  No metric builds
+or solves an LP; the paper's LP answers are the ``repro.testing`` oracles.
 
 Typical use::
 
@@ -41,7 +44,6 @@ from ..network.params import LogGPSParams
 from ..schedgen.graph import ExecutionGraph
 from .critical_latency import critical_latency_curve, find_critical_latencies
 from .graph_analysis import CriticalPathResult, analyze_critical_path
-from .lp_builder import GraphLP, build_lp
 from .parametric import ParametricAnalysis, PiecewiseLinear
 
 __all__ = ["SensitivityCurve", "ToleranceReport", "LatencyAnalyzer"]
@@ -89,6 +91,13 @@ class ToleranceReport:
         ]
 
 
+def _checked_deltas(delta_Ls) -> np.ndarray:
+    deltas = np.asarray(delta_Ls, dtype=np.float64)
+    if not np.all((0 <= deltas) & (deltas < math.inf)):
+        raise ValueError("delta_L values must be finite and non-negative")
+    return deltas
+
+
 class LatencyAnalyzer:
     """Analyse the network-latency behaviour of one execution graph."""
 
@@ -100,23 +109,11 @@ class LatencyAnalyzer:
         graph: ExecutionGraph,
         params: LogGPSParams,
         *,
-        backend: str = "highs",
-        gap_symbolic: bool = False,
         cache_dir: str | os.PathLike | None = None,
     ) -> None:
-        from ..lp.backends import default_registry
-
-        if backend not in default_registry.names():
-            raise ValueError(
-                f"unknown backend {backend!r} for LatencyAnalyzer; "
-                f"expected one of {tuple(default_registry.names())}"
-            )
-
         self.graph = graph
         self.params = params
-        self.backend = backend
-        self._gap_symbolic = gap_symbolic
-        self._lp: GraphLP | None = None
+        self._pair_evaluator = None
         self._analysis: ParametricAnalysis | None = None
         self._baseline_runtime: float | None = None
         self._store = None
@@ -163,18 +160,6 @@ class LatencyAnalyzer:
     # -- lazily built artefacts -------------------------------------------------
 
     @property
-    def lp(self) -> GraphLP:
-        """The generated LP (built on first use; only ``λ_G`` needs it)."""
-        if self._lp is None:
-            self._lp = build_lp(
-                self.graph,
-                self.params,
-                latency_mode="global",
-                gap_mode="global" if self._gap_symbolic else "constant",
-            )
-        return self._lp
-
-    @property
     def analysis(self) -> ParametricAnalysis:
         """The exact ``T(L)`` curve over ``[L₀, ∞)`` every latency metric is
         read from: :meth:`parametric` up to ``L = ∞``, built on first use."""
@@ -209,8 +194,7 @@ class LatencyAnalyzer:
         return simulate_sweep(self.graph, self.params, delta_Ls, injector=injector, noise=noise)
 
     def parametric(
-        self, l_min: float | None = None, l_max: float = 10_000.0, *,
-        max_pieces: int = 50_000,
+        self, l_min: float | None = None, l_max: float = 10_000.0
     ) -> ParametricAnalysis:
         """The exact piecewise-linear ``T(L)`` curve on ``[l_min, l_max]``;
         ``l_min`` defaults to the baseline latency.
@@ -225,9 +209,7 @@ class LatencyAnalyzer:
         lo = self.params.L if l_min is None else l_min
 
         def build() -> PiecewiseLinear:
-            return forward_envelope(
-                self.graph, self.params, l_min=lo, l_max=l_max, max_pieces=max_pieces
-            )
+            return forward_envelope(self.graph, self.params, l_min=lo, l_max=l_max)
 
         if self._store is None:
             envelope = build()
@@ -235,7 +217,7 @@ class LatencyAnalyzer:
             from ..artifacts import envelope_key
 
             key = envelope_key(self.graph, self.params, l_min=lo, l_max=l_max,
-                               **envelope_config(max_pieces))
+                               **envelope_config())
             envelope = self._store.get_or_build_envelope(key, build)
         return ParametricAnalysis(envelope, self.params, self.graph)
 
@@ -247,7 +229,6 @@ class LatencyAnalyzer:
         *,
         l_min: float | None = None,
         l_max: float = 10_000.0,
-        max_pieces: int = 50_000,
         processes: int | None = None,
         cache_dir: str | os.PathLike | None = None,
     ) -> list[ParametricAnalysis]:
@@ -267,7 +248,6 @@ class LatencyAnalyzer:
             params,
             l_min=lo,
             l_max=l_max,
-            max_pieces=max_pieces,
             processes=processes,
             cache_dir=cache_dir,
         )
@@ -297,13 +277,23 @@ class LatencyAnalyzer:
         return float(self.sensitivity_curve([delta_L]).l_ratio[0])
 
     def bandwidth_sensitivity(self, delta_L: float = 0.0) -> float:
-        """``λ_G = ∂T/∂G``: bytes (minus one per message) on the critical path."""
-        if not self._gap_symbolic:
-            raise ValueError(
-                "build the analyzer with gap_symbolic=True to query bandwidth sensitivity"
-            )
-        solution = self.lp.solve_runtime(L=self.params.L + delta_L, backend=self.backend)
-        return self.lp.gap_sensitivity(solution)
+        """``λ_G = ∂T/∂G``: bytes (minus one per message) on the critical path
+        at ``delta_L`` µs of added latency.
+
+        The path is the backtrack of one per-pair forward pass with the
+        uniform latency ``L₀ + ΔL``
+        (:func:`~repro.core.envelope.pair_forward_evaluator`); where several
+        critical paths tie it is the one its tie rule picks (first maximal
+        in-edge, first maximal sink).
+        """
+        _checked_deltas([delta_L])
+        if self._pair_evaluator is None:
+            from .envelope import pair_forward_evaluator
+
+            self._pair_evaluator = pair_forward_evaluator(self.graph, self.params)
+        nranks = self.graph.nranks
+        _, _, d_g = self._pair_evaluator(np.full((nranks, nranks), self.params.L + delta_L))
+        return float(np.triu(d_g).sum())
 
     # -- tolerance -----------------------------------------------------------------
 
@@ -336,9 +326,7 @@ class LatencyAnalyzer:
 
         Every point is read off :attr:`analysis` in one vectorised pass.
         """
-        deltas = np.asarray(sorted(set(float(d) for d in delta_Ls)), dtype=np.float64)
-        if not np.all((0 <= deltas) & (deltas < math.inf)):
-            raise ValueError("delta_L values must be finite and non-negative")
+        deltas = _checked_deltas(sorted(set(float(d) for d in delta_Ls)))
         Ls = self.params.L + deltas
         envelope = self.analysis.envelope
         runtimes = envelope.sample(Ls)

@@ -42,21 +42,23 @@ LP tangent envelope: at the LP optimum every symbolic variable other than
 ``l`` sits at its lower bound (= the ``params`` value), so folding those
 bounds as constants reproduces the optimal objective for every ``L``.  That
 holds for any *freshly built* LP with a global latency variable, per-pair
-gap variables included, so every graph sweep (analyzer, pool, fleet) runs
-this pass and never builds an LP.  A prebuilt
-:class:`~repro.core.lp_builder.GraphLP` must keep the **affinity contract**
-documented in ``src/repro/lp/README.md``: a global latency variable, no
-per-pair HLogGP variables, and gap/overhead bounds that still equal
-``params``.  One that breaks it gets the LP tangent search
-(:func:`~repro.core.parametric.lp_envelope`) instead;
-:func:`resolve_envelope_engine` makes that choice.  Artifact-store envelope
-keys come from :func:`envelope_config` (see :mod:`repro.artifacts.store`).
+gap variables included, so every analysis (analyzer, Algorithm 2, pool,
+fleet) runs this pass on a graph and never builds an LP; the LP tangent
+search is the test oracle ``repro.testing.lp_envelope``.
+:func:`forward_incompatibility` states the **affinity contract** of
+``src/repro/lp/README.md`` for a prebuilt
+:class:`~repro.core.lp_builder.GraphLP` (a global latency variable, no
+per-pair HLogGP variables, gap/overhead bounds that still equal
+``params``), and :func:`resolve_envelope_engine` names the evaluator that
+contract allows; no analysis takes a ``GraphLP``.  :data:`MAX_PIECES`
+bounds every envelope, and artifact-store envelope keys come from
+:func:`envelope_config` (see :mod:`repro.artifacts.store`).
 
 :func:`pair_forward_evaluator` walks the same layout
 (:func:`_chain_messages`, :func:`_merge_rows`) with per-pair constants
 instead of a latency variable: the HLogGP runtime of one process mapping
 and, from a backtrack along its critical path, the pairwise sensitivities
-of Algorithm 3.
+of Algorithm 3 (and, summed, ``λ_L`` and ``λ_G`` of that path).
 """
 
 from __future__ import annotations
@@ -70,6 +72,7 @@ from ..network.params import LogGPSParams
 from ..schedgen.graph import EdgeKind, ExecutionGraph, VertexKind
 
 __all__ = [
+    "MAX_PIECES",
     "envelope_config",
     "forward_envelope",
     "forward_incompatibility",
@@ -130,14 +133,20 @@ def resolve_envelope_engine(graph_lp) -> str:
     return "forward" if forward_incompatibility(graph_lp) is None else "lp"
 
 
-def envelope_config(max_pieces: int = 50_000) -> dict:
+#: the most pieces an envelope may have; :func:`forward_envelope` raises
+#: :class:`~repro.lp.parametric.EnvelopeOverflowError` beyond it.  Read at
+#: call time, here and by :func:`envelope_config`.
+MAX_PIECES = 50_000
+
+
+def envelope_config() -> dict:
     """The configuration part of the artifact-store key of one envelope.
 
     Every caller passes this to :func:`~repro.artifacts.envelope_key` (or
     its digest twin), so one curve has one store entry whichever path
     asks.
     """
-    return {"max_pieces": max_pieces}
+    return {"max_pieces": MAX_PIECES}
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +253,6 @@ def forward_envelope(
     *,
     l_min: float = 0.0,
     l_max: float = 10_000.0,
-    max_pieces: int = 50_000,
 ):
     """The exact ``T(L)`` envelope of ``graph`` on ``[l_min, l_max]``
     (``l_max`` may be ``inf``), found by the tangent search over batched
@@ -253,17 +261,13 @@ def forward_envelope(
     All LogGPS parameters other than the latency are folded from ``params``
     as constants, exactly as the LP bakes them into its constraint constants
     (and as the optimum pins every symbolic bound).  Numerically identical
-    to ``lp_envelope(build_lp(graph, params, ...), ...)`` for every freshly
-    built LP with a global latency variable, per-pair gaps included — see
-    this module's docstring and ``src/repro/lp/README.md``.
-
-    ``max_pieces`` bounds the piece count of the envelope; overflow raises
-    :class:`~repro.lp.parametric.EnvelopeOverflowError` like the other
-    parametric engines.
+    to the oracle ``repro.testing.lp_envelope(build_lp(graph, params, ...),
+    ...)`` for every freshly built LP with a global latency variable,
+    per-pair gaps included — see this module's docstring and
+    ``src/repro/lp/README.md``.  More than :data:`MAX_PIECES` pieces raise
+    :class:`~repro.lp.parametric.EnvelopeOverflowError`.
     """
     check_latency_interval(l_min, l_max)
-    if max_pieces < 1:
-        raise ValueError(f"max_pieces must be positive, got {max_pieces}")
     lo, hi = float(l_min), float(l_max)
 
     from ..lp.compiler import _pointer_jump
@@ -319,7 +323,7 @@ def forward_envelope(
         )
         return final_slope[0], final_intercept[0]
 
-    lines, _ = tangent_search(evaluate, lo, hi, max_pieces=max_pieces)
+    lines, _ = tangent_search(evaluate, lo, hi, max_pieces=MAX_PIECES)
     final = _upper_envelope([Line(s, c) for _, s, c in lines], lo, hi)
     return PiecewiseLinear(lines=final, lo=lo, hi=hi)
 

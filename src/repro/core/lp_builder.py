@@ -137,7 +137,7 @@ class GraphLP:
     ) -> LPSolution:
         """Minimise the makespan, optionally after setting ``l >= L``.
 
-        ``options`` are forwarded to the backend (e.g. ``warm_start=``).
+        ``options`` are forwarded to the backend (e.g. ``presolve=``).
         """
         if L is not None:
             self.set_latency_bound(L)
@@ -178,9 +178,8 @@ class GraphLP:
         """Run the shared tangent-envelope search over the latency variable.
 
         Returns the :class:`~repro.lp.parametric.TangentEnvelope` of
-        ``T(L)`` on ``[l_min, l_max]`` — the single entry point used by
-        Algorithm 2 (:mod:`repro.core.critical_latency`) and
-        :func:`~repro.core.parametric.lp_envelope`.  Keeps the engine
+        ``T(L)`` on ``[l_min, l_max]`` — Algorithm 2 over LP probes, behind
+        the test oracle ``repro.testing.lp_envelope``.  Keeps the engine
         hand-off (objective reset, latency variable re-sync after the
         bound-moving probes) in one place.
         """

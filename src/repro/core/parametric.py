@@ -29,9 +29,8 @@ fleet's rows alike:
 
 :func:`batched_sweep_graphs` sweeps many graphs through one
 :class:`~repro.parallel.SweepPool` (inline or over ``spawn`` workers): one
-forward envelope per unique graph, never an LP.  :func:`lp_envelope` is the
-tangent search over LP probes, for prebuilt LPs the forward pass cannot
-evaluate and as the tests' oracle.
+forward envelope per unique graph, never an LP.  The tangent search over LP
+probes is the tests' oracle, ``repro.testing.lp_envelope``.
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ __all__ = [
     "ParametricAnalysis",
     "parametric_analysis",
     "EnvelopeOverflowError",
-    "lp_envelope",
     "batched_sweep_graphs",
 ]
 
@@ -310,53 +308,16 @@ def parametric_analysis(
     *,
     l_min: float = 0.0,
     l_max: float = 10_000.0,
-    max_pieces: int = 50_000,
 ) -> ParametricAnalysis:
     """Compute the exact ``T(L)`` envelope of ``graph`` on ``[l_min, l_max]``.
 
-    All other LogGPS parameters are taken from ``params``.  ``max_pieces``
-    guards against pathological envelope growth (an
-    :class:`EnvelopeOverflowError` is raised instead of silently degrading).
-    The envelope comes from :func:`~repro.core.envelope.forward_envelope`.
+    All other LogGPS parameters are taken from ``params``.  The envelope
+    comes from :func:`~repro.core.envelope.forward_envelope`, which raises
+    :class:`EnvelopeOverflowError` beyond
+    :data:`~repro.core.envelope.MAX_PIECES` pieces.
     """
-    envelope = forward_envelope(
-        graph, params, l_min=l_min, l_max=l_max, max_pieces=max_pieces
-    )
+    envelope = forward_envelope(graph, params, l_min=l_min, l_max=l_max)
     return ParametricAnalysis(envelope=envelope, params=params, graph=graph)
-
-
-# ---------------------------------------------------------------------------
-# the LP tangent search (the oracle) and many-graph sweeps
-# ---------------------------------------------------------------------------
-
-
-def lp_envelope(
-    graph_lp,
-    l_min: float,
-    l_max: float,
-    *,
-    backend: str = "highs",
-    max_pieces: int = 50_000,
-    max_solves: int = 10_000,
-) -> PiecewiseLinear:
-    """The exact ``T(L)`` envelope of a :class:`~repro.core.lp_builder.GraphLP`
-    on ``[l_min, l_max]`` from LP probes.
-
-    The tangent search (:meth:`~repro.core.lp_builder.GraphLP.tangent_envelope`)
-    solves one LP per probe on the one assembled model; the upper envelope
-    of the tangents it finds is the curve.  This is the evaluator of
-    prebuilt LPs that break the forward pass's affinity contract (per-pair
-    gap variables, moved gap/overhead bounds) and the reference
-    ``forward_envelope`` is tested against.  ``max_solves`` bounds the LP
-    solves; more than ``max_pieces`` pieces raise
-    :class:`EnvelopeOverflowError`.
-    """
-    result = graph_lp.tangent_envelope(
-        l_min, l_max, backend=backend, max_solves=max_solves, max_pieces=max_pieces
-    )
-    lo, hi = float(l_min), float(l_max)
-    lines = [Line(t.slope, t.intercept) for t in result.tangents]
-    return PiecewiseLinear(lines=_upper_envelope(lines, lo, hi), lo=lo, hi=hi)
 
 
 def batched_sweep_graphs(
@@ -365,7 +326,6 @@ def batched_sweep_graphs(
     *,
     l_min: float = 0.0,
     l_max: float = 10_000.0,
-    max_pieces: int = 50_000,
     processes: int | None = None,
     cache_dir: str | os.PathLike | None = None,
 ) -> list[PiecewiseLinear]:
@@ -376,8 +336,8 @@ def batched_sweep_graphs(
     a :class:`~repro.parallel.SweepPool`, which dedupes the graphs by
     :meth:`~repro.schedgen.graph.ExecutionGraph.content_digest` first —
     duplicates are swept once and the envelope is fanned out — whether or
-    not a cache directory is configured.  A bad interval or ``max_pieces``
-    raises :class:`ValueError` before any sweep runs; a failing sweep raises
+    not a cache directory is configured.  A bad interval raises
+    :class:`ValueError` before any sweep runs; a failing sweep raises
     :class:`~repro.parallel.ScenarioError`.
 
     ``processes > 1`` fans the unique graphs out over the pool's ``spawn``
@@ -397,9 +357,5 @@ def batched_sweep_graphs(
     from ..parallel.pool import SweepPool
 
     check_latency_interval(l_min, l_max)
-    if max_pieces < 1:
-        raise ValueError(f"max_pieces must be positive, got {max_pieces}")
     with SweepPool(min(processes or 1, len(graphs)), cache_dir=cache_dir) as pool:
-        return pool.sweep_graphs(
-            graphs, params, l_min=l_min, l_max=l_max, max_pieces=max_pieces
-        )
+        return pool.sweep_graphs(graphs, params, l_min=l_min, l_max=l_max)

@@ -1,8 +1,8 @@
 """Backend registry: a uniform solve protocol over interchangeable solvers.
 
-Every backend is a callable ``solve(model, *, warm_start=None, **options)``
-returning an :class:`~repro.lp.model.LPSolution`, registered under a name in
-a :class:`BackendRegistry` together with a capability description.  The
+Every backend is a callable ``solve(model, **options)`` returning an
+:class:`~repro.lp.model.LPSolution`, registered under a name in a
+:class:`BackendRegistry` together with a capability description.  The
 default registry ships two entries:
 
 ``"highs"``
@@ -19,12 +19,13 @@ Adding a solver is one decorator::
     from repro.lp.backends import default_registry
 
     @default_registry.register("glpk", description="GLPK via swiglpk")
-    def solve_glpk(model, *, warm_start=None, **options):
+    def solve_glpk(model, **options):
         ...
         return LPSolution(...)
 
-after which ``model.solve(backend="glpk")`` and every higher layer
-(:class:`~repro.core.lp_builder.GraphLP`, the analyzer, the CLI) can use it.
+after which ``model.solve(backend="glpk")`` and every LP above it
+(:class:`~repro.core.lp_builder.GraphLP`, the ``repro.testing`` oracles,
+``repro.placement.predicted_runtime``) can use it.
 """
 
 from __future__ import annotations
@@ -32,14 +33,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-import numpy as np
-
 from .model import LPModel, LPSolution
 
 __all__ = ["BackendSpec", "BackendRegistry", "default_registry"]
 
 
-#: ``solve(model, *, warm_start=None, **options) -> LPSolution``
+#: ``solve(model, **options) -> LPSolution``
 SolveFn = Callable[..., LPSolution]
 
 
@@ -52,7 +51,6 @@ class BackendSpec:
     description: str = ""
     supports_duals: bool = True
     supports_ranging: bool = False
-    supports_warm_start: bool = False
 
 
 class BackendRegistry:
@@ -70,7 +68,6 @@ class BackendRegistry:
         description: str = "",
         supports_duals: bool = True,
         supports_ranging: bool = False,
-        supports_warm_start: bool = False,
         replace: bool = False,
     ) -> Callable[[SolveFn], SolveFn]:
         """Decorator registering ``fn`` as backend ``name``."""
@@ -88,7 +85,6 @@ class BackendRegistry:
                 description=description,
                 supports_duals=supports_duals,
                 supports_ranging=supports_ranging,
-                supports_warm_start=supports_warm_start,
             )
             return fn
 
@@ -123,16 +119,10 @@ class BackendRegistry:
     # -- solving ----------------------------------------------------------------
 
     def solve(
-        self,
-        model: LPModel,
-        backend: str = "highs",
-        *,
-        warm_start: LPSolution | np.ndarray | None = None,
-        **options: object,
+        self, model: LPModel, backend: str = "highs", **options: object
     ) -> LPSolution:
         """Solve ``model`` with the named backend."""
-        spec = self.get(backend)
-        return spec.solve(model, warm_start=warm_start, **options)
+        return self.get(backend).solve(model, **options)
 
 
 #: The registry used by :meth:`LPModel.solve` and everything above it.
@@ -144,12 +134,10 @@ default_registry = BackendRegistry()
     description="scipy.optimize.linprog with the HiGHS solver (sparse, scalable)",
     supports_duals=True,
 )
-def _solve_highs_backend(
-    model: LPModel, *, warm_start: LPSolution | np.ndarray | None = None, **options: object
-) -> LPSolution:
+def _solve_highs_backend(model: LPModel, **options: object) -> LPSolution:
     from .scipy_backend import solve_highs
 
-    return solve_highs(model, warm_start=warm_start, **options)
+    return solve_highs(model, **options)
 
 
 @default_registry.register(
@@ -158,9 +146,7 @@ def _solve_highs_backend(
     supports_duals=True,
     supports_ranging=True,
 )
-def _solve_simplex_backend(
-    model: LPModel, *, warm_start: LPSolution | np.ndarray | None = None, **options: object
-) -> LPSolution:
+def _solve_simplex_backend(model: LPModel, **options: object) -> LPSolution:
     from .simplex import solve_simplex
 
-    return solve_simplex(model, warm_start=warm_start, **options)
+    return solve_simplex(model, **options)

@@ -15,9 +15,7 @@ variable *bounds* move":
 whose CSR lowering (:mod:`repro.lp.assembler`) is built once; every update
 goes through bound-only mutators that bump just the model's bounds-revision
 counter, so re-solves refresh two dense vectors instead of re-expanding the
-constraint dictionaries.  When the selected backend declares
-``supports_warm_start`` in the registry, the previous solution is handed to
-it on every re-solve.
+constraint dictionaries.
 
 On top of the bound/solve primitives sits the paper's Algorithm 2 in the
 form of :func:`tangent_search`: ``T(L)`` is convex piecewise linear, and the
@@ -38,12 +36,12 @@ feed it:
 * :meth:`ParametricLP.tangent_envelope` solves one LP per probe (objective
   = value, reduced cost of the variable = slope).  This is the same
   complexity class as the paper's Algorithm 2 with exact Gurobi ranging
-  information, which the open backends do not provide.  It backs
-  :func:`repro.core.parametric.lp_envelope` — the evaluator of every LP
-  that breaks the forward pass's affinity contract, and the reference the
-  tests hold the forward pass to;
+  information, which the open backends do not provide.  It backs the
+  test oracle ``repro.testing.lp_envelope``, the reference the tests hold
+  the forward pass to;
 * :func:`repro.core.envelope.forward_envelope` answers all probes of a pass
-  with one level-synchronous traversal of the execution graph (no LP).
+  with one level-synchronous traversal of the execution graph (no LP); it
+  is the production evaluator of every envelope.
 """
 
 from __future__ import annotations
@@ -235,10 +233,6 @@ class ParametricLP:
         :data:`~repro.lp.backends.default_registry`).
     max_solves:
         Hard bound on the number of LP solves issued through this engine.
-    warm_start:
-        When true (default) and the backend's registry entry declares
-        ``supports_warm_start``, every solve after the first receives the
-        previous :class:`~repro.lp.model.LPSolution` as ``warm_start=``.
     """
 
     def __init__(
@@ -247,17 +241,14 @@ class ParametricLP:
         *,
         backend: str = "highs",
         max_solves: int = 10_000,
-        warm_start: bool = True,
         registry: BackendRegistry | None = None,
     ) -> None:
         self.model = model
         self.backend = backend
         self.max_solves = max_solves
         self.num_solves = 0
-        self.last_solution: LPSolution | None = None
         self._registry = registry if registry is not None else default_registry
-        spec = self._registry.get(backend)  # fail fast on unknown backends
-        self._hand_warm_start = warm_start and spec.supports_warm_start
+        self._registry.get(backend)  # fail fast on unknown backends
         self._initial_structure_version = model.structure_version
 
     # -- bound-only updates ----------------------------------------------------
@@ -282,16 +273,13 @@ class ParametricLP:
     # -- solving -----------------------------------------------------------------
 
     def solve(self, **options: object) -> LPSolution:
-        """Re-solve the model, counting solves and handing off warm starts."""
+        """Re-solve the model, counting solves."""
         if self.num_solves >= self.max_solves:
             raise RuntimeError(
                 f"exceeded {self.max_solves} LP solves while sweeping latencies"
             )
-        if self._hand_warm_start and self.last_solution is not None:
-            options.setdefault("warm_start", self.last_solution)
         solution = self._registry.solve(self.model, backend=self.backend, **options)
         self.num_solves += 1
-        self.last_solution = solution
         return solution
 
     def probe(self, var: Variable | int, L: float) -> Tangent:

@@ -32,21 +32,15 @@ __all__ = ["solve_highs"]
 def solve_highs(
     model: LPModel,
     *,
-    warm_start: LPSolution | np.ndarray | None = None,
     method: str = "highs",
     presolve: bool = True,
 ) -> LPSolution:
     """Solve ``model`` with :func:`scipy.optimize.linprog` (HiGHS).
 
-    ``warm_start`` is accepted for protocol uniformity with the other
-    backends but ignored: SciPy's ``linprog`` does not expose a basis
-    hand-off for the HiGHS methods.  Sweep-level reuse (the tangent search
-    of :class:`~repro.lp.parametric.ParametricLP`, one solve per segment)
-    recovers the benefit instead.
+    Every call solves from scratch: ``linprog`` takes no basis.
     """
     from scipy.optimize import linprog
 
-    del warm_start  # no basis hand-off through scipy.optimize.linprog
     if model.num_vars == 0:
         raise LPError("model has no variables")
     assembled = assemble(model)

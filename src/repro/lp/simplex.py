@@ -56,16 +56,13 @@ class SimplexOptions:
 def solve_simplex(
     model: LPModel,
     *,
-    warm_start: LPSolution | np.ndarray | None = None,
     options: SimplexOptions | None = None,
 ) -> LPSolution:
     """Solve ``model`` with the dense two-phase simplex.
 
-    ``warm_start`` is accepted for protocol uniformity with the other
-    backends but ignored: the tableau is rebuilt from scratch and phase one
-    always starts from the artificial basis.
+    The tableau is rebuilt on every call, and phase one always starts from
+    the artificial basis.
     """
-    del warm_start  # the dense tableau is rebuilt on every call
     options = options or SimplexOptions()
     n_user = model.num_vars
     if n_user == 0:

@@ -23,6 +23,7 @@ the CLI.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from itertools import groupby
@@ -49,7 +50,7 @@ class Scenario:
     nranks: int
     allreduce: str
     params: LogGPSParams
-    injector: str | None = None  # None = LP-only, no simulated points
+    injector: str | None = None  # None = envelope only, no simulated points
 
     @property
     def name(self) -> str:
@@ -75,10 +76,11 @@ class ScenarioFleet:
 
     Parameters mirror the grid axes: every combination of ``apps`` ×
     ``nranks`` × ``allreduces`` × ``params_grid`` × ``injectors`` becomes one
-    scenario.  ``injectors`` may contain ``None`` (LP-only scenario) and any
+    scenario.  ``injectors`` may contain ``None`` (envelope only) and any
     name from :data:`repro.simulator.injector.INJECTOR_NAMES`; scenarios with
     an injector additionally simulate the graph at ``sim_deltas`` added
-    latencies.
+    latencies (each finite and non-negative).  Every envelope spans
+    ``[params.L, l_max]``.
     """
 
     def __init__(
@@ -89,10 +91,8 @@ class ScenarioFleet:
         allreduces: Sequence[str] = ("ring",),
         params_grid: Sequence[LogGPSParams],
         injectors: Sequence[str | None] = (None,),
-        l_min: float | None = None,
         l_max: float = 1_000.0,
         sim_deltas: Sequence[float] = (0.0, 10.0),
-        max_pieces: int = 50_000,
         processes: int | None = None,
         cache_dir: str | os.PathLike | None = None,
     ) -> None:
@@ -105,15 +105,16 @@ class ScenarioFleet:
             )
         if not params_grid:
             raise ValueError("params_grid must contain at least one LogGPSParams")
+        for delta in sim_deltas:
+            if not 0 <= float(delta) < math.inf:
+                raise ValueError(f"sim_deltas must be finite and non-negative, got {delta}")
         self.apps = list(apps)
         self.nranks = [int(n) for n in nranks]
         self.allreduces = list(allreduces)
         self.params_grid = list(params_grid)
         self.injectors = list(injectors)
-        self.l_min = l_min
         self.l_max = float(l_max)
         self.sim_deltas = tuple(float(d) for d in sim_deltas)
-        self.max_pieces = int(max_pieces)
         self.processes = processes
         self.cache_dir = cache_dir
 
@@ -214,16 +215,14 @@ class ScenarioFleet:
     def _task(self, sc: Scenario, digest_of: dict[tuple, str]) -> SweepTask:
         """The digest-addressed pool task of one scenario."""
         key = (sc.app, sc.nranks, sc.allreduce, sc.params.content_digest())
-        lo = sc.params.L if self.l_min is None else float(self.l_min)
         sim = None
         if sc.injector is not None:
             sim = (sc.injector, self.sim_deltas)
         return SweepTask(
             graph_digest=digest_of[key],
             params_digest=sc.params.content_digest(),
-            l_min=lo,
+            l_min=sc.params.L,
             l_max=self.l_max,
-            max_pieces=self.max_pieces,
             sim=sim,
             params=sc.params,
             scenario=sc.name,

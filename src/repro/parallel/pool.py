@@ -67,7 +67,6 @@ class SweepTask:
     params_digest: str
     l_min: float
     l_max: float
-    max_pieces: int = 50_000
     sim: tuple[str, tuple[float, ...]] | None = None  # (injector, deltas)
     params: LogGPSParams | None = field(default=None, compare=False)
     scenario: str | None = field(default=None, compare=False)
@@ -81,7 +80,7 @@ class SweepTask:
             self.params_digest,
             l_min=self.l_min,
             l_max=self.l_max,
-            **envelope_config(self.max_pieces),
+            **envelope_config(),
         )
 
 
@@ -155,10 +154,7 @@ def _execute_task(
         )
 
     def build():
-        return forward_envelope(
-            graph, task.params, l_min=task.l_min, l_max=task.l_max,
-            max_pieces=task.max_pieces,
-        )
+        return forward_envelope(graph, task.params, l_min=task.l_min, l_max=task.l_max)
 
     if store is not None:
         envelope = store.get_or_build_envelope(task.store_key(), build)
@@ -394,7 +390,6 @@ class SweepPool:
         *,
         l_min: float = 0.0,
         l_max: float = 10_000.0,
-        max_pieces: int = 50_000,
     ) -> list:
         """One exact ``T(L)`` forward envelope per graph (duplicates solved
         once); :func:`~repro.core.parametric.batched_sweep_graphs` runs
@@ -407,7 +402,6 @@ class SweepPool:
                 params_digest=params_digest,
                 l_min=float(l_min),
                 l_max=float(l_max),
-                max_pieces=int(max_pieces),
                 params=params,
                 scenario=f"graph[{i}] {graph.content_digest()[:12]}…",
             )

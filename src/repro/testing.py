@@ -11,6 +11,9 @@ code never imports it:
 * :func:`build_lp_symbolic` — Algorithm 1 as written in the paper, a
   per-vertex topological sweep over symbolic expressions (production:
   :func:`repro.core.lp_builder.build_lp`, the vectorised CSR lowering);
+* :func:`lp_envelope` — the ``T(L)`` envelope of an LP by Algorithm 2 over
+  LP probes, one solve each (production:
+  :func:`repro.core.envelope.forward_envelope`, batched forward passes);
 * :class:`LogGOPSSimulator` — the per-vertex LogGOPS walk (production:
   :func:`repro.simulator.simulate`, the level-synchronous engine);
 * :func:`lp_summary` / :func:`lp_sensitivity_curve` — the analyzer's
@@ -55,6 +58,7 @@ __all__ = [
     "build_random_program",
     "frontier_peel_levels",
     "build_lp_symbolic",
+    "lp_envelope",
     "lp_summary",
     "lp_sensitivity_curve",
     "LogGOPSSimulator",
@@ -366,6 +370,24 @@ def build_lp_symbolic(
         sink_rows=sink_rows,
         num_messages=num_messages,
     )
+
+
+def lp_envelope(graph_lp: GraphLP, l_min: float, l_max: float, *, backend: str = "highs"):
+    """The exact ``T(L)`` envelope of ``graph_lp`` on ``[l_min, l_max]``
+    from LP probes: the upper envelope of the tangents
+    :meth:`~repro.core.lp_builder.GraphLP.tangent_envelope` finds, one LP
+    solve per probe.  Like the forward pass it raises
+    :class:`~repro.lp.parametric.EnvelopeOverflowError` beyond
+    :data:`repro.core.envelope.MAX_PIECES` pieces (read at call time)."""
+    from .core import envelope
+    from .core.parametric import Line, PiecewiseLinear, _upper_envelope
+
+    result = graph_lp.tangent_envelope(
+        l_min, l_max, backend=backend, max_pieces=envelope.MAX_PIECES
+    )
+    lo, hi = float(l_min), float(l_max)
+    lines = [Line(t.slope, t.intercept) for t in result.tangents]
+    return PiecewiseLinear(lines=_upper_envelope(lines, lo, hi), lo=lo, hi=hi)
 
 
 def lp_sensitivity_curve(

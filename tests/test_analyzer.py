@@ -9,6 +9,7 @@ import pytest
 from repro import LatencyAnalyzer
 from repro.apps import ALL_APPS
 from repro.cli import main as cli_main
+from repro.core import build_lp
 from repro.mpi import run_program
 from repro.network.params import CSCS_TESTBED, LogGPSParams
 from repro.schedgen import build_graph
@@ -156,11 +157,47 @@ class TestCriticalLatenciesAndSummary:
                 analyzer.predict_runtime(delta), rel=1e-9
             )
 
-    def test_bandwidth_sensitivity_requires_flag(self, analyzer, small_app_graph):
-        with pytest.raises(ValueError):
-            analyzer.bandwidth_sensitivity()
-        gap_analyzer = LatencyAnalyzer(small_app_graph, PARAMS, gap_symbolic=True)
-        assert gap_analyzer.bandwidth_sensitivity() >= 0.0
+    def test_bandwidth_sensitivity_on_every_analyzer(self, analyzer, small_app_graph):
+        lp = build_lp(small_app_graph, PARAMS, gap_mode="global")
+        for delta in (0.0, 50.0):
+            solution = lp.solve_runtime(L=PARAMS.L + delta)
+            assert analyzer.bandwidth_sensitivity(delta) == pytest.approx(
+                solution.reduced_cost(lp.gap), abs=1e-6
+            )
+        assert analyzer.bandwidth_sensitivity() > 0.0
+
+    @pytest.mark.parametrize("delta", [-1.0, math.nan, math.inf])
+    def test_bandwidth_sensitivity_rejects_bad_delta(self, analyzer, delta):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            analyzer.bandwidth_sensitivity(delta)
+
+
+class TestCriticalPathCounts:
+    """``λ_G`` and ``λ_L`` of the backtracked critical path against the LP on
+    random DAGs, probed at segment mid-points of ``T(L)`` (off its
+    breakpoints, where the LP's duals are unique)."""
+
+    DAG_PARAMS = LogGPSParams(L=0.5, o=0.2, g=0.0, G=0.001)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_dags_match_the_lp_oracle(self, seed):
+        from repro.core.envelope import pair_forward_evaluator
+        from repro.testing import build_random_dag
+
+        params, hi = self.DAG_PARAMS, 60.0
+        graph = build_random_dag(seed, nranks=2 + seed % 4, rounds=8 + seed)
+        analyzer = LatencyAnalyzer(graph, params)
+        bounds = [params.L, *analyzer.critical_latencies(l_max=hi), hi]
+        evaluate = pair_forward_evaluator(graph, params)
+        lp = build_lp(graph, params, gap_mode="global")
+        for L in (0.5 * (a + b) for a, b in zip(bounds, bounds[1:])):
+            solution = lp.solve_runtime(L=L)
+            lambda_g = analyzer.bandwidth_sensitivity(L - params.L)
+            assert lambda_g == pytest.approx(solution.reduced_cost(lp.gap), abs=1e-9)
+            _, d_l, d_g = evaluate(np.full((graph.nranks, graph.nranks), L))
+            assert np.triu(d_g).sum() == lambda_g
+            assert np.triu(d_l).sum() == analyzer.latency_sensitivity(L - params.L)
+            assert np.triu(d_l).sum() == pytest.approx(lp.latency_sensitivity(solution))
 
 
 class TestFusedEngine:
@@ -224,9 +261,10 @@ class TestFusedEngine:
 
 
 class TestInputValidation:
-    @pytest.mark.parametrize("argument", ["backend"])
+    # the analyzer solves no LP, so it takes no solver knob
+    @pytest.mark.parametrize("argument", ["backend", "gap_symbolic"])
     def test_bad_value_named_in_the_error(self, small_app_graph, argument):
-        with pytest.raises(ValueError, match=f"unknown {argument} 'warp' for LatencyAnalyzer"):
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{argument}'"):
             LatencyAnalyzer(small_app_graph, PARAMS, **{argument: "warp"})
 
 
@@ -266,15 +304,20 @@ class TestEnvelopeFirst:
         default = LatencyAnalyzer(graph, CSCS_TESTBED)
         summary = default.summary()
         curve = default.sensitivity_curve([0.0, 5.0, 50.0])
+        lambda_g = [default.bandwidth_sensitivity(delta) for delta in (0.0, 50.0)]
         assert assembly_counts() == before
         assert solves == []
-        assert default._lp is None
 
         _assert_rel_close(summary, lp_summary(graph, CSCS_TESTBED))
         assert solves  # the oracle really solved LPs
         oracle_curve = lp_sensitivity_curve(graph, CSCS_TESTBED, [0.0, 5.0, 50.0])
         np.testing.assert_allclose(curve.runtime, oracle_curve.runtime, rtol=1e-9)
         np.testing.assert_allclose(curve.l_ratio, oracle_curve.l_ratio, rtol=1e-9)
+        # λ_G: the reduced cost of the LP's gap variable
+        lp = build_lp(graph, CSCS_TESTBED, gap_mode="global")
+        for delta, ours in zip((0.0, 50.0), lambda_g):
+            solution = lp.solve_runtime(L=CSCS_TESTBED.L + delta)
+            assert ours == pytest.approx(solution.reduced_cost(lp.gap), rel=1e-9)
 
     def test_envelope_built_once_and_cached_in_the_store(self, small_app_graph, tmp_path):
         cold = LatencyAnalyzer(small_app_graph, PARAMS, cache_dir=tmp_path)
@@ -344,6 +387,40 @@ class TestNonFiniteInput:
         assert not list(tmp_path.rglob("*.npz"))  # nothing stored
 
 
+class TestBadCounts:
+    """A ``--nranks`` or ``--points`` below 1 exits in one line that names the
+    flag, before any work: nothing on stdout, nothing written."""
+
+    COMMANDS = {
+        "analyze": ["analyze", "lulesh"],
+        "sweep": ["sweep", "lulesh"],
+        "curve": ["curve", "lulesh"],
+        "place": ["place", "lulesh"],
+        "trace": ["trace", "lulesh", "--output", "OUT"],
+        "goal": ["goal", "lulesh", "--output", "OUT"],
+        "cache-warm": ["cache", "warm", "lulesh", "--dir", "OUT"],
+        "fleet": ["fleet", "lulesh", "--processes", "1"],
+    }
+    #: (command, flags, the bad flag and value the message names)
+    CASES = [
+        *((command, ["--nranks", value], "--nranks", value)
+          for command in COMMANDS for value in ("0", "-2")),
+        ("fleet", ["--nranks", "2", "0"], "--nranks", "0"),
+        *((command, ["--nranks", "2", "--points", value], "--points", value)
+          for command in ("sweep", "curve") for value in ("0", "-2")),
+    ]
+
+    @pytest.mark.parametrize("command,flags,flag,value", CASES)
+    def test_exits_in_one_line(self, command, flags, flag, value, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = [str(out) if arg == "OUT" else arg for arg in self.COMMANDS[command]]
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main([*argv, *flags])
+        assert exit_info.value.code == f"{flag} must be >= 1, got {value}"
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
+
+
 class TestIngestEnvelopeEngine:
     def test_lp_oracle_switch_reaches_ingest(self, tmp_path, capsys, monkeypatch):
         trace = tmp_path / "hpcg-4.trace"
@@ -403,7 +480,8 @@ class TestAutomaticFallback:
         return build_random_dag(5, nranks=4, rounds=20)  # two critical latencies
 
     def _reference(self, graph, params=DAG_PARAMS, l_max=L_MAX):
-        from repro.core import build_lp, lp_envelope
+        from repro.core import build_lp
+        from repro.testing import lp_envelope
 
         lp = build_lp(graph, params, gap_mode="per_pair")
         return lp_envelope(lp, params.L, l_max)
@@ -413,15 +491,15 @@ class TestAutomaticFallback:
 
         solves = _count_solves(monkeypatch)
         params, lo = self.DAG_PARAMS, self.DAG_PARAMS.L
-        forward = find_critical_latencies(build_lp(dag, params), lo, self.L_MAX)
+        forward = find_critical_latencies(dag, lo, self.L_MAX, params=params)
         assert solves == []
-        per_pair = build_lp(dag, params, gap_mode="per_pair")
-        fallback = find_critical_latencies(per_pair, lo, self.L_MAX)
-        assert solves
+        with pytest.raises(TypeError, match="repro.testing.lp_envelope"):
+            find_critical_latencies(build_lp(dag, params, gap_mode="per_pair"),
+                                    lo, self.L_MAX, params=params)
         reference = sorted(self._reference(dag).breakpoints())
+        assert solves
         assert len(reference) == 2
-        np.testing.assert_allclose(fallback, reference, rtol=1e-11)
-        np.testing.assert_allclose(forward, fallback, rtol=1e-9)
+        np.testing.assert_allclose(forward, reference, rtol=1e-9)
 
     @pytest.mark.parametrize("case", ["random-dag", "hpcg-8"])
     def test_forward_envelope_equals_a_fresh_per_pair_lp(self, dag, case):

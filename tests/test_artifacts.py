@@ -31,7 +31,6 @@ from repro.core import (
     batched_sweep_graphs,
     build_lp,
     forward_envelope,
-    lp_envelope,
 )
 from repro.core.envelope import envelope_config
 from repro.lp.assembler import assembly_counts
@@ -44,6 +43,7 @@ from repro.testing import (
     build_random_program,
     build_running_example,
     build_staircase,
+    lp_envelope,
 )
 
 PARAMS = LogGPSParams(L=1.0, o=0.1, g=0.1, G=0.001, S=1024, P=2)
@@ -430,8 +430,7 @@ class TestAnalyzerCache:
         warm_values = warm.parametric(l_max=50.0).envelope.sample(xs)
         after = assembly_counts()
 
-        assert after == before  # zero new CSR assemblies, full or rows
-        assert warm._lp is None  # the LP was never even built
+        assert after == before  # zero new CSR assemblies: no LP was built
         assert warm.store.hits["envelope"] == 1
         assert np.array_equal(warm_values, cold_values)
 

@@ -41,7 +41,7 @@ class TestRegistry:
         registry = BackendRegistry()
 
         @registry.register("constant", description="test stub")
-        def solve_constant(model, *, warm_start=None, **options):
+        def solve_constant(model, **options):
             return LPSolution(
                 status=Status.OPTIMAL,
                 objective=42.0,
@@ -59,7 +59,7 @@ class TestRegistry:
         registry = BackendRegistry()
 
         @registry.register("b")
-        def first(model, *, warm_start=None, **options):  # pragma: no cover - stub
+        def first(model, **options):  # pragma: no cover - stub
             raise NotImplementedError
 
         with pytest.raises(ValueError, match="already registered"):
@@ -153,10 +153,3 @@ class TestBackendParity:
         assert solve_highs(lp.model).objective == pytest.approx(
             solve_simplex(lp.model).objective, abs=1e-9
         )
-
-    def test_warm_start_accepted_by_all_backends(self, paper_params):
-        lp = build_lp(build_running_example(), paper_params)
-        reference = lp.solve_runtime(L=0.5)
-        for backend in ("highs", "simplex"):
-            warm = lp.model.solve(backend=backend, warm_start=reference)
-            assert warm.objective == pytest.approx(reference.objective, abs=1e-9)

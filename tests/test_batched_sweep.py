@@ -1,5 +1,5 @@
 """Tests for latency sweeps read off one envelope: the curve against cold
-LP solves, ``lp_envelope`` (the LP tangent search) and
+LP solves, ``repro.testing.lp_envelope`` (the LP tangent search) and
 ``batched_sweep_graphs``."""
 
 import numpy as np
@@ -12,13 +12,14 @@ from repro.core import (
     batched_sweep_graphs,
     build_lp,
     forward_envelope,
-    lp_envelope,
 )
+from repro.core import envelope as envelope_module
 from repro.network.params import LogGPSParams
 from repro.testing import (
     build_random_dag,
     build_running_example,
     build_staircase,
+    lp_envelope,
     lp_sensitivity_curve,
 )
 
@@ -97,10 +98,11 @@ class TestBatchedSweep:
         expected = lp_reference.solve_max_latency(bound).objective
         assert envelope.solve_for_value(bound) == pytest.approx(expected, rel=1e-6)
 
-    def test_envelope_overflow_raised(self):
+    def test_envelope_overflow_raised(self, monkeypatch):
         lp = build_lp(build_staircase(6), ZERO_OVERHEAD)
+        monkeypatch.setattr(envelope_module, "MAX_PIECES", 3)
         with pytest.raises(EnvelopeOverflowError):
-            lp_envelope(lp, 0.0, 10.0, max_pieces=3)
+            lp_envelope(lp, 0.0, 10.0)
 
     def test_requires_global_latency_mode(self, running_example, paper_params):
         lp = build_lp(running_example, paper_params, latency_mode="per_pair")

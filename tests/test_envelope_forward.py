@@ -2,10 +2,11 @@
 
 The contract under test: ``forward_envelope`` produces the *identical*
 ``PiecewiseLinear`` envelope — values, slopes and breakpoints to 1e-6 —
-as ``lp_envelope`` (the :class:`ParametricLP` tangent search), whenever
-the affinity contract documented in ``src/repro/lp/README.md`` holds.
-Non-affine LPs (per-pair HLogGP variables, moved symbolic bounds) must
-resolve to the LP tangent search on their own.
+as the oracle ``repro.testing.lp_envelope`` (the :class:`ParametricLP`
+tangent search), whenever the affinity contract documented in
+``src/repro/lp/README.md`` holds.  Non-affine LPs (per-pair HLogGP
+variables, moved symbolic bounds) are named by ``forward_incompatibility``;
+Algorithm 2 takes graphs only.
 """
 
 from __future__ import annotations
@@ -28,10 +29,10 @@ from repro.core import (
     find_critical_latencies,
     forward_envelope,
     forward_incompatibility,
-    lp_envelope,
     parametric_analysis,
     resolve_envelope_engine,
 )
+from repro.core import envelope as envelope_module
 from repro.core.envelope import _winners
 from repro.lp import ParametricLP
 from repro.network.params import CSCS_TESTBED, LogGPSParams
@@ -42,6 +43,7 @@ from repro.testing import (
     build_random_program,
     build_running_example,
     build_staircase,
+    lp_envelope,
 )
 
 PARAMS = LogGPSParams(L=1.0, o=0.1, g=0.0, G=0.001)
@@ -285,12 +287,15 @@ class TestNonAffineFallback:
         reason = forward_incompatibility(lp)
         assert reason is not None and "per-pair" in reason
         assert resolve_envelope_engine(lp) == "lp"
-        # Algorithm 2 on this LP runs the tangent search over LP probes
+        # Algorithm 2 takes the graph; the fresh per-pair LP's tangent
+        # search has the same breakpoints
         np.testing.assert_allclose(
-            find_critical_latencies(lp, 0.0, 50.0),
+            find_critical_latencies(graph, 0.0, 50.0, params=PARAMS),
             sorted(lp_envelope(lp, 0.0, 50.0).breakpoints()),
             atol=1e-6,
         )
+        with pytest.raises(TypeError, match="repro.testing.lp_envelope"):
+            find_critical_latencies(lp, 0.0, 50.0, params=PARAMS)
 
     def test_per_pair_latency_mode_is_incompatible(self):
         graph = build_random_dag(3)
@@ -330,7 +335,7 @@ def _tangent_envelope(lo, hi):
 #: every entry point that takes a latency interval, on the running example
 INTERVAL_ENTRY_POINTS = {
     "find_critical_latencies": lambda lo, hi: find_critical_latencies(
-        build_lp(build_running_example(), PARAMS, gap_mode="per_pair"), lo, hi
+        build_running_example(), lo, hi, params=PARAMS
     ),
     "critical_latency_curve": lambda lo, hi: critical_latency_curve(
         build_running_example(), lo, hi, params=PARAMS
@@ -366,10 +371,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="invalid latency interval"):
             forward_envelope(build_running_example(), PARAMS, l_min=3.0, l_max=3.0)
 
-    def test_max_pieces_overflow_raises(self):
+    def test_max_pieces_overflow_raises(self, monkeypatch):
         graph = build_staircase(8)
+        monkeypatch.setattr(envelope_module, "MAX_PIECES", 3)
         with pytest.raises(EnvelopeOverflowError, match="narrow the latency"):
-            forward_envelope(graph, ZERO_OVERHEAD, l_min=0.0, l_max=20.0, max_pieces=3)
+            forward_envelope(graph, ZERO_OVERHEAD, l_min=0.0, l_max=20.0)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +388,7 @@ class TestCriticalLatencies:
         graph = build_staircase(5)
         lp = build_lp(graph, ZERO_OVERHEAD, latency_mode="global")
         assert resolve_envelope_engine(lp) == "forward"
-        fw = find_critical_latencies(lp, 0.0, 8.0)
+        fw = find_critical_latencies(graph, 0.0, 8.0, params=ZERO_OVERHEAD)
         ref = sorted(lp_envelope(lp, 0.0, 8.0).breakpoints())
         np.testing.assert_allclose(fw, ref, atol=1e-6)
         np.testing.assert_allclose(fw, [1.0, 2.0, 3.0, 4.0], atol=1e-9)
@@ -392,13 +398,13 @@ class TestCriticalLatencies:
         graph = build_staircase(4)
         points = find_critical_latencies(graph, 0.0, 8.0, params=ZERO_OVERHEAD)
         np.testing.assert_allclose(points, [1.0, 2.0, 3.0], atol=1e-9)
-        with pytest.raises(ValueError, match="params"):
+        with pytest.raises(TypeError, match="params"):
             find_critical_latencies(graph, 0.0, 8.0)
 
     def test_curve_tangents_match_lp_engine(self):
         graph = build_random_dag(11)
         lp = build_lp(graph, PARAMS, latency_mode="global")
-        fw = critical_latency_curve(lp, 0.0, 60.0)
+        fw = critical_latency_curve(graph, 0.0, 60.0, params=PARAMS)
         ref = lp_envelope(lp, 0.0, 60.0)
         assert len(fw) == len(ref.lines)
         for a in fw:
@@ -406,11 +412,15 @@ class TestCriticalLatencies:
             assert a.value == pytest.approx(ref.value(a.L), abs=1e-6)
 
     def test_analyzer_forward_engine_never_builds_lp(self):
+        from repro.lp.assembler import assembly_counts
+
+        before = assembly_counts()
         graph = build_staircase(4)
         analyzer = LatencyAnalyzer(graph, ZERO_OVERHEAD)
         points = analyzer.critical_latencies(0.0, 8.0)
         np.testing.assert_allclose(points, [1.0, 2.0, 3.0], atol=1e-9)
-        assert analyzer._lp is None  # no LP was ever assembled
+        assert analyzer.bandwidth_sensitivity() == 0.0  # 1-byte messages
+        assert assembly_counts() == before  # no LP was ever assembled
 
 
 # ---------------------------------------------------------------------------
@@ -435,8 +445,8 @@ class TestSharedArtifacts:
         graph = build_random_dag(19)
         serial = batched_sweep_graphs([graph], PARAMS, l_max=40.0, cache_dir=tmp_path)
         assert store.stats()["kinds"]["envelope"]["entries"] == 1
-        # a symbolic-gap analyzer asks for the same curve: it hits the entry
-        analyzer = LatencyAnalyzer(graph, PARAMS, gap_symbolic=True, cache_dir=tmp_path)
+        # an analyzer asks for the same curve: it hits the entry
+        analyzer = LatencyAnalyzer(graph, PARAMS, cache_dir=tmp_path)
         again = analyzer.parametric(l_min=0.0, l_max=40.0)
         assert analyzer.store.hits["envelope"] == 1
         assert store.stats()["kinds"]["envelope"]["entries"] == 1

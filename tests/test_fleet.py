@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import multiprocessing
 from collections import Counter
 
@@ -59,6 +60,12 @@ class TestScenarioFleet:
     def test_unknown_app_rejected(self):
         with pytest.raises(ValueError, match="unknown applications"):
             _fleet(apps=["not_an_app"])
+
+    @pytest.mark.parametrize("delta", [-5.0, math.nan, math.inf])
+    def test_bad_sim_delta_rejected(self, delta):
+        # a negative ΔL would simulate a latency below the base one
+        with pytest.raises(ValueError, match="sim_deltas must be finite and non-negative"):
+            _fleet(sim_deltas=(0.0, delta))
 
     def test_run_produces_rows_and_metrics(self):
         result = _fleet().run()
@@ -177,3 +184,12 @@ class TestFleetCli:
     def test_l_max_must_exceed_base_latency(self):
         with pytest.raises(SystemExit, match="l-max"):
             main(["fleet", "lulesh", "--latencies", "100.0", "--l-max", "50.0"])
+
+    @pytest.mark.parametrize("delta", ["-5", "nan", "inf"])
+    def test_bad_sim_delta_exits_in_one_line(self, delta, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(self.ARGS + ["--sim-deltas", delta, "0", "--json"])
+        assert exit_info.value.code == (
+            f"sim_deltas must be finite and non-negative, got {float(delta)}"
+        )
+        assert capsys.readouterr().out == ""

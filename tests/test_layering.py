@@ -1,5 +1,6 @@
-"""Package layering: the reference oracles stay out of production code, and
-SciPy loads only where an LP is built or solved — in no command."""
+"""Package layering: the reference oracles stay out of production code, the
+core analyses stay off the LP layer, and SciPy loads only where an LP is
+built or solved — in no command."""
 
 import ast
 import json
@@ -67,6 +68,18 @@ def test_production_never_imports_the_reference_oracles():
         if path.name != "testing.py" and "repro.testing" in _imported_modules(path)
     ]
     assert offenders == []
+
+
+def test_core_analyses_import_no_lp():
+    # every analysis runs on forward passes: within repro.core only the LP
+    # builder (and the package's re-export of it) reaches the LP layer
+    fenced = {"repro.core.lp_builder", "repro.lp.model", "repro.lp.backends"}
+    offenders = {
+        path.name: sorted(fenced & _imported_modules(path))
+        for path in sorted((SRC / "core").glob("*.py"))
+        if path.name not in ("lp_builder.py", "__init__.py")
+    }
+    assert {name: found for name, found in offenders.items() if found} == {}
 
 
 def test_import_scan_resolves_relative_imports():

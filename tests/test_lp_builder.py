@@ -7,7 +7,7 @@ from repro.core.critical_latency import find_critical_latencies
 from repro.network.params import LogGPSParams
 from repro.schedgen.graph import GraphBuilder
 
-from repro.testing import build_lp_symbolic
+from repro.testing import build_lp_symbolic, lp_envelope
 
 
 class TestRunningExample:
@@ -39,16 +39,18 @@ class TestRunningExample:
         assert solution.objective == pytest.approx(0.885)
 
     def test_critical_latency_value(self, running_example, paper_params):
-        lp = build_lp(running_example, paper_params)
-        latencies = find_critical_latencies(lp, 0.0, 1.0)
+        latencies = find_critical_latencies(running_example, 0.0, 1.0, params=paper_params)
         assert len(latencies) == 1
         assert latencies[0] == pytest.approx(0.385, abs=1e-6)
+        lp = build_lp(running_example, paper_params)
+        assert lp_envelope(lp, 0.0, 1.0).breakpoints() == pytest.approx(latencies, abs=1e-6)
 
     def test_algorithm2_interval_of_appendix_d(self, running_example, paper_params):
         """Appendix D sweeps [0.2, 0.5] and finds the single breakpoint 0.385."""
-        lp = build_lp(running_example, paper_params)
-        latencies = find_critical_latencies(lp, 0.2, 0.5)
+        latencies = find_critical_latencies(running_example, 0.2, 0.5, params=paper_params)
         assert latencies == pytest.approx([0.385], abs=1e-6)
+        lp = build_lp(running_example, paper_params)
+        assert lp_envelope(lp, 0.2, 0.5).breakpoints() == pytest.approx([0.385], abs=1e-6)
 
     def test_max_latency_restores_model(self, running_example, paper_params):
         lp = build_lp(running_example, paper_params)

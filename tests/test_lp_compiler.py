@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro.core import build_lp, find_critical_latencies
-from repro.core.parametric import lp_envelope
 from repro.lp.assembler import assemble, assembly_counts
 from repro.lp.model import LinearExpr, LPModel
 from repro.network.params import LogGPSParams
@@ -23,6 +22,7 @@ from repro.testing import (
     build_random_dag,
     build_running_example,
     build_staircase,
+    lp_envelope,
 )
 
 PARAMS = LogGPSParams(L=1.2, o=0.25, g=0.0, G=0.005)
@@ -135,19 +135,19 @@ class TestCompiledModelProtocol:
         breakpoints = sorted(round(bp, 6) for bp in envelope.breakpoints)
         assert breakpoints == pytest.approx([1.0, 2.0, 3.0, 4.0, 5.0], abs=1e-6)
 
-    def test_find_critical_latencies_engine_knob(self):
+    def test_find_critical_latencies_on_graph_and_lp_oracles(self):
         graph = build_staircase(5)
         params = LogGPSParams(L=0.0, o=0.0, g=0.0, G=0.0)
         latencies = find_critical_latencies(graph, 0.0, 10.0, params=params)
         assert latencies == pytest.approx([1.0, 2.0, 3.0, 4.0], abs=1e-6)
         symbolic = build_lp_symbolic(graph, params)
-        latencies = find_critical_latencies(symbolic, 0.0, 10.0)
-        assert latencies == pytest.approx([1.0, 2.0, 3.0, 4.0], abs=1e-6)
+        with pytest.raises(TypeError, match="repro.testing.lp_envelope"):
+            find_critical_latencies(symbolic, 0.0, 10.0, params=params)
         # the LP tangent search on the compiled and the symbolic model alike
         for lp in (build_lp(graph, params), symbolic):
             breakpoints = sorted(lp_envelope(lp, 0.0, 10.0).breakpoints())
             assert breakpoints == pytest.approx([1.0, 2.0, 3.0, 4.0], abs=1e-6)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             find_critical_latencies(graph, 0.0, 10.0)  # graph without params
 
     def test_batched_sweep_zero_reassemblies(self):
@@ -331,7 +331,8 @@ class TestCompileFromBatches:
         # digest parity keys batch-built requests to the frozen cache entries
         frozen = build_graph(program, protocol=ProtocolConfig.from_params(PARAMS))
         assert analyzer.graph.content_digest() == frozen.content_digest()
-        assert analyzer.lp.solve_runtime(L=PARAMS.L).objective == pytest.approx(
+        ours = build_lp(analyzer.graph, PARAMS).solve_runtime(L=PARAMS.L).objective
+        assert ours == pytest.approx(
             build_lp(frozen, PARAMS).solve_runtime(L=PARAMS.L).objective, abs=1e-9
         )
 

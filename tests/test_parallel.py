@@ -23,7 +23,7 @@ import repro
 from repro.artifacts import ArtifactStore
 from repro.core.envelope import forward_envelope
 from repro.core.lp_builder import build_lp
-from repro.core.parametric import ParametricAnalysis, batched_sweep_graphs, lp_envelope
+from repro.core.parametric import ParametricAnalysis, batched_sweep_graphs
 from repro.network.params import CSCS_TESTBED, LogGPSParams
 from repro.parallel import (
     ScenarioError,
@@ -32,7 +32,12 @@ from repro.parallel import (
     live_shared_segments,
 )
 from repro.schedgen.graph import ExecutionGraph
-from repro.testing import build_random_dag, build_running_example, build_staircase
+from repro.testing import (
+    build_random_dag,
+    build_running_example,
+    build_staircase,
+    lp_envelope,
+)
 
 PARAMS = CSCS_TESTBED
 
@@ -219,14 +224,14 @@ class TestSweepPoolWorkers:
     def test_worker_failure_carries_scenario_and_pool_survives(self):
         graph = build_running_example()
         good = _task(graph, scenario="good")
-        # a task the worker rejects: the forward envelope needs max_pieces >= 1
-        bad = _task(graph, scenario="doomed-scenario", max_pieces=0)
+        # a task the worker rejects: an empty latency interval
+        bad = _task(graph, scenario="doomed-scenario", l_min=5.0, l_max=5.0)
         graphs = {graph.content_digest(): graph}
         with SweepPool(2) as pool:
             with pytest.raises(ScenarioError, match="doomed-scenario") as excinfo:
                 pool.run_tasks([good, bad], graphs)
             assert excinfo.value.exc_type == "ValueError"
-            assert "max_pieces must be positive, got 0" in str(excinfo.value)
+            assert "invalid latency interval [5.0, 5.0]" in str(excinfo.value)
             assert excinfo.value.worker_traceback
             # the pool is not poisoned: the next batch still runs
             payloads = pool.run_tasks([good], graphs)
@@ -275,16 +280,15 @@ class TestBatchedSweepGraphsRewired:
         graph = build_running_example()
         with pytest.raises(ValueError, match="invalid latency interval"):
             batched_sweep_graphs([graph], PARAMS, l_min=5.0, l_max=1.0)
-        with pytest.raises(ValueError, match="max_pieces must be positive"):
-            batched_sweep_graphs([graph], PARAMS, l_max=10.0, max_pieces=0)
 
-    def test_serial_failure_is_a_scenario_error(self):
+    def test_serial_failure_is_a_scenario_error(self, monkeypatch):
         # the inline pool raises what a pooled sweep raises
+        import repro.core.envelope as envelope
+
+        monkeypatch.setattr(envelope, "MAX_PIECES", 3)
         zero_overhead = LogGPSParams(L=1.0, o=0.0, g=0.0, G=0.0)
         with pytest.raises(ScenarioError, match=r"graph\[0\]") as excinfo:
-            batched_sweep_graphs(
-                [build_staircase(8)], zero_overhead, l_max=20.0, max_pieces=3
-            )
+            batched_sweep_graphs([build_staircase(8)], zero_overhead, l_max=20.0)
         assert excinfo.value.exc_type == "EnvelopeOverflowError"
 
     def test_pathlike_cache_dir(self, tmp_path):

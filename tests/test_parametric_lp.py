@@ -1,11 +1,11 @@
 """Tests for the shared parametric-envelope engine (``repro.lp.parametric``).
 
-Covers the engine primitives (bound-only updates, warm-start hand-off, the
-tangent-envelope search), parity of the refactored ``find_critical_latencies``
-and ``llamp_placement`` against faithful copies of the pre-engine
+Covers the engine primitives (bound-only updates, the tangent-envelope
+search), parity of ``find_critical_latencies`` (on the graph) and
+``llamp_placement`` against faithful copies of the pre-engine LP
 implementations (the placement copy solves the per-pair LP), the
-cached-tangent ``critical_latency_curve``, and the placement search's
-zero LP solves.
+cached-tangent ``critical_latency_curve``, and the zero LP solves of the
+Algorithm 2 and placement searches.
 """
 
 import inspect
@@ -13,7 +13,7 @@ import inspect
 import numpy as np
 import pytest
 
-from repro.core import build_lp, find_critical_latencies, lp_envelope
+from repro.core import build_lp, find_critical_latencies
 from repro.core.critical_latency import critical_latency_curve
 from repro.core.envelope import pair_forward_evaluator
 from repro.lp import LPSolution, ParametricLP, Tangent
@@ -23,7 +23,12 @@ from repro.network import ArchitectureGraph, round_robin_mapping
 from repro.network.params import LogGPSParams
 from repro.placement import llamp_placement, predicted_runtime, swap_gain_matrix
 from repro.placement.algorithm import _swap_gain
-from repro.testing import build_random_dag, build_running_example, build_staircase
+from repro.testing import (
+    build_random_dag,
+    build_running_example,
+    build_staircase,
+    lp_envelope,
+)
 
 PARAMS = LogGPSParams(L=0.5, o=0.2, g=0.0, G=0.001)
 ZERO_OVERHEAD = LogGPSParams(L=0.0, o=0.0, g=0.0, G=0.0)
@@ -129,9 +134,9 @@ def counting_backend():
     calls = {"n": 0}
 
     @default_registry.register("_counting", replace=True)
-    def _solve(model, *, warm_start=None, **options):
+    def _solve(model, **options):
         calls["n"] += 1
-        return solve_highs(model, warm_start=warm_start, **options)
+        return solve_highs(model, **options)
 
     yield calls
     default_registry.unregister("_counting")
@@ -185,27 +190,6 @@ class TestParametricLPEngine:
         with pytest.raises(RuntimeError, match="exceeded 2 LP solves"):
             engine.solve()
 
-    def test_warm_start_handed_to_capable_backend(self, running_example, paper_params):
-        received = []
-
-        @default_registry.register("_warm", replace=True, supports_warm_start=True)
-        def _solve(model, *, warm_start=None, **options):
-            received.append(warm_start)
-            return solve_highs(model, **options)
-
-        try:
-            lp = build_lp(running_example, paper_params)
-            engine = ParametricLP(lp.model, backend="_warm")
-            first = engine.solve()
-            engine.solve()
-            assert received[0] is None
-            assert received[1] is first
-            # highs does not declare warm-start support: nothing handed over
-            cold = ParametricLP(lp.model, backend="highs")
-            assert cold._hand_warm_start is False
-        finally:
-            default_registry.unregister("_warm")
-
     def test_unknown_backend_fails_fast(self, running_example, paper_params):
         lp = build_lp(running_example, paper_params)
         with pytest.raises(ValueError, match="unknown LP backend"):
@@ -225,14 +209,16 @@ class TestParametricLPEngine:
 
 class TestCriticalLatencyParity:
     def test_running_example_pinned(self, running_example, paper_params):
-        lp = build_lp(running_example, paper_params)
-        assert find_critical_latencies(lp, 0.0, 1.0) == pytest.approx([0.385], abs=1e-6)
-        assert find_critical_latencies(lp, 0.2, 0.5) == pytest.approx([0.385], abs=1e-6)
+        for lo, hi in ((0.0, 1.0), (0.2, 0.5)):
+            found = find_critical_latencies(running_example, lo, hi, params=paper_params)
+            assert found == pytest.approx([0.385], abs=1e-6)
+            lp = build_lp(running_example, paper_params)
+            assert lp_envelope(lp, lo, hi).breakpoints() == pytest.approx([0.385], abs=1e-6)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_random_dags_match_pre_refactor_search(self, seed):
         graph = build_random_dag(seed, nranks=4, rounds=14)
-        refactored = find_critical_latencies(build_lp(graph, PARAMS), 0.5, 25.0)
+        refactored = find_critical_latencies(graph, 0.5, 25.0, params=PARAMS)
         reference = _reference_find_critical_latencies(build_lp(graph, PARAMS), 0.5, 25.0)
         assert len(refactored) == len(reference)
         assert refactored == pytest.approx(reference, abs=1e-6)
@@ -240,8 +226,8 @@ class TestCriticalLatencyParity:
     @pytest.mark.parametrize("seed", range(5))
     def test_random_dags_match_exact_envelope(self, seed):
         graph = build_random_dag(seed, nranks=4, rounds=14)
-        # the forward pass (default engine) against the LP tangent search
-        found = find_critical_latencies(build_lp(graph, PARAMS), 0.5, 25.0)
+        # the forward pass against the LP tangent search
+        found = find_critical_latencies(graph, 0.5, 25.0, params=PARAMS)
         exact = [
             bp for bp in lp_envelope(build_lp(graph, PARAMS), 0.0, 25.0).breakpoints()
             if 0.5 < bp < 25.0
@@ -250,13 +236,13 @@ class TestCriticalLatencyParity:
         assert found == pytest.approx(exact, abs=1e-6)
 
     def test_step_coalescing_preserved(self):
-        lp = build_lp(build_staircase(6), ZERO_OVERHEAD)
-        assert find_critical_latencies(lp, 0.0, 8.0) == pytest.approx(
+        graph = build_staircase(6)
+        assert find_critical_latencies(graph, 0.0, 8.0, params=ZERO_OVERHEAD) == pytest.approx(
             [1.0, 2.0, 3.0, 4.0, 5.0], abs=1e-6
         )
-        assert find_critical_latencies(lp, 0.0, 8.0, step=2.0) == pytest.approx(
-            [1.0, 3.0, 5.0], abs=1e-6
-        )
+        assert find_critical_latencies(
+            graph, 0.0, 8.0, params=ZERO_OVERHEAD, step=2.0
+        ) == pytest.approx([1.0, 3.0, 5.0], abs=1e-6)
 
     def test_max_solves_exceeded_raises(self):
         # max_solves guards the LP tangent search (the forward pass never
@@ -268,27 +254,40 @@ class TestCriticalLatencyParity:
     def test_per_pair_mode_rejected(self, running_example, paper_params):
         lp = build_lp(running_example, paper_params, latency_mode="per_pair")
         with pytest.raises(ValueError, match="per-pair"):
-            find_critical_latencies(lp, 0.0, 1.0)
+            lp_envelope(lp, 0.0, 1.0)
+        # Algorithm 2 takes no LP at all
+        with pytest.raises(TypeError, match="repro.testing.lp_envelope"):
+            find_critical_latencies(lp, 0.0, 1.0, params=paper_params)
 
 
 class TestCurveFromCachedTangents:
     def test_no_extra_solves_for_midpoints(self, counting_backend):
-        graph = build_random_dag(3, nranks=4, rounds=14)
-        find_critical_latencies(build_lp(graph, PARAMS), 0.5, 25.0, backend="_counting")
-        search_solves = counting_backend["n"]
+        from repro.lp.assembler import assembly_counts
 
-        counting_backend["n"] = 0
-        tangents = critical_latency_curve(
-            build_lp(graph, PARAMS), 0.5, 25.0, backend="_counting"
-        )
-        # pre-refactor: search_solves + one extra solve per segment
-        assert len(tangents) >= 2
+        graph = build_random_dag(3, nranks=4, rounds=14)
+        # over LP probes the segment mid-points are served from the search's
+        # cache (pre-refactor: one extra solve per segment)
+        lp = build_lp(graph, PARAMS)
+        result = lp.tangent_envelope(0.5, 25.0, backend="_counting")
+        search_solves = counting_backend["n"]
+        assert search_solves == result.num_solves > 0
+        bounds = [0.5, *sorted(set(round(bp, 12) for bp in result.breakpoints)), 25.0]
+        cached = [result.segment_tangent(0.5 * (a + b)) for a, b in zip(bounds, bounds[1:])]
         assert counting_backend["n"] == search_solves
+
+        # the production searches build no LP, so they cannot solve one
+        before = assembly_counts()
+        find_critical_latencies(graph, 0.5, 25.0, params=PARAMS)
+        tangents = critical_latency_curve(graph, 0.5, 25.0, params=PARAMS)
+        assert assembly_counts() == before
+        assert len(tangents) == len(cached) >= 2
+        for ours, theirs in zip(tangents, cached):
+            assert (ours.L, ours.slope) == pytest.approx((theirs.L, theirs.slope), abs=1e-6)
+            assert ours.value == pytest.approx(theirs.value, abs=1e-6)
 
     def test_tangents_match_fresh_probes(self):
         graph = build_random_dag(4, nranks=4, rounds=14)
-        lp = build_lp(graph, PARAMS)
-        tangents = critical_latency_curve(lp, 0.5, 25.0)
+        tangents = critical_latency_curve(graph, 0.5, 25.0, params=PARAMS)
         probe_lp = build_lp(graph, PARAMS)
         for tangent in tangents:
             solution = probe_lp.solve_runtime(L=tangent.L, backend="highs")
