@@ -3,9 +3,11 @@
 A plain process pool pickles the :class:`ExecutionGraph` into every
 scenario's task: a duplicated-graph fleet of J scenarios over U unique
 graphs costs J graph pickles *and* J full scenario runs.  The
-:class:`~repro.parallel.SweepPool` dedupes the batch by task equality
-before it submits anything, so the same fleet costs U pickles and U runs.
-Both pools pickle a graph the same way (its identity columns, see
+:class:`~repro.parallel.SweepPool` groups the batch by envelope key before
+it submits anything, one worker call per key that computes the envelope
+once and each distinct simulated sweep once, so the same fleet (here every
+scenario of a graph is the same task) costs U pickles and U runs.  Both
+pools pickle a graph the same way (its identity columns, see
 ``ExecutionGraph.__reduce__``), so the ratio measures the dedupe.
 
 Both paths run the same work per scenario: the forward ``T(L)`` envelope

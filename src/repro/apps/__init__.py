@@ -24,6 +24,12 @@ module             application                             paper appearance
 from . import cloverleaf, hpcg, icon, lammps, lulesh, milc, namd, npb, openmx
 from ._base import AppDescriptor, cartesian_grid, halo_exchange, neighbor_ranks
 
+#: version of the graphs the skeletons and Schedgen build.  Stored recipe
+#: aliases (``repro.artifacts.recipe_key``) carry it, so bump it whenever a
+#: change alters any skeleton's graph; ``tests/test_program_recording.py``
+#: ties it to the pinned golden graph digests.
+SCHEDULE_VERSION = 1
+
 #: the applications of the paper's validation section (Fig. 9 / Table II)
 VALIDATION_APPS = {
     "lulesh": lulesh,
@@ -43,6 +49,7 @@ ALL_APPS = {
 }
 
 __all__ = [
+    "SCHEDULE_VERSION",
     "AppDescriptor",
     "cartesian_grid",
     "neighbor_ranks",

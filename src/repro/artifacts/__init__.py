@@ -1,8 +1,8 @@
 """Content-addressed persistence of the pipeline's frozen artifacts.
 
-``repro.artifacts`` is the persist-once/serve-many layer named by ROADMAP
-item 1: single-file ``.npz`` round trips for frozen execution graphs
-and exact ``T(L)`` envelopes (:mod:`.serialize`), plus an
+``repro.artifacts`` is the persist-once/serve-many layer: single-file
+``.npz`` round trips for frozen execution graphs, exact ``T(L)``
+envelopes, recipe aliases and simulated sweeps (:mod:`.serialize`), plus an
 on-disk :class:`ArtifactStore` keyed by the content digests of the inputs
 (:mod:`.store`).  See ``README.md`` in this package for the format and the
 digest contract.
@@ -21,6 +21,8 @@ from .store import (
     combine_digests,
     envelope_key,
     envelope_key_from_digests,
+    recipe_key,
+    simulation_key,
 )
 
 __all__ = [
@@ -34,4 +36,6 @@ __all__ = [
     "combine_digests",
     "envelope_key",
     "envelope_key_from_digests",
+    "recipe_key",
+    "simulation_key",
 ]

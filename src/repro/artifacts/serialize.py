@@ -1,6 +1,6 @@
 """Single-file ``.npz`` serialisation of the pipeline's frozen artifacts.
 
-Two artifact kinds are covered, each persisted as one NumPy ``.npz``
+Four artifact kinds are covered, each persisted as one NumPy ``.npz``
 archive with a self-describing ``__artifact__`` tag and a format version:
 
 * **graphs** — the identity columns of a frozen
@@ -9,7 +9,10 @@ archive with a self-describing ``__artifact__`` tag and a format version:
   already-computed level structure so the load path restores the cached
   views instead of re-deriving them;
 * **envelopes** — the exact ``T(L)`` curve of a latency sweep as a
-  :class:`~repro.core.parametric.PiecewiseLinear` (slopes + intercepts).
+  :class:`~repro.core.parametric.PiecewiseLinear` (slopes + intercepts);
+* **recipes** — the content digest of the graph one schedule recipe builds
+  (a string), so a warm caller learns the digest without building;
+* **simulations** — the simulated makespans of one ΔL sweep (floats).
 
 Loads never re-run validation: every artifact was validated when it was
 first built, and the formats store the already-frozen canonical columns.
@@ -34,6 +37,10 @@ __all__ = [
     "load_graph",
     "save_envelope",
     "load_envelope",
+    "save_recipe",
+    "load_recipe",
+    "save_simulation",
+    "load_simulation",
 ]
 
 #: bumped whenever any of the npz layouts changes incompatibly
@@ -251,3 +258,42 @@ def load_envelope(path: str | Path) -> PiecewiseLinear:
             lo=float(archive["lo"][()]),
             hi=float(archive["hi"][()]),
         )
+
+
+# ---------------------------------------------------------------------------
+# recipe aliases and simulated sweeps
+# ---------------------------------------------------------------------------
+
+
+def save_recipe(graph_digest: str, path: str | Path) -> Path:
+    """Persist the graph digest a schedule recipe builds to ``path``."""
+    return _save_npz(path, {
+        "__artifact__": "recipe",
+        "__version__": FORMAT_VERSION,
+        "graph_digest": np.str_(graph_digest),
+    })
+
+
+def load_recipe(path: str | Path) -> str:
+    """The graph digest written by :func:`save_recipe`."""
+    path = Path(path)
+    with np.load(path, allow_pickle=False) as archive:
+        _check_kind(archive, path, "recipe")
+        return str(archive["graph_digest"][()])
+
+
+def save_simulation(makespans, path: str | Path) -> Path:
+    """Persist the makespans of one simulated ΔL sweep to ``path``."""
+    return _save_npz(path, {
+        "__artifact__": "simulation",
+        "__version__": FORMAT_VERSION,
+        "makespan": np.asarray(makespans, dtype=np.float64),
+    })
+
+
+def load_simulation(path: str | Path) -> list[float]:
+    """The makespans written by :func:`save_simulation`, as floats."""
+    path = Path(path)
+    with np.load(path, allow_pickle=False) as archive:
+        _check_kind(archive, path, "simulation")
+        return archive["makespan"].tolist()

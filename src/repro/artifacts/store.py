@@ -1,16 +1,19 @@
 """A content-addressed on-disk store for the pipeline's frozen artifacts.
 
-Every expensive artifact (frozen graph, ``T(L)`` envelope) is immutable
-and a deterministic function of its inputs, so it can be keyed by
-the sha256 digests of those inputs (:meth:`ExecutionGraph.content_digest`,
-:meth:`LogGPSParams.content_digest`) and rebuilt at most once per key —
-the persist-once/serve-many shape the service layer mounts directly.
+Every expensive artifact (frozen graph, ``T(L)`` envelope, simulated ΔL
+sweep) is immutable and a deterministic function of its inputs, so it can
+be keyed by the sha256 digests of those inputs
+(:meth:`ExecutionGraph.content_digest`, :meth:`LogGPSParams.content_digest`)
+and rebuilt at most once per key — the persist-once/serve-many shape the
+service layer mounts directly.  A ``recipe`` entry maps the inputs of one
+graph build (:func:`recipe_key`) to the digest of the graph it builds, so a
+warm caller can address the other entries without building the graph.
 
 Layout::
 
     <root>/<kind>/<key[:2]>/<key>.npz
 
-with ``kind`` one of ``graph`` / ``envelope`` and ``key`` a hex
+with ``kind`` one of :attr:`ArtifactStore.KINDS` and ``key`` a hex
 digest (the two-character fan-out keeps directories small).  Writes are
 atomic (tempfile + :func:`os.replace`), so concurrent workers racing on the
 same key at worst both build and one replace wins — never a torn file.
@@ -27,13 +30,24 @@ import tempfile
 from pathlib import Path
 from typing import Callable
 
-from .serialize import load_envelope, load_graph, save_envelope, save_graph
+from .serialize import (
+    load_envelope,
+    load_graph,
+    load_recipe,
+    load_simulation,
+    save_envelope,
+    save_graph,
+    save_recipe,
+    save_simulation,
+)
 
 __all__ = [
     "ArtifactStore",
     "combine_digests",
     "envelope_key",
     "envelope_key_from_digests",
+    "recipe_key",
+    "simulation_key",
 ]
 
 _HEX = set("0123456789abcdef")
@@ -95,6 +109,32 @@ def envelope_key_from_digests(
     return combine_digests(*parts)
 
 
+def recipe_key(app: str, nranks: int, algorithms, protocol, *, version: int) -> str:
+    """The cache key of the graph digest one schedule recipe builds.
+
+    A recipe is an application skeleton at ``nranks`` ranks scheduled with
+    ``algorithms`` (a :class:`~repro.schedgen.collectives.CollectiveAlgorithms`)
+    under ``protocol`` (a :class:`~repro.schedgen.builder.ProtocolConfig`);
+    both are frozen dataclasses whose ``repr`` names every field.
+    ``version`` is :data:`repro.apps.SCHEDULE_VERSION`: a change to the
+    skeletons or to Schedgen that changes a graph bumps it, so no alias
+    outlives the graphs it names.
+    """
+    return combine_digests(
+        "recipe", int(version), app, int(nranks), repr(algorithms), repr(protocol)
+    )
+
+
+def simulation_key(
+    graph_digest: str, params_digest: str, injector: str, deltas
+) -> str:
+    """The cache key of one simulated ΔL sweep of a graph under an injector."""
+    return combine_digests(
+        "simulation", graph_digest, params_digest, injector,
+        *(repr(float(delta)) for delta in deltas),
+    )
+
+
 class ArtifactStore:
     """Content-addressed ``get_or_build`` cache over :mod:`.serialize`.
 
@@ -102,10 +142,20 @@ class ArtifactStore:
     complete files only); the hit/miss counters are process-local.
     """
 
-    KINDS = ("graph", "envelope")
+    KINDS = ("graph", "envelope", "recipe", "simulation")
 
-    _SAVERS: dict[str, Callable] = {"graph": save_graph, "envelope": save_envelope}
-    _LOADERS: dict[str, Callable] = {"graph": load_graph, "envelope": load_envelope}
+    _SAVERS: dict[str, Callable] = {
+        "graph": save_graph,
+        "envelope": save_envelope,
+        "recipe": save_recipe,
+        "simulation": save_simulation,
+    }
+    _LOADERS: dict[str, Callable] = {
+        "graph": load_graph,
+        "envelope": load_envelope,
+        "recipe": load_recipe,
+        "simulation": load_simulation,
+    }
 
     def __init__(
         self, root: str | Path, *, graph_mmap_mode: str | None = None

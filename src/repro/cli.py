@@ -28,7 +28,8 @@ Small front end over the library for the most common workflows:
     expand an (app × ranks × algorithm × latency × injector) scenario grid
     and run it across a persistent pool of worker processes
     (:mod:`repro.parallel`), writing per-app shards plus one deterministic
-    merged summary;
+    merged summary; with ``--cache-dir`` every scenario the store already
+    answers is read from it, and a fully stored fleet starts no worker;
 ``llamp ingest``
     stream an on-disk trace or GOAL file through its reader in chunks
     (:func:`repro.schedgen.streaming.batches_from_trace_chunked`,
@@ -190,7 +191,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "scenarios, run them on a persistent pool of spawn "
                     "workers that receive each graph with its tasks, "
                     "and write per-app FLEET_<app>.json shards plus one "
-                    "deterministic FLEET_summary.json.",
+                    "deterministic FLEET_summary.json. With --cache-dir, "
+                    "scenarios the store already answers are read from it "
+                    "without building a graph or starting a worker.",
     )
     fleet.add_argument("apps", nargs="+", choices=sorted(ALL_APPS),
                        help="application skeletons in the fleet")
@@ -211,7 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--processes", type=int, default=None,
                        help="worker processes (default: cpu count; 1 = inline)")
     fleet.add_argument("--cache-dir", default=None,
-                       help="shared artifact store directory for the workers")
+                       help="artifact store directory: stored answers are "
+                            "read, new ones are stored")
     fleet.add_argument("--output-dir", default=None,
                        help="directory for FLEET_*.json shards and the summary")
     fleet.add_argument("--json", action="store_true", help="print machine-readable JSON")
@@ -487,9 +491,10 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
     latencies = args.latencies if args.latencies else [args.latency]
     params_grid = [_params_from_args(args, lat) for lat in latencies]
-    if not all(p.L < args.l_max for p in params_grid):
+    if not all(p.L < args.l_max < math.inf for p in params_grid):
         raise SystemExit(
-            f"--l-max ({args.l_max} µs) must exceed every base latency in the grid"
+            f"--l-max ({args.l_max} µs) must be finite and exceed every base "
+            "latency in the grid"
         )
     injectors = [None if name == "none" else name for name in args.injectors]
     try:

@@ -143,8 +143,10 @@ class PiecewiseLinear:
 
         At a breakpoint the slope from *above* is returned (the larger one),
         matching the convention of the reduced cost when approached from the
-        right.
+        right.  At ``x = ∞`` the steepest piece is the active one.
         """
+        if x == np.inf:
+            return max(self.lines[-1].slope, 0.0)
         best_value = self.value(x)
         best_slope = 0.0
         for line in self.lines:

@@ -3,15 +3,15 @@
 The package splits into two layers (see ``README.md`` here):
 
 * :mod:`.pool` — :class:`SweepPool`, a persistent ``spawn`` process pool
-  whose tasks are ``(graph_digest, params_digest, sweep spec)`` tuples,
-  each shipped together with its pickled graph columns; duplicate digests
-  inside a batch are solved once, and failures — a worker exception or a
-  dead worker — surface as :class:`ScenarioError` with the scenario
-  identity attached.
+  whose tasks are ``(graph_digest, params_digest, sweep spec)`` tuples;
+  each envelope key is one worker call, shipped together with its pickled
+  graph columns, and failures — a worker exception or a dead worker —
+  surface as :class:`ScenarioError` with the scenario identity attached.
 * :mod:`.fleet` — :class:`ScenarioFleet`, the grid driver behind
   ``llamp fleet``: expands (app × ranks × algorithm × params × injector)
-  grids, runs them across the pool and writes per-app shards plus one
-  deterministic merged summary.
+  grids, answers what the artifact store holds without a pool, runs the
+  rest across the pool and writes per-app shards plus one deterministic
+  merged summary.
 """
 
 import os

@@ -1,23 +1,31 @@
 """Scenario-fleet driver: parameter grids over the sweep pool.
 
 A *fleet* is the cross product of application skeletons, rank counts,
-collective algorithms, LogGPS parameter points and latency injectors.  The
-driver expands the grid into :class:`Scenario` records, records each
-``(app, nranks)`` program once, builds each distinct ``(app, nranks,
-algorithm, params)`` graph from it exactly once, and runs the whole
-fleet through one persistent :class:`~repro.parallel.SweepPool` — each
-scenario travels to a worker as a digest tuple together with its graph's
-pickled identity columns, and duplicate scenarios (same graph digest +
-sweep spec) are solved once.
-The pool is started (:meth:`~repro.parallel.SweepPool.start`) before the
-programs are recorded and the graphs built, so the spawn workers boot while
-the parent does that work instead of after it.
+collective algorithms, LogGPS parameter points and latency injectors.
+:class:`ScenarioFleet` expands the grid into :class:`Scenario` records and
+answers each one the cheapest way it can:
+
+* **from the store** — with a ``cache_dir``, a scenario whose recipe alias,
+  envelope and simulated sweep are all stored becomes a row directly, before
+  any program is recorded, graph built or worker started.  A *recipe* is
+  ``(SCHEDULE_VERSION, app, nranks, CollectiveAlgorithms, ProtocolConfig)``;
+  the store's ``recipe`` kind maps it to its graph's digest, which addresses
+  the ``envelope`` and ``simulation`` entries.  A fleet whose every scenario
+  is stored starts no pool at all;
+* **through the pool** — every other scenario takes one
+  :class:`~repro.parallel.SweepPool` batch.  The pool is started
+  (:meth:`~repro.parallel.SweepPool.start`) first, so the spawn workers boot
+  while this process records each ``(app, nranks)`` program once and builds
+  each recipe's graph once from it (graphs are keyed by recipe, so a latency
+  grid that shares one ``S`` shares its graphs).  Each envelope key is one
+  worker call, which computes the envelope once plus each distinct
+  simulated sweep once, and stores them when a ``cache_dir`` is given.
 
 Results are written BENCH-style: one ``FLEET_<app>.json`` shard per
 application plus a single deterministic ``FLEET_summary.json`` merging every
 scenario row (sorted by scenario name, keys sorted), so repeated runs of the
-same fleet produce byte-identical summaries.  Exposed as ``llamp fleet`` in
-the CLI.
+same fleet — cold or warm, inline or pooled — produce byte-identical
+summaries.  Exposed as ``llamp fleet`` in the CLI.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ from ..core.parametric import ParametricAnalysis
 from ..network.params import LogGPSParams
 from ..schedgen.builder import build_graph
 from ..schedgen.collectives import CollectiveAlgorithms
-from .pool import SweepPool, SweepTask
+from .pool import SweepPool, SweepTask, stored_payloads
 
 __all__ = ["Scenario", "FleetResult", "ScenarioFleet"]
 
@@ -80,7 +88,8 @@ class ScenarioFleet:
     name from :data:`repro.simulator.injector.INJECTOR_NAMES`; scenarios with
     an injector additionally simulate the graph at ``sim_deltas`` added
     latencies (each finite and non-negative).  Every envelope spans
-    ``[params.L, l_max]``.
+    ``[params.L, l_max]``, so ``l_max`` must be finite and exceed every
+    ``params.L``.
     """
 
     def __init__(
@@ -105,6 +114,11 @@ class ScenarioFleet:
             )
         if not params_grid:
             raise ValueError("params_grid must contain at least one LogGPSParams")
+        if not all(params.L < float(l_max) < math.inf for params in params_grid):
+            # an unbounded envelope would write "l_max_us": Infinity, not JSON
+            raise ValueError(
+                f"l_max ({l_max} µs) must be finite and exceed every base latency"
+            )
         for delta in sim_deltas:
             if not 0 <= float(delta) < math.inf:
                 raise ValueError(f"sim_deltas must be finite and non-negative, got {delta}")
@@ -133,46 +147,42 @@ class ScenarioFleet:
 
     # -- execution ------------------------------------------------------------
 
-    def _build_graphs(self, scenarios: Sequence[Scenario]):
-        """One graph per distinct ``(app, nranks, algorithm, params)``.
+    @staticmethod
+    def _recipe(sc: Scenario) -> tuple:
+        """``(app, nranks, algorithms, protocol)``: what the graph of ``sc``
+        is built from (``params`` enter only through the protocol's ``S``)."""
+        from ..schedgen.builder import ProtocolConfig
 
-        Each ``(app, nranks)`` skeleton is recorded once and every graph of
-        it is built from that one program.  The grid's nested-loop order
-        keeps each ``(app, nranks)`` contiguous, so only one program is
-        alive at a time.
+        return (
+            sc.app,
+            sc.nranks,
+            CollectiveAlgorithms(allreduce=sc.allreduce),
+            ProtocolConfig.from_params(sc.params),
+        )
+
+    @staticmethod
+    def _build_graphs(recipes: Sequence[tuple]) -> dict:
+        """One graph per distinct recipe, each ``(app, nranks)`` program
+        recorded once.
+
+        ``recipes`` come in grid order, whose nested loops keep each
+        ``(app, nranks)`` contiguous, so only one program is alive at a time.
         """
         from ..apps import ALL_APPS
 
-        graph_of: dict[tuple, object] = {}
-        digest_of: dict[tuple, str] = {}
-        for (app, nranks), group in groupby(scenarios, key=lambda sc: (sc.app, sc.nranks)):
-            program = None
-            for sc in group:
-                key = (app, nranks, sc.allreduce, sc.params.content_digest())
-                if key in graph_of:
-                    continue
-                if program is None:
-                    program = ALL_APPS[app].program(nranks)
-                graph = build_graph(
-                    program,
-                    params=sc.params,
-                    algorithms=CollectiveAlgorithms(allreduce=sc.allreduce),
+        graphs = {}
+        for (app, nranks), group in groupby(recipes, key=lambda recipe: recipe[:2]):
+            program = ALL_APPS[app].program(nranks)
+            for recipe in group:
+                graphs[recipe] = build_graph(
+                    program, algorithms=recipe[2], protocol=recipe[3]
                 )
-                graph_of[key] = graph
-                digest_of[key] = graph.content_digest()
-        graphs = {digest_of[key]: graph for key, graph in graph_of.items()}
-        return graphs, digest_of
+        return graphs
 
     def run(self, output_dir: str | os.PathLike | None = None) -> FleetResult:
         """Run every scenario; optionally write shards + summary JSON."""
         scenarios = self.scenarios()
-        with SweepPool(self.processes, cache_dir=self.cache_dir) as pool:
-            # the spawn workers boot while this process builds the graphs
-            pool.start()
-            graphs, digest_of = self._build_graphs(scenarios)
-            tasks = [self._task(sc, digest_of) for sc in scenarios]
-            payloads = pool.run_tasks(tasks, graphs)
-
+        tasks, payloads = self._answer(scenarios)
         rows = [
             self._row(sc, task, payload)
             for sc, task, payload in zip(scenarios, tasks, payloads)
@@ -182,7 +192,7 @@ class ScenarioFleet:
             "results": {
                 "scenarios": len(rows),
                 "apps": sorted(set(self.apps)),
-                "unique_graphs": len(graphs),
+                "unique_graphs": len({task.graph_digest for task in tasks}),
                 "l_max_us": self.l_max,
                 "rows": sorted(rows, key=lambda r: r["scenario"]),
             },
@@ -212,14 +222,64 @@ class ScenarioFleet:
             summary_path=summary_path,
         )
 
-    def _task(self, sc: Scenario, digest_of: dict[tuple, str]) -> SweepTask:
+    def _answer(self, scenarios: list[Scenario]) -> tuple[list[SweepTask], list[dict]]:
+        """Each scenario's pool task and payload: read from the store where
+        it holds the recipe alias, envelope and simulation, and from one
+        pool batch for every other scenario."""
+        from ..apps import SCHEDULE_VERSION
+        from ..artifacts import ArtifactStore, recipe_key
+
+        recipes = [self._recipe(sc) for sc in scenarios]
+        alias_key = {
+            recipe: recipe_key(*recipe, version=SCHEDULE_VERSION)
+            for recipe in dict.fromkeys(recipes)
+        }
+        store = None if self.cache_dir is None else ArtifactStore(self.cache_dir)
+        digest_of: dict[tuple, str] = {}
+        if store is not None:
+            for recipe, key in alias_key.items():
+                digest = store.get("recipe", key)
+                if digest is not None:
+                    digest_of[recipe] = digest
+        tasks: list[SweepTask | None] = [
+            self._task(sc, digest_of[recipe]) if recipe in digest_of else None
+            for sc, recipe in zip(scenarios, recipes)
+        ]
+        payloads: list[dict | None] = [None] * len(scenarios)
+        known = [i for i, task in enumerate(tasks) if task is not None]
+        if known:
+            for i, payload in zip(known, stored_payloads([tasks[i] for i in known], store)):
+                payloads[i] = payload
+
+        missed = [i for i, payload in enumerate(payloads) if payload is None]
+        if not missed:
+            return tasks, payloads
+        with SweepPool(self.processes, cache_dir=self.cache_dir) as pool:
+            # the spawn workers boot while this process builds the graphs
+            pool.start()
+            graphs = {}
+            for recipe, graph in self._build_graphs(
+                list(dict.fromkeys(recipes[i] for i in missed))
+            ).items():
+                digest = graph.content_digest()
+                graphs[digest] = graph
+                if store is not None and digest_of.get(recipe) != digest:
+                    store.put("recipe", alias_key[recipe], digest)
+                digest_of[recipe] = digest
+            for i in missed:
+                tasks[i] = self._task(scenarios[i], digest_of[recipes[i]])
+            answers = pool.run_tasks([tasks[i] for i in missed], graphs)
+        for i, payload in zip(missed, answers):
+            payloads[i] = payload
+        return tasks, payloads
+
+    def _task(self, sc: Scenario, graph_digest: str) -> SweepTask:
         """The digest-addressed pool task of one scenario."""
-        key = (sc.app, sc.nranks, sc.allreduce, sc.params.content_digest())
         sim = None
         if sc.injector is not None:
             sim = (sc.injector, self.sim_deltas)
         return SweepTask(
-            graph_digest=digest_of[key],
+            graph_digest=graph_digest,
             params_digest=sc.params.content_digest(),
             l_min=sc.params.L,
             l_max=self.l_max,

@@ -2,14 +2,14 @@
 
 A task is a :class:`SweepTask`: ``(graph_digest, params_digest, sweep
 spec)`` plus the small parameter record and a scenario label.  Every task
-computes its envelope with :func:`~repro.core.envelope.forward_envelope`
-(no LP is built or solved), plus simulated points when it asks for them.
+needs its envelope from :func:`~repro.core.envelope.forward_envelope` (no
+LP is built or solved), plus simulated points when it asks for them.
 :meth:`SweepPool.run_tasks` works off a batch as follows:
 
-* duplicate scenarios inside one batch (same digests + same sweep spec) are
-  **solved once**: the representative task runs, and the result fans out to
-  every duplicate on collect;
-* each unique task is submitted to a ``spawn``
+* tasks are grouped by envelope key (:meth:`SweepTask.store_key`), and each
+  group is **one worker call**: it computes the envelope once, plus each
+  distinct ``sim`` of its tasks once; equal tasks share one payload;
+* each group is submitted to a ``spawn``
   :class:`~concurrent.futures.ProcessPoolExecutor` **together with its
   graph**, largest graph first so the slowest solve starts earliest; input
   order is restored on collect.  A graph pickles as its identity columns,
@@ -18,6 +18,10 @@ computes its envelope with :func:`~repro.core.envelope.forward_envelope`
   a task's digest against the shipped graph first, then a shared
   :class:`~repro.artifacts.ArtifactStore` (disk); an unresolvable digest is
   an error, never a silent rebuild;
+* with a store, every envelope and simulated sweep is read from it before
+  anything is computed, and stored once computed.  The parent reads the
+  same entries through the same lookup (:func:`stored_payloads`), so a
+  caller can answer what the store holds before it starts the pool;
 * a worker exception never poisons the pool: the failure — with the failing
   scenario's identity and the worker traceback — travels back as an
   ordinary result and is re-raised in the parent as :class:`ScenarioError`
@@ -42,13 +46,13 @@ from __future__ import annotations
 import os
 import traceback
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from ..artifacts import ArtifactStore, envelope_key_from_digests
+from ..artifacts import ArtifactStore, envelope_key_from_digests, simulation_key
 from ..network.params import LogGPSParams
 from ..schedgen.graph import ExecutionGraph
 
-__all__ = ["SweepTask", "ScenarioError", "SweepPool"]
+__all__ = ["SweepTask", "ScenarioError", "SweepPool", "stored_payloads"]
 
 
 @dataclass(frozen=True)
@@ -82,6 +86,11 @@ class SweepTask:
             l_max=self.l_max,
             **envelope_config(),
         )
+
+    def simulation_key(self) -> str:
+        """The :class:`ArtifactStore` simulation key of this task's ``sim``."""
+        injector, deltas = self.sim
+        return simulation_key(self.graph_digest, self.params_digest, injector, deltas)
 
 
 class ScenarioError(RuntimeError):
@@ -138,66 +147,129 @@ def _resolve_graph(
     )
 
 
-def _execute_task(
-    task: SweepTask, graph: ExecutionGraph | None, store: ArtifactStore | None
-) -> dict:
-    """Run one scenario against the resolved graph; returns the payload."""
-    import resource
-
+def _envelope(task: SweepTask, graph: ExecutionGraph):
     from ..core.envelope import forward_envelope
 
-    graph = _resolve_graph(task, graph, store)
-    if task.params is None:
-        raise LookupError(
-            f"params digest {task.params_digest[:12]}… carries no parameter "
-            "record to solve with"
-        )
-
-    def build():
-        return forward_envelope(graph, task.params, l_min=task.l_min, l_max=task.l_max)
-
-    if store is not None:
-        envelope = store.get_or_build_envelope(task.store_key(), build)
-    else:
-        envelope = build()
-
-    sim_runtimes = None
-    if task.sim is not None:
-        from ..simulator.columnar import simulate_sweep
-
-        injector, deltas = task.sim
-        sim_runtimes = simulate_sweep(
-            graph, task.params, list(deltas), injector=injector
-        ).makespan.tolist()
-
-    return {
-        "envelope": envelope,
-        "sim_runtimes": sim_runtimes,
-        "worker_pid": os.getpid(),
-        "worker_rss_kb": int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss),
-    }
+    return forward_envelope(graph, task.params, l_min=task.l_min, l_max=task.l_max)
 
 
-def _run_task(
+def _simulation(task: SweepTask, graph: ExecutionGraph) -> list[float]:
+    from ..simulator.columnar import simulate_sweep
+
+    injector, deltas = task.sim
+    return simulate_sweep(graph, task.params, list(deltas), injector=injector).makespan.tolist()
+
+
+def _group_payloads(
+    tasks: Sequence[SweepTask],
+    graph: ExecutionGraph | None,
+    store: ArtifactStore | None,
+    *,
+    build: bool = True,
+) -> Iterator[dict | None]:
+    """Yield the payload of each of ``tasks``, distinct tasks that share one
+    envelope key, in order.
+
+    This is the one lookup of the parent and the workers.  The envelope is
+    fetched once and each distinct ``sim`` once, under
+    :meth:`SweepTask.store_key` and :meth:`SweepTask.simulation_key`: from
+    ``store`` when it holds the entry, otherwise computed on the resolved
+    graph and stored.  With ``build=False`` (a ``store`` is then required)
+    nothing is computed and a task with any missing entry yields ``None``.
+    """
+    resolved: list[ExecutionGraph] = []
+
+    def fetch(kind: str, key: str, task: SweepTask, compute):
+        if not build:
+            return store.get(kind, key)
+
+        def builder():
+            if not resolved:
+                resolved.append(_resolve_graph(task, graph, store))
+            if task.params is None:
+                raise LookupError(
+                    f"params digest {task.params_digest[:12]}… carries no "
+                    "parameter record to solve with"
+                )
+            return compute(task, resolved[0])
+
+        return builder() if store is None else store.get_or_build(kind, key, builder)
+
+    head = tasks[0]
+    envelope = fetch("envelope", head.store_key(), head, _envelope)
+    sims: dict[tuple | None, list[float] | None] = {None: None}
+    for task in tasks:
+        if envelope is not None and task.sim not in sims:
+            sims[task.sim] = fetch("simulation", task.simulation_key(), task, _simulation)
+        runtimes = sims.get(task.sim)
+        found = envelope is not None and (task.sim is None or runtimes is not None)
+        yield {"envelope": envelope, "sim_runtimes": runtimes} if found else None
+
+
+def _run_group(
     slot: int,
-    task: SweepTask,
+    tasks: Sequence[SweepTask],
     graph: ExecutionGraph | None,
     store: ArtifactStore | None,
 ) -> tuple[int, bool, object]:
-    """Run one task; never raises (failures travel back as results)."""
+    """Run one envelope-key group; never raises (failures travel back as
+    results, labelled with the task being answered)."""
+    import resource
+
+    payloads: list[dict] = []
     try:
-        return slot, True, _execute_task(task, graph, store)
+        payloads.extend(_group_payloads(tasks, graph, store))
     except BaseException as exc:  # noqa: BLE001 - forwarded to the parent
         return slot, False, (
-            _label(task), type(exc).__name__, str(exc), traceback.format_exc()
+            _label(tasks[len(payloads)]), type(exc).__name__, str(exc),
+            traceback.format_exc(),
         )
+    rss_kb = int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+    for payload in payloads:
+        payload["worker_rss_kb"] = rss_kb
+    return slot, True, payloads
 
 
 def _run_in_worker(
-    slot: int, task: SweepTask, graph: ExecutionGraph | None
+    slot: int, tasks: Sequence[SweepTask], graph: ExecutionGraph | None
 ) -> tuple[int, bool, object]:
-    """The pool's target: :func:`_run_task` against the worker's store."""
-    return _run_task(slot, task, graph, _STORE)
+    """The pool's target: :func:`_run_group` against the worker's store."""
+    return _run_group(slot, tasks, graph, _STORE)
+
+
+def _groups(
+    tasks: Sequence[SweepTask],
+) -> tuple[list[list[SweepTask]], list[tuple[int, int]]]:
+    """Distinct tasks grouped by envelope key, in order of first appearance,
+    and each task's ``(group, member)`` position."""
+    groups: list[list[SweepTask]] = []
+    group_of: dict[str, int] = {}
+    position_of: dict[SweepTask, tuple[int, int]] = {}
+    positions = []
+    for task in tasks:
+        position = position_of.get(task)
+        if position is None:
+            group = group_of.setdefault(task.store_key(), len(groups))
+            if group == len(groups):
+                groups.append([])
+            position = position_of[task] = (group, len(groups[group]))
+            groups[group].append(task)
+        positions.append(position)
+    return groups, positions
+
+
+def stored_payloads(
+    tasks: Sequence[SweepTask], store: ArtifactStore
+) -> list[dict | None]:
+    """Each task's payload as ``store`` holds it, ``None`` where an entry
+    is missing; computes nothing and needs no graph.
+
+    It reads through the workers' own lookup, so a task it answers is one a
+    pool run would answer from the same entries.
+    """
+    groups, positions = _groups(tasks)
+    answers = [list(_group_payloads(group, None, store, build=False)) for group in groups]
+    return [answers[group][member] for group, member in positions]
 
 
 # ---------------------------------------------------------------------------
@@ -296,39 +368,29 @@ class SweepPool:
         """Execute ``tasks`` and return one payload dict per task, in order.
 
         ``graphs`` maps graph digests to the frozen graphs this batch needs;
-        with workers active each one travels with every unique task that
-        runs on it.  Tasks whose digest is absent must be resolvable from
-        the shared store.  Duplicate tasks are solved once; any worker
-        failure is re-raised as :class:`ScenarioError` (lowest task index
+        with workers active each one travels with every envelope-key group
+        that runs on it.  Tasks whose digest is absent must be resolvable
+        from the shared store.  Each group is one call (envelope once, each
+        distinct ``sim`` once) and equal tasks share one payload; any worker
+        failure is re-raised as :class:`ScenarioError` (the earliest group
         wins deterministically) after the batch has drained — the pool
         survives, and a lost worker is replaced on the next batch.
         """
         if not tasks:
             return []
         graphs = graphs or {}
-
-        # dedupe: the first of each set of equal tasks is the representative
-        representatives: dict[SweepTask, int] = {}
-        slot_of_task: list[int] = []
-        unique: list[SweepTask] = []
-        for task in tasks:
-            slot = representatives.get(task)
-            if slot is None:
-                slot = len(unique)
-                representatives[task] = slot
-                unique.append(task)
-            slot_of_task.append(slot)
+        groups, positions = _groups(tasks)
 
         if self.uses_workers:
-            results = self._run_in_workers(unique, graphs)
+            results = self._run_in_workers(groups, graphs)
         else:
             store = ArtifactStore(self.cache_dir) if self.cache_dir is not None else None
             results = [
-                _run_task(slot, task, graphs.get(task.graph_digest), store)
-                for slot, task in enumerate(unique)
+                _run_group(slot, group, graphs.get(group[0].graph_digest), store)
+                for slot, group in enumerate(groups)
             ]
 
-        payloads: list[dict | None] = [None] * len(unique)
+        payloads: list[list[dict] | None] = [None] * len(groups)
         failures: list[tuple[int, tuple]] = []
         for slot, ok, payload in results:
             if ok:
@@ -337,25 +399,25 @@ class SweepPool:
                 failures.append((slot, payload))
         if failures:
             raise ScenarioError(*min(failures)[1])
-        return [payloads[slot] for slot in slot_of_task]
+        return [payloads[group][member] for group, member in positions]
 
     def _run_in_workers(
-        self, unique: list[SweepTask], graphs: dict[str, ExecutionGraph]
+        self, groups: list[list[SweepTask]], graphs: dict[str, ExecutionGraph]
     ) -> list[tuple[int, bool, object]]:
-        """Submit every task with its graph, largest first; wait for all."""
+        """Submit every group with its graph, largest first; wait for all."""
         from concurrent.futures.process import BrokenProcessPool
 
         self.start()
         order = sorted(
-            range(len(unique)), key=lambda slot: -self._task_size(unique[slot], graphs)
+            range(len(groups)), key=lambda slot: -self._task_size(groups[slot][0], graphs)
         )
         futures, results, lost = [], [], []
         broken = None
         try:
             for slot in order:
-                task = unique[slot]
-                graph = graphs.get(task.graph_digest)
-                futures.append((slot, self._pool.submit(_run_in_worker, slot, task, graph)))
+                group = groups[slot]
+                graph = graphs.get(group[0].graph_digest)
+                futures.append((slot, self._pool.submit(_run_in_worker, slot, group, graph)))
         except BrokenProcessPool as exc:  # broke before the batch was queued
             broken, lost = exc, order[len(futures):]
         for slot, future in futures:
@@ -369,7 +431,7 @@ class SweepPool:
             # fresh one
             self._stop_workers()
             raise ScenarioError(
-                ", ".join(_label(unique[slot]) for slot in sorted(lost)),
+                ", ".join(_label(task) for slot in sorted(lost) for task in groups[slot]),
                 type(broken).__name__,
                 str(broken),
                 "".join(traceback.format_exception(broken)),

@@ -1,7 +1,7 @@
 """Tests for the content-addressed artifact layer (:mod:`repro.artifacts`).
 
-Covers the two npz round trips (graphs, envelopes), the content digests
-and envelope keys they are stored under, the on-disk
+Covers the npz round trips (graphs, envelopes, recipe aliases, simulated
+sweeps), the content digests and keys they are stored under, the on-disk
 :class:`ArtifactStore`, and the cached paths wired through
 :meth:`LatencyAnalyzer.parametric`, :func:`batched_sweep_graphs` and the
 ``llamp cache`` CLI.
@@ -22,8 +22,10 @@ from repro.artifacts import (
     envelope_key,
     load_envelope,
     load_graph,
+    recipe_key,
     save_envelope,
     save_graph,
+    simulation_key,
 )
 from repro.core import (
     LatencyAnalyzer,
@@ -32,11 +34,18 @@ from repro.core import (
     build_lp,
     forward_envelope,
 )
+from repro.artifacts.serialize import (
+    load_recipe,
+    load_simulation,
+    save_recipe,
+    save_simulation,
+)
 from repro.core.envelope import envelope_config
 from repro.lp.assembler import assembly_counts
 from repro.network.params import LogGPSParams
 from repro.parallel import SweepTask
 from repro.schedgen.builder import ProtocolConfig, ScheduleGenerator, build_graph
+from repro.schedgen.collectives import CollectiveAlgorithms
 from repro.schedgen.graph import ExecutionGraph
 from repro.testing import (
     build_random_dag,
@@ -145,6 +154,34 @@ class TestContentDigests:
         k2 = envelope_key(graph, PARAMS, l_min=0.0, l_max=5.0, b=2, a=1)
         assert k1 == k2
         assert k1 != envelope_key(graph, PARAMS, l_min=0.0, l_max=6.0, a=1, b=2)
+
+    def test_recipe_key_separates_every_component(self):
+        rd, ring = CollectiveAlgorithms(), CollectiveAlgorithms(allreduce="ring")
+        eager, small = ProtocolConfig(), ProtocolConfig(eager_threshold=1024)
+        key = recipe_key("lulesh", 4, rd, eager, version=1)
+        assert key == recipe_key("lulesh", 4, CollectiveAlgorithms(), ProtocolConfig(), version=1)
+        variants = {
+            recipe_key("hpcg", 4, rd, eager, version=1),
+            recipe_key("lulesh", 8, rd, eager, version=1),
+            recipe_key("lulesh", 4, ring, eager, version=1),
+            recipe_key("lulesh", 4, rd, small, version=1),
+            recipe_key("lulesh", 4, rd, eager, version=2),
+        }
+        assert key not in variants and len(variants) == 5
+
+    def test_simulation_key_separates_every_component(self):
+        graph, other = build_running_example(), build_staircase(3)
+        key = simulation_key(graph.content_digest(), PARAMS.content_digest(), "ideal", (0.0, 5.0))
+        variants = {
+            simulation_key(other.content_digest(), PARAMS.content_digest(), "ideal", (0.0, 5.0)),
+            simulation_key(graph.content_digest(), CSCS_TESTBED.content_digest(), "ideal", (0.0, 5.0)),
+            simulation_key(graph.content_digest(), PARAMS.content_digest(), "sender_delay", (0.0, 5.0)),
+            simulation_key(graph.content_digest(), PARAMS.content_digest(), "ideal", (0.0, 6.0)),
+            simulation_key(graph.content_digest(), PARAMS.content_digest(), "ideal", (0.0,)),
+        }
+        assert key not in variants and len(variants) == 5
+        # ΔLs are keyed by value, not by their Python type
+        assert key == simulation_key(graph.content_digest(), PARAMS.content_digest(), "ideal", [0, 5])
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +309,27 @@ class TestEnvelopeRoundTrip:
             save_envelope(object(), tmp_path / "e.npz")
 
 
+class TestRecipeAndSimulationRoundTrips:
+    def test_recipe_round_trip(self, tmp_path):
+        digest = build_running_example().content_digest()
+        save_recipe(digest, tmp_path / "r.npz")
+        assert load_recipe(tmp_path / "r.npz") == digest
+
+    def test_simulation_round_trip_is_bit_exact(self, tmp_path):
+        makespans = [1.0 / 3.0, 2.0**60 + 1.5e3, 1e-300, 0.0]
+        save_simulation(makespans, tmp_path / "s.npz")
+        loaded = load_simulation(tmp_path / "s.npz")
+        assert loaded == makespans and all(type(x) is float for x in loaded)
+
+    def test_kinds_do_not_load_as_each_other(self, tmp_path):
+        save_recipe("ab" * 32, tmp_path / "r.npz")
+        save_simulation([1.0], tmp_path / "s.npz")
+        with pytest.raises(ArtifactFormatError, match="expected a 'simulation' artifact, found 'recipe'"):
+            load_simulation(tmp_path / "r.npz")
+        with pytest.raises(ArtifactFormatError, match="expected a 'recipe' artifact, found 'simulation'"):
+            load_recipe(tmp_path / "s.npz")
+
+
 # ---------------------------------------------------------------------------
 # the store
 # ---------------------------------------------------------------------------
@@ -308,8 +366,9 @@ class TestArtifactStore:
             store.path_for("graph", "abc")  # too short
         with pytest.raises(ValueError, match="unknown artifact kind"):
             store.path_for("plan", "abcdef")
-        # the store keeps graphs and curves, never an LP
-        assert ArtifactStore.KINDS == ("graph", "envelope")
+        # the store keeps graphs, curves, recipe aliases and simulated
+        # sweeps, never an LP
+        assert ArtifactStore.KINDS == ("graph", "envelope", "recipe", "simulation")
         with pytest.raises(ValueError, match="unknown artifact kind 'lp'"):
             store.path_for("lp", "abcdef")
 
@@ -319,6 +378,12 @@ class TestArtifactStore:
         graph = build_running_example()
         if kind == "graph":
             return graph.content_digest(), graph
+        if kind == "recipe":
+            key = recipe_key("lulesh", 4, CollectiveAlgorithms(), ProtocolConfig(), version=1)
+            return key, graph.content_digest()
+        if kind == "simulation":
+            key = simulation_key(graph.content_digest(), PARAMS.content_digest(), "ideal", (0.0, 5.0))
+            return key, [1.5, 2.25]
         key = envelope_key(graph, PARAMS, l_min=0.0, l_max=5.0)
         return key, forward_envelope(graph, PARAMS, l_min=0.0, l_max=5.0)
 
@@ -518,7 +583,8 @@ class TestCacheCLI:
         with pytest.raises(SystemExit):
             main(["cache", "clear", "--dir", str(tmp_path), "--kind", "lp"])
         err = capsys.readouterr().err
-        assert "invalid choice: 'lp'" in err and "{graph,envelope}" in err
+        assert "invalid choice: 'lp'" in err
+        assert "{" + ",".join(ArtifactStore.KINDS) + "}" in err
 
     def test_warm_human_readable(self, tmp_path, capsys):
         from repro.cli import main

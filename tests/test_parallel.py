@@ -14,6 +14,7 @@ import os
 import pickle
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from repro.parallel import (
     SweepTask,
     live_shared_segments,
 )
+from repro.parallel.pool import stored_payloads
 from repro.schedgen.graph import ExecutionGraph
 from repro.testing import (
     build_random_dag,
@@ -144,6 +146,64 @@ class TestSweepPoolInline:
             payloads = pool.run_tasks([task], {})
         assert payloads[0]["envelope"] == _reference_envelope(graph)
 
+    def test_one_call_per_envelope_key(self, tmp_path, monkeypatch):
+        import repro.core.envelope as envelope
+        import repro.simulator.columnar as columnar
+
+        calls = Counter()
+        forward, sweep = envelope.forward_envelope, columnar.simulate_sweep
+
+        def counting_forward(graph, params, **kwargs):
+            calls["envelope", graph.content_digest()] += 1
+            return forward(graph, params, **kwargs)
+
+        def counting_sweep(graph, params, deltas, *, injector):
+            calls["sim", graph.content_digest(), injector] += 1
+            return sweep(graph, params, deltas, injector=injector)
+
+        monkeypatch.setattr(envelope, "forward_envelope", counting_forward)
+        monkeypatch.setattr(columnar, "simulate_sweep", counting_sweep)
+        graph = build_running_example()
+        sims = [None, ("ideal", (0.0, 5.0)), ("sender_delay", (0.0, 5.0))]
+        tasks = [_task(graph, sim=sim, scenario=f"s{i}") for i, sim in enumerate(sims * 2)]
+        with SweepPool(1, cache_dir=tmp_path) as pool:
+            payloads = pool.run_tasks(tasks, {graph.content_digest(): graph})
+        digest = graph.content_digest()
+        assert calls == {
+            ("envelope", digest): 1, ("sim", digest, "ideal"): 1,
+            ("sim", digest, "sender_delay"): 1,
+        }
+        # every payload shares the one envelope; equal tasks share a payload
+        assert all(p["envelope"] is payloads[0]["envelope"] for p in payloads)
+        assert [p is q for p, q in zip(payloads[:3], payloads[3:])] == [True] * 3
+        assert payloads[0]["envelope"] == _reference_envelope(graph)
+        for payload, sim in zip(payloads, sims):
+            want = None if sim is None else sweep(
+                graph, PARAMS, list(sim[1]), injector=sim[0]
+            ).makespan.tolist()
+            assert payload["sim_runtimes"] == want
+            assert payload["worker_rss_kb"] > 0 and "worker_pid" not in payload
+
+        # the parent's read-only lookup answers the same tasks from the store
+        stored = stored_payloads(tasks, ArtifactStore(tmp_path))
+        assert [p["sim_runtimes"] for p in stored] == [p["sim_runtimes"] for p in payloads]
+        assert all(p["envelope"] == payloads[0]["envelope"] for p in stored)
+        other = _task(graph, sim=("ideal", (1.0,)))
+        assert stored_payloads([tasks[0], other], ArtifactStore(tmp_path))[1] is None
+        assert calls["envelope", digest] == 1  # the lookup computed nothing
+
+    def test_failing_sim_names_its_own_scenario(self):
+        graph = build_running_example()
+        tasks = [
+            _task(graph, scenario="envelope-only"),
+            _task(graph, sim=("bogus", (0.0,)), scenario="bad-injector"),
+        ]
+        with SweepPool(1) as pool:
+            with pytest.raises(ScenarioError, match="bad-injector") as excinfo:
+                pool.run_tasks(tasks, {graph.content_digest(): graph})
+        assert excinfo.value.scenario == "bad-injector"
+        assert excinfo.value.exc_type == "ValueError"
+
     def test_closed_pool_rejects_work(self):
         pool = SweepPool(1)
         pool.close()
@@ -220,6 +280,34 @@ class TestSweepPoolWorkers:
         assert envelopes[1] == envelopes[3]
         assert envelopes[0] == _reference_envelope(g1)
         assert envelopes[1] == _reference_envelope(g2)
+
+    def test_one_worker_call_per_envelope_key(self, monkeypatch):
+        from concurrent.futures import ProcessPoolExecutor
+
+        from repro.parallel import pool as pool_module
+
+        groups = []
+        submit = ProcessPoolExecutor.submit
+
+        def counting_submit(executor, fn, *args, **kwargs):
+            if fn is pool_module._run_in_worker:
+                groups.append(args[1])
+            return submit(executor, fn, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", counting_submit)
+        g1 = build_running_example()
+        g2 = build_random_dag(7, nranks=4, rounds=12)
+        sims = [None, ("ideal", (0.0, 5.0))]
+        tasks = [_task(g, sim=sim) for g in (g1, g2, g1) for sim in sims]
+        graphs = {g.content_digest(): g for g in (g1, g2)}
+        with SweepPool(2) as pool:
+            payloads = pool.run_tasks(tasks, graphs)
+        assert sorted(len(group) for group in groups) == [2, 2]
+        with SweepPool(1) as pool:
+            inline = pool.run_tasks(tasks, graphs)
+        assert [(p["envelope"], p["sim_runtimes"]) for p in payloads] == [
+            (p["envelope"], p["sim_runtimes"]) for p in inline
+        ]
 
     def test_worker_failure_carries_scenario_and_pool_survives(self):
         graph = build_running_example()

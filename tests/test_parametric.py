@@ -87,6 +87,29 @@ class TestPiecewiseLinear:
         with pytest.raises(ValueError):
             PiecewiseLinear(lines=[], lo=0.0, hi=1.0)
 
+    def test_slope_at_infinity_is_the_steepest_piece(self):
+        pw = PiecewiseLinear(
+            lines=[Line(3.0, 0.0), Line(0.0, 5.0), Line(1.0, 2.0)], lo=0.0, hi=np.inf
+        )
+        assert pw.slope(np.inf) == 3.0 == pw.slope(1e300)
+        # a flat envelope stays flat at infinity
+        assert PiecewiseLinear(lines=[Line(0.0, 5.0)], lo=0.0, hi=np.inf).slope(np.inf) == 0.0
+
+    def test_unbounded_curve_ends_on_the_steepest_tangent(self):
+        # the last segment of [0.5, ∞) has its mid-point at ∞; its tangent
+        # must carry the last piece's slope, as a large finite L does
+        from repro.core.critical_latency import critical_latency_curve
+        from repro.core.envelope import forward_envelope
+        from repro.testing import build_random_dag
+
+        params = LogGPSParams(L=0.5, o=0.2, g=0.0, G=0.001)
+        graph = build_random_dag(3)
+        curve = critical_latency_curve(graph, 0.5, np.inf, params=params)
+        envelope = forward_envelope(graph, params, l_min=0.5, l_max=np.inf)
+        assert [t.slope for t in curve] == [2.0, 3.0, 4.0]
+        assert curve[-1].L == np.inf
+        assert curve[-1].slope == envelope.slope(1e6) == max(ln.slope for ln in envelope.lines)
+
 
 class TestParametricAnalysis:
     def test_running_example(self, running_example, paper_params):

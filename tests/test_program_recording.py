@@ -8,10 +8,12 @@ view of them.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from repro.apps import ALL_APPS
+from repro.apps import ALL_APPS, SCHEDULE_VERSION
 from repro.mpi import OpKind, Program, ProgramOp, run_program
 from repro.schedgen.collectives import CollectiveAlgorithms
 from repro.schedgen.columnar import batches_from_program
@@ -113,6 +115,31 @@ def test_large_graph_digest_matches_golden(app, nranks):
     algorithms = CollectiveAlgorithms(allreduce="recursive_doubling")
     graph = ALL_APPS[app].build(nranks, algorithms=algorithms)
     assert graph.content_digest() == LARGE_GOLDEN_DIGESTS[app, nranks]
+
+
+#: ``SCHEDULE_VERSION`` -> sha256 of the golden digests above at that version.
+#: Stored recipe aliases map (version, app, ranks, algorithms, protocol) to a
+#: graph digest, so a graph that changes under an unchanged version would let
+#: a warm store answer for the old graph.
+_GOLDEN_HASH_OF_VERSION = {
+    1: "9af817dac449ce98e3ab3178dc799a1069a221071b7e2e1028431b75ef71b15c",
+}
+
+
+def _golden_hash() -> str:
+    h = hashlib.sha256()
+    h.update(_GOLDEN_TABLE.strip().encode())
+    for (app, nranks), digest in sorted(LARGE_GOLDEN_DIGESTS.items()):
+        h.update(f"\n{app} {nranks} {digest}".encode())
+    return h.hexdigest()
+
+
+def test_schedule_version_tracks_the_golden_digests():
+    assert _GOLDEN_HASH_OF_VERSION.get(SCHEDULE_VERSION) == _golden_hash(), (
+        "the golden graph digests changed but repro.apps.SCHEDULE_VERSION did "
+        f"not: bump SCHEDULE_VERSION and pin {_golden_hash()} for the new version "
+        "in _GOLDEN_HASH_OF_VERSION"
+    )
 
 
 def _program(name: str) -> Program:
