@@ -135,17 +135,10 @@ def halo_exchange(
     Receives are posted first, sends follow, an optional slice of computation
     overlaps the transfers, and a single ``MPI_Waitall`` closes the phase —
     the canonical pattern of stencil codes (and the one whose overlap LLAMP
-    quantifies through the flatness of the ``λ_L`` curve).
+    quantifies through the flatness of the ``λ_L`` curve).  Recorded as one
+    block by :meth:`~repro.mpi.api.VirtualComm.halo_exchange`.
     """
-    if not neighbors:
-        if overlap_compute > 0:
-            comm.compute(overlap_compute)
-        return
-    recvs = [comm.irecv(peer, message_size, tag=tag) for peer in neighbors]
-    sends = [comm.isend(peer, message_size, tag=tag) for peer in neighbors]
-    if overlap_compute > 0:
-        comm.compute(overlap_compute)
-    comm.waitall(recvs + sends)
+    comm.halo_exchange(neighbors, message_size, tag=tag, overlap_compute=overlap_compute)
 
 
 def make_build(

@@ -3,8 +3,10 @@
 This is the first of the two "conventional graph analysis approaches"
 discussed in Section II-C: traverse the graph once to assign completion
 timestamps for a fixed LogGPS configuration ``θ``, then traverse it backwards
-to extract the critical path and the metrics defined on it (number of
-messages → ``λ_L``, bytes → ``λ_G``).  It serves three purposes in this
+to extract the critical path and the metrics defined on it (its number of
+messages is ``λ_L``; for ``λ_G`` use
+:meth:`~repro.core.analyzer.LatencyAnalyzer.bandwidth_sensitivity`, see
+:attr:`CriticalPathResult.bytes_on_path`).  It serves three purposes in this
 reproduction:
 
 * an independent oracle for the LP builder (the forward-pass makespan must
@@ -27,7 +29,15 @@ __all__ = ["CriticalPathResult", "analyze_critical_path", "forward_pass"]
 
 @dataclass
 class CriticalPathResult:
-    """Outcome of a critical-path analysis for one fixed configuration."""
+    """Outcome of a critical-path analysis for one fixed configuration.
+
+    ``bytes_on_path`` is the sum of the message sizes on the path.  It is not
+    ``λ_G``: a message of ``s`` bytes spends ``(s − 1)·G`` on the wire, so
+    ``λ_G`` sums ``max(s − 1, 0)`` and is smaller by the number of non-empty
+    messages on the path.
+    :meth:`~repro.core.analyzer.LatencyAnalyzer.bandwidth_sensitivity` gives
+    ``λ_G``, on the path its forward backtrack picks.
+    """
 
     runtime: float
     completion: np.ndarray

@@ -177,10 +177,14 @@ class PiecewiseLinear:
         One ``np.searchsorted`` against the cached breakpoints locates the
         active piece of every query, then indices are bumped rightwards while
         the next piece ties within the scalar path's tolerance — reproducing
-        the slope-from-above convention (and its tolerance) bit for bit.
+        the slope-from-above convention (and its tolerance) bit for bit.  At
+        ``x = ∞`` the steepest piece is the active one, as in :meth:`slope`.
         """
         xs = np.asarray(list(xs), dtype=np.float64)
         slopes, intercepts, bps = self._hull_arrays()
+        out = np.full(xs.shape, max(slopes[-1], 0.0))
+        finite = xs != np.inf
+        xs = xs[finite]
         idx = np.searchsorted(bps, xs, side="right")
         best = slopes[idx] * xs + intercepts[idx]
         tol = 1e-9 * np.maximum(1.0, np.abs(best)) + 1e-12
@@ -192,7 +196,8 @@ class PiecewiseLinear:
             if not bump.any():
                 break
             idx = np.where(bump, idx + 1, idx)
-        return np.maximum(slopes[idx], 0.0)
+        out[finite] = np.maximum(slopes[idx], 0.0)
+        return out
 
     def breakpoints(self) -> list[float]:
         """The critical latencies inside ``(lo, hi)`` where the slope changes."""

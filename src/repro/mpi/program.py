@@ -9,18 +9,25 @@ computes, there is no need to infer it from timestamp gaps).
 
 A :class:`RankProgram` stores its operations as rows, not objects:
 
-* ``rows[i]`` is one int tuple ``(code, peer, size, tag, root, request,
-  recv_peer, recv_size, recv_tag)``, where ``code`` is the op's
-  :data:`OP_CODE` and the other fields default as in :class:`ProgramOp`;
-* ``costs[i]`` is the op's compute cost, in microseconds;
-* ``requests[i]`` holds the handles of an ``MPI_Waitall`` at row ``i``.
+* its rows live in one flat ``list[int]``, nine ints per op in the order
+  ``(code, peer, size, tag, root, request, recv_peer, recv_size,
+  recv_tag)``, where ``code`` is the op's :data:`OP_CODE` and the other
+  fields default as in :class:`ProgramOp`;
+* ``costs[i]`` is the compute cost of op ``i``, in microseconds (one cost
+  per op, so ``len(costs)`` is the op count);
+* ``requests[i]`` holds the handles of an ``MPI_Waitall`` at op ``i``.
 
-The recorder (:class:`~repro.mpi.api.VirtualComm`) appends rows through
-:meth:`RankProgram.record`, :meth:`Program.validate` walks them, and
-:meth:`RankProgram.columns` turns them into the NumPy columns of a
-:class:`RankOpBatch` with one ``np.array`` call, so no :class:`ProgramOp` is
-built on the way from :func:`~repro.mpi.api.run_program` to the graph
-builder.  This module is the only one that knows the row layout.
+The recorder (:class:`~repro.mpi.api.VirtualComm`) checks every argument as
+it is recorded and appends rows through :meth:`RankProgram.record` (one op)
+and :meth:`RankProgram.record_exchange` (a whole halo exchange in one
+``extend``).  :meth:`RankProgram.columns` turns the flat rows into the NumPy
+columns of a :class:`RankOpBatch` with one ``np.fromiter`` and a reshape, so
+no :class:`ProgramOp` and no per-op tuple is built on the way from
+:func:`~repro.mpi.api.run_program` to the graph builder.
+:meth:`Program.validate` walks the rows of programs that did not come
+through the recorder (hand-built ones, :meth:`Program.from_trace`).  This
+module is the only one that knows the row layout; :attr:`RankProgram.rows`
+is a read-only list of per-op int tuples built from it.
 
 :class:`ProgramOp` stays the public per-op type.  Hand-built programs
 :meth:`~RankProgram.append` one (it is stored as its row), and
@@ -122,6 +129,8 @@ _C_SENDRECV = OP_CODE[OpKind.SENDRECV]
 
 #: :class:`ProgramOp` fields that hold integers (the row fields after ``code``)
 _INT_FIELDS = ("peer", "size", "tag", "root", "request", "recv_peer", "recv_size", "recv_tag")
+#: ints per op in :class:`RankProgram`'s flat row store
+_WIDTH = 1 + len(_INT_FIELDS)
 
 #: traced MPI call → program operation kind (shared with the columnar trace
 #: ingestion of :mod:`repro.schedgen.columnar`)
@@ -229,16 +238,16 @@ class RankOpBatch:
 
 @dataclass
 class RankProgram:
-    """The ordered operation script of one rank, stored as rows.
+    """The ordered operation script of one rank, stored as flat int rows.
 
-    See the module docstring for the layout of ``rows``, ``costs`` and
+    See the module docstring for the layout of the rows, ``costs`` and
     ``requests``.
     """
 
     rank: int
-    rows: list[tuple[int, ...]] = field(default_factory=list)
     costs: list[float] = field(default_factory=list)
     requests: dict[int, tuple[int, ...]] = field(default_factory=dict)
+    _flat: list[int] = field(default_factory=list, init=False, repr=False)
     _ops: tuple[ProgramOp, ...] = field(default=(), init=False, repr=False, compare=False)
 
     def record(
@@ -258,9 +267,35 @@ class RankProgram:
     ) -> None:
         """Append one op given by its row fields (unchecked; see :meth:`Program.validate`)."""
         if requests:
-            self.requests[len(self.rows)] = requests
-        self.rows.append((code, peer, size, tag, root, request, recv_peer, recv_size, recv_tag))
+            self.requests[len(self.costs)] = requests
+        self._flat += (code, peer, size, tag, root, request, recv_peer, recv_size, recv_tag)
         self.costs.append(cost)
+
+    def record_exchange(
+        self, peers: list[int], size: int, tag: int, first_request: int, cost: float
+    ) -> None:
+        """Append one halo exchange with non-empty ``peers`` in one ``extend`` (unchecked).
+
+        The rows are an ``irecv`` from every peer, then an ``isend`` to
+        every peer, with the request handles ``first_request, first_request
+        + 1, ...`` in that order; a compute row of ``cost`` if it is
+        non-zero; and one ``waitall`` of all the handles.
+        """
+        block: list[int] = []
+        handle = first_request
+        for code in (_C_IRECV, _C_ISEND):
+            for peer in peers:
+                block += (code, peer, size, tag, 0, handle, -1, 0, 0)
+                handle += 1
+        costs = [0.0] * (handle - first_request)
+        if cost:
+            block += (_C_COMPUTE, -1, 0, 0, 0, -1, -1, 0, 0)
+            costs.append(cost)
+        block += (_C_WAITALL, -1, 0, 0, 0, -1, -1, 0, 0)
+        costs.append(0.0)
+        self.requests[len(self.costs) + len(costs) - 1] = tuple(range(first_request, handle))
+        self._flat += block
+        self.costs += costs
 
     def append(self, op: ProgramOp) -> None:
         """Append a hand-built :class:`ProgramOp`, stored as its row."""
@@ -271,6 +306,11 @@ class RankProgram:
         )
 
     @property
+    def rows(self) -> list[tuple[int, ...]]:
+        """Read-only view of the ops as int tuples in the row layout (a new list)."""
+        return list(zip(*[iter(self._flat)] * _WIDTH))
+
+    @property
     def ops(self) -> tuple[ProgramOp, ...]:
         """Read-only :class:`ProgramOp` view of the rows.
 
@@ -278,12 +318,15 @@ class RankProgram:
         replay indexes it once per op).
         """
         built = len(self._ops)
-        if built != len(self.rows):
-            self._ops += tuple(self._op(index) for index in range(built, len(self.rows)))
+        if built != len(self.costs):
+            self._ops += tuple(self._op(index) for index in range(built, len(self.costs)))
         return self._ops
 
     def _op(self, index: int) -> ProgramOp:
-        code, peer, size, tag, root, request, recv_peer, recv_size, recv_tag = self.rows[index]
+        start = index * _WIDTH
+        code, peer, size, tag, root, request, recv_peer, recv_size, recv_tag = (
+            self._flat[start:start + _WIDTH]
+        )
         return ProgramOp(
             kind=OP_KINDS[code], cost=self.costs[index], peer=peer, size=size,
             tag=tag, root=root, request=request, requests=self.requests.get(index, ()),
@@ -292,9 +335,12 @@ class RankProgram:
 
     def columns(self) -> RankOpBatch:
         """The rows as the NumPy columns of a :class:`RankOpBatch`."""
-        table = np.array(self.rows, dtype=np.int64).reshape(-1, len(_INT_FIELDS) + 1)
-        kind, peer, size, tag, root, request, recv_peer, recv_size, recv_tag = table.T.copy()
-        requests: list[tuple[int, ...]] = [()] * len(self.rows)
+        count = len(self.costs)
+        table = np.fromiter(self._flat, dtype=np.int64, count=count * _WIDTH)
+        kind, peer, size, tag, root, request, recv_peer, recv_size, recv_tag = (
+            table.reshape(count, _WIDTH).T.copy()
+        )
+        requests: list[tuple[int, ...]] = [()] * count
         for index, handles in self.requests.items():
             requests[index] = handles
         return RankOpBatch(
@@ -305,7 +351,7 @@ class RankProgram:
         )
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.costs)
 
     def __iter__(self) -> Iterator[ProgramOp]:
         return iter(self.ops)
@@ -316,11 +362,12 @@ class RankProgram:
     @property
     def total_compute(self) -> float:
         """Sum of explicit compute costs, in microseconds."""
-        return sum(cost for row, cost in zip(self.rows, self.costs) if row[0] == _C_COMPUTE)
+        codes = self._flat[::_WIDTH]
+        return sum(cost for code, cost in zip(codes, self.costs) if code == _C_COMPUTE)
 
     def collective_signature(self) -> list[OpKind]:
         """Kinds of the collectives in program order (for cross-rank checks)."""
-        return [OP_KINDS[row[0]] for row in self.rows if row[0] in _COLLECTIVE_CODES]
+        return [OP_KINDS[code] for code in self._flat[::_WIDTH] if code in _COLLECTIVE_CODES]
 
     def validate(self, nranks: int) -> None:
         """Check this rank's rows in a communicator of ``nranks`` ranks.
@@ -392,15 +439,20 @@ class Program:
     def __iter__(self) -> Iterator[RankProgram]:
         return iter(self.ranks)
 
-    def validate(self) -> None:
-        """Check every rank's rows and the cross-rank order of collectives."""
+    def validate(self, *, rows: bool = True) -> None:
+        """Check the cross-rank order of collectives and every rank's rows.
+
+        ``rows=False`` checks the order only: :func:`~repro.mpi.api.run_program`
+        passes it, because its recorder checked every row as it recorded it.
+        """
         signature = self.ranks[0].collective_signature() if self.ranks else []
         for rp in self.ranks:
             if rp.collective_signature() != signature:
                 raise ValueError(
                     f"rank {rp.rank}: collective call sequence differs from rank 0"
                 )
-            rp.validate(self.nranks)
+            if rows:
+                rp.validate(self.nranks)
 
     # -- conversions ----------------------------------------------------------
 

@@ -110,6 +110,24 @@ class TestPiecewiseLinear:
         assert curve[-1].L == np.inf
         assert curve[-1].slope == envelope.slope(1e6) == max(ln.slope for ln in envelope.lines)
 
+    def test_vectorised_slopes_at_infinity_warn_nothing(self):
+        # the tie bump used to compute inf - inf at x = ∞ and warn
+        import warnings
+
+        from repro.core.envelope import forward_envelope
+        from repro.testing import build_random_dag
+
+        params = LogGPSParams(L=0.5, o=0.2, g=0.0, G=0.001)
+        envelope = forward_envelope(build_random_dag(3), params, l_min=0.5, l_max=np.inf)
+        xs = [0.5, *envelope.breakpoints(), 1e6, np.inf, 2.0, np.inf]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = envelope.slopes(xs)
+            assert got.tolist() == [envelope.slope(x) for x in xs]
+        assert got[xs.index(np.inf)] == 4.0
+        flat = PiecewiseLinear(lines=[Line(0.0, 5.0)], lo=0.0, hi=np.inf)
+        assert flat.slopes([np.inf]).tolist() == [0.0]
+
 
 class TestParametricAnalysis:
     def test_running_example(self, running_example, paper_params):
