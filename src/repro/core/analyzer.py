@@ -42,6 +42,7 @@ import numpy as np
 
 from ..network.params import LogGPSParams
 from ..schedgen.graph import ExecutionGraph
+from ..simulator.injector import checked_deltas
 from .critical_latency import critical_latency_curve, find_critical_latencies
 from .graph_analysis import CriticalPathResult, analyze_critical_path
 from .parametric import ParametricAnalysis, PiecewiseLinear
@@ -89,13 +90,6 @@ class ToleranceReport:
             (deg, tol, tol - self.baseline_latency)
             for deg, tol in sorted(self.tolerances.items())
         ]
-
-
-def _checked_deltas(delta_Ls) -> np.ndarray:
-    deltas = np.asarray(delta_Ls, dtype=np.float64)
-    if not np.all((0 <= deltas) & (deltas < math.inf)):
-        raise ValueError("delta_L values must be finite and non-negative")
-    return deltas
 
 
 class LatencyAnalyzer:
@@ -169,6 +163,7 @@ class LatencyAnalyzer:
 
     def graph_analysis(self, delta_L: float = 0.0) -> CriticalPathResult:
         """The conventional two-pass critical path analysis (baseline method)."""
+        checked_deltas([delta_L])
         return analyze_critical_path(self.graph, self.params.with_delta_latency(delta_L))
 
     def simulate(self, delta_L: float = 0.0, *, injector=None, noise=None):
@@ -283,10 +278,10 @@ class LatencyAnalyzer:
         The path is the backtrack of one per-pair forward pass with the
         uniform latency ``L₀ + ΔL``
         (:func:`~repro.core.envelope.pair_forward_evaluator`); where several
-        critical paths tie it is the one its tie rule picks (first maximal
-        in-edge, first maximal sink).
+        critical paths tie it is the one the tie rule of
+        :func:`repro.simulator.loggops.backtrack` picks.
         """
-        _checked_deltas([delta_L])
+        checked_deltas([delta_L])
         if self._pair_evaluator is None:
             from .envelope import pair_forward_evaluator
 
@@ -326,7 +321,7 @@ class LatencyAnalyzer:
 
         Every point is read off :attr:`analysis` in one vectorised pass.
         """
-        deltas = _checked_deltas(sorted(set(float(d) for d in delta_Ls)))
+        deltas = checked_deltas(sorted(set(float(d) for d in delta_Ls)))
         Ls = self.params.L + deltas
         envelope = self.analysis.envelope
         runtimes = envelope.sample(Ls)

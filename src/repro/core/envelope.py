@@ -346,11 +346,10 @@ def pair_forward_evaluator(graph: ExecutionGraph, params: LogGPSParams):
     ``D_L``/``D_G`` count the messages and ``(size - 1)`` bytes per
     unordered rank pair on one critical path, entered at ``[i, j]`` and
     ``[j, i]`` like the LP's reduced costs (they equal them when the
-    critical path is unique).  Ties pick a fixed path: at a merge point the
-    first maximal in-edge in ``_pred_edges`` order, at the end the first
-    maximal sink in ``graph.sinks()`` order — so the answer does not depend
-    on a solver.  The merge-row layout and the per-row message lists are
-    built once; each call is one level pass plus a backtrack.
+    critical path is unique).  Ties pick the path of the package's one tie
+    rule (:func:`repro.simulator.loggops.backtrack`), so the answer does not
+    depend on a solver.  The merge-row layout and the per-row message lists
+    are built once; each call is one level pass plus a backtrack.
     """
     from ..lp.compiler import _pointer_jump, _row_messages
 

@@ -4,10 +4,8 @@ This is the first of the two "conventional graph analysis approaches"
 discussed in Section II-C: traverse the graph once to assign completion
 timestamps for a fixed LogGPS configuration ``θ``, then traverse it backwards
 to extract the critical path and the metrics defined on it (its number of
-messages is ``λ_L``; for ``λ_G`` use
-:meth:`~repro.core.analyzer.LatencyAnalyzer.bandwidth_sensitivity`, see
-:attr:`CriticalPathResult.bytes_on_path`).  It serves three purposes in this
-reproduction:
+messages is ``λ_L``, the bytes it pays ``G`` for are ``λ_G``).  It serves
+three purposes in this reproduction:
 
 * an independent oracle for the LP builder (the forward-pass makespan must
   equal the LP optimum — tested with Hypothesis on random DAGs);
@@ -23,6 +21,10 @@ import numpy as np
 
 from ..network.params import LogGPSParams
 from ..schedgen.graph import EdgeKind, ExecutionGraph, VertexKind
+from ..simulator.columnar import _run
+from ..simulator.injector import IdealInjector
+from ..simulator.loggops import backtrack
+from ..simulator.noise import NoNoise
 
 __all__ = ["CriticalPathResult", "analyze_critical_path", "forward_pass"]
 
@@ -31,12 +33,11 @@ __all__ = ["CriticalPathResult", "analyze_critical_path", "forward_pass"]
 class CriticalPathResult:
     """Outcome of a critical-path analysis for one fixed configuration.
 
-    ``bytes_on_path`` is the sum of the message sizes on the path.  It is not
-    ``λ_G``: a message of ``s`` bytes spends ``(s − 1)·G`` on the wire, so
-    ``λ_G`` sums ``max(s − 1, 0)`` and is smaller by the number of non-empty
-    messages on the path.
-    :meth:`~repro.core.analyzer.LatencyAnalyzer.bandwidth_sensitivity` gives
-    ``λ_G``, on the path its forward backtrack picks.
+    ``bytes_on_path`` sums ``max(s − 1, 0)`` over the path's messages, the
+    bytes ``G`` is charged for: it is ``λ_G``, and equals
+    :meth:`~repro.core.analyzer.LatencyAnalyzer.bandwidth_sensitivity` on
+    the same path.  ``compute + overhead + latency + G·bytes`` along the
+    path is the runtime.
     """
 
     runtime: float
@@ -68,90 +69,36 @@ class CriticalPathResult:
         return self.latency_on_path / self.runtime
 
 
-def _edge_cost(graph: ExecutionGraph, params: LogGPSParams, dst: int, kind: EdgeKind) -> float:
-    if kind is EdgeKind.COMM:
-        return params.L + max(int(graph.size[dst]) - 1, 0) * params.G
-    return 0.0
-
-
-def _vertex_cost(graph: ExecutionGraph, params: LogGPSParams, v: int) -> float:
-    if graph.kind[v] == VertexKind.CALC:
-        return float(graph.cost[v])
-    return params.o
-
-
 def forward_pass(graph: ExecutionGraph, params: LogGPSParams) -> np.ndarray:
     """Completion time of every vertex under configuration ``params``.
 
     Identical semantics to the LP of Algorithm 1: the makespan is
-    ``completion.max()``.
-
-    This is a thin wrapper over the level-synchronous vectorised simulation
-    engine (:func:`repro.simulator.columnar.simulate_level`) with the ideal
-    injector, no noise and no NIC-gap resource — the configuration in which
-    the simulator's timestamps *are* the conventional forward pass.  The
-    Hypothesis property test pinning ``forward_pass == LP optimum`` on
-    random DAGs therefore anchors the level engine against the LP oracle.
+    ``completion.max()``.  This is a one-row call of the simulator's level
+    engine (:mod:`repro.simulator.columnar`) with the ideal injector at
+    ΔL = 0, no noise and no NIC-gap resource, the configuration in which the
+    simulated timestamps *are* the conventional forward pass.  The
+    Hypothesis property pinning ``forward_pass == LP optimum`` on random
+    DAGs therefore anchors the engine against the LP oracle.
     """
-    from ..simulator.columnar import simulate_level
-    from ..simulator.injector import IdealInjector
-    from ..simulator.noise import NoNoise
-
-    result = simulate_level(
-        graph, params, IdealInjector(0.0), NoNoise(), track_nic=False
-    )
-    return result.end
+    end, _, plan = _run(graph, params, (IdealInjector(),), NoNoise(), track_nic=False)
+    return plan.by_vertex(end)
 
 
 def analyze_critical_path(graph: ExecutionGraph, params: LogGPSParams) -> CriticalPathResult:
-    """Two-pass analysis: forward timestamps, backward critical-path walk."""
+    """Two passes: :func:`forward_pass`, then the backtrack of
+    :func:`repro.simulator.loggops.backtrack` (whose tie rule it follows)."""
     completion = forward_pass(graph, params)
-    runtime = float(completion.max()) if len(completion) else 0.0
-
-    # backward pass: start from the vertex that finishes last and repeatedly
-    # follow the predecessor whose contribution is tight.
-    eps = 1e-7
-    v = int(np.argmax(completion))
-    path = [v]
-    messages = 0
-    bytes_on_path = 0
-    compute = 0.0
-    overhead = 0.0
-    latency = 0.0
-
-    while True:
-        if graph.kind[v] == VertexKind.CALC:
-            compute += float(graph.cost[v])
-        else:
-            overhead += params.o
-        ready = completion[v] - _vertex_cost(graph, params, v)
-        chosen: tuple[int, EdgeKind] | None = None
-        for src, _, kind in graph.in_edges(v):
-            candidate = completion[src] + _edge_cost(graph, params, v, kind)
-            if abs(candidate - ready) <= eps * max(1.0, abs(ready)):
-                # prefer communication edges on ties so that λ_L is the
-                # *largest* message count among equivalent critical paths,
-                # matching the LP's reduced cost at a breakpoint from above
-                if chosen is None or (kind is EdgeKind.COMM and chosen[1] is EdgeKind.DEP):
-                    chosen = (src, kind)
-        if chosen is None:
-            break
-        src, kind = chosen
-        if kind is EdgeKind.COMM:
-            messages += 1
-            bytes_on_path += int(graph.size[v])
-            latency += params.L
-        path.append(src)
-        v = src
-
-    path.reverse()
+    path, edges = backtrack(graph, params, completion)
+    edges = np.asarray(edges, dtype=np.int64)
+    receivers = graph.edge_dst[edges[graph.edge_kind[edges] == int(EdgeKind.COMM)]]
+    calc = graph.kind[path] == int(VertexKind.CALC)
     return CriticalPathResult(
-        runtime=runtime,
+        runtime=float(completion.max()),
         completion=completion,
         path=path,
-        messages_on_path=messages,
-        bytes_on_path=bytes_on_path,
-        compute_on_path=compute,
-        overhead_on_path=overhead,
-        latency_on_path=latency,
+        messages_on_path=len(receivers),
+        bytes_on_path=int(np.maximum(graph.size[receivers] - 1, 0).sum()),
+        compute_on_path=float(graph.cost[path][calc].sum()),
+        overhead_on_path=params.o * int(np.count_nonzero(~calc)),
+        latency_on_path=params.L * len(receivers),
     )

@@ -3,7 +3,6 @@
 from .columnar import (
     GridSimulationResult,
     SweepSimulationResult,
-    simulate_level,
     simulate_sweep,
     simulate_sweep_grid,
 )
@@ -26,7 +25,6 @@ __all__ = [
     "GridSimulationResult",
     "SweepSimulationResult",
     "simulate",
-    "simulate_level",
     "simulate_sweep",
     "simulate_sweep_grid",
     "LatencyInjector",

@@ -1,54 +1,59 @@
-"""Level-synchronous vectorised LogGOPS simulation engine.
+"""The level-synchronous LogGOPS engine: one run, a ΔL sweep and an
+injector × ΔL grid are each one call of :func:`_run`.
 
-The reference simulator (:class:`repro.testing.LogGOPSSimulator`) walks the
-execution graph one vertex at a time; on trace-scale graphs that pure-Python
-loop would be the last op-by-op stage of the pipeline.  This engine, the one
-behind :func:`repro.simulator.simulate`, processes whole
+The per-vertex oracle (:class:`repro.testing.LogGOPSSimulator`) walks the
+execution graph one vertex at a time.  This engine processes whole
 *topological levels* at once (:meth:`~repro.schedgen.graph.ExecutionGraph.
 topo_levels`): every predecessor of a level-``k`` vertex lives in a level
-``< k``, so one level's ready times, injector releases, noise draws, send
-starts and completion times are all computable as array passes.
+``< k``, so one level's ready times, releases, noise draws, send starts and
+completion times are array passes, and every row of a grid advances in the
+same pass.
+
+**Rows.**  A row is one run: one injector (its ``delta`` and where it
+``enters``, see :mod:`repro.simulator.injector`) and, optionally, its own
+per-pair latency matrix.  Rows sit on the trailing axis of the state —
+``(n,)`` for one row, ``(n, R)`` for a grid — so every gather is plain
+axis-0 indexing.  From the declarations the engine builds three per-row
+arrays: the wire ΔL, the send ΔL, and the progress rows with their ΔL.
 
 Per level the engine performs
 
 * a segmented maximum of the predecessor contributions over the level's
-  slice of the (level-major) edge permutation — ``end(u)`` for dependency
-  edges, ``release(end(u) + L + (s-1)·G)`` for communication edges;
-* one batch injector call (``release_times``) for the level's messages and
-  one batch noise draw (``perturb_many``) for its computations;
+  slice of the (level-major) edge permutation: ``end(u)`` for a dependency
+  edge, ``end(u) + (L + (s-1)·G) + wire ΔL`` for a communication edge (the
+  wire ΔL is added last, one float order for every row); in a progress row
+  the level's messages then pass one FIFO queue per receiving rank,
+  ``release = max(arrival, busy) + ΔL``;
+* one noise draw (``perturb_many``) for the level's computations, shared by
+  every row (each run re-seeds the model, so every row draws the same);
 * per-rank NIC-gap tracking for the level's sends (``start = max(ready,
   nic_free)``, the NIC busy until ``start + g``), serialised per rank in
-  vertex-id order when one rank posts several sends in the same level.
+  vertex-id order when one rank posts several sends in one level; a send
+  ends at ``start + o + send ΔL``.
 
-**Determinism contract.**  Both engines present messages, noise draws and
-NIC acquisitions in the *shared deterministic order*: level-major,
-vertex-id-minor, edge-id within one vertex — the canonical
-:meth:`~repro.schedgen.graph.ExecutionGraph.topological_order`.  Stateful
-injectors serve their queue FIFO in that order and NumPy ``Generator``
-draws are stream-equivalent between scalar and vectorised calls, so the
-level engine is timestamp-identical (to 1e-9 and usually bit-exact) to the
-reference walk for every injector × noise combination.
-
-:func:`simulate_sweep` stacks a whole ΔL sweep into one run: every level is
-advanced for all sweep points in a single 2-D array pass, which turns the
-Table I / Fig. 12 re-simulation sweeps into one vectorised traversal.
+**Determinism contract.**  Messages, noise draws and NIC acquisitions come
+in the *shared deterministic order* — level-major, vertex-id-minor, edge id
+within one vertex: the canonical
+:meth:`~repro.schedgen.graph.ExecutionGraph.topological_order`.  The oracle
+walks the same order, so the engine is timestamp-identical to it (to 1e-9),
+and a one-row call equals row ``k`` of a ``K``-row grid bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..network.params import LogGPSParams
 from ..schedgen.graph import EdgeKind, ExecutionGraph, VertexKind
-from .injector import INJECTOR_NAMES, LatencyInjector, group_by_rank
+from .injector import ENTRY_POINTS, checked_deltas, make_injector
 from .noise import NoiseModel, NoNoise
 
 __all__ = [
     "GridSimulationResult",
     "SweepSimulationResult",
-    "simulate_level",
     "simulate_sweep",
     "simulate_sweep_grid",
     "get_level_plan",
@@ -78,6 +83,7 @@ class _LevelPlan:
         "comm_idx", "comm_ptr",
         "send_pos", "send_rank", "send_ptr", "send_dup",
         "calc_pos", "calc_cost", "calc_ptr",
+        "last_pos", "last_rank",
         "reuse_count",
     )
 
@@ -155,6 +161,28 @@ class _LevelPlan:
         self.calc_cost = cost_o[self.calc_pos]
         self.calc_ptr = np.searchsorted(self.calc_pos, vptr)
 
+        # a vertex ends no earlier than any of its predecessors (every cost
+        # and ΔL is non-negative), so each rank finishes at one of its
+        # vertices without a successor on the same rank
+        same_rank = graph.rank[graph.edge_src] == graph.rank[graph.edge_dst]
+        has_next = np.zeros(graph.num_vertices, dtype=bool)
+        has_next[graph.edge_src[same_rank]] = True
+        self.last_pos = np.flatnonzero(~has_next[order])
+        self.last_rank = rank_o[self.last_pos]
+
+    def rank_finish(self, end: np.ndarray, nranks: int) -> np.ndarray:
+        """Each rank's finish time (``(nranks,) + end.shape[1:]``) from the
+        per-position completion times ``end``."""
+        out = np.zeros((nranks,) + end.shape[1:])
+        np.maximum.at(out, self.last_rank, end[self.last_pos])
+        return out
+
+    def by_vertex(self, values: np.ndarray) -> np.ndarray:
+        """Per-position ``values`` indexed by vertex id instead."""
+        out = np.empty_like(values)
+        out[self.order] = values
+        return out
+
 
 #: level plans retained per graph; a plan is a few arrays of the graph's own
 #: size, so a handful of parameter configurations is plenty (FIFO eviction)
@@ -165,9 +193,8 @@ def get_level_plan(graph: ExecutionGraph, params: LogGPSParams) -> _LevelPlan:
     """The :class:`_LevelPlan` of ``(graph, params)``, cached on the graph.
 
     The plan depends only on the immutable graph and the parameter set
-    (injector deltas are folded in later, on copies), and both the scalar
-    level engine and the batched sweep read it without mutation — so
-    repeated simulations of the same configuration (e.g. the repetition
+    (every ΔL enters per row, in the level loop), and the engine reads it
+    without mutation — so repeated simulations of the same configuration (e.g. the repetition
     loop of :func:`repro.analysis.validation.run_validation_sweep`, where
     only the noise seed changes between runs) share one plan instead of
     rebuilding it per run.  Keyed by ``params.content_digest()``; a cache
@@ -187,185 +214,171 @@ def get_level_plan(graph: ExecutionGraph, params: LogGPSParams) -> _LevelPlan:
 
 
 # ---------------------------------------------------------------------------
-# protocol adapters (scalar-only third-party injectors / noise models)
+# the engine
 # ---------------------------------------------------------------------------
 
 
-def _release_times(injector, dst_ranks: np.ndarray, arrivals: np.ndarray) -> np.ndarray:
-    batch = getattr(injector, "release_times", None)
-    if batch is not None:
-        return np.asarray(batch(dst_ranks, arrivals), dtype=np.float64)
-    return np.array(
-        [injector.release_time(int(r), float(a)) for r, a in zip(dst_ranks, arrivals)],
-        dtype=np.float64,
+def _rows(injectors) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(wire, send, progress, progress_delta)``: each row's wire and send
+    ΔL, and the rows whose ΔL goes through a progress queue, with that ΔL."""
+    enters = [getattr(injector, "enters", None) for injector in injectors]
+    for injector, where in zip(injectors, enters):
+        if where not in ENTRY_POINTS:
+            raise TypeError(
+                f"{type(injector).__name__} declares no ΔL entry point: "
+                f"an injector needs enters in {ENTRY_POINTS}"
+            )
+    deltas = checked_deltas([injector.delta for injector in injectors])
+    enters = np.array(enters)
+    progress = np.flatnonzero(enters == "progress")
+    return (
+        np.where(enters == "wire", deltas, 0.0),
+        np.where(enters == "send", deltas, 0.0),
+        progress,
+        deltas[progress],
     )
 
 
-def _send_extra_delays(injector, src_ranks: np.ndarray) -> np.ndarray:
-    batch = getattr(injector, "send_extra_delays", None)
-    if batch is not None:
-        return np.asarray(batch(src_ranks), dtype=np.float64)
-    return np.array(
-        [injector.send_extra_delay(int(r)) for r in src_ranks], dtype=np.float64
-    )
-
-
-def _perturb_many(noise, durations: np.ndarray) -> np.ndarray:
-    batch = getattr(noise, "perturb_many", None)
-    if batch is not None:
-        return np.asarray(batch(durations), dtype=np.float64)
-    return np.array([noise.perturb(float(d)) for d in durations], dtype=np.float64)
-
-
-def _grouped_send_starts(
-    ready_send: np.ndarray, ranks: np.ndarray, nic_free: np.ndarray, g: float
-) -> np.ndarray:
-    """Send starts when one rank posts several sends in a single level.
-
-    Serialises per rank in presentation (vertex-id) order: ``start_j =
-    max(ready_j, nic_free)`` with the NIC busy until ``start_j + g`` —
-    the same recurrence the legacy per-vertex walk applies.  ``nic_free``
-    (indexed by rank, possibly 2-D with a leading sweep axis) is updated
-    in place.
-    """
-    order, group_starts, group_ranks, counts = group_by_rank(ranks)
-    busy = nic_free[..., group_ranks].copy()
-    starts = np.empty_like(ready_send)
-    for j in range(int(counts.max())):
-        active = counts > j
-        idx = order[group_starts[active] + j]
-        st = np.maximum(ready_send[..., idx], busy[..., active])
-        busy[..., active] = st + g
-        starts[..., idx] = st
-    nic_free[..., group_ranks] = busy
-    return starts
-
-
-# ---------------------------------------------------------------------------
-# scalar level engine
-# ---------------------------------------------------------------------------
-
-
-def simulate_level(
+def _run(
     graph: ExecutionGraph,
     params: LogGPSParams,
-    injector: LatencyInjector,
+    injectors,
     noise: NoiseModel,
     *,
+    latency: np.ndarray | None = None,
     track_nic: bool = True,
-):
-    """One simulation run on the level-synchronous engine.
+    keep_start: bool = False,
+) -> tuple[np.ndarray, np.ndarray | None, _LevelPlan]:
+    """Simulate one row per injector; returns ``(end, start, plan)``.
 
-    Timestamp-identical to the per-vertex reference walk
-    (:class:`repro.testing.LogGOPSSimulator`) for every injector/noise
-    combination (see the module docstring for
-    the shared determinism contract).  ``track_nic=False`` drops the
-    per-rank NIC-gap resource entirely (a send starts at its ready time),
-    which is the semantics of the conventional forward pass
-    (:func:`repro.core.graph_analysis.forward_pass`) and of the LP of
-    Algorithm 1.
+    ``end`` and ``start`` (``None`` unless ``keep_start``) are indexed by
+    topological position (``plan.by_vertex`` maps them back) and have shape
+    ``(n,)`` for one row, ``(n, R)`` for ``R`` rows.  ``latency`` (``(R,
+    nranks, nranks)``) replaces ``params.L`` per row and rank pair (entry
+    ``[src, dst]`` for a ``src → dst`` message).  ``track_nic=False`` drops
+    the NIC-gap resource (a send starts at its ready time): the semantics
+    of the forward pass and of the LP of Algorithm 1.
     """
-    from .loggops import SimulationResult
-
-    injector.reset()
-    noise.reset()
-    n = graph.num_vertices
-    if n == 0:
-        zeros = np.zeros(0, dtype=np.float64)
-        return SimulationResult(
-            makespan=0.0, start=zeros, end=zeros,
-            rank_finish=np.zeros(graph.nranks), params=params,
+    if not hasattr(noise, "perturb_many"):
+        raise TypeError(
+            f"{type(noise).__name__} has no perturb_many(durations): a noise "
+            f"model perturbs one level's computations per call"
         )
+    wire, send, prog, prog_delta = _rows(injectors)
+    R, nranks = len(wire), graph.nranks
+    tail = (R,) if R > 1 else ()
+
+    def col(a: np.ndarray) -> np.ndarray:  # a per-edge/per-vertex operand
+        return a[:, None] if R > 1 else a
+
     plan = get_level_plan(graph, params)
+    e_cost, e_comm, vcost = col(plan.e_cost), col(plan.e_comm), col(plan.vcost)
+    if latency is not None:
+        latency = np.ascontiguousarray(latency.reshape(R, -1).T).reshape((-1,) + tail)
+        e_bw = col(plan.e_bw)
+    prog_all = len(prog) == R
+    busy = np.zeros((nranks,) + (tail if prog_all else (len(prog),)))
+    wired, sent = bool(wire.any()), bool(send.any())
+    noisy = not isinstance(noise, NoNoise)
+    noise.reset()
 
-    # injectors that declare a ``wire_delta`` are stateless: the wire-side
-    # delay folds into the edge costs and the send-side extra is
-    # position-independent, so the per-level injector calls disappear
-    wire_delta = getattr(injector, "wire_delta", None)
-    stateless = wire_delta is not None
-    e_cost = plan.e_cost
-    if stateless and wire_delta:
-        e_cost = e_cost + np.where(plan.e_comm, float(wire_delta), 0.0)
-    send_extra_all = (
-        _send_extra_delays(injector, plan.send_rank) if stateless else None
+    end = np.zeros((graph.num_vertices,) + tail)
+    start = np.zeros_like(end) if keep_start else None
+    nic_free = np.zeros((nranks,) + tail)
+    o, g, G = params.o, params.g, params.G
+    # the level bounds as Python ints: scalar reads and slices stay cheap
+    vptr, eptr, sptr, comm_ptr, calc_ptr, send_ptr, send_dup = (
+        a.tolist() for a in (plan.vptr, plan.eptr, plan.sptr, plan.comm_ptr,
+                             plan.calc_ptr, plan.send_ptr, plan.send_dup)
     )
-    noise_active = not isinstance(noise, NoNoise)
-
-    end_pos = np.zeros(n, dtype=np.float64)
-    start_pos = np.zeros(n, dtype=np.float64)
-    nic_free = np.zeros(graph.nranks, dtype=np.float64)
-    o, g = params.o, params.g
-    vptr, eptr, sptr = plan.vptr, plan.eptr, plan.sptr
-
+    e_src_pos, seg_starts, seg_pos = plan.e_src_pos, plan.seg_starts, plan.seg_pos
+    send_pos, send_rank = plan.send_pos, plan.send_rank
     for k in range(len(vptr) - 1):
         p0, p1 = vptr[k], vptr[k + 1]
         e0, e1 = eptr[k], eptr[k + 1]
-        width = p1 - p0
         if e1 > e0:
-            contrib = end_pos[plan.e_src_pos[e0:e1]] + e_cost[e0:e1]
-            if not stateless:
-                c0, c1 = plan.comm_ptr[k], plan.comm_ptr[k + 1]
-                if c1 > c0:
-                    rel = plan.comm_idx[c0:c1] - e0
-                    contrib[rel] = _release_times(
-                        injector, plan.e_dst_rank[plan.comm_idx[c0:c1]], contrib[rel]
-                    )
+            if latency is None:
+                cost = e_cost[e0:e1]
+            else:  # the float expression (L + bw·G) of the plan's e_cost
+                pair_latency = latency[plan.e_pair[e0:e1]]
+                cost = np.where(e_comm[e0:e1], pair_latency + e_bw[e0:e1] * G, 0.0)
+            contrib = end[e_src_pos[e0:e1]] + cost
+            messages = comm_ptr[k + 1] > comm_ptr[k]
+            if wired and messages:
+                np.add(contrib, wire, out=contrib, where=e_comm[e0:e1])
+            if len(prog) and messages:
+                idx = plan.comm_idx[comm_ptr[k]:comm_ptr[k + 1]]
+                sub = idx - e0 if prog_all else np.ix_(idx - e0, prog)
+                contrib[sub] = _fifo(
+                    contrib[sub], plan.e_dst_rank[idx], busy, prog_delta, release=True
+                )
             s0, s1 = sptr[k], sptr[k + 1]
-            seg_ready = np.maximum.reduceat(contrib, plan.seg_starts[s0:s1] - e0)
-            if s1 - s0 == width:
-                ready = seg_ready
-            else:
-                ready = np.zeros(width, dtype=np.float64)
-                ready[plan.seg_pos[s0:s1] - p0] = seg_ready
+            ready = np.maximum.reduceat(contrib, seg_starts[s0:s1] - e0)
+            if s1 - s0 < p1 - p0:
+                ready, seg_ready = np.zeros((p1 - p0,) + tail), ready
+                ready[seg_pos[s0:s1] - p0] = seg_ready
         else:
-            ready = np.zeros(width, dtype=np.float64)
+            ready = np.zeros((p1 - p0,) + tail)
 
-        end_lvl = ready + plan.vcost[p0:p1]
-        if noise_active:
-            c0, c1 = plan.calc_ptr[k], plan.calc_ptr[k + 1]
-            if c1 > c0:
-                rel = plan.calc_pos[c0:c1] - p0
-                end_lvl[rel] = ready[rel] + _perturb_many(noise, plan.calc_cost[c0:c1])
+        end_lvl = ready + vcost[p0:p1]
+        if noisy and calc_ptr[k + 1] > calc_ptr[k]:
+            c0, c1 = calc_ptr[k], calc_ptr[k + 1]
+            rel = plan.calc_pos[c0:c1] - p0
+            end_lvl[rel] = ready[rel] + col(noise.perturb_many(plan.calc_cost[c0:c1]))
+        if keep_start:
+            start[p0:p1] = ready
 
-        start_lvl = start_pos[p0:p1]
-        start_lvl[:] = ready
-        s0, s1 = plan.send_ptr[k], plan.send_ptr[k + 1]
+        s0, s1 = send_ptr[k], send_ptr[k + 1]
         if s1 > s0:
-            rel = plan.send_pos[s0:s1] - p0
-            ranks = plan.send_rank[s0:s1]
-            extra = (
-                send_extra_all[s0:s1]
-                if stateless
-                else _send_extra_delays(injector, ranks)
-            )
-            if not track_nic:
-                st = ready[rel]
-            elif plan.send_dup[k]:
-                st = _grouped_send_starts(ready[rel], ranks, nic_free, g)
-            else:
-                st = np.maximum(ready[rel], nic_free[ranks])
+            rel = send_pos[s0:s1] - p0
+            ranks = send_rank[s0:s1]
+            st = ready[rel]
+            if track_nic and send_dup[k]:
+                st = _fifo(st, ranks, nic_free, g, release=False)
+            elif track_nic:
+                st = np.maximum(st, nic_free[ranks])
                 nic_free[ranks] = st + g
-            start_lvl[rel] = st
-            end_lvl[rel] = st + o + extra
-        end_pos[p0:p1] = end_lvl
+            if keep_start:
+                start[p0 + rel] = st
+            end_lvl[rel] = st + o + send if sent else st + o
+        end[p0:p1] = end_lvl
+    return end, start, plan
 
-    start = np.empty(n, dtype=np.float64)
-    end = np.empty(n, dtype=np.float64)
-    start[plan.order] = start_pos
-    end[plan.order] = end_pos
-    rank_finish = np.zeros(graph.nranks, dtype=np.float64)
-    np.maximum.at(rank_finish, graph.rank, end)
-    return SimulationResult(
-        makespan=float(end.max()),
-        start=start,
-        end=end,
-        rank_finish=rank_finish,
-        params=params,
-    )
+
+def _fifo(
+    times: np.ndarray, ranks: np.ndarray, busy: np.ndarray, hold, *, release: bool
+) -> np.ndarray:
+    """Serve one level's entries FIFO per rank, in input order.
+
+    Each entry starts at ``max(time, busy[rank])`` and holds its rank until
+    ``start + hold``; it returns that release time (a progress queue,
+    ``release=True``) or its start (a NIC, where ``hold`` is the gap ``g``).
+    The ``j``-th entry of every rank is served in one array step; ``busy``
+    is updated in place.
+    """
+    order = np.argsort(ranks, kind="stable")
+    sorted_ranks = ranks[order]
+    first = np.empty(len(order), dtype=bool)
+    first[0] = True
+    np.not_equal(sorted_ranks[1:], sorted_ranks[:-1], out=first[1:])
+    group_starts = np.flatnonzero(first)
+    group_ranks = sorted_ranks[group_starts]
+    counts = np.diff(np.append(group_starts, len(order)))
+    local = busy[group_ranks]
+    out = np.empty_like(times)
+    for j in range(int(counts.max())):
+        active = counts > j
+        idx = order[group_starts[active] + j]
+        t = np.maximum(times[idx], local[active])
+        done = t + hold
+        local[active] = done
+        out[idx] = done if release else t
+    busy[group_ranks] = local
+    return out
 
 
 # ---------------------------------------------------------------------------
-# batched ΔL sweep (one 2-D pass per level)
+# ΔL sweeps and (injector × ΔL) grids
 # ---------------------------------------------------------------------------
 
 
@@ -396,29 +409,15 @@ def simulate_sweep(
     """Simulate every ΔL point of a sweep in one level-synchronous pass.
 
     Equivalent to ``[simulate(graph, params, injector=make_injector(name,
-    d), noise=noise) for d in deltas]`` — the noise model is re-seeded per
-    sweep point exactly as per-point runs would — but each topological
-    level advances *all* points at once as a 2-D array pass, so the sweep
-    costs one graph traversal instead of ``len(deltas)``.
+    d), noise=noise) for d in deltas]`` (the noise model is re-seeded per
+    sweep point exactly as per-point runs would), but each topological
+    level advances *all* points at once, so the sweep costs one graph
+    traversal instead of ``len(deltas)``.
 
     ``injector`` is one of :data:`~repro.simulator.injector.INJECTOR_NAMES`.
     """
-    deltas = np.asarray(list(deltas), dtype=np.float64).ravel()
-    if injector not in INJECTOR_NAMES:
-        raise ValueError(
-            f"unknown injector {injector!r}; expected one of {INJECTOR_NAMES}"
-        )
-    if noise is None:
-        noise = NoNoise()
-    grid = simulate_sweep_grid(
-        graph, params, deltas, injectors=(injector,), noise=noise
-    )
+    grid = simulate_sweep_grid(graph, params, deltas, injectors=(injector,), noise=noise)
     return grid.sweep(injector)
-
-
-# ---------------------------------------------------------------------------
-# 2-D (injector × ΔL) grid — one traversal for a whole figure
-# ---------------------------------------------------------------------------
 
 
 @dataclass
@@ -462,189 +461,49 @@ def simulate_sweep_grid(
     injectors=("ideal",),
     noise: NoiseModel | None = None,
     latency_matrices=None,
-    track_nic: bool = True,
 ) -> GridSimulationResult:
     """Simulate a whole ``(injector × ΔL)`` grid in one level-synchronous pass.
 
-    Per-row equivalent to ``simulate_sweep(graph, params, deltas,
-    injector=name)`` for every ``name`` in ``injectors`` — bit-identical per
-    point — but all ``I × K`` rows advance together: each topological level
-    is one 2-D array pass over the full grid, so Fig. 8 (four injectors over
-    one ΔL axis) costs a single graph traversal instead of four.
+    Row ``r = i·K + k`` runs injector ``injectors[i]`` at ``deltas[k]``, bit
+    for bit as a one-row call would, but all ``I × K`` rows advance
+    together: Fig. 8 (four injectors over one ΔL axis) costs a single graph
+    traversal instead of four.
 
     ``latency_matrices`` folds per-pair HLogGP base latencies into the same
     pass: a ``(nranks, nranks)`` matrix replaces the scalar ``params.L`` of
     every communication edge (entry ``[src, dst]`` for a ``src → dst``
     message), and a ``(K, nranks, nranks)`` stack gives sweep point ``k`` its
     own matrix — which turns the Fig. 11 topology comparison into one
-    traversal with ΔL = 0 and one topology per sweep point.  ``track_nic=
-    False`` drops the per-rank NIC gap resource (forward-pass / LP
-    semantics, as in :func:`simulate_level`).
+    traversal with ΔL = 0 and one topology per sweep point.
     """
-    deltas = np.asarray(list(deltas), dtype=np.float64).ravel()
-    injectors = tuple(injectors)
-    for name in injectors:
-        if name not in INJECTOR_NAMES:
-            raise ValueError(
-                f"unknown injector {name!r}; expected one of {INJECTOR_NAMES}"
-            )
-    if noise is None:
-        noise = NoNoise()
-    I = len(injectors)
-    K = len(deltas)
-    R = I * K
-    n = graph.num_vertices
-    nranks = graph.nranks
+    deltas = checked_deltas(list(deltas)).ravel()
+    names = tuple(injectors)
+    kinds = [type(make_injector(name, 0.0)) for name in names]
+    rows = [kind(float(d)) for kind in kinds for d in deltas]
+    I, K, R, P = len(names), len(deltas), len(rows), graph.nranks
+    latency = None
     if latency_matrices is not None:
-        latency_matrices = np.asarray(latency_matrices, dtype=np.float64)
-        if latency_matrices.shape == (nranks, nranks):
-            latency_matrices = np.broadcast_to(
-                latency_matrices, (K, nranks, nranks)
-            )
-        elif latency_matrices.shape != (K, nranks, nranks):
+        latency = np.asarray(latency_matrices, dtype=np.float64)
+        if latency.shape == (P, P):
+            latency = np.broadcast_to(latency, (K, P, P))
+        elif latency.shape != (K, P, P):
             raise ValueError(
                 "latency_matrices must have shape (nranks, nranks) or "
-                f"(K, nranks, nranks); got {latency_matrices.shape}"
+                f"(K, nranks, nranks); got {latency.shape}"
             )
-        lat_flat = latency_matrices.reshape(K, nranks * nranks)
-    else:
-        lat_flat = None
-    if n == 0 or R == 0:
-        return GridSimulationResult(
-            injectors=injectors,
-            deltas=deltas,
-            makespan=np.zeros((I, K), dtype=np.float64),
-            rank_finish=np.zeros((I, K, nranks), dtype=np.float64),
-            params=params,
+        if not np.all((0 <= latency) & (latency < math.inf)):
+            raise ValueError("latency_matrices entries must be finite and non-negative")
+        latency = np.tile(latency.reshape(K, P * P), (I, 1))
+    rank_finish = np.zeros((P, R))
+    if R:
+        end, _, plan = _run(
+            graph, params, rows, noise if noise is not None else NoNoise(), latency=latency
         )
-    plan = get_level_plan(graph, params)
-
-    # exhaustive per-name dispatch: a new injector name must be wired in
-    # here explicitly, not silently simulated with its delta ignored.
-    # Row r = i * K + k carries injector i at deltas[k].
-    wire = np.zeros(R, dtype=np.float64)
-    send_extra = np.zeros(R, dtype=np.float64)
-    prog_rows: list[int] = []
-    for i, name in enumerate(injectors):
-        rows = slice(i * K, (i + 1) * K)
-        if name in ("ideal", "delay_thread"):
-            wire[rows] = deltas
-        elif name == "sender_delay":
-            send_extra[rows] = deltas
-        elif name == "receiver_progress":
-            # progress with ΔL = 0 still serialises receives per rank — the
-            # whole row block stays on the progress path, never the wire fold
-            prog_rows.extend(range(i * K, (i + 1) * K))
-        else:  # pragma: no cover - guarded by the INJECTOR_NAMES check above
-            raise ValueError(f"injector {name!r} not supported by simulate_sweep_grid")
-    wire_col = wire[:, None]
-    prog = np.asarray(prog_rows, dtype=np.int64)
-    prog_deltas = np.tile(deltas, len(prog) // K) if prog.size else deltas
-    busy = np.zeros((len(prog), nranks), dtype=np.float64)  # progress threads
-
-    end_pos = np.zeros((R, n), dtype=np.float64)
-    nic_free = np.zeros((R, nranks), dtype=np.float64)
-    o, g = params.o, params.g
-    vptr, eptr, sptr = plan.vptr, plan.eptr, plan.sptr
-    noise_active = not isinstance(noise, NoNoise)
-    noise.reset()
-
-    for k in range(len(vptr) - 1):
-        p0, p1 = vptr[k], vptr[k + 1]
-        e0, e1 = eptr[k], eptr[k + 1]
-        width = p1 - p0
-        if e1 > e0:
-            # wire delay folded per grid row, one level slice at a time
-            # (never the dense (R, num_edges) matrix)
-            if lat_flat is None:
-                e_cost = plan.e_cost[e0:e1]
-            else:
-                # gather the per-pair base latency of the level's comm edges
-                # for every sweep point, tiled across the injector axis; the
-                # float expression (L + bw * G) matches the scalar plan
-                comm = plan.e_comm[e0:e1]
-                pair_lat = lat_flat[:, plan.e_pair[e0:e1]]
-                e_cost = np.where(
-                    comm, pair_lat + plan.e_bw[e0:e1] * params.G, 0.0
-                )
-                e_cost = np.tile(e_cost, (I, 1))
-            contrib = (
-                end_pos[:, plan.e_src_pos[e0:e1]]
-                + e_cost
-                + wire_col * plan.e_comm[e0:e1]
-            )
-            if prog.size:
-                c0, c1 = plan.comm_ptr[k], plan.comm_ptr[k + 1]
-                if c1 > c0:
-                    idx = plan.comm_idx[c0:c1]
-                    rel = idx - e0
-                    ranks = plan.e_dst_rank[idx]
-                    contrib[np.ix_(prog, rel)] = _progress_release(
-                        contrib[np.ix_(prog, rel)], ranks, busy, prog_deltas
-                    )
-            s0, s1 = sptr[k], sptr[k + 1]
-            seg_ready = np.maximum.reduceat(
-                contrib, plan.seg_starts[s0:s1] - e0, axis=1
-            )
-            if s1 - s0 == width:
-                ready = seg_ready
-            else:
-                ready = np.zeros((R, width), dtype=np.float64)
-                ready[:, plan.seg_pos[s0:s1] - p0] = seg_ready
-        else:
-            ready = np.zeros((R, width), dtype=np.float64)
-
-        end_lvl = ready + plan.vcost[None, p0:p1]
-        if noise_active:
-            c0, c1 = plan.calc_ptr[k], plan.calc_ptr[k + 1]
-            if c1 > c0:
-                rel = plan.calc_pos[c0:c1] - p0
-                # the noise draw depends only on the durations, which are
-                # identical across grid rows (each per-point run re-seeds),
-                # so one draw per level serves every row
-                perturbed = _perturb_many(noise, plan.calc_cost[c0:c1])
-                end_lvl[:, rel] = ready[:, rel] + perturbed[None, :]
-
-        s0, s1 = plan.send_ptr[k], plan.send_ptr[k + 1]
-        if s1 > s0:
-            rel = plan.send_pos[s0:s1] - p0
-            ranks = plan.send_rank[s0:s1]
-            if not track_nic:
-                st = ready[:, rel]
-            elif plan.send_dup[k]:
-                st = _grouped_send_starts(ready[:, rel], ranks, nic_free, g)
-            else:
-                st = np.maximum(ready[:, rel], nic_free[:, ranks])
-                nic_free[:, ranks] = st + g
-            end_lvl[:, rel] = st + o + send_extra[:, None]
-        end_pos[:, p0:p1] = end_lvl
-
-    makespans = end_pos.max(axis=1)
-    rank_finish = np.zeros((R, nranks), dtype=np.float64)
-    rank_o = graph.rank[plan.order]
-    for r in range(R):
-        np.maximum.at(rank_finish[r], rank_o, end_pos[r])
+        rank_finish = plan.rank_finish(end.reshape(-1, R), P)
     return GridSimulationResult(
-        injectors=injectors,
+        injectors=names,
         deltas=deltas,
-        makespan=makespans.reshape(I, K),
-        rank_finish=rank_finish.reshape(I, K, nranks),
+        makespan=rank_finish.max(axis=0).reshape(I, K),
+        rank_finish=rank_finish.T.reshape(I, K, P),
         params=params,
     )
-
-
-def _progress_release(
-    arrivals: np.ndarray, ranks: np.ndarray, busy: np.ndarray, deltas: np.ndarray
-) -> np.ndarray:
-    """2-D receiver-progress release: serialise per rank across all ΔL columns."""
-    releases = np.empty_like(arrivals)
-    order, group_starts, group_ranks, counts = group_by_rank(ranks)
-    local = busy[:, group_ranks].copy()
-    for j in range(int(counts.max())):
-        active = counts > j
-        idx = order[group_starts[active] + j]
-        rel = np.maximum(arrivals[:, idx], local[:, active]) + deltas[:, None]
-        local[:, active] = rel
-        releases[:, idx] = rel
-    busy[:, group_ranks] = local
-    return releases

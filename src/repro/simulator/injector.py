@@ -20,15 +20,25 @@ receiver has both receives pre-posted):
     Each message is stamped on arrival and released exactly ΔL later, which
     reproduces the ideal behaviour.
 
-Here the strategies are implemented as message-delivery policies for the
-discrete-event simulator (:mod:`repro.simulator.loggops`) plus a closed-form
-model of the two-message micro-benchmark used by the Fig. 8 benchmark.
+An injector is a declaration, not a policy object: its ``delta`` and the
+place ``enters`` where that ΔL enters a run —
+
+* ``"wire"`` (A, D): every message arrives ΔL later;
+* ``"send"`` (B): every send occupies its rank's CPU ΔL longer;
+* ``"progress"`` (C): every message bound for a rank queues FIFO behind that
+  rank's one progress thread, ``release = max(arrival, busy) + ΔL``.
+
+The engine (:mod:`repro.simulator.columnar`) builds its per-row arrays from
+these declarations, and the per-vertex oracle
+(:class:`repro.testing.LogGOPSSimulator`) applies them vertex by vertex.
+:func:`two_message_model` is the closed form of the Fig. 8 micro-benchmark.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Protocol
+import math
+from dataclasses import dataclass
+from typing import ClassVar, Protocol
 
 import numpy as np
 
@@ -41,50 +51,23 @@ __all__ = [
     "ReceiverProgressInjector",
     "DelayThreadInjector",
     "make_injector",
+    "checked_deltas",
     "INJECTOR_NAMES",
+    "ENTRY_POINTS",
     "TwoMessageOutcome",
     "two_message_model",
 ]
 
+#: the places where an injector's ΔL can enter a run (``LatencyInjector.enters``)
+ENTRY_POINTS = ("wire", "send", "progress")
+
 
 class LatencyInjector(Protocol):
-    """Message-delivery policy used by the LogGOPS simulator.
-
-    ``send_extra_delay`` is added to the duration of the send operation on
-    the sender's CPU; ``release_time`` maps a message's nominal arrival time
-    at the destination rank to the time at which the application may observe
-    it.
-
-    The batch counterparts ``send_extra_delays`` / ``release_times`` are the
-    level-synchronous engine's entry points
-    (:mod:`repro.simulator.columnar`): one call covers a whole topological
-    level of messages.  Stateful policies must process the entries FIFO in
-    presentation order — the engines present messages in the shared
-    deterministic order (level-major, vertex-id-minor, edge-id within one
-    vertex), so a batch call is observationally identical to the equivalent
-    sequence of scalar calls.
-    """
+    """A latency-injection strategy: ``delta`` µs entering at ``enters``,
+    one of :data:`ENTRY_POINTS`."""
 
     delta: float
-
-    def reset(self) -> None:
-        """Clear any per-run state (called once per simulation)."""
-
-    def send_extra_delay(self, src_rank: int) -> float:
-        """Extra time the send call occupies the sender's CPU."""
-
-    def release_time(self, dst_rank: int, arrival: float) -> float:
-        """Time at which a message arriving at ``arrival`` is handed to the app."""
-
-    def send_extra_delays(self, src_ranks: np.ndarray) -> np.ndarray:
-        """Vectorised ``send_extra_delay`` for one batch of send vertices."""
-
-    def release_times(self, dst_ranks: np.ndarray, arrivals: np.ndarray) -> np.ndarray:
-        """Vectorised ``release_time`` for one batch of messages.
-
-        Equivalent to calling :meth:`release_time` once per entry, in input
-        order (the order is part of the contract for stateful policies).
-        """
+    enters: str
 
 
 @dataclass
@@ -92,28 +75,7 @@ class IdealInjector:
     """Strategy A: ΔL is added to the wire latency itself."""
 
     delta: float = 0.0
-
-    #: extra wire latency added to every arrival — the level engine folds
-    #: this constant into the precomputed edge costs (zero per-level work)
-    wire_delta: float = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self.wire_delta = self.delta
-
-    def reset(self) -> None:  # pragma: no cover - stateless
-        return
-
-    def send_extra_delay(self, src_rank: int) -> float:
-        return 0.0
-
-    def release_time(self, dst_rank: int, arrival: float) -> float:
-        return arrival + self.delta
-
-    def send_extra_delays(self, src_ranks: np.ndarray) -> np.ndarray:
-        return np.zeros(len(src_ranks), dtype=np.float64)
-
-    def release_times(self, dst_ranks: np.ndarray, arrivals: np.ndarray) -> np.ndarray:
-        return np.asarray(arrivals, dtype=np.float64) + self.delta
+    enters: ClassVar[str] = "wire"
 
 
 @dataclass
@@ -126,87 +88,20 @@ class SenderDelayInjector:
     """
 
     delta: float = 0.0
-
-    #: no wire-side delay: the level engine folds zero into the edge costs
-    #: and adds :attr:`delta` to every send duration instead
-    wire_delta: float = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self.wire_delta = 0.0
-
-    def reset(self) -> None:  # pragma: no cover - stateless
-        return
-
-    def send_extra_delay(self, src_rank: int) -> float:
-        return self.delta
-
-    def release_time(self, dst_rank: int, arrival: float) -> float:
-        return arrival
-
-    def send_extra_delays(self, src_ranks: np.ndarray) -> np.ndarray:
-        return np.full(len(src_ranks), self.delta, dtype=np.float64)
-
-    def release_times(self, dst_ranks: np.ndarray, arrivals: np.ndarray) -> np.ndarray:
-        return np.asarray(arrivals, dtype=np.float64)
+    enters: ClassVar[str] = "send"
 
 
 @dataclass
 class ReceiverProgressInjector:
     """Strategy C: a single receiver-side progress thread serialises delays.
 
-    The only stateful strategy: messages bound for one rank queue behind
-    that rank's progress thread.  The thread serves them FIFO in the order
-    they are handed to it — for the simulators that is the shared
-    deterministic order (level-major, vertex-id-minor), so the scalar and
-    batch entry points produce identical release times.
+    Messages bound for one rank queue behind that rank's progress thread,
+    which serves them FIFO in the shared deterministic order (level-major,
+    vertex-id-minor, edge id within one vertex).
     """
 
     delta: float = 0.0
-    _busy_until: dict[int, float] = field(default_factory=dict)
-
-    def reset(self) -> None:
-        self._busy_until.clear()
-
-    def send_extra_delay(self, src_rank: int) -> float:
-        return 0.0
-
-    def release_time(self, dst_rank: int, arrival: float) -> float:
-        start = max(arrival, self._busy_until.get(dst_rank, 0.0))
-        release = start + self.delta
-        self._busy_until[dst_rank] = release
-        return release
-
-    def send_extra_delays(self, src_ranks: np.ndarray) -> np.ndarray:
-        return np.zeros(len(src_ranks), dtype=np.float64)
-
-    def release_times(self, dst_ranks: np.ndarray, arrivals: np.ndarray) -> np.ndarray:
-        """FIFO-serialise one batch per destination rank (vectorised).
-
-        Within the batch, entries of one rank are served in input order:
-        ``release_i = max(arrival_i, busy) + delta`` with ``busy`` advancing
-        to ``release_i`` — exactly the scalar recurrence.  Ranks are
-        independent, so the batch is processed as a grouped scan: the
-        ``j``-th message of every rank is handled in one array step.
-        """
-        dst_ranks = np.asarray(dst_ranks, dtype=np.int64)
-        arrivals = np.asarray(arrivals, dtype=np.float64)
-        releases = np.empty_like(arrivals)
-        if not len(arrivals):
-            return releases
-        order, group_starts, group_ranks, counts = group_by_rank(dst_ranks)
-        busy = np.array(
-            [self._busy_until.get(int(r), 0.0) for r in group_ranks],
-            dtype=np.float64,
-        )
-        for j in range(int(counts.max())):
-            active = counts > j
-            idx = order[group_starts[active] + j]
-            rel = np.maximum(arrivals[idx], busy[active]) + self.delta
-            busy[active] = rel
-            releases[idx] = rel
-        for r, b in zip(group_ranks.tolist(), busy.tolist()):
-            self._busy_until[int(r)] = float(b)
-        return releases
+    enters: ClassVar[str] = "progress"
 
 
 @dataclass
@@ -219,63 +114,31 @@ class DelayThreadInjector:
     """
 
     delta: float = 0.0
-
-    wire_delta: float = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self.wire_delta = self.delta
-
-    def reset(self) -> None:  # pragma: no cover - stateless
-        return
-
-    def send_extra_delay(self, src_rank: int) -> float:
-        return 0.0
-
-    def release_time(self, dst_rank: int, arrival: float) -> float:
-        return arrival + self.delta
-
-    def send_extra_delays(self, src_ranks: np.ndarray) -> np.ndarray:
-        return np.zeros(len(src_ranks), dtype=np.float64)
-
-    def release_times(self, dst_ranks: np.ndarray, arrivals: np.ndarray) -> np.ndarray:
-        return np.asarray(arrivals, dtype=np.float64) + self.delta
+    enters: ClassVar[str] = "wire"
 
 
-def group_by_rank(ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Group a batch of rank ids, preserving presentation order per rank.
-
-    Returns ``(order, group_starts, group_ranks, counts)``: ``order`` is the
-    stable sort of ``ranks``; group ``i`` consists of the input positions
-    ``order[group_starts[i] + j]`` for ``j < counts[i]``, in presentation
-    order.  Shared by every grouped serialisation scan of the simulators —
-    the NIC-gap recurrence and the receiver-progress queue both walk the
-    ``j``-th entry of every rank in one array step.
-    """
-    order = np.argsort(ranks, kind="stable")
-    sorted_ranks = ranks[order]
-    first = np.empty(len(order), dtype=bool)
-    first[0] = True
-    np.not_equal(sorted_ranks[1:], sorted_ranks[:-1], out=first[1:])
-    group_starts = np.flatnonzero(first)
-    group_ranks = sorted_ranks[group_starts]
-    counts = np.diff(np.append(group_starts, len(order)))
-    return order, group_starts, group_ranks, counts
-
-
-INJECTOR_NAMES = ("ideal", "sender_delay", "receiver_progress", "delay_thread")
+_STRATEGIES = {
+    "ideal": IdealInjector,
+    "sender_delay": SenderDelayInjector,
+    "receiver_progress": ReceiverProgressInjector,
+    "delay_thread": DelayThreadInjector,
+}
+INJECTOR_NAMES = tuple(_STRATEGIES)
 
 
 def make_injector(name: str, delta: float) -> LatencyInjector:
     """Create an injector by name (one of :data:`INJECTOR_NAMES`)."""
-    if name == "ideal":
-        return IdealInjector(delta)
-    if name == "sender_delay":
-        return SenderDelayInjector(delta)
-    if name == "receiver_progress":
-        return ReceiverProgressInjector(delta)
-    if name == "delay_thread":
-        return DelayThreadInjector(delta)
-    raise ValueError(f"unknown injector {name!r}; expected one of {INJECTOR_NAMES}")
+    if name not in _STRATEGIES:
+        raise ValueError(f"unknown injector {name!r}; expected one of {INJECTOR_NAMES}")
+    return _STRATEGIES[name](delta)
+
+
+def checked_deltas(values) -> np.ndarray:
+    """``values`` as a float array, if every ΔL is finite and non-negative."""
+    deltas = np.asarray(values, dtype=np.float64)
+    if not np.all((0 <= deltas) & (deltas < math.inf)):
+        raise ValueError("delta_L values must be finite and non-negative")
+    return deltas
 
 
 @dataclass(frozen=True)

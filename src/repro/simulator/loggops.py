@@ -1,7 +1,7 @@
 """Discrete-event LogGOPS simulator (the LogGOPSim reproduction).
 
 The simulator replays an MPI execution graph under the LogGOPS model and a
-latency-injection policy, producing per-vertex start/end timestamps, the
+latency-injection strategy, producing per-vertex start/end timestamps, the
 application makespan (what the paper calls the *measured* runtime when the
 delay-thread injector is used), and the critical path.
 
@@ -12,15 +12,15 @@ For a vertex ``v`` on rank ``r`` processed in topological order:
 * ``ready(v)`` is the maximum over incoming edges of
 
   - ``end(u)`` for a dependency edge ``u -> v``;
-  - ``release(end(u) + L + (s-1)·G)`` for a communication edge, where
-    ``release`` is the injector's delivery policy (strategy A adds ΔL on the
-    wire, strategy C serialises deliveries behind a single progress thread,
-    …);
+  - the release of a message sent at ``end(u)``: it arrives at ``end(u) +
+    L + (s-1)·G`` plus the injector's ΔL if that enters on the wire, and
+    with a progress injector it queues behind ``r``'s one progress thread
+    (``max(arrival, busy) + ΔL``);
 
 * ``CALC``: ``start = ready``, ``end = start + noise(cost)``;
-* ``SEND``: ``start = max(ready, nic_free[r])``, ``end = start + o +
-  injector.send_extra_delay(r)`` and the NIC is busy until ``start + g``
-  (the LogGP *gap*);
+* ``SEND``: ``start = max(ready, nic_free[r])``, ``end = start + o``, plus
+  ΔL if the injector's ΔL enters on the send, and the NIC is busy until
+  ``start + g`` (the LogGP *gap*);
 * ``RECV``: ``start = ready``, ``end = start + o``.
 
 Because the schedule builder serialises each rank's operations with
@@ -28,8 +28,8 @@ dependency edges, CPU occupancy is already encoded in the graph and only the
 NIC gap needs explicit resource tracking.
 
 This component doubles as the paper's baseline for Table I / Fig. 7: LLAMP
-solves an LP once per latency point, LogGOPSim re-simulates — the benchmark
-compares both.
+reads every latency point off one ``T(L)`` curve, LogGOPSim re-simulates
+each one — the benchmark compares both.
 """
 
 from __future__ import annotations
@@ -40,10 +40,43 @@ import numpy as np
 
 from ..network.params import LogGPSParams
 from ..schedgen.graph import EdgeKind, ExecutionGraph
+from .columnar import _run
 from .injector import IdealInjector, LatencyInjector
 from .noise import NoiseModel, NoNoise
 
-__all__ = ["SimulationResult", "simulate"]
+__all__ = ["SimulationResult", "backtrack", "simulate"]
+
+
+def backtrack(
+    graph: ExecutionGraph, params: LogGPSParams, end: np.ndarray
+) -> tuple[list[int], list[int]]:
+    """One critical path of the completion times ``end``: its vertices and
+    the edges between them, both from source to sink.
+
+    An in-edge ``u → v`` ranks by its contribution to ``ready(v)``:
+    ``end(u)`` for a dependency edge, ``end(u) + L + (s-1)·G`` for a
+    communication edge.  **Tie rule** (the one rule for every critical path
+    in the package, :func:`repro.core.envelope.pair_forward_evaluator`'s
+    included): start at the first maximal sink in ``graph.sinks()`` order,
+    then step to the first maximal in-edge in ``_pred_edges`` order (edge-id
+    order).
+    """
+    sinks = graph.sinks()
+    edge_src, edge_dst, edge_kind = graph.edge_arrays()
+    contrib = end[edge_src] + np.where(
+        edge_kind == int(EdgeKind.COMM),
+        params.L + np.maximum(graph.size[edge_dst] - 1, 0) * params.G,
+        0.0,
+    )
+    pred_indptr, pred_edges = graph._pred_indptr, graph._pred_edges
+    v = int(sinks[np.argmax(end[sinks])])
+    path, edges = [v], []
+    while pred_indptr[v] < pred_indptr[v + 1]:
+        eids = pred_edges[pred_indptr[v]:pred_indptr[v + 1]]
+        edges.append(int(eids[np.argmax(contrib[eids])]))
+        v = int(edge_src[edges[-1]])
+        path.append(v)
+    return path[::-1], edges[::-1]
 
 
 @dataclass
@@ -62,56 +95,25 @@ class SimulationResult:
         return self.makespan
 
     def critical_path(self, graph: ExecutionGraph) -> list[int]:
-        """Extract one critical path by backtracking tight predecessors.
+        """One critical path of the simulated timestamps (:func:`backtrack`).
 
-        The contribution of a predecessor ``u`` to ``ready(v)`` is ``end(u)``
-        for a dependency edge and ``end(u) + L + (s-1)·G`` for a
-        communication edge — the ideal wire time must be part of the ranking,
-        otherwise a dependency predecessor finishing after ``end(u)`` but
-        before the message's *arrival* would shadow the actually-latest
-        input.  (Injector release policies are stateful and not replayable
-        post-hoc, so their extra delays are not included; under non-ideal
-        injectors the ranking is a close approximation.)
+        A message ranks by ``end(u) + L + (s-1)·G``: the ideal wire time must
+        be part of the ranking, otherwise a dependency predecessor finishing
+        after ``end(u)`` but before the message's *arrival* would shadow the
+        actually-latest input.  An injector's ΔL and the NIC gap are not
+        part of it, so under those the path is a close approximation.
         """
-        if graph.num_vertices != len(self.end):
-            raise ValueError("simulation result does not match the given graph")
-        L, G = self.params.L, self.params.G
-        edge_src, edge_dst, edge_kind = graph.edge_arrays()
-        # one vectorised pass: the contribution of every edge to its
-        # target's ready time (end(u) plus the wire time for messages)
-        contrib = self.end[edge_src] + np.where(
-            edge_kind == int(EdgeKind.COMM),
-            L + np.maximum(graph.size[edge_dst] - 1, 0) * G,
-            0.0,
-        )
-        pred_indptr = graph._pred_indptr
-        pred_edges = graph._pred_edges
-        v = int(np.argmax(self.end))
-        path = [v]
-        while True:
-            start, stop = pred_indptr[v], pred_indptr[v + 1]
-            if start == stop:
-                break
-            # the predecessor whose arrival is latest; ties resolved
-            # deterministically towards the lowest edge id (argmax returns
-            # the first maximum and the CSR lists in-edges by edge id)
-            eids = pred_edges[start:stop]
-            v = int(edge_src[eids[np.argmax(contrib[eids])]])
-            path.append(v)
-        path.reverse()
-        return path
+        return self._backtrack(graph)[0]
 
     def critical_path_messages(self, graph: ExecutionGraph) -> int:
         """Number of communication edges along the extracted critical path."""
-        path = np.asarray(self.critical_path(graph), dtype=np.int64)
-        if path.size < 2:
-            return 0
-        comm_eids = graph.message_edges()
-        edge_keys = (
-            graph.edge_src[comm_eids] * graph.num_vertices + graph.edge_dst[comm_eids]
-        )
-        path_keys = path[:-1] * graph.num_vertices + path[1:]
-        return int(np.isin(edge_keys, path_keys).sum())
+        edges = self._backtrack(graph)[1]
+        return int(np.count_nonzero(graph.edge_kind[edges] == int(EdgeKind.COMM)))
+
+    def _backtrack(self, graph: ExecutionGraph) -> tuple[list[int], list[int]]:
+        if graph.num_vertices != len(self.end):
+            raise ValueError("simulation result does not match the given graph")
+        return backtrack(graph, self.params, self.end)
 
 
 def simulate(
@@ -122,18 +124,26 @@ def simulate(
     injector: LatencyInjector | None = None,
     noise: NoiseModel | None = None,
 ) -> SimulationResult:
-    """Simulate once on the level-synchronous engine
-    (:func:`repro.simulator.columnar.simulate_level`).
+    """Simulate once: a one-row call of the level engine
+    (:mod:`repro.simulator.columnar`).
 
     ``delta_L`` adds latency through an :class:`IdealInjector` unless an
     explicit injector is supplied.  The per-vertex walk of the timing rules
-    above is kept as the test oracle :class:`repro.testing.LogGOPSSimulator`,
-    which is timestamp-identical.
+    above is kept as the test oracle :class:`repro.testing.LogGOPSSimulator`.
     """
-    from .columnar import simulate_level
-
     if injector is None:
         injector = IdealInjector(delta_L)
     elif delta_L:
         raise ValueError("pass either delta_L or an explicit injector, not both")
-    return simulate_level(graph, params, injector, noise if noise is not None else NoNoise())
+    end, start, plan = _run(
+        graph, params, (injector,), noise if noise is not None else NoNoise(),
+        keep_start=True,
+    )
+    rank_finish = plan.rank_finish(end, graph.nranks)
+    return SimulationResult(
+        makespan=float(rank_finish.max()),
+        start=plan.by_vertex(start),
+        end=plan.by_vertex(end),
+        rank_finish=rank_finish,
+        params=params,
+    )

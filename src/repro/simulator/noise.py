@@ -9,6 +9,7 @@ interval with a noise model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -20,13 +21,14 @@ __all__ = ["NoiseModel", "NoNoise", "GaussianNoise", "OSJitterNoise"]
 class NoiseModel(Protocol):
     """Perturbs the duration of computation vertices.
 
-    ``perturb_many`` is the batch entry point of the level-synchronous
-    engine (:mod:`repro.simulator.columnar`): it must consume the model's
-    RNG exactly as the equivalent sequence of scalar :meth:`perturb` calls
-    would (NumPy ``Generator`` draws are stream-equivalent between scalar
-    and vectorised calls), so the two simulation engines perturb
-    identically.  ``reset`` re-seeds the RNG, which makes back-to-back
-    ``run()`` calls on one simulator reproducible.
+    The engine (:mod:`repro.simulator.columnar`) calls ``reset`` once per
+    call and ``perturb_many`` once per level, with that level's durations
+    in the shared deterministic order; a model without ``perturb_many`` is
+    rejected.  ``perturb`` perturbs one duration, as the per-vertex oracle
+    (:class:`repro.testing.LogGOPSSimulator`) draws: it must consume the RNG
+    as ``perturb_many`` does for that duration (NumPy ``Generator`` draws
+    are stream-equivalent between scalar and vectorised calls).  ``reset``
+    re-seeds the RNG, which makes back-to-back runs reproducible.
     """
 
     def reset(self) -> None:
@@ -36,7 +38,7 @@ class NoiseModel(Protocol):
         """Return the perturbed duration (must stay non-negative)."""
 
     def perturb_many(self, durations: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`perturb` over one batch of durations, in order."""
+        """:meth:`perturb` over one batch of durations, in order."""
 
 
 @dataclass
@@ -66,8 +68,8 @@ class GaussianNoise:
     seed: int | np.random.SeedSequence = 0
 
     def __post_init__(self) -> None:
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be non-negative, got {self.sigma}")
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and non-negative, got {self.sigma}")
         self._rng = np.random.default_rng(self.seed)
 
     def reset(self) -> None:
@@ -111,8 +113,8 @@ class OSJitterNoise:
     def __post_init__(self) -> None:
         if not 0.0 <= self.probability <= 1.0:
             raise ValueError(f"probability must be in [0, 1], got {self.probability}")
-        if self.spike < 0:
-            raise ValueError(f"spike must be non-negative, got {self.spike}")
+        if not 0 <= self.spike < math.inf:
+            raise ValueError(f"spike must be finite and non-negative, got {self.spike}")
         self._rng = np.random.default_rng(self.seed)
 
     def reset(self) -> None:

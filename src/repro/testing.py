@@ -442,7 +442,10 @@ def lp_summary(
 class LogGOPSSimulator:
     """The per-vertex LogGOPS walk: one Python iteration per vertex in the
     canonical topological order, applying the timing rules of
-    :mod:`repro.simulator.loggops` literally.
+    :mod:`repro.simulator.loggops` literally, with the injector's ΔL where
+    it ``enters`` (the wire, the send, or the receiving rank's progress
+    queue) and one :meth:`~repro.simulator.noise.NoiseModel.perturb` draw
+    per computation.
 
     :func:`repro.simulator.simulate` (the level-synchronous engine) is
     timestamp-identical and ~90x faster on trace-scale graphs.
@@ -462,14 +465,15 @@ class LogGOPSSimulator:
 
     def run(self) -> SimulationResult:
         """Simulate once and return timestamps and the makespan."""
-        graph, params, injector, noise = self.graph, self.params, self.injector, self.noise
-        injector.reset()
+        graph, params, noise = self.graph, self.params, self.noise
+        delta, enters = float(self.injector.delta), self.injector.enters
         noise.reset()
 
         n = graph.num_vertices
         start = np.zeros(n, dtype=np.float64)
         end = np.zeros(n, dtype=np.float64)
         nic_free = np.zeros(graph.nranks, dtype=np.float64)
+        progress_free = np.zeros(graph.nranks, dtype=np.float64)
         kind, cost, size, rank = graph.kind, graph.cost, graph.size, graph.rank
         L, o, g, G = params.L, params.o, params.g, params.G
         pred_indptr, pred_edges = graph._pred_indptr, graph._pred_edges
@@ -483,8 +487,11 @@ class LogGOPSSimulator:
                 eid = int(pred_edges[pos])
                 u = int(edge_src[eid])
                 if edge_kind[eid] == EdgeKind.COMM:
-                    arrival = end[u] + L + max(int(size[v]) - 1, 0) * G
-                    t = injector.release_time(r, arrival)
+                    t = end[u] + L + max(int(size[v]) - 1, 0) * G
+                    if enters == "wire":
+                        t += delta
+                    elif enters == "progress":
+                        t = progress_free[r] = max(t, progress_free[r]) + delta
                 else:
                     t = end[u]
                 if t > ready:
@@ -496,7 +503,7 @@ class LogGOPSSimulator:
             elif k == VertexKind.SEND:
                 t0 = max(ready, nic_free[r])
                 start[v] = t0
-                end[v] = t0 + o + injector.send_extra_delay(r)
+                end[v] = t0 + o + (delta if enters == "send" else 0.0)
                 nic_free[r] = t0 + g
             else:  # RECV
                 start[v] = ready

@@ -1,24 +1,30 @@
-"""Parity suite: the level-synchronous simulation engine vs the reference walk.
+"""Parity suite: the one level engine vs the per-vertex oracle.
 
-The contract is *timestamp identity* (atol 1e-9; in practice bit-exact):
-for any graph, injector and noise model, the level engine
-(:mod:`repro.simulator.columnar`, behind :func:`repro.simulator.simulate`)
-must produce the per-vertex start/end times, makespan and per-rank finish
-times of the per-vertex reference simulator
-(:class:`repro.testing.LogGOPSSimulator`).  The suite sweeps every injector × noise model over random DAGs
-and every collective algorithm, pins the batched ``simulate_sweep`` against
-per-point runs, and anchors the engine against the LP oracle through the
-``forward_pass == LP optimum`` property.
+The contract is *timestamp identity* (atol 1e-9): for any graph, injector
+and noise model, the level engine (:mod:`repro.simulator.columnar`: one run
+through :func:`repro.simulator.simulate`, a sweep or a grid through
+:func:`simulate_sweep`/:func:`simulate_sweep_grid`) must produce the
+per-vertex start/end times, makespan and per-rank finish times of the
+per-vertex oracle (:class:`repro.testing.LogGOPSSimulator`), and a one-row
+call must equal its row of a grid bit for bit.  The suite sweeps every
+injector × noise model over random DAGs and every collective algorithm,
+anchors the engine against the LP oracle through the ``forward_pass == LP
+optimum`` property, and pins the one critical-path backtrack.
 """
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import LatencyAnalyzer
+from repro.apps import ALL_APPS
 from repro.core import analyze_critical_path, build_lp
+from repro.core.envelope import pair_forward_evaluator
 from repro.core.graph_analysis import forward_pass
 from repro.mpi import run_program
-from repro.network.params import LogGPSParams
+from repro.network.params import CSCS_TESTBED, LogGPSParams
 from repro.schedgen import CollectiveAlgorithms, build_graph
 from repro.schedgen.graph import GraphBuilder
 from repro.simulator import (
@@ -26,10 +32,10 @@ from repro.simulator import (
     GaussianNoise,
     NoNoise,
     OSJitterNoise,
-    ReceiverProgressInjector,
     make_injector,
     simulate,
     simulate_sweep,
+    simulate_sweep_grid,
 )
 from repro.testing import LogGOPSSimulator, build_random_dag
 
@@ -54,18 +60,18 @@ def reference(graph, params=PARAMS, *, injector=None, noise=None):
     return LogGOPSSimulator(graph, params, injector=injector, noise=noise).run()
 
 
-def both_engines(graph, params=PARAMS, *, injector_name="ideal", delta=7.0,
-                 noise_name="none"):
-    legacy = reference(
+def engine_vs_oracle(graph, params=PARAMS, *, injector_name="ideal", delta=7.0,
+                     noise_name="none"):
+    oracle = reference(
         graph, params, injector=make_injector(injector_name, delta),
         noise=NOISE_FACTORIES[noise_name](),
     )
-    level = simulate(
+    engine = simulate(
         graph, params, injector=make_injector(injector_name, delta),
         noise=NOISE_FACTORIES[noise_name](),
     )
-    assert_identical(legacy, level)
-    return legacy, level
+    assert_identical(oracle, engine)
+    return oracle, engine
 
 
 class TestEngineParity:
@@ -74,7 +80,7 @@ class TestEngineParity:
     @pytest.mark.parametrize("seed", range(4))
     def test_random_dags(self, injector_name, noise_name, seed):
         graph = build_random_dag(seed, nranks=4, rounds=12)
-        both_engines(graph, injector_name=injector_name, noise_name=noise_name)
+        engine_vs_oracle(graph, injector_name=injector_name, noise_name=noise_name)
 
     @pytest.mark.parametrize("injector_name", INJECTOR_NAMES)
     @pytest.mark.parametrize(
@@ -90,7 +96,7 @@ class TestEngineParity:
             run_program(app, 8),
             algorithms=CollectiveAlgorithms(allreduce=allreduce),
         )
-        both_engines(graph, injector_name=injector_name, noise_name="gaussian")
+        engine_vs_oracle(graph, injector_name=injector_name, noise_name="gaussian")
 
     @pytest.mark.parametrize("injector_name", INJECTOR_NAMES)
     def test_every_collective(self, injector_name):
@@ -104,7 +110,7 @@ class TestEngineParity:
             comm.barrier()
 
         graph = build_graph(run_program(app, 5))
-        both_engines(graph, injector_name=injector_name, noise_name="jitter")
+        engine_vs_oracle(graph, injector_name=injector_name, noise_name="jitter")
 
     def test_nonblocking_program(self):
         def app(comm):
@@ -118,7 +124,7 @@ class TestEngineParity:
 
         graph = build_graph(run_program(app, 6))
         for injector_name in INJECTOR_NAMES:
-            both_engines(graph, injector_name=injector_name)
+            engine_vs_oracle(graph, injector_name=injector_name)
 
     def test_tiny_programs_match_reference(self):
         # the smallest inputs: a barrier, pure computation, one message
@@ -135,11 +141,11 @@ class TestEngineParity:
                 comm.recv(0, 16, tag=0)
 
         for app, nranks in ((barrier_only, 2), (compute_only, 1), (one_message, 2)):
-            both_engines(build_graph(run_program(app, nranks)))
+            engine_vs_oracle(build_graph(run_program(app, nranks)))
 
     def test_same_level_sends_serialise_on_the_nic(self):
         # two unchained sends of one rank share a level: the NIC gap must
-        # serialise them in vertex-id order in both engines
+        # serialise them in vertex-id order in the engine and the oracle
         builder = GraphBuilder(nranks=2)
         s0 = builder.add_send(0, 1, 64, tag=0)
         s1 = builder.add_send(0, 1, 64, tag=1)
@@ -149,9 +155,9 @@ class TestEngineParity:
         builder.add_comm_edge(s1, r1)
         graph = builder.freeze()
         params = LogGPSParams(L=1.0, o=0.2, g=5.0, G=0.0)
-        legacy, level = both_engines(graph, params, delta=0.0)
+        oracle, engine = engine_vs_oracle(graph, params, delta=0.0)
         # the second send waited for the gap
-        assert level.start[s1] == pytest.approx(legacy.start[s0] + params.g)
+        assert engine.start[s1] == pytest.approx(oracle.start[s0] + params.g)
 
     def test_same_level_messages_share_one_progress_thread(self):
         # two messages for one rank arriving in the same level: strategy C
@@ -165,17 +171,21 @@ class TestEngineParity:
         builder.add_comm_edge(s0, r0)
         builder.add_comm_edge(s1, r1)
         graph = builder.freeze()
-        legacy, level = both_engines(
+        _, engine = engine_vs_oracle(
             graph, injector_name="receiver_progress", delta=9.0
         )
         # the second release queued behind the first: 2 * delta apart
-        assert level.end[r1] - level.end[r0] == pytest.approx(9.0)
+        assert engine.end[r1] - engine.end[r0] == pytest.approx(9.0)
 
     def test_track_nic_false_matches_forward_pass(self):
+        # every vertex of a random DAG is chained on its rank, so with g = 0
+        # the NIC gap never delays a send: the oracle is the forward pass
         graph = build_random_dag(3, nranks=3, rounds=10)
         completion = forward_pass(graph, PARAMS)
+        oracle = reference(graph, PARAMS.replace(g=0.0))
+        np.testing.assert_allclose(completion, oracle.end, atol=1e-9)
         cp = analyze_critical_path(graph, PARAMS)
-        assert cp.runtime == pytest.approx(float(completion.max()))
+        assert cp.runtime == float(completion.max())
 
 
 class TestSweepParity:
@@ -199,7 +209,7 @@ class TestSweepParity:
                 sweep.rank_finish[i], point.rank_finish, atol=1e-9
             )
 
-    def test_sweep_legacy_engine_matches(self):
+    def test_sweep_matches_oracle(self):
         graph = build_random_dag(2, nranks=3, rounds=8)
         level = simulate_sweep(graph, PARAMS, self.DELTAS)
         legacy = [
@@ -220,18 +230,32 @@ class TestSweepParity:
         assert sweep.makespan.shape == (0,)
 
 
-class TestBatchProtocols:
-    def test_receiver_progress_batch_equals_scalar_sequence(self):
-        ranks = np.array([0, 1, 0, 0, 2, 1, 0], dtype=np.int64)
-        arrivals = np.array([5.0, 1.0, 2.0, 9.0, 4.0, 1.5, 9.0])
-        batch = ReceiverProgressInjector(3.0)
-        scalar = ReceiverProgressInjector(3.0)
-        got = batch.release_times(ranks, arrivals)
-        expected = [
-            scalar.release_time(int(r), float(a)) for r, a in zip(ranks, arrivals)
-        ]
-        np.testing.assert_allclose(got, expected)
-        assert batch._busy_until == scalar._busy_until
+class TestOneEngine:
+    """A one-row call is row ``k`` of a ``K``-row grid, bit for bit."""
+
+    DELTAS = (0.0, 3.0, 11.0, 40.0)
+
+    @pytest.mark.parametrize("noise_name", sorted(NOISE_FACTORIES))
+    @pytest.mark.parametrize("seed", range(2))
+    def test_one_row_equals_grid_row(self, noise_name, seed):
+        graph = build_random_dag(seed, nranks=4, rounds=12)
+        grid = simulate_sweep_grid(
+            graph, PARAMS, self.DELTAS, injectors=INJECTOR_NAMES,
+            noise=NOISE_FACTORIES[noise_name](),
+        )
+        for i, name in enumerate(INJECTOR_NAMES):
+            for k, delta in enumerate(self.DELTAS):
+                one = simulate(
+                    graph, PARAMS, injector=make_injector(name, delta),
+                    noise=NOISE_FACTORIES[noise_name](),
+                )
+                assert one.makespan == grid.makespan[i, k], (name, delta)
+                np.testing.assert_array_equal(one.rank_finish, grid.rank_finish[i, k])
+                point = simulate_sweep(
+                    graph, PARAMS, [delta], injector=name,
+                    noise=NOISE_FACTORIES[noise_name](),
+                )
+                np.testing.assert_array_equal(point.makespan, grid.makespan[i, k:k + 1])
 
     @pytest.mark.parametrize("noise_name", ["gaussian", "jitter"])
     def test_perturb_many_is_stream_equivalent(self, noise_name):
@@ -242,17 +266,11 @@ class TestBatchProtocols:
         expected = [scalar.perturb(float(d)) for d in durations]
         np.testing.assert_allclose(got, expected)
 
-    def test_scalar_only_protocols_still_work(self):
-        # third-party injectors/noise models that implement only the scalar
-        # protocol run through the level engine's adapter shims
+    def test_undeclared_protocols_rejected(self):
+        # an injector must declare where its ΔL enters, and a noise model
+        # must perturb a whole level per call: scalar-only objects are refused
         class ScalarInjector:
             delta = 2.0
-
-            def reset(self):
-                pass
-
-            def send_extra_delay(self, src_rank):
-                return 0.5
 
             def release_time(self, dst_rank, arrival):
                 return arrival + self.delta
@@ -265,9 +283,64 @@ class TestBatchProtocols:
                 return duration * 2.0
 
         graph = build_random_dag(4, nranks=3, rounds=8)
-        legacy = reference(graph, PARAMS, injector=ScalarInjector(), noise=ScalarNoise())
-        level = simulate(graph, PARAMS, injector=ScalarInjector(), noise=ScalarNoise())
-        assert_identical(legacy, level)
+        with pytest.raises(TypeError, match="^ScalarInjector declares no ΔL entry point"):
+            simulate(graph, PARAMS, injector=ScalarInjector())
+        with pytest.raises(TypeError, match=r"^ScalarNoise has no perturb_many\(durations\)"):
+            simulate(graph, PARAMS, noise=ScalarNoise())
+
+
+def _lulesh4():
+    return ALL_APPS["lulesh"].build(4, params=CSCS_TESTBED)
+
+
+DELTA_MESSAGE = "delta_L values must be finite and non-negative"
+MATRIX_MESSAGE = "latency_matrices entries must be finite and non-negative"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda g: simulate(g, CSCS_TESTBED, delta_L=-100.0), DELTA_MESSAGE,
+                     id="simulate-negative"),
+        pytest.param(lambda g: simulate(g, CSCS_TESTBED, delta_L=math.nan), DELTA_MESSAGE,
+                     id="simulate-nan"),
+        pytest.param(lambda g: simulate(g, CSCS_TESTBED, delta_L=math.inf), DELTA_MESSAGE,
+                     id="simulate-inf"),
+        pytest.param(lambda g: simulate(g, CSCS_TESTBED, injector=make_injector(
+            "sender_delay", math.nan)), DELTA_MESSAGE, id="injector-nan"),
+        pytest.param(lambda g: simulate(g, CSCS_TESTBED, injector=make_injector(
+            "receiver_progress", -1.0)), DELTA_MESSAGE, id="injector-negative"),
+        pytest.param(lambda g: simulate_sweep(g, CSCS_TESTBED, [0.0, math.nan]),
+                     DELTA_MESSAGE, id="sweep-nan"),
+        pytest.param(lambda g: simulate_sweep_grid(
+            g, CSCS_TESTBED, [-5.0], injectors=INJECTOR_NAMES), DELTA_MESSAGE,
+            id="grid-negative"),
+        pytest.param(lambda g: LatencyAnalyzer(g, CSCS_TESTBED).simulate(-1.0),
+                     DELTA_MESSAGE, id="analyzer-simulate"),
+        pytest.param(lambda g: LatencyAnalyzer(g, CSCS_TESTBED).simulated_sweep(
+            [1.0, math.inf]), DELTA_MESSAGE, id="analyzer-simulated-sweep"),
+        pytest.param(lambda g: LatencyAnalyzer(g, CSCS_TESTBED).graph_analysis(-2.0),
+                     DELTA_MESSAGE, id="analyzer-graph-analysis"),
+        pytest.param(lambda g: simulate_sweep_grid(g, CSCS_TESTBED, [0.0], latency_matrices=(
+            np.full((4, 4), -50.0))), MATRIX_MESSAGE, id="matrix-negative"),
+        pytest.param(lambda g: simulate_sweep_grid(g, CSCS_TESTBED, [0.0], latency_matrices=(
+            np.full((4, 4), math.nan))), MATRIX_MESSAGE, id="matrix-nan"),
+        pytest.param(lambda g: simulate_sweep_grid(g, CSCS_TESTBED, [0.0], latency_matrices=(
+            np.full((1, 4, 4), math.inf))), MATRIX_MESSAGE, id="matrix-inf"),
+        pytest.param(lambda g: GaussianNoise(sigma=math.nan),
+                     "sigma must be finite and non-negative, got nan", id="sigma-nan"),
+        pytest.param(lambda g: GaussianNoise(sigma=math.inf),
+                     "sigma must be finite and non-negative, got inf", id="sigma-inf"),
+        pytest.param(lambda g: OSJitterNoise(spike=math.nan),
+                     "spike must be finite and non-negative, got nan", id="spike-nan"),
+        pytest.param(lambda g: OSJitterNoise(spike=-1.0),
+                     "spike must be finite and non-negative, got -1.0", id="spike-negative"),
+    ],
+)
+def test_bad_simulator_inputs_rejected(call, message):
+    with pytest.raises(ValueError) as info:
+        call(_lulesh4())
+    assert str(info.value) == message
 
 
 class TestNoiseResetRegression:
@@ -307,6 +380,7 @@ class TestCriticalPathTies:
         result = simulate(graph, params)
         assert result.end[a] == result.end[b]
         assert result.critical_path(graph) == [a, join]
+        assert analyze_critical_path(graph, params).path == [a, join]
 
     def test_comm_tie_breaks_to_lowest_edge_id(self):
         # two messages arriving at the same instant at one join
@@ -327,6 +401,35 @@ class TestCriticalPathTies:
         path = result.critical_path(graph)
         assert path == [s0, r0, join]
         assert result.critical_path_messages(graph) == 1
+        cp = analyze_critical_path(graph, params)
+        assert cp.path == [s0, r0, join]
+        assert (cp.messages_on_path, cp.bytes_on_path) == (1, 7)
+
+
+class TestOneCriticalPath:
+    """``analyze_critical_path``'s path fields, against the runtime and
+    against the per-pair forward pass (λ_L and λ_G on its backtrack)."""
+
+    @pytest.mark.parametrize("app", sorted(ALL_APPS))
+    @pytest.mark.parametrize("nranks", [4, 8])
+    @pytest.mark.parametrize("allreduce", ["recursive_doubling", "ring"])
+    def test_path_fields(self, app, nranks, allreduce):
+        graph = ALL_APPS[app].build(
+            nranks, params=CSCS_TESTBED,
+            algorithms=CollectiveAlgorithms(allreduce=allreduce),
+        )
+        analyzer = LatencyAnalyzer(graph, CSCS_TESTBED)
+        evaluate = pair_forward_evaluator(graph, CSCS_TESTBED)
+        for delta in (0.0, 50.0):
+            params = CSCS_TESTBED.with_delta_latency(delta)
+            cp = analyze_critical_path(graph, params)
+            total = (cp.compute_on_path + cp.overhead_on_path + cp.latency_on_path
+                     + params.G * cp.bytes_on_path)
+            assert total == pytest.approx(cp.runtime, rel=1e-13)
+            _, d_l, _ = evaluate(np.full((nranks, nranks), params.L))
+            assert cp.messages_on_path == np.triu(d_l).sum()
+            assert cp.bytes_on_path == analyzer.bandwidth_sensitivity(delta)
+            assert cp.latency_sensitivity == cp.messages_on_path
 
 
 # ---------------------------------------------------------------------------
@@ -372,23 +475,20 @@ class TestSweepGrid:
 
         return build_graph(run_program(app, nranks))
 
-    def test_rows_match_per_injector_sweeps(self):
-        from repro.simulator import simulate_sweep_grid
-
+    def test_rows_match_oracle(self):
         graph = self._graph()
         grid = simulate_sweep_grid(
             graph, PARAMS, self.DELTAS, injectors=INJECTOR_NAMES
         )
         for i, name in enumerate(INJECTOR_NAMES):
-            sweep = simulate_sweep(graph, PARAMS, self.DELTAS, injector=name)
-            np.testing.assert_array_equal(grid.makespan[i], sweep.makespan, err_msg=name)
-            np.testing.assert_array_equal(
-                grid.rank_finish[i], sweep.rank_finish, err_msg=name
-            )
+            for k, delta in enumerate(self.DELTAS):
+                point = reference(graph, PARAMS, injector=make_injector(name, delta))
+                assert grid.makespan[i, k] == pytest.approx(point.makespan, abs=1e-9)
+                np.testing.assert_allclose(
+                    grid.rank_finish[i, k], point.rank_finish, atol=1e-9, err_msg=name
+                )
 
     def test_sweep_slice_round_trips(self):
-        from repro.simulator import simulate_sweep_grid
-
         graph = self._graph()
         grid = simulate_sweep_grid(
             graph, PARAMS, self.DELTAS, injectors=("ideal", "sender_delay")
@@ -399,8 +499,6 @@ class TestSweepGrid:
         np.testing.assert_array_equal(sweep.makespan, grid.makespan[1])
 
     def test_uniform_latency_matrix_matches_scalar_latency(self):
-        from repro.simulator import simulate_sweep_grid
-
         graph = self._graph()
         matrix = np.full((graph.nranks, graph.nranks), PARAMS.L)
         scalar = simulate_sweep_grid(graph, PARAMS, self.DELTAS)
@@ -413,8 +511,6 @@ class TestSweepGrid:
     def test_per_point_matrices_equal_wire_deltas(self):
         # point k simulated under base latency L + DELTAS[k] must equal the
         # ideal injector sweeping DELTAS over the scalar L
-        from repro.simulator import simulate_sweep_grid
-
         graph = self._graph()
         P = graph.nranks
         stack = np.stack(
@@ -427,24 +523,20 @@ class TestSweepGrid:
         np.testing.assert_allclose(per_point.makespan, swept.makespan, atol=1e-9)
 
     def test_track_nic_false_matches_forward_pass(self):
-        from repro.simulator import simulate_sweep_grid
-
+        # a program's sends are chained on their rank, so with g = 0 the NIC
+        # gap delays none of them: grid, forward pass and oracle agree
         graph = self._graph()
-        grid = simulate_sweep_grid(
-            graph, PARAMS, [0.0], injectors=("ideal",), track_nic=False
-        )
+        no_gap = PARAMS.replace(g=0.0)
+        grid = simulate_sweep_grid(graph, no_gap, [0.0])
         completion = forward_pass(graph, PARAMS)
-        assert grid.makespan[0, 0] == pytest.approx(float(completion.max()), abs=1e-9)
+        assert grid.makespan[0, 0] == float(completion.max())
+        np.testing.assert_allclose(completion, reference(graph, no_gap).end, atol=1e-9)
 
     def test_unknown_injector_rejected(self):
-        from repro.simulator import simulate_sweep_grid
-
         with pytest.raises(ValueError, match="injector"):
             simulate_sweep_grid(self._graph(), PARAMS, [0.0], injectors=("warp",))
 
     def test_bad_matrix_shape_rejected(self):
-        from repro.simulator import simulate_sweep_grid
-
         graph = self._graph()
         with pytest.raises(ValueError, match="latency_matrices"):
             simulate_sweep_grid(
@@ -452,8 +544,6 @@ class TestSweepGrid:
             )
 
     def test_empty_grid_shapes(self):
-        from repro.simulator import simulate_sweep_grid
-
         graph = self._graph()
         grid = simulate_sweep_grid(graph, PARAMS, [], injectors=INJECTOR_NAMES)
         assert grid.makespan.shape == (len(INJECTOR_NAMES), 0)
